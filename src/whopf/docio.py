@@ -65,6 +65,18 @@ def _field_from_doc(doc):
         raise ParseError(str(exc)) from exc
 
 
+def _entries(doc, key, shape):
+    """The list of ``key`` entries, each a list of ``len(shape)`` items."""
+    form = f"[{', '.join(shape)}]"
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{key} must be a list of {form} entries")
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != len(shape):
+            raise ParseError(f"{key} entry {entry!r} must be {form}")
+    return entries
+
+
 def document_to_wha(doc):
     if not isinstance(doc, dict):
         raise ParseError("document is not a JSON object")
@@ -72,11 +84,19 @@ def document_to_wha(doc):
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
     field = _field_from_doc(doc)
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("dim must be a positive integer")
     basis = doc.get("basis") or [f"e{i}" for i in range(dim)]
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise ParseError("basis must be a list of label strings")
     if len(basis) != dim:
         raise ParseError("basis labels do not match dim")
+    metadata = doc.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise ParseError("metadata must be a JSON object")
+    name = metadata.get("name", "H")
+    if not isinstance(name, str):
+        raise ParseError("metadata name must be a string")
 
     def scalar(text):
         if not isinstance(text, str):
@@ -84,42 +104,28 @@ def document_to_wha(doc):
         return field.parse(text)
 
     def index(i):
-        if not isinstance(i, int) or not 0 <= i < dim:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
             raise ParseError(f"index {i!r} out of range")
         return i
 
     mult = {}
-    for entry in doc.get("mult", []):
-        if len(entry) != 4:
-            raise ParseError(f"mult entry {entry!r} must be [i, j, k, coeff]")
-        i, j, k, c = entry
+    for i, j, k, c in _entries(doc, "mult", ("i", "j", "k", "coeff")):
         mult.setdefault((index(i), index(j)), {})[index(k)] = scalar(c)
     comult = [dict() for _ in range(dim)]
-    for entry in doc.get("comult", []):
-        if len(entry) != 4:
-            raise ParseError(f"comult entry {entry!r} must be [i, j, k, coeff]")
-        i, j, k, c = entry
+    for i, j, k, c in _entries(doc, "comult", ("i", "j", "k", "coeff")):
         comult[index(i)][(index(j), index(k))] = scalar(c)
     unit = [field.zero()] * dim
-    for entry in doc.get("unit", []):
-        if len(entry) != 2:
-            raise ParseError(f"unit entry {entry!r} must be [i, coeff]")
-        unit[index(entry[0])] = scalar(entry[1])
+    for i, c in _entries(doc, "unit", ("i", "coeff")):
+        unit[index(i)] = scalar(c)
     counit = [field.zero()] * dim
-    for entry in doc.get("counit", []):
-        if len(entry) != 2:
-            raise ParseError(f"counit entry {entry!r} must be [i, coeff]")
-        counit[index(entry[0])] = scalar(entry[1])
+    for i, c in _entries(doc, "counit", ("i", "coeff")):
+        counit[index(i)] = scalar(c)
     antipode = None
     if "antipode" in doc:
         rows = [[field.zero()] * dim for _ in range(dim)]
-        for entry in doc["antipode"]:
-            if len(entry) != 3:
-                raise ParseError(f"antipode entry {entry!r} must be [i, j, coeff]")
-            i, j, c = entry
+        for i, j, c in _entries(doc, "antipode", ("i", "j", "coeff")):
             rows[index(i)][index(j)] = scalar(c)
         antipode = Matrix(field, rows)
-    name = (doc.get("metadata") or {}).get("name", "H")
     return WeakHopfAlgebra(
         field, basis, mult, unit, comult, counit, antipode=antipode, name=name
     )

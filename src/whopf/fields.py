@@ -278,6 +278,14 @@ _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?(?:\*?z(?:\^(\d+))?)?$")
 
 
+def _parse_fraction(text, source):
+    """Fraction of a grammar-checked numeral; a zero denominator is a ParseError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in scalar {source!r}") from None
+
+
 class Field:
     """Common interface of the two scalar fields."""
 
@@ -333,7 +341,7 @@ class RationalField(Field):
         text = text.strip().replace(" ", "")
         if not _RAT_RE.match(text):
             raise ParseError(f"not a rational scalar: {text!r}")
-        return Fraction(text)
+        return _parse_fraction(text, text)
 
     def format(self, a):
         return str(Fraction(a))
@@ -409,7 +417,7 @@ class CyclotomicField(Field):
             coef_s, pow_s = m.groups()
             if coef_s is None and "z" not in term:
                 raise ParseError(f"bad cyclotomic term {term!r} in {text!r}")
-            coef = Fraction(coef_s) if coef_s else Fraction(1)
+            coef = _parse_fraction(coef_s, text) if coef_s else Fraction(1)
             if "z" in term:
                 power = int(pow_s) if pow_s else 1
                 total = total + sgn * coef * self.zeta(power)
@@ -448,7 +456,7 @@ def make_field(kind, order=None):
     if kind == "rational":
         return QQ
     if kind == "cyclotomic":
-        if order is None or order < 1:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise ValueError("cyclotomic field needs a positive order")
         if order <= 2:
             return QQ

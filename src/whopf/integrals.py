@@ -48,24 +48,29 @@ def integral_space(h, side="left", where="H"):
     if where == "dual":
         return integral_space(h.dual, side=side, where="H")
     n = h.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        basis_vec = [h.field.one() if t == i else h.field.zero() for t in range(n)]
+    zero = h.field.zero()
+    # Row r of the system for e_i has entry c = the e_r coefficient of
+    # e_i e_c - eps_t(e_i) e_c (left) or e_c e_i - e_c eps_s(e_i) (right).
+    cells = {}
+    for (a, b), cell in h.mult.items():
         if side == "left":
-            lm = h.left_mult_matrix(basis_vec)
-            lt = h.left_mult_matrix(h.eps_t_mat.col(i))
-            diff = lm - lt
+            cells.setdefault(a, []).append((b, cell))
         else:
-            rm = h.right_mult_matrix(basis_vec)
-            rs = h.right_mult_matrix(h.eps_s_mat.col(i))
-            diff = rm - rs
-        for r in range(n):
-            row = {c: v for c, v in enumerate(diff.rows[r]) if v}
-            rows.append(row)
-            rhs.append(h.field.zero())
-    got = solve_sparse(rows, rhs, n, h.field)
-    assert got is not None
+            cells.setdefault(b, []).append((a, cell))
+    counital = h.eps_t_mat if side == "left" else h.eps_s_mat
+    rows = []
+    for i in range(n):
+        acc = [{} for _ in range(n)]
+        terms = [(i, h.field.one())] + [(a, -x) for a, x in enumerate(counital.col(i)) if x]
+        for a, x in terms:
+            for c, cell in cells.get(a, ()):
+                for r, v in cell.items():
+                    acc[r][c] = acc[r].get(c, zero) + x * v
+        for row in acc:
+            rows.append({c: row[c] for c in sorted(row) if row[c]})
+    got = solve_sparse(rows, [zero] * len(rows), n, h.field)
+    if got is None:
+        raise Inconsistent("homogeneous integral system reported inconsistent")
     return Subspace.from_vectors(h.field, n, got[1])
 
 
@@ -163,12 +168,22 @@ def is_semisimple(h):
 
 
 def semisimple_by_trace_form(h):
-    """Independent oracle: non-degeneracy of (a,b) |-> Tr(L_a L_b)."""
-    mats = [
-        h.left_mult_matrix([h.field.one() if t == i else h.field.zero() for t in range(h.dim)])
-        for i in range(h.dim)
-    ]
-    gram = [[(mats[i] @ mats[j]).trace() for j in range(h.dim)] for i in range(h.dim)]
+    """Independent oracle: non-degeneracy of (a,b) |-> Tr(L_a L_b).
+
+    gram[i][l] = Tr(L_{e_i} L_{e_l}) = sum_{j,k} c_{lj}^k c_{ik}^j is read
+    straight from the structure constants.  No associativity is used, so the
+    form is exact on any input and independent of the integral route.
+    """
+    zero = h.field.zero()
+    by_kj = {}  # (k, j) -> [(i, c_{ik}^j)]
+    for (i, k), cell in h.mult.items():
+        for j, c in cell.items():
+            by_kj.setdefault((k, j), []).append((i, c))
+    gram = [[zero] * h.dim for _ in range(h.dim)]
+    for (l, j), cell in h.mult.items():
+        for k, c in cell.items():
+            for i, c2 in by_kj.get((k, j), ()):
+                gram[i][l] += c2 * c
     return Matrix(h.field, gram).is_invertible()
 
 

@@ -691,7 +691,16 @@ def _scalar_repr(field, x):
 
 
 def validate_weak_bialgebra(h):
-    """Check associativity, unit, coassociativity, counit, and the weak axioms."""
+    """Check associativity, unit, coassociativity, counit, and the weak axioms.
+
+    The weak-unit check folds the unit slots into the legs of Delta(1), so it
+    costs |Delta(1)| |1| products to fold plus one middle-slot product per
+    pair of distinct folded legs, instead of |Delta(1)|^2 |1|^2 triple
+    products.  With r and c the most nonzeros in a row and in a column of
+    E2[i][j] = eps(e_i e_j), the weak-counit check costs, for each g,
+    |Delta(g)| r products to fold Delta(g) into rows of E2 plus c r per
+    distinct leg of Delta(g), instead of n^2 |Delta(g)|.
+    """
     checks = []
     n = h.dim
     field = h.field
@@ -801,7 +810,11 @@ def validate_weak_bialgebra(h):
             break
     checks.append(AxiomCheck("comult_multiplicative", witness is None, witness))
 
-    # weak unit axiom on Delta(1)
+    # weak unit axiom on Delta(1).  Both products of Delta(1) (x) 1 and
+    # 1 (x) Delta(1) are multilinear, so each unit slot folds into one leg of
+    # Delta(1) and only the middle slot multiplies two legs:
+    #   mid = sum (1_(1) 1) (x) 1_(2) 1'_(1) (x) (1 1'_(2))
+    #   alt = sum (1 1'_(1)) (x) 1_(1) 1'_(2) (x) (1_(2) 1)
     d1 = h.delta_one
     lhs = {}
     for (j, k), c in d1.items():
@@ -813,37 +826,93 @@ def validate_weak_bialgebra(h):
             elif key in lhs:
                 del lhs[key]
     one_idx = [(i, c) for i, c in enumerate(h.unit) if c]
-    d1_left = {}  # Delta(1) (x) 1
-    d1_right = {}  # 1 (x) Delta(1)
-    for (j, k), c in d1.items():
-        for i, ci in one_idx:
-            d1_left[(j, k, i)] = c * ci
-            d1_right[(i, j, k)] = c * ci
-    mid = h.mul_triple_dicts(d1_left, d1_right)
-    alt = h.mul_triple_dicts(d1_right, d1_left)
+
+    def fold(key_leg, vec_leg, one_first):
+        """Group Delta(1) by one leg; each group sums c (1 e_x) or c (e_x 1), x the other leg."""
+        out = {}
+        for pair, c in d1.items():
+            acc = out.setdefault(pair[key_leg], {})
+            for i, ci in one_idx:
+                cell = h.mult.get((i, pair[vec_leg]) if one_first else (pair[vec_leg], i))
+                if cell:
+                    for m, cm in cell.items():
+                        acc[m] = acc.get(m, zero) + c * ci * cm
+        return {x: {m: v for m, v in acc.items() if v} for x, acc in out.items()}
+
+    def middle_product(terms):
+        """sum of f (x) e_x e_y (x) g over (x, y, f, g) in terms, sparse."""
+        out = {}
+        for x, y, f, g in terms:
+            cell = h.mult.get((x, y))
+            if not cell or not f or not g:
+                continue
+            for a, fa in f.items():
+                for m, cm in cell.items():
+                    fc = fa * cm
+                    for b, gb in g.items():
+                        key = (a, m, b)
+                        out[key] = out.get(key, zero) + fc * gb
+        return {key: v for key, v in out.items() if v}
+
+    right_one = fold(1, 0, False)  # 1_(2) -> 1_(1) 1
+    left_one = fold(0, 1, True)  # 1'_(1) -> 1 1'_(2)
+    mid = middle_product(
+        (x, y, f, g) for x, f in right_one.items() for y, g in left_one.items()
+    )
+    right_one = fold(0, 1, False)  # 1_(1) -> 1_(2) 1
+    left_one = fold(1, 0, True)  # 1'_(2) -> 1 1'_(1)
+    alt = middle_product(
+        (x, y, f, g) for y, f in left_one.items() for x, g in right_one.items()
+    )
     ok = lhs == mid == alt
     checks.append(AxiomCheck("weak_unit", ok, None if ok else ("Delta(1)",)))
 
-    # weak counit axiom on all basis triples
+    # weak counit axiom eps(f g t) = eps(f g_(1)) eps(g_(2) t)
+    # = eps(f g_(2)) eps(g_(1) t), tabulated sparsely over (f, t) for each g
+    # from the nonzero rows and columns of E2[i][j] = eps(e_i e_j)
     e2 = h.counit_product
+    e2_rows = [[(t, v) for t, v in enumerate(row) if v] for row in e2]
+    e2_cols = [[] for _ in range(n)]
+    for f, row in enumerate(e2_rows):
+        for j, v in row:
+            e2_cols[j].append((f, v))
+    cells_by_g = {}
+    for (f, g), cell in h.mult.items():
+        cells_by_g.setdefault(g, []).append((f, cell))
+
+    def contract(terms):
+        """(f, t) -> sum of c eps(f e_j) eps(e_k t) over (j, k, c) in terms."""
+        rows = {}  # j -> sum over k of c eps(e_k t), as a sparse row in t
+        for j, k, c in terms:
+            row = rows.setdefault(j, {})
+            for t, w in e2_rows[k]:
+                row[t] = row.get(t, zero) + c * w
+        table = {}
+        for j, row in rows.items():
+            row = [(t, w) for t, w in row.items() if w]
+            for f, v in e2_cols[j]:
+                for t, w in row:
+                    table[f, t] = table.get((f, t), zero) + v * w
+        return table
+
     witness = None
     for g in range(n):
-        dg = list(h.comult[g].items())
-        for f in range(n):
-            row_f = e2[f]
-            for t in range(n):
-                lhs_val = zero
-                cell = h.mult.get((f, g))
-                if cell:
-                    lhs_val = sum((c * e2[k][t] for k, c in cell.items()), zero)
-                mid_val = sum((c * row_f[j] * e2[k][t] for (j, k), c in dg), zero)
-                alt_val = sum((c * row_f[k] * e2[j][t] for (j, k), c in dg), zero)
-                if not (lhs_val == mid_val == alt_val):
-                    witness = (f, g, t)
-                    break
-            if witness:
-                break
-        if witness:
+        lhs = {}
+        for f, cell in cells_by_g.get(g, ()):
+            for k, c in cell.items():
+                for t, v in e2_rows[k]:
+                    lhs[f, t] = lhs.get((f, t), zero) + c * v
+        dg = h.comult[g].items()
+        mid = contract((j, k, c) for (j, k), c in dg)
+        alt = contract((k, j, c) for (j, k), c in dg)
+        differ = [
+            ft
+            for ft in lhs.keys() | mid.keys() | alt.keys()
+            if not (lhs.get(ft, zero) == mid.get(ft, zero) == alt.get(ft, zero))
+        ]
+        if differ:
+            f, t = min(differ)
+            witness = (f, g, t)
             break
     checks.append(AxiomCheck("weak_counit", witness is None, witness))
 

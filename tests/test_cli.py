@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from whopf import docio
 from whopf.cli import main
 from whopf.constructors import groupoid_algebra, pair_groupoid
@@ -190,3 +192,53 @@ def test_report_embeds_not_frobenius(monkeypatch):
     section, ok = cli_mod._section_integrals(h)
     assert section["error"] == "NotFrobenius"
     assert not ok
+
+
+def _hostile(kind):
+    doc = docio.wha_to_document(build_member("z3-group-cyclotomic"))
+    if kind == "scalar-div-zero":
+        doc["mult"][0][3] = "1/0"
+    elif kind == "mult-entry-not-list":
+        doc["mult"][0] = 7
+    elif kind == "mult-not-list":
+        doc["mult"] = 7
+    elif kind == "metadata-string":
+        doc["metadata"] = doc["metadata"]["name"]
+    elif kind == "cyclotomic-order-string":
+        doc["field"]["order"] = str(doc["field"]["order"])
+    elif kind == "dim-true":
+        doc = docio.wha_to_document(build_member("z2-group"))
+        doc.update(dim=True, basis=["e0"], mult=[], comult=[], unit=[], counit=[])
+        del doc["antipode"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "scalar-div-zero",
+        "mult-entry-not-list",
+        "mult-not-list",
+        "metadata-string",
+        "cyclotomic-order-string",
+        "dim-true",
+    ],
+)
+def test_validate_hostile_document_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(_hostile(kind)))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParseError"
+
+
+def test_rational_scalar_zero_denominator_is_parse_error():
+    from whopf.errors import ParseError
+    from whopf.fields import QQ, CyclotomicField
+
+    with pytest.raises(ParseError):
+        QQ.parse("1/0")
+    with pytest.raises(ParseError):
+        CyclotomicField(3).parse("1+2/0*z")
