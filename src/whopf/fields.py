@@ -313,8 +313,18 @@ class Field:
         return hash((self.kind, self.order))
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class RationalField(Field):
     kind = "rational"
+
+    def zero(self):
+        return _ZERO
+
+    def one(self):
+        return _ONE
 
     def from_int(self, k):
         return Fraction(k)
@@ -323,6 +333,10 @@ class RationalField(Field):
         return Fraction(q)
 
     def coerce(self, x):
+        # Fractions are immutable, so an exact Fraction is returned as is;
+        # rebuilding it would redo an ABC isinstance check per entry.
+        if type(x) is Fraction:
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise FieldMismatch(f"cannot coerce {x!r} into Q")

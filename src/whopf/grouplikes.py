@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import Inconsistent, NotHalfGrouplike, RegularityViolated
 from .linalg import Matrix, Subspace, solve_sparse
 from .search import find_invertible_in_subspace, height_vectors, max_height
-from .wha import Element, Functional
+from .wha import Element, Functional, _basis
 
 __all__ = [
     "DistinguishedPair",
@@ -45,10 +45,6 @@ __all__ = [
     "twisted_counitals",
     "twisted_integral_spaces",
 ]
-
-
-def _basis(h, i):
-    return [h.field.one() if t == i else h.field.zero() for t in range(h.dim)]
 
 
 def _pair_of(h, a, b):
@@ -80,30 +76,45 @@ def is_grouplike(h, g):
     return is_half_grouplike(h, g, 1) and is_half_grouplike(h, g, 2)
 
 
+def _table_product(x, y, zero):
+    """Product of two square tables (lists of rows), skipping their zero entries."""
+    y_rows = [[(b, t) for b, t in enumerate(row) if t] for row in y]
+    out = []
+    for row in x:
+        acc = [zero] * len(y)
+        for i, v in enumerate(row):
+            if v:
+                for b, t in y_rows[i]:
+                    acc[b] += v * t
+        out.append(acc)
+    return out
+
+
 def is_dual_grouplike(h, gamma):
     """Group-like functional: convolution-invertible plus both factorizations.
 
     <gamma, hg> = <gamma, h 1_(1)> <gamma, S(1_(2)) g>
     <gamma, hg> = <gamma, h S(1_(1))> <gamma, 1_(2) g>
-    checked over all basis pairs (h, g).
+    checked over all basis pairs (h, g).  With G2[a][b] = <gamma, e_a e_b>,
+    F = S^T G2, F' = G2 S and C[j][k] the e_j (x) e_k coefficient of
+    Delta(1), the right-hand sides are the tables G2 C F and F' C G2.
     """
     gamma = gamma.coeffs if isinstance(gamma, Functional) else gamma
     fn = Functional(h, gamma)
     if not fn.is_invertible():
         return False
     n = h.dim
-    g2 = [[fn(h.mul_vec(_basis(h, a), _basis(h, b))) for b in range(n)] for a in range(n)]
-    first = [[fn(h.mul_vec(h.apply_S(_basis(h, a)), _basis(h, b))) for b in range(n)] for a in range(n)]
-    second = [[fn(h.mul_vec(_basis(h, a), h.apply_S(_basis(h, b)))) for b in range(n)] for a in range(n)]
     zero = h.field.zero()
-    d1 = h.delta_one
-    for a in range(n):
-        for b in range(n):
-            rhs1 = sum((c * g2[a][j] * first[k][b] for (j, k), c in d1.items()), zero)
-            rhs2 = sum((c * second[a][j] * g2[k][b] for (j, k), c in d1.items()), zero)
-            if not (g2[a][b] == rhs1 == rhs2):
-                return False
-    return True
+    g2 = h.pairing_table(fn)
+    s_rows = h.S.rows
+    first = _table_product(list(zip(*s_rows)), g2, zero)  # <gamma, S(e_a) e_b>
+    second = _table_product(g2, s_rows, zero)  # <gamma, e_a S(e_b)>
+    c = [[zero] * n for _ in range(n)]
+    for (j, k), w in h.delta_one.items():
+        c[j][k] = w
+    rhs1 = _table_product(g2, _table_product(c, first, zero), zero)
+    rhs2 = _table_product(_table_product(second, c, zero), g2, zero)
+    return g2 == rhs1 == rhs2
 
 
 def make_trivial_grouplike(h, y):
@@ -137,7 +148,8 @@ def is_trivial_grouplike(h, g):
             rows.append(row)
             rhs.append(h.field.zero())
     got = solve_sparse(rows, rhs, hs.dim, h.field)
-    assert got is not None
+    if got is None:
+        raise Inconsistent("homogeneous trivial-group-like system reported inconsistent")
     vecs = []
     for kv in got[1]:
         v = [h.field.zero()] * h.dim
@@ -265,7 +277,7 @@ def twisted_counitals(h, gamma):
     out = {}
     zero = h.field.zero()
     n = h.dim
-    g2 = [[gamma(h.mul_vec(_basis(h, a), _basis(h, b))) for b in range(n)] for a in range(n)]
+    g2 = h.pairing_table(gamma)
     if is_half_grouplike(h.dual, gd, 1):
         cols = []
         for i in range(n):

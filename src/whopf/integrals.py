@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Inconsistent, Mismatch, NotFrobenius
+from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
 from .linalg import Matrix, Subspace, solve_sparse, try_solve
-from .search import height_vectors
-from .wha import Element, Functional
+from .search import height_vectors, max_height
+from .wha import Element, Functional, _basis
 
 __all__ = [
     "DualPair",
@@ -77,8 +77,11 @@ def integral_space(h, side="left", where="H"):
 def nondegeneracy_matrix(h, ell):
     """Matrix of phi |-> phi -> ell; columns indexed by the dual basis."""
     ell = ell.coeffs if isinstance(ell, Element) else ell
+    return _matrix_of_pairs(h, h.comul_vec(ell))
+
+
+def _matrix_of_pairs(h, pairs):
     zero = h.field.zero()
-    pairs = h.comul_vec(ell)
     cols = [[zero] * h.dim for _ in range(h.dim)]
     for (a, b), c in pairs.items():
         cols[b][a] += c
@@ -86,7 +89,16 @@ def nondegeneracy_matrix(h, ell):
 
 
 def is_nondegenerate(h, ell):
-    return nondegeneracy_matrix(h, ell).is_invertible()
+    """Invertibility of phi |-> phi -> ell, the matrix of Delta(ell).
+
+    A basis index missing from the first or the second legs of Delta(ell)
+    is a zero row or column, which proves the matrix singular without a rank.
+    """
+    ell = ell.coeffs if isinstance(ell, Element) else ell
+    pairs = h.comul_vec(ell)
+    if len({a for a, _ in pairs}) < h.dim or len({b for _, b in pairs}) < h.dim:
+        return False
+    return _matrix_of_pairs(h, pairs).is_invertible()
 
 
 def find_nondegenerate_integral(h, space=None, skip=0):
@@ -197,7 +209,7 @@ def invariance_check(h, pair, rho=None):
     lam = pair.lam
     n = h.dim
     zero = h.field.zero()
-    lam2 = [[lam(h.mul_vec(_basis(h, b), _basis(h, k))) for k in range(n)] for b in range(n)]
+    lam2 = h.pairing_table(lam)
     failures = []
     for a in range(n):
         for b in range(n):
@@ -216,7 +228,7 @@ def invariance_check(h, pair, rho=None):
                 failures.append(("left_invariance", a, b))
     if rho is None:
         rho = Functional(h, h.S.transpose().matvec(lam.coeffs))  # lambda o S
-    rho2 = [[rho(h.mul_vec(_basis(h, a), _basis(h, k))) for k in range(n)] for a in range(n)]
+    rho2 = h.pairing_table(rho)
     for a in range(n):
         for b in range(n):
             lhs = [zero] * n
@@ -233,10 +245,6 @@ def invariance_check(h, pair, rho=None):
             if lhs != rhs:
                 failures.append(("right_invariance", a, b))
     return failures
-
-
-def _basis(h, i):
-    return [h.field.one() if t == i else h.field.zero() for t in range(h.dim)]
 
 
 def antipode_from_integrals(h, pair):
@@ -271,16 +279,25 @@ def trace_via_integrals(h, pair, t_mat):
 
 
 def has_nondegenerate_two_sided_integral(h):
-    """Search the two-sided integral space for a non-degenerate element."""
+    """Search the two-sided integral space for a non-degenerate element.
+
+    The search runs up to the height cap of ``search.max_height``; a nonzero
+    space without a hit up to the cap raises Undecidable rather than answer
+    False.
+    """
     two_sided = integral_space(h, "left").intersect(integral_space(h, "right"))
     if two_sided.dim == 0:
         return False
     zero = h.field.zero()
-    for coeffs in height_vectors(two_sided.dim, max_height=8):
+    cap = max_height()
+    for coeffs in height_vectors(two_sided.dim, max_height=cap):
         vec = [zero] * h.dim
         for c, row in zip(coeffs, two_sided.rows):
             if c:
                 vec = [x + c * y for x, y in zip(vec, row)]
         if is_nondegenerate(h, vec):
             return True
-    return False
+    raise Undecidable(
+        f"no non-degenerate element of the {two_sided.dim}-dimensional two-sided "
+        f"integral space up to height {cap}"
+    )

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Matrix, Subspace, try_solve
-from .wha import Element
+from .wha import Element, _basis
 
 __all__ = [
     "TraceReport",
@@ -364,12 +364,9 @@ def _block_traces(h, idempotents, s2):
     out = []
     for e in idempotents:
         p = e.coeffs
-        lp = h.left_mult_matrix(p)
-        rp = h.right_mult_matrix(p)
-        ph = Subspace.from_vectors(h.field, h.dim, [lp.col(i) for i in range(h.dim)])
-        php = Subspace.from_vectors(
-            h.field, h.dim, [rp.matvec(lp.col(i)) for i in range(h.dim)]
-        )
+        p_basis = [h.mul_vec(p, _basis(h, i)) for i in range(h.dim)]  # p e_i
+        ph = Subspace.from_vectors(h.field, h.dim, p_basis)
+        php = Subspace.from_vectors(h.field, h.dim, [h.mul_vec(v, p) for v in p_basis])
         label = repr(e)
         out.append((label, restricted_trace(h, s2, ph), restricted_trace(h, s2, php)))
     return out
@@ -441,9 +438,10 @@ def semisimplicity_report(h, pair=None):
         s2_dual = dual.S @ dual.S
         traces_dual = []
         for e in dual_idem:
-            r_pi = dual.right_mult_matrix(e.coeffs)
             h_star_pi = Subspace.from_vectors(
-                dual.field, dual.dim, [r_pi.col(i) for i in range(dual.dim)]
+                dual.field,
+                dual.dim,
+                [dual.mul_vec(_basis(dual, i), e.coeffs) for i in range(dual.dim)],
             )
             traces_dual.append(restricted_trace(dual, s2_dual, h_star_pi))
         record(

@@ -33,7 +33,7 @@ from .errors import (
 from .grouplikes import is_grouplike, is_regular
 from .integrals import is_semisimple
 from .linalg import Matrix
-from .wha import Element, WeakHopfAlgebra, minimal_data, validate_full
+from .wha import Element, WeakHopfAlgebra, _basis, minimal_data, validate_full
 
 __all__ = [
     "AbelianGrouplikes",
@@ -47,10 +47,6 @@ __all__ = [
     "twist",
     "twist_conjugator",
 ]
-
-
-def _basis(h, i):
-    return [h.field.one() if t == i else h.field.zero() for t in range(h.dim)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from .errors import (
     Axiom26Failure,
     Degenerate,
     FieldMismatch,
+    Inconsistent,
+    InvalidPresentation,
     NoAntipode,
     NoAntipodeInverse,
     NotInvertible,
@@ -51,6 +53,13 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # elements and functionals
+
+
+def _basis(h, i):
+    """Coefficient vector of the basis element e_i of h."""
+    vec = [h.field.zero()] * h.dim
+    vec[i] = h.field.one()
+    return vec
 
 
 class Element:
@@ -230,26 +239,56 @@ class ValidationReport:
 # the algebra
 
 
+def _index_pair(key, n, what):
+    """The basis index pair ``key`` of a ``what`` entry; InvalidPresentation if malformed."""
+    try:
+        i, j = key
+    except (TypeError, ValueError):
+        raise InvalidPresentation(f"{what} key {key!r} is not an index pair") from None
+    if i not in range(n) or j not in range(n):
+        raise InvalidPresentation(f"{what} index pair {key!r} out of range for dim {n}")
+    return i, j
+
+
 class WeakHopfAlgebra:
     def __init__(self, field, labels, mult, unit, comult, counit, antipode=None, name=""):
         self.field = field
         self.labels = tuple(labels)
-        self.dim = len(self.labels)
+        n = self.dim = len(self.labels)
         self.name = name or "H"
+        for what, seq in (("unit", unit), ("counit", counit), ("comult", comult)):
+            if len(seq) != n:
+                raise InvalidPresentation(f"{what} has {len(seq)} entries for dim {n}")
         coerce = field.coerce
+        indices = range(n)
         self.mult = {}
-        for (i, j), cell in mult.items():
-            clean = {k: coerce(c) for k, c in cell.items() if c}
-            clean = {k: c for k, c in clean.items() if c}
+        for key, cell in mult.items():
+            ij = _index_pair(key, n, "mult")
+            clean = {}
+            for k, c in cell.items():
+                if k not in indices:
+                    raise InvalidPresentation(f"mult{list(ij)} has output index {k!r} out of range")
+                if c and (c := coerce(c)):
+                    clean[k] = c
             if clean:
-                self.mult[(i, j)] = clean
-        self.comult = tuple(
-            {jk: coerce(c) for jk, c in comult[i].items() if coerce(c)} for i in range(self.dim)
-        )
+                self.mult[ij] = clean
+        coproducts = []
+        for i in indices:
+            clean = {}
+            for jk, c in comult[i].items():
+                jk = _index_pair(jk, n, f"comult[{i}]")
+                if c := coerce(c):
+                    clean[jk] = c
+            coproducts.append(clean)
+        self.comult = tuple(coproducts)
         self.unit = tuple(coerce(c) for c in unit)
         self.counit = tuple(coerce(c) for c in counit)
-        if antipode is not None and not isinstance(antipode, Matrix):
-            antipode = Matrix(field, antipode)
+        if antipode is not None:
+            rows = antipode.rows if isinstance(antipode, Matrix) else antipode
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise InvalidPresentation(f"antipode is not a {n}x{n} matrix")
+            if not isinstance(antipode, Matrix):
+                antipode = Matrix(field, antipode)
         self.antipode = antipode
 
     # -- basic accessors ----------------------------------------------------
@@ -421,21 +460,19 @@ class WeakHopfAlgebra:
         """Delta(1) as a sparse pair-tensor."""
         return self.comul_vec(self.unit)
 
+    def pairing_table(self, phi):
+        """Table T with T[a][b] = <phi, e_a e_b>, read from ``mult``."""
+        phi = phi.coeffs if isinstance(phi, Functional) else phi
+        zero = self.field.zero()
+        table = [[zero] * self.dim for _ in range(self.dim)]
+        for (a, b), cell in self.mult.items():
+            table[a][b] = sum((c * phi[k] for k, c in cell.items() if phi[k]), zero)
+        return table
+
     @cached_property
     def counit_product(self):
         """Matrix E2 with E2[i][j] = eps(e_i e_j)."""
-        zero = self.field.zero()
-        rows = []
-        for i in range(self.dim):
-            row = [zero] * self.dim
-            for j in range(self.dim):
-                cell = self.mult.get((i, j))
-                if cell:
-                    row[j] = sum(
-                        (c * self.counit[k] for k, c in cell.items() if self.counit[k]), zero
-                    )
-            rows.append(row)
-        return rows
+        return self.pairing_table(self.counit)
 
     # -- counital maps and subalgebras ---------------------------------------
 
@@ -503,22 +540,20 @@ class WeakHopfAlgebra:
         if space.dim == 0:
             return space
         if against is None:
-            one = self.field.one()
-            zero = self.field.zero()
-            test = [[one if t == i else zero for t in range(self.dim)] for i in range(self.dim)]
+            test = [_basis(self, i) for i in range(self.dim)]
         else:
             test = list(against.rows)
         rows = []
-        rhs = []
         for w in test:
-            mw = self.right_mult_matrix(w) - self.left_mult_matrix(w)  # y -> yw - wy
-            cols = [mw.matvec(a) for a in space.rows]
+            # column c holds a_c w - w a_c for the c-th basis row a_c of space
+            cols = [
+                [x - y for x, y in zip(self.mul_vec(a, w), self.mul_vec(w, a))] for a in space.rows
+            ]
             for r in range(self.dim):
-                row = {c: cols[c][r] for c in range(space.dim) if cols[c][r]}
-                rows.append(row)
-                rhs.append(self.field.zero())
-        got = solve_sparse(rows, rhs, space.dim, self.field)
-        assert got is not None
+                rows.append({c: cols[c][r] for c in range(space.dim) if cols[c][r]})
+        got = solve_sparse(rows, [self.field.zero()] * len(rows), space.dim, self.field)
+        if got is None:
+            raise Inconsistent("homogeneous centralizer system reported inconsistent")
         _part, basis = got
         vecs = []
         for kv in basis:
@@ -621,15 +656,24 @@ class WeakHopfAlgebra:
 
     def dual_lact(self, a, phi):
         """h -> phi: the functional g |-> <phi, g h>."""
-        phi = phi.coeffs if isinstance(phi, Functional) else phi
-        rm = self.right_mult_matrix(a)
-        return rm.transpose().matvec(phi)
+        return self._pair_with_product(phi, a, 1)
 
     def dual_ract(self, phi, a):
         """phi <- h: the functional g |-> <phi, h g>."""
+        return self._pair_with_product(phi, a, 0)
+
+    def _pair_with_product(self, phi, a, slot):
+        """The functional g |-> <phi, a g> (slot 0) or <phi, g a> (slot 1), in one pass over mult."""
         phi = phi.coeffs if isinstance(phi, Functional) else phi
-        lm = self.left_mult_matrix(a)
-        return lm.transpose().matvec(phi)
+        zero = self.field.zero()
+        out = [zero] * self.dim
+        for ij, cell in self.mult.items():
+            x = a[ij[slot]]
+            if x:
+                v = sum((c * phi[k] for k, c in cell.items() if phi[k]), zero)
+                if v:
+                    out[ij[1 - slot]] += x * v
+        return tuple(out)
 
     # -- dual algebra -----------------------------------------------------------
 

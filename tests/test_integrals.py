@@ -12,7 +12,8 @@ from whopf.constructors import (
     pair_groupoid,
     sweedler_hopf,
 )
-from whopf.errors import Mismatch, NotFrobenius
+from whopf import integrals
+from whopf.errors import Mismatch, NotFrobenius, Undecidable
 from whopf.fields import QQ
 from whopf.integrals import (
     antipode_from_integrals,
@@ -196,6 +197,28 @@ def test_s_maps_left_to_right_integrals():
 def test_two_sided_integral_detection():
     assert has_nondegenerate_two_sided_integral(pair2())
     assert has_nondegenerate_two_sided_integral(kz2())
+
+
+def test_exhausted_two_sided_search_is_undecidable(monkeypatch):
+    monkeypatch.setattr(integrals, "height_vectors", lambda dim, max_height: iter(()))
+    with pytest.raises(Undecidable):
+        has_nondegenerate_two_sided_integral(pair2())
+    # a zero two-sided space is decided without a search
+    assert not has_nondegenerate_two_sided_integral(sweedler_hopf())
+
+
+def test_two_sided_search_honours_the_height_cap(monkeypatch):
+    caps = []
+
+    def recording(dim, max_height):
+        caps.append(max_height)
+        return iter(())
+
+    monkeypatch.setattr(integrals, "height_vectors", recording)
+    monkeypatch.setenv("WHOPF_MAX_HEIGHT", "3")
+    with pytest.raises(Undecidable, match="height 3"):
+        has_nondegenerate_two_sided_integral(kz2())
+    assert caps == [3]
 
 
 def test_sweedler_is_frobenius_but_not_semisimple():

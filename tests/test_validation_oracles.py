@@ -1,21 +1,33 @@
-"""The sparse axiom, trace-form and integral kernels against brute force.
+"""The sparse axiom, trace-form, integral and group-like kernels against brute force.
 
 Each oracle below is the plain textbook form of a kernel: the weak-unit
 products as full triple tensors, the weak-counit identity over all n^3
 basis triples, the trace form from dense products of left multiplication
-matrices, and the integral systems from dense difference matrices.  They
-run on every zoo member and on seeded single-constant corruptions of
-``mult``, ``comult``, ``unit`` and ``counit``, which include non-unital and
-non-associative algebras; verdicts and witnesses must match exactly.
+matrices, the integral and centralizer systems from dense difference
+matrices, the dual arrows from transposed multiplication matrices, pairing
+tables and the dual group-like test from products of basis vectors, and
+non-degeneracy from the full rank alone.  They run on every zoo member and
+on seeded single-constant corruptions of ``mult``, ``comult``, ``unit`` and
+``counit``, which include non-unital and non-associative algebras; verdicts
+and witnesses must match exactly.
 """
 
 import random
 
 import pytest
 
-from whopf.integrals import integral_space, semisimple_by_trace_form
+from whopf.grouplikes import distinguished_pair, is_dual_grouplike
+from whopf.integrals import (
+    canonical_dual_pair,
+    integral_space,
+    is_nondegenerate,
+    nondegeneracy_matrix,
+    semisimple_by_trace_form,
+)
 from whopf.linalg import Matrix, Subspace, solve_sparse
-from whopf.wha import WeakHopfAlgebra, validate_full
+from whopf.search import height_vectors
+from whopf.twisting import regularize
+from whopf.wha import Functional, WeakHopfAlgebra, validate_full
 from whopf.zoo import ZOO_NAMES, build_member
 
 MAX_DIM = 16
@@ -97,6 +109,71 @@ def oracle_integral_space(h, side):
         rows.extend({c: v for c, v in enumerate(r) if v} for r in diff.rows)
     got = solve_sparse(rows, [h.field.zero()] * len(rows), n, h.field)
     return Subspace.from_vectors(h.field, n, got[1])
+
+
+def oracle_pairing_table(h, phi):
+    fn = Functional(h, phi)
+    n = h.dim
+    return [[fn(h.mul_vec(_basis(h, a), _basis(h, b))) for b in range(n)] for a in range(n)]
+
+
+def oracle_dual_lact(h, a, phi):
+    return h.right_mult_matrix(a).transpose().matvec(phi)
+
+
+def oracle_dual_ract(h, phi, a):
+    return h.left_mult_matrix(a).transpose().matvec(phi)
+
+
+def oracle_centralizer_in(h, space, against=None):
+    if space.dim == 0:
+        return space
+    test = [_basis(h, i) for i in range(h.dim)] if against is None else list(against.rows)
+    rows = []
+    for w in test:
+        mw = h.right_mult_matrix(w) - h.left_mult_matrix(w)  # y -> yw - wy
+        cols = [mw.matvec(a) for a in space.rows]
+        for r in range(h.dim):
+            rows.append({c: cols[c][r] for c in range(space.dim) if cols[c][r]})
+    got = solve_sparse(rows, [h.field.zero()] * len(rows), space.dim, h.field)
+    vecs = []
+    for kv in got[1]:
+        v = [h.field.zero()] * h.dim
+        for c, coeff in enumerate(kv):
+            if coeff:
+                v = [x + coeff * y for x, y in zip(v, space.rows[c])]
+        vecs.append(v)
+    return Subspace.from_vectors(h.field, h.dim, vecs)
+
+
+def oracle_is_dual_grouplike(h, gamma):
+    """Both factorizations per basis pair, with Delta(1) summed for each pair."""
+    fn = Functional(h, gamma)
+    if not fn.is_invertible():
+        return False
+    n = h.dim
+    e = lambda i: _basis(h, i)
+    g2 = [[fn(h.mul_vec(e(a), e(b))) for b in range(n)] for a in range(n)]
+    first = [[fn(h.mul_vec(h.apply_S(e(a)), e(b))) for b in range(n)] for a in range(n)]
+    second = [[fn(h.mul_vec(e(a), h.apply_S(e(b)))) for b in range(n)] for a in range(n)]
+    zero = h.field.zero()
+    d1 = h.delta_one
+    for a in range(n):
+        for b in range(n):
+            rhs1 = sum((c * g2[a][j] * first[k][b] for (j, k), c in d1.items()), zero)
+            rhs2 = sum((c * second[a][j] * g2[k][b] for (j, k), c in d1.items()), zero)
+            if not (g2[a][b] == rhs1 == rhs2):
+                return False
+    return True
+
+
+def oracle_is_nondegenerate(h, ell):
+    return nondegeneracy_matrix(h, ell).is_invertible()
+
+
+def generic_vector(h):
+    """A fixed vector with zero, positive and negative coordinates."""
+    return [h.field.from_int((k * k + 1) % 5 - 2) for k in range(h.dim)]
 
 
 def expected_report(h):
@@ -256,3 +333,68 @@ def test_integral_space_matches_dense_system(name):
     for h in CASES[name]:
         for side in ("left", "right"):
             assert integral_space(h, side) == oracle_integral_space(h, side)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pairing_table_and_dual_arrows_match_dense(name):
+    for h in CASES[name]:
+        phis = [h.counit, generic_vector(h), _basis(h, h.dim - 1)]
+        elements = [_basis(h, i) for i in range(h.dim)] + [h.unit, generic_vector(h)]
+        for phi in phis:
+            assert h.pairing_table(phi) == oracle_pairing_table(h, phi)
+            for a in elements:
+                assert h.dual_lact(a, phi) == oracle_dual_lact(h, a, phi)
+                assert h.dual_ract(phi, a) == oracle_dual_ract(h, phi, a)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_centralizer_matches_dense_system(name):
+    member = CASES[name][0]
+    full = Subspace.from_vectors(member.field, member.dim, [_basis(member, i) for i in range(member.dim)])
+    assert member.centralizer_in(full) == oracle_centralizer_in(member, full)
+    for h in CASES[name]:
+        for space in (h.source_base, h.target_base):
+            assert h.centralizer_in(space) == oracle_centralizer_in(h, space)
+        hmin = h.minimal_subalgebra
+        assert h.centralizer_in(hmin, against=hmin) == oracle_centralizer_in(h, hmin, hmin)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_dual_grouplike_matches_per_pair_sums(name):
+    reg, _q = regularize(build_member(name))
+    alpha = list(distinguished_pair(reg, canonical_dual_pair(reg)).alpha.coeffs)
+    assert is_dual_grouplike(reg, alpha) and oracle_is_dual_grouplike(reg, alpha)
+    assert is_dual_grouplike(reg, reg.counit) and oracle_is_dual_grouplike(reg, reg.counit)
+    for i in sorted({0, reg.dim // 2, reg.dim - 1}):
+        bent = list(alpha)
+        bent[i] += reg.field.one()
+        assert not is_dual_grouplike(reg, bent)
+        assert not oracle_is_dual_grouplike(reg, bent)
+    for gamma in (generic_vector(reg), _basis(reg, 0)):
+        assert is_dual_grouplike(reg, gamma) == oracle_is_dual_grouplike(reg, gamma)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_is_nondegenerate_matches_full_rank(name):
+    h = build_member(name)
+    space = integral_space(h, "left")
+    candidates = [generic_vector(h), h.unit, [h.field.one()] * h.dim]
+    for t, coeffs in enumerate(height_vectors(space.dim, max_height=2)):
+        if t == 40:
+            break
+        vec = [h.field.zero()] * h.dim
+        for c, row in zip(coeffs, space.rows):
+            vec = [x + c * y for x, y in zip(vec, row)]
+        candidates.append(vec)
+    for ell in candidates:
+        assert is_nondegenerate(h, ell) == oracle_is_nondegenerate(h, ell)
+
+
+def test_full_support_singular_candidate_takes_the_rank():
+    """The all-ones vector of dual-s3-group has Delta with full support but is singular."""
+    h = build_member("dual-s3-group")
+    ones = [h.field.one()] * h.dim
+    pairs = h.comul_vec(ones)
+    assert {a for a, _ in pairs} == {b for _, b in pairs} == set(range(h.dim))
+    assert not oracle_is_nondegenerate(h, ones)
+    assert not is_nondegenerate(h, ones)

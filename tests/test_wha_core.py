@@ -15,10 +15,11 @@ from whopf.constructors import (
     sweedler_hopf,
     SemisimplePresentation,
 )
-from whopf.errors import NotInvertible
+from whopf.errors import InvalidPresentation, NotInvertible
 from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import Matrix
 from whopf.wha import (
+    WeakHopfAlgebra,
     counital_maps,
     counital_subalgebras,
     dualize,
@@ -297,3 +298,21 @@ def test_antipode_anti_homomorphism_on_zoo():
 
 def _basis_vec(h, i):
     return [h.field.one() if t == i else h.field.zero() for t in range(h.dim)]
+
+
+@pytest.mark.parametrize(
+    "mult, unit, comult, counit, antipode",
+    [
+        ({(0, 0): {5: 1}}, [1], [{(0, 0): 1}], [1], [[1]]),  # product index out of range
+        ({(0, 1): {0: 1}}, [1], [{(0, 0): 1}], [1], None),  # factor index out of range
+        ({(0, 0): {0: 1}}, [1], [{(0, 2): 1}], [1], None),  # coproduct index out of range
+        ({(0, 0): {0: 1}}, [1], [{0: 1}], [1], None),  # coproduct key not a pair
+        ({(0, 0): {0: 1}}, [], [{(0, 0): 1}], [1], None),  # unit shorter than labels
+        ({(0, 0): {0: 1}}, [1], [{(0, 0): 1}], [1, 0], None),  # counit longer than labels
+        ({(0, 0): {0: 1}}, [1], [], [1], None),  # comult shorter than labels
+        ({(0, 0): {0: 1}}, [1], [{(0, 0): 1}], [1], [[1, 0]]),  # antipode not square
+    ],
+)
+def test_malformed_construction_is_invalid_presentation(mult, unit, comult, counit, antipode):
+    with pytest.raises(InvalidPresentation):
+        WeakHopfAlgebra(QQ, ["a"], mult, unit, comult, counit, antipode=antipode)
