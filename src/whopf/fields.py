@@ -1,10 +1,15 @@
 """Exact base-field arithmetic: rationals and cyclotomic extensions Q(zeta_n).
 
 Rational scalars are plain ``fractions.Fraction`` values.  Cyclotomic scalars
-are ``Cyc`` values: a coefficient vector of length phi(n) over Q representing
-a residue modulo the n-th cyclotomic polynomial, with the generator printed
-as ``z``.  Both are immutable, hashable, and canonical, so scalar equality is
-syntactic.
+are ``Cyc`` values: a residue modulo the n-th cyclotomic polynomial Phi_n,
+stored as phi(n) integer numerators over one positive integer denominator
+with no common factor (zero is 0/1), with the generator printed as ``z``.
+Phi_n is monic with integer coefficients, so a product is an integer
+convolution, an integer reduction by the rows of z^phi, z^(phi+1), ...
+stored once per order, and one gcd.  A rational operand only scales the
+other vector, and an inverse is the product of the other Galois conjugates
+over the norm.  Both kinds are immutable, hashable, and canonical, so scalar
+equality is syntactic.
 
 A ``Field`` object (RationalField or CyclotomicField) carries parsing,
 formatting, coercion, and inversion.  Cyclotomic orders 1 and 2 are
@@ -15,9 +20,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 
-from .errors import FieldMismatch, ParseError
+from .errors import FieldMismatch, Inconsistent, ParseError
 
 __all__ = [
     "Cyc",
@@ -49,11 +55,13 @@ def _poly_div_exact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         q, r = divmod(num[k + len(den) - 1], den[-1])
-        assert r == 0, "inexact cyclotomic division"
+        if r:
+            raise Inconsistent("inexact cyclotomic division")
         out[k] = q
         for i, c in enumerate(den):
             num[k + i] -= q * c
-    assert all(c == 0 for c in num), "nonzero remainder in cyclotomic division"
+    if any(num):
+        raise Inconsistent("nonzero remainder in cyclotomic division")
     return out
 
 
@@ -76,37 +84,59 @@ class _CycContext:
 
     def __init__(self, n):
         self.n = n
-        self.phi = euler_phi(n)
+        self.phi = phi = euler_phi(n)
         mod = cyclotomic_polynomial(n)
-        assert len(mod) == self.phi + 1
-        self.modulus = tuple(Fraction(c) for c in mod)
-        # power_rows[k] = coefficients of z^(phi + k) reduced mod Phi_n,
-        # enough rows to reduce any product of two residues and any z^k, k < n.
-        rows = []
-        top = [-Fraction(c) for c in mod[:-1]]  # z^phi
+        if len(mod) != phi + 1:
+            raise Inconsistent(f"Phi_{n} has degree {len(mod) - 1}, expected phi({n}) = {phi}")
+        # Phi_n is monic with integer coefficients, so every z^(phi + k)
+        # reduces to an integer row.  power_rows[k] holds the nonzero
+        # (index, coefficient) pairs of that row, enough rows to reduce any
+        # product of two residues and any z^k, k < n.
+        top = [-c for c in mod[:-1]]  # z^phi
         cur = list(top)
-        rows.append(tuple(cur))
-        needed = max(2 * self.phi - 2, n - 1)
-        for _ in range(self.phi, needed):
-            shifted = [Fraction(0)] + cur[:-1]
+        rows = [cur]
+        for _ in range(phi, max(2 * phi - 2, n - 1)):
             lead = cur[-1]
+            cur = [0] + cur[:-1]
             if lead:
-                shifted = [a + lead * b for a, b in zip(shifted, top)]
-            cur = shifted
-            rows.append(tuple(cur))
-        self.power_rows = rows
+                cur = [a + lead * b for a, b in zip(cur, top)]
+            rows.append(cur)
+        self.power_rows = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
+        self.zero_tail = (0,) * (phi - 1)
+        self.zero = _cyc(n, (0,) * phi, 1)
+        self.one = _cyc(n, (1,) + self.zero_tail, 1)
+        # The Galois automorphisms z -> z^k other than the identity.
+        self.conjugations = [k for k in range(2, n) if gcd(k, n) == 1]
 
     def reduce(self, coeffs):
-        # coeffs: list of Fractions of any length -> tuple of length phi
-        out = list(coeffs[: self.phi]) + [Fraction(0)] * max(0, self.phi - len(coeffs))
-        for k in range(self.phi, len(coeffs)):
+        """List of ints of length at most phi + len(power_rows) -> list of length phi."""
+        phi = self.phi
+        out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
+        for k in range(phi, len(coeffs)):
             c = coeffs[k]
             if c:
-                row = self.power_rows[k - self.phi]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return tuple(out)
+                for i, r in self.power_rows[k - phi]:
+                    out[i] += c * r
+        return out
+
+    def mul(self, a, b):
+        """Integer numerators of the product of residues a and b, reduced."""
+        prod = [0] * (2 * self.phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return self.reduce(prod)
+
+    def conjugate(self, a, k):
+        """Integer numerators of the image of residue a under z -> z^k."""
+        n = self.n
+        out = [0] * n
+        for i, x in enumerate(a):
+            if x:
+                out[i * k % n] += x
+        return self.reduce(out)
 
 
 _CONTEXTS = {}
@@ -119,159 +149,184 @@ def _context(n):
     return ctx
 
 
+_new = object.__new__
+
+
+def _cyc(n, num, den):
+    """Cyc from a canonical pair: gcd(den, *num) == 1 and den > 0."""
+    x = _new(Cyc)
+    x.n = n
+    x.num = num
+    x.den = den
+    return x
+
+
+def _canonical(n, num, den):
+    """Cyc of num / den for a nonzero int den, with the common factor removed."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _cyc(n, tuple(num), den)
+
+
+def _rational(num):
+    """True when the residue num has no z-part."""
+    return not any(num[1:])
+
+
 class Cyc:
-    """Residue in Q[z]/(Phi_n), i.e. an element of Q(zeta_n)."""
+    """Residue in Q[z]/(Phi_n), i.e. an element of Q(zeta_n).
 
-    __slots__ = ("n", "c")
+    Stored as integer numerators ``num`` (length phi(n)) over one positive
+    integer ``den`` with gcd(den, *num) == 1; zero is (0, ..., 0) / 1.
+    """
 
-    def __init__(self, n, coeffs, _reduce=True):
-        self.n = n
-        if _reduce:
-            coeffs = _context(n).reduce([Fraction(x) for x in coeffs])
-        self.c = coeffs
+    __slots__ = ("n", "num", "den")
+
+    def __init__(self, n, coeffs):
+        coeffs = [Fraction(x) for x in coeffs]
+        den = lcm(*(x.denominator for x in coeffs))
+        ints = [x.numerator * (den // x.denominator) for x in coeffs]
+        c = _canonical(n, _context(n).reduce(ints), den)
+        self.n, self.num, self.den = n, c.num, c.den
+
+    @property
+    def c(self):
+        """The coefficients as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     @staticmethod
     def from_rational(n, q):
         ctx = _context(n)
-        return Cyc(n, (Fraction(q),) + (Fraction(0),) * (ctx.phi - 1), _reduce=False)
+        if isinstance(q, int):
+            return _cyc(n, (int(q),) + ctx.zero_tail, 1)
+        q = Fraction(q)
+        return _cyc(n, (q.numerator,) + ctx.zero_tail, q.denominator)
 
-    def _coerce(self, other):
-        if isinstance(other, Cyc):
+    def _parts(self, other):
+        """(num, den) of an operand in this field, or None for a foreign type."""
+        if type(other) is Cyc:
             if other.n != self.n:
                 raise FieldMismatch(f"Q(zeta_{self.n}) vs Q(zeta_{other.n})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyc.from_rational(self.n, other)
+            return other.num, other.den
+        if isinstance(other, int):
+            return (int(other),) + _context(self.n).zero_tail, 1
+        if isinstance(other, Fraction):
+            return (other.numerator,) + _context(self.n).zero_tail, other.denominator
         return None
 
+    def _combine(self, other, op):
+        """self + other or self - other, for op in (add, sub)."""
+        if type(other) is Cyc and other.n == self.n:
+            b, db = other.num, other.den
+        else:
+            o = self._parts(other)
+            if o is None:
+                return NotImplemented
+            b, db = o
+        a, da = self.num, self.den
+        if da == db:
+            return _canonical(self.n, tuple(map(op, a, b)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _canonical(self.n, [op(x * fa, y * fb) for x, y in zip(a, b)], da * fa)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.n, tuple(a + b for a, b in zip(self.c, o.c)), _reduce=False)
+        if isinstance(other, int):
+            # adding a multiple of den keeps gcd(den, *num) == 1
+            num = self.num
+            return _cyc(self.n, (num[0] + other * self.den,) + num[1:], self.den)
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.n, tuple(a - b for a, b in zip(self.c, o.c)), _reduce=False)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        diff = self._combine(other, sub)
+        return diff if diff is NotImplemented else -diff
 
     def __neg__(self):
-        return Cyc(self.n, tuple(-a for a in self.c), _reduce=False)
+        return _cyc(self.n, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.c, o.c
-        prod = [Fraction(0)] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Cyc(self.n, _context(self.n).reduce(prod), _reduce=False)
+        if type(other) is Cyc and other.n == self.n:
+            b, db = other.num, other.den
+        else:
+            o = self._parts(other)
+            if o is None:
+                return NotImplemented
+            b, db = o
+        a, da = self.num, self.den
+        # a rational factor scales the other vector; no convolution needed
+        if not any(b[1:]):
+            b0 = b[0]
+            if b0 == db:  # other == 1
+                return self
+            return _canonical(self.n, [x * b0 for x in a], da * db)
+        if not any(a[1:]):
+            a0 = a[0]
+            return _canonical(self.n, [a0 * y for y in b], da * db)
+        return _canonical(self.n, _context(self.n).mul(a, b), da * db)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse via extended Euclid against Phi_n."""
-        if not self:
+        """Multiplicative inverse: the product of the other Galois conjugates over the norm."""
+        num = self.num
+        if not any(num):
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        # Work in Q[z]: r0 = Phi_n, r1 = self; track s only for r1-side.
-        ctx = _context(self.n)
-        r0 = list(ctx.modulus)
-        r1 = list(self.c)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            # degree check
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                return Cyc(self.n, ctx.reduce([x / c for x in s1]), _reduce=False)
-            assert r1, "cyclotomic polynomial not coprime with nonzero residue"
-            q, r = _poly_divmod_q(r0, r1)
-            s0, s1 = s1, _poly_sub_q(s0, _poly_mul_q(q, s1))
-            r0, r1 = r1, r
+        n = self.n
+        if _rational(num):
+            return _canonical(n, (self.den,) + num[1:], num[0])
+        ctx = _context(n)
+        cofactor = ctx.conjugate(num, ctx.conjugations[0])
+        for k in ctx.conjugations[1:]:
+            cofactor = ctx.mul(cofactor, ctx.conjugate(num, k))
+        norm = ctx.mul(num, cofactor)
+        if not norm[0] or any(norm[1:]):
+            raise Inconsistent(f"norm of a nonzero residue in Q(zeta_{n}) is {norm}")
+        return _canonical(n, [x * self.den for x in cofactor], norm[0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        return self * _cyc(self.n, *o).inv()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inv()
+        return _cyc(self.n, *o) * self.inv()
 
     def __eq__(self, other):
-        if isinstance(other, Cyc):
-            return self.n == other.n and self.c == other.c
-        if isinstance(other, (int, Fraction)):
-            return all(x == 0 for x in self.c[1:]) and self.c[0] == other
+        if type(other) is Cyc:
+            return self.n == other.n and self.num == other.num and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other and _rational(self.num)
+        if isinstance(other, Fraction):
+            num = self.num
+            return num[0] == other.numerator and self.den == other.denominator and _rational(num)
         return NotImplemented
 
     def __hash__(self):
-        if all(x == 0 for x in self.c[1:]):
-            return hash(self.c[0])
+        num = self.num
+        if _rational(num):
+            return hash(num[0]) if self.den == 1 else hash(Fraction(num[0], self.den))
         return hash((self.n,) + self.c)
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.num)
 
     def __repr__(self):
         return f"Cyc({self.n}, {CyclotomicField(self.n).format(self)!r})"
-
-
-def _poly_divmod_q(num, den):
-    num = [Fraction(x) for x in num]
-    dd = len(den) - 1
-    out = [Fraction(0)] * max(len(num) - dd, 0)
-    lead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        q = num[k + dd] / lead
-        out[k] = q
-        if q:
-            for i, c in enumerate(den):
-                num[k + i] -= q * c
-    while num and not num[-1]:
-        num.pop()
-    return out, num
-
-
-def _poly_mul_q(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_q(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -376,6 +431,12 @@ class CyclotomicField(Field):
         self.order = order
         self.phi = euler_phi(order)
 
+    def zero(self):
+        return _context(self.order).zero
+
+    def one(self):
+        return _context(self.order).one
+
     def from_int(self, k):
         return Cyc.from_rational(self.order, k)
 
@@ -394,8 +455,8 @@ class CyclotomicField(Field):
     def zeta(self, power=1):
         """The root of unity z^power as a field element."""
         power %= self.order
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
+        coeffs = [0] * (power + 1)
+        coeffs[power] = 1
         return Cyc(self.order, coeffs)
 
     def inv(self, a):

@@ -62,6 +62,11 @@ def _basis(h, i):
     return vec
 
 
+def _check_length(coeffs, algebra):
+    if len(coeffs) != algebra.dim:
+        raise InvalidPresentation(f"{len(coeffs)} coefficients for dim {algebra.dim}")
+
+
 class Element:
     """Element of H as a coefficient vector over the basis."""
 
@@ -71,7 +76,7 @@ class Element:
         f = algebra.field
         self.algebra = algebra
         self.coeffs = tuple(f.coerce(c) for c in coeffs)
-        assert len(self.coeffs) == algebra.dim
+        _check_length(self.coeffs, algebra)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -129,7 +134,7 @@ class Functional:
         f = algebra.field
         self.algebra = algebra
         self.coeffs = tuple(f.coerce(c) for c in coeffs)
-        assert len(self.coeffs) == algebra.dim
+        _check_length(self.coeffs, algebra)
 
     def __call__(self, x):
         coeffs = x.coeffs if isinstance(x, Element) else x
@@ -964,50 +969,46 @@ def validate_weak_bialgebra(h):
 
 
 def antipode_axiom_checks(h):
-    """The three antipode axioms for a stored S."""
-    checks = []
+    """The three antipode axioms for a stored S.
+
+    Each axiom compares sum c x_j y_k over Delta(e_i) = sum c e_j (x) e_k
+    with column i of a matrix, where x_j and y_k are basis vectors or columns
+    of S and eps_s.  The products x_j y_k are read from ``mult`` over the
+    nonzeros of those columns and accumulated sparsely.
+    """
     n = h.dim
-    field = h.field
-    zero = field.zero()
-    s = h.S
+    zero = h.field.zero()
+    one = h.field.one()
 
-    witness = None
-    for i in range(n):
-        acc = [zero] * n
-        for (j, k), c in h.comult[i].items():
-            sk = s.col(k)
-            prod = h.mul_vec([field.one() if t == j else zero for t in range(n)], sk)
-            acc = [a + c * b for a, b in zip(acc, prod)]
-        if tuple(acc) != h.eps_t_mat.col(i):
-            witness = (i,)
-            break
-    checks.append(AxiomCheck("antipode_target", witness is None, witness))
+    def nonzeros(m):
+        return [[(r, v) for r, v in enumerate(col) if v] for col in zip(*m.rows)]
 
-    witness = None
-    for i in range(n):
-        acc = [zero] * n
-        for (j, k), c in h.comult[i].items():
-            sj = s.col(j)
-            prod = h.mul_vec(sj, [field.one() if t == k else zero for t in range(n)])
-            acc = [a + c * b for a, b in zip(acc, prod)]
-        if tuple(acc) != h.eps_s_mat.col(i):
-            witness = (i,)
-            break
+    def first_failure(left, right, expect):
+        for i in range(n):
+            acc = {}
+            for (j, k), c in h.comult[i].items():
+                for a, x in left[j]:
+                    cx = c * x
+                    for b, y in right[k]:
+                        cell = h.mult.get((a, b))
+                        if cell:
+                            cxy = cx * y
+                            for p, cm in cell.items():
+                                acc[p] = acc.get(p, zero) + cxy * cm
+            if any(acc.get(p, zero) != v for p, v in enumerate(expect.col(i))):
+                return (i,)
+        return None
+
+    basis = [[(i, one)] for i in range(n)]
+    s_cols = nonzeros(h.S)
+    witness = first_failure(basis, s_cols, h.eps_t_mat)
+    checks = [AxiomCheck("antipode_target", witness is None, witness)]
+    witness = first_failure(s_cols, basis, h.eps_s_mat)
     checks.append(AxiomCheck("antipode_source", witness is None, witness))
-
     # S(h_(1)) h_(2) S(h_(3)) = S(h).  Under the source axiom the inner part
     # m(S (x) id) Delta(e_j) collapses to eps_s(e_j), so the triple sum folds.
-    witness = None
-    for i in range(n):
-        acc = [zero] * n
-        for (j, k), c in h.comult[i].items():
-            prod = h.mul_vec(h.eps_s_mat.col(j), s.col(k))
-            acc = [a + c * b for a, b in zip(acc, prod)]
-        if tuple(acc) != s.col(i):
-            witness = (i,)
-            break
+    witness = first_failure(nonzeros(h.eps_s_mat), s_cols, h.S)
     checks.append(AxiomCheck("antipode_composite", witness is None, witness))
-
     return checks
 
 

@@ -1,11 +1,19 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whopf.errors import FieldMismatch, ParseError
-from whopf.fields import QQ, Cyc, CyclotomicField, cyclotomic_polynomial, make_field
+from whopf.errors import FieldMismatch, Inconsistent, ParseError
+from whopf.fields import (
+    QQ,
+    Cyc,
+    CyclotomicField,
+    _poly_div_exact,
+    cyclotomic_polynomial,
+    make_field,
+)
 
 Z3 = CyclotomicField(3)
 Z4 = CyclotomicField(4)
@@ -118,3 +126,190 @@ def test_mixed_fraction_cyc_coercion():
     assert 2 * z == z + z
     assert (1 - z) - 1 == -z
     assert hash(Z3.from_int(7)) == hash(7)
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator kernel against Fraction-vector reference arithmetic
+
+
+class RefCyc:
+    """Reference arithmetic in Q[z]/(Phi_n) on tuples of phi(n) Fractions.
+
+    Products are reduced by long division by Phi_n and inverses come from the
+    extended Euclidean algorithm over Q, independently of the power-row
+    reduction and the Galois-norm inverse of ``Cyc``.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.mod = [Fraction(c) for c in cyclotomic_polynomial(n)]
+        self.phi = len(self.mod) - 1
+
+    def reduce(self, coeffs):
+        c = [Fraction(x) for x in coeffs]
+        for k in range(len(c) - 1, self.phi - 1, -1):
+            q = c[k]
+            if q:
+                for i, m in enumerate(self.mod):
+                    c[k - self.phi + i] -= q * m
+        return tuple(c[: self.phi]) + (Fraction(0),) * (self.phi - len(c))
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        return self.reduce(_ref_poly_mul(a, b))
+
+    def inv(self, a):
+        r0, r1 = list(self.mod), _ref_strip(list(a))
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _ref_poly_divmod(r0, r1)
+            s0, s1 = s1, _ref_strip(self.add_poly(s0, _ref_poly_mul(q, s1), -1))
+            r0, r1 = r1, r
+        return self.reduce([x / r1[0] for x in s1])
+
+    @staticmethod
+    def add_poly(a, b, sign):
+        out = [Fraction(0)] * max(len(a), len(b))
+        for i, x in enumerate(a):
+            out[i] += x
+        for i, x in enumerate(b):
+            out[i] += sign * x
+        return out
+
+    def hash(self, a):
+        if not any(a[1:]):
+            return hash(a[0])
+        return hash((self.n,) + a)
+
+    def format(self, a):
+        parts = []
+        for k, c in enumerate(a):
+            if c:
+                zpart = "z" if k == 1 else f"z^{k}"
+                mag = abs(c)
+                body = str(mag) if k == 0 else zpart if mag == 1 else f"{mag}*{zpart}"
+                parts.append(("-" if c < 0 else "+", body))
+        if not parts:
+            return "0"
+        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        return out + "".join(sign + body for sign, body in parts[1:])
+
+
+def _ref_strip(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_poly_divmod(num, den):
+    num = list(num)
+    dd = len(den) - 1
+    out = [Fraction(0)] * max(len(num) - dd, 0)
+    for k in range(len(out) - 1, -1, -1):
+        q = out[k] = num[k + dd] / den[-1]
+        for i, c in enumerate(den):
+            num[k + i] -= q * c
+    return out, _ref_strip(num)
+
+
+ORACLE_ORDERS = (3, 4, 5, 7, 8, 9, 12)
+small_q = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def assert_canonical(x, phi):
+    assert type(x) is Cyc and len(x.num) == phi
+    assert all(type(v) is int for v in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+@st.composite
+def cyc_case(draw):
+    """An order, a Cyc drawn with a sparse z-part, and its reference vector."""
+    n = draw(st.sampled_from(ORACLE_ORDERS))
+    ref = RefCyc(n)
+    length = draw(st.integers(1, 2 * ref.phi - 1))
+    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), small_q), min_size=length, max_size=length))
+    return n, Cyc(n, coeffs), ref.reduce(coeffs)
+
+
+def operand(draw, n, ref):
+    """A Cyc, int or Fraction operand and its reference vector."""
+    kind = draw(st.sampled_from(["cyc", "rational-cyc", "int", "fraction"]))
+    if kind == "int":
+        k = draw(st.integers(-7, 7))
+        return k, ref.reduce([k])
+    if kind == "fraction":
+        q = draw(small_q)
+        return q, ref.reduce([q])
+    if kind == "rational-cyc":
+        q = draw(small_q)
+        return CyclotomicField(n).from_fraction(q), ref.reduce([q])
+    coeffs = draw(st.lists(small_q, min_size=ref.phi, max_size=ref.phi))
+    return Cyc(n, coeffs), ref.reduce(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyc_case(), st.data())
+def test_cyc_kernel_matches_fraction_reference(case, data):
+    n, x, xr = case
+    ref = RefCyc(n)
+    field = CyclotomicField(n)
+    y, yr = operand(data.draw, n, ref)
+    assert x.c == xr
+    assert_canonical(x, ref.phi)
+    results = [
+        (x + y, ref.add(xr, yr)),
+        (y + x, ref.add(xr, yr)),
+        (x - y, ref.add(xr, ref.neg(yr))),
+        (y - x, ref.add(yr, ref.neg(xr))),
+        (x * y, ref.mul(xr, yr)),
+        (y * x, ref.mul(xr, yr)),
+        (-x, ref.neg(xr)),
+    ]
+    if any(yr):
+        results.append((x / y, ref.mul(xr, ref.inv(yr))))
+    if any(xr):
+        results.append((x.inv(), ref.inv(xr)))
+        results.append((y / x, ref.mul(yr, ref.inv(xr))))
+    for got, want in results:
+        assert_canonical(got, ref.phi)
+        assert got.c == want
+        assert hash(got) == ref.hash(want)
+        assert field.format(got) == ref.format(want)
+        assert field.parse(ref.format(want)) == got
+        assert (got == y) == (want == yr)
+        assert (got == x) == (want == xr)
+    if not any(yr[1:]):
+        assert (x == yr[0]) == (xr == yr)
+        assert (yr[0] == x) == (xr == yr)
+
+
+def test_cyc_zero_and_one_are_cached_constants():
+    for n in ORACLE_ORDERS:
+        field = CyclotomicField(n)
+        assert field.zero() is CyclotomicField(n).zero()
+        assert field.one() is CyclotomicField(n).one()
+        assert field.zero().num == (0,) * field.phi and field.zero().den == 1
+        assert field.one() * field.zeta() == field.zeta() * field.one() == field.zeta()
+
+
+def test_inexact_cyclotomic_division_is_inconsistent():
+    with pytest.raises(Inconsistent):
+        _poly_div_exact([1, 1], [1, 2])  # leading coefficient 1 / 2
+    with pytest.raises(Inconsistent):
+        _poly_div_exact([1, 0, 1], [1, 1])  # x^2 + 1 = (x - 1)(x + 1) + 2

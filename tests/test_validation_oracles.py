@@ -2,14 +2,15 @@
 
 Each oracle below is the plain textbook form of a kernel: the weak-unit
 products as full triple tensors, the weak-counit identity over all n^3
-basis triples, the trace form from dense products of left multiplication
+basis triples, the antipode axioms from dense products of basis vectors and
+columns of S, the trace form from dense products of left multiplication
 matrices, the integral and centralizer systems from dense difference
 matrices, the dual arrows from transposed multiplication matrices, pairing
 tables and the dual group-like test from products of basis vectors, and
 non-degeneracy from the full rank alone.  They run on every zoo member and
 on seeded single-constant corruptions of ``mult``, ``comult``, ``unit`` and
-``counit``, which include non-unital and non-associative algebras; verdicts
-and witnesses must match exactly.
+``counit`` (and of S for the antipode axioms), which include non-unital and
+non-associative algebras; verdicts and witnesses must match exactly.
 """
 
 import random
@@ -27,7 +28,7 @@ from whopf.integrals import (
 from whopf.linalg import Matrix, Subspace, solve_sparse
 from whopf.search import height_vectors
 from whopf.twisting import regularize
-from whopf.wha import Functional, WeakHopfAlgebra, validate_full
+from whopf.wha import Functional, WeakHopfAlgebra, antipode_axiom_checks, validate_full
 from whopf.zoo import ZOO_NAMES, build_member
 
 MAX_DIM = 16
@@ -82,6 +83,30 @@ def oracle_weak_counit(h):
 
 def _basis(h, i):
     return [h.field.one() if t == i else h.field.zero() for t in range(h.dim)]
+
+
+def oracle_antipode_witnesses(h):
+    """First failing i of the target, source and composite antipode axioms."""
+    n = h.dim
+    zero = h.field.zero()
+    s = h.S
+    forms = (
+        (lambda j, k: h.mul_vec(_basis(h, j), s.col(k)), h.eps_t_mat),
+        (lambda j, k: h.mul_vec(s.col(j), _basis(h, k)), h.eps_s_mat),
+        (lambda j, k: h.mul_vec(h.eps_s_mat.col(j), s.col(k)), s),
+    )
+    out = []
+    for product, expect in forms:
+        witness = None
+        for i in range(n):
+            acc = [zero] * n
+            for (j, k), c in h.comult[i].items():
+                acc = [a + c * b for a, b in zip(acc, product(j, k))]
+            if tuple(acc) != expect.col(i):
+                witness = [i]
+                break
+        out.append(witness)
+    return out
 
 
 def oracle_trace_form(h):
@@ -177,7 +202,7 @@ def generic_vector(h):
 
 
 def expected_report(h):
-    """validate_full's report with both weak axioms taken from the oracles."""
+    """validate_full's report with the weak and antipode axioms taken from the oracles."""
     report = validate_full(h).as_dict()
     for check in report["checks"]:
         if check["axiom"] == "weak_unit":
@@ -192,6 +217,19 @@ def expected_report(h):
             check.update({"axiom": "weak_counit", "ok": witness is None})
             if witness is not None:
                 check.update({"witness": list(witness), "detail": ""})
+    if h.antipode is not None:
+        antipode = [c for c in report["checks"] if c["axiom"].startswith("antipode_")]
+        assert [c["axiom"] for c in antipode] == [
+            "antipode_target",
+            "antipode_source",
+            "antipode_composite",
+        ]
+        for check, witness in zip(antipode, oracle_antipode_witnesses(h)):
+            name = check["axiom"]
+            check.clear()
+            check.update({"axiom": name, "ok": witness is None})
+            if witness is not None:
+                check.update({"witness": witness, "detail": ""})
     report["ok"] = all(c["ok"] for c in report["checks"])
     return report
 
@@ -242,6 +280,16 @@ def corrupt(h, rng):
     i = rng.randrange(n)
     vec[i] = h.field.zero() if drop else vec[i] + value
     return rebuild(h, **{part: vec})
+
+
+def corrupt_antipode(h, rng):
+    """h with one entry of S shifted by a nonzero integer."""
+    rows = [list(row) for row in h.S.rows]
+    m, k = rng.randrange(h.dim), rng.randrange(h.dim)
+    rows[m][k] += h.field.from_int(rng.choice([-2, -1, 1, 2]))
+    return WeakHopfAlgebra(
+        h.field, h.labels, h.mult, h.unit, h.comult, h.counit, antipode=rows, name=h.name
+    )
 
 
 def one_sided_corruptions(h, rng):
@@ -398,3 +446,16 @@ def test_full_support_singular_candidate_takes_the_rank():
     assert {a for a, _ in pairs} == {b for _, b in pairs} == set(range(h.dim))
     assert not oracle_is_nondegenerate(h, ones)
     assert not is_nondegenerate(h, ones)
+
+
+def test_antipode_checks_match_dense_products():
+    rng = random.Random(20010107)
+    failing = set()
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        for bad in [h] + [corrupt_antipode(h, rng) for _ in range(4)]:
+            checks = antipode_axiom_checks(bad)
+            failing.update(c.name for c in checks if not c.ok)
+            got = [None if c.ok else list(c.witness) for c in checks]
+            assert got == oracle_antipode_witnesses(bad), name
+    assert failing == {"antipode_target", "antipode_source", "antipode_composite"}

@@ -316,3 +316,15 @@ def _basis_vec(h, i):
 def test_malformed_construction_is_invalid_presentation(mult, unit, comult, counit, antipode):
     with pytest.raises(InvalidPresentation):
         WeakHopfAlgebra(QQ, ["a"], mult, unit, comult, counit, antipode=antipode)
+
+
+@pytest.mark.parametrize("coeffs", [[1], [1, 0, 0]])
+def test_wrong_length_vector_is_invalid_presentation(coeffs):
+    from whopf.wha import Element, Functional
+    from whopf.zoo import build_member
+
+    h = build_member("z2-group")
+    with pytest.raises(InvalidPresentation):
+        Element(h, coeffs)
+    with pytest.raises(InvalidPresentation):
+        Functional(h, coeffs)
