@@ -152,7 +152,7 @@ def cmd_validate(args):
     if h.antipode is None:
         from .wha import solve_antipode
 
-        h.antipode = solve_antipode(h)
+        h = h.with_antipode(solve_antipode(h))
     report = validate_full(h)
     _emit(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if report.ok else EXIT_FAIL

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import FieldMismatch, InvalidPresentation, NotSeparable, TraceConditionViolated
 from .fields import QQ
 from .linalg import Matrix, Subspace
-from .wha import WeakHopfAlgebra
+from .wha import WeakHopfAlgebra, _pruned
 
 __all__ = [
     "Groupoid",
@@ -501,13 +501,8 @@ def minimal_wha(pres, field=QQ, name=None):
                     continue
                 for b, cb in enumerate(right):
                     if cb:
-                        key = (a, b)
-                        vv = acc.get(key, zero) + w * ca * cb
-                        if vv:
-                            acc[key] = vv
-                        elif key in acc:
-                            del acc[key]
-        comult[t] = acc
+                        acc[a, b] = acc.get((a, b), zero) + w * ca * cb
+        comult[t] = _pruned(acc)
 
     # antipode: S(class(u, v)) = class(g^{-1} v g, u)
     s_cols = []

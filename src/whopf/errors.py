@@ -17,6 +17,10 @@ class NoSolution(WhopfError):
     """Linear system is inconsistent."""
 
 
+class InvalidOperand(WhopfError):
+    """A matrix or subspace operand has a shape (or exponent) the operation cannot take."""
+
+
 class Singular(WhopfError):
     """Matrix is not invertible."""
 

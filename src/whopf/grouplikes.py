@@ -16,10 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Inconsistent, NotHalfGrouplike, RegularityViolated
-from .linalg import Matrix, Subspace, solve_sparse
+from .errors import (
+    Inconsistent,
+    NotHalfGrouplike,
+    PreconditionUnmet,
+    RegularityViolated,
+    Undecidable,
+)
+from .integrals import _integral_rows
+from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import find_invertible_in_subspace, height_vectors, max_height
-from .wha import Element, Functional, _basis
+from .wha import Element, Functional, _basis, _pruned
 
 __all__ = [
     "DistinguishedPair",
@@ -120,7 +127,8 @@ def is_dual_grouplike(h, gamma):
 def make_trivial_grouplike(h, y):
     """S(y) y^{-1} for invertible y in H_s (test helper for the trivial subgroup)."""
     y = y if isinstance(y, Element) else Element(h, y)
-    assert h.source_base.contains(y.coeffs), "y must lie in H_s"
+    if not h.source_base.contains(y.coeffs):
+        raise PreconditionUnmet("y must lie in H_s")
     return Element(h, h.apply_S(y.coeffs)) * y.inv()
 
 
@@ -132,32 +140,16 @@ def is_trivial_grouplike(h, g):
     enumeration followed by the exact grid decision.  Returns (flag, y).
     """
     g = g.coeffs if isinstance(g, Element) else g
-    s2 = h.S @ h.S
-    eye = Matrix.identity(h.field, h.dim)
-    lg = h.left_mult_matrix(g)
-    hs = h.source_base
-    if hs.dim == 0:
-        return False, None
-    constraints = [s2 - eye, lg - h.S]
-    rows = []
-    rhs = []
-    for mat in constraints:
-        cols = [mat.matvec(row) for row in hs.rows]
-        for r in range(h.dim):
-            row = {c: cols[c][r] for c in range(hs.dim) if cols[c][r]}
-            rows.append(row)
-            rhs.append(h.field.zero())
-    got = solve_sparse(rows, rhs, hs.dim, h.field)
-    if got is None:
-        raise Inconsistent("homogeneous trivial-group-like system reported inconsistent")
-    vecs = []
-    for kv in got[1]:
-        v = [h.field.zero()] * h.dim
-        for c, coeff in enumerate(kv):
-            if coeff:
-                v = [x + coeff * y for x, y in zip(v, hs.rows[c])]
-        vecs.append(v)
-    space = Subspace.from_vectors(h.field, h.dim, vecs)
+    # column c holds S^2(y_c) - y_c stacked over g y_c - S(y_c), y_c the c-th basis row of H_s
+    cols = []
+    for y in h.source_base.rows:
+        sy = h.apply_S(y)
+        cols.append(
+            [a - b for a, b in zip(h.apply_S(sy), y)]
+            + [a - b for a, b in zip(h.mul_vec(g, y), sy)]
+        )
+    rows = [{c: col[r] for c, col in enumerate(cols) if col[r]} for r in range(2 * h.dim)]
+    space = kernel_on(h.source_base, rows)
     if space.dim == 0:
         return False, None
     hit = find_invertible_in_subspace(h, space)
@@ -393,15 +385,14 @@ def module_from_integral(h, ell):
         acols = []
         for y in hs.rows:
             rhs = h.mul_vec(h.mul_vec(ell.coeffs, y), _basis(h, j))
-            from .linalg import try_solve
-
             sol = try_solve(m_ell, rhs)
             if sol is None or sol[1].dim:
                 raise Inconsistent("ell is not separating on H_s")
             acols.append(sol[0])
         mats.append(Matrix.from_columns(h.field, acols))
     one_coords = hs.coords(h.unit)
-    assert one_coords is not None, "unit must lie in H_s"
+    if one_coords is None:
+        raise Inconsistent("unit does not lie in H_s")
     gamma_coeffs = []
     for j in range(h.dim):
         image = mats[j].matvec(one_coords)
@@ -423,32 +414,16 @@ def _intertwiner_space(h, gamma1, gamma2):
     eps1, eps2 = maps1["eps_s_gamma"], maps2["eps_s_gamma"]
     hs = h.source_base
     rows = []
-    rhs = []
     for j in range(h.dim):
-        w = eps1.col(j)
-        r_w = h.right_mult_matrix(w)
-        lhs_cols = [r_w.matvec(v) for v in hs.rows]
-        e_j_mat = h.right_mult_matrix(_basis(h, j))
-        # eps_s^g2(v e_j): v on the left of e_j
-        rhs_cols = [eps2.matvec(e_j_mat.matvec(v)) for v in hs.rows]
+        e_j, w = _basis(h, j), eps1.col(j)
+        # column c holds v_c eps_s^g1(e_j) - eps_s^g2(v_c e_j), v_c the c-th basis row of H_s
+        cols = [
+            [a - b for a, b in zip(h.mul_vec(v, w), eps2.matvec(h.mul_vec(v, e_j)))]
+            for v in hs.rows
+        ]
         for r in range(h.dim):
-            row = {}
-            for c in range(hs.dim):
-                val = lhs_cols[c][r] - rhs_cols[c][r]
-                if val:
-                    row[c] = val
-            rows.append(row)
-            rhs.append(h.field.zero())
-    got = solve_sparse(rows, rhs, hs.dim, h.field)
-    assert got is not None
-    vecs = []
-    for kv in got[1]:
-        v = [h.field.zero()] * h.dim
-        for c, coeff in enumerate(kv):
-            if coeff:
-                v = [x + coeff * y for x, y in zip(v, hs.rows[c])]
-        vecs.append(v)
-    return Subspace.from_vectors(h.field, h.dim, vecs)
+            rows.append({c: col[r] for c, col in enumerate(cols) if col[r]})
+    return kernel_on(hs, rows)
 
 
 def gamma_module_iso(h, gamma1, gamma2):
@@ -474,8 +449,7 @@ def self_intertwiners(h, gamma):
     of H_t* cap H_s* computed in the dual.
     """
     space = _intertwiner_space(h, gamma, gamma)
-    z_cap_hs = h.centralizer_in(h.source_base)
-    if space != z_cap_hs:
+    if space != h.center_cap_source:
         raise Inconsistent("self-intertwiners differ from Z(H) cap H_s")
     dual = h.dual
     dual_dim = dual.target_base.intersect(dual.source_base).dim
@@ -503,27 +477,11 @@ def twisted_integral_spaces(h, gamma=None, g=None):
     maps = twisted_counitals(h, gamma)
     if "eps_s_gamma" not in maps or "eps_t_gamma" not in maps:
         raise NotHalfGrouplike("gamma must be group-like on both sides")
-    eps_sg, eps_tg = maps["eps_s_gamma"], maps["eps_t_gamma"]
-    n = h.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        diff = h.left_mult_matrix(_basis(h, i)) - h.left_mult_matrix(eps_tg.col(i))
-        for r in range(n):
-            rows.append({c: v for c, v in enumerate(diff.rows[r]) if v})
-            rhs.append(h.field.zero())
-    got = solve_sparse(rows, rhs, n, h.field)
-    left = Subspace.from_vectors(h.field, n, got[1])
-    rows = []
-    rhs = []
-    for i in range(n):
-        diff = h.right_mult_matrix(_basis(h, i)) - h.right_mult_matrix(eps_sg.col(i))
-        for r in range(n):
-            rows.append({c: v for c, v in enumerate(diff.rows[r]) if v})
-            rhs.append(h.field.zero())
-    got = solve_sparse(rows, rhs, n, h.field)
-    right = Subspace.from_vectors(h.field, n, got[1])
-    return {"L": left, "R": right}
+    full = Subspace.full(h.field, h.dim)
+    return {
+        "L": kernel_on(full, _integral_rows(h, "left", maps["eps_t_gamma"])),
+        "R": kernel_on(full, _integral_rows(h, "right", maps["eps_s_gamma"])),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +501,9 @@ def is_wha_morphism(h, phi):
                 rhs = [x + c * y for x, y in zip(rhs, phi.col(k))]
             if tuple(lhs) != tuple(rhs):
                 return False
+    zero = h.field.zero()
     for i in range(n):
-        lhs = h.comul_vec(phi.col(i))
         rhs = {}
-        zero = h.field.zero()
         for (j, k), c in h.comult[i].items():
             pj, pk = phi.col(j), phi.col(k)
             for a, ca in enumerate(pj):
@@ -554,13 +511,8 @@ def is_wha_morphism(h, phi):
                     continue
                 for b, cb in enumerate(pk):
                     if cb:
-                        key = (a, b)
-                        v = rhs.get(key, zero) + c * ca * cb
-                        if v:
-                            rhs[key] = v
-                        elif key in rhs:
-                            del rhs[key]
-        if lhs != rhs:
+                        rhs[a, b] = rhs.get((a, b), zero) + c * ca * cb
+        if h.comul_vec(phi.col(i)) != _pruned(rhs):
             return False
     if tuple(phi.transpose().matvec(h.counit)) != h.counit:
         return False
@@ -571,10 +523,13 @@ def grouplike_automorphism(h, g=None, gamma=None):
     """Conjugation by a group-like element or functional, morphism-verified."""
     if g is not None:
         g = g if isinstance(g, Element) else Element(h, g)
-        phi = h.left_mult_matrix(g.coeffs) @ h.right_mult_matrix(g.inv().coeffs)
+        g_inv = g.inv().coeffs
+        conj = lambda x: h.mul_vec(g.coeffs, h.mul_vec(x, g_inv))
     else:
         gamma = gamma if isinstance(gamma, Functional) else Functional(h, gamma)
-        phi = h.lact_matrix(gamma) @ h.ract_matrix(gamma.inv())
+        gamma_inv = gamma.inv()
+        conj = lambda x: h.lact(gamma, h.ract(x, gamma_inv))
+    phi = Matrix.from_columns(h.field, [conj(_basis(h, i)) for i in range(h.dim)])
     if not is_wha_morphism(h, phi):
         raise Inconsistent("conjugation is not a weak Hopf algebra automorphism")
     return phi
@@ -591,15 +546,15 @@ def is_trivial_automorphism(h, phi):
     Returns (verdict, witness) with verdict one of "yes" | "no" | "undecided".
     """
     n = h.dim
+    hmin = h.minimal_subalgebra
     rows = []
-    rhs = []
     for i in range(n):
-        diff = h.left_mult_matrix(phi.col(i)) - h.right_mult_matrix(_basis(h, i))
+        phi_i, e_i = phi.col(i), _basis(h, i)
+        # column c holds phi(e_i) u_c - u_c e_i, u_c the c-th basis row of H_min
+        cols = [[a - b for a, b in zip(h.mul_vec(phi_i, u), h.mul_vec(u, e_i))] for u in hmin.rows]
         for r in range(n):
-            rows.append({c: v for c, v in enumerate(diff.rows[r]) if v})
-            rhs.append(h.field.zero())
-    got = solve_sparse(rows, rhs, n, h.field)
-    conjugators = Subspace.from_vectors(h.field, n, got[1]).intersect(h.minimal_subalgebra)
+            rows.append({c: col[r] for c, col in enumerate(cols) if col[r]})
+    conjugators = kernel_on(hmin, rows)
     if conjugators.dim == 0:
         return "no", None
     # affine slice eps_t(u) = 1 = eps_s(u) within the conjugator space
@@ -607,8 +562,6 @@ def is_trivial_automorphism(h, phi):
     for row in conjugators.rows:
         cols.append(list(h.eps_t(row)) + list(h.eps_s(row)))
     m = Matrix.from_columns(h.field, cols)
-    from .linalg import try_solve
-
     sol = try_solve(m, list(h.unit) + list(h.unit))
     if sol is None:
         return "no", None
@@ -621,13 +574,9 @@ def is_trivial_automorphism(h, phi):
                 vec = [x + c * y for x, y in zip(vec, row)]
         return vec
 
-    from .errors import Undecidable
-
     saw_undecidable = []
 
     def qualifies(u):
-        if not h.left_mult_matrix(u).is_invertible():
-            return None
         if not is_grouplike(h, u):
             return None
         try:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
-from .linalg import Matrix, Subspace, solve_sparse, try_solve
+from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import height_vectors, max_height
-from .wha import Element, Functional, _basis
+from .wha import Element, Functional, _basis, _pruned
 
 __all__ = [
     "DualPair",
@@ -47,17 +47,26 @@ def integral_space(h, side="left", where="H"):
     """
     if where == "dual":
         return integral_space(h.dual, side=side, where="H")
+    counital = h.eps_t_mat if side == "left" else h.eps_s_mat
+    return kernel_on(Subspace.full(h.field, h.dim), _integral_rows(h, side, counital))
+
+
+def _integral_rows(h, side, counital):
+    """Sparse rows of {x : e_i x = E(e_i) x} (left) or {x : x e_i = x E(e_i)} (right).
+
+    E is the matrix ``counital``: eps_t or eps_s for the integrals, eps_t^gamma
+    or eps_s^gamma for L_gamma and R_gamma.  Row r of the system for e_i has
+    entry c = the e_r coefficient of e_i e_c - E(e_i) e_c (left) or
+    e_c e_i - e_c E(e_i) (right), read from ``mult``.
+    """
     n = h.dim
     zero = h.field.zero()
-    # Row r of the system for e_i has entry c = the e_r coefficient of
-    # e_i e_c - eps_t(e_i) e_c (left) or e_c e_i - e_c eps_s(e_i) (right).
     cells = {}
     for (a, b), cell in h.mult.items():
         if side == "left":
             cells.setdefault(a, []).append((b, cell))
         else:
             cells.setdefault(b, []).append((a, cell))
-    counital = h.eps_t_mat if side == "left" else h.eps_s_mat
     rows = []
     for i in range(n):
         acc = [{} for _ in range(n)]
@@ -66,12 +75,8 @@ def integral_space(h, side="left", where="H"):
             for c, cell in cells.get(a, ()):
                 for r, v in cell.items():
                     acc[r][c] = acc[r].get(c, zero) + x * v
-        for row in acc:
-            rows.append({c: row[c] for c in sorted(row) if row[c]})
-    got = solve_sparse(rows, [zero] * len(rows), n, h.field)
-    if got is None:
-        raise Inconsistent("homogeneous integral system reported inconsistent")
-    return Subspace.from_vectors(h.field, n, got[1])
+        rows.extend(_pruned(row) for row in acc)
+    return rows
 
 
 def nondegeneracy_matrix(h, ell):

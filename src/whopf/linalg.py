@@ -8,19 +8,24 @@ fractions only once.  Over cyclotomic fields plain ordered elimination is
 used.  Reduced row echelon form is unique, so Subspace equality is decidable
 by comparing canonical bases.
 
-Large sparse systems (antipode and intertwiner equations) go through
-``solve_sparse``, which eliminates dict-backed rows instead.
+Large sparse systems go through ``solve_sparse``, which eliminates
+dict-backed rows instead; ``kernel_on`` solves the homogeneous ones (the
+kernel of linear maps restricted to a subspace) and lifts the kernel back to
+a canonical Subspace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
-from .errors import NoSolution, Singular
+from .errors import Inconsistent, InvalidOperand, NoSolution, Singular
 from .fields import QQ
 
-__all__ = ["Matrix", "Subspace", "rref", "solve", "try_solve", "invert", "kernel", "solve_sparse"]
+__all__ = [
+    "Matrix", "Subspace", "rref", "solve", "try_solve", "invert", "kernel", "kernel_on", "solve_sparse"
+]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,8 @@ class Matrix:
         self.field = field
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
-        assert all(len(r) == self.ncols for r in rows)
+        if any(len(r) != self.ncols for r in rows):
+            raise InvalidOperand("matrix rows of unequal length")
         self.rows = rows
 
     @classmethod
@@ -163,12 +169,18 @@ class Matrix:
     def __hash__(self):
         return hash(self.rows)
 
+    def _same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise InvalidOperand(
+                f"shapes {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols} differ"
+            )
+
     def __add__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._same_shape(other)
         return Matrix(self.field, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._same_shape(other)
         return Matrix(self.field, [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __neg__(self):
@@ -179,7 +191,8 @@ class Matrix:
         return Matrix(self.field, [[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
-        assert self.ncols == other.nrows, "shape mismatch"
+        if self.ncols != other.nrows:
+            raise InvalidOperand(f"cannot multiply {self!r} by {other!r}")
         cols = list(zip(*other.rows))
         zero = self.field.zero()
         out = []
@@ -196,8 +209,12 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
 
+    def _square(self, what):
+        if self.nrows != self.ncols:
+            raise InvalidOperand(f"{what} of a non-square {self!r}")
+
     def trace(self):
-        assert self.nrows == self.ncols, "trace of a non-square matrix"
+        self._square("trace")
         return sum((self.rows[i][i] for i in range(self.nrows)), self.field.zero())
 
     def kronecker(self, other):
@@ -215,7 +232,9 @@ class Matrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
     def power(self, k):
-        assert k >= 0
+        self._square("power")
+        if k < 0:
+            raise InvalidOperand(f"negative power {k}")
         out = Matrix.identity(self.field, self.nrows)
         base = self
         while k:
@@ -231,7 +250,7 @@ class Matrix:
 
 def invert(m):
     """Exact inverse; raises Singular."""
-    assert m.nrows == m.ncols, "inverse of a non-square matrix"
+    m._square("inverse")
     n = m.nrows
     one, zero = m.field.one(), m.field.zero()
     aug = [list(m.rows[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
@@ -351,6 +370,29 @@ def solve_sparse(rows, rhs, ncols, field):
     return tuple(particular), basis
 
 
+def kernel_on(space, rows):
+    """{v in space : every row vanishes on v} as a canonical Subspace of space.ambient.
+
+    Each row is a sparse dict c -> scalar (nonzero entries only) over the
+    coordinates of ``space.rows``: the linear condition sum_c row[c] x_c = 0
+    on v = sum_c x_c space.rows[c].
+    """
+    field = space.field
+    got = solve_sparse(rows, repeat(field.zero()), space.dim, field)
+    if got is None:
+        raise Inconsistent("homogeneous system reported inconsistent")
+    vecs = []
+    for kv in got[1]:
+        v = [field.zero()] * space.ambient
+        for coeff, row in zip(kv, space.rows):
+            if coeff:
+                for j, y in enumerate(row):
+                    if y:
+                        v[j] += coeff * y
+        vecs.append(v)
+    return Subspace.from_vectors(field, space.ambient, vecs)
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -371,6 +413,13 @@ class Subspace:
         vectors = [tuple(field.coerce(x) for x in v) for v in vectors]
         rows, pivots = rref(vectors, field) if vectors else ([], [])
         return cls(field, ambient, rows, pivots)
+
+    @classmethod
+    def full(cls, field, n):
+        """The whole of field^n with the identity basis (already canonical)."""
+        one, zero = field.one(), field.zero()
+        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        return cls(field, n, rows, range(n))
 
     @property
     def dim(self):
@@ -414,13 +463,17 @@ class Subspace:
     def __le__(self, other):
         return all(other.contains(r) for r in self.rows)
 
+    def _same_ambient(self, other):
+        if self.ambient != other.ambient:
+            raise InvalidOperand(f"ambient dimensions {self.ambient} and {other.ambient} differ")
+
     def plus(self, other):
-        assert self.ambient == other.ambient
+        self._same_ambient(other)
         return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
 
     def intersect(self, other):
         """Intersection via the kernel of [U^T | -W^T]."""
-        assert self.ambient == other.ambient
+        self._same_ambient(other)
         r1, r2 = self.dim, other.dim
         if r1 == 0 or r2 == 0:
             return Subspace.from_vectors(self.field, self.ambient, [])

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import lcm
 
 from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
+from .fields import _divisors
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Matrix, Subspace, try_solve
 from .wha import Element, _basis
@@ -117,9 +119,7 @@ def _poly_sub(f, g, field):
 
 def _rational_root_candidates(f):
     """Divisor-based candidate roots of a monic polynomial over Q."""
-    denom = 1
-    for c in f:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in f))
     ints = [int(c * denom) for c in f]
     lead = ints[-1]
     const = ints[0]
@@ -131,17 +131,6 @@ def _rational_root_candidates(f):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return sorted(cands)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def _root_candidates(f, field):
@@ -300,8 +289,8 @@ def _eval_poly_at(h, f, x, unit):
 
 def connectedness(h):
     """Z(H) cap H_s = k1 decides connected; biconnected adds the dual."""
-    own = h.centralizer_in(h.source_base).dim == 1
-    dual = h.dual.centralizer_in(h.dual.source_base).dim == 1
+    own = h.center_cap_source.dim == 1
+    dual = h.dual.center_cap_source.dim == 1
     return {"connected": own, "biconnected": own and dual}
 
 
@@ -393,11 +382,10 @@ def semisimplicity_report(h, pair=None):
     # so that regularity joins their hypotheses
     regular = is_regular(h)
     s2 = h.S @ h.S
-    z_cap_hs = h.centralizer_in(h.source_base)
     per_block = None
     per_block_available = True
     try:
-        idem = primitive_idempotents(h, z_cap_hs, unit=h.unit)
+        idem = primitive_idempotents(h, h.center_cap_source, unit=h.unit)
         per_block = _block_traces(h, idem, s2)
     except NonSplit:
         per_block_available = False
@@ -496,8 +484,7 @@ def coinciding_bases_theorem_check(h, pair=None):
     dual_ok = is_semisimple(dual)
     pair = pair or canonical_dual_pair(h)
     v = dual.eps_t_mat.matvec(pair.lam.coeffs)
-    central = dual.centralizer_in(dual.source_base)
-    in_place = central.contains(v)
+    in_place = dual.center_cap_source.contains(v)
     invertible = dual.left_mult_matrix(v).is_invertible()
     return {
         "dual_semisimple": dual_ok,

@@ -33,7 +33,7 @@ from .errors import (
 from .grouplikes import is_grouplike, is_regular
 from .integrals import is_semisimple
 from .linalg import Matrix
-from .wha import Element, WeakHopfAlgebra, _basis, minimal_data, validate_full
+from .wha import Element, WeakHopfAlgebra, _basis, _pruned, minimal_data, validate_full
 
 __all__ = [
     "AbelianGrouplikes",
@@ -490,22 +490,14 @@ def dynamical_theta(data):
                 for k, ck in enumerate(second):
                     if ck:
                         key = (hidx(lam, lam_m, c), hidx(lam, lam, k))
-                        val = theta.get(key, field.zero()) + cf * ck
-                        if val:
-                            theta[key] = val
-                        elif key in theta:
-                            del theta[key]
+                        theta[key] = theta.get(key, field.zero()) + cf * ck
             for (c, d), cf in j_inverses[lam].items():
                 second = u.mul_vec(pvec, _basis(u, d))  # P_mu J^(-2)
                 for k, ck in enumerate(second):
                     if ck:
                         key = (hidx(lam_m, lam, c), hidx(lam, lam, k))
-                        val = theta_bar.get(key, field.zero()) + cf * ck
-                        if val:
-                            theta_bar[key] = val
-                        elif key in theta_bar:
-                            del theta_bar[key]
-    t = Twist(theta=theta, theta_bar=theta_bar)
+                        theta_bar[key] = theta_bar.get(key, field.zero()) + cf * ck
+    t = Twist(theta=_pruned(theta), theta_bar=_pruned(theta_bar))
     _check_twist_invariants(host, t)
     return DynamicalTwist(host=host, twist=t, group=group, matrix_dim=nchars)
 

@@ -25,14 +25,13 @@ from .errors import (
     Axiom26Failure,
     Degenerate,
     FieldMismatch,
-    Inconsistent,
     InvalidPresentation,
     NoAntipode,
     NoAntipodeInverse,
     NotInvertible,
     NotUnique,
 )
-from .linalg import Matrix, Subspace, invert, solve_sparse, try_solve
+from .linalg import Matrix, Subspace, invert, kernel_on, solve_sparse, try_solve
 
 __all__ = [
     "AxiomCheck",
@@ -60,6 +59,11 @@ def _basis(h, i):
     vec = [h.field.zero()] * h.dim
     vec[i] = h.field.one()
     return vec
+
+
+def _pruned(d):
+    """The sparse dict d without its zero values."""
+    return {k: v for k, v in d.items() if v}
 
 
 def _check_length(coeffs, algebra):
@@ -356,12 +360,8 @@ class WeakHopfAlgebra:
             if not x:
                 continue
             for jk, c in self.comult[i].items():
-                v = out.get(jk, zero) + x * c
-                if v:
-                    out[jk] = v
-                elif jk in out:
-                    del out[jk]
-        return out
+                out[jk] = out.get(jk, zero) + x * c
+        return _pruned(out)
 
     def counit_of(self, a):
         return sum((x * e for x, e in zip(a, self.counit) if x and e), self.field.zero())
@@ -426,12 +426,8 @@ class WeakHopfAlgebra:
                 for k1, c1 in m1.items():
                     for k2, c2 in m2.items():
                         key = (k1, k2)
-                        v = out.get(key, zero) + cc * c1 * c2
-                        if v:
-                            out[key] = v
-                        elif key in out:
-                            del out[key]
-        return out
+                        out[key] = out.get(key, zero) + cc * c1 * c2
+        return _pruned(out)
 
     def mul_triple_dicts(self, p, q):
         zero = self.field.zero()
@@ -453,12 +449,8 @@ class WeakHopfAlgebra:
                         cc2 = cc * c1 * c2
                         for k3, c3 in m3.items():
                             key = (k1, k2, k3)
-                            v = out.get(key, zero) + cc2 * c3
-                            if v:
-                                out[key] = v
-                            elif key in out:
-                                del out[key]
-        return out
+                            out[key] = out.get(key, zero) + cc2 * c3
+        return _pruned(out)
 
     @cached_property
     def delta_one(self):
@@ -542,39 +534,26 @@ class WeakHopfAlgebra:
 
     def centralizer_in(self, space, against=None):
         """{y in space : yw = wy for all w in against}, default against = H."""
-        if space.dim == 0:
-            return space
         if against is None:
-            test = [_basis(self, i) for i in range(self.dim)]
-        else:
-            test = list(against.rows)
+            against = Subspace.full(self.field, self.dim)
         rows = []
-        for w in test:
+        for w in against.rows:
             # column c holds a_c w - w a_c for the c-th basis row a_c of space
             cols = [
                 [x - y for x, y in zip(self.mul_vec(a, w), self.mul_vec(w, a))] for a in space.rows
             ]
             for r in range(self.dim):
-                rows.append({c: cols[c][r] for c in range(space.dim) if cols[c][r]})
-        got = solve_sparse(rows, [self.field.zero()] * len(rows), space.dim, self.field)
-        if got is None:
-            raise Inconsistent("homogeneous centralizer system reported inconsistent")
-        _part, basis = got
-        vecs = []
-        for kv in basis:
-            v = [self.field.zero()] * self.dim
-            for c, coeff in enumerate(kv):
-                if coeff:
-                    v = [x + coeff * y for x, y in zip(v, space.rows[c])]
-            vecs.append(v)
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+                rows.append({c: col[r] for c, col in enumerate(cols) if col[r]})
+        return kernel_on(space, rows)
 
     @cached_property
     def center(self):
-        full = Subspace.from_vectors(
-            self.field, self.dim, Matrix.identity(self.field, self.dim).rows
-        )
-        return self.centralizer_in(full)
+        return self.centralizer_in(Subspace.full(self.field, self.dim))
+
+    @cached_property
+    def center_cap_source(self):
+        """Z(H) cap H_s."""
+        return self.centralizer_in(self.source_base)
 
     def subspace_closed_under_mult(self, space):
         for a in space.rows:
@@ -587,8 +566,16 @@ class WeakHopfAlgebra:
 
     @property
     def S(self):
-        assert self.antipode is not None, "antipode not set; call solve_antipode"
+        if self.antipode is None:
+            raise NoAntipode("antipode not set; call solve_antipode")
         return self.antipode
+
+    def with_antipode(self, s):
+        """The same structure constants and name with antipode ``s``, as a new algebra."""
+        return WeakHopfAlgebra(
+            self.field, self.labels, self.mult, self.unit, self.comult, self.counit,
+            antipode=s, name=self.name,
+        )
 
     @cached_property
     def S_inv(self):
@@ -633,32 +620,6 @@ class WeakHopfAlgebra:
                     out[k] += x * c * p
         return out
 
-    def lact_matrix(self, phi):
-        phi = phi.coeffs if isinstance(phi, Functional) else phi
-        zero = self.field.zero()
-        cols = []
-        for i in range(self.dim):
-            col = [zero] * self.dim
-            for (j, k), c in self.comult[i].items():
-                p = phi[k]
-                if p:
-                    col[j] += c * p
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols)
-
-    def ract_matrix(self, phi):
-        phi = phi.coeffs if isinstance(phi, Functional) else phi
-        zero = self.field.zero()
-        cols = []
-        for i in range(self.dim):
-            col = [zero] * self.dim
-            for (j, k), c in self.comult[i].items():
-                p = phi[j]
-                if p:
-                    col[k] += c * p
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols)
-
     def dual_lact(self, a, phi):
         """h -> phi: the functional g |-> <phi, g h>."""
         return self._pair_with_product(phi, a, 1)
@@ -693,7 +654,7 @@ class WeakHopfAlgebra:
 
 def dualize(h):
     """The dual weak Hopf algebra on H* (transposed structure constants)."""
-    assert h.antipode is not None, "dualize needs the antipode"
+    s = h.S
     mult = {}
     for i in range(h.dim):
         for (j, k), c in h.comult[i].items():
@@ -709,7 +670,7 @@ def dualize(h):
         h.counit,
         comult,
         h.unit,
-        antipode=h.S.transpose(),
+        antipode=s.transpose(),
         name=h.name + "^*",
     )
     return dual
@@ -727,16 +688,12 @@ def counital_subalgebras(h):
         "Hs": hs,
         "HtCapHs": ht.intersect(hs),
         "Hmin": h.minimal_subalgebra,
-        "ZcapHs": h.centralizer_in(hs),
+        "ZcapHs": h.center_cap_source,
         "ZcapHt": h.centralizer_in(ht),
     }
     for key, space in out.items():
         assert h.subspace_closed_under_mult(space), f"{key} not closed under product"
     return out
-
-
-def _scalar_repr(field, x):
-    return field.format(x)
 
 
 def validate_weak_bialgebra(h):
@@ -766,22 +723,15 @@ def validate_weak_bialgebra(h):
                     cell = h.mult.get((k, l))
                     if cell:
                         for m, c2 in cell.items():
-                            v = lhs.get(m, zero) + c * c2
-                            if v:
-                                lhs[m] = v
-                            elif m in lhs:
-                                del lhs[m]
+                            lhs[m] = lhs.get(m, zero) + c * c2
                 rhs = {}
                 for k, c in h.mult.get((j, l), {}).items():
                     cell = h.mult.get((i, k))
                     if cell:
                         for m, c2 in cell.items():
-                            v = rhs.get(m, zero) + c * c2
-                            if v:
-                                rhs[m] = v
-                            elif m in rhs:
-                                del rhs[m]
-                if lhs != rhs:
+                            rhs[m] = rhs.get(m, zero) + c * c2
+                # sums that cancel to zero are pruned only when the raw dicts differ
+                if lhs != rhs and _pruned(lhs) != _pruned(rhs):
                     witness = (i, j, l)
                     break
             if witness:
@@ -805,20 +755,10 @@ def validate_weak_bialgebra(h):
         lhs, rhs = {}, {}
         for (j, k), c in h.comult[i].items():
             for (a, b), c2 in h.comult[j].items():
-                key = (a, b, k)
-                v = lhs.get(key, zero) + c * c2
-                if v:
-                    lhs[key] = v
-                elif key in lhs:
-                    del lhs[key]
+                lhs[a, b, k] = lhs.get((a, b, k), zero) + c * c2
             for (a, b), c2 in h.comult[k].items():
-                key = (j, a, b)
-                v = rhs.get(key, zero) + c * c2
-                if v:
-                    rhs[key] = v
-                elif key in rhs:
-                    del rhs[key]
-        if lhs != rhs:
+                rhs[j, a, b] = rhs.get((j, a, b), zero) + c * c2
+        if _pruned(lhs) != _pruned(rhs):
             witness = (i,)
             break
     checks.append(AxiomCheck("coassociativity", witness is None, witness))
@@ -846,13 +786,8 @@ def validate_weak_bialgebra(h):
             lhs = {}
             for k, c in h.mult.get((i, j), {}).items():
                 for jk, c2 in h.comult[k].items():
-                    v = lhs.get(jk, zero) + c * c2
-                    if v:
-                        lhs[jk] = v
-                    elif jk in lhs:
-                        del lhs[jk]
-            rhs = h.mul_pair_dicts(h.comult[i], h.comult[j])
-            if lhs != rhs:
+                    lhs[jk] = lhs.get(jk, zero) + c * c2
+            if _pruned(lhs) != h.mul_pair_dicts(h.comult[i], h.comult[j]):
                 witness = (i, j)
                 break
         if witness:
@@ -868,12 +803,8 @@ def validate_weak_bialgebra(h):
     lhs = {}
     for (j, k), c in d1.items():
         for (a, b), c2 in h.comult[j].items():
-            key = (a, b, k)
-            v = lhs.get(key, zero) + c * c2
-            if v:
-                lhs[key] = v
-            elif key in lhs:
-                del lhs[key]
+            lhs[a, b, k] = lhs.get((a, b, k), zero) + c * c2
+    lhs = _pruned(lhs)
     one_idx = [(i, c) for i, c in enumerate(h.unit) if c]
 
     def fold(key_leg, vec_leg, one_first):
@@ -886,7 +817,7 @@ def validate_weak_bialgebra(h):
                 if cell:
                     for m, cm in cell.items():
                         acc[m] = acc.get(m, zero) + c * ci * cm
-        return {x: {m: v for m, v in acc.items() if v} for x, acc in out.items()}
+        return {x: _pruned(acc) for x, acc in out.items()}
 
     def middle_product(terms):
         """sum of f (x) e_x e_y (x) g over (x, y, f, g) in terms, sparse."""
@@ -901,7 +832,7 @@ def validate_weak_bialgebra(h):
                     for b, gb in g.items():
                         key = (a, m, b)
                         out[key] = out.get(key, zero) + fc * gb
-        return {key: v for key, v in out.items() if v}
+        return _pruned(out)
 
     right_one = fold(1, 0, False)  # 1_(2) -> 1_(1) 1
     left_one = fold(0, 1, True)  # 1'_(1) -> 1 1'_(2)
@@ -1096,10 +1027,7 @@ def solve_antipode(h):
     if kern:
         raise NotUnique(f"antipode solution space has dimension {len(kern)}")
     s = Matrix(field, [[particular[m * n + k] for k in range(n)] for m in range(n)])
-    probe = WeakHopfAlgebra(
-        h.field, h.labels, h.mult, h.unit, h.comult, h.counit, antipode=s, name=h.name
-    )
-    for check in antipode_axiom_checks(probe):
+    for check in antipode_axiom_checks(h.with_antipode(s)):
         if not check.ok:
             raise Axiom26Failure(f"solved antipode fails {check.name} at {check.witness}")
     return s

@@ -42,7 +42,7 @@ from .integrals import (
 )
 from .semisimplicity import semisimplicity_report
 from .twisting import DynamicalTwistData, dynamical_theta, regularize, twist
-from .wha import Element, dualize, validate_full
+from .wha import Element, WeakHopfAlgebra, dualize, validate_full
 
 __all__ = ["ZOO_NAMES", "build_member", "run_zoo", "format_zoo_report"]
 
@@ -77,11 +77,11 @@ def _builders():
             ),
             name="z2-z2-groupoid",
         ),
-        "dual-z2-group": lambda: dualize(z2()),
-        "dual-z3-group-cyclotomic": lambda: dualize(z3c()),
-        "dual-s3-group": lambda: dualize(s3()),
-        "dual-pair-2": lambda: dualize(pg2()),
-        "dual-pair-3": lambda: dualize(pg3()),
+        "dual-z2-group": lambda: _named(dualize(z2()), "dual-z2-group"),
+        "dual-z3-group-cyclotomic": lambda: _named(dualize(z3c()), "dual-z3-group-cyclotomic"),
+        "dual-s3-group": lambda: _named(dualize(s3()), "dual-s3-group"),
+        "dual-pair-2": lambda: _named(dualize(pg2()), "dual-pair-2"),
+        "dual-pair-3": lambda: _named(dualize(pg3()), "dual-pair-3"),
         "hmin-qq-1": lambda: minimal_wha(
             SemisimplePresentation(blocks=(1, 1)), name="hmin-qq-1"
         ),
@@ -91,7 +91,7 @@ def _builders():
         "hmin-m2-g31": lambda: minimal_wha(
             SemisimplePresentation(blocks=(2,), g=[[3, -1]]), name="hmin-m2-g31"
         ),
-        "dyn-host-z2": lambda: _dyn_twist_z2()[0].host,
+        "dyn-host-z2": lambda: _named(_dyn_twist_z2()[0].host, "dyn-host-z2"),
         "dyn-twist-z2": lambda: _dyn_twist_z2()[1],
         "sweedler4": sweedler_hopf,
     }
@@ -100,11 +100,16 @@ def _builders():
 ZOO_NAMES = tuple(_builders())
 
 
+def _named(h, name):
+    """A new algebra with the structure of h under another name; h is left as it is."""
+    return WeakHopfAlgebra(
+        h.field, h.labels, h.mult, h.unit, h.comult, h.counit, antipode=h.antipode, name=name
+    )
+
+
 @lru_cache(maxsize=None)
 def build_member(name):
-    h = _builders()[name]()
-    h.name = name
-    return h
+    return _builders()[name]()
 
 
 def check_member(h, mutate=False):
@@ -113,8 +118,6 @@ def check_member(h, mutate=False):
         # test hook: corrupt one structure constant to prove the run can fail
         counit = list(h.counit)
         counit[0] = counit[0] + h.field.one()
-        from .wha import WeakHopfAlgebra
-
         h = WeakHopfAlgebra(
             h.field, h.labels, h.mult, h.unit, h.comult, counit,
             antipode=h.antipode, name=h.name + "(mutated)",

@@ -10,7 +10,7 @@ from whopf.constructors import (
     one_object_groupoid,
     pair_groupoid,
 )
-from whopf.errors import RegularityViolated
+from whopf.errors import Inconsistent, PreconditionUnmet, RegularityViolated
 from whopf.fields import QQ
 from whopf.grouplikes import (
     antipode_order_report,
@@ -35,7 +35,7 @@ from whopf.grouplikes import (
 )
 from whopf.integrals import canonical_dual_pair, find_nondegenerate_integral
 from whopf.linalg import Matrix, Subspace
-from whopf.wha import Element, Functional
+from whopf.wha import Element, Functional, WeakHopfAlgebra
 
 
 def kz2():
@@ -354,3 +354,18 @@ def test_gamma_module_on_cyclotomic_member():
     h = build_member("z3-group-cyclotomic")
     module = gamma_module(h, h.eps)  # axioms verified inside
     assert module.base.dim == 1
+
+
+def test_trivial_grouplike_inputs_outside_hs_are_typed_errors():
+    """y outside H_s, and a unit outside H_s, raise typed errors, also under python -O."""
+    h = pair2()
+    with pytest.raises(PreconditionUnmet):
+        make_trivial_grouplike(h, Element(h, SWAP))  # swap is invertible but not in H_s
+    # Delta(e) corrupted to e (x) e + g (x) g: Delta(1) spans H_s = Q(e + g), which misses 1 = e
+    z2 = kz2()
+    comult = [dict(d) for d in z2.comult]
+    comult[0][(1, 1)] = QQ.one()
+    bad = WeakHopfAlgebra(z2.field, z2.labels, z2.mult, z2.unit, comult, z2.counit, antipode=z2.antipode)
+    assert not bad.source_base.contains(bad.unit)
+    with pytest.raises(Inconsistent):
+        module_from_integral(bad, (1, 1))

@@ -2,10 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from whopf.errors import NoSolution, Singular
+from whopf.errors import InvalidOperand, NoSolution, Singular, WhopfError
 from whopf.fields import QQ, CyclotomicField
-from whopf.linalg import Matrix, Subspace, invert, kernel, rref, solve, solve_sparse, try_solve
+from whopf.linalg import (
+    Matrix,
+    Subspace,
+    invert,
+    kernel,
+    kernel_on,
+    rref,
+    solve,
+    solve_sparse,
+    try_solve,
+)
 
 
 def rand_matrix(rng, nrows, ncols, field=QQ):
@@ -138,3 +150,87 @@ def test_solve_sparse_matches_dense():
 def test_solve_sparse_inconsistent():
     rows = [{0: Fraction(1)}, {0: Fraction(1)}]
     assert solve_sparse(rows, [Fraction(1), Fraction(2)], 1, QQ) is None
+
+
+Q3 = CyclotomicField(3)
+
+
+@st.composite
+def kernel_case(draw):
+    """A field, a subspace of field^n (proper or the whole space) and sparse rows over its basis."""
+    field = draw(st.sampled_from([QQ, Q3]))
+    small = st.integers(-3, 3)
+
+    def scalar():
+        x = field.from_int(draw(small))
+        return x + field.zeta() * draw(small) if field is Q3 else x
+
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        space = Subspace.full(field, n)
+    else:
+        vecs = [[scalar() for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        space = Subspace.from_vectors(field, n, vecs)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = {c: scalar() for c in range(space.dim) if draw(st.booleans())}
+        rows.append({c: v for c, v in row.items() if v})
+    return field, space, rows
+
+
+def dense_kernel_on(field, space, rows):
+    """Dense oracle: linalg.kernel of the row matrix, lifted through the basis of space."""
+    zero = field.zero()
+    dense = [[row.get(c, zero) for c in range(space.dim)] for row in rows]
+    coords = kernel(Matrix(field, dense + [[zero] * space.dim]))  # the zero row fixes ncols
+    vecs = []
+    for kv in coords.rows:
+        v = [zero] * space.ambient
+        for x, basis_row in zip(kv, space.rows):
+            v = [a + x * b for a, b in zip(v, basis_row)]
+        vecs.append(v)
+    return Subspace.from_vectors(field, space.ambient, vecs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_case())
+def test_kernel_on_matches_dense_kernel(case):
+    field, space, rows = case
+    got = kernel_on(space, rows)
+    want = dense_kernel_on(field, space, rows)
+    assert got == want and got.pivots == want.pivots
+    assert got <= space
+    if not rows:
+        assert got == space
+
+
+def test_full_subspace_is_canonical():
+    for field in (QQ, Q3):
+        for n in range(4):
+            full = Subspace.full(field, n)
+            eye = Subspace.from_vectors(field, n, Matrix.identity(field, n).rows)
+            assert full == eye and full.pivots == eye.pivots
+
+
+def test_shape_errors_are_typed():
+    """Shape mismatches raise InvalidOperand, also under python -O."""
+    m23 = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])
+    m22 = Matrix.identity(QQ, 2)
+    u2 = Subspace.full(QQ, 2)
+    u3 = Subspace.full(QQ, 3)
+    bad = [
+        lambda: Matrix(QQ, [[1, 2], [3]]),
+        lambda: m23 + m22,
+        lambda: m23 - m22,
+        lambda: m23 @ m22,
+        lambda: m23.trace(),
+        lambda: m23.power(2),
+        lambda: m22.power(-1),
+        lambda: invert(m23),
+        lambda: u2.plus(u3),
+        lambda: u2.intersect(u3),
+    ]
+    for call in bad:
+        with pytest.raises(InvalidOperand):
+            call()
+    assert issubclass(InvalidOperand, WhopfError)

@@ -11,13 +11,35 @@ non-degeneracy from the full rank alone.  They run on every zoo member and
 on seeded single-constant corruptions of ``mult``, ``comult``, ``unit`` and
 ``counit`` (and of S for the antipode axioms), which include non-unital and
 non-associative algebras; verdicts and witnesses must match exactly.
+
+The group-like solves keep their dense forms too: the L_gamma/R_gamma
+systems as differences of multiplication matrices, the trivial group-like
+system as S^2 - I and L_g - S on H_s, the intertwiners from right
+multiplication matrices, and the conjugators of an automorphism as
+L_phi(e_i) - R_e_i intersected with H_min.  They run on every zoo member
+with its distinguished group-likes and on the group-likes of
+``test_grouplikes.py``.
 """
 
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
-from whopf.grouplikes import distinguished_pair, is_dual_grouplike
+import whopf.grouplikes as grouplikes
+from whopf.errors import Undecidable
+from whopf.grouplikes import (
+    _intertwiner_space,
+    distinguished_pair,
+    grouplike_automorphism,
+    is_dual_grouplike,
+    is_grouplike,
+    is_trivial_automorphism,
+    is_trivial_grouplike,
+    twisted_counitals,
+    twisted_integral_spaces,
+)
 from whopf.integrals import (
     canonical_dual_pair,
     integral_space,
@@ -25,10 +47,10 @@ from whopf.integrals import (
     nondegeneracy_matrix,
     semisimple_by_trace_form,
 )
-from whopf.linalg import Matrix, Subspace, solve_sparse
-from whopf.search import height_vectors
+from whopf.linalg import Matrix, Subspace, kernel_on, solve_sparse, try_solve
+from whopf.search import find_invertible_in_subspace, height_vectors, max_height
 from whopf.twisting import regularize
-from whopf.wha import Functional, WeakHopfAlgebra, antipode_axiom_checks, validate_full
+from whopf.wha import Element, Functional, WeakHopfAlgebra, antipode_axiom_checks, validate_full
 from whopf.zoo import ZOO_NAMES, build_member
 
 MAX_DIM = 16
@@ -459,3 +481,236 @@ def test_antipode_checks_match_dense_products():
             got = [None if c.ok else list(c.witness) for c in checks]
             assert got == oracle_antipode_witnesses(bad), name
     assert failing == {"antipode_target", "antipode_source", "antipode_composite"}
+
+
+# ---------------------------------------------------------------------------
+# group-like solves
+
+
+def _dense_kernel_in(h, space, mats):
+    """{v in space : M v = 0 for every M in mats}, from dense columns of each M."""
+    rows = []
+    for mat in mats:
+        cols = [mat.matvec(row) for row in space.rows]
+        for r in range(mat.nrows):
+            rows.append({c: cols[c][r] for c in range(space.dim) if cols[c][r]})
+    got = solve_sparse(rows, [h.field.zero()] * len(rows), space.dim, h.field)
+    vecs = []
+    for kv in got[1]:
+        v = [h.field.zero()] * h.dim
+        for c, coeff in enumerate(kv):
+            if coeff:
+                v = [x + coeff * y for x, y in zip(v, space.rows[c])]
+        vecs.append(v)
+    return Subspace.from_vectors(h.field, h.dim, vecs)
+
+
+def _full(h):
+    return Subspace.from_vectors(h.field, h.dim, [_basis(h, i) for i in range(h.dim)])
+
+
+def oracle_twisted_integral_spaces(h, gamma):
+    maps = twisted_counitals(h, gamma)
+    eps_sg, eps_tg = maps["eps_s_gamma"], maps["eps_t_gamma"]
+    n = h.dim
+    left = [h.left_mult_matrix(_basis(h, i)) - h.left_mult_matrix(eps_tg.col(i)) for i in range(n)]
+    right = [h.right_mult_matrix(_basis(h, i)) - h.right_mult_matrix(eps_sg.col(i)) for i in range(n)]
+    return {"L": _dense_kernel_in(h, _full(h), left), "R": _dense_kernel_in(h, _full(h), right)}
+
+
+def oracle_trivial_grouplike_space(h, g):
+    eye = Matrix.identity(h.field, h.dim)
+    return _dense_kernel_in(h, h.source_base, [h.S @ h.S - eye, h.left_mult_matrix(g) - h.S])
+
+
+def oracle_is_trivial_grouplike(h, g):
+    space = oracle_trivial_grouplike_space(h, g)
+    hit = find_invertible_in_subspace(h, space) if space.dim else None
+    return (False, None) if hit is None else (True, Element(h, hit[0]))
+
+
+def oracle_intertwiner_space(h, gamma1, gamma2):
+    eps1 = twisted_counitals(h, gamma1)["eps_s_gamma"]
+    eps2 = twisted_counitals(h, gamma2)["eps_s_gamma"]
+    mats = [
+        h.right_mult_matrix(eps1.col(j)) - eps2 @ h.right_mult_matrix(_basis(h, j))
+        for j in range(h.dim)
+    ]
+    return _dense_kernel_in(h, h.source_base, mats)
+
+
+def oracle_conjugators(h, phi):
+    mats = [h.left_mult_matrix(phi.col(i)) - h.right_mult_matrix(_basis(h, i)) for i in range(h.dim)]
+    return _dense_kernel_in(h, _full(h), mats).intersect(h.minimal_subalgebra)
+
+
+def oracle_is_trivial_automorphism(h, phi):
+    """The decision of is_trivial_automorphism over the dense conjugator space."""
+    n = h.dim
+    conjugators = oracle_conjugators(h, phi)
+    if conjugators.dim == 0:
+        return "no", None
+    cols = [list(h.eps_t(row)) + list(h.eps_s(row)) for row in conjugators.rows]
+    sol = try_solve(Matrix.from_columns(h.field, cols), list(h.unit) + list(h.unit))
+    if sol is None:
+        return "no", None
+    particular, kern = sol
+
+    def assemble(coeffs):
+        vec = [h.field.zero()] * n
+        for c, row in zip(coeffs, conjugators.rows):
+            vec = [x + c * y for x, y in zip(vec, row)]
+        return vec
+
+    undecidable = []
+
+    def qualifies(u):
+        if not h.left_mult_matrix(u).is_invertible() or not is_grouplike(h, u):
+            return None
+        try:
+            ok, y = oracle_is_trivial_grouplike(h, u)
+        except Undecidable:
+            undecidable.append(True)
+            return None
+        return (Element(h, u), y) if ok else None
+
+    if phi == Matrix.identity(h.field, n):
+        got = qualifies(list(h.unit))
+        if got:
+            return "yes", got
+    if kern.dim == 0:
+        got = qualifies(assemble(particular))
+        if got:
+            return "yes", got
+        return ("undecided", None) if undecidable else ("no", None)
+    candidates = [tuple(particular)]
+    for shift in height_vectors(kern.dim, max_height=max_height()):
+        coeffs = list(particular)
+        for t, krow in zip(shift, kern.rows):
+            coeffs = [x + t * y for x, y in zip(coeffs, krow)]
+        candidates.append(tuple(coeffs))
+        if len(candidates) >= 4000:
+            break
+    for coeffs in candidates:
+        got = qualifies(assemble(coeffs))
+        if got:
+            return "yes", got
+    return "undecided", None
+
+
+def _constructed_gamma(h):
+    """gamma2 = eps * S(xi) xi^{-1} on pair-2, as in test_grouplikes.py."""
+    dual = h.dual
+    rows = dual.source_base.rows
+    xi = Element(dual, [a + 2 * b for a, b in zip(rows[0], rows[1])])
+    s_xi = Element(dual, dual.apply_S(xi.coeffs))
+    return list((Element(dual, h.counit) * s_xi * xi.inv()).coeffs)
+
+
+def _trivial_grouplikes(h, count):
+    """S(y) y^{-1} for the first invertible y = sum c_k (H_s)_k, c in {-1, 0, 1, 2}^dim, as in test_grouplikes.py."""
+    out = []
+    for combo in itertools.product((-1, 0, 1, 2), repeat=h.source_base.dim):
+        y = [h.field.zero()] * h.dim
+        for c, row in zip(combo, h.source_base.rows):
+            y = [a + c * b for a, b in zip(y, row)]
+        if any(y) and Element(h, y).is_invertible():
+            out.append(list(grouplikes.make_trivial_grouplike(h, y).coeffs))
+            if len(out) == count:
+                return out
+    return out
+
+
+@lru_cache(maxsize=None)
+def grouplike_case(name):
+    """The regularized member with its group-like functionals, elements and automorphisms."""
+    h, _q = regularize(build_member(name))
+    dp = distinguished_pair(h, canonical_dual_pair(h))
+    gammas = [list(h.counit), list(dp.alpha.coeffs)]
+    elements = [list(h.unit), list(dp.a.coeffs)]
+    if name == "z2-group":
+        gammas.append([1, -1])  # the sign character
+    if name == "pair-2":
+        gammas.append(_constructed_gamma(h))
+        elements.append([0, 1, 1, 0])  # m12 + m21
+        elements.append(list(grouplikes.make_trivial_grouplike(h, [1, 0, 0, 2]).coeffs))
+    if name == "z2-z2-groupoid":
+        elements.append([0, 1, 0, 1])  # sum of the two generators
+    if name == "hmin-m2-1":
+        elements += _trivial_grouplikes(h, 4)
+    elements = [g for g in elements if is_grouplike(h, g)]
+    autos = [Matrix.identity(h.field, h.dim), h.S.power(4)]
+    autos += [grouplike_automorphism(h, g=g) for g in elements[1:]]
+    autos.append(grouplike_automorphism(h, gamma=dp.alpha))
+    return h, gammas, elements, autos
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every Subspace that grouplikes.kernel_on returns, in call order."""
+    got = []
+
+    def spy(space, rows):
+        out = kernel_on(space, rows)
+        got.append(out)
+        return out
+
+    monkeypatch.setattr(grouplikes, "kernel_on", spy)
+    return got
+
+
+def test_grouplike_cases_cover_the_grouplikes_tests():
+    assert len(grouplike_case("z2-group")[1]) == 3
+    _h, gammas, elements, _autos = grouplike_case("pair-2")
+    assert len(gammas) == 3 and len(elements) == 4
+    h, _gammas, elements, _autos = grouplike_case("hmin-m2-1")
+    assert len(elements) == 6
+    # a trivial group-like that does not commute with H_s tells g y from y g
+    g = elements[2]
+    assert any(h.mul_vec(g, y) != h.mul_vec(y, g) for y in h.source_base.rows)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_twisted_integral_spaces_match_dense(name):
+    h, gammas, elements, _autos = grouplike_case(name)
+    for gamma in gammas:
+        if is_dual_grouplike(h, gamma):
+            assert twisted_integral_spaces(h, gamma=gamma) == oracle_twisted_integral_spaces(h, gamma)
+    for g in elements:
+        dual = h.dual
+        want = oracle_twisted_integral_spaces(dual, Functional(dual, g))
+        assert twisted_integral_spaces(h, g=g) == want
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_intertwiners_match_dense(name):
+    h, gammas, _elements, _autos = grouplike_case(name)
+    for gamma1 in gammas:
+        for gamma2 in gammas:
+            assert _intertwiner_space(h, gamma1, gamma2) == oracle_intertwiner_space(h, gamma1, gamma2)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_trivial_grouplike_matches_dense(name, kernels):
+    h, _gammas, elements, _autos = grouplike_case(name)
+    # the predicate takes any g; 1 + e_i tells g y from y g where the group-likes do not
+    shifted = [[a + b for a, b in zip(h.unit, _basis(h, i))] for i in range(h.dim)]
+    for g in elements + shifted:
+        kernels.clear()
+        got = is_trivial_grouplike(h, g)
+        assert kernels == [oracle_trivial_grouplike_space(h, g)]
+        if g in elements:
+            assert got == oracle_is_trivial_grouplike(h, g)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_trivial_automorphism_matches_dense(name, kernels):
+    h, _gammas, _elements, autos = grouplike_case(name)
+    verdicts = set()
+    for phi in autos:
+        kernels.clear()
+        got = is_trivial_automorphism(h, phi)
+        assert got == oracle_is_trivial_automorphism(h, phi)
+        assert kernels[0] == oracle_conjugators(h, phi)
+        verdicts.add(got[0])
+    assert "yes" in verdicts

@@ -15,7 +15,7 @@ from whopf.constructors import (
     sweedler_hopf,
     SemisimplePresentation,
 )
-from whopf.errors import InvalidPresentation, NotInvertible
+from whopf.errors import InvalidPresentation, NoAntipode, NotInvertible
 from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import Matrix
 from whopf.wha import (
@@ -328,3 +328,35 @@ def test_wrong_length_vector_is_invalid_presentation(coeffs):
         Element(h, coeffs)
     with pytest.raises(InvalidPresentation):
         Functional(h, coeffs)
+
+
+def without_antipode(h):
+    return WeakHopfAlgebra(h.field, h.labels, h.mult, h.unit, h.comult, h.counit, name=h.name)
+
+
+def test_missing_antipode_is_no_antipode():
+    """S and dualize raise NoAntipode before S is set, also under python -O."""
+    h = without_antipode(kz2())
+    with pytest.raises(NoAntipode):
+        h.S
+    with pytest.raises(NoAntipode):
+        dualize(h)
+
+
+def test_with_antipode_returns_a_new_algebra():
+    h = without_antipode(pair2())
+    solved = h.with_antipode(solve_antipode(h))
+    assert h.antipode is None
+    assert solved is not h and solved.name == h.name
+    assert solved.same_structure(pair2())
+    assert validate_full(solved).ok
+
+
+def test_zoo_names_leave_shared_algebras_alone():
+    from whopf.zoo import _dyn_twist_z2, build_member
+
+    host = _dyn_twist_z2()[0].host
+    name = host.name
+    assert build_member("dyn-host-z2").name == "dyn-host-z2"
+    assert build_member("dyn-host-z2").same_structure(host)
+    assert host.name == name != "dyn-host-z2"
