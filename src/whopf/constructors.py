@@ -215,7 +215,8 @@ def group_algebra(table, field=QQ, labels=None, name=None):
 
 def matrix_wha(n, field=QQ, labels=None, name=None):
     """M_n with matrix-unit group-like comultiplication (pair groupoid algebra)."""
-    assert n >= 1
+    if n < 1:
+        raise InvalidPresentation(f"M_n needs n >= 1, got {n}")
     g = pair_groupoid(n)
     if labels:
         g = Groupoid(g.objects, tuple(labels), g.source, g.target, g.compose, g.inverse, g.identity)

@@ -15,6 +15,7 @@ S^4(h) = a^{-1} (alpha -> h <- alpha^{-1}) a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import (
     Inconsistent,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .integrals import _integral_rows
 from .linalg import Matrix, Subspace, kernel_on, try_solve
-from .search import find_invertible_in_subspace, height_vectors, max_height
+from .search import first, height_vectors, invertible_in, max_height
 from .wha import Element, Functional, _basis, _pruned
 
 __all__ = [
@@ -152,10 +153,8 @@ def is_trivial_grouplike(h, g):
     space = kernel_on(h.source_base, rows)
     if space.dim == 0:
         return False, None
-    hit = find_invertible_in_subspace(h, space)
-    if hit is None:
-        return False, None
-    return True, Element(h, hit[0])
+    y = invertible_in(h, space)
+    return (False, None) if y is None else (True, Element(h, y))
 
 
 def coset_equal(h, g1, g2):
@@ -393,15 +392,7 @@ def module_from_integral(h, ell):
     one_coords = hs.coords(h.unit)
     if one_coords is None:
         raise Inconsistent("unit does not lie in H_s")
-    gamma_coeffs = []
-    for j in range(h.dim):
-        image = mats[j].matvec(one_coords)
-        vec = [h.field.zero()] * h.dim
-        for c, row in zip(image, hs.rows):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        gamma_coeffs.append(h.counit_of(vec))
-    gamma = Functional(h, gamma_coeffs)
+    gamma = Functional(h, [h.counit_of(hs.vector(mat.matvec(one_coords))) for mat in mats])
     return gamma, GammaModule(gamma=gamma, base=hs, action=tuple(mats))
 
 
@@ -436,10 +427,8 @@ def gamma_module_iso(h, gamma1, gamma2):
     space = _intertwiner_space(h, gamma1, gamma2)
     if space.dim == 0:
         return False, None
-    hit = find_invertible_in_subspace(h, space)
-    if hit is None:
-        return False, None
-    return True, Element(h, hit[0])
+    y = invertible_in(h, space)
+    return (False, None) if y is None else (True, Element(h, y))
 
 
 def self_intertwiners(h, gamma):
@@ -566,14 +555,6 @@ def is_trivial_automorphism(h, phi):
     if sol is None:
         return "no", None
     particular, kern = sol
-
-    def assemble(coeffs):
-        vec = [h.field.zero()] * n
-        for c, row in zip(coeffs, conjugators.rows):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        return vec
-
     saw_undecidable = []
 
     def qualifies(u):
@@ -591,25 +572,14 @@ def is_trivial_automorphism(h, phi):
         got = qualifies(list(h.unit))
         if got:
             return "yes", got
-    if kern.dim == 0:
-        got = qualifies(assemble(particular))
-        if got:
-            return "yes", got
-        return ("undecided", None) if saw_undecidable else ("no", None)
-    candidates = [tuple(particular)]
-    cap = 4000  # bounded affine sweep; beyond it the verdict is an honest undecided
-    for shift in height_vectors(kern.dim, max_height=max_height()):
-        coeffs = list(particular)
-        for s, krow in zip(shift, kern.rows):
-            if s:
-                coeffs = [x + s * y for x, y in zip(coeffs, krow)]
-        candidates.append(tuple(coeffs))
-        if len(candidates) >= cap:
-            break
-    for coeffs in candidates:
-        got = qualifies(assemble(coeffs))
-        if got:
-            return "yes", got
+    # particular first, then a bounded affine sweep; beyond it the verdict is an honest undecided
+    shifts = islice(chain([(0,) * kern.dim], height_vectors(kern.dim, max_height=max_height())), 4000)
+    coeffs = ([p + s for p, s in zip(particular, kern.vector(shift))] for shift in shifts)
+    got = first(conjugators, coeffs, qualifies)
+    if got:
+        return "yes", got
+    if kern.dim == 0 and not saw_undecidable:
+        return "no", None
     return "undecided", None
 
 

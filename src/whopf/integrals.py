@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
 from .linalg import Matrix, Subspace, kernel_on, try_solve
-from .search import height_vectors, max_height
+from .search import first, height_vectors, max_height
 from .wha import Element, Functional, _basis, _pruned
 
 __all__ = [
@@ -121,18 +121,11 @@ def find_nondegenerate_integral(h, space=None, skip=0):
         raise NotFrobenius(
             f"dim integral space {space.dim} != dim H_t {h.target_base.dim}"
         )
-    zero = h.field.zero()
-    hits = 0
-    for coeffs in height_vectors(space.dim, max_height=1 << 16):
-        vec = [zero] * h.dim
-        for c, row in zip(coeffs, space.rows):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        if is_nondegenerate(h, vec):
-            if hits == skip:
-                return Element(h, vec)
-            hits += 1
-    raise NotFrobenius("height search exhausted")  # unreachable over Q
+    heights = height_vectors(space.dim, max_height=1 << 16)
+    vec = first(space, heights, lambda v: is_nondegenerate(h, v) and v, skip)
+    if vec is None:
+        raise NotFrobenius("height search exhausted")  # unreachable over Q
+    return Element(h, vec)
 
 
 @dataclass
@@ -293,15 +286,9 @@ def has_nondegenerate_two_sided_integral(h):
     two_sided = integral_space(h, "left").intersect(integral_space(h, "right"))
     if two_sided.dim == 0:
         return False
-    zero = h.field.zero()
     cap = max_height()
-    for coeffs in height_vectors(two_sided.dim, max_height=cap):
-        vec = [zero] * h.dim
-        for c, row in zip(coeffs, two_sided.rows):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        if is_nondegenerate(h, vec):
-            return True
+    if first(two_sided, height_vectors(two_sided.dim, max_height=cap), lambda v: is_nondegenerate(h, v)):
+        return True
     raise Undecidable(
         f"no non-degenerate element of the {two_sided.dim}-dimensional two-sided "
         f"integral space up to height {cap}"

@@ -61,7 +61,8 @@ def _rref_bareiss(rows):
             m = ri[col]
             for j in range(col, ncols):
                 q, r = divmod(p * ri[j] - m * pr[j], prev)
-                assert r == 0, "Bareiss division not exact"
+                if r:
+                    raise Inconsistent("Bareiss division not exact")
                 ri[j] = q
             for j in range(col):
                 ri[j] = 0
@@ -381,16 +382,7 @@ def kernel_on(space, rows):
     got = solve_sparse(rows, repeat(field.zero()), space.dim, field)
     if got is None:
         raise Inconsistent("homogeneous system reported inconsistent")
-    vecs = []
-    for kv in got[1]:
-        v = [field.zero()] * space.ambient
-        for coeff, row in zip(kv, space.rows):
-            if coeff:
-                for j, y in enumerate(row):
-                    if y:
-                        v[j] += coeff * y
-        vecs.append(v)
-    return Subspace.from_vectors(field, space.ambient, vecs)
+    return Subspace.from_vectors(field, space.ambient, [space.vector(kv) for kv in got[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +430,19 @@ class Subspace:
             return None
         return tuple(coeffs)
 
+    def vector(self, coeffs):
+        """sum_k coeffs[k] rows[k] as a list, the inverse of ``coords``.
+
+        Reads only the nonzero coefficients and the nonzero row entries.
+        """
+        v = [self.field.zero()] * self.ambient
+        for c, row in zip(coeffs, self.rows):
+            if c:
+                for j, y in enumerate(row):
+                    if y:
+                        v[j] += c * y
+        return v
+
     def contains(self, v):
         return self.coords(v) is not None
 
@@ -481,16 +486,7 @@ class Subspace:
         for i in range(self.ambient):
             rows.append([self.rows[k][i] for k in range(r1)] + [-other.rows[k][i] for k in range(r2)])
         null = kernel(Matrix(self.field, rows))
-        vecs = []
-        zero = self.field.zero()
-        for kv in null.rows:
-            v = [zero] * self.ambient
-            for k in range(r1):
-                c = kv[k]
-                if c:
-                    v = [a + c * b for a, b in zip(v, self.rows[k])]
-            vecs.append(v)
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
+        return Subspace.from_vectors(self.field, self.ambient, [self.vector(kv[:r1]) for kv in null.rows])
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

@@ -5,7 +5,9 @@ solution subspace) enumerate integer vectors by increasing max-norm with
 heights 1, 2, 4, ...; within a height the coordinate order is
 0, 1, -1, 2, -2, ... lexicographically.  The order is fixed so that every
 output of the package is reproducible.  The height cap honored by the
-bounded searches is WHOPF_MAX_HEIGHT (default 8).
+bounded searches is WHOPF_MAX_HEIGHT (default 8).  Every search is
+``first(space, coeff_vectors, accept)``: the caller gives the enumeration
+of coefficient vectors over the basis of ``space`` and the witness test.
 
 When enumeration fails, invertibility over a subspace is decided exactly:
 the determinant of the generic left-multiplication matrix is a polynomial of
@@ -17,11 +19,11 @@ witness.  Grids too large to afford raise Undecidable rather than guess.
 from __future__ import annotations
 
 import os
-from itertools import product
+from itertools import chain, product
 
 from .errors import Undecidable
 
-__all__ = ["max_height", "height_vectors", "find_invertible_in_subspace"]
+__all__ = ["first", "grid_vectors", "height_vectors", "invertible_in", "max_height"]
 
 _GRID_CAP = 200_000
 
@@ -59,42 +61,32 @@ def height_vectors(dim, max_height=8):
                 yield vec
 
 
-def find_invertible_in_subspace(h, space, offset=None):
-    """Invertible element of ``offset + space`` (affine when offset given).
+def grid_vectors(degree, dim):
+    """All of {0, ..., degree}^dim in lexicographic order.
 
-    Returns (element coefficients, combination) or None when no invertible
-    element exists; raises Undecidable only when the deciding grid would
-    exceed the affordable size.  The element is searched by deterministic
-    height enumeration first, then decided by the grid criterion.
+    A polynomial of degree <= ``degree`` in each of ``dim`` coordinates that
+    vanishes on this grid is identically zero (Schwartz 1980, Zippel 1979).
+    A grid over the cap raises Undecidable when the generator is first
+    advanced, so a hit found before it is still returned.
     """
-    zero = h.field.zero()
-    d = space.dim
-    if d == 0:
-        if offset is not None and h.left_mult_matrix(offset).is_invertible():
-            return list(offset), ()
-        return None
+    grid = degree + 1
+    if grid**dim > _GRID_CAP:
+        raise Undecidable(f"grid of size {grid}^{dim} exceeds the cap")
+    yield from product(range(grid), repeat=dim)
 
-    def assemble(coeffs):
-        vec = list(offset) if offset is not None else [zero] * h.dim
-        for c, row in zip(coeffs, space.rows):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        return vec
 
-    if offset is not None:
-        vec = assemble((0,) * d)
-        if h.left_mult_matrix(vec).is_invertible():
-            return vec, (0,) * d
-    for coeffs in height_vectors(d, max_height=max_height()):
-        vec = assemble(coeffs)
-        if h.left_mult_matrix(vec).is_invertible():
-            return vec, coeffs
-    # Grid decision: det is a polynomial of degree <= dim in each coordinate.
-    grid = h.dim + 1
-    if grid**d > _GRID_CAP:
-        raise Undecidable(f"grid of size {grid}^{d} exceeds the cap")
-    for coeffs in product(range(grid), repeat=d):
-        vec = assemble(coeffs)
-        if h.left_mult_matrix(vec).is_invertible():
-            return vec, coeffs
+def first(space, coeff_vectors, accept, skip=0):
+    """The (skip+1)-th truthy ``accept(space.vector(c))`` over ``coeff_vectors`` in order, or None."""
+    for coeffs in coeff_vectors:
+        got = accept(space.vector(coeffs))
+        if got:
+            if not skip:
+                return got
+            skip -= 1
     return None
+
+
+def invertible_in(h, space):
+    """An invertible element of ``space`` as a list, or None when there is none."""
+    vectors = chain(height_vectors(space.dim, max_height=max_height()), grid_vectors(h.dim, space.dim))
+    return first(space, vectors, lambda v: h.left_mult_matrix(v).is_invertible() and v)

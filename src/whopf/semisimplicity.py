@@ -175,7 +175,8 @@ def _min_poly_in(h, space, unit, x):
     while True:
         power = h.mul_vec(power, x)
         coords = space.coords(power)
-        assert coords is not None, "component not closed under multiplication"
+        if coords is None:
+            raise Inconsistent("component not closed under multiplication")
         m = Matrix(field, rows).transpose()
         sol = try_solve(m, coords)
         if sol is not None:
@@ -195,7 +196,8 @@ def primitive_idempotents(h, space, unit=None):
     """
     field = h.field
     unit = tuple(unit if unit is not None else h.unit)
-    assert space.contains(unit), "unit must lie in the subalgebra"
+    if not space.contains(unit):
+        raise PreconditionUnmet("unit must lie in the subalgebra")
     pending = [(space, unit)]
     finished = []
     while pending:
@@ -250,7 +252,8 @@ def primitive_idempotents(h, space, unit=None):
             continue
         xvec, power, cofactor = split
         u, w, g = _poly_ext_gcd(power, cofactor, field)
-        assert len(g) == 1, "factors not coprime"
+        if len(g) != 1:
+            raise Inconsistent("factors not coprime")
         # idempotent for the cofactor part: u(x) * (x - r)^m evaluated at x
         e_big = _poly_mul(u, power, field)
         e_vec = _eval_poly_at(h, e_big, xvec, p)

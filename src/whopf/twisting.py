@@ -17,6 +17,7 @@ contraction, and assembles the twist on the host M_{|A|} (x) U.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .constructors import matrix_wha, tensor_product
 from .errors import (
@@ -249,9 +250,7 @@ class AbelianGrouplikes:
         self.inverse = inverse
         self.order = n
         self.orders = [self._element_order(i) for i in range(n)]
-        self.exponent = 1
-        for o in self.orders:
-            self.exponent = self.exponent * o // _gcd_int(self.exponent, o)
+        self.exponent = lcm(*self.orders)
         self.characters = self._characters()
         self.char_index = {c: i for i, c in enumerate(self.characters)}
 
@@ -288,7 +287,8 @@ class AbelianGrouplikes:
             new_chars = []
             for chi in chars:
                 s = chi[base]
-                assert s % m == 0, "character extension obstruction"
+                if s % m:
+                    raise Inconsistent("character extension obstruction")
                 for k in range(m):
                     t = s // m + k * (e_exp // m)
                     ext = dict(chi)
@@ -301,7 +301,8 @@ class AbelianGrouplikes:
             chars = new_chars
         out = [tuple(chi[i] for i in range(self.order)) for chi in chars]
         out.sort()
-        assert len(out) == self.order
+        if len(out) != self.order:
+            raise Inconsistent(f"{len(out)} characters for a group of order {self.order}")
         return out
 
     def char_product(self, a, b):
@@ -329,12 +330,6 @@ class AbelianGrouplikes:
         return vec
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # dynamical twists
 
@@ -359,9 +354,6 @@ class DynamicalTwist:
     twist: Twist
     group: AbelianGrouplikes
     matrix_dim: int
-
-    def host_index(self, row, col, u_idx):
-        return (row * self.matrix_dim + col) * self.group.u.dim + u_idx
 
 
 def _j_tensor(u, data, group, chi_idx):

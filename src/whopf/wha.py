@@ -25,6 +25,7 @@ from .errors import (
     Axiom26Failure,
     Degenerate,
     FieldMismatch,
+    Inconsistent,
     InvalidPresentation,
     NoAntipode,
     NoAntipodeInverse,
@@ -692,7 +693,8 @@ def counital_subalgebras(h):
         "ZcapHt": h.centralizer_in(ht),
     }
     for key, space in out.items():
-        assert h.subspace_closed_under_mult(space), f"{key} not closed under product"
+        if not h.subspace_closed_under_mult(space):
+            raise Inconsistent(f"{key} not closed under product")
     return out
 
 
@@ -1048,7 +1050,8 @@ def regular_trace_on(h, space, x):
     for b in space.rows:
         prod = h.mul_vec(x, b)
         coords = space.coords(prod)
-        assert coords is not None, "subspace not invariant under left multiplication"
+        if coords is None:
+            raise Inconsistent("subspace not invariant under left multiplication")
         cols.append(coords)
     return sum((cols[i][i] for i in range(space.dim)), h.field.zero())
 
@@ -1073,11 +1076,7 @@ def minimal_data(h):
     sol = try_solve(mat, rhs)
     if sol is None or sol[1].dim:
         raise Degenerate("counit restricted to H_t is degenerate")
-    u = [field.zero()] * h.dim
-    for a, c in enumerate(sol[0]):
-        if c:
-            u = [x + c * y for x, y in zip(u, ht.rows[a])]
-    g = h.invert_element(u)
+    g = h.invert_element(ht.vector(sol[0]))
     if not ht.contains(g):
         raise Degenerate("inverse of g^{-1} left H_t")
     return MinimalData(target=ht, core=ht.intersect(h.source_base), g=Element(h, g))

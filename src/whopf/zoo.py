@@ -28,7 +28,6 @@ from .constructors import (
     pair_groupoid,
     sweedler_hopf,
     symmetric_table,
-    tensor_product,
 )
 from .fields import CyclotomicField
 from .grouplikes import distinguished_pair, lambda_ell_relations, radford_check
@@ -37,7 +36,6 @@ from .integrals import (
     canonical_dual_pair,
     integral_space,
     invariance_check,
-    is_semisimple,
     semisimple_by_trace_form,
 )
 from .semisimplicity import semisimplicity_report

@@ -123,6 +123,12 @@ def test_minimal_wha_antipode_formula():
     assert solve_antipode(h) == h.S
 
 
+def test_matrix_wha_needs_a_positive_size():
+    """A typed error, also under python -O (a stripped check built a dim-0 algebra)."""
+    with pytest.raises(InvalidPresentation):
+        matrix_wha(0)
+
+
 def test_trace_condition_checked():
     with pytest.raises(TraceConditionViolated):
         minimal_wha(SemisimplePresentation(blocks=(2,), g=[[1, 0]]))

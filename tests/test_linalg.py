@@ -204,6 +204,23 @@ def test_kernel_on_matches_dense_kernel(case):
         assert got == space
 
 
+@settings(max_examples=150, deadline=None)
+@given(kernel_case(), st.data())
+def test_vector_inverts_coords_and_matches_the_dense_sum(case, data):
+    field, space, _rows = case
+    small = st.integers(-3, 3)
+    coeffs = []
+    for _ in range(space.dim):
+        c = field.from_int(data.draw(small))
+        coeffs.append(c + field.zeta() * data.draw(small) if field is Q3 else c)
+    dense = [field.zero()] * space.ambient
+    for c, row in zip(coeffs, space.rows):
+        dense = [a + c * b for a, b in zip(dense, row)]
+    v = space.vector(coeffs)
+    assert v == dense
+    assert space.coords(v) == tuple(coeffs)
+
+
 def test_full_subspace_is_canonical():
     for field in (QQ, Q3):
         for n in range(4):

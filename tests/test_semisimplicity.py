@@ -65,6 +65,13 @@ def test_primitive_idempotents_pair_groupoid_diagonal():
     assert coeffs == [(0, 0, 0, 1), (1, 0, 0, 0)]
 
 
+def test_primitive_idempotents_unit_outside_the_subalgebra():
+    """A typed error, also under python -O: m12 does not lie in H_t of M_2."""
+    h = pair2()
+    with pytest.raises(PreconditionUnmet):
+        primitive_idempotents(h, h.target_base, unit=(0, 1, 0, 0))
+
+
 def test_primitive_idempotents_center_z2():
     h = kz2()
     idem = primitive_idempotents(h, h.center)

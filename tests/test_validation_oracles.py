@@ -19,16 +19,23 @@ multiplication matrices, and the conjugators of an automorphism as
 L_phi(e_i) - R_e_i intersected with H_min.  They run on every zoo member
 with its distinguished group-likes and on the group-likes of
 ``test_grouplikes.py``.
+
+The witness searches keep the loops that ``search.first`` replaced: the
+invertible-element search (heights, then the grid), the non-degenerate
+integral search with ``skip`` and the two-sided search, each enumerating,
+assembling the vector densely and testing it in one loop.
 """
 
 import itertools
 import random
+import sys
 from functools import lru_cache
 
 import pytest
 
 import whopf.grouplikes as grouplikes
-from whopf.errors import Undecidable
+import whopf.search as search
+from whopf.errors import NotFrobenius, Undecidable, WhopfError
 from whopf.grouplikes import (
     _intertwiner_space,
     distinguished_pair,
@@ -42,13 +49,15 @@ from whopf.grouplikes import (
 )
 from whopf.integrals import (
     canonical_dual_pair,
+    find_nondegenerate_integral,
+    has_nondegenerate_two_sided_integral,
     integral_space,
     is_nondegenerate,
     nondegeneracy_matrix,
     semisimple_by_trace_form,
 )
 from whopf.linalg import Matrix, Subspace, kernel_on, solve_sparse, try_solve
-from whopf.search import find_invertible_in_subspace, height_vectors, max_height
+from whopf.search import height_vectors, invertible_in, max_height
 from whopf.twisting import regularize
 from whopf.wha import Element, Functional, WeakHopfAlgebra, antipode_axiom_checks, validate_full
 from whopf.zoo import ZOO_NAMES, build_member
@@ -484,6 +493,133 @@ def test_antipode_checks_match_dense_products():
 
 
 # ---------------------------------------------------------------------------
+# witness searches: the hand-rolled enumerate -> assemble -> test loops
+
+
+def oracle_find_invertible_in_subspace(h, space):
+    """Invertible element of ``space`` by heights, then the (dim H + 1)^d grid: (vector, coefficients) or None."""
+    zero = h.field.zero()
+    d = space.dim
+    if d == 0:
+        return None
+
+    def assemble(coeffs):
+        vec = [zero] * h.dim
+        for c, row in zip(coeffs, space.rows):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, row)]
+        return vec
+
+    for coeffs in height_vectors(d, max_height=max_height()):
+        vec = assemble(coeffs)
+        if h.left_mult_matrix(vec).is_invertible():
+            return vec, coeffs
+    # Grid decision: det is a polynomial of degree <= dim in each coordinate.
+    grid = h.dim + 1
+    if grid**d > 200_000:
+        raise Undecidable(f"grid of size {grid}^{d} exceeds the cap")
+    for coeffs in itertools.product(range(grid), repeat=d):
+        vec = assemble(coeffs)
+        if h.left_mult_matrix(vec).is_invertible():
+            return vec, coeffs
+    return None
+
+
+def oracle_find_nondegenerate_integral(h, skip=0):
+    space = integral_space(h, "left")
+    if space.dim != h.target_base.dim:
+        raise NotFrobenius(f"dim integral space {space.dim} != dim H_t {h.target_base.dim}")
+    zero = h.field.zero()
+    hits = 0
+    for coeffs in height_vectors(space.dim, max_height=1 << 16):
+        vec = [zero] * h.dim
+        for c, row in zip(coeffs, space.rows):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, row)]
+        if is_nondegenerate(h, vec):
+            if hits == skip:
+                return Element(h, vec)
+            hits += 1
+    raise NotFrobenius("height search exhausted")
+
+
+def oracle_has_nondegenerate_two_sided_integral(h):
+    two_sided = integral_space(h, "left").intersect(integral_space(h, "right"))
+    if two_sided.dim == 0:
+        return False
+    zero = h.field.zero()
+    cap = max_height()
+    for coeffs in height_vectors(two_sided.dim, max_height=cap):
+        vec = [zero] * h.dim
+        for c, row in zip(coeffs, two_sided.rows):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, row)]
+        if is_nondegenerate(h, vec):
+            return True
+    raise Undecidable(f"no non-degenerate element up to height {cap}")
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type of the WhopfError it raised."""
+    try:
+        return fn(*args)
+    except WhopfError as exc:
+        return type(exc)
+
+
+def _oracle_invertible(h, space):
+    hit = oracle_find_invertible_in_subspace(h, space)
+    return None if hit is None else hit[0]
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_witness_searches_match_the_loops(name):
+    h = build_member(name)
+    for alg in (h, h.dual):
+        for skip in (0, 1, 2):
+            got = find_nondegenerate_integral(alg, skip=skip)
+            assert got.coeffs == oracle_find_nondegenerate_integral(alg, skip).coeffs
+        assert _outcome(has_nondegenerate_two_sided_integral, alg) == _outcome(
+            oracle_has_nondegenerate_two_sided_integral, alg
+        )
+        assert invertible_in(alg, alg.source_base) == _oracle_invertible(alg, alg.source_base)
+
+
+def _no_heights(dim, max_height):
+    return iter(())
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_grid_matches_the_loop_without_heights(name, monkeypatch):
+    monkeypatch.setattr(search, "height_vectors", _no_heights)
+    monkeypatch.setattr(sys.modules[__name__], "height_vectors", _no_heights)
+    h = build_member(name)
+    got = _outcome(invertible_in, h, h.source_base)
+    assert got == _outcome(_oracle_invertible, h, h.source_base)
+    assert got is Undecidable or h.left_mult_matrix(got).is_invertible()
+
+
+def test_grid_cap_is_reached_only_after_the_heights(monkeypatch):
+    h = build_member("pair-2")
+    monkeypatch.setattr(search, "_GRID_CAP", 0)
+    # a hit among the heights is returned although the grid is over the cap
+    assert invertible_in(h, h.source_base) == _oracle_invertible(h, h.source_base)
+    heights = []
+
+    def recording(dim, max_height):
+        for vec in height_vectors(dim, max_height=max_height):
+            heights.append(vec)
+            yield vec
+        heights.append("exhausted")
+
+    monkeypatch.setattr(search, "height_vectors", recording)
+    m11 = Subspace.from_vectors(h.field, h.dim, [_basis(h, 0)])  # no invertible multiple
+    with pytest.raises(Undecidable):
+        invertible_in(h, m11)
+    assert heights[-1] == "exhausted" and len(heights) > 1
+
+
+# ---------------------------------------------------------------------------
 # group-like solves
 
 
@@ -525,7 +661,7 @@ def oracle_trivial_grouplike_space(h, g):
 
 def oracle_is_trivial_grouplike(h, g):
     space = oracle_trivial_grouplike_space(h, g)
-    hit = find_invertible_in_subspace(h, space) if space.dim else None
+    hit = oracle_find_invertible_in_subspace(h, space) if space.dim else None
     return (False, None) if hit is None else (True, Element(h, hit[0]))
 
 
@@ -687,7 +823,9 @@ def test_intertwiners_match_dense(name):
     h, gammas, _elements, _autos = grouplike_case(name)
     for gamma1 in gammas:
         for gamma2 in gammas:
-            assert _intertwiner_space(h, gamma1, gamma2) == oracle_intertwiner_space(h, gamma1, gamma2)
+            space = _intertwiner_space(h, gamma1, gamma2)
+            assert space == oracle_intertwiner_space(h, gamma1, gamma2)
+            assert _outcome(invertible_in, h, space) == _outcome(_oracle_invertible, h, space)
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
