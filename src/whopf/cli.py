@@ -48,7 +48,7 @@ from .grouplikes import (
 from .integrals import canonical_dual_pair, integral_space, invariance_check
 from .semisimplicity import semisimplicity_report
 from .twisting import DynamicalTwistData, Twist, deform_q, dynamical_theta, regularize, twist
-from .wha import Element, dualize, validate_full
+from .wha import Element, validate_full
 from .zoo import format_zoo_report, run_zoo
 
 EXIT_OK = 0
@@ -232,7 +232,7 @@ def cmd_report(args):
     }
     targets = [("", h)]
     if args.dual:
-        targets.append(("dual_", dualize(h)))
+        targets.append(("dual_", h.dual))
     for prefix, algebra in targets:
         for key, on in wanted.items():
             if not on:

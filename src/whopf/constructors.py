@@ -391,16 +391,12 @@ def minimal_wha(pres, field=QQ, name=None):
                     relations.append(rel)
     rel_space = Subspace.from_vectors(field, dim_big, relations)
 
-    # Quotient basis: standard pairs whose images stay independent, in order.
-    basis_pairs = []
-    span = rel_space
-    for iu in range(nb):
-        for iv in range(nb):
-            vec = [zero] * dim_big
-            vec[iu * nb + iv] = one
-            if not span.contains(vec):
-                span = span.plus(Subspace.from_vectors(field, dim_big, [vec]))
-                basis_pairs.append((iu, iv))
+    # Quotient basis: the standard pairs off the pivot columns of the relation
+    # space, in order.  Each relation is zero or +-e_x, because a is a sum of
+    # block identities, so the relation space is a coordinate subspace and
+    # these pairs are exactly the ones whose images stay independent.
+    pivots = set(rel_space.pivots)
+    basis_pairs = [divmod(pos, nb) for pos in range(dim_big) if pos not in pivots]
     dim = len(basis_pairs)
     pair_pos = {p: t for t, p in enumerate(basis_pairs)}
 

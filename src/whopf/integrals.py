@@ -81,7 +81,6 @@ def _integral_rows(h, side, counital):
 
 def nondegeneracy_matrix(h, ell):
     """Matrix of phi |-> phi -> ell; columns indexed by the dual basis."""
-    ell = ell.coeffs if isinstance(ell, Element) else ell
     return _matrix_of_pairs(h, h.comul_vec(ell))
 
 
@@ -99,7 +98,6 @@ def is_nondegenerate(h, ell):
     A basis index missing from the first or the second legs of Delta(ell)
     is a zero row or column, which proves the matrix singular without a rank.
     """
-    ell = ell.coeffs if isinstance(ell, Element) else ell
     pairs = h.comul_vec(ell)
     if len({a for a, _ in pairs}) < h.dim or len({b for _, b in pairs}) < h.dim:
         return False
@@ -137,10 +135,9 @@ class DualPair:
 
     def check(self, h):
         n_mat = nondegeneracy_matrix(h, self.ell)
-        if tuple(n_mat.matvec(self.lam.coeffs)) != h.unit:
+        if n_mat.matvec(self.lam.coeffs) != h.unit:
             raise Inconsistent("lambda -> ell != 1")
-        back = h.dual_lact(self.ell.coeffs, self.lam)
-        if tuple(back) != h.counit:
+        if h.dual_lact(self.ell.coeffs, self.lam) != h.counit:
             raise Inconsistent("ell -> lambda != eps")
         if not is_nondegenerate(h.dual, self.lam.coeffs):
             raise Inconsistent("lambda is degenerate")
@@ -154,7 +151,7 @@ def dual_integral(h, ell):
     if sol is None or sol[1].dim:
         raise Inconsistent("integral is degenerate; is_nondegenerate lied")
     lam = Functional(h, sol[0])
-    pair = DualPair(ell=ell if isinstance(ell, Element) else Element(h, ell), lam=lam)
+    pair = DualPair(ell=Element(h, ell), lam=lam)
     pair.check(h)
     dual_space = integral_space(h, "left", where="dual")
     if not dual_space.contains(lam.coeffs):

@@ -431,7 +431,7 @@ class Subspace:
         return tuple(coeffs)
 
     def vector(self, coeffs):
-        """sum_k coeffs[k] rows[k] as a list, the inverse of ``coords``.
+        """sum_k coeffs[k] rows[k] as a tuple, the inverse of ``coords``.
 
         Reads only the nonzero coefficients and the nonzero row entries.
         """
@@ -441,7 +441,7 @@ class Subspace:
                 for j, y in enumerate(row):
                     if y:
                         v[j] += c * y
-        return v
+        return tuple(v)
 
     def contains(self, v):
         return self.coords(v) is not None

@@ -87,6 +87,6 @@ def first(space, coeff_vectors, accept, skip=0):
 
 
 def invertible_in(h, space):
-    """An invertible element of ``space`` as a list, or None when there is none."""
+    """An invertible element of ``space`` as a tuple, or None when there is none."""
     vectors = chain(height_vectors(space.dim, max_height=max_height()), grid_vectors(h.dim, space.dim))
     return first(space, vectors, lambda v: h.left_mult_matrix(v).is_invertible() and v)

@@ -171,7 +171,7 @@ def _min_poly_in(h, space, unit, x):
     """Monic minimal polynomial of x inside the unital component (space, unit)."""
     field = h.field
     rows = [space.coords(unit)]
-    power = list(unit)
+    power = unit
     while True:
         power = h.mul_vec(power, x)
         coords = space.coords(power)
@@ -213,7 +213,7 @@ def primitive_idempotents(h, space, unit=None):
         candidates = []
         seen = set()
         for a in list(space.rows) + list(comp.rows):
-            x = tuple(h.mul_vec(p, a))
+            x = h.mul_vec(p, a)
             if any(x) and x not in seen:
                 seen.add(x)
                 candidates.append(x)
@@ -257,31 +257,31 @@ def primitive_idempotents(h, space, unit=None):
         # idempotent for the cofactor part: u(x) * (x - r)^m evaluated at x
         e_big = _poly_mul(u, power, field)
         e_vec = _eval_poly_at(h, e_big, xvec, p)
-        if tuple(h.mul_vec(e_vec, e_vec)) != tuple(e_vec):
+        if h.mul_vec(e_vec, e_vec) != e_vec:
             raise Inconsistent("split element is not idempotent")
-        e_comp = [a - b for a, b in zip(p, e_vec)]
+        e_comp = tuple(a - b for a, b in zip(p, e_vec))
         for q in (e_vec, e_comp):
             sub_rows = [h.mul_vec(q, b) for b in comp.rows]
             sub = Subspace.from_vectors(field, h.dim, sub_rows)
-            pending.append((sub, tuple(q)))
+            pending.append((sub, q))
     finished.sort(key=lambda e: tuple(field.format(c) for c in e.coeffs))
-    total = [field.zero()] * h.dim
+    total = (field.zero(),) * h.dim
     for e in finished:
         for q in finished:
             if e is not q and any(h.mul_vec(e.coeffs, q.coeffs)):
                 raise Inconsistent("idempotents not orthogonal")
-        total = [a + b for a, b in zip(total, e.coeffs)]
-    if tuple(total) != unit:
+        total = tuple(a + b for a, b in zip(total, e.coeffs))
+    if total != unit:
         raise Inconsistent("idempotents do not sum to the unit")
     return finished
 
 
 def _eval_poly_at(h, f, x, unit):
-    acc = [h.field.zero()] * h.dim
-    power = list(unit)
+    acc = (h.field.zero(),) * h.dim
+    power = unit
     for c in f:
         if c:
-            acc = [a + c * b for a, b in zip(acc, power)]
+            acc = tuple(a + c * b for a, b in zip(acc, power))
         power = h.mul_vec(power, x)
     return acc
 

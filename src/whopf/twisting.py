@@ -61,7 +61,7 @@ def deform_q(h, q, name=None):
     S'(x) = q^{-1} S(x) q; the underlying algebra is unchanged.  All three
     preconditions are checked and reported individually.
     """
-    q = q if isinstance(q, Element) else Element(h, q)
+    q = Element(h, q)
     if not h.target_base.contains(q.coeffs):
         raise PreconditionUnmet("q does not lie in H_t")
     try:
@@ -69,13 +69,13 @@ def deform_q(h, q, name=None):
     except NotInvertible as exc:
         raise PreconditionUnmet(f"q is not invertible: {exc}") from exc
     s2q = h.apply_S(h.apply_S(q.coeffs))
-    if tuple(s2q) != q.coeffs:
+    if s2q != q.coeffs:
         raise PreconditionUnmet("S^2(q) != q")
-    acc = [h.field.zero()] * h.dim
+    acc = (h.field.zero(),) * h.dim
     for (a, b), c in h.delta_one.items():
         term = h.mul_vec(h.mul_vec(h.apply_S(_basis(h, a)), q.coeffs), _basis(h, b))
-        acc = [x + c * y for x, y in zip(acc, term)]
-    if tuple(acc) != h.unit:
+        acc = tuple(x + c * y for x, y in zip(acc, term))
+    if acc != h.unit:
         raise PreconditionUnmet(f"S(1_(1)) q 1_(2) != 1 (residual {acc})")
     one_q = {}
     for i, ci in enumerate(h.unit):
@@ -137,15 +137,15 @@ def _check_twist_invariants(h, t):
 def twist_conjugator(h, t):
     """v = S(Theta^(1)) Theta^(2) and its inverse from Theta_bar; verified."""
     zero = h.field.zero()
-    v = [zero] * h.dim
+    v = (zero,) * h.dim
     for (a, b), c in t.theta.items():
         term = h.mul_vec(h.apply_S(_basis(h, a)), _basis(h, b))
-        v = [x + c * y for x, y in zip(v, term)]
-    v_inv = [zero] * h.dim
+        v = tuple(x + c * y for x, y in zip(v, term))
+    v_inv = (zero,) * h.dim
     for (a, b), c in t.theta_bar.items():
         term = h.mul_vec(_basis(h, a), h.apply_S(_basis(h, b)))
-        v_inv = [x + c * y for x, y in zip(v_inv, term)]
-    if tuple(h.mul_vec(v, v_inv)) != h.unit or tuple(h.mul_vec(v_inv, v)) != h.unit:
+        v_inv = tuple(x + c * y for x, y in zip(v_inv, term))
+    if h.mul_vec(v, v_inv) != h.unit or h.mul_vec(v_inv, v) != h.unit:
         raise VNotInvertible("S(Theta^(1))Theta^(2) is not inverted by the Theta_bar formula")
     return v, v_inv
 
@@ -213,7 +213,7 @@ class AbelianGrouplikes:
 
     def __init__(self, u, elements):
         self.u = u
-        vecs = [tuple(u.field.coerce(c) for c in (e.coeffs if isinstance(e, Element) else e)) for e in elements]
+        vecs = [tuple(u.field.coerce(c) for c in e) for e in elements]
         if len(set(vecs)) != len(vecs):
             raise InvalidPresentation("repeated elements in A")
         for v in vecs:
@@ -224,7 +224,7 @@ class AbelianGrouplikes:
         table = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                prod = tuple(u.mul_vec(vecs[i], vecs[j]))
+                prod = u.mul_vec(vecs[i], vecs[j])
                 if prod not in index:
                     raise InvalidPresentation("A is not closed under multiplication")
                 table[i][j] = index[prod]
@@ -323,10 +323,10 @@ class AbelianGrouplikes:
     def minimal_idempotent(self, field, chi_idx):
         """P_mu = (1/|A|) sum_a mu(a^{-1}) a as an element of U."""
         scale = field.div(field.one(), field.from_int(self.order))
-        vec = [field.zero()] * self.u.dim
+        vec = (field.zero(),) * self.u.dim
         for a in range(self.order):
             val = scale * self.char_value(field, chi_idx, a, inverse=True)
-            vec = [x + val * y for x, y in zip(vec, self.vectors[a])]
+            vec = tuple(x + val * y for x, y in zip(vec, self.vectors[a]))
         return vec
 
 
@@ -353,7 +353,6 @@ class DynamicalTwist:
     host: WeakHopfAlgebra  # M_{|A|} (x) U
     twist: Twist
     group: AbelianGrouplikes
-    matrix_dim: int
 
 
 def _j_tensor(u, data, group, chi_idx):
@@ -405,14 +404,14 @@ def verify_dynamical_data(data):
         j_tensors[chi] = j
         j_inverses[chi] = _j_inverse(u, tensor_algebra, j)
         # normalization (eps (x) id)J = (id (x) eps)J = 1
-        left = [u.field.zero()] * u.dim
-        right = [u.field.zero()] * u.dim
+        left = (u.field.zero(),) * u.dim
+        right = left
         for (a, b), c in j.items():
             if u.counit[a]:
-                left = [x + c * u.counit[a] * y for x, y in zip(left, _basis(u, b))]
+                left = tuple(x + c * u.counit[a] * y for x, y in zip(left, _basis(u, b)))
             if u.counit[b]:
-                right = [x + c * u.counit[b] * y for x, y in zip(right, _basis(u, a))]
-        if tuple(left) != u.unit or tuple(right) != u.unit:
+                right = tuple(x + c * u.counit[b] * y for x, y in zip(right, _basis(u, a)))
+        if left != u.unit or right != u.unit:
             raise InvalidPresentation(f"J({chi}) violates counit normalization")
         # commutation with Delta(a) for every a in A
         for a in range(group.order):
@@ -491,7 +490,7 @@ def dynamical_theta(data):
                         theta_bar[key] = theta_bar.get(key, field.zero()) + cf * ck
     t = Twist(theta=_pruned(theta), theta_bar=_pruned(theta_bar))
     _check_twist_invariants(host, t)
-    return DynamicalTwist(host=host, twist=t, group=group, matrix_dim=nchars)
+    return DynamicalTwist(host=host, twist=t, group=group)
 
 
 def dynamical_cosemisimplicity_check(data):

@@ -13,7 +13,12 @@ structure constants over an exact field:
 
 The basis of H (x) H is ordered by (i, j) -> i*dim + j throughout.  All axiom
 checks run over every basis tuple and report exact witnesses; nothing is
-randomized.  Validated algebras are immutable and safe to share.
+randomized.  No operation mutates an algebra after construction, and the
+cached properties rely on that; nothing enforces it yet.
+
+A vector is a tuple of field scalars.  ``Element`` and ``Functional`` bind
+one to its algebra and are read-only sequences over it, so either can be
+passed wherever a vector is expected.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def _basis(h, i):
     """Coefficient vector of the basis element e_i of h."""
     vec = [h.field.zero()] * h.dim
     vec[i] = h.field.one()
-    return vec
+    return tuple(vec)
 
 
 def _pruned(d):
@@ -67,21 +72,38 @@ def _pruned(d):
     return {k: v for k, v in d.items() if v}
 
 
-def _check_length(coeffs, algebra):
-    if len(coeffs) != algebra.dim:
-        raise InvalidPresentation(f"{len(coeffs)} coefficients for dim {algebra.dim}")
+class _Vector:
+    """Coefficient vector bound to its algebra: a read-only sequence over ``coeffs``.
 
-
-class Element:
-    """Element of H as a coefficient vector over the basis."""
+    Being a sequence, a vector goes wherever a plain tuple of scalars goes.
+    It is not a tuple subclass: ``+`` and ``*`` here are vector operations,
+    and a vector never equals a plain tuple.
+    """
 
     __slots__ = ("algebra", "coeffs")
+    _suffix = ""  # appended to each basis label in repr
 
     def __init__(self, algebra, coeffs):
         f = algebra.field
         self.algebra = algebra
         self.coeffs = tuple(f.coerce(c) for c in coeffs)
-        _check_length(self.coeffs, algebra)
+        if len(self.coeffs) != algebra.dim:
+            raise InvalidPresentation(f"{len(self.coeffs)} coefficients for dim {algebra.dim}")
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __len__(self):
+        return len(self.coeffs)
+
+    def __getitem__(self, i):
+        return self.coeffs[i]
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def _new(self, coeffs):
+        return type(self)(self.algebra, coeffs)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -89,32 +111,45 @@ class Element:
 
     def __add__(self, other):
         self._check(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._new([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._new([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coeffs])
+        return self._new([-a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, Element):
+        if isinstance(other, type(self)):
             self._check(other)
-            return Element(self.algebra, self.algebra.mul_vec(self.coeffs, other.coeffs))
-        return Element(self.algebra, [a * other for a in self.coeffs])
+            return self._new(self._product(other))
+        return self._new([a * other for a in self.coeffs])
 
     def __rmul__(self, scalar):
-        return Element(self.algebra, [scalar * a for a in self.coeffs])
+        return self._new([scalar * a for a in self.coeffs])
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.algebra is other.algebra and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.algebra is other.algebra and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __bool__(self):
-        return any(self.coeffs)
+    def __repr__(self):
+        h = self.algebra
+        parts = [
+            f"{h.field.format(c)}*{h.labels[i]}{self._suffix}" for i, c in enumerate(self.coeffs) if c
+        ]
+        return " + ".join(parts) if parts else "0"
+
+
+class Element(_Vector):
+    """Element of H as a coefficient vector over the basis."""
+
+    __slots__ = ()
+
+    def _product(self, other):
+        return self.algebra.mul_vec(self.coeffs, other.coeffs)
 
     def is_invertible(self):
         return self.algebra.left_mult_matrix(self.coeffs).is_invertible()
@@ -122,71 +157,31 @@ class Element:
     def inv(self):
         return Element(self.algebra, self.algebra.invert_element(self.coeffs))
 
-    def __repr__(self):
-        h = self.algebra
-        parts = [
-            f"{h.field.format(c)}*{h.labels[i]}" for i, c in enumerate(self.coeffs) if c
-        ]
-        return " + ".join(parts) if parts else "0"
 
-
-class Functional:
+class Functional(_Vector):
     """Element of the dual H* in the dual basis, with convolution product."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra, coeffs):
-        f = algebra.field
-        self.algebra = algebra
-        self.coeffs = tuple(f.coerce(c) for c in coeffs)
-        _check_length(self.coeffs, algebra)
+    __slots__ = ()
+    _suffix = "^"
 
     def __call__(self, x):
-        coeffs = x.coeffs if isinstance(x, Element) else x
         return sum(
-            (a * b for a, b in zip(self.coeffs, coeffs) if a and b),
+            (a * b for a, b in zip(self.coeffs, x) if a and b),
             self.algebra.field.zero(),
         )
 
-    def __add__(self, other):
-        return Functional(self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return Functional(self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Functional(self.algebra, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, Functional):
-            # convolution: (phi psi)(e_i) = sum over Delta(e_i)
-            h = self.algebra
-            out = [h.field.zero()] * h.dim
-            for i in range(h.dim):
-                acc = h.field.zero()
-                for (j, k), c in h.comult[i].items():
-                    a, b = self.coeffs[j], other.coeffs[k]
-                    if a and b:
-                        acc += c * a * b
-                out[i] = acc
-            return Functional(h, out)
-        return Functional(self.algebra, [a * other for a in self.coeffs])
-
-    def __rmul__(self, scalar):
-        return Functional(self.algebra, [scalar * a for a in self.coeffs])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Functional)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
+    def _product(self, other):
+        # convolution: (phi psi)(e_i) = sum over Delta(e_i)
+        h = self.algebra
+        out = [h.field.zero()] * h.dim
+        for i in range(h.dim):
+            acc = h.field.zero()
+            for (j, k), c in h.comult[i].items():
+                a, b = self.coeffs[j], other.coeffs[k]
+                if a and b:
+                    acc += c * a * b
+            out[i] = acc
+        return out
 
     def as_dual_element(self):
         return Element(self.algebra.dual, self.coeffs)
@@ -196,13 +191,6 @@ class Functional:
 
     def inv(self):
         return Functional(self.algebra, self.as_dual_element().inv().coeffs)
-
-    def __repr__(self):
-        h = self.algebra
-        parts = [
-            f"{h.field.format(c)}*{h.labels[i]}^" for i, c in enumerate(self.coeffs) if c
-        ]
-        return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +298,10 @@ class WeakHopfAlgebra:
         return Functional(self, coeffs)
 
     def basis_element(self, i):
-        z, o = self.field.zero(), self.field.one()
-        return Element(self, [o if j == i else z for j in range(self.dim)])
+        return Element(self, _basis(self, i))
 
     def dual_basis_functional(self, i):
-        z, o = self.field.zero(), self.field.one()
-        return Functional(self, [o if j == i else z for j in range(self.dim)])
+        return Functional(self, _basis(self, i))
 
     @cached_property
     def one(self):
@@ -352,7 +338,7 @@ class WeakHopfAlgebra:
                     xy = x * y
                     for k, c in cell.items():
                         out[k] += xy * c
-        return out
+        return tuple(out)
 
     def comul_vec(self, a):
         out = {}
@@ -405,7 +391,7 @@ class WeakHopfAlgebra:
         if sol is None or sol[1].dim:
             raise NotInvertible("element has no two-sided inverse")
         x = sol[0]
-        if tuple(self.mul_vec(x, a)) != self.unit:
+        if self.mul_vec(x, a) != self.unit:
             raise NotInvertible("left inverse is not a right inverse")
         return x
 
@@ -460,7 +446,6 @@ class WeakHopfAlgebra:
 
     def pairing_table(self, phi):
         """Table T with T[a][b] = <phi, e_a e_b>, read from ``mult``."""
-        phi = phi.coeffs if isinstance(phi, Functional) else phi
         zero = self.field.zero()
         table = [[zero] * self.dim for _ in range(self.dim)]
         for (a, b), cell in self.mult.items():
@@ -595,7 +580,6 @@ class WeakHopfAlgebra:
 
     def lact(self, phi, a):
         """phi -> h = h_(1) <phi, h_(2)>; functional acting on the left."""
-        phi = phi.coeffs if isinstance(phi, Functional) else phi
         zero = self.field.zero()
         out = [zero] * self.dim
         for i, x in enumerate(a):
@@ -605,11 +589,10 @@ class WeakHopfAlgebra:
                 p = phi[k]
                 if p:
                     out[j] += x * c * p
-        return out
+        return tuple(out)
 
     def ract(self, a, phi):
         """h <- phi = <phi, h_(1)> h_(2)."""
-        phi = phi.coeffs if isinstance(phi, Functional) else phi
         zero = self.field.zero()
         out = [zero] * self.dim
         for i, x in enumerate(a):
@@ -619,7 +602,7 @@ class WeakHopfAlgebra:
                 p = phi[j]
                 if p:
                     out[k] += x * c * p
-        return out
+        return tuple(out)
 
     def dual_lact(self, a, phi):
         """h -> phi: the functional g |-> <phi, g h>."""
@@ -631,7 +614,6 @@ class WeakHopfAlgebra:
 
     def _pair_with_product(self, phi, a, slot):
         """The functional g |-> <phi, a g> (slot 0) or <phi, g a> (slot 1), in one pass over mult."""
-        phi = phi.coeffs if isinstance(phi, Functional) else phi
         zero = self.field.zero()
         out = [zero] * self.dim
         for ij, cell in self.mult.items():
@@ -745,8 +727,8 @@ def validate_weak_bialgebra(h):
     # two-sided unit
     witness = None
     for i in range(n):
-        e = [field.one() if t == i else zero for t in range(n)]
-        if tuple(h.mul_vec(h.unit, e)) != tuple(e) or tuple(h.mul_vec(e, h.unit)) != tuple(e):
+        e = _basis(h, i)
+        if h.mul_vec(h.unit, e) != e or h.mul_vec(e, h.unit) != e:
             witness = (i,)
             break
     checks.append(AxiomCheck("unit", witness is None, witness))
@@ -765,18 +747,11 @@ def validate_weak_bialgebra(h):
             break
     checks.append(AxiomCheck("coassociativity", witness is None, witness))
 
-    # two-sided counit
+    # two-sided counit: eps(e_i(1)) e_i(2) = e_i = e_i(1) eps(e_i(2))
     witness = None
     for i in range(n):
-        left = [zero] * n
-        right = [zero] * n
-        for (j, k), c in h.comult[i].items():
-            if h.counit[j]:
-                left[k] += c * h.counit[j]
-            if h.counit[k]:
-                right[j] += c * h.counit[k]
-        expect = [field.one() if t == i else zero for t in range(n)]
-        if left != expect or right != expect:
+        e = _basis(h, i)
+        if h.ract(e, h.counit) != e or h.lact(h.counit, e) != e:
             witness = (i,)
             break
     checks.append(AxiomCheck("counit", witness is None, witness))

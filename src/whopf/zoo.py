@@ -127,8 +127,8 @@ def check_member(h, mutate=False):
         out["axiom_failures"] = [c.name for c in report.failures()]
         out["ok"] = False
         return out
-    dual = dualize(h)
-    out["duality_involution"] = dualize(dual).same_structure(h) and validate_full(dual).ok
+    dual = h.dual
+    out["duality_involution"] = dual.dual.same_structure(h) and validate_full(dual).ok
     left = integral_space(h, "left")
     out["integral_dim"] = left.dim
     out["frobenius"] = left.dim == h.target_base.dim

@@ -21,6 +21,7 @@ from whopf.grouplikes import (
     grouplike_automorphism,
     is_dual_grouplike,
     is_grouplike,
+    is_half_grouplike,
     is_regular,
     is_trivial_automorphism,
     is_trivial_grouplike,
@@ -369,3 +370,53 @@ def test_trivial_grouplike_inputs_outside_hs_are_typed_errors():
     assert not bad.source_base.contains(bad.unit)
     with pytest.raises(Inconsistent):
         module_from_integral(bad, (1, 1))
+
+
+def _wrapper_cases():
+    """(name, algebra, vector, wrapper class, call) for each vector-taking public function."""
+    from whopf.integrals import dual_integral, is_nondegenerate, nondegeneracy_matrix
+    from whopf.twisting import AbelianGrouplikes, deform_q
+    from whopf.wha import minimal_data
+    from whopf.zoo import build_member
+
+    h = build_member("pair-2")
+    z2 = kz2()
+    ell = canonical_dual_pair(h).ell.coeffs
+    eps = h.counit
+    sign = (1, -1)  # the sign character of Z/2
+    deformed = minimal_wha(SemisimplePresentation(blocks=(2,), g=[[3, -1]]))
+    q = minimal_data(deformed).g.inv().coeffs
+    E, F = Element, Functional
+    return [
+        ("is_half_grouplike", h, SWAP, E, lambda x: (is_half_grouplike(h, x, 1), is_half_grouplike(h, x, 2))),
+        ("is_grouplike", h, SWAP, E, lambda x: is_grouplike(h, x)),
+        ("is_trivial_grouplike", h, SWAP, E, lambda x: is_trivial_grouplike(h, x)),
+        ("make_trivial_grouplike", h, h.unit, E, lambda x: make_trivial_grouplike(h, x)),
+        ("coset_equal", h, SWAP, E, lambda x: (coset_equal(h, x, h.unit), coset_equal(h, h.unit, x))),
+        ("grouplike_automorphism_g", h, SWAP, E, lambda x: grouplike_automorphism(h, g=x)),
+        ("twisted_integral_spaces_g", h, SWAP, E, lambda x: twisted_integral_spaces(h, g=x)),
+        ("module_from_integral", h, ell, E, lambda x: module_from_integral(h, x)),
+        ("nondegeneracy_matrix", h, ell, E, lambda x: nondegeneracy_matrix(h, x)),
+        ("is_nondegenerate", h, ell, E, lambda x: is_nondegenerate(h, x)),
+        ("dual_integral", h, ell, E, lambda x: dual_integral(h, x)),
+        ("deform_q", deformed, q, E, lambda x: deform_q(deformed, x).same_structure(deform_q(deformed, q))),
+        ("AbelianGrouplikes", z2, (0, 1), E, lambda x: AbelianGrouplikes(z2, [z2.unit, x]).vectors),
+        ("mul_vec", h, SWAP, E, lambda x: (h.mul_vec(x, SWAP), h.mul_vec(SWAP, x))),
+        ("invert_element", h, SWAP, E, lambda x: h.invert_element(x)),
+        ("arrows_on_elements", h, SWAP, E, lambda x: (h.lact(eps, x), h.ract(x, eps), h.dual_lact(x, eps))),
+        ("functional_call", h, SWAP, E, lambda x: h.eps(x)),
+        ("is_dual_grouplike", z2, sign, F, lambda x: is_dual_grouplike(z2, x)),
+        ("twisted_counitals", z2, sign, F, lambda x: twisted_counitals(z2, x)),
+        ("gamma_module", h, eps, F, lambda x: gamma_module(h, x)),
+        ("gamma_module_iso", h, eps, F, lambda x: gamma_module_iso(h, x, x)),
+        ("twisted_integral_spaces_gamma", h, eps, F, lambda x: twisted_integral_spaces(h, gamma=x)),
+        ("grouplike_automorphism_gamma", h, eps, F, lambda x: grouplike_automorphism(h, gamma=x)),
+        ("pairing_table", h, eps, F, lambda x: h.pairing_table(x)),
+        ("arrows_on_functionals", h, eps, F, lambda x: (h.lact(x, SWAP), h.ract(SWAP, x), h.dual_ract(x, SWAP))),
+    ]
+
+
+@pytest.mark.parametrize("case", _wrapper_cases(), ids=lambda case: case[0])
+def test_plain_tuple_and_wrapper_give_the_same_result(case):
+    _name, h, vec, wrapper, call = case
+    assert call(tuple(vec)) == call(wrapper(h, vec))

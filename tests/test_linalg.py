@@ -217,7 +217,7 @@ def test_vector_inverts_coords_and_matches_the_dense_sum(case, data):
     for c, row in zip(coeffs, space.rows):
         dense = [a + c * b for a, b in zip(dense, row)]
     v = space.vector(coeffs)
-    assert v == dense
+    assert v == tuple(dense)
     assert space.coords(v) == tuple(coeffs)
 
 

@@ -35,6 +35,7 @@ import pytest
 
 import whopf.grouplikes as grouplikes
 import whopf.search as search
+from whopf.constructors import cyclic_table, function_algebra, one_object_groupoid
 from whopf.errors import NotFrobenius, Undecidable, WhopfError
 from whopf.grouplikes import (
     _intertwiner_space,
@@ -569,7 +570,7 @@ def _outcome(fn, *args):
 
 def _oracle_invertible(h, space):
     hit = oracle_find_invertible_in_subspace(h, space)
-    return None if hit is None else hit[0]
+    return None if hit is None else tuple(hit[0])
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
@@ -617,6 +618,16 @@ def test_grid_cap_is_reached_only_after_the_heights(monkeypatch):
     with pytest.raises(Undecidable):
         invertible_in(h, m11)
     assert heights[-1] == "exhausted" and len(heights) > 1
+
+
+def test_witness_above_height_one_matches_the_oracle():
+    # every height-1 combination of the two rows is non-invertible in k^(Z/5),
+    # so the first witness is a height-2 one; the grid alone would give (1, 3, 2, 4, 1)
+    h = function_algebra(one_object_groupoid(cyclic_table(5)))
+    space = Subspace.from_vectors(h.field, h.dim, [(1, 0, -1, 1, -2), (0, 1, 1, 1, 1)])
+    got = invertible_in(h, space)
+    assert got == (1, -2, -3, -1, -4)
+    assert got == _oracle_invertible(h, space)
 
 
 # ---------------------------------------------------------------------------
