@@ -27,7 +27,7 @@ from .errors import (
 from .integrals import _integral_rows
 from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import first, height_vectors, invertible_in, max_height
-from .wha import Element, Functional, _basis, _pruned
+from .wha import Element, Functional, _basis, _checked, _pair_of, _pruned, contraction_matrix
 
 __all__ = [
     "DistinguishedPair",
@@ -55,19 +55,12 @@ __all__ = [
 ]
 
 
-def _pair_of(h, a, b):
-    out = {}
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[(i, j)] = x * y
-    return out
-
-
 def is_half_grouplike(h, g, side):
     """Membership in G1 (Delta(g) = (g(x)g)Delta(1)) or G2 (other side)."""
+    return _half_grouplike(h, _checked(h, g), side)
+
+
+def _half_grouplike(h, g, side):
     dg = h.comul_vec(g)
     gg = _pair_of(h, g, g)
     if side == 1:
@@ -77,9 +70,9 @@ def is_half_grouplike(h, g, side):
 
 def is_grouplike(h, g):
     """Invertible and group-like on both sides, all tensor-exact."""
-    if not h.left_mult_matrix(g).is_invertible():
+    if not h.left_mult_matrix(_checked(h, g)).is_invertible():
         return False
-    return is_half_grouplike(h, g, 1) and is_half_grouplike(h, g, 2)
+    return _half_grouplike(h, g, 1) and _half_grouplike(h, g, 2)
 
 
 def _table_product(x, y, zero):
@@ -137,6 +130,7 @@ def is_trivial_grouplike(h, g):
     invertibility search over the solution space is the deterministic height
     enumeration followed by the exact grid decision.  Returns (flag, y).
     """
+    _checked(h, g)
     # column c holds S^2(y_c) - y_c stacked over g y_c - S(y_c), y_c the c-th basis row of H_s
     cols = []
     for y in h.source_base.rows:
@@ -248,41 +242,19 @@ def twisted_counitals(h, gamma):
     eps_s^gamma(x) = <gamma, x 1_(1)> S(1_(2))   (needs gamma in G1(H*))
     eps_t^gamma(x) = S(1_(1)) <gamma, 1_(2) x>   (needs gamma in G2(H*))
     Each is returned only if its half-condition holds; both are verified
-    idempotent with the expected image.
+    idempotent with the expected image.  Each is S after the contraction of
+    Delta(1) against the transpose of G2[a][b] = <gamma, e_a e_b>.
     """
     gamma = Functional(h, gamma)
     out = {}
-    zero = h.field.zero()
-    n = h.dim
-    g2 = h.pairing_table(gamma)
-    if is_half_grouplike(h.dual, gamma, 1):
-        cols = []
-        for i in range(n):
-            col = [zero] * n
-            for (a, b), w in h.delta_one.items():
-                c = w * g2[i][a]
-                if c:
-                    sb = h.S.col(b)
-                    col = [x + c * y for x, y in zip(col, sb)]
-            cols.append(col)
-        eps_s_g = Matrix.from_columns(h.field, cols)
-        if eps_s_g @ eps_s_g != eps_s_g:
-            raise Inconsistent("eps_s^gamma is not idempotent")
-        out["eps_s_gamma"] = eps_s_g
-    if is_half_grouplike(h.dual, gamma, 2):
-        cols = []
-        for i in range(n):
-            col = [zero] * n
-            for (a, b), w in h.delta_one.items():
-                c = w * g2[b][i]
-                if c:
-                    sa = h.S.col(a)
-                    col = [x + c * y for x, y in zip(col, sa)]
-            cols.append(col)
-        eps_t_g = Matrix.from_columns(h.field, cols)
-        if eps_t_g @ eps_t_g != eps_t_g:
-            raise Inconsistent("eps_t^gamma is not idempotent")
-        out["eps_t_gamma"] = eps_t_g
+    g2t = list(zip(*h.pairing_table(gamma)))
+    sides = (("eps_s_gamma", "eps_s^gamma", "t", 1), ("eps_t_gamma", "eps_t^gamma", "s", 2))
+    for key, name, side, half in sides:
+        if _half_grouplike(h.dual, gamma, half):
+            eps_g = h.S @ contraction_matrix(h, h.delta_one, g2t, side)
+            if eps_g @ eps_g != eps_g:
+                raise Inconsistent(f"{name} is not idempotent")
+            out[key] = eps_g
     if not out:
         raise NotHalfGrouplike("gamma lies in neither G1(H*) nor G2(H*)")
     return out

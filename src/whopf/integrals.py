@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
 from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import first, height_vectors, max_height
-from .wha import Element, Functional, _basis, _pruned
+from .wha import Element, Functional, _basis, _checked, _pruned
 
 __all__ = [
     "DualPair",
@@ -98,7 +98,7 @@ def is_nondegenerate(h, ell):
     A basis index missing from the first or the second legs of Delta(ell)
     is a zero row or column, which proves the matrix singular without a rank.
     """
-    pairs = h.comul_vec(ell)
+    pairs = h.comul_vec(_checked(h, ell))
     if len({a for a, _ in pairs}) < h.dim or len({b for _, b in pairs}) < h.dim:
         return False
     return _matrix_of_pairs(h, pairs).is_invertible()
@@ -202,43 +202,40 @@ def invariance_check(h, pair, rho=None):
     rho defaults to lambda o S, the image right integral in H*.
     """
     lam = pair.lam
+    failures = _invariance_failures(h, h.comult, h.pairing_table(lam), "left_invariance")
+    if rho is None:
+        rho = Functional(h, h.S.transpose().matvec(lam.coeffs))  # lambda o S
+    # the right identity is the left one with the legs of Delta swapped and the table transposed
+    swapped = [{(k, j): c for (j, k), c in d.items()} for d in h.comult]
+    rho2t = list(zip(*h.pairing_table(rho)))
+    return failures + _invariance_failures(h, swapped, rho2t, "right_invariance")
+
+
+def _invariance_failures(h, deltas, table, name):
+    """(name, a, b) for each basis pair with g_(1) T[h][g_(2)] != S(h_(1)) T[h_(2)][g].
+
+    Here g = e_a, h = e_b, Delta(e_i) = sum c e_j (x) e_k is read as
+    ``deltas[i]`` and T is ``table``; T[x][y] = <lambda, e_x e_y> gives left
+    invariance.
+    """
     n = h.dim
     zero = h.field.zero()
-    lam2 = h.pairing_table(lam)
     failures = []
     for a in range(n):
         for b in range(n):
             lhs = [zero] * n
-            for (j, k), c in h.comult[a].items():
-                v = c * lam2[b][k]
+            for (j, k), c in deltas[a].items():
+                v = c * table[b][k]
                 if v:
                     lhs[j] += v
             rhs = [zero] * n
-            for (j, k), c in h.comult[b].items():
-                v = c * lam2[k][a]
+            for (j, k), c in deltas[b].items():
+                v = c * table[k][a]
                 if v:
                     sj = h.S.col(j)
                     rhs = [x + v * y for x, y in zip(rhs, sj)]
             if lhs != rhs:
-                failures.append(("left_invariance", a, b))
-    if rho is None:
-        rho = Functional(h, h.S.transpose().matvec(lam.coeffs))  # lambda o S
-    rho2 = h.pairing_table(rho)
-    for a in range(n):
-        for b in range(n):
-            lhs = [zero] * n
-            for (j, k), c in h.comult[a].items():
-                v = c * rho2[j][b]
-                if v:
-                    lhs[k] += v
-            rhs = [zero] * n
-            for (j, k), c in h.comult[b].items():
-                v = c * rho2[a][j]
-                if v:
-                    sk = h.S.col(k)
-                    rhs = [x + v * y for x, y in zip(rhs, sk)]
-            if lhs != rhs:
-                failures.append(("right_invariance", a, b))
+                failures.append((name, a, b))
     return failures
 
 

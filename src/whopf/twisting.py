@@ -33,8 +33,18 @@ from .errors import (
 )
 from .grouplikes import is_grouplike, is_regular
 from .integrals import is_semisimple
-from .linalg import Matrix
-from .wha import Element, WeakHopfAlgebra, _basis, _pruned, minimal_data, validate_full
+from .wha import (
+    Element,
+    WeakHopfAlgebra,
+    _basis,
+    _comultiplied,
+    _contract_leg,
+    _pair_of,
+    _pruned,
+    contraction_matrix,
+    minimal_data,
+    validate_full,
+)
 
 __all__ = [
     "AbelianGrouplikes",
@@ -77,13 +87,7 @@ def deform_q(h, q, name=None):
         acc = tuple(x + c * y for x, y in zip(acc, term))
     if acc != h.unit:
         raise PreconditionUnmet(f"S(1_(1)) q 1_(2) != 1 (residual {acc})")
-    one_q = {}
-    for i, ci in enumerate(h.unit):
-        if not ci:
-            continue
-        for j, cj in enumerate(q.coeffs):
-            if cj:
-                one_q[(i, j)] = ci * cj
+    one_q = _pair_of(h, h.unit, q.coeffs)
     comult = [h.mul_pair_dicts(h.comult[i], one_q) for i in range(h.dim)]
     counit = [h.counit_of(h.mul_vec(_basis(h, i), q_inv.coeffs)) for i in range(h.dim)]
     s_mat = h.left_mult_matrix(q_inv.coeffs) @ h.right_mult_matrix(q.coeffs) @ h.S
@@ -173,26 +177,10 @@ def twist(h, t, name=None):
     report = validate_full(out)
     if not report.ok:
         raise NotATwist(f"twisted structure fails {[c.name for c in report.failures()]}")
-    zero = h.field.zero()
     e2 = h.counit_product
-    cols_t = []
-    cols_s = []
-    for i in range(h.dim):
-        col = [zero] * h.dim
-        for (a, b), c in t.theta.items():
-            val = c * e2[a][i]
-            if val:
-                col[b] += val
-        cols_t.append(col)
-        col = [zero] * h.dim
-        for (a, b), c in t.theta_bar.items():
-            val = c * e2[i][b]
-            if val:
-                col[a] += val
-        cols_s.append(col)
-    if Matrix.from_columns(h.field, cols_t) != out.eps_t_mat:
+    if contraction_matrix(h, t.theta, e2, "t") != out.eps_t_mat:
         raise Mismatch("twisted eps_t differs from the closed formula")
-    if Matrix.from_columns(h.field, cols_s) != out.eps_s_mat:
+    if contraction_matrix(h, t.theta_bar, e2, "s") != out.eps_s_mat:
         raise Mismatch("twisted eps_s differs from the closed formula")
     return out
 
@@ -357,13 +345,7 @@ class DynamicalTwist:
 
 def _j_tensor(u, data, group, chi_idx):
     if not data.j or data.j.get(chi_idx) is None:
-        one = {}
-        for i, ci in enumerate(u.unit):
-            if ci:
-                for k, ck in enumerate(u.unit):
-                    if ck:
-                        one[(i, k)] = ci * ck
-        return one
+        return _pair_of(u, u.unit, u.unit)
     raw = data.j[chi_idx]
     return {key: u.field.coerce(c) for key, c in raw.items() if u.field.coerce(c)}
 
@@ -404,14 +386,8 @@ def verify_dynamical_data(data):
         j_tensors[chi] = j
         j_inverses[chi] = _j_inverse(u, tensor_algebra, j)
         # normalization (eps (x) id)J = (id (x) eps)J = 1
-        left = (u.field.zero(),) * u.dim
-        right = left
-        for (a, b), c in j.items():
-            if u.counit[a]:
-                left = tuple(x + c * u.counit[a] * y for x, y in zip(left, _basis(u, b)))
-            if u.counit[b]:
-                right = tuple(x + c * u.counit[b] * y for x, y in zip(right, _basis(u, a)))
-        if left != u.unit or right != u.unit:
+        scaled = [(u.field.one(), j)]
+        if any(_contract_leg(u, scaled, u.counit, leg) != u.unit for leg in (0, 1)):
             raise InvalidPresentation(f"J({chi}) violates counit normalization")
         # commutation with Delta(a) for every a in A
         for a in range(group.order):
@@ -422,11 +398,7 @@ def verify_dynamical_data(data):
     p_vectors = [group.minimal_idempotent(u.field, m) for m in range(group.order)]
     for lam in range(group.order):
         j_lam = j_tensors[lam]
-        lhs_left = {}
-        for (c, d), cf in j_lam.items():
-            for (a, b), cc in u.comult[c].items():
-                key = (a, b, d)
-                lhs_left[key] = lhs_left.get(key, u.field.zero()) + cf * cc
+        lhs_left = _comultiplied(u, j_lam, 0)
         shifted = {}
         for m in range(group.order):
             j_shift = j_tensors[group.char_product(lam, m)]
@@ -438,11 +410,7 @@ def verify_dynamical_data(data):
                         shifted[key] = shifted.get(key, u.field.zero()) + cf * pk
         shifted = {k: v for k, v in shifted.items() if v}
         lhs = u.mul_triple_dicts(lhs_left, shifted)
-        rhs_left = {}
-        for (c, d), cf in j_lam.items():
-            for (a, b), cc in u.comult[d].items():
-                key = (c, a, b)
-                rhs_left[key] = rhs_left.get(key, u.field.zero()) + cf * cc
+        rhs_left = _comultiplied(u, j_lam, 1)
         one_j = {}
         for i, ci in enumerate(u.unit):
             if ci:

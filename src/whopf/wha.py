@@ -19,6 +19,11 @@ cached properties rely on that; nothing enforces it yet.
 A vector is a tuple of field scalars.  ``Element`` and ``Functional`` bind
 one to its algebra and are read-only sequences over it, so either can be
 passed wherever a vector is expected.
+
+The theory comes in mirrored pairs (eps_t/eps_s, H_t/H_s, phi -> h and
+h <- phi, left and right multiplication), and each pair shares one body
+with the side as a parameter.  The counital maps of both sides, here and in
+the twisting and group-like modules, are all ``contraction_matrix``.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "MinimalData",
     "ValidationReport",
     "WeakHopfAlgebra",
+    "contraction_matrix",
     "counital_maps",
     "counital_subalgebras",
     "dualize",
@@ -72,6 +78,66 @@ def _pruned(d):
     return {k: v for k, v in d.items() if v}
 
 
+def _checked(h, vec):
+    """``vec`` itself, once it has one coefficient per basis element of h."""
+    if len(vec) != h.dim:
+        raise InvalidPresentation(f"{len(vec)} coefficients for dim {h.dim}")
+    return vec
+
+
+def _pair_of(h, a, b):
+    """The sparse pair tensor a (x) b."""
+    out = {}
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[(i, j)] = x * y
+    return out
+
+
+def _comultiplied(h, tensor, leg):
+    """(Delta (x) id) of a sparse pair tensor for leg 0, (id (x) Delta) for leg 1; not pruned."""
+    zero = h.field.zero()
+    out = {}
+    for legs, c in tensor.items():
+        for (a, b), c2 in h.comult[legs[leg]].items():
+            key = (a, b, legs[1]) if leg == 0 else (legs[0], a, b)
+            out[key] = out.get(key, zero) + c * c2
+    return out
+
+
+def _contract_leg(h, scaled, phi, paired):
+    """Sum of x w <phi, e_p> e_q over the terms w e_a (x) e_b of x T, (x, T) in ``scaled``.
+
+    Each T is a sparse pair tensor, e_p is its leg numbered ``paired`` (0 for
+    e_a) and e_q the other one.
+    """
+    out = [h.field.zero()] * h.dim
+    for x, tensor in scaled:
+        for legs, w in tensor.items():
+            p = phi[legs[paired]]
+            if p:
+                out[legs[1 - paired]] += x * w * p
+    return tuple(out)
+
+
+def contraction_matrix(h, tensor, table, side):
+    """Matrix contracting one leg of a sparse pair tensor against a table.
+
+    For tensor = sum w e_a (x) e_b, column i is sum w table[a][i] e_b on
+    side "t" and sum w table[i][b] e_a on side "s".  With Delta(1) and
+    E2[i][j] = eps(e_i e_j) these are eps_t and eps_s.
+    """
+    scaled = [(h.field.one(), tensor)]
+    if side == "t":
+        cols = [_contract_leg(h, scaled, phi, 0) for phi in zip(*table)]
+    else:
+        cols = [_contract_leg(h, scaled, phi, 1) for phi in table]
+    return Matrix.from_columns(h.field, cols)
+
+
 class _Vector:
     """Coefficient vector bound to its algebra: a read-only sequence over ``coeffs``.
 
@@ -86,9 +152,7 @@ class _Vector:
     def __init__(self, algebra, coeffs):
         f = algebra.field
         self.algebra = algebra
-        self.coeffs = tuple(f.coerce(c) for c in coeffs)
-        if len(self.coeffs) != algebra.dim:
-            raise InvalidPresentation(f"{len(self.coeffs)} coefficients for dim {algebra.dim}")
+        self.coeffs = _checked(algebra, tuple(f.coerce(c) for c in coeffs))
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -355,30 +419,21 @@ class WeakHopfAlgebra:
 
     def left_mult_matrix(self, a):
         """Matrix of x -> a*x."""
-        zero = self.field.zero()
-        cols = []
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, x in enumerate(a):
-                if not x:
-                    continue
-                cell = self.mult.get((i, j))
-                if cell:
-                    for k, c in cell.items():
-                        col[k] += x * c
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols)
+        return self._mult_matrix(a, True)
 
     def right_mult_matrix(self, a):
         """Matrix of x -> x*a."""
+        return self._mult_matrix(a, False)
+
+    def _mult_matrix(self, a, left):
+        """Column j is a e_j (left) or e_j a, summed over the nonzeros of a."""
         zero = self.field.zero()
+        nonzeros = [(i, x) for i, x in enumerate(a) if x]
         cols = []
-        for i in range(self.dim):
+        for j in range(self.dim):
             col = [zero] * self.dim
-            for j, x in enumerate(a):
-                if not x:
-                    continue
-                cell = self.mult.get((i, j))
+            for i, x in nonzeros:
+                cell = self.mult.get((i, j) if left else (j, i))
                 if cell:
                     for k, c in cell.items():
                         col[k] += x * c
@@ -462,32 +517,12 @@ class WeakHopfAlgebra:
     @cached_property
     def eps_t_mat(self):
         """eps_t(h) = eps(1_(1) h) 1_(2)."""
-        zero = self.field.zero()
-        e2 = self.counit_product
-        cols = []
-        for i in range(self.dim):
-            col = [zero] * self.dim
-            for (a, b), w in self.delta_one.items():
-                c = w * e2[a][i]
-                if c:
-                    col[b] += c
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols)
+        return contraction_matrix(self, self.delta_one, self.counit_product, "t")
 
     @cached_property
     def eps_s_mat(self):
         """eps_s(h) = 1_(1) eps(h 1_(2))."""
-        zero = self.field.zero()
-        e2 = self.counit_product
-        cols = []
-        for i in range(self.dim):
-            col = [zero] * self.dim
-            for (a, b), w in self.delta_one.items():
-                c = w * e2[i][b]
-                if c:
-                    col[a] += c
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols)
+        return contraction_matrix(self, self.delta_one, self.counit_product, "s")
 
     def eps_t(self, a):
         return self.eps_t_mat.matvec(a)
@@ -497,15 +532,14 @@ class WeakHopfAlgebra:
 
     @cached_property
     def target_base(self):
-        return Subspace.from_vectors(
-            self.field, self.dim, [self.eps_t_mat.col(i) for i in range(self.dim)]
-        )
+        return self._image(self.eps_t_mat)
 
     @cached_property
     def source_base(self):
-        return Subspace.from_vectors(
-            self.field, self.dim, [self.eps_s_mat.col(i) for i in range(self.dim)]
-        )
+        return self._image(self.eps_s_mat)
+
+    def _image(self, mat):
+        return Subspace.from_vectors(self.field, self.dim, [mat.col(i) for i in range(self.dim)])
 
     @cached_property
     def minimal_subalgebra(self):
@@ -580,29 +614,15 @@ class WeakHopfAlgebra:
 
     def lact(self, phi, a):
         """phi -> h = h_(1) <phi, h_(2)>; functional acting on the left."""
-        zero = self.field.zero()
-        out = [zero] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for (j, k), c in self.comult[i].items():
-                p = phi[k]
-                if p:
-                    out[j] += x * c * p
-        return tuple(out)
+        return _contract_leg(self, self._coproduct_terms(a), phi, 1)
 
     def ract(self, a, phi):
         """h <- phi = <phi, h_(1)> h_(2)."""
-        zero = self.field.zero()
-        out = [zero] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for (j, k), c in self.comult[i].items():
-                p = phi[j]
-                if p:
-                    out[k] += x * c * p
-        return tuple(out)
+        return _contract_leg(self, self._coproduct_terms(a), phi, 0)
+
+    def _coproduct_terms(self, a):
+        """Delta(a) as the scaled tensors (a_i, Delta(e_i)) over the nonzeros of a."""
+        return [(x, self.comult[i]) for i, x in enumerate(a) if x]
 
     def dual_lact(self, a, phi):
         """h -> phi: the functional g |-> <phi, g h>."""
@@ -736,13 +756,7 @@ def validate_weak_bialgebra(h):
     # coassociativity
     witness = None
     for i in range(n):
-        lhs, rhs = {}, {}
-        for (j, k), c in h.comult[i].items():
-            for (a, b), c2 in h.comult[j].items():
-                lhs[a, b, k] = lhs.get((a, b, k), zero) + c * c2
-            for (a, b), c2 in h.comult[k].items():
-                rhs[j, a, b] = rhs.get((j, a, b), zero) + c * c2
-        if _pruned(lhs) != _pruned(rhs):
+        if _pruned(_comultiplied(h, h.comult[i], 0)) != _pruned(_comultiplied(h, h.comult[i], 1)):
             witness = (i,)
             break
     checks.append(AxiomCheck("coassociativity", witness is None, witness))
@@ -777,11 +791,7 @@ def validate_weak_bialgebra(h):
     #   mid = sum (1_(1) 1) (x) 1_(2) 1'_(1) (x) (1 1'_(2))
     #   alt = sum (1 1'_(1)) (x) 1_(1) 1'_(2) (x) (1_(2) 1)
     d1 = h.delta_one
-    lhs = {}
-    for (j, k), c in d1.items():
-        for (a, b), c2 in h.comult[j].items():
-            lhs[a, b, k] = lhs.get((a, b, k), zero) + c * c2
-    lhs = _pruned(lhs)
+    lhs = _pruned(_comultiplied(h, d1, 0))
     one_idx = [(i, c) for i, c in enumerate(h.unit) if c]
 
     def fold(key_leg, vec_leg, one_first):
@@ -963,23 +973,22 @@ def solve_antipode(h):
             rows.append(per_p.get(p, {}))
             rhs.append(col[p])
 
-    for i in range(n):
-        # m(id (x) S) Delta(e_i) = eps_t(e_i)
+    def _convolution(i, cells, kept):
+        """Leg ``kept`` of Delta(e_i) times S of the other leg; cells[x] lists (m, e_x e_m or e_m e_x)."""
         coeffs = {}
-        for (j, k), c in h.comult[i].items():
-            for m, cell in by_first.get(j, ()):  # e_j e_m
+        for legs, c in h.comult[i].items():
+            k = legs[1 - kept]
+            for m, cell in cells.get(legs[kept], ()):
                 for p, cmu in cell.items():
                     key = (p, m * n + k)
                     coeffs[key] = coeffs.get(key, zero) + c * cmu
-        _emit(coeffs, h.eps_t_mat.col(i))
+        return coeffs
+
+    for i in range(n):
+        # m(id (x) S) Delta(e_i) = eps_t(e_i)
+        _emit(_convolution(i, by_first, 0), h.eps_t_mat.col(i))
         # m(S (x) id) Delta(e_i) = eps_s(e_i)
-        coeffs = {}
-        for (j, k), c in h.comult[i].items():
-            for m, cell in by_second.get(k, ()):  # e_m e_k
-                for p, cmu in cell.items():
-                    key = (p, m * n + j)
-                    coeffs[key] = coeffs.get(key, zero) + c * cmu
-        _emit(coeffs, h.eps_s_mat.col(i))
+        _emit(_convolution(i, by_second, 1), h.eps_s_mat.col(i))
         # eps_s(e_i_(1)) S(e_i_(2)) = S(e_i)
         coeffs = {}
         for (j, k), c in h.comult[i].items():

@@ -10,7 +10,7 @@ from whopf.constructors import (
     one_object_groupoid,
     pair_groupoid,
 )
-from whopf.errors import Inconsistent, PreconditionUnmet, RegularityViolated
+from whopf.errors import Inconsistent, InvalidPresentation, PreconditionUnmet, RegularityViolated
 from whopf.fields import QQ
 from whopf.grouplikes import (
     antipode_order_report,
@@ -34,7 +34,7 @@ from whopf.grouplikes import (
     twisted_counitals,
     twisted_integral_spaces,
 )
-from whopf.integrals import canonical_dual_pair, find_nondegenerate_integral
+from whopf.integrals import canonical_dual_pair, find_nondegenerate_integral, is_nondegenerate
 from whopf.linalg import Matrix, Subspace
 from whopf.wha import Element, Functional, WeakHopfAlgebra
 
@@ -48,6 +48,23 @@ def pair2():
 
 
 SWAP = (0, 1, 1, 0)  # m12 + m21
+
+
+def test_vector_predicates_reject_wrong_lengths():
+    """A raw vector of the wrong length raises, not a wrong verdict or an IndexError."""
+    u = kz2()
+    for vec in ((1,), (1, 0, 5)):
+        for call in (
+            lambda: is_grouplike(u, vec),
+            lambda: is_half_grouplike(u, vec, 1),
+            lambda: is_half_grouplike(u, vec, 2),
+            lambda: is_trivial_grouplike(u, vec),
+            lambda: is_nondegenerate(u, vec),
+        ):
+            with pytest.raises(InvalidPresentation):
+                call()
+    assert is_grouplike(u, (1, 0)) and is_trivial_grouplike(u, (1, 0))[0]
+    assert is_nondegenerate(u, (1, 1))
 
 
 def test_is_grouplike():

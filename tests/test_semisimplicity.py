@@ -13,6 +13,7 @@ from whopf.constructors import (
     pair_groupoid,
     sweedler_hopf,
 )
+from whopf import semisimplicity, zoo
 from whopf.errors import NonSplit, PreconditionUnmet
 from whopf.fields import QQ, CyclotomicField
 from whopf.integrals import canonical_dual_pair
@@ -24,6 +25,7 @@ from whopf.semisimplicity import (
     semisimplicity_report,
     trace_s2,
 )
+from whopf.zoo import build_member, check_member
 
 
 def kz2():
@@ -32,6 +34,17 @@ def kz2():
 
 def pair2():
     return groupoid_algebra(pair_groupoid(2), name="pair2")
+
+
+def test_check_member_runs_the_trace_form_once(monkeypatch):
+    """semisimplicity_report already cross-checks Maschke against the trace form."""
+    calls = []
+    oracle = semisimplicity.semisimple_by_trace_form
+    spy = lambda h: calls.append(h) or oracle(h)
+    monkeypatch.setattr(semisimplicity, "semisimple_by_trace_form", spy)
+    monkeypatch.setattr(zoo, "semisimple_by_trace_form", spy, raising=False)
+    out = check_member(build_member("pair-2"))
+    assert out["ok"] and out["maschke_matches_trace_form"] and len(calls) == 1
 
 
 def test_trace_s2_values():

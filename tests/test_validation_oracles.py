@@ -24,6 +24,13 @@ The witness searches keep the loops that ``search.first`` replaced: the
 invertible-element search (heights, then the grid), the non-degenerate
 integral search with ``skip`` and the two-sided search, each enumerating,
 assembling the vector densely and testing it in one loop.
+
+The mirrored pairs that share one body in the library keep one oracle per
+side: eps_t and eps_s from eps(1_(1) e_i) 1_(2) and 1_(1) eps(e_i 1_(2)),
+eps_s^gamma and eps_t^gamma from <gamma, x 1_(1)> S(1_(2)) and
+S(1_(1)) <gamma, 1_(2) x>, the two hand-written invariance loops (also on
+perturbed lambdas and rho), the arrows from convolution products of H*,
+and both multiplication matrices from products of basis vectors.
 """
 
 import itertools
@@ -49,10 +56,12 @@ from whopf.grouplikes import (
     twisted_integral_spaces,
 )
 from whopf.integrals import (
+    DualPair,
     canonical_dual_pair,
     find_nondegenerate_integral,
     has_nondegenerate_two_sided_integral,
     integral_space,
+    invariance_check,
     is_nondegenerate,
     nondegeneracy_matrix,
     semisimple_by_trace_form,
@@ -863,3 +872,137 @@ def test_trivial_automorphism_matches_dense(name, kernels):
         assert kernels[0] == oracle_conjugators(h, phi)
         verdicts.add(got[0])
     assert "yes" in verdicts
+
+
+# ---------------------------------------------------------------------------
+# mirrored pairs: counital maps, twisted counital maps, invariance, arrows
+
+
+def oracle_counital_maps(h):
+    """eps_t(e_i) = eps(1_(1) e_i) 1_(2) and eps_s(e_i) = 1_(1) eps(e_i 1_(2)), from products."""
+    n = h.dim
+    zero = h.field.zero()
+    t_cols, s_cols = [], []
+    for i in range(n):
+        t_col = s_col = [zero] * n
+        for (a, b), w in h.delta_one.items():
+            t = w * h.counit_of(h.mul_vec(_basis(h, a), _basis(h, i)))
+            t_col = [x + t * y for x, y in zip(t_col, _basis(h, b))]
+            s = w * h.counit_of(h.mul_vec(_basis(h, i), _basis(h, b)))
+            s_col = [x + s * y for x, y in zip(s_col, _basis(h, a))]
+        t_cols.append(t_col)
+        s_cols.append(s_col)
+    return Matrix.from_columns(h.field, t_cols), Matrix.from_columns(h.field, s_cols)
+
+
+def oracle_twisted_counitals(h, gamma):
+    """<gamma, x 1_(1)> S(1_(2)) and S(1_(1)) <gamma, 1_(2) x>, from products and S."""
+    fn = Functional(h, gamma)
+    n = h.dim
+    zero = h.field.zero()
+    s_cols, t_cols = [], []
+    for i in range(n):
+        s_col = t_col = [zero] * n
+        for (a, b), w in h.delta_one.items():
+            s = w * fn(h.mul_vec(_basis(h, i), _basis(h, a)))
+            s_col = [x + s * y for x, y in zip(s_col, h.apply_S(_basis(h, b)))]
+            t = w * fn(h.mul_vec(_basis(h, b), _basis(h, i)))
+            t_col = [x + t * y for x, y in zip(t_col, h.apply_S(_basis(h, a)))]
+        s_cols.append(s_col)
+        t_cols.append(t_col)
+    return {
+        "eps_s_gamma": Matrix.from_columns(h.field, s_cols),
+        "eps_t_gamma": Matrix.from_columns(h.field, t_cols),
+    }
+
+
+def oracle_invariance_check(h, lam, rho=None):
+    """The two hand-written loops of left and right invariance, one per identity."""
+    n = h.dim
+    zero = h.field.zero()
+    lam2 = h.pairing_table(lam)
+    failures = []
+    for a in range(n):
+        for b in range(n):
+            lhs = [zero] * n
+            for (j, k), c in h.comult[a].items():
+                lhs[j] += c * lam2[b][k]
+            rhs = [zero] * n
+            for (j, k), c in h.comult[b].items():
+                rhs = [x + c * lam2[k][a] * y for x, y in zip(rhs, h.S.col(j))]
+            if lhs != rhs:
+                failures.append(("left_invariance", a, b))
+    if rho is None:
+        rho = h.S.transpose().matvec(lam)
+    rho2 = h.pairing_table(rho)
+    for a in range(n):
+        for b in range(n):
+            lhs = [zero] * n
+            for (j, k), c in h.comult[a].items():
+                lhs[k] += c * rho2[j][b]
+            rhs = [zero] * n
+            for (j, k), c in h.comult[b].items():
+                rhs = [x + c * rho2[a][j] * y for x, y in zip(rhs, h.S.col(k))]
+            if lhs != rhs:
+                failures.append(("right_invariance", a, b))
+    return failures
+
+
+def oracle_lact(h, phi, a):
+    """<e^j, phi -> a> = (e^j phi)(a), the convolution product of H* evaluated at a."""
+    fn = Functional(h, phi)
+    return tuple((Functional(h, _basis(h, j)) * fn)(a) for j in range(h.dim))
+
+
+def oracle_ract(h, a, phi):
+    """<e^k, a <- phi> = (phi e^k)(a)."""
+    fn = Functional(h, phi)
+    return tuple((fn * Functional(h, _basis(h, k)))(a) for k in range(h.dim))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_counital_maps_match_products(name):
+    for h in CASES[name]:
+        assert (h.eps_t_mat, h.eps_s_mat) == oracle_counital_maps(h)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_twisted_counitals_match_products(name):
+    h, gammas, _elements, _autos = grouplike_case(name)
+    for gamma in gammas:
+        got = twisted_counitals(h, gamma)
+        assert set(got) == {"eps_s_gamma", "eps_t_gamma"}
+        assert got == oracle_twisted_counitals(h, gamma)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_invariance_check_matches_the_two_loops(name):
+    h = build_member(name)
+    pair = canonical_dual_pair(h)
+    lam = list(pair.lam.coeffs)
+    assert invariance_check(h, pair) == oracle_invariance_check(h, lam) == []
+    sides = set()
+    for bump in [_basis(h, i) for i in sorted({0, h.dim - 1})] + [generic_vector(h)]:
+        bent = [x + y for x, y in zip(lam, bump)]
+        bad = DualPair(ell=pair.ell, lam=Functional(h, bent))
+        got = invariance_check(h, bad)
+        assert got == oracle_invariance_check(h, bent)
+        # an explicit rho in place of lambda o S, with lambda left intact
+        assert invariance_check(h, pair, rho=bent) == oracle_invariance_check(h, lam, rho=bent)
+        sides.update(side for side, _a, _b in got)
+    assert sides == {"left_invariance", "right_invariance"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_arrows_and_mult_matrices_match_dense(name):
+    for h in CASES[name]:
+        elements = [_basis(h, i) for i in range(h.dim)] + [h.unit, generic_vector(h)]
+        phis = [h.counit, generic_vector(h), _basis(h, h.dim - 1)]
+        for a in elements:
+            for phi in phis:
+                assert h.lact(phi, a) == oracle_lact(h, phi, a)
+                assert h.ract(a, phi) == oracle_ract(h, a, phi)
+            left = [h.mul_vec(a, _basis(h, j)) for j in range(h.dim)]
+            right = [h.mul_vec(_basis(h, j), a) for j in range(h.dim)]
+            assert h.left_mult_matrix(a) == Matrix.from_columns(h.field, left)
+            assert h.right_mult_matrix(a) == Matrix.from_columns(h.field, right)
