@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatch, InvalidPresentation, NotSeparable, TraceConditionViolated
+from .errors import FieldMismatch, InvalidPresentation, NotSeparable, Singular, TraceConditionViolated
 from .fields import QQ
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, invert
 from .wha import WeakHopfAlgebra, _pruned
 
 __all__ = [
@@ -257,6 +257,8 @@ class SemisimplePresentation:
         if self.g is None:
             self.g = tuple(_eye_block(n) for n in self.blocks)
         else:
+            if len(self.g) != r:
+                raise InvalidPresentation(f"g has {len(self.g)} blocks for {r} block sizes")
             gs = []
             for n, blk in zip(self.blocks, self.g):
                 blk = list(blk)
@@ -335,13 +337,9 @@ def _check_trace_condition(pres):
 
 
 def _invert_block(blk):
-    n = len(blk)
-    m = Matrix(QQ, [list(row) for row in blk])
     try:
-        from .linalg import invert
-
-        return invert(m)
-    except Exception as exc:
+        return invert(Matrix(QQ, [list(row) for row in blk]))
+    except Singular as exc:
         raise InvalidPresentation(f"g block not invertible: {exc}") from exc
 
 

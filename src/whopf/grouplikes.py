@@ -24,10 +24,9 @@ from .errors import (
     RegularityViolated,
     Undecidable,
 )
-from .integrals import _integral_rows
 from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import first, height_vectors, invertible_in, max_height
-from .wha import Element, Functional, _basis, _checked, _pair_of, _pruned, contraction_matrix
+from .wha import Element, Functional, _basis, _checked, _integral_rows, _pair_of, _pruned, contraction_matrix
 
 __all__ = [
     "DistinguishedPair",

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
-from .linalg import Matrix, Subspace, kernel_on, try_solve
+from .linalg import Matrix, try_solve
 from .search import first, height_vectors, max_height
-from .wha import Element, Functional, _basis, _checked, _pruned
+from .wha import Element, Functional, _basis, _checked, _nonzero_columns, integral_space
 
 __all__ = [
     "DualPair",
@@ -36,47 +36,6 @@ __all__ = [
     "semisimple_by_trace_form",
     "trace_via_integrals",
 ]
-
-
-def integral_space(h, side="left", where="H"):
-    """Solve the integral conditions over the basis; returns a Subspace.
-
-    left:  {ell : e_i ell = eps_t(e_i) ell for all i}
-    right: {r : r e_i = r eps_s(e_i) for all i}
-    ``where="dual"`` computes in the dual algebra.
-    """
-    if where == "dual":
-        return integral_space(h.dual, side=side, where="H")
-    counital = h.eps_t_mat if side == "left" else h.eps_s_mat
-    return kernel_on(Subspace.full(h.field, h.dim), _integral_rows(h, side, counital))
-
-
-def _integral_rows(h, side, counital):
-    """Sparse rows of {x : e_i x = E(e_i) x} (left) or {x : x e_i = x E(e_i)} (right).
-
-    E is the matrix ``counital``: eps_t or eps_s for the integrals, eps_t^gamma
-    or eps_s^gamma for L_gamma and R_gamma.  Row r of the system for e_i has
-    entry c = the e_r coefficient of e_i e_c - E(e_i) e_c (left) or
-    e_c e_i - e_c E(e_i) (right), read from ``mult``.
-    """
-    n = h.dim
-    zero = h.field.zero()
-    cells = {}
-    for (a, b), cell in h.mult.items():
-        if side == "left":
-            cells.setdefault(a, []).append((b, cell))
-        else:
-            cells.setdefault(b, []).append((a, cell))
-    rows = []
-    for i in range(n):
-        acc = [{} for _ in range(n)]
-        terms = [(i, h.field.one())] + [(a, -x) for a, x in enumerate(counital.col(i)) if x]
-        for a, x in terms:
-            for c, cell in cells.get(a, ()):
-                for r, v in cell.items():
-                    acc[r][c] = acc[r].get(c, zero) + x * v
-        rows.extend(_pruned(row) for row in acc)
-    return rows
 
 
 def nondegeneracy_matrix(h, ell):
@@ -114,7 +73,7 @@ def find_nondegenerate_integral(h, space=None, skip=0):
     when dim of the integral space differs from dim H_t.  ``skip`` returns
     the (skip+1)-th hit, for tests needing two distinct integrals.
     """
-    space = space if space is not None else integral_space(h, "left")
+    space = space if space is not None else h.left_integrals
     if space.dim != h.target_base.dim:
         raise NotFrobenius(
             f"dim integral space {space.dim} != dim H_t {h.target_base.dim}"
@@ -153,8 +112,7 @@ def dual_integral(h, ell):
     lam = Functional(h, sol[0])
     pair = DualPair(ell=Element(h, ell), lam=lam)
     pair.check(h)
-    dual_space = integral_space(h, "left", where="dual")
-    if not dual_space.contains(lam.coeffs):
+    if not h.dual.left_integrals.contains(lam.coeffs):
         raise Inconsistent("solved lambda is not a left integral of the dual")
     return pair
 
@@ -166,7 +124,7 @@ def canonical_dual_pair(h, skip=0):
 
 def is_semisimple(h):
     """Maschke: a normalized left integral (eps_t(ell) = 1) exists."""
-    space = integral_space(h, "left")
+    space = h.left_integrals
     if space.dim == 0:
         return False
     cols = [h.eps_t_mat.matvec(row) for row in space.rows]
@@ -220,6 +178,7 @@ def _invariance_failures(h, deltas, table, name):
     """
     n = h.dim
     zero = h.field.zero()
+    s_cols = _nonzero_columns(h.S)
     failures = []
     for a in range(n):
         for b in range(n):
@@ -232,8 +191,8 @@ def _invariance_failures(h, deltas, table, name):
             for (j, k), c in deltas[b].items():
                 v = c * table[k][a]
                 if v:
-                    sj = h.S.col(j)
-                    rhs = [x + v * y for x, y in zip(rhs, sj)]
+                    for r, y in s_cols[j]:
+                        rhs[r] += v * y
             if lhs != rhs:
                 failures.append((name, a, b))
     return failures
@@ -277,7 +236,7 @@ def has_nondegenerate_two_sided_integral(h):
     space without a hit up to the cap raises Undecidable rather than answer
     False.
     """
-    two_sided = integral_space(h, "left").intersect(integral_space(h, "right"))
+    two_sided = h.left_integrals.intersect(h.right_integrals)
     if two_sided.dim == 0:
         return False
     cap = max_height()

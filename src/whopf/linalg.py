@@ -1,27 +1,25 @@
-"""Dense exact linear algebra over a scalar field.
+"""Exact linear algebra over a scalar field.
 
-Everything is immutable and exact.  Over the rationals the echelon pass is
-fraction-free (Bareiss): rows are scaled to integers and eliminated with the
-two-term division rule, which keeps intermediate entries as minors of the
-input; the final normalization to reduced row echelon form reintroduces
-fractions only once.  Over cyclotomic fields plain ordered elimination is
-used.  Reduced row echelon form is unique, so Subspace equality is decidable
-by comparing canonical bases.
+Everything is immutable and exact.  One eliminator serves every entry point:
+``_reduce`` runs Gauss-Jordan elimination on sparse rows (col -> scalar,
+zero entries dropped) and returns the fully back-substituted pivot rows.
+``rref`` is their dense view, sorted by pivot; ``rank``, ``invert`` and
+``Subspace.from_vectors`` read it.  ``solve_sparse`` carries the right-hand
+side as one more column and reads the particular solution and the kernel off
+the same rows; ``try_solve`` is one ``solve_sparse`` call on the rows of a
+matrix.  Reduced row echelon form is unique, so Subspace equality is
+decidable by comparing canonical bases.
 
-Large sparse systems go through ``solve_sparse``, which eliminates
-dict-backed rows instead; ``kernel_on`` solves the homogeneous ones (the
-kernel of linear maps restricted to a subspace) and lifts the kernel back to
-a canonical Subspace.
+``kernel_on`` solves the homogeneous systems (the kernel of linear maps
+restricted to a subspace) and lifts the kernel back to a canonical
+Subspace; ``kernel`` and ``Subspace.intersect`` are two of its uses.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import repeat
-from math import gcd
+from itertools import chain, repeat
 
 from .errors import Inconsistent, InvalidOperand, NoSolution, Singular
-from .fields import QQ
 
 __all__ = [
     "Matrix", "Subspace", "rref", "solve", "try_solve", "invert", "kernel", "kernel_on", "solve_sparse"
@@ -29,99 +27,66 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# reduced row echelon form
+# the eliminator
 
 
-def _rref_bareiss(rows):
-    """Fraction-free echelon + rational reduction; rows of Fractions."""
-    work = []
+def _reduce(rows, field, stop):
+    """Reduced row echelon form of sparse rows as {pivot column: row dict}.
+
+    Each row is an iterable of (column, scalar) pairs.  Rows are taken in
+    order: each is reduced by the pivot rows found so far and, if anything is
+    left, pivots on its smallest remaining column, scaled to 1 there.
+    Back-substitution then clears every pivot column from the other pivot
+    rows.  Returns None as soon as a pivot falls at column ``stop`` or beyond.
+    """
+    zero = field.zero()
+    pivot_rows = {}
     for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        work.append([int(x * denom) for x in row])
-    nrows = len(work)
-    ncols = len(rows[0]) if rows else 0
-    prev = 1
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if work[i][col] != 0:
-                pivot_row = i
+        cur = {j: v for j, v in row if v}
+        while cur:
+            c = min(cur)
+            if c not in pivot_rows:
+                if c >= stop:
+                    return None
+                inv = field.inv(cur[c])
+                if inv != 1:
+                    cur = {j: v * inv for j, v in cur.items()}
+                pivot_rows[c] = cur
                 break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pr = work[rank]
-        p = pr[col]
-        for i in range(rank + 1, nrows):
-            ri = work[i]
-            m = ri[col]
-            for j in range(col, ncols):
-                q, r = divmod(p * ri[j] - m * pr[j], prev)
-                if r:
-                    raise Inconsistent("Bareiss division not exact")
-                ri[j] = q
-            for j in range(col):
-                ri[j] = 0
-        prev = p
-        pivots.append(col)
-        rank += 1
-    reduced = [[Fraction(x) for x in work[i]] for i in range(rank)]
-    return _back_reduce(reduced, pivots, QQ)
+            _subtract(cur, cur.pop(c), pivot_rows[c], c, zero)
+    # Forward rows are supported on columns >= their pivot, so clearing from
+    # the last pivot backwards leaves every row on its pivot and free columns.
+    for c in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[c]
+        for j in [j for j in row if j != c and j in pivot_rows]:
+            _subtract(row, row.pop(j), pivot_rows[j], j, zero)
+    return pivot_rows
 
 
-def _rref_field(rows, field):
-    work = [list(row) for row in rows]
-    nrows = len(work)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [x * inv for x in work[rank]]
-        pr = work[rank]
-        for i in range(nrows):
-            if i != rank and work[i][col]:
-                m = work[i][col]
-                work[i] = [a - m * b for a, b in zip(work[i], pr)]
-        pivots.append(col)
-        rank += 1
-    return _back_reduce(work[:rank], pivots, field)
-
-
-def _back_reduce(rows, pivots, field):
-    # Normalize pivots to 1 and clear entries above them.
-    for k in range(len(pivots) - 1, -1, -1):
-        col = pivots[k]
-        inv = field.inv(rows[k][col])
-        if inv != 1:
-            rows[k] = [x * inv for x in rows[k]]
-        for i in range(k):
-            m = rows[i][col]
-            if m:
-                rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
-    return [tuple(r) for r in rows], list(pivots)
+def _subtract(row, m, prow, pivot, zero):
+    """row -= m * prow in place, skipping the pivot column of prow and dropping zeros."""
+    for j, v in prow.items():
+        if j != pivot:
+            nv = row.get(j, zero) - m * v
+            if nv:
+                row[j] = nv
+            else:
+                row.pop(j, None)
 
 
 def rref(rows, field):
     """Canonical reduced row echelon form; returns (rows, pivot columns)."""
-    rows = [tuple(row) for row in rows if any(row)]
-    if not rows:
-        return [], []
-    if field is QQ or field.kind == "rational":
-        return _rref_bareiss(rows)
-    return _rref_field(rows, field)
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    reduced = _reduce(map(enumerate, rows), field, width)
+    pivots = sorted(reduced)
+    dense = []
+    for c in pivots:
+        v = [field.zero()] * width
+        for j, x in reduced[c].items():
+            v[j] = x
+        dense.append(tuple(v))
+    return dense, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -264,31 +229,16 @@ def invert(m):
 
 def kernel(m):
     """Null space {x : Mx = 0} as a Subspace of dimension ncols."""
-    rows, pivots = rref(m.rows, m.field)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    one, zero = m.field.one(), m.field.zero()
-    basis = []
-    for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
-        for k, col in enumerate(pivots):
-            v[col] = -rows[k][f]
-        basis.append(v)
-    return Subspace.from_vectors(m.field, m.ncols, basis)
+    return kernel_on(Subspace.full(m.field, m.ncols), [dict(enumerate(row)) for row in m.rows])
 
 
 def try_solve(m, b):
     """Solve Mx = b; returns (particular, kernel Subspace) or None."""
-    b = [m.field.coerce(x) for x in b]
-    aug = [list(row) + [bx] for row, bx in zip(m.rows, b)]
-    rows, pivots = rref(aug, m.field)
-    if m.ncols in pivots:
+    rows = [dict(enumerate(row)) for row in m.rows]
+    got = solve_sparse(rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
+    if got is None:
         return None
-    zero = m.field.zero()
-    x = [zero] * m.ncols
-    for k, col in enumerate(pivots):
-        x[col] = rows[k][m.ncols]
-    return tuple(x), kernel(m)
+    return got[0], Subspace.from_vectors(m.field, m.ncols, got[1])
 
 
 def solve(m, b):
@@ -306,76 +256,33 @@ def solve_sparse(rows, rhs, ncols, field):
     """Solve a sparse linear system; rows are dicts col -> scalar.
 
     Returns (particular tuple, kernel basis as list of tuples) or None if
-    inconsistent.  Deterministic: pivots are the smallest column of each
-    reduced row, rows processed in the given order.
+    inconsistent.  The right-hand side rides along as column ``ncols``, so
+    the system is inconsistent exactly when that column would become a
+    pivot.  The particular solution is zero on the free columns, and the
+    kernel has one vector per free column, in column order.
     """
-    pivot_rows = {}  # col -> (dict row, aug scalar)
-    for row, aug in zip(rows, rhs):
-        cur = dict(row)
-        cur_aug = aug
-        while cur:
-            c = min(cur)
-            if c in pivot_rows:
-                prow, paug = pivot_rows[c]
-                m = cur.pop(c)
-                for j, v in prow.items():
-                    if j == c:
-                        continue
-                    nv = cur.get(j, field.zero()) - m * v
-                    if nv:
-                        cur[j] = nv
-                    elif j in cur:
-                        del cur[j]
-                cur_aug = cur_aug - m * paug
-            else:
-                inv = field.inv(cur[c])
-                if inv != 1:
-                    cur = {j: v * inv for j, v in cur.items()}
-                    cur_aug = cur_aug * inv
-                pivot_rows[c] = (cur, cur_aug)
-                cur = None
-                break
-        if cur is not None and cur_aug:
-            return None  # inconsistent
-    # Back-substitute so every pivot row is supported on free columns only.
-    for c in sorted(pivot_rows, reverse=True):
-        row, aug = pivot_rows[c]
-        for j in [j for j in row if j != c and j in pivot_rows]:
-            m = row.pop(j)
-            prow, paug = pivot_rows[j]
-            for k, v in prow.items():
-                if k == j:
-                    continue
-                nv = row.get(k, field.zero()) - m * v
-                if nv:
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
-            aug = aug - m * paug
-        pivot_rows[c] = (row, aug)
-    zero = field.zero()
-    one = field.one()
+    pivot_rows = _reduce((chain(row.items(), [(ncols, b)]) for row, b in zip(rows, rhs)), field, ncols)
+    if pivot_rows is None:
+        return None
+    zero, one = field.zero(), field.one()
     particular = [zero] * ncols
-    for c, (_row, aug) in pivot_rows.items():
-        particular[c] = aug
-    free = [j for j in range(ncols) if j not in pivot_rows]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
+    basis = {f: [zero] * ncols for f in range(ncols) if f not in pivot_rows}
+    for f, v in basis.items():
         v[f] = one
-        for c, (row, _aug) in pivot_rows.items():
-            coeff = row.get(f)
-            if coeff:
-                v[c] = -coeff
-        basis.append(tuple(v))
-    return tuple(particular), basis
+    for c, row in pivot_rows.items():
+        for j, x in row.items():
+            if j == ncols:
+                particular[c] = x
+            elif j != c:
+                basis[j][c] = -x
+    return tuple(particular), [tuple(v) for v in basis.values()]
 
 
 def kernel_on(space, rows):
     """{v in space : every row vanishes on v} as a canonical Subspace of space.ambient.
 
-    Each row is a sparse dict c -> scalar (nonzero entries only) over the
-    coordinates of ``space.rows``: the linear condition sum_c row[c] x_c = 0
+    Each row is a sparse dict c -> scalar (zero entries may be left out) over
+    the coordinates of ``space.rows``: the linear condition sum_c row[c] x_c = 0
     on v = sum_c x_c space.rows[c].
     """
     field = space.field
@@ -477,16 +384,11 @@ class Subspace:
         return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
 
     def intersect(self, other):
-        """Intersection via the kernel of [U^T | -W^T]."""
+        """{v in self : v reduces to 0 modulo other}, the kernel of that reduction on self."""
         self._same_ambient(other)
-        r1, r2 = self.dim, other.dim
-        if r1 == 0 or r2 == 0:
-            return Subspace.from_vectors(self.field, self.ambient, [])
-        rows = []
-        for i in range(self.ambient):
-            rows.append([self.rows[k][i] for k in range(r1)] + [-other.rows[k][i] for k in range(r2)])
-        null = kernel(Matrix(self.field, rows))
-        return Subspace.from_vectors(self.field, self.ambient, [self.vector(kv[:r1]) for kv in null.rows])
+        residues = [other.reduce(row) for row in self.rows]
+        rows = [{c: r[j] for c, r in enumerate(residues) if r[j]} for j in range(self.ambient)]
+        return kernel_on(self, [row for row in rows if row])
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

@@ -41,6 +41,7 @@ from .errors import (
     NoAntipodeInverse,
     NotInvertible,
     NotUnique,
+    Singular,
 )
 from .linalg import Matrix, Subspace, invert, kernel_on, solve_sparse, try_solve
 
@@ -55,6 +56,7 @@ __all__ = [
     "counital_maps",
     "counital_subalgebras",
     "dualize",
+    "integral_space",
     "minimal_data",
     "solve_antipode",
     "validate_weak_bialgebra",
@@ -95,6 +97,11 @@ def _pair_of(h, a, b):
             if y:
                 out[(i, j)] = x * y
     return out
+
+
+def _nonzero_columns(m):
+    """For each column of the Matrix m, its (row, value) pairs with nonzero value."""
+    return [[(r, v) for r, v in enumerate(col) if v] for col in zip(*m.rows)]
 
 
 def _comultiplied(h, tensor, leg):
@@ -567,6 +574,16 @@ class WeakHopfAlgebra:
         return kernel_on(space, rows)
 
     @cached_property
+    def left_integrals(self):
+        """{ell : e_i ell = eps_t(e_i) ell for all i}, solved once per algebra."""
+        return integral_space(self, "left")
+
+    @cached_property
+    def right_integrals(self):
+        """{r : r e_i = r eps_s(e_i) for all i}, solved once per algebra."""
+        return integral_space(self, "right")
+
+    @cached_property
     def center(self):
         return self.centralizer_in(Subspace.full(self.field, self.dim))
 
@@ -601,7 +618,7 @@ class WeakHopfAlgebra:
     def S_inv(self):
         try:
             return invert(self.S)
-        except Exception as exc:
+        except Singular as exc:
             raise NoAntipodeInverse(str(exc)) from exc
 
     def apply_S(self, a):
@@ -698,6 +715,49 @@ def counital_subalgebras(h):
         if not h.subspace_closed_under_mult(space):
             raise Inconsistent(f"{key} not closed under product")
     return out
+
+
+def integral_space(h, side="left", where="H"):
+    """Solve the integral conditions over the basis; returns a Subspace.
+
+    left:  {ell : e_i ell = eps_t(e_i) ell for all i}
+    right: {r : r e_i = r eps_s(e_i) for all i}
+    ``where="dual"`` computes in the dual algebra.  Each call solves the
+    system; ``left_integrals`` and ``right_integrals`` cache the result on the
+    algebra.
+    """
+    if where == "dual":
+        return integral_space(h.dual, side=side, where="H")
+    counital = h.eps_t_mat if side == "left" else h.eps_s_mat
+    return kernel_on(Subspace.full(h.field, h.dim), _integral_rows(h, side, counital))
+
+
+def _integral_rows(h, side, counital):
+    """Sparse rows of {x : e_i x = E(e_i) x} (left) or {x : x e_i = x E(e_i)} (right).
+
+    E is the matrix ``counital``: eps_t or eps_s for the integrals, eps_t^gamma
+    or eps_s^gamma for L_gamma and R_gamma.  Row r of the system for e_i has
+    entry c = the e_r coefficient of e_i e_c - E(e_i) e_c (left) or
+    e_c e_i - e_c E(e_i) (right), read from ``mult``.
+    """
+    n = h.dim
+    zero = h.field.zero()
+    cells = {}
+    for (a, b), cell in h.mult.items():
+        if side == "left":
+            cells.setdefault(a, []).append((b, cell))
+        else:
+            cells.setdefault(b, []).append((a, cell))
+    rows = []
+    for i in range(n):
+        acc = [{} for _ in range(n)]
+        terms = [(i, h.field.one())] + [(a, -x) for a, x in enumerate(counital.col(i)) if x]
+        for a, x in terms:
+            for c, cell in cells.get(a, ()):
+                for r, v in cell.items():
+                    acc[r][c] = acc[r].get(c, zero) + x * v
+        rows.extend(_pruned(row) for row in acc)
+    return rows
 
 
 def validate_weak_bialgebra(h):
@@ -898,9 +958,6 @@ def antipode_axiom_checks(h):
     zero = h.field.zero()
     one = h.field.one()
 
-    def nonzeros(m):
-        return [[(r, v) for r, v in enumerate(col) if v] for col in zip(*m.rows)]
-
     def first_failure(left, right, expect):
         for i in range(n):
             acc = {}
@@ -918,14 +975,14 @@ def antipode_axiom_checks(h):
         return None
 
     basis = [[(i, one)] for i in range(n)]
-    s_cols = nonzeros(h.S)
+    s_cols = _nonzero_columns(h.S)
     witness = first_failure(basis, s_cols, h.eps_t_mat)
     checks = [AxiomCheck("antipode_target", witness is None, witness)]
     witness = first_failure(s_cols, basis, h.eps_s_mat)
     checks.append(AxiomCheck("antipode_source", witness is None, witness))
     # S(h_(1)) h_(2) S(h_(3)) = S(h).  Under the source axiom the inner part
     # m(S (x) id) Delta(e_j) collapses to eps_s(e_j), so the triple sum folds.
-    witness = first_failure(nonzeros(h.eps_s_mat), s_cols, h.S)
+    witness = first_failure(_nonzero_columns(h.eps_s_mat), s_cols, h.S)
     checks.append(AxiomCheck("antipode_composite", witness is None, witness))
     return checks
 

@@ -32,12 +32,7 @@ from .constructors import (
 from .errors import WhopfError
 from .fields import CyclotomicField
 from .grouplikes import distinguished_pair, lambda_ell_relations, radford_check
-from .integrals import (
-    antipode_from_integrals,
-    canonical_dual_pair,
-    integral_space,
-    invariance_check,
-)
+from .integrals import antipode_from_integrals, canonical_dual_pair, invariance_check
 from .semisimplicity import semisimplicity_report
 from .twisting import DynamicalTwistData, dynamical_theta, regularize, twist
 from .wha import Element, WeakHopfAlgebra, dualize, validate_full
@@ -129,7 +124,7 @@ def check_member(h, mutate=False):
         return out
     dual = h.dual
     out["duality_involution"] = dual.dual.same_structure(h) and validate_full(dual).ok
-    left = integral_space(h, "left")
+    left = h.left_integrals
     out["integral_dim"] = left.dim
     out["frobenius"] = left.dim == h.target_base.dim
     pair = canonical_dual_pair(h)

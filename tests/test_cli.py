@@ -34,6 +34,12 @@ def test_make_minimal_16(capsys):
     assert json.loads(out)["dim"] == 16
 
 
+def test_make_minimal_with_too_few_g_blocks_is_typed(capsys):
+    code, out, err = run_cli(capsys, "make", "minimal", "--blocks", "1,2", "--g", "1")
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "InvalidPresentation"
+
+
 def test_validate_roundtrip(tmp_path, capsys):
     doc_path = tmp_path / "pair2.json"
     code, _, _ = run_cli(capsys, "make", "groupoid", "--pair", "2", "--out", str(doc_path))

@@ -134,6 +134,30 @@ def test_trace_condition_checked():
         minimal_wha(SemisimplePresentation(blocks=(2,), g=[[1, 0]]))
 
 
+@pytest.mark.parametrize("blocks, g", [((2,), [[1, 1], [1, 1]]), ((1, 2), [[1]])])
+def test_g_needs_one_block_per_block_size(blocks, g):
+    """zip used to drop the extra g block, or build a dim-25 algebra failing its axioms."""
+    with pytest.raises(InvalidPresentation):
+        SemisimplePresentation(blocks=blocks, g=g)
+
+
+def test_singular_g_block_is_invalid_presentation():
+    with pytest.raises(InvalidPresentation):
+        minimal_wha(SemisimplePresentation(blocks=(2,), g=[[[1, 1], [1, 1]]]))
+
+
+def test_g_block_inversion_lets_defects_through(monkeypatch):
+    """Only Singular means a non-invertible g block; any other error is a defect and propagates."""
+    from whopf import constructors
+
+    def broken(m):
+        raise RuntimeError("defect")
+
+    monkeypatch.setattr(constructors, "invert", broken)
+    with pytest.raises(RuntimeError):
+        minimal_wha(SemisimplePresentation(blocks=(2,)))
+
+
 def test_separability_element_scalar_block():
     pres = SemisimplePresentation(blocks=(1,))
     assert separability_element(pres) == [(0, 0, 1)]

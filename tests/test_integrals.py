@@ -46,6 +46,21 @@ def test_integral_space_z2():
     assert space.contains((1, 1))
 
 
+@pytest.mark.parametrize("name", ["pair-2", "hmin-m2-g31", "sweedler4"])
+def test_check_member_solves_each_integral_side_once_per_algebra(monkeypatch, name):
+    """The spaces are cached on the algebra; H, H*, and the regularized algebra each solve once."""
+    from whopf import wha, zoo
+
+    solved = []
+    rows = wha._integral_rows
+    spy = lambda h, side, counital: solved.append((h, side)) or rows(h, side, counital)
+    monkeypatch.setattr(wha, "_integral_rows", spy)
+    h = zoo._builders()[name]()  # fresh, so no space is cached yet
+    assert zoo.check_member(h)["ok"]
+    keys = [(id(algebra), side) for algebra, side in solved]
+    assert solved and len(set(keys)) == len(keys)
+
+
 def test_integral_space_pair_groupoid():
     h = pair2()
     space = integral_space(h, "left")

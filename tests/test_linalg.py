@@ -20,6 +20,52 @@ from whopf.linalg import (
 )
 
 
+def reference_rref(rows, field):
+    """Plain dense Gauss-Jordan elimination, independent of whopf.linalg: (rows, pivots)."""
+    work = [list(row) for row in rows]
+    width = len(work[0]) if work else 0
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if hit is None:
+            continue
+        work[r], work[hit] = work[hit], work[r]
+        inv = field.inv(work[r][col])
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                m = work[i][col]
+                work[i] = [a - m * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return [tuple(row) for row in work[: len(pivots)]], pivots
+
+
+def reference_solve(m, b):
+    """(particular, kernel basis) of Mx = b read off reference_rref of [M | b], or None."""
+    n = m.ncols
+    rows, pivots = reference_rref([list(r) + [x] for r, x in zip(m.rows, b)], m.field)
+    if n in pivots:
+        return None
+    zero, one = m.field.zero(), m.field.one()
+    particular = [zero] * n
+    for row, p in zip(rows, pivots):
+        particular[p] = row[n]
+    basis = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = [zero] * n
+        v[f] = one
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return tuple(particular), basis
+
+
+def reference_span(field, vectors):
+    """Canonical (rows, pivots) of the span of vectors, by reference_rref."""
+    return reference_rref(vectors, field) if vectors else ([], [])
+
+
 def rand_matrix(rng, nrows, ncols, field=QQ):
     return Matrix(field, [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)] for _ in range(nrows)])
 
@@ -143,8 +189,7 @@ def test_solve_sparse_matches_dense():
         assert got is not None
         part, basis = got
         assert a.matvec(part) == tuple(b)
-        ker = kernel(a)
-        assert Subspace.from_vectors(QQ, nc, basis) == ker
+        assert got == reference_solve(a, b)
 
 
 def test_solve_sparse_inconsistent():
@@ -179,17 +224,17 @@ def kernel_case(draw):
 
 
 def dense_kernel_on(field, space, rows):
-    """Dense oracle: linalg.kernel of the row matrix, lifted through the basis of space."""
+    """Dense oracle: the reference kernel of the row matrix, lifted through the basis of space."""
     zero = field.zero()
     dense = [[row.get(c, zero) for c in range(space.dim)] for row in rows]
-    coords = kernel(Matrix(field, dense + [[zero] * space.dim]))  # the zero row fixes ncols
+    m = Matrix(field, dense + [[zero] * space.dim])  # the zero row fixes ncols
     vecs = []
-    for kv in coords.rows:
+    for kv in reference_solve(m, [zero] * m.nrows)[1]:
         v = [zero] * space.ambient
         for x, basis_row in zip(kv, space.rows):
             v = [a + x * b for a, b in zip(v, basis_row)]
         vecs.append(v)
-    return Subspace.from_vectors(field, space.ambient, vecs)
+    return reference_span(field, vecs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,8 +242,7 @@ def dense_kernel_on(field, space, rows):
 def test_kernel_on_matches_dense_kernel(case):
     field, space, rows = case
     got = kernel_on(space, rows)
-    want = dense_kernel_on(field, space, rows)
-    assert got == want and got.pivots == want.pivots
+    assert (list(got.rows), list(got.pivots)) == dense_kernel_on(field, space, rows)
     assert got <= space
     if not rows:
         assert got == space
@@ -219,6 +263,82 @@ def test_vector_inverts_coords_and_matches_the_dense_sum(case, data):
     v = space.vector(coeffs)
     assert v == tuple(dense)
     assert space.coords(v) == tuple(coeffs)
+
+
+@st.composite
+def matrix_case(draw):
+    """A matrix over QQ or Q(zeta_3), wide or tall, with zero, repeated and scaled rows."""
+    field = draw(st.sampled_from([QQ, Q3]))
+    small = st.integers(-3, 3)
+
+    def scalar():
+        if not draw(st.integers(0, 2)):
+            return field.zero()
+        x = field.from_fraction(Fraction(draw(small), draw(st.integers(1, 3))))
+        return x + field.zeta() * draw(small) if field is Q3 else x
+
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([field.zero()] * ncols)
+        elif kind == "repeat" and rows:
+            c = scalar()
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append([scalar() for _ in range(ncols)])
+    return Matrix(field, rows), [scalar() for _ in range(len(rows))], [scalar() for _ in range(ncols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_case())
+def test_eliminator_matches_the_reference(case):
+    m, b, x0 = case
+    field = m.field
+    want_rows, want_pivots = reference_rref(m.rows, field)
+    assert rref(m.rows, field) == (want_rows, want_pivots)
+    assert m.rank() == len(want_pivots)
+    ker = kernel(m)
+    want_kernel = reference_span(field, reference_solve(m, [field.zero()] * m.nrows)[1])
+    assert (list(ker.rows), list(ker.pivots)) == want_kernel
+    for rhs in (b, m.matvec(x0)):
+        got, want = try_solve(m, rhs), reference_solve(m, rhs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            assert (list(got[1].rows), list(got[1].pivots)) == reference_span(field, want[1])
+    if m.nrows == m.ncols:
+        n = m.nrows
+        eye = Matrix.identity(field, n).rows
+        aug_rows, _ = reference_rref([r + e for r, e in zip(m.rows, eye)], field)
+        if len(want_pivots) == n:
+            assert invert(m).rows == tuple(row[n:] for row in aug_rows)
+        else:
+            with pytest.raises(Singular):
+                invert(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_case(), st.data())
+def test_intersect_matches_the_reference(case, data):
+    m, _, _ = case
+    field, n, zero = m.field, m.ncols, m.field.zero()
+    us = reference_span(field, m.rows[: data.draw(st.integers(0, m.nrows))])[0]
+    ws = reference_span(field, m.rows[data.draw(st.integers(0, m.nrows)) :])[0]
+    want = ([], [])
+    if us and ws:
+        # u = sum_k x_k us[k] lies in W iff u = sum_k y_k ws[k]: the kernel of [U^T | -W^T]
+        stacked = Matrix(field, [[u[i] for u in us] + [-w[i] for w in ws] for i in range(n)])
+        lifted = []
+        for kv in reference_solve(stacked, [zero] * n)[1]:
+            v = [zero] * n
+            for x, u in zip(kv, us):
+                v = [a + x * b for a, b in zip(v, u)]
+            lifted.append(v)
+        want = reference_span(field, lifted)
+    got = Subspace.from_vectors(field, n, us).intersect(Subspace.from_vectors(field, n, ws))
+    assert (list(got.rows), list(got.pivots)) == want
 
 
 def test_full_subspace_is_canonical():

@@ -15,7 +15,7 @@ from whopf.constructors import (
     sweedler_hopf,
     SemisimplePresentation,
 )
-from whopf.errors import InvalidPresentation, NoAntipode, NotInvertible
+from whopf.errors import InvalidPresentation, NoAntipode, NoAntipodeInverse, NotInvertible
 from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import Matrix
 from whopf.wha import (
@@ -341,6 +341,21 @@ def test_missing_antipode_is_no_antipode():
         h.S
     with pytest.raises(NoAntipode):
         dualize(h)
+
+
+def test_singular_antipode_has_no_inverse(monkeypatch):
+    """Only Singular becomes NoAntipodeInverse; any other error is a defect and propagates."""
+    from whopf import wha
+
+    with pytest.raises(NoAntipodeInverse):
+        pair2().with_antipode(Matrix.zero(QQ, 4)).S_inv
+
+    def broken(m):
+        raise RuntimeError("defect")
+
+    monkeypatch.setattr(wha, "invert", broken)
+    with pytest.raises(RuntimeError):
+        pair2().S_inv
 
 
 def test_with_antipode_returns_a_new_algebra():
