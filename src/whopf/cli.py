@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import docio
 from .constructors import (
@@ -45,7 +44,7 @@ from .grouplikes import (
     radford_check,
     self_intertwiners,
 )
-from .integrals import canonical_dual_pair, integral_space, invariance_check
+from .integrals import canonical_dual_pair, invariance_check
 from .semisimplicity import semisimplicity_report
 from .twisting import DynamicalTwistData, Twist, deform_q, dynamical_theta, regularize, twist
 from .wha import Element, validate_full
@@ -83,13 +82,23 @@ def _read_doc(path):
 # make
 
 
+def _int_list(text, flag):
+    """Comma list of integers from a command-line flag; anything else is a ParseError."""
+    if text is None:
+        raise ParseError(f"{flag} is required")
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(f"{flag} needs a comma list of integers, got {text!r}") from None
+
+
 def _groupoid_from_args(args):
     if args.pair:
         return pair_groupoid(args.pair)
     if args.cyclic:
         return one_object_groupoid(cyclic_table(args.cyclic))
     if args.disjoint_cyclic:
-        orders = [int(x) for x in args.disjoint_cyclic.split(",")]
+        orders = _int_list(args.disjoint_cyclic, "--disjoint-cyclic")
         g = one_object_groupoid(cyclic_table(orders[0]))
         for n in orders[1:]:
             g = disjoint_union(g, one_object_groupoid(cyclic_table(n)))
@@ -117,12 +126,14 @@ def cmd_make(args):
         else:
             raise ParseError("choose --cyclic N or --sym N")
     elif args.kind == "minimal":
-        blocks = tuple(int(x) for x in args.blocks.split(","))
+        blocks = _int_list(args.blocks, "--blocks")
         g = None
         if args.g:
-            g = [[Fraction(x) for x in blk.split(",")] for blk in args.g.split(";")]
+            g = [[QQ.parse(x) for x in blk.split(",")] for blk in args.g.split(";")]
         h = minimal_wha(SemisimplePresentation(blocks=blocks, g=g), field=field)
     elif args.kind == "matrix":
+        if args.size is None:
+            raise ParseError("--size is required")
         h = matrix_wha(args.size, field=field)
     elif args.kind == "tensor":
         h = tensor_product(_read_doc(args.left), _read_doc(args.right))
@@ -159,8 +170,8 @@ def cmd_validate(args):
 
 
 def _section_integrals(h):
-    left = integral_space(h, "left")
-    right = integral_space(h, "right")
+    left = h.left_integrals
+    right = h.right_integrals
     out = {
         "dim_left": left.dim,
         "dim_right": right.dim,

@@ -13,7 +13,6 @@ through the unique two-sided separability element of B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FieldMismatch, InvalidPresentation, NotSeparable, Singular, TraceConditionViolated
 from .fields import QQ
@@ -265,9 +264,9 @@ class SemisimplePresentation:
                 if blk and not isinstance(blk[0], (list, tuple)):
                     if len(blk) != n:
                         raise InvalidPresentation("diagonal g block has wrong size")
-                    blk = [[Fraction(blk[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+                    blk = [[QQ.coerce(blk[i]) if i == j else QQ.zero() for j in range(n)] for i in range(n)]
                 else:
-                    blk = [[Fraction(x) for x in row] for row in blk]
+                    blk = [[QQ.coerce(x) for x in row] for row in blk]
                     if len(blk) != n or any(len(row) != n for row in blk):
                         raise InvalidPresentation("g block has wrong shape")
                 gs.append(tuple(tuple(row) for row in blk))
@@ -275,7 +274,7 @@ class SemisimplePresentation:
 
 
 def _eye_block(n):
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
+    return tuple(tuple(QQ.one() if i == j else QQ.zero() for j in range(n)) for i in range(n))
 
 
 class _BlockAlgebra:

@@ -1,15 +1,21 @@
 """Exact base-field arithmetic: rationals and cyclotomic extensions Q(zeta_n).
 
-Rational scalars are plain ``fractions.Fraction`` values.  Cyclotomic scalars
-are ``Cyc`` values: a residue modulo the n-th cyclotomic polynomial Phi_n,
-stored as phi(n) integer numerators over one positive integer denominator
-with no common factor (zero is 0/1), with the generator printed as ``z``.
-Phi_n is monic with integer coefficients, so a product is an integer
-convolution, an integer reduction by the rows of z^phi, z^(phi+1), ...
-stored once per order, and one gcd.  A rational operand only scales the
-other vector, and an inverse is the product of the other Galois conjugates
-over the norm.  Both kinds are immutable, hashable, and canonical, so scalar
-equality is syntactic.
+Rational scalars are ``int`` when integral and ``fractions.Fraction``
+otherwise: the field's entry points hand out an ``int`` whenever the
+denominator is 1, and since the two types compare and hash equal, an
+integral ``Fraction`` left by arithmetic is an equally valid scalar.
+Integer arithmetic is many times cheaper than ``Fraction`` arithmetic, and
+most structure constants are integers.
+
+Cyclotomic scalars are ``Cyc`` values: a residue modulo the n-th cyclotomic
+polynomial Phi_n, stored as phi(n) integer numerators over one positive
+integer denominator with no common factor (zero is 0/1), with the generator
+printed as ``z``.  Phi_n is monic with integer coefficients, so a product is
+an integer convolution, an integer reduction by the rows of z^phi,
+z^(phi+1), ... stored once per order, and one gcd.  A rational operand only
+scales the other vector, and an inverse is the product of the other Galois
+conjugates over the norm.  Both kinds are immutable and hashable, and equal
+scalars hash equal; a ``Cyc`` is canonical, so its equality is syntactic.
 
 A ``Field`` object (RationalField or CyclotomicField) carries parsing,
 formatting, coercion, and inversion.  Cyclotomic orders 1 and 2 are
@@ -358,52 +364,65 @@ class Field:
         return hash((self.kind, self.order))
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _rational_scalar(q):
+    """The int numerator of an integral Fraction, else the Fraction itself."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class RationalField(Field):
+    """The rationals, with integral values handed out as ``int``.
+
+    ``coerce``, ``parse``, ``from_fraction``, ``inv`` and ``div`` return the
+    numerator whenever the denominator is 1.  Arithmetic results are left as
+    Python computes them, so an integral ``Fraction`` from a product stays a
+    valid scalar.
+    """
+
     kind = "rational"
 
     def zero(self):
-        return _ZERO
+        return 0
 
     def one(self):
-        return _ONE
+        return 1
 
     def from_int(self, k):
-        return Fraction(k)
+        return int(k)
 
     def from_fraction(self, q):
-        return Fraction(q)
+        return _rational_scalar(Fraction(q))
 
     def coerce(self, x):
-        # Fractions are immutable, so an exact Fraction is returned as is;
-        # rebuilding it would redo an ABC isinstance check per entry.
-        if type(x) is Fraction:
+        # coerce runs once per stored entry, so the common int comes first;
+        # bool is rebuilt as a plain int.
+        if type(x) is int:
             return x
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+        if isinstance(x, Fraction):
+            return _rational_scalar(x)
+        if isinstance(x, int):
+            return int(x)
         raise FieldMismatch(f"cannot coerce {x!r} into Q")
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return int(a)
+        return _rational_scalar(1 / Fraction(a))
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
+        return _rational_scalar(Fraction(a) / b)
 
     def parse(self, text):
         text = text.strip().replace(" ", "")
         if not _RAT_RE.match(text):
             raise ParseError(f"not a rational scalar: {text!r}")
-        return _parse_fraction(text, text)
+        return _rational_scalar(_parse_fraction(text, text))
 
     def format(self, a):
-        return str(Fraction(a))
+        return str(a) if type(a) is int else str(Fraction(a))
 
     def __repr__(self):
         return "QQ"

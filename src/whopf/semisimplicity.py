@@ -16,11 +16,10 @@ have no such root raises NonSplit rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from math import lcm
 
 from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
-from .fields import _divisors
+from .fields import QQ, _divisors
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Matrix, Subspace, try_solve
 from .wha import Element, _basis
@@ -123,13 +122,13 @@ def _rational_root_candidates(f):
     ints = [int(c * denom) for c in f]
     lead = ints[-1]
     const = ints[0]
-    cands = {Fraction(0)}
+    cands = {QQ.zero()}
     if const == 0:
         return sorted(cands)
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
+            cands.add(QQ.div(p, q))
+            cands.add(QQ.div(-p, q))
     return sorted(cands)
 
 
@@ -143,10 +142,9 @@ def _root_candidates(f, field):
         if any(x for x in c.c[1:]):
             rational_part = None
             break
-        rational_part.append(Fraction(c.c[0]))
+        rational_part.append(QQ.coerce(c.c[0]))
     base = _rational_root_candidates(rational_part) if rational_part else [
-        Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-        Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3),
+        QQ.parse(x) for x in ("0", "1", "-1", "2", "-2", "1/2", "-1/2", "3", "-3")
     ]
     cands = []
     seen = set()

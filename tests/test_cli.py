@@ -40,6 +40,25 @@ def test_make_minimal_with_too_few_g_blocks_is_typed(capsys):
     assert json.loads(err)["error"] == "InvalidPresentation"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimal", "--blocks", "2", "--g", "1/0"],
+        ["minimal", "--blocks", "2", "--g", "abc"],
+        ["minimal", "--blocks", "a"],
+        ["minimal", "--blocks", "2,"],
+        ["minimal"],
+        ["groupoid", "--disjoint-cyclic", "2,x"],
+        ["matrix"],
+    ],
+)
+def test_make_hostile_flags_are_parse_errors(capsys, argv):
+    code, out, err = run_cli(capsys, "make", *argv)
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
+
+
 def test_validate_roundtrip(tmp_path, capsys):
     doc_path = tmp_path / "pair2.json"
     code, _, _ = run_cli(capsys, "make", "groupoid", "--pair", "2", "--out", str(doc_path))
@@ -183,21 +202,36 @@ def test_validate_solves_missing_antipode(tmp_path, capsys):
 
 
 def test_report_embeds_not_frobenius(monkeypatch):
-    # the integrals section must degrade to an embedded error, not a crash
+    # the integrals section must degrade to an embedded error, not a crash;
+    # it reads the cached integral spaces, so an algebra whose cached spaces
+    # are empty must report NotFrobenius
     from whopf import cli as cli_mod
     from whopf.fields import QQ
     from whopf.linalg import Subspace
+    from whopf.wha import WeakHopfAlgebra
     from whopf.zoo import build_member
 
-    h = build_member("pair-2")
-    monkeypatch.setattr(
-        cli_mod,
-        "integral_space",
-        lambda algebra, side="left", where="H": Subspace.from_vectors(QQ, algebra.dim, []),
-    )
-    section, ok = cli_mod._section_integrals(h)
+    empty = property(lambda algebra: Subspace.from_vectors(QQ, algebra.dim, []))
+    monkeypatch.setattr(WeakHopfAlgebra, "left_integrals", empty)
+    monkeypatch.setattr(WeakHopfAlgebra, "right_integrals", empty)
+    section, ok = cli_mod._section_integrals(build_member("pair-2"))
     assert section["error"] == "NotFrobenius"
+    assert section["dim_left"] == section["dim_right"] == 0
     assert not ok
+
+
+def test_report_solves_each_integral_side_once_per_algebra(monkeypatch, capsys):
+    """The integrals section reads the cached spaces that canonical_dual_pair also uses."""
+    from whopf import wha
+
+    solved = []
+    rows = wha._integral_rows
+    spy = lambda h, side, counital: solved.append((h, side)) or rows(h, side, counital)
+    monkeypatch.setattr(wha, "_integral_rows", spy)
+    code, _, _ = run_cli(capsys, "report", "tests/golden/groupoid-pair-2.json", "--integrals", "--dual")
+    assert code == 0
+    keys = [(id(algebra), side) for algebra, side in solved]
+    assert solved and len(set(keys)) == len(keys)
 
 
 def _hostile(kind):

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whopf import docio
+from whopf.constructors import groupoid_algebra, pair_groupoid
 from whopf.errors import FieldMismatch, Inconsistent, ParseError
 from whopf.fields import (
     QQ,
     Cyc,
     CyclotomicField,
+    RationalField,
     _poly_div_exact,
     cyclotomic_polynomial,
     make_field,
 )
+from whopf.linalg import rref
+from whopf.wha import WeakHopfAlgebra
 
 Z3 = CyclotomicField(3)
 Z4 = CyclotomicField(4)
@@ -313,3 +318,139 @@ def test_inexact_cyclotomic_division_is_inconsistent():
         _poly_div_exact([1, 1], [1, 2])  # leading coefficient 1 / 2
     with pytest.raises(Inconsistent):
         _poly_div_exact([1, 0, 1], [1, 1])  # x^2 + 1 = (x - 1)(x + 1) + 2
+
+
+# ---------------------------------------------------------------------------
+# the int fast path of QQ against an all-Fraction reference
+
+
+class FractionField(RationalField):
+    """Reference Q that stores every scalar as a Fraction, integral or not."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, k):
+        return Fraction(k)
+
+    def from_fraction(self, q):
+        return Fraction(q)
+
+    def coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise FieldMismatch(f"cannot coerce {x!r} into Q")
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / Fraction(a)
+
+    def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero")
+        return Fraction(a) / b
+
+    def parse(self, text):
+        return Fraction(RationalField.parse(self, text))
+
+    def format(self, a):
+        return str(Fraction(a))
+
+
+FQ = FractionField()
+
+# ints, integral Fractions and proper Fractions, with zero common
+mixed_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+def same_scalar(got, want):
+    """Equal values and equal hashes: interchangeable as dict keys and in comparisons."""
+    return got == want and hash(got) == hash(want)
+
+
+def _is_fast(x):
+    """An entry-point result is an int exactly when it is integral."""
+    return (type(x) is int) == (Fraction(x).denominator == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_rationals, mixed_rationals)
+def test_rational_field_ops_match_the_fraction_reference(x, y):
+    fx, fy = Fraction(x), Fraction(y)
+    text = f"{fx.numerator * 2}/{fx.denominator * 2}"  # an unreduced numeral
+    pairs = [
+        (QQ.zero(), FQ.zero()),
+        (QQ.one(), FQ.one()),
+        (QQ.from_int(fx.numerator), FQ.from_int(fx.numerator)),
+        (QQ.from_fraction(x), FQ.from_fraction(fx)),
+        (QQ.coerce(x), FQ.coerce(fx)),
+        (QQ.parse(QQ.format(x)), FQ.parse(FQ.format(fx))),
+        (QQ.parse(text), FQ.parse(text)),
+    ]
+    if y:
+        pairs.append((QQ.div(x, y), FQ.div(fx, fy)))
+        pairs.append((QQ.inv(y), FQ.inv(fy)))
+    for got, want in pairs:
+        assert same_scalar(got, want)
+        assert _is_fast(got)
+        assert QQ.format(got) == FQ.format(want)
+    a, b = QQ.coerce(x), QQ.coerce(y)
+    for got, want in [(a + b, fx + fy), (a - b, fx - fy), (a * b, fx * fy), (-a, -fx)]:
+        assert same_scalar(got, want)
+        assert QQ.format(got) == FQ.format(want)  # an integral Fraction from a product formats alike
+    assert QQ.format(x) == FQ.format(fx)
+    assert bool(a) == bool(fx)
+    if not y:
+        for field in (QQ, FQ):
+            with pytest.raises(ZeroDivisionError):
+                field.inv(y)
+            with pytest.raises(ZeroDivisionError):
+                field.div(x, y)
+
+
+@st.composite
+def mixed_structure(draw):
+    """Structure-constant tables of dim 1..3 with mixed int/Fraction entries (axioms not required)."""
+    n = draw(st.integers(1, 3))
+    idx = st.integers(0, n - 1)
+    mult = {
+        key: {k: draw(mixed_rationals) for k in draw(st.sets(idx, max_size=n))}
+        for key in draw(st.sets(st.tuples(idx, idx), max_size=n * n))
+    }
+    comult = [
+        {jk: draw(mixed_rationals) for jk in draw(st.sets(st.tuples(idx, idx), max_size=n))}
+        for _ in range(n)
+    ]
+    vec = lambda: [draw(mixed_rationals) for _ in range(n)]
+    antipode = [vec() for _ in range(n)] if draw(st.booleans()) else None
+    return [f"e{i}" for i in range(n)], mult, vec(), comult, vec(), antipode
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_structure())
+def test_document_emission_matches_the_fraction_reference(structure):
+    labels, mult, unit, comult, counit, antipode = structure
+    emitted = [
+        docio.dumps(docio.wha_to_document(WeakHopfAlgebra(field, labels, mult, unit, comult, counit, antipode)))
+        for field in (QQ, FQ)
+    ]
+    assert emitted[0] == emitted[1]
+
+
+def test_integral_rationals_are_stored_as_int():
+    assert type(QQ.parse("4/2")) is int
+    assert type(QQ.coerce(Fraction(3))) is int
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    # every pivot met during the elimination is +-1, so nothing leaves int
+    rows, pivots = rref([[1, 2, 3, 4], [0, -1, 5, 1], [2, 4, 6, 8]], QQ)
+    assert pivots == [0, 1] and rows == [(1, 0, 13, 6), (0, 1, -5, -1)]
+    assert all(type(x) is int for row in rows for x in row)
+    h = groupoid_algebra(pair_groupoid(5), name="pair-5")
+    assert h.mult and all(type(c) is int for cell in h.mult.values() for c in cell.values())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_fields import FQ, mixed_rationals, same_scalar
 from whopf.errors import InvalidOperand, NoSolution, Singular, WhopfError
 from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import (
@@ -339,6 +340,47 @@ def test_intersect_matches_the_reference(case, data):
         want = reference_span(field, lifted)
     got = Subspace.from_vectors(field, n, us).intersect(Subspace.from_vectors(field, n, ws))
     assert (list(got.rows), list(got.pivots)) == want
+
+
+@st.composite
+def mixed_system(draw):
+    """Rows over Q mixing int, integral-Fraction and Fraction entries, a right-hand side, and the width."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), mixed_rationals)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):  # a unimodular-looking row keeps some pivots at +-1
+        rows.insert(0, [draw(st.sampled_from([1, -1]))] + [draw(st.integers(-3, 3)) for _ in range(ncols - 1)])
+    return rows, [draw(entry) for _ in rows], ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_system())
+def test_eliminator_on_mixed_scalars_matches_the_fraction_reference(case):
+    rows, rhs, ncols = case
+    frows = [[Fraction(x) for x in row] for row in rows]
+    frhs = [Fraction(x) for x in rhs]
+
+    def same_vectors(got, want):
+        assert len(got) == len(want)
+        for u, v in zip(got, want):
+            assert len(u) == len(v) and all(same_scalar(a, b) for a, b in zip(u, v))
+        assert hash(tuple(map(tuple, got))) == hash(tuple(map(tuple, want)))
+
+    got, want = rref(rows, QQ), rref(frows, FQ)
+    assert got[1] == want[1]
+    same_vectors(got[0], want[0])
+
+    sparse = lambda rs: [{j: x for j, x in enumerate(r) if x} for r in rs]
+    got, want = solve_sparse(sparse(rows), rhs, ncols, QQ), solve_sparse(sparse(frows), frhs, ncols, FQ)
+    assert (got is None) == (want is None)
+    if got is not None:
+        same_vectors([got[0]], [want[0]])
+        same_vectors(got[1], want[1])
+
+    got = kernel_on(Subspace.full(QQ, ncols), sparse(rows))
+    want = kernel_on(Subspace.full(FQ, ncols), sparse(frows))
+    assert got == want and hash(got) == hash(want) and got.pivots == want.pivots
+    same_vectors(got.rows, want.rows)
 
 
 def test_full_subspace_is_canonical():
