@@ -107,9 +107,13 @@ def _groupoid_from_args(args):
 
 
 def _field_from_args(args):
-    if getattr(args, "zeta", None):
-        return CyclotomicField(args.zeta) if args.zeta > 2 else QQ
-    return QQ
+    """QQ without --zeta or for orders 1 and 2, else Q(zeta_N); an order below 1 is a ParseError."""
+    zeta = getattr(args, "zeta", None)
+    if zeta is None or zeta in (1, 2):
+        return QQ
+    if zeta < 1:
+        raise ParseError(f"--zeta needs a positive order, got {zeta}")
+    return CyclotomicField(zeta)
 
 
 def cmd_make(args):

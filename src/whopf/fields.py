@@ -343,12 +343,6 @@ class Field:
     kind = None
     order = None
 
-    def zero(self):
-        return self.from_int(0)
-
-    def one(self):
-        return self.from_int(1)
-
     def coerce(self, x):
         raise NotImplementedError
 

@@ -3,6 +3,8 @@
 Everything is immutable and exact.  One eliminator serves every entry point:
 ``_reduce`` runs Gauss-Jordan elimination on sparse rows (col -> scalar,
 zero entries dropped) and returns the fully back-substituted pivot rows.
+Its forward step, ``_insert``, adds one row at a time and reports whether
+the row added a pivot, which lets a caller grow a span incrementally.
 ``rref`` is their dense view, sorted by pivot; ``rank``, ``invert`` and
 ``Subspace.from_vectors`` read it.  ``solve_sparse`` carries the right-hand
 side as one more column and reads the particular solution and the kernel off
@@ -33,27 +35,17 @@ __all__ = [
 def _reduce(rows, field, stop):
     """Reduced row echelon form of sparse rows as {pivot column: row dict}.
 
-    Each row is an iterable of (column, scalar) pairs.  Rows are taken in
-    order: each is reduced by the pivot rows found so far and, if anything is
-    left, pivots on its smallest remaining column, scaled to 1 there.
-    Back-substitution then clears every pivot column from the other pivot
-    rows.  Returns None as soon as a pivot falls at column ``stop`` or beyond.
+    Each row is an iterable of (column, scalar) pairs, taken in order by
+    ``_insert``.  Back-substitution then clears every pivot column from the
+    other pivot rows.  Returns None as soon as a pivot falls at column
+    ``stop`` or beyond.
     """
     zero = field.zero()
     pivot_rows = {}
     for row in rows:
-        cur = {j: v for j, v in row if v}
-        while cur:
-            c = min(cur)
-            if c not in pivot_rows:
-                if c >= stop:
-                    return None
-                inv = field.inv(cur[c])
-                if inv != 1:
-                    cur = {j: v * inv for j, v in cur.items()}
-                pivot_rows[c] = cur
-                break
-            _subtract(cur, cur.pop(c), pivot_rows[c], c, zero)
+        c = _insert(pivot_rows, row, field)
+        if c is not None and c >= stop:
+            return None
     # Forward rows are supported on columns >= their pivot, so clearing from
     # the last pivot backwards leaves every row on its pivot and free columns.
     for c in sorted(pivot_rows, reverse=True):
@@ -61,6 +53,29 @@ def _reduce(rows, field, stop):
         for j in [j for j in row if j != c and j in pivot_rows]:
             _subtract(row, row.pop(j), pivot_rows[j], j, zero)
     return pivot_rows
+
+
+def _insert(pivot_rows, row, field):
+    """One forward step of ``_reduce``: add a sparse row to the forward pivot rows.
+
+    The row is reduced by ``pivot_rows`` (pivot column -> row dict, each
+    supported on columns >= its pivot).  If anything is left, it pivots on
+    its smallest remaining column, scaled to 1 there, and is stored under
+    that column, which is returned.  A row in the span of ``pivot_rows``
+    leaves them unchanged and returns None.
+    """
+    zero = field.zero()
+    cur = {j: v for j, v in row if v}
+    while cur:
+        c = min(cur)
+        if c not in pivot_rows:
+            inv = field.inv(cur[c])
+            if inv != 1:
+                cur = {j: v * inv for j, v in cur.items()}
+            pivot_rows[c] = cur
+            return c
+        _subtract(cur, cur.pop(c), pivot_rows[c], c, zero)
+    return None
 
 
 def _subtract(row, m, prow, pivot, zero):

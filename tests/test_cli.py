@@ -50,6 +50,8 @@ def test_make_minimal_with_too_few_g_blocks_is_typed(capsys):
         ["minimal"],
         ["groupoid", "--disjoint-cyclic", "2,x"],
         ["matrix"],
+        ["group", "--cyclic", "3", "--zeta", "0"],
+        ["group", "--cyclic", "3", "--zeta", "-1"],
     ],
 )
 def test_make_hostile_flags_are_parse_errors(capsys, argv):
@@ -57,6 +59,14 @@ def test_make_hostile_flags_are_parse_errors(capsys, argv):
     assert code == 2 and not out
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("zeta", ["1", "2"])
+def test_make_zeta_one_and_two_are_rational(capsys, zeta):
+    code, plain, _ = run_cli(capsys, "make", "group", "--cyclic", "3")
+    assert code == 0
+    code, out, err = run_cli(capsys, "make", "group", "--cyclic", "3", "--zeta", zeta)
+    assert code == 0 and not err and out == plain
 
 
 def test_validate_roundtrip(tmp_path, capsys):

@@ -11,6 +11,7 @@ from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import (
     Matrix,
     Subspace,
+    _insert,
     invert,
     kernel,
     kernel_on,
@@ -318,6 +319,30 @@ def test_eliminator_matches_the_reference(case):
         else:
             with pytest.raises(Singular):
                 invert(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_case())
+def test_insert_step_matches_the_reference_rank(case):
+    """Rows inserted one at a time add a pivot exactly when the reference rank grows."""
+    m, _, _ = case
+    field = m.field
+    forward = {}
+    rank = 0
+    for k, row in enumerate(m.rows):
+        before = {c: dict(r) for c, r in forward.items()}
+        added = _insert(forward, enumerate(row), field)
+        want = len(reference_rref(m.rows[: k + 1], field)[1])
+        assert len(forward) == want
+        if want == rank:
+            assert added is None and forward == before
+        else:
+            # a new pivot row, scaled to 1 at its smallest column
+            assert added not in before and min(forward[added]) == added and forward[added][added] == 1
+            assert {c: forward[c] for c in before} == before
+        rank = want
+    dense = [[row.get(j, field.zero()) for j in range(m.ncols)] for row in forward.values()]
+    assert reference_span(field, dense) == reference_rref(m.rows, field)
 
 
 @settings(max_examples=150, deadline=None)

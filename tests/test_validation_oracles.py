@@ -1,8 +1,11 @@
 """The sparse axiom, trace-form, integral and group-like kernels against brute force.
 
-Each oracle below is the plain textbook form of a kernel: the weak-unit
-products as full triple tensors, the weak-counit identity over all n^3
-basis triples, the antipode axioms from dense products of basis vectors and
+Each oracle below is the plain textbook form of a kernel: associativity,
+multiplicativity and coassociativity scanned over every basis row (the
+library scans the rows of a generating set), the weak-unit products as full
+triple tensors, the weak-counit identity over all n^3 basis triples (and
+for both weak axioms a sparse form that folds the unit slots or tabulates
+E2 per g, fast enough for the dim-27 dyn-z3), the antipode axioms from dense products of basis vectors and
 columns of S, the trace form from dense products of left multiplication
 matrices, the integral and centralizer systems from dense difference
 matrices, the dual arrows from transposed multiplication matrices, pairing
@@ -42,8 +45,19 @@ import pytest
 
 import whopf.grouplikes as grouplikes
 import whopf.search as search
-from whopf.constructors import cyclic_table, function_algebra, one_object_groupoid
+import whopf.wha as wha
+from whopf.constructors import (
+    SemisimplePresentation,
+    cyclic_table,
+    function_algebra,
+    group_algebra,
+    groupoid_algebra,
+    minimal_wha,
+    one_object_groupoid,
+    pair_groupoid,
+)
 from whopf.errors import NotFrobenius, Undecidable, WhopfError
+from whopf.fields import CyclotomicField
 from whopf.grouplikes import (
     _intertwiner_space,
     distinguished_pair,
@@ -68,8 +82,15 @@ from whopf.integrals import (
 )
 from whopf.linalg import Matrix, Subspace, kernel_on, solve_sparse, try_solve
 from whopf.search import height_vectors, invertible_in, max_height
-from whopf.twisting import regularize
-from whopf.wha import Element, Functional, WeakHopfAlgebra, antipode_axiom_checks, validate_full
+from whopf.twisting import DynamicalTwistData, dynamical_theta, regularize, twist
+from whopf.wha import (
+    Element,
+    Functional,
+    WeakHopfAlgebra,
+    _generating_indices,
+    antipode_axiom_checks,
+    validate_full,
+)
 from whopf.zoo import ZOO_NAMES, build_member
 
 MAX_DIM = 16
@@ -119,6 +140,168 @@ def oracle_weak_counit(h):
                         alt += c * row_f[k] * e2[j][t]
                 if not (lhs == mid == alt):
                     return (f, g, t)
+    return None
+
+
+def sparse_weak_unit(h):
+    """The weak-unit products with the unit slots folded into the legs of Delta(1).
+
+    Both products of Delta(1) (x) 1 and 1 (x) Delta(1) are multilinear, so
+    each unit slot folds into one leg of Delta(1) and only the middle slot
+    multiplies two legs, summed over the distinct folded legs:
+      mid = sum (1_(1) 1) (x) 1_(2) 1'_(1) (x) (1 1'_(2))
+      alt = sum (1 1'_(1)) (x) 1_(1) 1'_(2) (x) (1_(2) 1)
+    """
+    zero = h.field.zero()
+    d1 = h.delta_one
+    lhs = {}
+    for (j, k), c in d1.items():
+        for (a, b), c2 in h.comult[j].items():
+            lhs[(a, b, k)] = lhs.get((a, b, k), zero) + c * c2
+    lhs = {key: v for key, v in lhs.items() if v}
+    one_idx = [(i, c) for i, c in enumerate(h.unit) if c]
+
+    def fold(key_leg, vec_leg, one_first):
+        """Group Delta(1) by one leg; each group sums c (1 e_x) or c (e_x 1), x the other leg."""
+        out = {}
+        for pair, c in d1.items():
+            acc = out.setdefault(pair[key_leg], {})
+            for i, ci in one_idx:
+                cell = h.mult.get((i, pair[vec_leg]) if one_first else (pair[vec_leg], i))
+                if cell:
+                    for m, cm in cell.items():
+                        acc[m] = acc.get(m, zero) + c * ci * cm
+        return {x: {m: v for m, v in acc.items() if v} for x, acc in out.items()}
+
+    def middle_product(terms):
+        """sum of f (x) e_x e_y (x) g over (x, y, f, g) in terms, sparse."""
+        out = {}
+        for x, y, f, g in terms:
+            cell = h.mult.get((x, y))
+            if not cell or not f or not g:
+                continue
+            for a, fa in f.items():
+                for m, cm in cell.items():
+                    for b, gb in g.items():
+                        out[(a, m, b)] = out.get((a, m, b), zero) + fa * cm * gb
+        return {key: v for key, v in out.items() if v}
+
+    right_one = fold(1, 0, False)  # 1_(2) -> 1_(1) 1
+    left_one = fold(0, 1, True)  # 1'_(1) -> 1 1'_(2)
+    mid = middle_product((x, y, f, g) for x, f in right_one.items() for y, g in left_one.items())
+    right_one = fold(0, 1, False)  # 1_(1) -> 1_(2) 1
+    left_one = fold(1, 0, True)  # 1'_(2) -> 1 1'_(1)
+    alt = middle_product((x, y, f, g) for y, f in left_one.items() for x, g in right_one.items())
+    return lhs == mid == alt
+
+
+def sparse_weak_counit(h):
+    """The weak-counit identity tabulated sparsely over (f, t) for each g.
+
+    The tables come from the nonzero rows and columns of E2[i][j] =
+    eps(e_i e_j); the witness is the least (f, t) of the first g that fails.
+    """
+    n = h.dim
+    zero = h.field.zero()
+    e2_rows = [[(t, v) for t, v in enumerate(row) if v] for row in h.counit_product]
+    e2_cols = [[] for _ in range(n)]
+    for f, row in enumerate(e2_rows):
+        for j, v in row:
+            e2_cols[j].append((f, v))
+    cells_by_g = {}
+    for (f, g), cell in h.mult.items():
+        cells_by_g.setdefault(g, []).append((f, cell))
+
+    def contract(terms):
+        """(f, t) -> sum of c eps(f e_j) eps(e_k t) over (j, k, c) in terms."""
+        rows = {}
+        for j, k, c in terms:
+            row = rows.setdefault(j, {})
+            for t, w in e2_rows[k]:
+                row[t] = row.get(t, zero) + c * w
+        table = {}
+        for j, row in rows.items():
+            for f, v in e2_cols[j]:
+                for t, w in row.items():
+                    if w:
+                        table[f, t] = table.get((f, t), zero) + v * w
+        return table
+
+    for g in range(n):
+        lhs = {}
+        for f, cell in cells_by_g.get(g, ()):
+            for k, c in cell.items():
+                for t, v in e2_rows[k]:
+                    lhs[f, t] = lhs.get((f, t), zero) + c * v
+        dg = h.comult[g].items()
+        mid = contract((j, k, c) for (j, k), c in dg)
+        alt = contract((k, j, c) for (j, k), c in dg)
+        differ = [
+            ft
+            for ft in lhs.keys() | mid.keys() | alt.keys()
+            if not (lhs.get(ft, zero) == mid.get(ft, zero) == alt.get(ft, zero))
+        ]
+        if differ:
+            f, t = min(differ)
+            return (f, g, t)
+    return None
+
+
+def _pruned(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def oracle_associativity(h, rows):
+    """First (i, j, l), i in rows, with (e_i e_j) e_l != e_i (e_j e_l)."""
+    n = h.dim
+    zero = h.field.zero()
+    for i in rows:
+        for j in range(n):
+            for l in range(n):
+                lhs, rhs = {}, {}
+                for k, c in h.mult.get((i, j), {}).items():
+                    for m, c2 in h.mult.get((k, l), {}).items():
+                        lhs[m] = lhs.get(m, zero) + c * c2
+                for k, c in h.mult.get((j, l), {}).items():
+                    for m, c2 in h.mult.get((i, k), {}).items():
+                        rhs[m] = rhs.get(m, zero) + c * c2
+                if _pruned(lhs) != _pruned(rhs):
+                    return (i, j, l)
+    return None
+
+
+def oracle_multiplicativity(h, rows):
+    """First (i, j), i in rows, with Delta(e_i e_j) != Delta(e_i) Delta(e_j)."""
+    n = h.dim
+    zero = h.field.zero()
+    for i in rows:
+        for j in range(n):
+            lhs, rhs = {}, {}
+            for k, c in h.mult.get((i, j), {}).items():
+                for jk, c2 in h.comult[k].items():
+                    lhs[jk] = lhs.get(jk, zero) + c * c2
+            for (a, b), c in h.comult[i].items():
+                for (x, y), c2 in h.comult[j].items():
+                    for p, cp in h.mult.get((a, x), {}).items():
+                        for q, cq in h.mult.get((b, y), {}).items():
+                            rhs[p, q] = rhs.get((p, q), zero) + c * c2 * cp * cq
+            if _pruned(lhs) != _pruned(rhs):
+                return (i, j)
+    return None
+
+
+def oracle_coassociativity(h, rows):
+    """First (i,), i in rows, with (Delta (x) id) Delta(e_i) != (id (x) Delta) Delta(e_i)."""
+    zero = h.field.zero()
+    for i in rows:
+        lhs, rhs = {}, {}
+        for (j, k), c in h.comult[i].items():
+            for (a, b), c2 in h.comult[j].items():
+                lhs[a, b, k] = lhs.get((a, b, k), zero) + c * c2
+            for (a, b), c2 in h.comult[k].items():
+                rhs[j, a, b] = rhs.get((j, a, b), zero) + c * c2
+        if _pruned(lhs) != _pruned(rhs):
+            return (i,)
     return None
 
 
@@ -242,20 +425,31 @@ def generic_vector(h):
     return [h.field.from_int((k * k + 1) % 5 - 2) for k in range(h.dim)]
 
 
-def expected_report(h):
-    """validate_full's report with the weak and antipode axioms taken from the oracles."""
+def expected_report(h, sparse=False):
+    """validate_full's report with every axiom but unit and counit taken from the oracles.
+
+    Associativity, multiplicativity and coassociativity scan every basis row.
+    The weak axioms come from the textbook forms, or from the sparse folded
+    and tabulated forms when ``sparse`` (fast enough for dim 27).
+    """
+    weak_unit, weak_counit = (
+        (sparse_weak_unit, sparse_weak_counit) if sparse else (oracle_weak_unit, oracle_weak_counit)
+    )
+    rows = range(h.dim)
+    witnesses = {
+        "associativity": oracle_associativity(h, rows),
+        "coassociativity": oracle_coassociativity(h, rows),
+        "comult_multiplicative": oracle_multiplicativity(h, rows),
+        "weak_unit": None if weak_unit(h) else ("Delta(1)",),
+        "weak_counit": weak_counit(h),
+    }
     report = validate_full(h).as_dict()
     for check in report["checks"]:
-        if check["axiom"] == "weak_unit":
-            ok = oracle_weak_unit(h)
+        name = check["axiom"]
+        if name in witnesses:
+            witness = witnesses[name]
             check.clear()
-            check.update({"axiom": "weak_unit", "ok": ok})
-            if not ok:
-                check.update({"witness": ["Delta(1)"], "detail": ""})
-        elif check["axiom"] == "weak_counit":
-            witness = oracle_weak_counit(h)
-            check.clear()
-            check.update({"axiom": "weak_counit", "ok": witness is None})
+            check.update({"axiom": name, "ok": witness is None})
             if witness is not None:
                 check.update({"witness": list(witness), "detail": ""})
     if h.antipode is not None:
@@ -408,7 +602,105 @@ def test_cases_cover_malformed_algebras():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_validate_full_matches_oracles(name):
     for h in CASES[name]:
-        assert validate_full(h).as_dict() == expected_report(h)
+        assert validate_full(h).as_dict() == expected_report(h) == expected_report(h, sparse=True)
+
+
+@lru_cache(maxsize=None)
+def dyn_z3():
+    """The dim-27 dynamical twist of k[Z3] over Q(zeta_3), above MAX_DIM."""
+    u = group_algebra(cyclic_table(3), field=CyclotomicField(3))
+    build = dynamical_theta(DynamicalTwistData(u=u, grouplikes=[u.basis_element(j) for j in range(3)]))
+    return twist(build.host, build.twist, name="dyn-twist-z3")
+
+
+def test_dyn_z3_matches_the_sparse_oracles():
+    """On dyn-z3 G has 6 of 27 indices and E2 rank 3, so the reduced checks read least of H.
+
+    Its Delta(1) legs meet the support of 1, so ``one_sided_corruptions``
+    finds no product to corrupt; ``rotated_unit`` gives a non-unit 1 whose
+    products the weak-unit check must keep.
+    """
+    h = dyn_z3()
+    rng = random.Random(30)
+    cases = [h, rotated_unit(h)] + [corrupt(h, rng) for _ in range(4)]
+    failing = set()
+    for bad in cases:
+        report = validate_full(bad)
+        failing.update(c.name for c in report.failures())
+        assert report.as_dict() == expected_report(bad, sparse=True)
+    assert validate_full(h).ok and not one_sided_corruptions(h, rng)
+    assert {"associativity", "coassociativity", "unit", "counit", "weak_unit", "weak_counit"} <= failing
+
+
+def _words_span(h, gens):
+    """Span of the right-nested words g_1(g_2(...g_k)) over gens, by dense products to a fixed point."""
+    span = Subspace.from_vectors(h.field, h.dim, [_basis(h, g) for g in gens])
+    while True:
+        products = [h.mul_vec(_basis(h, g), w) for g in gens for w in span.rows]
+        grown = span.plus(Subspace.from_vectors(h.field, h.dim, products)) if products else span
+        if grown == span:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_generating_indices_span_in_order(name, monkeypatch):
+    """The words over G span H, and e_i lies in the span of the words over the generators up to i.
+
+    With Light's test this makes the first failing row of each reduced scan a
+    generator: if every generator below i passes, so does every word over
+    them, and so does e_i.  The reduced scans therefore report the witness of
+    the full scan without rescanning.
+    """
+    calls = []
+    left_product = wha._left_product
+    monkeypatch.setattr(wha, "_left_product", lambda *a: calls.append(a) or left_product(*a))
+    for h in (build_member(name), build_member(name).dual):
+        calls.clear()
+        gens = _generating_indices(h)
+        assert gens == sorted(set(gens)) and len(calls) <= len(gens) * h.dim
+        assert _words_span(h, gens).dim == h.dim
+        for i in range(h.dim):
+            prefix = [g for g in gens if g <= i]
+            assert _words_span(h, prefix).contains(_basis(h, i))
+
+
+def test_generating_set_sizes():
+    pair5 = groupoid_algebra(pair_groupoid(5))
+    sizes = {
+        name: len(_generating_indices(h))
+        for name, h in [
+            ("dyn-z3", dyn_z3()),
+            ("dyn-z3 dual", dyn_z3().dual),
+            ("pair-5", pair5),
+            ("dual pair-5", pair5.dual),
+            ("hmin-12", minimal_wha(SemisimplePresentation(blocks=(1, 2)))),
+        ]
+    }
+    assert sizes == {"dyn-z3": 6, "dyn-z3 dual": 15, "pair-5": 9, "dual pair-5": 25, "hmin-12": 14}
+
+
+def test_first_failing_row_is_a_generator():
+    """Where its reduction holds, each reduced scan's first failing row over all rows is in G.
+
+    No case needs a rescan, and a non-associative case can pass
+    multiplicativity on the rows of G yet fail it elsewhere, so that check
+    scans every row once associativity fails.
+    """
+    guarded = 0
+    for h in itertools.chain.from_iterable(CASES.values()):
+        gens, rows = _generating_indices(h), range(h.dim)
+        assoc = oracle_associativity(h, rows)
+        multiplicative = oracle_multiplicativity(h, rows)
+        assert assoc is None or assoc[0] in gens
+        if assoc is None:
+            assert multiplicative is None or multiplicative[0] in gens
+            coassoc = oracle_coassociativity(h, rows)
+            if multiplicative is None:
+                assert coassoc is None or coassoc[0] in gens
+        elif multiplicative and oracle_multiplicativity(h, gens) is None:
+            guarded += 1
+    assert guarded >= 1
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
