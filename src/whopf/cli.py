@@ -8,7 +8,14 @@ Subcommands:
   zoo       run the bundled example battery (deterministic output)
 
 Documents travel on stdin/stdout as JSON (see docio); ``--out`` writes to a
-file instead.  Errors are emitted as one JSON object on stderr.  The only
+file instead.  Errors are emitted as one JSON object on stderr.
+
+``twist --twist T`` reads T = {"theta": [[i, j, coeff], ...], "theta_bar":
+[...]} over the basis of the positional document.  ``twist --dynamical D``
+takes no positional document and reads D = {"u": <algebra document>,
+"grouplikes": [[coeff, ...], ...], "j": {"<character index>": [[i, j, coeff],
+...]}}.  A malformed T or D exits 2 with one ParseError line, like any
+malformed document; a well-formed T that is not a twist exits 1.  The only
 environment knob is WHOPF_MAX_HEIGHT (default 8), the cap for deterministic
 witness searches.
 """
@@ -46,7 +53,7 @@ from .grouplikes import (
 )
 from .integrals import canonical_dual_pair, invariance_check
 from .semisimplicity import semisimplicity_report
-from .twisting import DynamicalTwistData, Twist, deform_q, dynamical_theta, regularize, twist
+from .twisting import DynamicalTwistData, deform_q, dynamical_theta, regularize, twist
 from .wha import Element, validate_full
 from .zoo import format_zoo_report, run_zoo
 
@@ -266,17 +273,18 @@ def cmd_report(args):
 # twist
 
 
-def _pairs_from_json(h, entries):
-    out = {}
-    for entry in entries:
-        if len(entry) != 3:
-            raise ParseError(f"tensor entry {entry!r} must be [i, j, coeff]")
-        i, j, c = entry
-        out[(i, j)] = h.field.parse(c)
-    return out
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return docio.loads(fh.read())
 
 
 def cmd_twist(args):
+    if args.dynamical:
+        if args.doc:
+            raise ParseError("--dynamical takes no positional document: its host comes from u")
+        build = dynamical_theta(docio.document_to_dynamical(_read_json(args.dynamical)))
+        _emit(docio.wha_to_document(twist(build.host, build.twist)), args.out)
+        return EXIT_OK
     h = _read_doc(args.doc)
     if args.q:
         q = Element(h, [h.field.parse(x) for x in args.q.split(",")])
@@ -284,28 +292,7 @@ def cmd_twist(args):
     elif args.regularize:
         out, _q = regularize(h)
     elif args.twist:
-        with open(args.twist, encoding="utf-8") as fh:
-            tdoc = docio.loads(fh.read())
-        t = Twist(
-            theta=_pairs_from_json(h, tdoc.get("theta", [])),
-            theta_bar=_pairs_from_json(h, tdoc.get("theta_bar", [])),
-        )
-        out = twist(h, t)
-    elif args.dynamical:
-        with open(args.dynamical, encoding="utf-8") as fh:
-            jdoc = docio.loads(fh.read())
-        u = docio.document_to_wha(jdoc["u"])
-        grouplikes = [
-            Element(u, [u.field.parse(c) for c in vec]) for vec in jdoc["grouplikes"]
-        ]
-        jmap = None
-        if jdoc.get("j"):
-            jmap = {
-                int(idx): {(e[0], e[1]): u.field.parse(e[2]) for e in entries}
-                for idx, entries in jdoc["j"].items()
-            }
-        build = dynamical_theta(DynamicalTwistData(u=u, grouplikes=grouplikes, j=jmap))
-        out = twist(build.host, build.twist)
+        out = twist(h, docio.document_to_twist(_read_json(args.twist), h))
     else:
         raise ParseError("choose one of --q, --regularize, --twist, --dynamical")
     _emit(docio.wha_to_document(out), args.out)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatch, InvalidPresentation, NotSeparable, Singular, TraceConditionViolated
 from .fields import QQ
-from .linalg import Matrix, Subspace, invert
-from .wha import WeakHopfAlgebra, _pruned
+from .linalg import Matrix, invert
+from .wha import WeakHopfAlgebra
 
 __all__ = [
     "Groupoid",
@@ -289,23 +289,13 @@ class _BlockAlgebra:
                 for b in range(n):
                     self.index[(bi, a, b)] = len(self.units)
                     self.units.append((bi, a, b))
-        self.dim = len(self.units)
 
     def unit_product(self, u, v):
-        """Product of two matrix units: (index, None) or None."""
+        """Product of two matrix units (block, row, column): a unit triple, or None for zero."""
         (bi, a, b), (bj, c, d) = u, v
         if bi != bj or b != c:
             return None
         return (bi, a, d)
-
-    def vector_of_blocks(self, blocks_matrices, field):
-        vec = [field.zero()] * self.dim
-        for bi, blk in enumerate(blocks_matrices):
-            n = self.blocks[bi]
-            for a in range(n):
-                for b in range(n):
-                    vec[self.index[(bi, a, b)]] = field.coerce(blk[a][b])
-        return vec
 
 
 def separability_element(pres, field=QQ):
@@ -346,173 +336,82 @@ def minimal_wha(pres, field=QQ, name=None):
     """Minimal weak Hopf algebra from classifying data (B, A, g).
 
     The algebra is B tensor_A B^op: the quotient of B (x) B^op by the span of
-    u a (x) vbar - u (x) (a v)bar for a in A.  The quotient basis is the first
-    independent images of the standard product basis (echelon order), so the
-    construction is deterministic.
+    u a (x) vbar - u (x) (a v)bar for a in A.  A is spanned by the sums 1_P of
+    block identities over the parts P of the core partition, so for matrix
+    units u and v the relation of 1_P is ([block(u) in P] - [block(v) in P])
+    u (x) vbar.  The relations are therefore exactly the pairs of matrix units
+    whose blocks lie in different parts, and the quotient basis is the classes
+    of the pairs whose blocks lie in one part, in product-basis order; a pair
+    outside that basis is zero in the quotient.
     """
     _check_trace_condition(pres)
     blk = _BlockAlgebra(pres.blocks)
-    nb = blk.dim
-    dim_big = nb * nb
+    units, index = blk.units, blk.index
     zero, one = field.zero(), field.one()
+    part = {bi: p for p, members in enumerate(pres.core_partition) for bi in members}
+    basis_pairs = [
+        (iu, iv)
+        for iu, u in enumerate(units)
+        for iv, v in enumerate(units)
+        if part[u[0]] == part[v[0]]
+    ]
+    pos = {pair: t for t, pair in enumerate(basis_pairs)}
 
-    # A basis: sums of block identities over each partition part.
-    a_basis = []
-    for part in pres.core_partition:
-        vec = [zero] * nb
-        for bi in part:
-            n = pres.blocks[bi]
-            for a in range(n):
-                vec[blk.index[(bi, a, a)]] = one
-        a_basis.append(vec)
-
-    # Relation span: for every pair of B-units (u, v) and every A-basis a:
-    #   (u a) (x) vbar - u (x) (a v)bar
-    relations = []
-    for avec in a_basis:
-        nz = [(i, c) for i, c in enumerate(avec) if c]
-        for iu, u in enumerate(blk.units):
-            for iv, v in enumerate(blk.units):
-                rel = [zero] * dim_big
-                touched = False
-                for ia, c in nz:
-                    ua = blk.unit_product(u, blk.units[ia])
-                    if ua is not None:
-                        rel[blk.index[ua] * nb + iv] += c
-                        touched = True
-                    av = blk.unit_product(blk.units[ia], v)
-                    if av is not None:
-                        rel[iu * nb + blk.index[av]] -= c
-                        touched = True
-                if touched and any(rel):
-                    relations.append(rel)
-    rel_space = Subspace.from_vectors(field, dim_big, relations)
-
-    # Quotient basis: the standard pairs off the pivot columns of the relation
-    # space, in order.  Each relation is zero or +-e_x, because a is a sum of
-    # block identities, so the relation space is a coordinate subspace and
-    # these pairs are exactly the ones whose images stay independent.
-    pivots = set(rel_space.pivots)
-    basis_pairs = [divmod(pos, nb) for pos in range(dim_big) if pos not in pivots]
-    dim = len(basis_pairs)
-    pair_pos = {p: t for t, p in enumerate(basis_pairs)}
-
-    def project(vec):
-        """Reduce a B (x) B^op vector to quotient coordinates."""
-        red = rel_space.reduce(vec)
-        out = [zero] * dim
-        # rel_space.reduce leaves a vector supported off the pivot columns of
-        # the relation space; those columns are exactly the chosen basis pairs.
-        for pos, c in enumerate(red):
-            if c:
-                iu, iv = divmod(pos, nb)
-                out[pair_pos[(iu, iv)]] += c
-        return out
-
-    def project_pair(iu, iv, coeff=one):
-        vec = [zero] * dim_big
-        vec[iu * nb + iv] = coeff
-        return project(vec)
-
-    # multiplication: class(u, v) class(u', v') = class(u u', v' v)
+    # multiplication: class(u, v) class(u', v') = class(u u', v' v), whose
+    # blocks are those of (u, v)
     mult = {}
     for t1, (iu, iv) in enumerate(basis_pairs):
-        u, v = blk.units[iu], blk.units[iv]
         for t2, (ju, jv) in enumerate(basis_pairs):
-            uu = blk.unit_product(u, blk.units[ju])
-            if uu is None:
-                continue
-            vv = blk.unit_product(blk.units[jv], v)
-            if vv is None:
-                continue
-            cell = {}
-            for k, c in enumerate(project_pair(blk.index[uu], blk.index[vv])):
-                if c:
-                    cell[k] = c
-            if cell:
-                mult[(t1, t2)] = cell
+            uu = blk.unit_product(units[iu], units[ju])
+            vv = blk.unit_product(units[jv], units[iv])
+            if uu is not None and vv is not None:
+                mult[t1, t2] = {pos[index[uu], index[vv]]: one}
 
-    # unit = class(1, 1)
-    eye = [zero] * nb
-    for bi, n in enumerate(pres.blocks):
-        for a in range(n):
-            eye[blk.index[(bi, a, a)]] = one
-    unit_vec = [zero] * dim
-    for iu, cu in enumerate(eye):
-        if not cu:
-            continue
-        for iv, cv in enumerate(eye):
-            if cv:
-                contrib = project_pair(iu, iv, cu * cv)
-                unit_vec = [x + y for x, y in zip(unit_vec, contrib)]
+    # unit = class(1, 1), the sum of the classes of pairs of diagonal units
+    diagonal = [a == b for _, a, b in units]
+    unit = [one if diagonal[iu] and diagonal[iv] else zero for iu, iv in basis_pairs]
 
-    g_vec = blk.vector_of_blocks(pres.g, field)
-    g_inv_blocks = [_invert_block(b) for b in pres.g]
-    g_inv_vec = blk.vector_of_blocks([m.rows for m in g_inv_blocks], field)
+    g = [[[field.coerce(x) for x in row] for row in b] for b in pres.g]
+    g_inv = [[[field.coerce(x) for x in row] for row in _invert_block(b).rows] for b in pres.g]
 
-    def b_mul(x, y):
-        out = [zero] * nb
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    p = blk.unit_product(blk.units[i], blk.units[j])
-                    if p is not None:
-                        out[blk.index[p]] += xi * yj
-        return out
-
-    def b_trace_reg(x):
-        # regular trace of B: sum over blocks of n_i * matrix trace
-        tr = zero
-        for bi, n in enumerate(pres.blocks):
-            for a in range(n):
-                tr += n * x[blk.index[(bi, a, a)]]
-        return tr
-
-    # counit: eps(class(u, v)) = Tr_reg(g^{-1} v u)
+    # counit: eps(class(u, v)) = Tr_reg(g^{-1} v u); for u = E_ab and v = E_cd
+    # in block i, v u = [d = a] E_cb and Tr_reg(g^{-1} E_cb) = n_i (g^{-1})_bc
     counit = []
-    for (iu, iv) in basis_pairs:
-        u = [one if t == iu else zero for t in range(nb)]
-        v = [one if t == iv else zero for t in range(nb)]
-        counit.append(b_trace_reg(b_mul(g_inv_vec, b_mul(v, u))))
+    for iu, iv in basis_pairs:
+        (bi, a, b), (bj, c, d) = units[iu], units[iv]
+        counit.append(pres.blocks[bi] * g_inv[bi][b][c] if bi == bj and d == a else zero)
 
     # comultiplication: Delta(class(u, v)) = sum_e class(u, g e1) (x) class(e2, v)
+    # over the separability element e, with g E_ab = sum_x g_xa E_xb; both
+    # classes are basis classes when the block of e lies in the part of (u, v),
+    # and zero otherwise (the constructor drops the zero coefficients)
     sep = separability_element(pres, field)
-    comult = [dict() for _ in range(dim)]
-    for t, (iu, iv) in enumerate(basis_pairs):
+    comult = []
+    for iu, iv in basis_pairs:
         acc = {}
-        for (ie1, ie2, w) in sep:
-            ge1 = b_mul(g_vec, [one if t2 == ie1 else zero for t2 in range(nb)])
-            left_big = [zero] * dim_big
-            for ig, cg in enumerate(ge1):
-                if cg:
-                    left_big[iu * nb + ig] += cg
-            left = project(left_big)
-            right = project_pair(ie2, iv)
-            for a, ca in enumerate(left):
-                if not ca:
-                    continue
-                for b, cb in enumerate(right):
-                    if cb:
-                        acc[a, b] = acc.get((a, b), zero) + w * ca * cb
-        comult[t] = _pruned(acc)
+        for ie1, ie2, w in sep:
+            right = pos.get((ie2, iv))
+            if right is None:
+                continue
+            bi, a, b = units[ie1]
+            for x in range(pres.blocks[bi]):
+                acc[pos[iu, index[bi, x, b]], right] = w * g[bi][x][a]
+        comult.append(acc)
 
-    # antipode: S(class(u, v)) = class(g^{-1} v g, u)
+    # antipode: S(class(u, v)) = class(g^{-1} v g, u); for v = E_cd,
+    # g^{-1} v g = sum_{x,y} (g^{-1})_xc g_dy E_xy
     s_cols = []
-    for (iu, iv) in basis_pairs:
-        v = [one if t2 == iv else zero for t2 in range(nb)]
-        gvg = b_mul(g_inv_vec, b_mul(v, g_vec))
-        big = [zero] * dim_big
-        for ig, cg in enumerate(gvg):
-            if cg:
-                big[ig * nb + iu] += cg
-        s_cols.append(project(big))
-    s_mat = Matrix.from_columns(field, s_cols)
+    for iu, iv in basis_pairs:
+        bj, c, d = units[iv]
+        col = [zero] * len(basis_pairs)
+        for x in range(pres.blocks[bj]):
+            for y in range(pres.blocks[bj]):
+                col[pos[index[bj, x, y], iu]] = g_inv[bj][x][c] * g[bj][d][y]
+        s_cols.append(col)
 
     labels = [f"{_unit_label(blk, iu)}.{_unit_label(blk, iv)}~" for (iu, iv) in basis_pairs]
     return WeakHopfAlgebra(
-        field, labels, mult, unit_vec, comult, counit, antipode=s_mat,
+        field, labels, mult, unit, comult, counit, antipode=Matrix.from_columns(field, s_cols),
         name=name or f"Hmin{pres.blocks}",
     )
 

@@ -6,18 +6,34 @@ antipode is a matrix-entry list [row, col, coeff].  Scalars are strings in
 the exact-scalar grammar ("p", "p/q", polynomials in z for cyclotomic
 fields), never floats.  Emission is canonical (entries sorted, keys sorted),
 so parse -> emit -> parse is the identity and emitted bytes are reproducible.
+A repeated entry (the same index tuple twice) is refused, not overwritten.
+
+Two more document kinds feed ``whopf twist``: a twist document
+{"theta": [[i, j, coeff], ...], "theta_bar": [...]} over the algebra being
+twisted, and a dynamical twist document {"u": <algebra document>,
+"grouplikes": [[coeff, ...], ...], "j": {"<character index>": [[i, j, coeff],
+...]}}.  A document of any kind that does not have its shape raises ParseError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ParseError
 from .fields import make_field
 from .linalg import Matrix
-from .wha import WeakHopfAlgebra
+from .twisting import DynamicalTwistData, Twist
+from .wha import Element, WeakHopfAlgebra
 
-__all__ = ["document_to_wha", "wha_to_document", "dumps", "loads"]
+__all__ = [
+    "document_to_dynamical",
+    "document_to_twist",
+    "document_to_wha",
+    "wha_to_document",
+    "dumps",
+    "loads",
+]
 
 SCHEMA_VERSION = "1"
 
@@ -77,6 +93,30 @@ def _entries(doc, key, shape):
     return entries
 
 
+def _scalar(field, text):
+    if not isinstance(text, str):
+        raise ParseError(f"scalar {text!r} must be a string")
+    return field.parse(text)
+
+
+def _index(i, dim):
+    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
+        raise ParseError(f"index {i!r} out of range")
+    return i
+
+
+def _table(doc, key, shape, field, dim):
+    """{index tuple: scalar} of the ``key`` entries; a repeated index tuple is a ParseError."""
+    out = {}
+    for *idx, c in _entries(doc, key, shape):
+        c = _scalar(field, c)
+        idx = tuple(_index(i, dim) for i in idx)
+        if idx in out:
+            raise ParseError(f"{key} entry {list(idx)} is repeated")
+        out[idx] = c
+    return out
+
+
 def document_to_wha(doc):
     if not isinstance(doc, dict):
         raise ParseError("document is not a JSON object")
@@ -98,37 +138,71 @@ def document_to_wha(doc):
     if not isinstance(name, str):
         raise ParseError("metadata name must be a string")
 
-    def scalar(text):
-        if not isinstance(text, str):
-            raise ParseError(f"scalar {text!r} must be a string")
-        return field.parse(text)
-
-    def index(i):
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
-            raise ParseError(f"index {i!r} out of range")
-        return i
-
+    triple = ("i", "j", "k", "coeff")
     mult = {}
-    for i, j, k, c in _entries(doc, "mult", ("i", "j", "k", "coeff")):
-        mult.setdefault((index(i), index(j)), {})[index(k)] = scalar(c)
+    for (i, j, k), c in _table(doc, "mult", triple, field, dim).items():
+        mult.setdefault((i, j), {})[k] = c
     comult = [dict() for _ in range(dim)]
-    for i, j, k, c in _entries(doc, "comult", ("i", "j", "k", "coeff")):
-        comult[index(i)][(index(j), index(k))] = scalar(c)
+    for (i, j, k), c in _table(doc, "comult", triple, field, dim).items():
+        comult[i][j, k] = c
     unit = [field.zero()] * dim
-    for i, c in _entries(doc, "unit", ("i", "coeff")):
-        unit[index(i)] = scalar(c)
+    for (i,), c in _table(doc, "unit", ("i", "coeff"), field, dim).items():
+        unit[i] = c
     counit = [field.zero()] * dim
-    for i, c in _entries(doc, "counit", ("i", "coeff")):
-        counit[index(i)] = scalar(c)
+    for (i,), c in _table(doc, "counit", ("i", "coeff"), field, dim).items():
+        counit[i] = c
     antipode = None
     if "antipode" in doc:
         rows = [[field.zero()] * dim for _ in range(dim)]
-        for i, j, c in _entries(doc, "antipode", ("i", "j", "coeff")):
-            rows[index(i)][index(j)] = scalar(c)
+        for (i, j), c in _table(doc, "antipode", ("i", "j", "coeff"), field, dim).items():
+            rows[i][j] = c
         antipode = Matrix(field, rows)
     return WeakHopfAlgebra(
         field, basis, mult, unit, comult, counit, antipode=antipode, name=name
     )
+
+
+def document_to_twist(doc, h):
+    """The Twist of {"theta": [[i, j, coeff], ...], "theta_bar": [...]} over h.
+
+    A missing list is the zero tensor; indices must be basis indices of h.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError("twist document is not a JSON object")
+    pair = ("i", "j", "coeff")
+    return Twist(
+        theta=_table(doc, "theta", pair, h.field, h.dim),
+        theta_bar=_table(doc, "theta_bar", pair, h.field, h.dim),
+    )
+
+
+def document_to_dynamical(doc):
+    """DynamicalTwistData of {"u": document, "grouplikes": [[coeff, ...], ...], "j": {...}}.
+
+    Each group-like lists dim(U) scalars.  The optional "j" maps character
+    indices, written as decimal strings without leading zeros, to
+    [i, j, coeff] entries of a tensor in U (x) U.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError("dynamical twist document is not a JSON object")
+    if "u" not in doc:
+        raise ParseError("dynamical twist document has no u document")
+    u = document_to_wha(doc["u"])
+    vectors = doc.get("grouplikes")
+    if not isinstance(vectors, list) or not all(
+        isinstance(v, list) and len(v) == u.dim for v in vectors
+    ):
+        raise ParseError(f"grouplikes must be a list of lists of {u.dim} scalars")
+    grouplikes = [Element(u, [_scalar(u.field, c) for c in v]) for v in vectors]
+    j = doc.get("j") or None
+    if j is not None:
+        if not isinstance(j, dict) or not all(re.fullmatch("0|[1-9][0-9]*", key) for key in j):
+            raise ParseError("j must map decimal character indices to [i, j, coeff] lists")
+        j = {
+            int(key): _table({"j": entries}, "j", ("i", "j", "coeff"), u.field, u.dim)
+            for key, entries in j.items()
+        }
+    return DynamicalTwistData(u=u, grouplikes=grouplikes, j=j)
 
 
 def dumps(doc):

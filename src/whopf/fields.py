@@ -55,19 +55,71 @@ def euler_phi(n):
     return count
 
 
-def _poly_div_exact(num, den):
-    # Exact division of integer polynomials (lists, index = power).
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
+# ---------------------------------------------------------------------------
+# polynomials over an exact field: coefficient lists, index = power
+
+
+def _poly_eval(f, x, field):
+    acc = field.zero()
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_mul(f, g, field):
+    if not f or not g:
+        return []
+    out = [field.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _poly_divmod(f, g, field):
+    f = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    out = [field.zero()] * max(len(f) - dg, 0)
     for k in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[k + len(den) - 1], den[-1])
-        if r:
-            raise Inconsistent("inexact cyclotomic division")
+        q = field.div(f[k + dg], lead)
         out[k] = q
-        for i, c in enumerate(den):
-            num[k + i] -= q * c
-    if any(num):
-        raise Inconsistent("nonzero remainder in cyclotomic division")
+        if q:
+            for i, c in enumerate(g):
+                f[k + i] -= q * c
+    while f and not f[-1]:
+        f.pop()
+    return out, f
+
+
+def _poly_ext_gcd(f, g, field):
+    """(u, w, d) with u f + w g = d = gcd(f, g), d monic."""
+    r0, r1 = list(f), list(g)
+    s0, s1 = [field.one()], []
+    t0, t1 = [], [field.one()]
+    while r1:
+        q, r = _poly_divmod(r0, r1, field)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, field), field)
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, field), field)
+    lead = r0[-1]
+    inv = field.inv(lead)
+    return (
+        [c * inv for c in s0],
+        [c * inv for c in t0],
+        [c * inv for c in r0],
+    )
+
+
+def _poly_sub(f, g, field):
+    out = [field.zero()] * max(len(f), len(g))
+    for i, c in enumerate(f):
+        out[i] += c
+    for i, c in enumerate(g):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -80,7 +132,9 @@ def cyclotomic_polynomial(n):
         return _CYCLOTOMIC_CACHE[n]
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d), QQ)
+        if rem:
+            raise Inconsistent(f"Phi_{d} does not divide x^{n} - 1 exactly")
     _CYCLOTOMIC_CACHE[n] = poly
     return poly
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import lcm
 
 from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
-from .fields import QQ, _divisors
+from .fields import QQ, _divisors, _poly_divmod, _poly_eval, _poly_ext_gcd, _poly_mul
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Matrix, Subspace, try_solve
 from .wha import Element, _basis
@@ -46,74 +46,6 @@ def trace_s2(h, pair):
     if direct != formula:
         raise Mismatch(f"Tr(S^2): direct {direct} != formula {formula}")
     return {"direct": direct, "formula": formula}
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over an arbitrary exact field
-
-
-def _poly_eval(f, x, field):
-    acc = field.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_mul(f, g, field):
-    if not f or not g:
-        return []
-    out = [field.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_divmod(f, g, field):
-    f = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    out = [field.zero()] * max(len(f) - dg, 0)
-    for k in range(len(out) - 1, -1, -1):
-        q = field.div(f[k + dg], lead)
-        out[k] = q
-        if q:
-            for i, c in enumerate(g):
-                f[k + i] -= q * c
-    while f and not f[-1]:
-        f.pop()
-    return out, f
-
-
-def _poly_ext_gcd(f, g, field):
-    """(u, w) with u f + w g = gcd(f, g), gcd monic."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [field.one()], []
-    t0, t1 = [], [field.one()]
-    while r1:
-        q, r = _poly_divmod(r0, r1, field)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, field), field)
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, field), field)
-    lead = r0[-1]
-    inv = field.inv(lead)
-    return (
-        [c * inv for c in s0],
-        [c * inv for c in t0],
-        [c * inv for c in r0],
-    )
-
-
-def _poly_sub(f, g, field):
-    out = [field.zero()] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _rational_root_candidates(f):

@@ -719,17 +719,15 @@ def counital_subalgebras(h):
     return out
 
 
-def integral_space(h, side="left", where="H"):
+def integral_space(h, side="left"):
     """Solve the integral conditions over the basis; returns a Subspace.
 
     left:  {ell : e_i ell = eps_t(e_i) ell for all i}
     right: {r : r e_i = r eps_s(e_i) for all i}
-    ``where="dual"`` computes in the dual algebra.  Each call solves the
+    Pass ``h.dual`` for the integrals of the dual.  Each call solves the
     system; ``left_integrals`` and ``right_integrals`` cache the result on the
     algebra.
     """
-    if where == "dual":
-        return integral_space(h.dual, side=side, where="H")
     counital = h.eps_t_mat if side == "left" else h.eps_s_mat
     return kernel_on(Subspace.full(h.field, h.dim), _integral_rows(h, side, counital))
 

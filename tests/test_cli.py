@@ -292,3 +292,103 @@ def test_rational_scalar_zero_denominator_is_parse_error():
         QQ.parse("1/0")
     with pytest.raises(ParseError):
         CyclotomicField(3).parse("1+2/0*z")
+
+
+# ---------------------------------------------------------------------------
+# twist and dynamical twist documents
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _z2_doc(capsys):
+    code, out, _ = run_cli(capsys, "make", "group", "--cyclic", "2")
+    assert code == 0
+    return json.loads(out)
+
+
+def _assert_parse_error(code, out, err):
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
+    assert "Traceback" not in err
+
+
+def test_twist_by_delta_one_is_the_identity(tmp_path, capsys):
+    pair2 = _write(tmp_path, "pair2.json", docio.wha_to_document(groupoid_algebra(pair_groupoid(2))))
+    delta_one = [[0, 0, "1"], [3, 3, "1"]]  # Delta(m11 + m22)
+    tw = _write(tmp_path, "tw.json", {"theta": delta_one, "theta_bar": delta_one})
+    code, out, err = run_cli(capsys, "twist", pair2, "--twist", tw)
+    assert code == 0 and not err
+    twisted = docio.document_to_wha(json.loads(out))
+    assert twisted.same_structure(groupoid_algebra(pair_groupoid(2)))
+
+
+def test_dynamical_twist_of_z2_is_the_dyntwist_host(tmp_path, capsys):
+    doc = {"u": _z2_doc(capsys), "grouplikes": [["1", "0"], ["0", "1"]]}
+    code, out, err = run_cli(capsys, "twist", "--dynamical", _write(tmp_path, "dyn.json", doc))
+    assert code == 0 and not err
+    code, host, _ = run_cli(capsys, "make", "dyntwist-host", "--cyclic", "2")
+    assert code == 0
+    built = docio.document_to_wha(json.loads(out))
+    assert built.same_structure(docio.document_to_wha(json.loads(host)))
+
+
+@pytest.mark.parametrize(
+    "tdoc",
+    [
+        [],
+        {"theta": [5]},
+        {"theta": [[0, 0, 1]]},  # a non-string scalar
+        {"theta": [["a", 0, "1"]]},
+        {"theta": [[9, 0, "1"]]},
+        {"theta": [[0, 0, "1"], [0, 0, "1"]]},
+    ],
+)
+def test_hostile_twist_documents_are_parse_errors(tmp_path, capsys, tdoc):
+    pair2 = _write(tmp_path, "pair2.json", docio.wha_to_document(groupoid_algebra(pair_groupoid(2))))
+    _assert_parse_error(*run_cli(capsys, "twist", pair2, "--twist", _write(tmp_path, "tw.json", tdoc)))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "list",
+        "empty",
+        "j-key-not-an-index",
+        "grouplikes-not-a-list",
+        "grouplike-of-wrong-length",
+        "grouplike-of-non-strings",
+        "j-entry-repeated",
+    ],
+)
+def test_hostile_dynamical_documents_are_parse_errors(tmp_path, capsys, shape):
+    u = _z2_doc(capsys)
+    basis = [["1", "0"], ["0", "1"]]
+    doc = {
+        "list": [],
+        "empty": {},
+        "j-key-not-an-index": {"u": u, "grouplikes": basis, "j": {"x": []}},
+        "grouplikes-not-a-list": {"u": u, "grouplikes": 5},
+        "grouplike-of-wrong-length": {"u": u, "grouplikes": [[1, 0, 0, 0]]},
+        "grouplike-of-non-strings": {"u": u, "grouplikes": [[1, 0], [0, 1]]},
+        "j-entry-repeated": {"u": u, "grouplikes": basis, "j": {"0": [[0, 0, "1"], [0, 0, "1"]]}},
+    }[shape]
+    # no positional document: --dynamical must not read stdin
+    _assert_parse_error(*run_cli(capsys, "twist", "--dynamical", _write(tmp_path, "dyn.json", doc)))
+
+
+def test_dynamical_refuses_a_positional_document(tmp_path, capsys):
+    u = _z2_doc(capsys)
+    dyn = _write(tmp_path, "dyn.json", {"u": u, "grouplikes": [["1", "0"], ["0", "1"]]})
+    _assert_parse_error(*run_cli(capsys, "twist", _write(tmp_path, "u.json", u), "--dynamical", dyn))
+
+
+@pytest.mark.parametrize("key", ["mult", "comult", "unit", "counit", "antipode"])
+def test_repeated_document_entry_is_a_parse_error(tmp_path, capsys, key):
+    doc = docio.wha_to_document(groupoid_algebra(pair_groupoid(2)))
+    doc[key].append(list(doc[key][0]))
+    _assert_parse_error(*run_cli(capsys, "validate", _write(tmp_path, "rep.json", doc)))

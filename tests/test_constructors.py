@@ -123,6 +123,27 @@ def test_minimal_wha_antipode_formula():
     assert solve_antipode(h) == h.S
 
 
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["QQ", "Qz3"])
+@pytest.mark.parametrize(
+    "blocks, parts",
+    [
+        ((1, 1), ((0,), (1,))),
+        ((1, 2), ((0,), (1,))),
+        ((1, 1, 1), ((0, 2), (1,))),
+        ((1, 2, 1), ((0, 1), (2,))),
+    ],
+)
+def test_minimal_wha_on_a_multi_part_core_partition(blocks, parts, field):
+    """B (x)_A B^op keeps the pairs of matrix units whose blocks share a part."""
+    from whopf.wha import minimal_data
+
+    h = minimal_wha(SemisimplePresentation(blocks=blocks, core_partition=parts), field=field)
+    assert validate_full(h).ok
+    assert h.dim == sum(sum(blocks[i] ** 2 for i in part) ** 2 for part in parts)
+    assert h.target_base.dim == sum(n * n for n in blocks)
+    assert minimal_data(h).core.dim == len(parts)
+
+
 def test_matrix_wha_needs_a_positive_size():
     """A typed error, also under python -O (a stripped check built a dim-0 algebra)."""
     with pytest.raises(InvalidPresentation):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from whopf import docio
 from whopf.constructors import groupoid_algebra, pair_groupoid
-from whopf.errors import FieldMismatch, Inconsistent, ParseError
+from whopf.errors import FieldMismatch, ParseError
 from whopf.fields import (
     QQ,
     Cyc,
     CyclotomicField,
     RationalField,
-    _poly_div_exact,
+    _poly_divmod,
     cyclotomic_polynomial,
     make_field,
 )
@@ -313,11 +313,9 @@ def test_cyc_zero_and_one_are_cached_constants():
         assert field.one() * field.zeta() == field.zeta() * field.one() == field.zeta()
 
 
-def test_inexact_cyclotomic_division_is_inconsistent():
-    with pytest.raises(Inconsistent):
-        _poly_div_exact([1, 1], [1, 2])  # leading coefficient 1 / 2
-    with pytest.raises(Inconsistent):
-        _poly_div_exact([1, 0, 1], [1, 1])  # x^2 + 1 = (x - 1)(x + 1) + 2
+def test_poly_divmod_leaves_the_remainder():
+    # x^2 + 1 = (x - 1)(x + 1) + 2
+    assert _poly_divmod([1, 0, 1], [1, 1], QQ) == ([-1, 1], [2])
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_shift_isomorphism_dimensions():
     assert mapped == spaces_1["L"]
     from whopf.integrals import integral_space
 
-    assert spaces_1["L"] == integral_space(h, "left", where="dual")
+    assert spaces_1["L"] == integral_space(h.dual, "left")
 
 
 def test_grouplike_automorphism_and_triviality():

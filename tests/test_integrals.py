@@ -67,7 +67,7 @@ def test_integral_space_pair_groupoid():
     assert space.dim == 2 == h.target_base.dim
     assert space.contains((1, 0, 1, 0))  # m11 + m21
     assert space.contains((0, 1, 0, 1))  # m12 + m22
-    dual_space = integral_space(h, "left", where="dual")
+    dual_space = integral_space(h.dual, "left")
     assert dual_space.dim == 2
     right = integral_space(h, "right")
     assert right.dim == 2
