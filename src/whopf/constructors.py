@@ -242,13 +242,17 @@ class SemisimplePresentation:
     g: tuple = None  # default: identity
 
     def __post_init__(self):
-        self.blocks = tuple(int(b) for b in self.blocks)
+        self.blocks = tuple(self.blocks)
+        if any(type(b) is bool or not isinstance(b, int) for b in self.blocks):
+            raise InvalidPresentation(f"block sizes must be integers, got {self.blocks!r}")
         if any(b < 1 for b in self.blocks):
             raise InvalidPresentation("block sizes must be positive")
         r = len(self.blocks)
         if self.core_partition is None:
             self.core_partition = (tuple(range(r)),)
         parts = [tuple(p) for p in self.core_partition]
+        if not all(parts):
+            raise InvalidPresentation("core partition has an empty part")
         seen = sorted(i for p in parts for i in p)
         if seen != list(range(r)):
             raise InvalidPresentation("core partition must partition the block indices")

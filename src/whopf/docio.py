@@ -180,8 +180,8 @@ def document_to_dynamical(doc):
     """DynamicalTwistData of {"u": document, "grouplikes": [[coeff, ...], ...], "j": {...}}.
 
     Each group-like lists dim(U) scalars.  The optional "j" maps character
-    indices, written as decimal strings without leading zeros, to
-    [i, j, coeff] entries of a tensor in U (x) U.
+    indices, written as decimal strings without leading zeros and below the
+    number of group-likes, to [i, j, coeff] entries of a tensor in U (x) U.
     """
     if not isinstance(doc, dict):
         raise ParseError("dynamical twist document is not a JSON object")
@@ -198,6 +198,9 @@ def document_to_dynamical(doc):
     if j is not None:
         if not isinstance(j, dict) or not all(re.fullmatch("0|[1-9][0-9]*", key) for key in j):
             raise ParseError("j must map decimal character indices to [i, j, coeff] lists")
+        for key in j:
+            if int(key) >= len(grouplikes):
+                raise ParseError(f"j names character {key}, but there are {len(grouplikes)} group-likes")
         j = {
             int(key): _table({"j": entries}, "j", ("i", "j", "coeff"), u.field, u.dim)
             for key, entries in j.items()

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .grouplikes import is_grouplike, is_regular
 from .integrals import is_semisimple
+from .linalg import Matrix
 from .wha import (
     Element,
     WeakHopfAlgebra,
@@ -159,8 +160,9 @@ def twist(h, t, name=None):
 
     The new comultiplication is Theta_bar Delta(.) Theta (coassociativity is
     checked, not assumed), the counit and algebra are unchanged, and the
-    antipode is v^{-1} S(.) v.  The counital maps of the result must agree
-    with the closed formulas eps_t(x) = eps(Theta^(1) x) Theta^(2) and
+    antipode is v^{-1} S(.) v, built column by column as v^{-1} (S(e_k) v)
+    from sparse products.  The counital maps of the result must agree with
+    the closed formulas eps_t(x) = eps(Theta^(1) x) Theta^(2) and
     eps_s(x) = Theta_bar^(1) eps(x Theta_bar^(2)).
     """
     _check_twist_invariants(h, t)
@@ -169,7 +171,7 @@ def twist(h, t, name=None):
         for i in range(h.dim)
     ]
     v, v_inv = twist_conjugator(h, t)
-    s_mat = h.left_mult_matrix(v_inv) @ h.right_mult_matrix(v) @ h.S
+    s_mat = Matrix.from_columns(h.field, [h.mul_vec(v_inv, h.mul_vec(col, v)) for col in zip(*h.S.rows)])
     out = WeakHopfAlgebra(
         h.field, h.labels, h.mult, h.unit, comult, h.counit, antipode=s_mat,
         name=name or f"{h.name}_twisted",
@@ -366,13 +368,17 @@ def _j_inverse(u, tensor_algebra, j_pairs):
 
 
 def verify_dynamical_data(data):
-    """Check Hopf-ness of U, the group A, normalization, commutation with
-    Delta(A), invertibility of J, and the shifted cocycle equation per
-    character.  Returns (group, j_tensors, j_inverses)."""
+    """Check Hopf-ness of U, the group A, that J names only characters of A,
+    normalization, commutation with Delta(A), invertibility of J, and the
+    shifted cocycle equation per character.  Returns (group, j_tensors,
+    j_inverses)."""
     u = data.u
     if u.target_base.dim != 1 or not u.target_base.contains(u.unit):
         raise InvalidPresentation("U is not a Hopf algebra (H_t != k1)")
     group = AbelianGrouplikes(u, data.grouplikes)
+    for chi in data.j or ():
+        if chi not in range(group.order):
+            raise InvalidPresentation(f"J is given for character {chi!r}, but A has {group.order} characters")
     if group.exponent > 2:
         if u.field.kind != "cyclotomic" or u.field.order % group.exponent:
             raise FieldTooSmall(

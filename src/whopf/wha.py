@@ -1071,30 +1071,33 @@ def validate_full(h):
 
 
 def solve_antipode(h):
-    """Solve the antipode axioms as one joint linear system for S.
+    """Solve the antipode axioms for S as a sparse linear system.
 
     In the convolution algebra of endomorphisms the axioms read id*S = eps_t,
     S*id = eps_s, and S*id*S = S.  Given the second, associativity of
     convolution rewrites the composite axiom as the *linear* condition
-    eps_s * S = S; the two-term system alone is underdetermined (already on
-    pair groupoid algebras a diagonal degree of freedom survives).  Any two
-    solutions T, T' of the joint system coincide (T = T*eps_t = T*id*T' =
-    eps_s*T' = T'), so a positive-dimensional solution space can only come
-    from input that is not a weak bialgebra and raises NotUnique.  The solved
-    S is then verified against S(h_(1)) h_(2) S(h_(3)) = S(h) directly.
+    eps_s * S = S.  The target and composite rows alone fix S: an antipode
+    satisfies S * eps_t = S, so any T with id*T = eps_t and eps_s*T = T is
+    T = eps_s*T = S*id*T = S*eps_t = S.  Only those 2n^2 rows are eliminated,
+    and the source rows S*id = eps_s are left to ``antipode_axiom_checks``,
+    whose ``antipode_source`` check is exactly those rows: if it fails, the
+    joint system of all three families is inconsistent.  If the 2n^2 rows
+    leave a kernel (h is not a weak bialgebra, or has no antipode), the
+    source rows are appended and the joint system is solved again; a
+    positive-dimensional solution space there raises NotUnique.
     """
     n = h.dim
     field = h.field
     zero = field.zero()
     # unknown index: S[m, k] -> m * n + k  (S(e_k) = sum_m S[m,k] e_m)
-    rows = []
-    rhs = []
     by_first = {}
     by_second = {}
     for (j, m), cell in h.mult.items():
         by_first.setdefault(j, []).append((m, cell))
         by_second.setdefault(m, []).append((j, cell))
     eps_s_left_mult = {}
+    rows = []
+    rhs = []
 
     def _emit(coeffs, col):
         per_p = {}
@@ -1116,29 +1119,36 @@ def solve_antipode(h):
                     coeffs[key] = coeffs.get(key, zero) + c * cmu
         return coeffs
 
-    for i in range(n):
-        # m(id (x) S) Delta(e_i) = eps_t(e_i)
-        _emit(_convolution(i, by_first, 0), h.eps_t_mat.col(i))
-        # m(S (x) id) Delta(e_i) = eps_s(e_i)
-        _emit(_convolution(i, by_second, 1), h.eps_s_mat.col(i))
-        # eps_s(e_i_(1)) S(e_i_(2)) = S(e_i)
+    def _composite(i):
+        """eps_s(e_i_(1)) S(e_i_(2)) - S(e_i), from the nonzeros of L(eps_s(e_j))."""
         coeffs = {}
         for (j, k), c in h.comult[i].items():
-            w = eps_s_left_mult.get(j)
-            if w is None:
-                w = eps_s_left_mult[j] = h.left_mult_matrix(h.eps_s_mat.col(j))
-            for p in range(n):
-                wrow = w.rows[p]
-                for q in range(n):
-                    v = wrow[q]
-                    if v:
-                        key = (p, q * n + k)
-                        coeffs[key] = coeffs.get(key, zero) + c * v
+            entries = eps_s_left_mult.get(j)
+            if entries is None:
+                w = h.left_mult_matrix(h.eps_s_mat.col(j))
+                entries = eps_s_left_mult[j] = [
+                    (p, q * n, v) for p, wrow in enumerate(w.rows) for q, v in enumerate(wrow) if v
+                ]
+            for p, qn, v in entries:
+                key = (p, qn + k)
+                coeffs[key] = coeffs.get(key, zero) + c * v
         for p in range(n):
             key = (p, p * n + i)
             coeffs[key] = coeffs.get(key, zero) - field.one()
-        _emit(coeffs, [zero] * n)
+        return coeffs
+
+    for i in range(n):
+        # m(id (x) S) Delta(e_i) = eps_t(e_i)
+        _emit(_convolution(i, by_first, 0), h.eps_t_mat.col(i))
+    for i in range(n):
+        # eps_s(e_i_(1)) S(e_i_(2)) = S(e_i)
+        _emit(_composite(i), [zero] * n)
     got = solve_sparse(rows, rhs, n * n, field)
+    if got is not None and got[1]:
+        for i in range(n):
+            # m(S (x) id) Delta(e_i) = eps_s(e_i)
+            _emit(_convolution(i, by_second, 1), h.eps_s_mat.col(i))
+        got = solve_sparse(rows, rhs, n * n, field)
     if got is None:
         raise NoAntipode("antipode equations are inconsistent")
     particular, kern = got
@@ -1147,6 +1157,8 @@ def solve_antipode(h):
     s = Matrix(field, [[particular[m * n + k] for k in range(n)] for m in range(n)])
     for check in antipode_axiom_checks(h.with_antipode(s)):
         if not check.ok:
+            if check.name == "antipode_source":
+                raise NoAntipode("antipode equations are inconsistent")
             raise Axiom26Failure(f"solved antipode fails {check.name} at {check.witness}")
     return s
 

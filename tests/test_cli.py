@@ -381,6 +381,14 @@ def test_hostile_dynamical_documents_are_parse_errors(tmp_path, capsys, shape):
     _assert_parse_error(*run_cli(capsys, "twist", "--dynamical", _write(tmp_path, "dyn.json", doc)))
 
 
+
+def test_dynamical_j_for_a_character_that_does_not_exist_is_a_parse_error(tmp_path, capsys):
+    """k[Z2] has characters 0 and 1, so j key "5" names none; it used to be ignored with exit 0."""
+    doc = {"u": _z2_doc(capsys), "grouplikes": [["1", "0"], ["0", "1"]], "j": {"5": [[0, 0, "1"]]}}
+    _assert_parse_error(*run_cli(capsys, "twist", "--dynamical", _write(tmp_path, "dyn.json", doc)))
+    doc["j"] = {"2": [[0, 0, "1"]]}
+    _assert_parse_error(*run_cli(capsys, "twist", "--dynamical", _write(tmp_path, "dyn.json", doc)))
+
 def test_dynamical_refuses_a_positional_document(tmp_path, capsys):
     u = _z2_doc(capsys)
     dyn = _write(tmp_path, "dyn.json", {"u": u, "grouplikes": [["1", "0"], ["0", "1"]]})

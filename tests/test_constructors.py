@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from whopf.constructors import (
@@ -161,6 +163,20 @@ def test_g_needs_one_block_per_block_size(blocks, g):
     with pytest.raises(InvalidPresentation):
         SemisimplePresentation(blocks=blocks, g=g)
 
+
+
+@pytest.mark.parametrize("blocks", [(1.5,), (2.0,), (True,), ("2",), (1, Fraction(2))])
+def test_non_integer_block_size_is_invalid_presentation(blocks):
+    """int() used to turn a block size of 1.5 into 1, a different algebra."""
+    with pytest.raises(InvalidPresentation, match="integers"):
+        SemisimplePresentation(blocks=blocks)
+
+
+@pytest.mark.parametrize("parts", [((0, 1), ()), ((), (0,), (1,))])
+def test_empty_core_part_is_invalid_presentation(parts):
+    """An empty part gave A a zero spanning vector: dim A was 1, not the number of parts."""
+    with pytest.raises(InvalidPresentation, match="empty part"):
+        SemisimplePresentation(blocks=(1, 1), core_partition=parts)
 
 def test_singular_g_block_is_invalid_presentation():
     with pytest.raises(InvalidPresentation):

@@ -186,6 +186,16 @@ def test_nontrivial_j_satisfying_nothing_is_rejected():
         dynamical_theta(DynamicalTwistData(u=u, grouplikes=a, j=bad_eq))
 
 
+
+@pytest.mark.parametrize("key", [2, 5, -1, "1"])
+def test_j_for_a_character_that_does_not_exist_is_rejected(key):
+    """k[Z2] has characters 0 and 1; J given anywhere else is refused, not ignored."""
+    u = kz2()
+    a = [Element(u, (1, 0)), Element(u, (0, 1))]
+    j = {key: {(0, 0): Fraction(1)}}
+    with pytest.raises(InvalidPresentation, match="character"):
+        dynamical_theta(DynamicalTwistData(u=u, grouplikes=a, j=j))
+
 def test_tensor_product_dual_compatibility():
     h1 = matrix_wha(2)
     h2 = kz2()

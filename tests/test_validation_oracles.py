@@ -28,6 +28,15 @@ invertible-element search (heights, then the grid), the non-degenerate
 integral search with ``skip`` and the two-sided search, each enumerating,
 assembling the vector densely and testing it in one loop.
 
+The antipode solver keeps its earlier form, the joint system of all three
+antipode axioms (3n^2 rows), as ``full_system_antipode``; the library solves
+the 2n^2 target and composite rows and reads the source rows off the final
+check.  Both must return the same S, or raise the same class with the same
+message, on the zoo members and their duals, the ``whopf make``
+constructions and the ladder members, and seeded bumps of ``mult`` and
+``comult``; each branch of the solver is pinned by a small table.  The
+twisted antipode is compared with the dense product L(v^{-1}) R(v) S.
+
 The mirrored pairs that share one body in the library keep one oracle per
 side: eps_t and eps_s from eps(1_(1) e_i) 1_(2) and 1_(1) eps(e_i 1_(2)),
 eps_s^gamma and eps_t^gamma from <gamma, x 1_(1)> S(1_(2)) and
@@ -55,9 +64,11 @@ from whopf.constructors import (
     minimal_wha,
     one_object_groupoid,
     pair_groupoid,
+    symmetric_table,
+    tensor_product,
 )
-from whopf.errors import NotFrobenius, Undecidable, WhopfError
-from whopf.fields import CyclotomicField
+from whopf.errors import Axiom26Failure, NoAntipode, NotFrobenius, NotUnique, Undecidable, WhopfError
+from whopf.fields import QQ, CyclotomicField
 from whopf.grouplikes import (
     _intertwiner_space,
     distinguished_pair,
@@ -82,7 +93,7 @@ from whopf.integrals import (
 )
 from whopf.linalg import Matrix, Subspace, kernel_on, solve_sparse, try_solve
 from whopf.search import height_vectors, invertible_in, max_height
-from whopf.twisting import DynamicalTwistData, dynamical_theta, regularize, twist
+from whopf.twisting import DynamicalTwistData, Twist, dynamical_theta, regularize, twist, twist_conjugator
 from whopf.wha import (
     Element,
     Functional,
@@ -490,10 +501,10 @@ def bump(h, key, k, value):
     return rebuild(h, mult=mult)
 
 
-def corrupt(h, rng):
-    """Add or drop one structure constant of mult, comult, unit or counit."""
+def corrupt(h, rng, parts=("mult", "comult", "unit", "counit")):
+    """Add or drop one structure constant of one of ``parts``."""
     n = h.dim
-    part = rng.choice(["mult", "comult", "unit", "counit"])
+    part = rng.choice(parts)
     drop = rng.random() < 0.5
     value = h.field.from_int(rng.choice([-2, -1, 1, 2, 3]))
     if part == "mult":
@@ -606,10 +617,16 @@ def test_validate_full_matches_oracles(name):
 
 
 @lru_cache(maxsize=None)
+def dyn_build(n):
+    """The host M_n (x) k[Z_n] and the dynamical twist of ``whopf make dyntwist-host --cyclic n``."""
+    u = group_algebra(cyclic_table(n), field=CyclotomicField(n) if n > 2 else QQ)
+    return dynamical_theta(DynamicalTwistData(u=u, grouplikes=[u.basis_element(j) for j in range(n)]))
+
+
+@lru_cache(maxsize=None)
 def dyn_z3():
     """The dim-27 dynamical twist of k[Z3] over Q(zeta_3), above MAX_DIM."""
-    u = group_algebra(cyclic_table(3), field=CyclotomicField(3))
-    build = dynamical_theta(DynamicalTwistData(u=u, grouplikes=[u.basis_element(j) for j in range(3)]))
+    build = dyn_build(3)
     return twist(build.host, build.twist, name="dyn-twist-z3")
 
 
@@ -1298,3 +1315,249 @@ def test_arrows_and_mult_matrices_match_dense(name):
             right = [h.mul_vec(_basis(h, j), a) for j in range(h.dim)]
             assert h.left_mult_matrix(a) == Matrix.from_columns(h.field, left)
             assert h.right_mult_matrix(a) == Matrix.from_columns(h.field, right)
+
+
+# ---------------------------------------------------------------------------
+# the antipode solver against the joint 3n^2-row system; the twisted antipode
+
+
+def full_system_antipode(h):
+    """S from the joint system of all three antipode axioms: n^2 target, source and composite rows.
+
+    This is the library's earlier solver.  The library eliminates the target
+    and composite rows only and reads the source rows off the final check.
+    """
+    n = h.dim
+    field = h.field
+    zero = field.zero()
+    rows = []
+    rhs = []
+    by_first = {}
+    by_second = {}
+    for (j, m), cell in h.mult.items():
+        by_first.setdefault(j, []).append((m, cell))
+        by_second.setdefault(m, []).append((j, cell))
+    eps_s_left_mult = {}
+
+    def _emit(coeffs, col):
+        per_p = {}
+        for (p, unk), v in coeffs.items():
+            if v:
+                per_p.setdefault(p, {})[unk] = v
+        for p in range(n):
+            rows.append(per_p.get(p, {}))
+            rhs.append(col[p])
+
+    def _convolution(i, cells, kept):
+        coeffs = {}
+        for legs, c in h.comult[i].items():
+            k = legs[1 - kept]
+            for m, cell in cells.get(legs[kept], ()):
+                for p, cmu in cell.items():
+                    key = (p, m * n + k)
+                    coeffs[key] = coeffs.get(key, zero) + c * cmu
+        return coeffs
+
+    for i in range(n):
+        _emit(_convolution(i, by_first, 0), h.eps_t_mat.col(i))
+        _emit(_convolution(i, by_second, 1), h.eps_s_mat.col(i))
+        coeffs = {}
+        for (j, k), c in h.comult[i].items():
+            w = eps_s_left_mult.get(j)
+            if w is None:
+                w = eps_s_left_mult[j] = h.left_mult_matrix(h.eps_s_mat.col(j))
+            for p in range(n):
+                wrow = w.rows[p]
+                for q in range(n):
+                    v = wrow[q]
+                    if v:
+                        key = (p, q * n + k)
+                        coeffs[key] = coeffs.get(key, zero) + c * v
+        for p in range(n):
+            key = (p, p * n + i)
+            coeffs[key] = coeffs.get(key, zero) - field.one()
+        _emit(coeffs, [zero] * n)
+    got = solve_sparse(rows, rhs, n * n, field)
+    if got is None:
+        raise NoAntipode("antipode equations are inconsistent")
+    particular, kern = got
+    if kern:
+        raise NotUnique(f"antipode solution space has dimension {len(kern)}")
+    s = Matrix(field, [[particular[m * n + k] for k in range(n)] for m in range(n)])
+    for check in antipode_axiom_checks(h.with_antipode(s)):
+        if not check.ok:
+            raise Axiom26Failure(f"solved antipode fails {check.name} at {check.witness}")
+    return s
+
+
+def _solved(solver, h):
+    """The S that solver(h) returns, or the (class, message) of the WhopfError it raises."""
+    try:
+        return solver(h)
+    except WhopfError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def solver_branch(monkeypatch):
+    """solve(h) -> (outcome, branch), where branch names the path solve_antipode took.
+
+    "inconsistent": the target and composite rows have no solution;
+    "unique": they fix S and the final check passes; "source_fails": they fix
+    an S that fails antipode_source; "fallback": they leave a kernel and the
+    source rows are appended.
+    """
+    solves = []
+
+    def spy(rows, rhs, ncols, field):
+        got = solve_sparse(rows, rhs, ncols, field)
+        solves.append(got)
+        return got
+
+    monkeypatch.setattr(wha, "solve_sparse", spy)
+
+    def solve(h):
+        solves.clear()
+        got = _solved(wha.solve_antipode, h)
+        if len(solves) == 2:
+            branch = "fallback"
+        elif solves[0] is None:
+            branch = "inconsistent"
+        else:
+            branch = "source_fails" if isinstance(got, tuple) else "unique"
+        return got, branch
+
+    return solve
+
+
+def _stripped(h):
+    return h.with_antipode(None)
+
+
+def _make_builders():
+    """The seven constructions of ``whopf make`` that the benchmark runs, dyn-z3 included."""
+    g = [[1], [3, -1]]
+    return {
+        "dyn-z3": dyn_z3,
+        "dyn-z2": lambda: build_member("dyn-twist-z2"),
+        "pair2xpair2": lambda: tensor_product(groupoid_algebra(pair_groupoid(2)), groupoid_algebra(pair_groupoid(2))),
+        "s3xz2": lambda: tensor_product(group_algebra(symmetric_table(3)), group_algebra(cyclic_table(2))),
+        "z7-cyc": lambda: group_algebra(cyclic_table(7), field=CyclotomicField(7)),
+        "hmin-12-g": lambda: minimal_wha(SemisimplePresentation(blocks=(1, 2), g=g)),
+        "reg-hmin-m2-g31": lambda: regularize(minimal_wha(SemisimplePresentation(blocks=(2,), g=[[3, -1]])))[0],
+    }
+
+
+def _ladder_builders():
+    return {
+        "pair-5": lambda: groupoid_algebra(pair_groupoid(5)),
+        "dual-pair-5": lambda: groupoid_algebra(pair_groupoid(5)).dual,
+        "hmin-12": lambda: minimal_wha(SemisimplePresentation(blocks=(1, 2))),
+    }
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_solved_antipode_matches_the_joint_system_on_the_zoo(name, solver_branch):
+    h = build_member(name)
+    for alg in (h, h.dual):
+        got, branch = solver_branch(_stripped(alg))
+        assert branch == "unique" and got == alg.S
+        assert full_system_antipode(_stripped(alg)) == alg.S
+
+
+@pytest.mark.parametrize("name", sorted(_make_builders()) + sorted(_ladder_builders()))
+def test_solved_antipode_matches_the_joint_system_on_make_and_ladder(name, solver_branch):
+    h = {**_make_builders(), **_ladder_builders()}[name]()
+    got, branch = solver_branch(_stripped(h))
+    assert branch == "unique" and got == h.S
+    assert full_system_antipode(_stripped(h)) == h.S
+
+
+BUMPS_PER_MEMBER = 30
+
+
+def test_solved_antipode_matches_the_joint_system_on_bumped_tables(solver_branch):
+    """Over 400 seeded single-constant bumps: the same S or the same (class, message)."""
+    rng = random.Random(20010113)
+    branches = {}
+    count = 0
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        if h.dim > 9:
+            continue
+        for _ in range(BUMPS_PER_MEMBER):
+            bent = _stripped(corrupt(h, rng, parts=("mult", "comult")))
+            got, branch = solver_branch(bent)
+            assert got == _solved(full_system_antipode, bent), name
+            branches[branch] = branches.get(branch, 0) + 1
+            count += 1
+    assert count >= 400
+    assert {"inconsistent", "unique", "source_fails", "fallback"} <= set(branches)
+
+
+def _two_dim(mult, comult, unit, counit):
+    """A structure on the basis a, b over QQ, without S; products and coproducts not listed are zero."""
+    return WeakHopfAlgebra(QQ, ("a", "b"), mult, unit, comult, counit)
+
+
+def test_solver_branch_inconsistent(solver_branch):
+    """The monoid {1, p | p^2 = p}: p S(p) = eps_t(p) = 1 has no solution, already among the target rows."""
+    monoid = _two_dim(
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}},
+        [{(0, 0): 1}, {(1, 1): 1}],
+        (1, 0),
+        (1, 1),
+    )
+    want = (NoAntipode, "antipode equations are inconsistent")
+    assert solver_branch(monoid) == (want, "inconsistent")
+    assert _solved(full_system_antipode, monoid) == want
+
+
+def test_solver_branch_source_fails(solver_branch):
+    """a b = b, Delta(a) = b (x) b, 1 = a, eps(b) = 1: the target and composite rows force S = 0.
+
+    eps_t vanishes and eps_s(a) = b, so S = 0 fails S(a_(1)) a_(2) = eps_s(a)
+    only: the joint system is inconsistent and the source check reports it.
+    """
+    h = _two_dim({(0, 1): {1: 1}}, [{(1, 1): 1}, {}], (1, 0), (0, 1))
+    want = (NoAntipode, "antipode equations are inconsistent")
+    assert solver_branch(h) == (want, "source_fails")
+    assert _solved(full_system_antipode, h) == want
+    zero = Matrix.zero(QQ, 2)
+    assert [c.name for c in antipode_axiom_checks(h.with_antipode(zero)) if not c.ok] == ["antipode_source"]
+
+
+@pytest.mark.parametrize(
+    "mult, comult, unit, counit, want",
+    [
+        # a b = b, b a = a, Delta(a) = a (x) a, Delta(b) = b (x) a + b (x) b, 1 = a, eps(a) = 1: the
+        # target and composite rows give S(a) = 0 and leave S(b) = s b free; the source row
+        # S(b_(1)) b_(2) = eps_s(b) = a fixes s = 1
+        ({(0, 1): {1: 1}, (1, 0): {0: 1}}, [{(0, 0): 1}, {(1, 0): 1, (1, 1): 1}], (1, 0), (1, 0), [[0, 0], [0, 1]]),
+        # a a = a, b b = b, Delta(a) = b (x) a, Delta(b) = a (x) b, 1 = b, eps(b) = 1: a kernel
+        # that the source rows make inconsistent
+        (
+            {(0, 0): {0: 1}, (1, 1): {1: 1}},
+            [{(1, 0): 1}, {(0, 1): 1}],
+            (0, 1),
+            (0, 1),
+            (NoAntipode, "antipode equations are inconsistent"),
+        ),
+    ],
+)
+def test_solver_branch_fallback(solver_branch, mult, comult, unit, counit, want):
+    h = _two_dim(mult, comult, unit, counit)
+    if isinstance(want, list):
+        want = Matrix(QQ, want)
+    assert solver_branch(h) == (want, "fallback")
+    assert _solved(full_system_antipode, h) == want
+
+
+def test_twisted_antipode_is_the_dense_conjugation():
+    """S_Theta = v^{-1} S(.) v equals L(v^{-1}) R(v) S on dyn-twist-z2, dyn-z3 and the trivial twist of pair-2."""
+    pair2 = groupoid_algebra(pair_groupoid(2))
+    cases = [(build.host, build.twist) for build in (dyn_build(2), dyn_build(3))]
+    cases.append((pair2, Twist(theta=dict(pair2.delta_one), theta_bar=dict(pair2.delta_one))))
+    for h, t in cases:
+        v, v_inv = twist_conjugator(h, t)
+        assert twist(h, t).S == h.left_mult_matrix(v_inv) @ h.right_mult_matrix(v) @ h.S
