@@ -18,6 +18,20 @@ tuples, ``validate_weak_bialgebra`` gives the exact argument.  No operation
 mutates an algebra after construction, and the cached properties rely on
 that; nothing enforces it yet.
 
+Each verdict is computed once per input.  The weak bialgebra checks read
+only ``mult``, ``comult``, ``unit`` and ``counit``, which nothing reassigns
+after ``__init__``, so they are the cached property ``bialgebra_checks``.
+The antipode checks read S as well, and callers still assign ``antipode``
+after construction (the S that ``solve_antipode`` returned, or another).
+So they sit in a one-entry memo of (S, checks), reused only while the S
+asked about *is* the S checked.  The memo is keyed on the S object rather
+than guarded by an assignment hook: a new S is rechecked however it got
+there, and a Matrix is immutable, so the same object is the same S.
+``solve_antipode`` leaves its check of the solved S in that memo, and
+``with_antipode`` hands both verdicts on to the algebra it builds.
+``validate_full`` assembles a new report from the two parts, whose frozen
+checks it shares.
+
 A vector is a tuple of field scalars.  ``Element`` and ``Functional`` bind
 one to its algebra and are read-only sequences over it, so either can be
 passed wherever a vector is expected.
@@ -270,7 +284,7 @@ class Functional(_Vector):
 # validation report
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomCheck:
     name: str
     ok: bool
@@ -361,6 +375,7 @@ class WeakHopfAlgebra:
             if not isinstance(antipode, Matrix):
                 antipode = Matrix(field, antipode)
         self.antipode = antipode
+        self._antipode_memo = None  # (S, antipode_axiom_checks(self, S)) for the last S checked
 
     # -- basic accessors ----------------------------------------------------
 
@@ -610,11 +625,34 @@ class WeakHopfAlgebra:
         return self.antipode
 
     def with_antipode(self, s):
-        """The same structure constants and name with antipode ``s``, as a new algebra."""
-        return WeakHopfAlgebra(
+        """The same structure constants and name with antipode ``s``, as a new algebra.
+
+        The new algebra starts with this one's bialgebra verdict, if computed,
+        and with its antipode verdict if that was computed for this very S.
+        """
+        out = WeakHopfAlgebra(
             self.field, self.labels, self.mult, self.unit, self.comult, self.counit,
             antipode=s, name=self.name,
         )
+        if "bialgebra_checks" in vars(self):
+            out.bialgebra_checks = self.bialgebra_checks
+        if self._antipode_memo is not None and self._antipode_memo[0] is out.antipode:
+            out._antipode_memo = self._antipode_memo
+        return out
+
+    # -- verdicts ---------------------------------------------------------------
+
+    @cached_property
+    def bialgebra_checks(self):
+        """``validate_weak_bialgebra``'s checks, once: they read only mult, comult, unit and counit."""
+        return tuple(validate_weak_bialgebra(self).checks)
+
+    def antipode_checks(self, s):
+        """``antipode_axiom_checks(self, s)``, reused while the last S checked is ``s``."""
+        memo = self._antipode_memo
+        if memo is None or memo[0] is not s:
+            memo = self._antipode_memo = (s, tuple(antipode_axiom_checks(self, s)))
+        return memo[1]
 
     @cached_property
     def S_inv(self):
@@ -854,6 +892,9 @@ def validate_weak_bialgebra(h):
     of the n x n tables, at about r (nnz(mult) + nnz(comult)) + n^2 r^2
     products in all; only the first failing row f of the first failing g is
     expanded over t, to report the least (f, g, t).
+
+    Uncached: ``validate_full`` reads ``h.bialgebra_checks``, which calls
+    this once per algebra.
     """
     n = h.dim
     field = h.field
@@ -1021,8 +1062,11 @@ def validate_weak_bialgebra(h):
     return ValidationReport(checks)
 
 
-def antipode_axiom_checks(h):
-    """The three antipode axioms for a stored S.
+def antipode_axiom_checks(h, s=None):
+    """The three antipode axioms for S = ``s``, or for the stored S when ``s`` is None.
+
+    Uncached: ``validate_full`` and ``solve_antipode`` read the checks
+    through ``h.antipode_checks(s)``, which keeps them for the last S.
 
     Each axiom compares sum c x_j y_k over Delta(e_i) = sum c e_j (x) e_k
     with column i of a matrix, where x_j and y_k are basis vectors or columns
@@ -1049,25 +1093,32 @@ def antipode_axiom_checks(h):
                 return (i,)
         return None
 
+    if s is None:
+        s = h.S
     basis = [[(i, one)] for i in range(n)]
-    s_cols = _nonzero_columns(h.S)
+    s_cols = _nonzero_columns(s)
     witness = first_failure(basis, s_cols, h.eps_t_mat)
     checks = [AxiomCheck("antipode_target", witness is None, witness)]
     witness = first_failure(s_cols, basis, h.eps_s_mat)
     checks.append(AxiomCheck("antipode_source", witness is None, witness))
     # S(h_(1)) h_(2) S(h_(3)) = S(h).  Under the source axiom the inner part
     # m(S (x) id) Delta(e_j) collapses to eps_s(e_j), so the triple sum folds.
-    witness = first_failure(_nonzero_columns(h.eps_s_mat), s_cols, h.S)
+    witness = first_failure(_nonzero_columns(h.eps_s_mat), s_cols, s)
     checks.append(AxiomCheck("antipode_composite", witness is None, witness))
     return checks
 
 
 def validate_full(h):
-    """Weak bialgebra axioms plus antipode axioms (when S is present)."""
-    report = validate_weak_bialgebra(h)
+    """Weak bialgebra axioms plus antipode axioms (when S is present), as a new report.
+
+    The bialgebra checks are computed once per algebra and the antipode
+    checks once per S (``h.bialgebra_checks``, ``h.antipode_checks``); each
+    call returns a report with its own list of the shared, frozen checks.
+    """
+    checks = list(h.bialgebra_checks)
     if h.antipode is not None:
-        report.checks.extend(antipode_axiom_checks(h))
-    return report
+        checks += h.antipode_checks(h.antipode)
+    return ValidationReport(checks)
 
 
 def solve_antipode(h):
@@ -1085,6 +1136,11 @@ def solve_antipode(h):
     leave a kernel (h is not a weak bialgebra, or has no antipode), the
     source rows are appended and the joint system is solved again; a
     positive-dimensional solution space there raises NotUnique.
+
+    The final check is ``h.antipode_checks(s)``: it reads h's structure
+    with the solved S directly, and stays on h, so a caller that then sets
+    ``h.antipode`` to this S, or builds ``h.with_antipode(s)``, validates
+    without checking the antipode axioms again.
     """
     n = h.dim
     field = h.field
@@ -1155,7 +1211,7 @@ def solve_antipode(h):
     if kern:
         raise NotUnique(f"antipode solution space has dimension {len(kern)}")
     s = Matrix(field, [[particular[m * n + k] for k in range(n)] for m in range(n)])
-    for check in antipode_axiom_checks(h.with_antipode(s)):
+    for check in h.antipode_checks(s):
         if not check.ok:
             if check.name == "antipode_source":
                 raise NoAntipode("antipode equations are inconsistent")

@@ -211,6 +211,46 @@ def test_validate_solves_missing_antipode(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_validate_checks_a_solved_antipode_once(tmp_path, capsys, monkeypatch):
+    """Stripped dyn-z3: the solved S is checked once, and the report bytes are the uncached ones."""
+    from whopf import wha
+
+    code, made, _ = run_cli(capsys, "make", "dyntwist-host", "--cyclic", "3")
+    assert code == 0
+    doc = json.loads(made)
+    full_path = tmp_path / "dyn-z3.json"
+    full_path.write_text(made)
+    del doc["antipode"]
+    path = tmp_path / "dyn-z3-stripped.json"
+    path.write_text(docio.dumps(doc))
+
+    calls = {"antipode": 0, "bialgebra": 0}
+    antipode_axiom_checks = wha.antipode_axiom_checks
+    validate_weak_bialgebra = wha.validate_weak_bialgebra
+
+    def antipode_spy(*args):
+        calls["antipode"] += 1
+        return antipode_axiom_checks(*args)
+
+    def bialgebra_spy(h):
+        calls["bialgebra"] += 1
+        return validate_weak_bialgebra(h)
+
+    monkeypatch.setattr(wha, "antipode_axiom_checks", antipode_spy)
+    monkeypatch.setattr(wha, "validate_weak_bialgebra", bialgebra_spy)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 0 and not err
+    assert calls == {"antipode": 1, "bialgebra": 1}
+    monkeypatch.undo()
+
+    h = docio.document_to_wha(json.loads(made))
+    uncached = wha.ValidationReport(
+        list(validate_weak_bialgebra(h).checks) + antipode_axiom_checks(h)
+    )
+    assert out == json.dumps(uncached.as_dict(), indent=2, sort_keys=True) + "\n"
+    assert run_cli(capsys, "validate", str(full_path)) == (0, out, "")
+
+
 def test_report_embeds_not_frobenius(monkeypatch):
     # the integrals section must degrade to an embedded error, not a crash;
     # it reads the cached integral spaces, so an algebra whose cached spaces

@@ -37,6 +37,13 @@ constructions and the ladder members, and seeded bumps of ``mult`` and
 ``comult``; each branch of the solver is pinned by a small table.  The
 twisted antipode is compared with the dense product L(v^{-1}) R(v) S.
 
+``validate_full`` reuses the bialgebra checks of an algebra and the
+antipode checks of an S object.  Its report, asked for twice, must equal
+the uncached ``validate_weak_bialgebra`` and ``antipode_axiom_checks`` on a
+fresh copy: on the zoo members and their duals, the ``whopf make``
+constructions and seeded bumps.  A new S assigned after a validation is
+checked again, with the verdict an uncached run gives.
+
 The mirrored pairs that share one body in the library keep one oracle per
 side: eps_t and eps_s from eps(1_(1) e_i) 1_(2) and 1_(1) eps(e_i 1_(2)),
 eps_s^gamma and eps_t^gamma from <gamma, x 1_(1)> S(1_(2)) and
@@ -97,10 +104,13 @@ from whopf.twisting import DynamicalTwistData, Twist, dynamical_theta, regulariz
 from whopf.wha import (
     Element,
     Functional,
+    ValidationReport,
     WeakHopfAlgebra,
     _generating_indices,
     antipode_axiom_checks,
+    solve_antipode,
     validate_full,
+    validate_weak_bialgebra,
 )
 from whopf.zoo import ZOO_NAMES, build_member
 
@@ -1561,3 +1571,126 @@ def test_twisted_antipode_is_the_dense_conjugation():
     for h, t in cases:
         v, v_inv = twist_conjugator(h, t)
         assert twist(h, t).S == h.left_mult_matrix(v_inv) @ h.right_mult_matrix(v) @ h.S
+
+
+# ---------------------------------------------------------------------------
+# cached verdicts: validate_full against the uncached checks on a fresh copy
+
+
+def uncached_report(h):
+    """validate_full's report from the uncached checks, on a fresh copy of h with the same S object."""
+    fresh = rebuild(h)
+    checks = list(validate_weak_bialgebra(fresh).checks)
+    if fresh.antipode is not None:
+        checks += antipode_axiom_checks(fresh)
+    return ValidationReport(checks).as_dict()
+
+
+def _assert_cached_report_is_uncached(h):
+    alg = rebuild(h)
+    want = uncached_report(h)
+    assert validate_full(alg).as_dict() == want
+    assert validate_full(alg).as_dict() == want
+    assert validate_full(h).as_dict() == want
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_cached_report_is_the_uncached_one_on_the_zoo(name):
+    h = build_member(name)
+    for alg in (h, h.dual):
+        _assert_cached_report_is_uncached(alg)
+
+
+@pytest.mark.parametrize("name", sorted(_make_builders()))
+def test_cached_report_is_the_uncached_one_on_make(name):
+    _assert_cached_report_is_uncached(_make_builders()[name]())
+
+
+def test_cached_report_is_the_uncached_one_on_bumps():
+    """At least 200 seeded single-constant bumps of the structure and of S."""
+    rng = random.Random(20010114)
+    count = 0
+    failing = set()
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        if h.dim > 9:
+            continue
+        for _ in range(12):
+            bad = corrupt(h, rng)
+            _assert_cached_report_is_uncached(bad)
+            failing.update(c.name for c in validate_full(bad).failures())
+            count += 1
+        for _ in range(3):
+            _assert_cached_report_is_uncached(corrupt_antipode(h, rng))
+            count += 1
+    assert count >= 200
+    assert {"associativity", "counit", "antipode_target", "antipode_source"} <= failing
+
+
+@pytest.fixture
+def verdict_calls(monkeypatch):
+    """(kind, algebra) for each uncached bialgebra and antipode check the library runs."""
+    calls = []
+    antipode = wha.antipode_axiom_checks
+    bialgebra = wha.validate_weak_bialgebra
+
+    def antipode_spy(h, *args):
+        calls.append(("antipode", h))
+        return antipode(h, *args)
+
+    def bialgebra_spy(h):
+        calls.append(("bialgebra", h))
+        return bialgebra(h)
+
+    monkeypatch.setattr(wha, "antipode_axiom_checks", antipode_spy)
+    monkeypatch.setattr(wha, "validate_weak_bialgebra", bialgebra_spy)
+
+    def on(h):
+        return [kind for kind, alg in calls if alg is h]
+
+    return on
+
+
+SAME_DIM = [
+    ("pair-2", "sweedler4"),
+    ("sweedler4", "z2-z2-groupoid"),
+    ("hmin-qq-1", "sweedler4"),
+    ("dyn-host-z2", "dyn-twist-z2"),
+    ("hmin-m2-g31", "hmin-m2-1"),
+    ("dual-pair-2", "z2-z2-groupoid"),
+]
+
+
+@pytest.mark.parametrize("name, other", SAME_DIM)
+def test_assigning_a_new_antipode_rechecks_it(name, other, verdict_calls):
+    """Validate, assign another S, validate again: the antipode checks are recomputed, and only they."""
+    h = rebuild(build_member(name))
+    own = h.S
+    assert validate_full(h).ok
+    assert verdict_calls(h) == ["bialgebra", "antipode"]
+    for s in (Matrix.zero(h.field, h.dim), build_member(other).S, own, Matrix(h.field, own.rows)):
+        h.antipode = s
+        got = validate_full(h).as_dict()
+        assert validate_full(h).as_dict() == got
+        assert got == uncached_report(h)
+        assert got["ok"] == (s == own)
+    assert verdict_calls(h) == ["bialgebra"] + ["antipode"] * 5
+    assert build_member(other).S != own
+
+
+def test_assigning_the_solved_antipode_reuses_its_check(verdict_calls):
+    """The harness pattern ``h.antipode = solve_antipode(h)`` then ``validate_full(h)``."""
+    h = _stripped(rebuild(build_member("dyn-twist-z2")))
+    h.antipode = solve_antipode(h)
+    assert verdict_calls(h) == ["antipode"]
+    assert validate_full(h).as_dict() == uncached_report(h)
+    assert verdict_calls(h) == ["antipode", "bialgebra"]
+
+
+def test_twist_and_validate_full_validate_once(verdict_calls):
+    """``whopf make dyntwist-host`` validates the twisted algebra in twist and again after it."""
+    build = dyn_build(2)
+    out = twist(build.host, build.twist, name="dyn-twist-z2")
+    report = validate_full(out)
+    assert report.ok and verdict_calls(out) == ["bialgebra", "antipode"]
+    assert report.as_dict() == uncached_report(out)

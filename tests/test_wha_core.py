@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -365,6 +366,52 @@ def test_with_antipode_returns_a_new_algebra():
     assert solved is not h and solved.name == h.name
     assert solved.same_structure(pair2())
     assert validate_full(solved).ok
+
+
+def test_shared_axiom_checks_are_frozen():
+    check = validate_full(pair2()).checks[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check.ok = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check.witness = (0,)
+
+
+def test_each_report_owns_its_list_of_checks():
+    h = pair2()
+    first = validate_full(h)
+    first.checks.append(first.checks[0])
+    first.checks.pop(0)
+    second = validate_full(h)
+    assert second.checks is not first.checks
+    assert [c.name for c in second.checks] == [
+        "associativity",
+        "unit",
+        "coassociativity",
+        "counit",
+        "comult_multiplicative",
+        "weak_unit",
+        "weak_counit",
+        "antipode_target",
+        "antipode_source",
+        "antipode_composite",
+    ]
+    assert second.ok and validate_full(h).as_dict() == second.as_dict()
+
+
+def test_with_antipode_hands_over_only_the_verdicts_that_still_hold():
+    """The bialgebra verdict always carries over; the antipode verdict only for the same S object."""
+    h = without_antipode(pair2())
+    validate_full(h)
+    s = solve_antipode(h)
+    solved = h.with_antipode(s)
+    assert solved.bialgebra_checks is h.bialgebra_checks
+    assert solved.antipode_checks(s) is h.antipode_checks(s)
+    other = h.with_antipode(Matrix(QQ, s.rows))
+    assert other.bialgebra_checks is h.bialgebra_checks
+    assert other._antipode_memo is None
+    assert validate_full(other).as_dict() == validate_full(solved).as_dict()
+    fresh = without_antipode(pair2())
+    assert "bialgebra_checks" not in vars(fresh.with_antipode(s))
 
 
 def test_zoo_names_leave_shared_algebras_alone():
