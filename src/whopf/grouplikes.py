@@ -303,7 +303,7 @@ def gamma_module(h, gamma):
         for b in range(h.dim):
             lhs = mats[b] @ mats[a]
             rhs = None
-            for k, c in h.mult.get((a, b), {}).items():
+            for k, c in h.mult_rows[a].get(b, {}).items():
                 term = mats[k].scale(c)
                 rhs = term if rhs is None else rhs + term
             if rhs is None:
@@ -439,7 +439,7 @@ def is_wha_morphism(h, phi):
         for j in range(n):
             lhs = h.mul_vec(phi.col(i), phi.col(j))
             rhs = (h.field.zero(),) * n
-            for k, c in h.mult.get((i, j), {}).items():
+            for k, c in h.mult_rows[i].get(j, {}).items():
                 rhs = tuple(x + c * y for x, y in zip(rhs, phi.col(k)))
             if lhs != rhs:
                 return False

@@ -14,13 +14,22 @@ structure constants over an exact field:
 The basis of H (x) H is ordered by (i, j) -> i*dim + j throughout.  All axiom
 checks decide every basis tuple and report the witness a scan over all of
 them would report; nothing is randomized, and where a check reads fewer
-tuples, ``validate_weak_bialgebra`` gives the exact argument.  No operation
-mutates an algebra after construction, and the cached properties rely on
-that; nothing enforces it yet.
+tuples, ``validate_weak_bialgebra`` gives the exact argument.
+
+Every product kernel reads the table through one index, cached on first
+use: ``mult_rows[i]`` maps j to the cell of e_i e_j and ``mult_cols[j]``
+maps i to the same cell object, listing only the nonzero products, in
+``mult``'s order.  A kernel joins these rows with the nonzeros of its
+operands (the row-wise sparse product of Gustavson, ACM TOMS 1978), so its
+cost follows the nonzero products, not the index pairs it could probe.
+The index and the other cached properties derive from ``field``,
+``labels``, ``dim``, ``mult``, ``comult``, ``unit`` and ``counit``, so
+those cannot be reassigned once ``__init__`` has finished.
 
 Each verdict is computed once per input.  The weak bialgebra checks read
-only ``mult``, ``comult``, ``unit`` and ``counit``, which nothing reassigns
-after ``__init__``, so they are the cached property ``bialgebra_checks``.
+only ``mult``, ``comult``, ``unit`` and ``counit``, which cannot be
+reassigned after ``__init__``, so they are the cached property
+``bialgebra_checks``.
 The antipode checks read S as well, and callers still assign ``antipode``
 after construction (the S that ``solve_antipode`` returned, or another).
 So they sit in a one-entry memo of (S, checks), reused only while the S
@@ -94,6 +103,13 @@ def _basis(h, i):
 def _pruned(d):
     """The sparse dict d without its zero values."""
     return {k: v for k, v in d.items() if v}
+
+
+def _common(row, sparse):
+    """(key, row[key], sparse[key]) for each key of both dicts, walking the shorter one."""
+    if len(row) < len(sparse):
+        return [(k, cell, sparse[k]) for k, cell in row.items() if k in sparse]
+    return [(k, row[k], v) for k, v in sparse.items() if k in row]
 
 
 def _checked(h, vec):
@@ -335,6 +351,18 @@ def _index_pair(key, n, what):
     return i, j
 
 
+def _index_lines(h, leg):
+    """The cells of ``h.mult`` themselves, grouped by leg ``leg`` of their index pair, in its order."""
+    lines = [{} for _ in range(h.dim)]
+    for ij, cell in h.mult.items():
+        lines[ij[leg]][ij[1 - leg]] = cell
+    return tuple(lines)
+
+
+# the inputs of an algebra and its table index; the cached structure derives from them
+_FIXED = frozenset({"field", "labels", "dim", "mult", "comult", "unit", "counit", "mult_rows", "mult_cols"})
+
+
 class WeakHopfAlgebra:
     def __init__(self, field, labels, mult, unit, comult, counit, antipode=None, name=""):
         self.field = field
@@ -376,6 +404,24 @@ class WeakHopfAlgebra:
                 antipode = Matrix(field, antipode)
         self.antipode = antipode
         self._antipode_memo = None  # (S, antipode_axiom_checks(self, S)) for the last S checked
+        self._built = True
+
+    def __setattr__(self, name, value):
+        if name in _FIXED and "_built" in vars(self):
+            raise AttributeError(f"cannot reassign {name}: the table index and cached verdicts derive from it")
+        object.__setattr__(self, name, value)
+
+    # -- the index of the table ---------------------------------------------
+
+    @cached_property
+    def mult_rows(self):
+        """``mult_rows[i]`` maps j to the cell of e_i e_j, for each nonzero product."""
+        return _index_lines(self, 0)
+
+    @cached_property
+    def mult_cols(self):
+        """``mult_cols[j]`` maps i to the cell of e_i e_j, for each nonzero product."""
+        return _index_lines(self, 1)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -414,18 +460,34 @@ class WeakHopfAlgebra:
     # -- products and coproducts --------------------------------------------
 
     def mul_vec(self, a, b):
+        """The product ab of two coefficient vectors.
+
+        For each i in supp(a), row i of the index is joined with the nonzeros
+        of b, walking the shorter of the two.  So the cost is the nonzero
+        products e_i e_j with i in supp(a) and j in supp(b), plus the shorter
+        side of each join, plus O(n) to scan a and b and build the result.
+        """
         zero = self.field.zero()
         out = [zero] * self.dim
-        nzb = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in nzb:
-                cell = self.mult.get((i, j))
-                if cell:
-                    xy = x * y
-                    for k, c in cell.items():
-                        out[k] += xy * c
+        nzb = {j: y for j, y in enumerate(b) if y}
+        nb = len(nzb)
+        # the join of ``_common``, inlined: this is the hottest kernel
+        for row, x in zip(self.mult_rows, a):
+            if x and row:
+                if len(row) < nb:
+                    for j, cell in row.items():
+                        y = nzb.get(j)
+                        if y is not None:
+                            xy = x * y
+                            for k, c in cell.items():
+                                out[k] += xy * c
+                else:
+                    for j, y in nzb.items():
+                        cell = row.get(j)
+                        if cell is not None:
+                            xy = x * y
+                            for k, c in cell.items():
+                                out[k] += xy * c
         return tuple(out)
 
     def comul_vec(self, a):
@@ -450,18 +512,20 @@ class WeakHopfAlgebra:
         return self._mult_matrix(a, False)
 
     def _mult_matrix(self, a, left):
-        """Column j is a e_j (left) or e_j a, summed over the nonzeros of a."""
+        """Column j is a e_j (left) or e_j a, scattered from line i of the index for i in supp(a).
+
+        The line is row i of ``mult_rows`` (left) or of ``mult_cols`` (right),
+        so only the nonzero products e_i e_j or e_j e_i are visited.
+        """
         zero = self.field.zero()
-        nonzeros = [(i, x) for i, x in enumerate(a) if x]
-        cols = []
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, x in nonzeros:
-                cell = self.mult.get((i, j) if left else (j, i))
-                if cell:
+        n = self.dim
+        cols = [[zero] * n for _ in range(n)]
+        for line, x in zip(self.mult_rows if left else self.mult_cols, a):
+            if x:
+                for j, cell in line.items():
+                    col = cols[j]
                     for k, c in cell.items():
                         col[k] += x * c
-            cols.append(col)
         return Matrix.from_columns(self.field, cols)
 
     def invert_element(self, a):
@@ -477,45 +541,64 @@ class WeakHopfAlgebra:
     # -- sparse tensors on H (x) H and H (x) H (x) H -------------------------
 
     def mul_pair_dicts(self, p, q):
-        """Product in H (x) H of two sparse pair-tensors."""
+        """Product in H (x) H of two sparse pair-tensors.
+
+        q is grouped by its first leg once.  For each term e_a (x) e_b of p,
+        row a of the index is joined with those groups (walking the shorter)
+        and row b is read only at the second legs of the groups reached.  So
+        the cost is the term pairs whose first legs multiply to nonzero, plus
+        the shorter side of each join, not the |p| |q| pairs of terms.
+        """
         zero = self.field.zero()
+        rows = self.mult_rows
+        by_first = {}
+        for (c, d), cq in q.items():
+            by_first.setdefault(c, []).append((d, cq))
         out = {}
         for (a, b), cp in p.items():
-            for (c, d), cq in q.items():
-                m1 = self.mult.get((a, c))
-                if not m1:
-                    continue
-                m2 = self.mult.get((b, d))
-                if not m2:
-                    continue
-                cc = cp * cq
-                for k1, c1 in m1.items():
-                    for k2, c2 in m2.items():
-                        key = (k1, k2)
-                        out[key] = out.get(key, zero) + cc * c1 * c2
+            row_b = rows[b]
+            if not row_b:
+                continue
+            for _c, m1, group in _common(rows[a], by_first):
+                for d, cq in group:
+                    m2 = row_b.get(d)
+                    if m2 is None:
+                        continue
+                    cc = cp * cq
+                    for k1, c1 in m1.items():
+                        cc1 = cc * c1
+                        for k2, c2 in m2.items():
+                            key = (k1, k2)
+                            out[key] = out.get(key, zero) + cc1 * c2
         return _pruned(out)
 
     def mul_triple_dicts(self, p, q):
+        """Product in H (x) H (x) H of two sparse triple-tensors, joined like ``mul_pair_dicts``."""
         zero = self.field.zero()
+        rows = self.mult_rows
+        by_first = {}
+        for (b1, b2, b3), cq in q.items():
+            by_first.setdefault(b1, []).append((b2, b3, cq))
         out = {}
         for (a1, a2, a3), cp in p.items():
-            for (b1, b2, b3), cq in q.items():
-                m1 = self.mult.get((a1, b1))
-                if not m1:
-                    continue
-                m2 = self.mult.get((a2, b2))
-                if not m2:
-                    continue
-                m3 = self.mult.get((a3, b3))
-                if not m3:
-                    continue
-                cc = cp * cq
-                for k1, c1 in m1.items():
-                    for k2, c2 in m2.items():
-                        cc2 = cc * c1 * c2
-                        for k3, c3 in m3.items():
-                            key = (k1, k2, k3)
-                            out[key] = out.get(key, zero) + cc2 * c3
+            row2, row3 = rows[a2], rows[a3]
+            if not (row2 and row3):
+                continue
+            for _b1, m1, group in _common(rows[a1], by_first):
+                for b2, b3, cq in group:
+                    m2 = row2.get(b2)
+                    if m2 is None:
+                        continue
+                    m3 = row3.get(b3)
+                    if m3 is None:
+                        continue
+                    cc = cp * cq
+                    for k1, c1 in m1.items():
+                        for k2, c2 in m2.items():
+                            cc2 = cc * c1 * c2
+                            for k3, c3 in m3.items():
+                                key = (k1, k2, k3)
+                                out[key] = out.get(key, zero) + cc2 * c3
         return _pruned(out)
 
     @cached_property
@@ -780,18 +863,13 @@ def _integral_rows(h, side, counital):
     """
     n = h.dim
     zero = h.field.zero()
-    cells = {}
-    for (a, b), cell in h.mult.items():
-        if side == "left":
-            cells.setdefault(a, []).append((b, cell))
-        else:
-            cells.setdefault(b, []).append((a, cell))
+    lines = h.mult_rows if side == "left" else h.mult_cols
     rows = []
     for i in range(n):
         acc = [{} for _ in range(n)]
         terms = [(i, h.field.one())] + [(a, -x) for a, x in enumerate(counital.col(i)) if x]
         for a, x in terms:
-            for c, cell in cells.get(a, ()):
+            for c, cell in lines[a].items():
                 for r, v in cell.items():
                     acc[r][c] = acc[r].get(c, zero) + x * v
         rows.extend(_pruned(row) for row in acc)
@@ -802,11 +880,9 @@ def _left_product(h, x, w):
     """e_x w for a sparse vector w (index -> scalar), as a sparse dict; not pruned."""
     zero = h.field.zero()
     out = {}
-    for k, c in w.items():
-        cell = h.mult.get((x, k))
-        if cell:
-            for m, cm in cell.items():
-                out[m] = out.get(m, zero) + c * cm
+    for _k, cell, c in _common(h.mult_rows[x], w):
+        for m, cm in cell.items():
+            out[m] = out.get(m, zero) + c * cm
     return out
 
 
@@ -856,6 +932,43 @@ def _rank_factors(field, table):
     return [tuple(row[p] for row in table) for p in pivots], vs
 
 
+def _associativity(h, rows):
+    """First (i, j, l) with (e_i e_j) e_l != e_i (e_j e_l): i in ``rows`` in order, j and l increasing.
+
+    Both sides vanish unless e_j e_l != 0 or e_k e_l != 0 for some k in
+    supp(e_i e_j), so for each (i, j) only the l in the keys of row j and
+    of the rows k of the index are visited, in increasing order: the first
+    witness is that of the scan over every l.  Each side joins a row of the
+    index with a cell, so a row i costs the nonzero products of the triples
+    it reaches, not n^2 probes of the table.
+    """
+    zero = h.field.zero()
+    mult_rows = h.mult_rows
+    for i in rows:
+        row_i = mult_rows[i]
+        for j in range(h.dim):
+            tij = row_i.get(j, {})
+            row_j = mult_rows[j]
+            reached = set(row_j)
+            for k in tij:
+                reached.update(mult_rows[k])
+            for l in sorted(reached):
+                lhs = {}
+                for k, c in tij.items():
+                    cell = mult_rows[k].get(l)
+                    if cell:
+                        for m, c2 in cell.items():
+                            lhs[m] = lhs.get(m, zero) + c * c2
+                rhs = {}
+                for _k, c, cell in _common(row_j.get(l, {}), row_i):
+                    for m, c2 in cell.items():
+                        rhs[m] = rhs.get(m, zero) + c * c2
+                # sums that cancel to zero are pruned only when the raw dicts differ
+                if lhs != rhs and _pruned(lhs) != _pruned(rhs):
+                    return (i, j, l)
+    return None
+
+
 def validate_weak_bialgebra(h):
     """Check associativity, unit, coassociativity, counit, and the weak axioms.
 
@@ -863,7 +976,8 @@ def validate_weak_bialgebra(h):
     three checks scan only the rows of a generating set G
     (``_generating_indices``, at most |G| n left products to find):
 
-    * associativity, on the |G| n^2 triples (g, j, l).  By Light's test,
+    * associativity, on the triples (g, j, l) (``_associativity`` visits
+      only the l where a side can be nonzero).  By Light's test,
       {x : (xy)z = x(yz) for all y, z} is a subspace closed under products,
       so it holds on H once it holds on G;
     * comult_multiplicative, on the |G| n pairs (g, j) once H is
@@ -901,33 +1015,11 @@ def validate_weak_bialgebra(h):
     zero = field.zero()
     gens = _generating_indices(h)
 
-    def associativity(rows):
-        for i in rows:
-            for j in range(n):
-                tij = h.mult.get((i, j), {})
-                for l in range(n):
-                    lhs = {}
-                    for k, c in tij.items():
-                        cell = h.mult.get((k, l))
-                        if cell:
-                            for m, c2 in cell.items():
-                                lhs[m] = lhs.get(m, zero) + c * c2
-                    rhs = {}
-                    for k, c in h.mult.get((j, l), {}).items():
-                        cell = h.mult.get((i, k))
-                        if cell:
-                            for m, c2 in cell.items():
-                                rhs[m] = rhs.get(m, zero) + c * c2
-                    # sums that cancel to zero are pruned only when the raw dicts differ
-                    if lhs != rhs and _pruned(lhs) != _pruned(rhs):
-                        return (i, j, l)
-        return None
-
     def multiplicativity(rows):
         for i in rows:
             for j in range(n):
                 lhs = {}
-                for k, c in h.mult.get((i, j), {}).items():
+                for k, c in h.mult_rows[i].get(j, {}).items():
                     for jk, c2 in h.comult[k].items():
                         lhs[jk] = lhs.get(jk, zero) + c * c2
                 if _pruned(lhs) != h.mul_pair_dicts(h.comult[i], h.comult[j]):
@@ -940,7 +1032,7 @@ def validate_weak_bialgebra(h):
                 return (i,)
         return None
 
-    assoc = associativity(gens)
+    assoc = _associativity(h, gens)
     multiplicative = multiplicativity(range(n) if assoc else gens)
     coassoc = coassociativity(range(n) if assoc or multiplicative else gens)
 
@@ -1016,9 +1108,6 @@ def validate_weak_bialgebra(h):
     r = len(vs)
     u_rows = [[(s, u[k]) for s, u in enumerate(us) if u[k]] for k in range(n)]
     v_cols = [[(s, v[j]) for s, v in enumerate(vs) if v[j]] for j in range(n)]
-    cells_by_g = {}
-    for (f, g), cell in h.mult.items():
-        cells_by_g.setdefault(g, []).append((f, cell))
 
     def through(w, f):
         """Row f of U w."""
@@ -1032,7 +1121,7 @@ def validate_weak_bialgebra(h):
     witness = None
     for g in range(n):
         lhs = {}
-        for f, cell in cells_by_g.get(g, ()):
+        for f, cell in h.mult_cols[g].items():
             row = lhs[f] = [zero] * r
             for k, c in cell.items():
                 for s, x in u_rows[k]:
@@ -1070,25 +1159,25 @@ def antipode_axiom_checks(h, s=None):
 
     Each axiom compares sum c x_j y_k over Delta(e_i) = sum c e_j (x) e_k
     with column i of a matrix, where x_j and y_k are basis vectors or columns
-    of S and eps_s.  The products x_j y_k are read from ``mult`` over the
-    nonzeros of those columns and accumulated sparsely.
+    of S and eps_s.  The products x_j y_k join row a of the index, for each
+    a in supp(x_j), with the nonzeros of y_k, and accumulate sparsely.
     """
     n = h.dim
     zero = h.field.zero()
     one = h.field.one()
+    rows = h.mult_rows
 
     def first_failure(left, right, expect):
+        right = [dict(col) for col in right]
         for i in range(n):
             acc = {}
             for (j, k), c in h.comult[i].items():
                 for a, x in left[j]:
                     cx = c * x
-                    for b, y in right[k]:
-                        cell = h.mult.get((a, b))
-                        if cell:
-                            cxy = cx * y
-                            for p, cm in cell.items():
-                                acc[p] = acc.get(p, zero) + cxy * cm
+                    for _b, cell, y in _common(rows[a], right[k]):
+                        cxy = cx * y
+                        for p, cm in cell.items():
+                            acc[p] = acc.get(p, zero) + cxy * cm
             if any(acc.get(p, zero) != v for p, v in enumerate(expect.col(i))):
                 return (i,)
         return None
@@ -1146,11 +1235,6 @@ def solve_antipode(h):
     field = h.field
     zero = field.zero()
     # unknown index: S[m, k] -> m * n + k  (S(e_k) = sum_m S[m,k] e_m)
-    by_first = {}
-    by_second = {}
-    for (j, m), cell in h.mult.items():
-        by_first.setdefault(j, []).append((m, cell))
-        by_second.setdefault(m, []).append((j, cell))
     eps_s_left_mult = {}
     rows = []
     rhs = []
@@ -1164,16 +1248,26 @@ def solve_antipode(h):
             rows.append(per_p.get(p, {}))
             rhs.append(col[p])
 
-    def _convolution(i, cells, kept):
-        """Leg ``kept`` of Delta(e_i) times S of the other leg; cells[x] lists (m, e_x e_m or e_m e_x)."""
+    def _convolution(i, lines, kept):
+        """Leg ``kept`` of Delta(e_i) times S of the other leg; lines[x] maps m to e_x e_m or e_m e_x."""
         coeffs = {}
         for legs, c in h.comult[i].items():
             k = legs[1 - kept]
-            for m, cell in cells.get(legs[kept], ()):
+            for m, cell in lines[legs[kept]].items():
                 for p, cmu in cell.items():
                     key = (p, m * n + k)
                     coeffs[key] = coeffs.get(key, zero) + c * cmu
         return coeffs
+
+    def _left_mult_entries(a):
+        """(p, q * n, v) for the nonzeros v = L(a)[p, q], row-major, read from rows supp(a) of the index."""
+        acc = {}
+        for row, x in zip(h.mult_rows, a):
+            if x:
+                for q, cell in row.items():
+                    for p, c in cell.items():
+                        acc[p, q] = acc.get((p, q), zero) + x * c
+        return [(p, q * n, field.coerce(v)) for (p, q), v in sorted(acc.items()) if v]
 
     def _composite(i):
         """eps_s(e_i_(1)) S(e_i_(2)) - S(e_i), from the nonzeros of L(eps_s(e_j))."""
@@ -1181,10 +1275,7 @@ def solve_antipode(h):
         for (j, k), c in h.comult[i].items():
             entries = eps_s_left_mult.get(j)
             if entries is None:
-                w = h.left_mult_matrix(h.eps_s_mat.col(j))
-                entries = eps_s_left_mult[j] = [
-                    (p, q * n, v) for p, wrow in enumerate(w.rows) for q, v in enumerate(wrow) if v
-                ]
+                entries = eps_s_left_mult[j] = _left_mult_entries(h.eps_s_mat.col(j))
             for p, qn, v in entries:
                 key = (p, qn + k)
                 coeffs[key] = coeffs.get(key, zero) + c * v
@@ -1195,7 +1286,7 @@ def solve_antipode(h):
 
     for i in range(n):
         # m(id (x) S) Delta(e_i) = eps_t(e_i)
-        _emit(_convolution(i, by_first, 0), h.eps_t_mat.col(i))
+        _emit(_convolution(i, h.mult_rows, 0), h.eps_t_mat.col(i))
     for i in range(n):
         # eps_s(e_i_(1)) S(e_i_(2)) = S(e_i)
         _emit(_composite(i), [zero] * n)
@@ -1203,7 +1294,7 @@ def solve_antipode(h):
     if got is not None and got[1]:
         for i in range(n):
             # m(S (x) id) Delta(e_i) = eps_s(e_i)
-            _emit(_convolution(i, by_second, 1), h.eps_s_mat.col(i))
+            _emit(_convolution(i, h.mult_cols, 1), h.eps_s_mat.col(i))
         got = solve_sparse(rows, rhs, n * n, field)
     if got is None:
         raise NoAntipode("antipode equations are inconsistent")

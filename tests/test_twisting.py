@@ -97,6 +97,18 @@ def test_twist_invariant_violation():
         twist(h, Twist(theta=bad, theta_bar=dict(h.delta_one)))
 
 
+@pytest.mark.parametrize("leg", [(4, 0), (0, 4), (-1, 0), (9, 9)])
+@pytest.mark.parametrize("side", ["theta", "theta_bar"])
+def test_a_twist_pair_naming_no_basis_element_is_not_a_twist(side, leg):
+    """Such a pair lies in no image of Delta(1); the product kernels index the table by legs."""
+    h = groupoid_algebra(pair_groupoid(2))
+    legs = {"theta": dict(h.delta_one), "theta_bar": dict(h.delta_one)}
+    legs[side][leg] = Fraction(1)
+    message = "Theta does not lie" if side == "theta" else "Theta_bar does not lie"
+    with pytest.raises(NotATwist, match=message):
+        twist(h, Twist(**legs))
+
+
 def test_abelian_grouplikes_z2():
     u = kz2()
     group = AbelianGrouplikes(u, [Element(u, (1, 0)), Element(u, (0, 1))])

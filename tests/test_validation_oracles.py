@@ -44,6 +44,18 @@ fresh copy: on the zoo members and their duals, the ``whopf make``
 constructions and seeded bumps.  A new S assigned after a validation is
 checked again, with the verdict an uncached run gives.
 
+The product kernels read the table through its index of nonzero products
+(``mult_rows``, ``mult_cols``); their earlier bodies, which probe ``mult``
+at every pair of nonzero coordinates, are kept as ``probe_*`` oracles for
+``mul_vec``, the two multiplication matrices, ``mul_pair_dicts``,
+``mul_triple_dicts`` and the associativity scan.  They must give equal
+values, and the same first associativity witness, on the zoo members and
+their duals, the ``whopf make`` constructions, the ladder members, seeded
+non-associative bumps of ``mult``, a table with a basis element whose every
+product is zero, and zero vectors and tensors.  The antipode solver's
+target and composite rows must equal, entry order included, the rows built
+from ``mult`` and the dense matrices L(eps_s(e_j)) (``probe_antipode_rows``).
+
 The mirrored pairs that share one body in the library keep one oracle per
 side: eps_t and eps_s from eps(1_(1) e_i) 1_(2) and 1_(1) eps(e_i 1_(2)),
 eps_s^gamma and eps_t^gamma from <gamma, x 1_(1)> S(1_(2)) and
@@ -1694,3 +1706,273 @@ def test_twist_and_validate_full_validate_once(verdict_calls):
     report = validate_full(out)
     assert report.ok and verdict_calls(out) == ["bialgebra", "antipode"]
     assert report.as_dict() == uncached_report(out)
+
+
+# ---------------------------------------------------------------------------
+# product kernels: the table index against probing every index pair
+
+
+def probe_mul_vec(h, a, b):
+    zero = h.field.zero()
+    out = [zero] * h.dim
+    nzb = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in nzb:
+            cell = h.mult.get((i, j))
+            if cell:
+                xy = x * y
+                for k, c in cell.items():
+                    out[k] += xy * c
+    return tuple(out)
+
+
+def probe_mult_matrix(h, a, left):
+    zero = h.field.zero()
+    nonzeros = [(i, x) for i, x in enumerate(a) if x]
+    cols = []
+    for j in range(h.dim):
+        col = [zero] * h.dim
+        for i, x in nonzeros:
+            cell = h.mult.get((i, j) if left else (j, i))
+            if cell:
+                for k, c in cell.items():
+                    col[k] += x * c
+        cols.append(col)
+    return Matrix.from_columns(h.field, cols)
+
+
+def probe_mul_pair_dicts(h, p, q):
+    zero = h.field.zero()
+    out = {}
+    for (a, b), cp in p.items():
+        for (c, d), cq in q.items():
+            m1 = h.mult.get((a, c))
+            if not m1:
+                continue
+            m2 = h.mult.get((b, d))
+            if not m2:
+                continue
+            cc = cp * cq
+            for k1, c1 in m1.items():
+                for k2, c2 in m2.items():
+                    key = (k1, k2)
+                    out[key] = out.get(key, zero) + cc * c1 * c2
+    return _pruned(out)
+
+
+def probe_mul_triple_dicts(h, p, q):
+    zero = h.field.zero()
+    out = {}
+    for (a1, a2, a3), cp in p.items():
+        for (b1, b2, b3), cq in q.items():
+            m1 = h.mult.get((a1, b1))
+            if not m1:
+                continue
+            m2 = h.mult.get((a2, b2))
+            if not m2:
+                continue
+            m3 = h.mult.get((a3, b3))
+            if not m3:
+                continue
+            cc = cp * cq
+            for k1, c1 in m1.items():
+                for k2, c2 in m2.items():
+                    cc2 = cc * c1 * c2
+                    for k3, c3 in m3.items():
+                        key = (k1, k2, k3)
+                        out[key] = out.get(key, zero) + cc2 * c3
+    return _pruned(out)
+
+
+def probe_associativity(h, rows):
+    n = h.dim
+    zero = h.field.zero()
+    for i in rows:
+        for j in range(n):
+            tij = h.mult.get((i, j), {})
+            for l in range(n):
+                lhs = {}
+                for k, c in tij.items():
+                    cell = h.mult.get((k, l))
+                    if cell:
+                        for m, c2 in cell.items():
+                            lhs[m] = lhs.get(m, zero) + c * c2
+                rhs = {}
+                for k, c in h.mult.get((j, l), {}).items():
+                    cell = h.mult.get((i, k))
+                    if cell:
+                        for m, c2 in cell.items():
+                            rhs[m] = rhs.get(m, zero) + c * c2
+                if lhs != rhs and _pruned(lhs) != _pruned(rhs):
+                    return (i, j, l)
+    return None
+
+
+def _dead_row_table():
+    """Dim 3: k[Z2] on e0, e1 and an e2 whose every product is zero (not a weak Hopf algebra)."""
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+    comult = [{(0, 0): 1}, {(1, 1): 1}, {(2, 2): 1, (0, 2): -1}]
+    return WeakHopfAlgebra(QQ, ["e0", "e1", "e2"], mult, [1, 0, 0], comult, [1, 1, 0], name="dead-row")
+
+
+def _kernel_algebras():
+    """name -> algebra: the zoo members and their duals, the make constructions, the ladder members."""
+    out = {}
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        out[name] = h
+        out[name + "^*"] = h.dual
+    builders = {**_make_builders(), **_ladder_builders()}
+    out.update({name: build() for name, build in builders.items()})
+    out["dead-row"] = _dead_row_table()
+    return out
+
+
+KERNEL_ALGEBRAS = _kernel_algebras()
+
+
+def _sparse_vector(h, rng, support):
+    vec = [h.field.zero()] * h.dim
+    for i in rng.sample(range(h.dim), min(support, h.dim)):
+        vec[i] = h.field.from_int(rng.choice([-2, -1, 1, 3]))
+    return tuple(vec)
+
+
+def _sparse_tensor(h, rng, legs, size):
+    return {
+        tuple(rng.randrange(h.dim) for _ in range(legs)): h.field.from_int(rng.choice([-1, 1, 2]))
+        for _ in range(size)
+    }
+
+
+def assert_kernels_match_probes(h, rng):
+    """Every product kernel of h against its probe oracle, on seeded vectors and tensors."""
+    zero = (h.field.zero(),) * h.dim
+    vectors = [zero, h.unit, tuple(generic_vector(h))]
+    vectors += [_basis(h, i) for i in rng.sample(range(h.dim), min(3, h.dim))]
+    vectors += [_sparse_vector(h, rng, support) for support in (1, 2, h.dim // 2)]
+    for a in vectors:
+        for left in (True, False):
+            got = h.left_mult_matrix(a) if left else h.right_mult_matrix(a)
+            assert got == probe_mult_matrix(h, a, left)
+        for b in vectors:
+            assert h.mul_vec(a, b) == probe_mul_vec(h, a, b)
+    pairs = [{}, h.delta_one] + [h.comult[i] for i in rng.sample(range(h.dim), min(3, h.dim))]
+    pairs += [_sparse_tensor(h, rng, 2, size) for size in (1, 4, 12)]
+    for p in pairs:
+        for q in pairs:
+            assert h.mul_pair_dicts(p, q) == probe_mul_pair_dicts(h, p, q)
+    one = [(i, c) for i, c in enumerate(h.unit) if c]
+    d1_left = {(j, k, i): c * ci for (j, k), c in h.delta_one.items() for i, ci in one}
+    d1_right = {(i, j, k): c * ci for (j, k), c in h.delta_one.items() for i, ci in one}
+    triples = [{}, d1_left, d1_right] + [_sparse_tensor(h, rng, 3, size) for size in (1, 6, 20)]
+    for p in triples:
+        for q in triples:
+            assert h.mul_triple_dicts(p, q) == probe_mul_triple_dicts(h, p, q)
+    for rows in (range(h.dim), _generating_indices(h)):
+        assert wha._associativity(h, rows) == probe_associativity(h, rows)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+def test_product_kernels_match_the_probes(name):
+    assert_kernels_match_probes(KERNEL_ALGEBRAS[name], random.Random(name))
+
+
+def test_product_kernels_match_the_probes_on_non_associative_bumps():
+    """Seeded bumps of one structure constant of ``mult``; most break associativity."""
+    rng = random.Random(20010115)
+    witnesses = []
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        if h.dim > 9:
+            continue
+        for _ in range(4):
+            bad = corrupt(h, rng, parts=("mult",))
+            assert_kernels_match_probes(bad, rng)
+            witnesses.append(probe_associativity(bad, range(bad.dim)))
+            report = validate_full(bad).as_dict()["checks"][0]
+            assert report["axiom"] == "associativity"
+            assert report.get("witness") == (list(witnesses[-1]) if witnesses[-1] else None)
+    assert len(witnesses) >= 40 and sum(w is not None for w in witnesses) >= 20
+
+
+def test_dead_row_table_has_empty_index_lines():
+    h = KERNEL_ALGEBRAS["dead-row"]
+    assert h.mult_rows[2] == {} and h.mult_cols[2] == {}
+    e2 = _basis(h, 2)
+    assert h.mul_vec(e2, h.unit) == h.mul_vec(h.unit, e2) == (0, 0, 0)
+    assert h.left_mult_matrix(e2) == Matrix.zero(QQ, 3) == h.right_mult_matrix(e2)
+    assert h.mul_pair_dicts({(2, 0): 1}, {(0, 0): 1}) == {} == h.mul_pair_dicts({(0, 0): 1}, {(0, 2): 1})
+    assert wha._associativity(h, range(3)) is None
+
+
+
+def probe_antipode_rows(h):
+    """The target and composite rows as built before the index: by_first from mult, L(eps_s(e_j)) dense."""
+    n = h.dim
+    zero = h.field.zero()
+    by_first = {}
+    for (j, m), cell in h.mult.items():
+        by_first.setdefault(j, []).append((m, cell))
+    rows, rhs = [], []
+
+    def emit(coeffs, col):
+        per_p = {}
+        for (p, unk), v in coeffs.items():
+            if v:
+                per_p.setdefault(p, {})[unk] = v
+        for p in range(n):
+            rows.append(per_p.get(p, {}))
+            rhs.append(col[p])
+
+    for i in range(n):
+        coeffs = {}
+        for (j, k), c in h.comult[i].items():
+            for m, cell in by_first.get(j, ()):
+                for p, cmu in cell.items():
+                    coeffs[p, m * n + k] = coeffs.get((p, m * n + k), zero) + c * cmu
+        emit(coeffs, h.eps_t_mat.col(i))
+    for i in range(n):
+        coeffs = {}
+        for (j, k), c in h.comult[i].items():
+            w = h.left_mult_matrix(h.eps_s_mat.col(j))
+            for p, wrow in enumerate(w.rows):
+                for q, v in enumerate(wrow):
+                    if v:
+                        coeffs[p, q * n + k] = coeffs.get((p, q * n + k), zero) + c * v
+        for p in range(n):
+            coeffs[p, p * n + i] = coeffs.get((p, p * n + i), zero) - h.field.one()
+        emit(coeffs, [zero] * n)
+    return rows, rhs
+
+
+def _solver_case(name):
+    """A make construction, or a zoo member (its dual for a trailing ^*)."""
+    if name in _make_builders():
+        return _make_builders()[name]()
+    h = build_member(name.removesuffix("^*"))
+    return h.dual if name.endswith("^*") else h
+
+
+@pytest.mark.parametrize(
+    "name", sorted(_make_builders()) + ["pair-3", "hmin-m2-g31", "sweedler4^*", "dyn-twist-z2^*"]
+)
+def test_solver_rows_keep_their_order(name, monkeypatch):
+    """The index changes how the rows are found, not the rows, their order or their entries' order.
+
+    On the two duals some L(eps_s(e_j)) has its nonzeros out of row-major
+    order when read row by row from the index.
+    """
+    h = _stripped(_solver_case(name))
+    systems = []
+
+    def spy(rows, rhs, ncols, field):
+        systems.append(([list(row.items()) for row in rows], list(rhs)))
+        return solve_sparse(rows, rhs, ncols, field)
+
+    monkeypatch.setattr(wha, "solve_sparse", spy)
+    solve_antipode(h)
+    rows, rhs = probe_antipode_rows(h)
+    assert systems[0] == ([list(row.items()) for row in rows], rhs)

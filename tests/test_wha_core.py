@@ -422,3 +422,43 @@ def test_zoo_names_leave_shared_algebras_alone():
     assert build_member("dyn-host-z2").name == "dyn-host-z2"
     assert build_member("dyn-host-z2").same_structure(host)
     assert host.name == name != "dyn-host-z2"
+
+
+FIXED_INPUTS = ["field", "labels", "dim", "mult", "comult", "unit", "counit"]
+
+
+@pytest.mark.parametrize("attr", FIXED_INPUTS + ["mult_rows", "mult_cols"])
+def test_inputs_and_table_index_cannot_be_reassigned(attr):
+    """The table index, delta_one, the verdicts and the counital maps derive from these."""
+    h = pair2()
+    validate_full(h)
+    before = getattr(h, attr)
+    with pytest.raises(AttributeError, match=attr):
+        setattr(h, attr, before)
+    assert getattr(h, attr) is before
+
+
+def test_name_and_antipode_stay_assignable_and_a_new_antipode_is_rechecked():
+    h = pair2()
+    assert validate_full(h).ok
+    h.name = "renamed"
+    h.antipode = Matrix.identity(QQ, h.dim)
+    failing = {c.name for c in validate_full(h).failures()}
+    assert h.name == "renamed" and failing and failing <= {
+        "antipode_target",
+        "antipode_source",
+        "antipode_composite",
+    }
+    h.antipode = pair2().S
+    assert validate_full(h).ok
+
+
+def test_table_index_shares_the_cells_of_mult_in_its_order():
+    h = groupoid_algebra(pair_groupoid(3))
+    for (i, j), cell in h.mult.items():
+        assert h.mult_rows[i][j] is cell and h.mult_cols[j][i] is cell
+    assert sum(map(len, h.mult_rows)) == sum(map(len, h.mult_cols)) == len(h.mult)
+    for i, row in enumerate(h.mult_rows):
+        assert list(row) == [j for (a, j) in h.mult if a == i]
+    for j, col in enumerate(h.mult_cols):
+        assert list(col) == [i for (i, b) in h.mult if b == j]
