@@ -12,6 +12,10 @@ the same rows; ``try_solve`` is one ``solve_sparse`` call on the rows of a
 matrix.  Reduced row echelon form is unique, so Subspace equality is
 decidable by comparing canonical bases.
 
+The one matrix product is the row-wise sparse join of Gustavson (ACM TOMS
+1978): each nonzero x = A[i, k] scatters x times the nonzeros of row k of B
+into row i of AB, so the cost is the nonzero products, not n^3.
+
 ``kernel_on`` solves the homogeneous systems (the kernel of linear maps
 restricted to a subspace) and lifts the kernel back to a canonical
 Subspace; ``kernel`` and ``Subspace.intersect`` are two of its uses.
@@ -174,12 +178,16 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise InvalidOperand(f"cannot multiply {self!r} by {other!r}")
-        cols = list(zip(*other.rows))
         zero = self.field.zero()
+        other_rows = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
         out = []
         for r in self.rows:
-            nz = [(j, x) for j, x in enumerate(r) if x]
-            out.append([sum((x * c[j] for j, x in nz), zero) for c in cols])
+            acc = [zero] * other.ncols
+            for k, x in enumerate(r):
+                if x:
+                    for j, y in other_rows[k]:
+                        acc[j] += x * y
+            out.append(acc)
         return Matrix(self.field, out)
 
     def matvec(self, v):

@@ -37,7 +37,7 @@ __all__ = [
 
 def trace_s2(h, pair):
     """Tr(S^2) directly and through <eps_s(lambda), eps_s(ell)>; must agree."""
-    direct = (h.S @ h.S).trace()
+    direct = h.S2.trace()
     eps_s_lam = h.dual.eps_s_mat.matvec(pair.lam.coeffs)
     eps_s_ell = h.eps_s(pair.ell.coeffs)
     formula = sum(
@@ -282,7 +282,7 @@ class TraceReport:
         }
 
 
-def _block_traces(h, idempotents, s2):
+def _block_traces(h, idempotents):
     out = []
     for e in idempotents:
         p = e.coeffs
@@ -290,7 +290,7 @@ def _block_traces(h, idempotents, s2):
         ph = Subspace.from_vectors(h.field, h.dim, p_basis)
         php = Subspace.from_vectors(h.field, h.dim, [h.mul_vec(v, p) for v in p_basis])
         label = repr(e)
-        out.append((label, restricted_trace(h, s2, ph), restricted_trace(h, s2, php)))
+        out.append((label, restricted_trace(h, h.S2, ph), restricted_trace(h, h.S2, php)))
     return out
 
 
@@ -314,12 +314,11 @@ def semisimplicity_report(h, pair=None):
     # the sufficient criteria below are all stated under S^2 = id on H_min,
     # so that regularity joins their hypotheses
     regular = is_regular(h)
-    s2 = h.S @ h.S
     per_block = None
     per_block_available = True
     try:
         idem = primitive_idempotents(h, h.center_cap_source, unit=h.unit)
-        per_block = _block_traces(h, idem, s2)
+        per_block = _block_traces(h, idem)
     except NonSplit:
         per_block_available = False
     hmin = h.minimal_subalgebra
@@ -328,7 +327,7 @@ def semisimplicity_report(h, pair=None):
     lemma_blocks_available = True
     try:
         idem_min = primitive_idempotents(h, z_hmin, unit=h.unit)
-        lemma_blocks = _block_traces(h, idem_min, s2)
+        lemma_blocks = _block_traces(h, idem_min)
     except NonSplit:
         lemma_blocks_available = False
 
@@ -356,7 +355,6 @@ def semisimplicity_report(h, pair=None):
     dual_caps = dual.source_base.intersect(dual.target_base)
     try:
         dual_idem = primitive_idempotents(dual, dual_caps, unit=dual.unit)
-        s2_dual = dual.S @ dual.S
         traces_dual = []
         for e in dual_idem:
             h_star_pi = Subspace.from_vectors(
@@ -364,7 +362,7 @@ def semisimplicity_report(h, pair=None):
                 dual.dim,
                 [dual.mul_vec(_basis(dual, i), e.coeffs) for i in range(dual.dim)],
             )
-            traces_dual.append(restricted_trace(dual, s2_dual, h_star_pi))
+            traces_dual.append(restricted_trace(dual, dual.S2, h_star_pi))
         record(
             "dual_blocks_nonzero_implies_semisimple",
             regular and all(t != 0 for t in traces_dual),

@@ -40,6 +40,7 @@ from .wha import (
     _basis,
     _comultiplied,
     _contract_leg,
+    _index_pair,
     _pair_of,
     _pruned,
     contraction_matrix,
@@ -352,11 +353,12 @@ class DynamicalTwist:
     group: AbelianGrouplikes
 
 
-def _j_tensor(u, data, group, chi_idx):
+def _j_tensor(u, data, chi_idx):
+    """J(chi) as a sparse pair tensor; InvalidPresentation for a leg outside the basis of U."""
     if not data.j or data.j.get(chi_idx) is None:
         return _pair_of(u, u.unit, u.unit)
     raw = data.j[chi_idx]
-    return {key: u.field.coerce(c) for key, c in raw.items() if u.field.coerce(c)}
+    return _pruned({_index_pair(key, u.dim, f"J({chi_idx})"): u.field.coerce(c) for key, c in raw.items()})
 
 
 def _j_inverse(u, tensor_algebra, j_pairs):
@@ -395,7 +397,7 @@ def verify_dynamical_data(data):
     j_tensors = {}
     j_inverses = {}
     for chi in range(group.order):
-        j = _j_tensor(u, data, group, chi)
+        j = _j_tensor(u, data, chi)
         j_tensors[chi] = j
         j_inverses[chi] = _j_inverse(u, tensor_algebra, j)
         # normalization (eps (x) id)J = (id (x) eps)J = 1
@@ -506,7 +508,7 @@ def dynamical_cosemisimplicity_check(data):
 
     g_ok = pairs_like_identity(g_elt)
     g_inv_ok = pairs_like_identity(g_inv)
-    tr_s2 = (twisted.S @ twisted.S).trace()
+    tr_s2 = twisted.S2.trace()
     from .semisimplicity import connectedness
 
     conn = connectedness(twisted)

@@ -30,14 +30,14 @@ Each verdict is computed once per input.  The weak bialgebra checks read
 only ``mult``, ``comult``, ``unit`` and ``counit``, which cannot be
 reassigned after ``__init__``, so they are the cached property
 ``bialgebra_checks``.
-The antipode checks read S as well, and callers still assign ``antipode``
-after construction (the S that ``solve_antipode`` returned, or another).
-So they sit in a one-entry memo of (S, checks), reused only while the S
-asked about *is* the S checked.  The memo is keyed on the S object rather
-than guarded by an assignment hook: a new S is rechecked however it got
-there, and a Matrix is immutable, so the same object is the same S.
-``solve_antipode`` leaves its check of the solved S in that memo, and
-``with_antipode`` hands both verdicts on to the algebra it builds.
+The antipode is written once: given to ``__init__``, or assigned while it
+is still None, through the same n x n check and conversion to Matrix.  So
+``S2``, ``S_inv`` and ``dual``, which read S, are plain cached properties.
+The antipode checks sit in a one-entry memo of (S, checks), keyed on the S
+object, and it now serves only the candidate S that ``solve_antipode``
+checks before any algebra holds it: the algebra that then takes that S, by
+assignment or through ``with_antipode``, validates without checking it
+again.  ``with_antipode`` also hands on the bialgebra verdict.
 ``validate_full`` assembles a new report from the two parts, whose frozen
 checks it shares.
 
@@ -396,19 +396,20 @@ class WeakHopfAlgebra:
         self.comult = tuple(coproducts)
         self.unit = tuple(coerce(c) for c in unit)
         self.counit = tuple(coerce(c) for c in counit)
-        if antipode is not None:
-            rows = antipode.rows if isinstance(antipode, Matrix) else antipode
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise InvalidPresentation(f"antipode is not a {n}x{n} matrix")
-            if not isinstance(antipode, Matrix):
-                antipode = Matrix(field, antipode)
         self.antipode = antipode
         self._antipode_memo = None  # (S, antipode_axiom_checks(self, S)) for the last S checked
         self._built = True
 
     def __setattr__(self, name, value):
-        if name in _FIXED and "_built" in vars(self):
-            raise AttributeError(f"cannot reassign {name}: the table index and cached verdicts derive from it")
+        if "_built" in vars(self) and (name in _FIXED or name == "antipode" and self.antipode is not None):
+            raise AttributeError(f"cannot reassign {name}: the table index and cached values derive from it")
+        if name == "antipode" and value is not None:
+            n = self.dim
+            rows = value.rows if isinstance(value, Matrix) else value
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise InvalidPresentation(f"antipode is not a {n}x{n} matrix")
+            if not isinstance(value, Matrix):
+                value = Matrix(self.field, value)
         object.__setattr__(self, name, value)
 
     # -- the index of the table ---------------------------------------------
@@ -736,6 +737,11 @@ class WeakHopfAlgebra:
         if memo is None or memo[0] is not s:
             memo = self._antipode_memo = (s, tuple(antipode_axiom_checks(self, s)))
         return memo[1]
+
+    @cached_property
+    def S2(self):
+        """S^2, once: S cannot change after it is set."""
+        return self.S @ self.S
 
     @cached_property
     def S_inv(self):

@@ -123,7 +123,8 @@ def check_member(h, mutate=False):
         out["ok"] = False
         return out
     dual = h.dual
-    out["duality_involution"] = dual.dual.same_structure(h) and validate_full(dual).ok
+    # a temporary H**: caching it on the dual would keep a third copy of h alive
+    out["duality_involution"] = dualize(dual).same_structure(h) and validate_full(dual).ok
     left = h.left_integrals
     out["integral_dim"] = left.dim
     out["frobenius"] = left.dim == h.target_base.dim

@@ -208,6 +208,24 @@ def test_j_for_a_character_that_does_not_exist_is_rejected(key):
     with pytest.raises(InvalidPresentation, match="character"):
         dynamical_theta(DynamicalTwistData(u=u, grouplikes=a, j=j))
 
+
+@pytest.mark.parametrize(
+    "legs, message",
+    [
+        ({(0, 0): 1, (5, 0): 1}, r"J\(1\) index pair \(5, 0\) out of range for dim 2"),
+        ({(0, 0): 1, (-1, 1): 1}, r"J\(1\) index pair \(-1, 1\) out of range for dim 2"),
+        ({"ab": 1}, r"J\(1\) index pair 'ab' out of range for dim 2"),
+    ],
+    ids=["past-the-end", "negative", "string"],
+)
+def test_j_leg_outside_the_basis_of_u_is_rejected(legs, message):
+    """A leg of J(chi) must index the basis of U: no IndexError, no wrapped coordinate, no TypeError."""
+    u = kz2()
+    a = [Element(u, (1, 0)), Element(u, (0, 1))]
+    with pytest.raises(InvalidPresentation, match=message):
+        dynamical_theta(DynamicalTwistData(u=u, grouplikes=a, j={1: legs}))
+
+
 def test_tensor_product_dual_compatibility():
     h1 = matrix_wha(2)
     h2 = kz2()

@@ -41,8 +41,18 @@ twisted antipode is compared with the dense product L(v^{-1}) R(v) S.
 antipode checks of an S object.  Its report, asked for twice, must equal
 the uncached ``validate_weak_bialgebra`` and ``antipode_axiom_checks`` on a
 fresh copy: on the zoo members and their duals, the ``whopf make``
-constructions and seeded bumps.  A new S assigned after a validation is
-checked again, with the verdict an uncached run gives.
+constructions and seeded bumps.  A set antipode cannot be reassigned; a
+new S taken through ``with_antipode`` after a validation is checked again,
+with the verdict an uncached run gives.
+
+``Matrix.__matmul__`` is a sparse row join.  Its earlier dense body (one
+dot product per output entry, ``dense_matmul``) and the table product that
+``is_dual_grouplike`` used to carry (``table_product``) are kept: the three
+must agree on the powers of S and S* of every zoo member, on rectangular,
+zero and identity matrices and on seeded random matrices over QQ and
+Q(zeta_3), and ``is_dual_grouplike`` must give the verdicts of its earlier
+body.  S^2, S_inv and the dual read S once, and ``check_member`` squares
+each antipode once.
 
 The product kernels read the table through its index of nonzero products
 (``mult_rows``, ``mult_cols``); their earlier bodies, which probe ``mult``
@@ -67,6 +77,7 @@ and both multiplication matrices from products of basis vectors.
 import itertools
 import random
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -124,7 +135,7 @@ from whopf.wha import (
     validate_full,
     validate_weak_bialgebra,
 )
-from whopf.zoo import ZOO_NAMES, build_member
+from whopf.zoo import ZOO_NAMES, build_member, check_member
 
 MAX_DIM = 16
 CORRUPTIONS_PER_MEMBER = 8
@@ -781,17 +792,18 @@ def test_centralizer_matches_dense_system(name):
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_dual_grouplike_matches_per_pair_sums(name):
+    """Against the per-pair sums and the earlier table-product body, ``table_product_is_dual_grouplike``."""
     reg, _q = regularize(build_member(name))
     alpha = list(distinguished_pair(reg, canonical_dual_pair(reg)).alpha.coeffs)
-    assert is_dual_grouplike(reg, alpha) and oracle_is_dual_grouplike(reg, alpha)
-    assert is_dual_grouplike(reg, reg.counit) and oracle_is_dual_grouplike(reg, reg.counit)
+    bent = []
     for i in sorted({0, reg.dim // 2, reg.dim - 1}):
-        bent = list(alpha)
-        bent[i] += reg.field.one()
-        assert not is_dual_grouplike(reg, bent)
-        assert not oracle_is_dual_grouplike(reg, bent)
-    for gamma in (generic_vector(reg), _basis(reg, 0)):
-        assert is_dual_grouplike(reg, gamma) == oracle_is_dual_grouplike(reg, gamma)
+        bent.append(list(alpha))
+        bent[-1][i] += reg.field.one()
+    gammas = [alpha, list(reg.counit), generic_vector(reg), list(_basis(reg, 0))] + bent
+    verdicts = [is_dual_grouplike(reg, gamma) for gamma in gammas]
+    assert verdicts == [oracle_is_dual_grouplike(reg, gamma) for gamma in gammas]
+    assert verdicts == [table_product_is_dual_grouplike(reg, gamma) for gamma in gammas]
+    assert verdicts[:2] == [True, True] and not any(verdicts[4:])
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
@@ -1675,18 +1687,26 @@ SAME_DIM = [
 
 @pytest.mark.parametrize("name, other", SAME_DIM)
 def test_assigning_a_new_antipode_rechecks_it(name, other, verdict_calls):
-    """Validate, assign another S, validate again: the antipode checks are recomputed, and only they."""
+    """Validate, take another S through ``with_antipode``, validate again: only the new S is checked.
+
+    The set antipode itself cannot be reassigned.  The bialgebra verdict
+    is handed on, and the antipode verdict only for the S object h checked.
+    """
     h = rebuild(build_member(name))
     own = h.S
     assert validate_full(h).ok
     assert verdict_calls(h) == ["bialgebra", "antipode"]
     for s in (Matrix.zero(h.field, h.dim), build_member(other).S, own, Matrix(h.field, own.rows)):
-        h.antipode = s
-        got = validate_full(h).as_dict()
-        assert validate_full(h).as_dict() == got
-        assert got == uncached_report(h)
+        with pytest.raises(AttributeError, match="antipode"):
+            h.antipode = s
+        alg = h.with_antipode(s)
+        got = validate_full(alg).as_dict()
+        assert validate_full(alg).as_dict() == got
+        assert got == uncached_report(alg)
         assert got["ok"] == (s == own)
-    assert verdict_calls(h) == ["bialgebra"] + ["antipode"] * 5
+        assert verdict_calls(alg) == ([] if s is own else ["antipode"])
+    assert h.S is own and validate_full(h).ok
+    assert verdict_calls(h) == ["bialgebra", "antipode"]
     assert build_member(other).S != own
 
 
@@ -1697,6 +1717,8 @@ def test_assigning_the_solved_antipode_reuses_its_check(verdict_calls):
     assert verdict_calls(h) == ["antipode"]
     assert validate_full(h).as_dict() == uncached_report(h)
     assert verdict_calls(h) == ["antipode", "bialgebra"]
+    with pytest.raises(AttributeError, match="antipode"):
+        h.antipode = h.antipode
 
 
 def test_twist_and_validate_full_validate_once(verdict_calls):
@@ -1976,3 +1998,138 @@ def test_solver_rows_keep_their_order(name, monkeypatch):
     solve_antipode(h)
     rows, rhs = probe_antipode_rows(h)
     assert systems[0] == ([list(row.items()) for row in rows], rhs)
+
+
+# ---------------------------------------------------------------------------
+# one matrix product and one S^2: the sparse row join against the earlier products
+
+
+def dense_matmul(a, b):
+    """The earlier body of ``Matrix.__matmul__``: each entry a dot product with a column of b."""
+    cols = list(zip(*b.rows))
+    zero = a.field.zero()
+    out = []
+    for r in a.rows:
+        nz = [(j, x) for j, x in enumerate(r) if x]
+        out.append([sum((x * c[j] for j, x in nz), zero) for c in cols])
+    return Matrix(a.field, out)
+
+
+def table_product(x, y, zero):
+    """The earlier product of ``is_dual_grouplike``: square tables (lists of rows), zeros skipped."""
+    y_rows = [[(b, t) for b, t in enumerate(row) if t] for row in y]
+    out = []
+    for row in x:
+        acc = [zero] * len(y)
+        for i, v in enumerate(row):
+            if v:
+                for b, t in y_rows[i]:
+                    acc[b] += v * t
+        out.append(acc)
+    return out
+
+
+def table_product_is_dual_grouplike(h, gamma):
+    """The earlier body of ``is_dual_grouplike``, on ``table_product`` and lists of rows."""
+    fn = Functional(h, gamma)
+    if not fn.is_invertible():
+        return False
+    n = h.dim
+    zero = h.field.zero()
+    g2 = h.pairing_table(fn)
+    s_rows = h.S.rows
+    first = table_product(list(zip(*s_rows)), g2, zero)
+    second = table_product(g2, s_rows, zero)
+    c = [[zero] * n for _ in range(n)]
+    for (j, k), w in h.delta_one.items():
+        c[j][k] = w
+    rhs1 = table_product(g2, table_product(c, first, zero), zero)
+    rhs2 = table_product(table_product(second, c, zero), g2, zero)
+    return g2 == rhs1 == rhs2
+
+
+def assert_products_agree(a, b):
+    got = a @ b
+    assert got == dense_matmul(a, b)
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    if a.nrows == a.ncols == b.nrows == b.ncols:
+        assert got == Matrix(a.field, table_product(a.rows, b.rows, a.field.zero()))
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_matrix_product_matches_the_earlier_products_on_the_zoo(name):
+    h = build_member(name)
+    s, s_dual = h.S, h.dual.S
+    s2 = dense_matmul(s, s)
+    s4 = dense_matmul(s2, s2)
+    for a, b in ((s, s), (s2, s2), (s4, s4), (s_dual, s_dual), (s, s2), (s2, s), (h.eps_s_mat, s)):
+        assert_products_agree(a, b)
+    assert h.S2 == s2 and h.dual.S2 == dense_matmul(s_dual, s_dual)
+    assert s.power(4) == s4 == h.S2 @ h.S2
+
+
+def _random_matrix(rng, field, nrows, ncols, density):
+    def entry():
+        if rng.random() >= density:
+            return field.zero()
+        x = field.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        return x + field.zeta() * rng.randint(-2, 2) if field.kind == "cyclotomic" else x
+
+    return Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["QQ", "Q(zeta3)"])
+def test_matrix_product_matches_the_earlier_products_on_shapes_and_seeded_matrices(field):
+    rng = random.Random(19780301)
+    for n, m, p in ((1, 1, 1), (2, 3, 4), (1, 5, 1), (5, 1, 5), (4, 4, 4), (7, 7, 7), (3, 6, 2)):
+        for density in (0.0, 0.15, 0.5, 1.0):
+            a = _random_matrix(rng, field, n, m, density)
+            b = _random_matrix(rng, field, m, p, density)
+            assert_products_agree(a, b)
+            assert_products_agree(Matrix.identity(field, n), a)
+            assert_products_agree(a, Matrix.identity(field, m))
+            assert_products_agree(Matrix.zero(field, n, m), b)
+            assert_products_agree(a, Matrix.zero(field, m, p))
+            assert a @ Matrix.identity(field, m) == a == Matrix.identity(field, n) @ a
+    empty = Matrix(field, [[] for _ in range(3)])
+    assert_products_agree(empty, Matrix(field, []))
+    assert (empty @ Matrix(field, [])).rows == ((), (), ())
+
+
+@pytest.mark.parametrize("name", ["pair-2", "sweedler4", "dyn-twist-z2", "hmin-m2-g31"])
+def test_a_set_antipode_cannot_be_reassigned_under_its_cached_values(name):
+    """S_inv, the dual and S^2 are read, then S is reassigned: it raises, and all three still fit S."""
+    h = rebuild(build_member(name))
+    own = h.S
+    s_inv, dual, s2 = h.S_inv, h.dual, h.S2
+    for s in (Matrix.identity(h.field, h.dim), Matrix(h.field, own.rows), own, None):
+        with pytest.raises(AttributeError, match="antipode"):
+            h.antipode = s
+    assert h.S is own and (h.S_inv, h.dual, h.S2) == (s_inv, dual, s2)
+    assert dense_matmul(own, s_inv) == Matrix.identity(h.field, h.dim)
+    assert dual.S == own.transpose()
+    assert s2 == dense_matmul(own, own)
+    assert validate_full(h).ok and validate_full(h.dual).ok
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_check_member_squares_each_antipode_once(name, monkeypatch):
+    """``check_member`` reads S^2 (and S^4 = S2 @ S2) from the cache, and keeps no H** on the dual.
+
+    No matrix is squared twice; the double dual it compares with h is a
+    temporary, not the dual's cached ``dual``.
+    """
+    squared = []
+    matmul = Matrix.__matmul__
+
+    def spy(a, b):
+        if a is b:
+            squared.append(a)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    h = rebuild(build_member(name))
+    assert check_member(h)["ok"]
+    assert sum(s is h.S for s in squared) == 1
+    assert len({id(s) for s in squared}) == len(squared)
+    assert "dual" not in vars(h.dual)

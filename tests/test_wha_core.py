@@ -439,18 +439,36 @@ def test_inputs_and_table_index_cannot_be_reassigned(attr):
 
 
 def test_name_and_antipode_stay_assignable_and_a_new_antipode_is_rechecked():
+    """``name`` stays assignable; a set antipode does not, and another S goes through ``with_antipode``."""
     h = pair2()
     assert validate_full(h).ok
     h.name = "renamed"
-    h.antipode = Matrix.identity(QQ, h.dim)
-    failing = {c.name for c in validate_full(h).failures()}
-    assert h.name == "renamed" and failing and failing <= {
+    for s in (Matrix.identity(QQ, h.dim), pair2().S):
+        with pytest.raises(AttributeError, match="antipode"):
+            h.antipode = s
+    other = h.with_antipode(Matrix.identity(QQ, h.dim))
+    failing = {c.name for c in validate_full(other).failures()}
+    assert other.name == h.name == "renamed" and failing and failing <= {
         "antipode_target",
         "antipode_source",
         "antipode_composite",
     }
-    h.antipode = pair2().S
+    assert validate_full(h.with_antipode(pair2().S)).ok
     assert validate_full(h).ok
+
+
+def test_an_antipode_assigned_after_construction_is_checked_and_converted():
+    """An unset antipode may be assigned once, through the n x n check and conversion of ``__init__``."""
+    h = without_antipode(pair2())
+    for bad in ([[1]], [[1, 0, 0, 0]] * 3, [[1, 0, 0]] * 4, Matrix.identity(QQ, 3)):
+        with pytest.raises(InvalidPresentation, match="4x4"):
+            h.antipode = bad
+        assert h.antipode is None
+    h.antipode = [list(row) for row in pair2().S.rows]
+    assert isinstance(h.antipode, Matrix) and h.antipode == pair2().S
+    assert validate_full(h).ok
+    with pytest.raises(AttributeError, match="antipode"):
+        h.antipode = pair2().S
 
 
 def test_table_index_shares_the_cells_of_mult_in_its_order():
