@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
 from .linalg import Matrix, try_solve
 from .search import first, height_vectors, max_height
-from .wha import Element, Functional, _basis, _checked, _nonzero_columns, integral_space
+from .wha import Element, Functional, _basis, _checked, _common, _nonzero_columns, _pruned, integral_space
 
 __all__ = [
     "DualPair",
@@ -174,28 +174,43 @@ def _invariance_failures(h, deltas, table, name):
 
     Here g = e_a, h = e_b, Delta(e_i) = sum c e_j (x) e_k is read as
     ``deltas[i]`` and T is ``table``; T[x][y] = <lambda, e_x e_y> gives left
-    invariance.
+    invariance.  Each Delta(e_i) is grouped by its second leg k once, as
+    sum_j c e_j and as sum_j c S(e_j).  A side of the pair (a, b) then sums
+    these groups over the nonzeros T[b][k] of row b (left) or T[k][a] of
+    column a (right), in a sparse dict, so all n^2 pairs cost the nonzeros
+    of Delta, S and T that meet, not n^3.
     """
     n = h.dim
     zero = h.field.zero()
     s_cols = _nonzero_columns(h.S)
+    firsts, images = [], []  # per i: k -> sum_j c e_j and k -> sum_j c S(e_j)
+    for delta in deltas:
+        first, image = {}, {}
+        for (j, k), c in delta.items():
+            acc = first.setdefault(k, {})
+            acc[j] = acc.get(j, zero) + c
+            acc = image.setdefault(k, {})
+            for r, y in s_cols[j]:
+                acc[r] = acc.get(r, zero) + c * y
+        firsts.append(first)
+        images.append(image)
+    rows = [{k: v for k, v in enumerate(row) if v} for row in table]
+    cols = [{k: row[a] for k, row in enumerate(table) if row[a]} for a in range(n)]
     failures = []
     for a in range(n):
         for b in range(n):
-            lhs = [zero] * n
-            for (j, k), c in deltas[a].items():
-                v = c * table[b][k]
-                if v:
-                    lhs[j] += v
-            rhs = [zero] * n
-            for (j, k), c in deltas[b].items():
-                v = c * table[k][a]
-                if v:
-                    for r, y in s_cols[j]:
-                        rhs[r] += v * y
-            if lhs != rhs:
+            if _pruned(_weighted(rows[b], firsts[a], zero)) != _pruned(_weighted(cols[a], images[b], zero)):
                 failures.append((name, a, b))
     return failures
+
+
+def _weighted(weights, groups, zero):
+    """sum of weights[k] groups[k] over the keys k of both, as a sparse dict; not pruned."""
+    out = {}
+    for _k, t, group in _common(weights, groups):
+        for r, x in group.items():
+            out[r] = out.get(r, zero) + t * x
+    return out
 
 
 def antipode_from_integrals(h, pair):

@@ -7,6 +7,18 @@ primitive idempotents of Z(H) cap H_s is sufficient (not necessary) for
 semisimplicity, so every criterion here is *verified as an implication*
 against the Maschke decision; it never replaces it.
 
+The per-block criteria read traces of S^2 on blocks cut out by an
+idempotent p, without forming the blocks.  With q = S^2(p), the block pH
+is S^2-invariant iff pq = q, since S^2 is multiplicative and q lies in
+S^2(pH); pHp is invariant iff also qp = q; and for an idempotent pi of
+H*, H* pi is (S*)^2-invariant iff (S*)^2(pi) pi = (S*)^2(pi).  A block
+that fails its test raises Inconsistent, as ``restricted_trace`` does.
+On an invariant block, L_p (x -> px), L_p R_p (x -> pxp) and R_pi are
+projections onto it that S^2 preserves, so Tr(S^2|pH) = Tr(S^2 L_p) =
+sum_i (S^2(p e_i))_i, Tr(S^2|pHp) = sum_i (S^2(p e_i p))_i and
+Tr(S^2|H* pi) = sum_i (S^2(e_i pi))_i, with each p e_i, p e_i p and
+e_i pi joined from a line of the table index.
+
 Idempotent splitting works over the exact field only: minimal polynomials
 are factored by root search (rational root candidates over Q; root-of-unity
 multiples over cyclotomic fields), and a component whose minimal polynomials
@@ -16,13 +28,14 @@ have no such root raises NonSplit rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 from math import lcm
 
 from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
 from .fields import QQ, _divisors, _poly_divmod, _poly_eval, _poly_ext_gcd, _poly_mul
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Matrix, Subspace, try_solve
-from .wha import Element, _basis
+from .wha import Element, _join, _sparse
 
 __all__ = [
     "TraceReport",
@@ -139,15 +152,13 @@ def primitive_idempotents(h, space, unit=None):
         rootless = False
         # candidate splitting elements: the component's own echelon basis can
         # hide nice spectra, so images p*a of the original subalgebra basis
-        # are tried first (character values stay visible there)
-        candidates = []
+        # are tried first (character values stay visible there); each is made
+        # only when the one before it did not split
         seen = set()
-        for a in list(space.rows) + list(comp.rows):
-            x = h.mul_vec(p, a)
-            if any(x) and x not in seen:
-                seen.add(x)
-                candidates.append(x)
-        for bvec in candidates:
+        for bvec in (h.mul_vec(p, a) for a in chain(space.rows, comp.rows)):
+            if not any(bvec) or bvec in seen:
+                continue
+            seen.add(bvec)
             f = _min_poly_in(h, comp, p, bvec)
             if len(f) <= 2:
                 continue
@@ -191,14 +202,15 @@ def primitive_idempotents(h, space, unit=None):
             raise Inconsistent("split element is not idempotent")
         e_comp = tuple(a - b for a, b in zip(p, e_vec))
         for q in (e_vec, e_comp):
-            sub_rows = [h.mul_vec(q, b) for b in comp.rows]
-            sub = Subspace.from_vectors(field, h.dim, sub_rows)
+            sub = Subspace.from_vectors(field, h.dim, [h.mul_vec(q, b) for b in comp.rows])
             pending.append((sub, q))
     finished.sort(key=lambda e: tuple(field.format(c) for c in e.coeffs))
-    total = (field.zero(),) * h.dim
-    for e in finished:
-        for q in finished:
-            if e is not q and any(h.mul_vec(e.coeffs, q.coeffs)):
+    zero = field.zero()
+    total = (zero,) * h.dim
+    sparse = [_sparse(e.coeffs) for e in finished]
+    for e, es in zip(finished, sparse):
+        for q, qs in zip(finished, sparse):
+            if e is not q and any(_join(h.mult_rows, es, qs, zero).values()):
                 raise Inconsistent("idempotents not orthogonal")
         total = tuple(a + b for a, b in zip(total, e.coeffs))
     if total != unit:
@@ -227,6 +239,9 @@ def connectedness(h):
     return {"connected": own, "biconnected": own and dual}
 
 
+_NOT_INVARIANT = "subspace not invariant under the operator"
+
+
 def restricted_trace(h, operator, space):
     """Trace of an operator restricted to an invariant subspace."""
     total = h.field.zero()
@@ -234,7 +249,7 @@ def restricted_trace(h, operator, space):
         image = operator.matvec(row)
         coords = space.coords(image)
         if coords is None:
-            raise Inconsistent("subspace not invariant under the operator")
+            raise Inconsistent(_NOT_INVARIANT)
         total += coords[i]
     return total
 
@@ -282,16 +297,47 @@ class TraceReport:
         }
 
 
+def _s2_trace(h, images):
+    """Tr(S^2 P) = sum_i (S^2(P e_i))_i, from the images P e_i as sparse vectors."""
+    total = h.field.zero()
+    for row, v in zip(h.S2.rows, images):
+        for j, x in v.items():
+            if x and row[j]:
+                total += row[j] * x
+    return total
+
+
 def _block_traces(h, idempotents):
+    """(label, Tr(S^2|pH), Tr(S^2|pHp)) for each idempotent p, as Tr(S^2 L_p) and Tr(S^2 L_p R_p).
+
+    The module docstring gives the invariance tests pq = q and qp = q, with
+    q = S^2(p); pH is tested first.
+    """
+    zero, one = h.field.zero(), h.field.one()
     out = []
     for e in idempotents:
         p = e.coeffs
-        p_basis = [h.mul_vec(p, _basis(h, i)) for i in range(h.dim)]  # p e_i
-        ph = Subspace.from_vectors(h.field, h.dim, p_basis)
-        php = Subspace.from_vectors(h.field, h.dim, [h.mul_vec(v, p) for v in p_basis])
-        label = repr(e)
-        out.append((label, restricted_trace(h, h.S2, ph), restricted_trace(h, h.S2, php)))
+        q = h.S2.matvec(p)
+        if h.mul_vec(p, q) != q:
+            raise Inconsistent(_NOT_INVARIANT)
+        ps = _sparse(p)
+        p_basis = [_join(h.mult_cols, {i: one}, ps, zero) for i in range(h.dim)]  # p e_i
+        tr_ph = _s2_trace(h, p_basis)
+        if h.mul_vec(q, p) != q:
+            raise Inconsistent(_NOT_INVARIANT)
+        tr_php = _s2_trace(h, [_join(h.mult_rows, v, ps, zero) for v in p_basis])  # p e_i p
+        out.append((repr(e), tr_ph, tr_php))
     return out
+
+
+def _left_ideal_trace(h, pi):
+    """Tr(S^2|H pi) for an idempotent pi, as Tr(S^2 R_pi); raises Inconsistent unless S^2(pi) pi = S^2(pi)."""
+    q = h.S2.matvec(pi)
+    if h.mul_vec(q, pi) != q:
+        raise Inconsistent(_NOT_INVARIANT)
+    zero, one = h.field.zero(), h.field.one()
+    ps = _sparse(pi)
+    return _s2_trace(h, [_join(h.mult_rows, {i: one}, ps, zero) for i in range(h.dim)])  # e_i pi
 
 
 def semisimplicity_report(h, pair=None):
@@ -355,14 +401,7 @@ def semisimplicity_report(h, pair=None):
     dual_caps = dual.source_base.intersect(dual.target_base)
     try:
         dual_idem = primitive_idempotents(dual, dual_caps, unit=dual.unit)
-        traces_dual = []
-        for e in dual_idem:
-            h_star_pi = Subspace.from_vectors(
-                dual.field,
-                dual.dim,
-                [dual.mul_vec(_basis(dual, i), e.coeffs) for i in range(dual.dim)],
-            )
-            traces_dual.append(restricted_trace(dual, dual.S2, h_star_pi))
+        traces_dual = [_left_ideal_trace(dual, e.coeffs) for e in dual_idem]
         record(
             "dual_blocks_nonzero_implies_semisimple",
             regular and all(t != 0 for t in traces_dual),

@@ -53,6 +53,7 @@ the twisting and group-like modules, are all ``contraction_matrix``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,6 +82,7 @@ __all__ = [
     "counital_maps",
     "counital_subalgebras",
     "dualize",
+    "generating_rows",
     "integral_space",
     "minimal_data",
     "solve_antipode",
@@ -98,6 +100,11 @@ def _basis(h, i):
     vec = [h.field.zero()] * h.dim
     vec[i] = h.field.one()
     return tuple(vec)
+
+
+def _sparse(v):
+    """The nonzero coordinates of the vector v as a sparse dict index -> scalar."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
 def _pruned(d):
@@ -121,14 +128,8 @@ def _checked(h, vec):
 
 def _pair_of(h, a, b):
     """The sparse pair tensor a (x) b."""
-    out = {}
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[(i, j)] = x * y
-    return out
+    nb = _sparse(b).items()
+    return {(i, j): x * y for i, x in _sparse(a).items() for j, y in nb}
 
 
 def _nonzero_columns(m):
@@ -406,7 +407,11 @@ class WeakHopfAlgebra:
         if name == "antipode" and value is not None:
             n = self.dim
             rows = value.rows if isinstance(value, Matrix) else value
-            if len(rows) != n or any(len(row) != n for row in rows):
+            if not (
+                isinstance(rows, Sequence)
+                and len(rows) == n
+                and all(isinstance(row, Sequence) and len(row) == n for row in rows)
+            ):
                 raise InvalidPresentation(f"antipode is not a {n}x{n} matrix")
             if not isinstance(value, Matrix):
                 value = Matrix(self.field, value)
@@ -461,34 +466,16 @@ class WeakHopfAlgebra:
     # -- products and coproducts --------------------------------------------
 
     def mul_vec(self, a, b):
-        """The product ab of two coefficient vectors.
+        """The product ab of two coefficient vectors: ``_join`` of the rows of the index at supp(a) with b.
 
-        For each i in supp(a), row i of the index is joined with the nonzeros
-        of b, walking the shorter of the two.  So the cost is the nonzero
-        products e_i e_j with i in supp(a) and j in supp(b), plus the shorter
-        side of each join, plus O(n) to scan a and b and build the result.
+        So the cost is the nonzero products e_i e_j with i in supp(a) and
+        j in supp(b), plus the shorter side of each join, plus O(n) to scan
+        a and b and build the result.
         """
         zero = self.field.zero()
         out = [zero] * self.dim
-        nzb = {j: y for j, y in enumerate(b) if y}
-        nb = len(nzb)
-        # the join of ``_common``, inlined: this is the hottest kernel
-        for row, x in zip(self.mult_rows, a):
-            if x and row:
-                if len(row) < nb:
-                    for j, cell in row.items():
-                        y = nzb.get(j)
-                        if y is not None:
-                            xy = x * y
-                            for k, c in cell.items():
-                                out[k] += xy * c
-                else:
-                    for j, y in nzb.items():
-                        cell = row.get(j)
-                        if cell is not None:
-                            xy = x * y
-                            for k, c in cell.items():
-                                out[k] += xy * c
+        for k, v in _join(self.mult_rows, _sparse(a), _sparse(b), zero).items():
+            out[k] = v
         return tuple(out)
 
     def comul_vec(self, a):
@@ -661,17 +648,33 @@ class WeakHopfAlgebra:
         return Subspace.from_vectors(self.field, self.dim, prods)
 
     def centralizer_in(self, space, against=None):
-        """{y in space : yw = wy for all w in against}, default against = H."""
+        """{y in space : yw = wy for all w in against}, default against = H.
+
+        In an associative H the centralizer of y is a subalgebra, so it is
+        enough to commute with the rows ``generating_rows`` picks, whose words
+        span every row of ``against`` (closed under products or not).  When
+        ``bialgebra_checks`` reports that associativity fails, every row is
+        used.  Each commutator a w - w a of a row a of ``space`` is joined
+        from the index as a sparse dict; the kernel is a canonical Subspace.
+        """
         if against is None:
             against = Subspace.full(self.field, self.dim)
+        associative = all(c.ok for c in self.bialgebra_checks if c.name == "associativity")
+        picked = generating_rows(self, against) if associative else range(against.dim)
+        zero = self.field.zero()
+        basis = [_sparse(a) for a in space.rows]
         rows = []
-        for w in against.rows:
-            # column c holds a_c w - w a_c for the c-th basis row a_c of space
-            cols = [
-                [x - y for x, y in zip(self.mul_vec(a, w), self.mul_vec(w, a))] for a in space.rows
-            ]
-            for r in range(self.dim):
-                rows.append({c: col[r] for c, col in enumerate(cols) if col[r]})
+        for g in picked:
+            w = _sparse(against.rows[g])
+            by_coord = {}  # r -> {c: e_r coefficient of a_c w - w a_c}
+            for c, a in enumerate(basis):
+                commutator = _join(self.mult_rows, a, w, zero)
+                for r, v in _join(self.mult_cols, a, w, zero).items():
+                    commutator[r] = commutator.get(r, zero) - v
+                for r, v in commutator.items():
+                    if v:
+                        by_coord.setdefault(r, {})[c] = v
+            rows += by_coord.values()
         return kernel_on(space, rows)
 
     @cached_property
@@ -882,49 +885,61 @@ def _integral_rows(h, side, counital):
     return rows
 
 
-def _left_product(h, x, w):
-    """e_x w for a sparse vector w (index -> scalar), as a sparse dict; not pruned."""
-    zero = h.field.zero()
+def _join(lines, x, w, zero):
+    """sum of x_i w_k times the cell of line i at k, over i in x and k in both line i and w; not pruned.
+
+    x and w are sparse vectors (index -> scalar), and so is the result.  With
+    the lines ``mult_rows`` this is the product x w, with ``mult_cols`` it is
+    w x.  Line i is joined with w walking the shorter of the two, so the cost
+    is the nonzero products e_i e_k with i in supp(x) and k in supp(w).
+    """
     out = {}
-    for _k, cell, c in _common(h.mult_rows[x], w):
-        for m, cm in cell.items():
-            out[m] = out.get(m, zero) + c * cm
+    keys = w.keys()
+    for i, a in x.items():
+        line = lines[i]
+        # a dict view intersection walks the shorter side
+        for k in line.keys() & keys:
+            ac = a * w[k]
+            for m, cm in line[k].items():
+                out[m] = out.get(m, zero) + ac * cm
     return out
 
 
-def _generating_indices(h):
-    """Basis indices G whose right-nested words g_1(g_2(...g_k)) span h, picked greedily.
+def generating_rows(h, space):
+    """Positions G in ``space.rows`` whose right-nested words g_1(g_2(...g_k)) span every row, picked greedily.
 
-    The next generator is the first basis index outside the span found so
-    far, and the span is then closed under left multiplication by every
-    generator.  So G is increasing, and each e_i lies in the span of the
-    words over the generators up to i.  Each product of a generator with an
-    independent word is taken once, so this costs at most |G| n left
-    products, and it stops as soon as the span is all of h.  The span grows
-    one row at a time through the forward step of the one eliminator.
+    Each row outside the span found so far becomes the next generator, and
+    the span is then closed under left multiplication by every generator.
+    So G is increasing and row i lies in the span of the words over the
+    generators up to i.  Only a span of dimension n stops the scan early:
+    one of the dimension of ``space`` need not contain a space that is not
+    closed under products.  For the full space G holds basis indices.  This
+    costs at most |G| n products, and the span grows one row at a time
+    through the forward step of the one eliminator.
     """
     n = h.dim
     field = h.field
-    one = field.one()
+    zero = field.zero()
     span = {}
-    gens, words, todo = [], [], []
-    g = 0
-    while len(span) < n:
-        # every index below g lies in the span, so a generator exists at or above it
-        while _insert(span, ((g, one),), field) is None:
-            g += 1
-        e = {g: one}
-        todo += [(g, w) for w in words]
+    gens, gen_rows, words, todo = [], [], [], []
+    for g, row in enumerate(space.rows):
+        if len(span) == n:
+            break
+        e = _sparse(row)
+        if _insert(span, e.items(), field) is None:
+            continue
+        todo += [(e, w) for w in words]
         gens.append(g)
+        gen_rows.append(e)
         words.append(e)
-        todo += [(x, e) for x in gens]
+        todo += [(x, e) for x in gen_rows]
         while todo and len(span) < n:
             x, w = todo.pop()
-            c = _insert(span, _left_product(h, x, w).items(), field)
+            c = _insert(span, _join(h.mult_rows, x, w, zero).items(), field)
             if c is not None:
                 # the stored reduced row stands in for the word: the span is the same
                 words.append(span[c])
-                todo += [(y, span[c]) for y in gens]
+                todo += [(y, span[c]) for y in gen_rows]
     return gens
 
 
@@ -980,7 +995,7 @@ def validate_weak_bialgebra(h):
 
     Verdicts and witnesses are those of a scan over every basis tuple, but
     three checks scan only the rows of a generating set G
-    (``_generating_indices``, at most |G| n left products to find):
+    (``generating_rows`` of the full space, at most |G| n left products to find):
 
     * associativity, on the triples (g, j, l) (``_associativity`` visits
       only the l where a side can be nonzero).  By Light's test,
@@ -1019,7 +1034,7 @@ def validate_weak_bialgebra(h):
     n = h.dim
     field = h.field
     zero = field.zero()
-    gens = _generating_indices(h)
+    gens = generating_rows(h, Subspace.full(field, n))
 
     def multiplicativity(rows):
         for i in rows:

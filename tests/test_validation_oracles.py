@@ -66,6 +66,18 @@ product is zero, and zero vectors and tensors.  The antipode solver's
 target and composite rows must equal, entry order included, the rows built
 from ``mult`` and the dense matrices L(eps_s(e_j)) (``probe_antipode_rows``).
 
+The semisimplicity battery keeps its earlier bodies: the greedy generating
+indices of the full space (``oracle_generating_indices``), the eager
+``primitive_idempotents`` that makes every candidate p a up front
+(compared in list order), the block traces as ``restricted_trace`` over
+``Subspace.from_vectors`` of pH, pHp and H* pi, and the dense
+``_invariance_failures``.  They run on every zoo member and its dual and
+on the ladder members, with perturbed lambdas and rho for non-empty
+invariance lists.  ``centralizer_in`` runs on generating rows and is
+compared with the dense system for ``against`` in {H, H_t, H_s, H_min},
+for an ``against`` that is not closed under products, and on
+non-associative tables, where every row is used.
+
 The mirrored pairs that share one body in the library keep one oracle per
 side: eps_t and eps_s from eps(1_(1) e_i) 1_(2) and 1_(1) eps(e_i 1_(2)),
 eps_s^gamma and eps_t^gamma from <gamma, x 1_(1)> S(1_(2)) and
@@ -83,7 +95,9 @@ from functools import lru_cache
 import pytest
 
 import whopf.grouplikes as grouplikes
+import whopf.integrals as integrals
 import whopf.search as search
+import whopf.semisimplicity as semisimplicity
 import whopf.wha as wha
 from whopf.constructors import (
     SemisimplePresentation,
@@ -97,8 +111,18 @@ from whopf.constructors import (
     symmetric_table,
     tensor_product,
 )
-from whopf.errors import Axiom26Failure, NoAntipode, NotFrobenius, NotUnique, Undecidable, WhopfError
-from whopf.fields import QQ, CyclotomicField
+from whopf.errors import (
+    Axiom26Failure,
+    Inconsistent,
+    NoAntipode,
+    NonSplit,
+    NotFrobenius,
+    NotUnique,
+    PreconditionUnmet,
+    Undecidable,
+    WhopfError,
+)
+from whopf.fields import QQ, CyclotomicField, _poly_divmod, _poly_ext_gcd, _poly_mul
 from whopf.grouplikes import (
     _intertwiner_space,
     distinguished_pair,
@@ -123,14 +147,15 @@ from whopf.integrals import (
 )
 from whopf.linalg import Matrix, Subspace, kernel_on, solve_sparse, try_solve
 from whopf.search import height_vectors, invertible_in, max_height
+from whopf.semisimplicity import primitive_idempotents, restricted_trace
 from whopf.twisting import DynamicalTwistData, Twist, dynamical_theta, regularize, twist, twist_conjugator
 from whopf.wha import (
     Element,
     Functional,
     ValidationReport,
     WeakHopfAlgebra,
-    _generating_indices,
     antipode_axiom_checks,
+    generating_rows,
     solve_antipode,
     validate_full,
     validate_weak_bialgebra,
@@ -703,11 +728,11 @@ def test_generating_indices_span_in_order(name, monkeypatch):
     the full scan without rescanning.
     """
     calls = []
-    left_product = wha._left_product
-    monkeypatch.setattr(wha, "_left_product", lambda *a: calls.append(a) or left_product(*a))
+    join = wha._join
+    monkeypatch.setattr(wha, "_join", lambda *a: calls.append(a) or join(*a))
     for h in (build_member(name), build_member(name).dual):
         calls.clear()
-        gens = _generating_indices(h)
+        gens = generating_rows(h, _full(h))
         assert gens == sorted(set(gens)) and len(calls) <= len(gens) * h.dim
         assert _words_span(h, gens).dim == h.dim
         for i in range(h.dim):
@@ -718,7 +743,7 @@ def test_generating_indices_span_in_order(name, monkeypatch):
 def test_generating_set_sizes():
     pair5 = groupoid_algebra(pair_groupoid(5))
     sizes = {
-        name: len(_generating_indices(h))
+        name: len(generating_rows(h, _full(h)))
         for name, h in [
             ("dyn-z3", dyn_z3()),
             ("dyn-z3 dual", dyn_z3().dual),
@@ -739,7 +764,7 @@ def test_first_failing_row_is_a_generator():
     """
     guarded = 0
     for h in itertools.chain.from_iterable(CASES.values()):
-        gens, rows = _generating_indices(h), range(h.dim)
+        gens, rows = generating_rows(h, _full(h)), range(h.dim)
         assoc = oracle_associativity(h, rows)
         multiplicative = oracle_multiplicativity(h, rows)
         assert assoc is None or assoc[0] in gens
@@ -1893,7 +1918,7 @@ def assert_kernels_match_probes(h, rng):
     for p in triples:
         for q in triples:
             assert h.mul_triple_dicts(p, q) == probe_mul_triple_dicts(h, p, q)
-    for rows in (range(h.dim), _generating_indices(h)):
+    for rows in (range(h.dim), generating_rows(h, _full(h))):
         assert wha._associativity(h, rows) == probe_associativity(h, rows)
 
 
@@ -2133,3 +2158,365 @@ def test_check_member_squares_each_antipode_once(name, monkeypatch):
     assert sum(s is h.S for s in squared) == 1
     assert len({id(s) for s in squared}) == len(squared)
     assert "dual" not in vars(h.dual)
+
+
+# ---------------------------------------------------------------------------
+# the semisimplicity battery through the table index: the earlier bodies
+
+
+def oracle_generating_indices(h):
+    """The earlier greedy generating set of the full space: basis indices, products e_x w by probing rows."""
+    n = h.dim
+    field = h.field
+    one = field.one()
+    zero = field.zero()
+
+    def left_product(x, w):
+        out = {}
+        for k, c in w.items():
+            for m, cm in h.mult_rows[x].get(k, {}).items():
+                out[m] = out.get(m, zero) + c * cm
+        return out
+
+    span = {}
+    gens, words, todo = [], [], []
+    g = 0
+    while len(span) < n:
+        while wha._insert(span, ((g, one),), field) is None:
+            g += 1
+        e = {g: one}
+        todo += [(g, w) for w in words]
+        gens.append(g)
+        words.append(e)
+        todo += [(x, e) for x in gens]
+        while todo and len(span) < n:
+            x, w = todo.pop()
+            c = wha._insert(span, left_product(x, w).items(), field)
+            if c is not None:
+                words.append(span[c])
+                todo += [(y, span[c]) for y in gens]
+    return gens
+
+
+def eager_primitive_idempotents(h, space, unit=None):
+    """The earlier ``primitive_idempotents``: every candidate p a made up front, every product dense."""
+    field = h.field
+    unit = tuple(unit if unit is not None else h.unit)
+    if not space.contains(unit):
+        raise PreconditionUnmet("unit must lie in the subalgebra")
+    pending = [(space, unit)]
+    finished = []
+    while pending:
+        comp, p = pending.pop()
+        if comp.dim == 1:
+            finished.append(Element(h, p))
+            continue
+        split = None
+        rootless = False
+        candidates = []
+        seen = set()
+        for a in list(space.rows) + list(comp.rows):
+            x = h.mul_vec(p, a)
+            if any(x) and x not in seen:
+                seen.add(x)
+                candidates.append(x)
+        for bvec in candidates:
+            f = semisimplicity._min_poly_in(h, comp, p, bvec)
+            if len(f) <= 2:
+                continue
+            roots = semisimplicity._roots_in_field(f, field)
+            if not roots:
+                rootless = True
+                continue
+            for r in roots:
+                linear = [-r, field.one()]
+                power = [field.one()]
+                rem = list(f)
+                while True:
+                    q, rr = _poly_divmod(rem, linear, field)
+                    if rr:
+                        break
+                    rem = q
+                    power = _poly_mul(power, linear, field)
+                if len(rem) <= 1:
+                    continue
+                split = (bvec, power, rem)
+                break
+            if split:
+                break
+        if split is None:
+            if rootless:
+                raise NonSplit("minimal polynomial without a root in the field")
+            finished.append(Element(h, p))
+            continue
+        xvec, power, cofactor = split
+        u, _w, g = _poly_ext_gcd(power, cofactor, field)
+        if len(g) != 1:
+            raise Inconsistent("factors not coprime")
+        e_vec = semisimplicity._eval_poly_at(h, _poly_mul(u, power, field), xvec, p)
+        if h.mul_vec(e_vec, e_vec) != e_vec:
+            raise Inconsistent("split element is not idempotent")
+        e_comp = tuple(a - b for a, b in zip(p, e_vec))
+        for q in (e_vec, e_comp):
+            sub = Subspace.from_vectors(field, h.dim, [h.mul_vec(q, b) for b in comp.rows])
+            pending.append((sub, q))
+    finished.sort(key=lambda e: tuple(field.format(c) for c in e.coeffs))
+    total = (field.zero(),) * h.dim
+    for e in finished:
+        for q in finished:
+            if e is not q and any(h.mul_vec(e.coeffs, q.coeffs)):
+                raise Inconsistent("idempotents not orthogonal")
+        total = tuple(a + b for a, b in zip(total, e.coeffs))
+    if total != unit:
+        raise Inconsistent("idempotents do not sum to the unit")
+    return finished
+
+
+def subspace_block_traces(h, idempotents):
+    """The earlier ``_block_traces``: pH and pHp as subspaces, traced by ``restricted_trace``."""
+    out = []
+    for e in idempotents:
+        p = e.coeffs
+        p_basis = [h.mul_vec(p, _basis(h, i)) for i in range(h.dim)]
+        ph = Subspace.from_vectors(h.field, h.dim, p_basis)
+        php = Subspace.from_vectors(h.field, h.dim, [h.mul_vec(v, p) for v in p_basis])
+        out.append((repr(e), restricted_trace(h, h.S2, ph), restricted_trace(h, h.S2, php)))
+    return out
+
+
+def subspace_left_ideal_trace(h, pi):
+    """The earlier dual-block trace: H pi as a subspace, traced by ``restricted_trace``."""
+    space = Subspace.from_vectors(h.field, h.dim, [h.mul_vec(_basis(h, i), pi) for i in range(h.dim)])
+    return restricted_trace(h, h.S2, space)
+
+
+def dense_invariance_failures(h, deltas, table, name):
+    """The earlier ``_invariance_failures``: two dense n-vectors per basis pair."""
+    n = h.dim
+    zero = h.field.zero()
+    s_cols = wha._nonzero_columns(h.S)
+    failures = []
+    for a in range(n):
+        for b in range(n):
+            lhs = [zero] * n
+            for (j, k), c in deltas[a].items():
+                v = c * table[b][k]
+                if v:
+                    lhs[j] += v
+            rhs = [zero] * n
+            for (j, k), c in deltas[b].items():
+                v = c * table[k][a]
+                if v:
+                    for r, y in s_cols[j]:
+                        rhs[r] += v * y
+            if lhs != rhs:
+                failures.append((name, a, b))
+    return failures
+
+
+def _raised(fn, *args):
+    """The value of fn(*args), or the class and message of the WhopfError it raised."""
+    try:
+        return fn(*args)
+    except WhopfError as exc:
+        return (type(exc), str(exc))
+
+
+BATTERY = [*ZOO_NAMES, *_ladder_builders()]
+
+
+def battery_algebras(name):
+    """The zoo member and its dual, or the ladder member itself."""
+    if name in ZOO_NAMES:
+        h = build_member(name)
+        return [h, h.dual]
+    return [_ladder_builders()[name]()]
+
+
+def _centralized(h):
+    """The commutative subalgebras whose idempotents the semisimplicity report splits."""
+    hmin = h.minimal_subalgebra
+    return [h.center_cap_source, h.centralizer_in(hmin, against=hmin)]
+
+
+def _idempotent_basis_elements(h):
+    """The basis elements e with e e = e: idempotents that need not be central."""
+    return [h.basis_element(i) for i in range(h.dim) if h.mul_vec(_basis(h, i), _basis(h, i)) == _basis(h, i)]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_generating_rows_of_the_full_space_are_the_earlier_indices(name):
+    for h in battery_algebras(name):
+        assert generating_rows(h, _full(h)) == oracle_generating_indices(h)
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_centralizers_on_generating_rows_match_the_dense_system(name):
+    for h in battery_algebras(name):
+        full = _full(h)
+        hmin = h.minimal_subalgebra
+        for space, against in [
+            (full, None),
+            (h.source_base, None),
+            (full, h.target_base),
+            (full, h.source_base),
+            (full, hmin),
+            (hmin, hmin),
+        ]:
+            assert h.centralizer_in(space, against) == oracle_centralizer_in(h, space, against)
+
+
+def test_generating_rows_stop_only_when_every_row_is_spanned():
+    """On M_2, against = span(m12 + m21, m22) is not closed under products.
+
+    The words over its first row, the swap w, reach w^2 = 1 and so the
+    dimension of ``against`` without containing m22: stopping there would
+    leave the centralizer of w, span(1, w), in place of the scalars.
+    """
+    h = build_member("pair-2")
+    assert h.labels == ("m11", "m12", "m21", "m22")
+    against = Subspace.from_vectors(h.field, h.dim, [(0, 1, 1, 0), (0, 0, 0, 1)])
+    w = against.rows[0]
+    assert h.mul_vec(w, w) == h.unit
+    words = Subspace.from_vectors(h.field, h.dim, [w, h.unit])  # w, w^2 = 1, w^3 = w, ...
+    assert words.dim == against.dim and not words.contains(against.rows[1])
+    assert generating_rows(h, against) == [0, 1]
+    full = _full(h)
+    got = h.centralizer_in(full, against)
+    assert got == oracle_centralizer_in(h, full, against) == Subspace.from_vectors(h.field, h.dim, [h.unit])
+    assert oracle_centralizer_in(h, full, Subspace.from_vectors(h.field, h.dim, against.rows[:1])).dim == 2
+
+
+@pytest.mark.parametrize("name, key, k", [("pair-2", (0, 1), 0), ("pair-3", (0, 5), 0)])
+def test_non_associative_centralizers_use_every_row(name, key, k):
+    """With associativity failing, commuting with G no longer implies commuting with H.
+
+    On the bumped pair-3 the generating rows alone give a different answer
+    than the dense system, so only the all-rows fallback matches it.
+    """
+    h = bump(build_member(name), key, k, 1)
+    assert not next(c for c in validate_full(h).checks if c.name == "associativity").ok
+    full = _full(h)
+    gens = Subspace.from_vectors(h.field, h.dim, [_basis(h, g) for g in generating_rows(h, full)])
+    differs = False
+    for space in (full, h.source_base, h.target_base):
+        want = oracle_centralizer_in(h, space)
+        assert h.centralizer_in(space) == want
+        differs |= oracle_centralizer_in(h, space, gens) != want
+    assert differs == (name == "pair-3")
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_primitive_idempotents_match_the_eager_candidates(name):
+    for h in battery_algebras(name):
+        spaces = [(h, space) for space in _centralized(h)]
+        dual = h.dual
+        spaces.append((dual, dual.source_base.intersect(dual.target_base)))
+        for alg, space in spaces:
+            got = _raised(primitive_idempotents, alg, space, alg.unit)
+            want = _raised(eager_primitive_idempotents, alg, space, alg.unit)
+            assert got == want
+            if isinstance(got, list):
+                assert [e.coeffs for e in got] == [e.coeffs for e in want]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_block_traces_match_the_subspace_traces(name):
+    for h in battery_algebras(name):
+        for space in _centralized(h):
+            try:
+                idem = primitive_idempotents(h, space, unit=h.unit)
+            except NonSplit:
+                continue
+            assert semisimplicity._block_traces(h, idem) == subspace_block_traces(h, idem)
+        for e in _idempotent_basis_elements(h):
+            assert _raised(semisimplicity._block_traces, h, [e]) == _raised(subspace_block_traces, h, [e])
+        dual = h.dual
+        try:
+            dual_idem = primitive_idempotents(dual, dual.source_base.intersect(dual.target_base), unit=dual.unit)
+        except NonSplit:
+            continue
+        for e in dual_idem + _idempotent_basis_elements(dual):
+            got = _raised(semisimplicity._left_ideal_trace, dual, e.coeffs)
+            assert got == _raised(subspace_left_ideal_trace, dual, e.coeffs)
+
+
+@pytest.mark.parametrize(
+    "p, invariant",
+    [
+        ((Fraction(1, 2), Fraction(1, 2), 1, 0), ()),
+        ((Fraction(1, 2), Fraction(1, 2), 1, 1), ("pH",)),
+    ],
+    ids=["neither", "pH-only"],
+)
+def test_non_invariant_blocks_raise_as_before(p, invariant):
+    """On Sweedler's algebra, p = (e + g)/2 + x (+ gx) is idempotent and S^2(p) != p.
+
+    With q = S^2(p): for (e + g)/2 + x, pq != q, so pH is not invariant;
+    for (e + g)/2 + x + gx, pq = q but qp != q, so pH is invariant and pHp
+    is not.  Both raise what ``restricted_trace`` raises on the subspaces.
+    """
+    h = build_member("sweedler4")
+    assert h.labels == ("e", "g", "x", "gx")
+    p = Element(h, p)
+    q = h.S2.matvec(p.coeffs)
+    assert (p * p).coeffs == p.coeffs and q != p.coeffs
+    assert (("pH",) if h.mul_vec(p.coeffs, q) == q else ()) == invariant
+    assert h.mul_vec(q, p.coeffs) != q
+    want = (Inconsistent, "subspace not invariant under the operator")
+    assert _raised(subspace_block_traces, h, [p]) == want
+    assert _raised(semisimplicity._block_traces, h, [p]) == want
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_invariance_sums_match_the_dense_loops(name):
+    """Both identities on lambda and lambda o S, and on perturbed ones whose failure lists are not empty."""
+    for h in battery_algebras(name):
+        pair = canonical_dual_pair(h)
+        swapped = [{(k, j): c for (j, k), c in d.items()} for d in h.comult]
+        lam = list(pair.lam.coeffs)
+        bumps = [_basis(h, i) for i in sorted({0, h.dim - 1})] + [generic_vector(h)]
+        bent = [[x + y for x, y in zip(lam, bump)] for bump in bumps]
+        cases = [(h.pairing_table(phi), h.comult, "left_invariance") for phi in [lam, *bent]]
+        for rho in [h.S.transpose().matvec(lam), *bent]:
+            cases.append((list(zip(*h.pairing_table(rho))), swapped, "right_invariance"))
+        failing = set()
+        for table, deltas, side in cases:
+            got = integrals._invariance_failures(h, deltas, table, side)
+            assert got == dense_invariance_failures(h, deltas, table, side)
+            failing.update(side for side, _a, _b in got)
+        assert failing == {"left_invariance", "right_invariance"}
+
+
+def test_check_member_on_the_ladder_reads_products_from_the_index(monkeypatch):
+    """Fewer than a third of the earlier 10,148 ``mul_vec`` calls; no block trace builds a subspace."""
+    calls = []
+    mul_vec = WeakHopfAlgebra.mul_vec
+    monkeypatch.setattr(WeakHopfAlgebra, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b))
+    inside, built = [], []
+    from_vectors = Subspace.from_vectors.__func__
+
+    def spy_from_vectors(cls, *args):
+        if inside:
+            built.append(args)
+        return from_vectors(cls, *args)
+
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(spy_from_vectors))
+    monkeypatch.setattr(semisimplicity, "restricted_trace", lambda *a: built.append(a))
+    for fname in ("_block_traces", "_left_ideal_trace"):
+        body = getattr(semisimplicity, fname)
+
+        def traced(*args, body=body):
+            inside.append(body)
+            try:
+                return body(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(semisimplicity, fname, traced)
+    blocks = []
+    monkeypatch.setattr(semisimplicity, "_s2_trace", lambda *a, f=semisimplicity._s2_trace: blocks.append(1) or f(*a))
+    for build in _ladder_builders().values():
+        assert check_member(build())["ok"]
+    assert blocks and not built
+    assert 0 < len(calls) < 10148 / 3

@@ -319,6 +319,22 @@ def test_malformed_construction_is_invalid_presentation(mult, unit, comult, coun
         WeakHopfAlgebra(QQ, ["a"], mult, unit, comult, counit, antipode=antipode)
 
 
+@pytest.mark.parametrize(
+    "antipode",
+    [5, [[1, 0], 5], [[1, 0], None], [[1, 0], {0, 1}]],
+    ids=["int", "int-row", "none-row", "set-row"],
+)
+def test_antipode_not_a_sequence_of_rows_is_invalid_presentation(antipode):
+    """Through __init__ and through assignment while S is None, also under python -O."""
+    h = kz2()
+    with pytest.raises(InvalidPresentation):
+        WeakHopfAlgebra(h.field, h.labels, h.mult, h.unit, h.comult, h.counit, antipode=antipode)
+    bare = without_antipode(h)
+    with pytest.raises(InvalidPresentation):
+        bare.antipode = antipode
+    assert bare.antipode is None
+
+
 @pytest.mark.parametrize("coeffs", [[1], [1, 0, 0]])
 def test_wrong_length_vector_is_invalid_presentation(coeffs):
     from whopf.wha import Element, Functional
