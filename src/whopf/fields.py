@@ -11,10 +11,10 @@ Cyclotomic scalars are ``Cyc`` values: a residue modulo the n-th cyclotomic
 polynomial Phi_n, stored as phi(n) integer numerators over one positive
 integer denominator with no common factor (zero is 0/1), with the generator
 printed as ``z``.  Phi_n is monic with integer coefficients, so a product is
-an integer convolution, an integer reduction by the rows of z^phi,
-z^(phi+1), ... stored once per order, and one gcd.  A rational operand only
-scales the other vector, and an inverse is the product of the other Galois
-conjugates over the norm.  Both kinds are immutable and hashable, and equal
+one integer convolution that folds each term of degree phi or more along
+the stored row of z^phi, z^(phi+1), ..., and one gcd.  A rational operand
+only scales the other vector, 0 and 1 return an operand, and an inverse is
+the product of the other Galois conjugates over the norm.  Both kinds are immutable and hashable, and equal
 scalars hash equal; a ``Cyc`` is canonical, so its equality is syntactic.
 
 A ``Field`` object (RationalField or CyclotomicField) carries parsing,
@@ -43,16 +43,11 @@ __all__ = [
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def euler_phi(n):
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +100,7 @@ def _poly_ext_gcd(f, g, field):
         t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, field), field)
     lead = r0[-1]
     inv = field.inv(lead)
-    return (
-        [c * inv for c in s0],
-        [c * inv for c in t0],
-        [c * inv for c in r0],
-    )
+    return tuple([c * inv for c in p] for p in (s0, t0, r0))
 
 
 def _poly_sub(f, g, field):
@@ -180,14 +171,26 @@ class _CycContext:
         return out
 
     def mul(self, a, b):
-        """Integer numerators of the product of residues a and b, reduced."""
-        prod = [0] * (2 * self.phi - 1)
+        """Integer numerators of the product of residues a and b, reduced in the same pass.
+
+        x_i y_j goes to slot i + j below phi, and along the row
+        ``power_rows[i + j - phi]`` of z^(i + j) above it.
+        """
+        phi, rows = self.phi, self.power_rows
+        out = [0] * phi
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                k = i
+                for y in b:
                     if y:
-                        prod[i + j] += x * y
-        return self.reduce(prod)
+                        if k < phi:
+                            out[k] += x * y
+                        else:
+                            xy = x * y
+                            for m, r in rows[k - phi]:
+                                out[m] += xy * r
+                    k += 1
+        return out
 
     def conjugate(self, a, k):
         """Integer numerators of the image of residue a under z -> z^k."""
@@ -233,16 +236,17 @@ def _canonical(n, num, den):
     return _cyc(n, tuple(num), den)
 
 
-def _rational(num):
-    """True when the residue num has no z-part."""
-    return not any(num[1:])
-
-
 class Cyc:
     """Residue in Q[z]/(Phi_n), i.e. an element of Q(zeta_n).
 
     Stored as integer numerators ``num`` (length phi(n)) over one positive
     integer ``den`` with gcd(den, *num) == 1; zero is (0, ..., 0) / 1.
+
+    Each operator lifts an ``int`` or ``Fraction`` operand to a Cyc, raises
+    FieldMismatch on a Cyc of another order, and only then takes the
+    short-cuts: x * 1 and 1 * x are x, a zero factor gives the field's
+    cached zero, x + 0, 0 + x and x - 0 are x, and 0 - x is -x.  So a result
+    may be an operand itself, which is safe as no Cyc is ever mutated.
     """
 
     __slots__ = ("n", "num", "den")
@@ -268,62 +272,72 @@ class Cyc:
         q = Fraction(q)
         return _cyc(n, (q.numerator,) + ctx.zero_tail, q.denominator)
 
-    def _parts(self, other):
-        """(num, den) of an operand in this field, or None for a foreign type."""
+    def _lift(self, other):
+        """An int or Fraction operand as a Cyc of this order, else None; FieldMismatch for another order."""
         if type(other) is Cyc:
-            if other.n != self.n:
-                raise FieldMismatch(f"Q(zeta_{self.n}) vs Q(zeta_{other.n})")
-            return other.num, other.den
-        if isinstance(other, int):
-            return (int(other),) + _context(self.n).zero_tail, 1
-        if isinstance(other, Fraction):
-            return (other.numerator,) + _context(self.n).zero_tail, other.denominator
+            raise FieldMismatch(f"Q(zeta_{self.n}) vs Q(zeta_{other.n})")
+        if isinstance(other, (int, Fraction)):
+            return Cyc.from_rational(self.n, other)
         return None
 
-    def _combine(self, other, op):
-        """self + other or self - other, for op in (add, sub)."""
-        o = self._parts(other)
-        if o is None:
+    def __add__(self, other):
+        if (type(other) is not Cyc or other.n != self.n) and (other := self._lift(other)) is None:
             return NotImplemented
-        b, db = o
         a, da = self.num, self.den
+        b, db = other.num, other.den
+        if not any(a):
+            return other
+        if not any(b):
+            return self
         if da == db:
-            return _canonical(self.n, tuple(map(op, a, b)), da)
+            return _canonical(self.n, tuple(map(add, a, b)), da)
         g = gcd(da, db)
         fa, fb = db // g, da // g
-        return _canonical(self.n, [op(x * fa, y * fb) for x, y in zip(a, b)], da * fa)
-
-    def __add__(self, other):
-        return self._combine(other, add)
+        return _canonical(self.n, [x * fa + y * fb for x, y in zip(a, b)], da * fa)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        if (type(other) is not Cyc or other.n != self.n) and (other := self._lift(other)) is None:
+            return NotImplemented
+        a, da = self.num, self.den
+        b, db = other.num, other.den
+        if not any(b):
+            return self
+        if not any(a):
+            return -other
+        if da == db:
+            return _canonical(self.n, tuple(map(sub, a, b)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _canonical(self.n, [x * fa - y * fb for x, y in zip(a, b)], da * fa)
 
     def __rsub__(self, other):
-        diff = self._combine(other, sub)
-        return diff if diff is NotImplemented else -diff
+        other = self._lift(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
         return _cyc(self.n, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._parts(other)
-        if o is None:
+        if (type(other) is not Cyc or other.n != self.n) and (other := self._lift(other)) is None:
             return NotImplemented
-        b, db = o
-        a, da = self.num, self.den
-        # a rational factor scales the other vector; no convolution needed
-        if _rational(b):
-            b0 = b[0]
-            if b0 == db:  # other == 1, about 40% of the products made on make's dyn-z3
-                return self
-            return _canonical(self.n, [x * b0 for x in a], da * db)
-        if _rational(a):
-            a0 = a[0]
-            return _canonical(self.n, [a0 * y for y in b], da * db)
-        return _canonical(self.n, _context(self.n).mul(a, b), da * db)
+        n = self.n
+        x, a, da = self, self.num, self.den
+        b, db = other.num, other.den
+        if any(b[1:]):
+            if any(a[1:]):
+                return _canonical(n, _context(n).mul(a, b), da * db)
+            x, a, da, b, db = other, b, db, a, da
+        elif a[0] == da and not any(a[1:]):
+            return other
+        # x = a / da times the rational b[0] / db: a scaling, no convolution
+        b0 = b[0]
+        if b0 == db:  # x * 1, about 40% of the products made on make's dyn-z3
+            return x
+        if not b0 or not any(a):
+            return _context(n).zero
+        return _canonical(n, [b0 * y for y in a], da * db)
 
     __rmul__ = __mul__
 
@@ -333,7 +347,7 @@ class Cyc:
         if not any(num):
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         n = self.n
-        if _rational(num):
+        if not any(num[1:]):
             return _canonical(n, (self.den,) + num[1:], num[0])
         ctx = _context(n)
         cofactor = ctx.conjugate(num, ctx.conjugations[0])
@@ -345,30 +359,27 @@ class Cyc:
         return _canonical(n, [x * self.den for x in cofactor], norm[0])
 
     def __truediv__(self, other):
-        o = self._parts(other)
-        if o is None:
+        if (type(other) is not Cyc or other.n != self.n) and (other := self._lift(other)) is None:
             return NotImplemented
-        return self * _cyc(self.n, *o).inv()
+        return self * other.inv()
 
     def __rtruediv__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return _cyc(self.n, *o) * self.inv()
+        other = self._lift(other)
+        return NotImplemented if other is None else other * self.inv()
 
     def __eq__(self, other):
         if type(other) is Cyc:
             return self.n == other.n and self.num == other.num and self.den == other.den
+        num = self.num
         if isinstance(other, int):
-            return self.den == 1 and self.num[0] == other and _rational(self.num)
+            return self.den == 1 and num[0] == other and not any(num[1:])
         if isinstance(other, Fraction):
-            num = self.num
-            return num[0] == other.numerator and self.den == other.denominator and _rational(num)
+            return num[0] == other.numerator and self.den == other.denominator and not any(num[1:])
         return NotImplemented
 
     def __hash__(self):
         num = self.num
-        if _rational(num):
+        if not any(num[1:]):
             return hash(num[0]) if self.den == 1 else hash(Fraction(num[0], self.den))
         return hash((self.n,) + self.c)
 
@@ -511,10 +522,7 @@ class CyclotomicField(Field):
 
     def zeta(self, power=1):
         """The root of unity z^power as a field element."""
-        power %= self.order
-        coeffs = [0] * (power + 1)
-        coeffs[power] = 1
-        return Cyc(self.order, coeffs)
+        return Cyc(self.order, [0] * (power % self.order) + [1])
 
     def inv(self, a):
         return self.coerce(a).inv()
@@ -523,39 +531,27 @@ class CyclotomicField(Field):
         return self.coerce(a) * self.coerce(b).inv()
 
     def parse(self, text):
+        """One coefficient list over the powers z^0 .. z^(n-1), summed term by term, and one Cyc."""
         src = text.strip().replace(" ", "")
         if not src:
             raise ParseError("empty scalar")
-        # Split into signed terms.
-        terms = []
-        sign = 1
-        buf = ""
-        if src[0] in "+-":
-            sign = -1 if src[0] == "-" else 1
-            src = src[1:]
-        for ch in src:
-            if ch in "+-":
-                terms.append((sign, buf))
-                sign = -1 if ch == "-" else 1
-                buf = ""
-            else:
-                buf += ch
-        terms.append((sign, buf))
-        total = Cyc.from_rational(self.order, 0)
-        for sgn, term in terms:
+        # signed terms: the pieces alternate sign and term
+        pieces = re.split(r"([+-])", src)
+        if pieces[0]:
+            pieces.insert(0, "+")
+        else:
+            del pieces[0]
+        n = self.order
+        coeffs = [0] * n
+        for sign, term in zip(pieces[::2], pieces[1::2]):
             m = _TERM_RE.match(term)
             if not m or not term:
                 raise ParseError(f"bad cyclotomic term {term!r} in {text!r}")
             coef_s, pow_s = m.groups()
-            if coef_s is None and "z" not in term:
-                raise ParseError(f"bad cyclotomic term {term!r} in {text!r}")
-            coef = _parse_fraction(coef_s, text) if coef_s else Fraction(1)
-            if "z" in term:
-                power = int(pow_s) if pow_s else 1
-                total = total + sgn * coef * self.zeta(power)
-            else:
-                total = total + Cyc.from_rational(self.order, sgn * coef)
-        return total
+            coef = _parse_fraction(coef_s, text) if coef_s else 1
+            power = (int(pow_s) if pow_s else 1) if "z" in term else 0
+            coeffs[power % n] += -coef if sign == "-" else coef
+        return Cyc(n, coeffs)
 
     def format(self, a):
         a = self.coerce(a)
@@ -573,11 +569,7 @@ class CyclotomicField(Field):
             parts.append((sign, body))
         if not parts:
             return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+        return "".join(sign + body for sign, body in parts).lstrip("+")
 
     def __repr__(self):
         return f"QQ(zeta_{self.order})"

@@ -26,7 +26,18 @@ from .errors import (
 )
 from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import first, height_vectors, invertible_in, max_height
-from .wha import Element, Functional, _basis, _checked, _integral_rows, _pair_of, _pruned, contraction_matrix
+from .wha import (
+    Element,
+    Functional,
+    _basis,
+    _basis_products,
+    _checked,
+    _integral_rows,
+    _pair_of,
+    _pruned,
+    _sparse,
+    contraction_matrix,
+)
 
 __all__ = [
     "DistinguishedPair",
@@ -261,11 +272,13 @@ def gamma_module(h, gamma):
         raise NotHalfGrouplike("gamma is not in G1(H*)")
     eps_sg = maps["eps_s_gamma"]
     hs = h.source_base
+    one = h.field.one()
+    ys = [_sparse(y) for y in hs.rows]
     mats = []
     for j in range(h.dim):
         cols = []
-        for y in hs.rows:
-            image = eps_sg.matvec(h.mul_vec(y, _basis(h, j)))
+        for y in ys:
+            image = eps_sg.matvec(_basis_products(h, [(one, j, y)], left=False))  # y e_j
             coords = hs.coords(image)
             if coords is None:
                 raise Inconsistent("action leaves H_s")
@@ -317,11 +330,13 @@ def module_from_integral(h, ell):
     hs = h.source_base
     cols = [h.mul_vec(ell.coeffs, y) for y in hs.rows]
     m_ell = Matrix.from_columns(h.field, cols)
+    one = h.field.one()
+    ell_ys = [_sparse(col) for col in cols]
     mats = []
     for j in range(h.dim):
         acols = []
-        for y in hs.rows:
-            rhs = h.mul_vec(h.mul_vec(ell.coeffs, y), _basis(h, j))
+        for ell_y in ell_ys:
+            rhs = _basis_products(h, [(one, j, ell_y)], left=False)  # ell y e_j
             sol = try_solve(m_ell, rhs)
             if sol is None or sol[1].dim:
                 raise Inconsistent("ell is not separating on H_s")

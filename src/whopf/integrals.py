@@ -20,7 +20,18 @@ from dataclasses import dataclass
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
 from .linalg import Matrix, try_solve
 from .search import first, height_vectors, max_height
-from .wha import Element, Functional, _basis, _checked, _common, _nonzero_columns, _pruned, integral_space
+from .wha import (
+    Element,
+    Functional,
+    _basis,
+    _basis_products,
+    _checked,
+    _common,
+    _nonzero_columns,
+    _pruned,
+    _sparse,
+    integral_space,
+)
 
 __all__ = [
     "DualPair",
@@ -237,10 +248,10 @@ def trace_via_integrals(h, pair, t_mat):
     Tr(T) = <lambda, T(S^{-1}(ell_(1))) ell_(2)>, grouped as the product of
     T(S^{-1}(ell_(1))) with ell_(2).
     """
-    total = h.field.zero()
+    total, one = h.field.zero(), h.field.one()
     for (a, b), c in h.comul_vec(pair.ell.coeffs).items():
-        v = t_mat.matvec(h.apply_S_inv(_basis(h, a)))
-        total += c * pair.lam(h.mul_vec(v, _basis(h, b)))
+        v = t_mat.matvec(h.S_inv.col(a))
+        total += c * pair.lam(_basis_products(h, [(one, b, _sparse(v))], left=False))
     return total
 
 

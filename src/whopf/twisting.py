@@ -37,12 +37,14 @@ from .linalg import Matrix
 from .wha import (
     Element,
     WeakHopfAlgebra,
-    _basis,
+    _basis_products,
     _comultiplied,
     _contract_leg,
     _index_pair,
+    _join,
     _pair_of,
     _pruned,
+    _sparse,
     contraction_matrix,
     minimal_data,
     validate_full,
@@ -83,15 +85,16 @@ def deform_q(h, q, name=None):
     s2q = h.apply_S(h.apply_S(q.coeffs))
     if s2q != q.coeffs:
         raise PreconditionUnmet("S^2(q) != q")
-    acc = (h.field.zero(),) * h.dim
-    for (a, b), c in h.delta_one.items():
-        term = h.mul_vec(h.mul_vec(h.apply_S(_basis(h, a)), q.coeffs), _basis(h, b))
-        acc = tuple(x + c * y for x, y in zip(acc, term))
+    zero, one = h.field.zero(), h.field.one()
+    q_sparse = _sparse(q.coeffs)
+    s_q = {a: _join(h.mult_rows, _sparse(h.S.col(a)), q_sparse, zero) for a, _b in h.delta_one}  # S(e_a) q
+    acc = _basis_products(h, [(c, b, s_q[a]) for (a, b), c in h.delta_one.items()], left=False)
     if acc != h.unit:
         raise PreconditionUnmet(f"S(1_(1)) q 1_(2) != 1 (residual {acc})")
     one_q = _pair_of(h, h.unit, q.coeffs)
     comult = [h.mul_pair_dicts(h.comult[i], one_q) for i in range(h.dim)]
-    counit = [h.counit_of(h.mul_vec(_basis(h, i), q_inv.coeffs)) for i in range(h.dim)]
+    q_inv_sparse = _sparse(q_inv.coeffs)
+    counit = [h.counit_of(_basis_products(h, [(one, i, q_inv_sparse)], left=True)) for i in range(h.dim)]
     s_mat = h.left_mult_matrix(q_inv.coeffs) @ h.right_mult_matrix(q.coeffs) @ h.S
     out = WeakHopfAlgebra(
         h.field, h.labels, h.mult, h.unit, comult, counit, antipode=s_mat,
@@ -149,15 +152,10 @@ def _check_twist_invariants(h, t):
 
 def twist_conjugator(h, t):
     """v = S(Theta^(1)) Theta^(2) and its inverse from Theta_bar; verified."""
-    zero = h.field.zero()
-    v = (zero,) * h.dim
-    for (a, b), c in t.theta.items():
-        term = h.mul_vec(h.apply_S(_basis(h, a)), _basis(h, b))
-        v = tuple(x + c * y for x, y in zip(v, term))
-    v_inv = (zero,) * h.dim
-    for (a, b), c in t.theta_bar.items():
-        term = h.mul_vec(_basis(h, a), h.apply_S(_basis(h, b)))
-        v_inv = tuple(x + c * y for x, y in zip(v_inv, term))
+    legs = {a for a, _b in t.theta} | {b for _a, b in t.theta_bar}
+    s_cols = {a: _sparse(h.S.col(a)) for a in legs}  # S(e_a)
+    v = _basis_products(h, [(c, b, s_cols[a]) for (a, b), c in t.theta.items()], left=False)
+    v_inv = _basis_products(h, [(c, a, s_cols[b]) for (a, b), c in t.theta_bar.items()], left=True)
     if h.mul_vec(v, v_inv) != h.unit or h.mul_vec(v_inv, v) != h.unit:
         raise VNotInvertible("S(Theta^(1))Theta^(2) is not inverted by the Theta_bar formula")
     return v, v_inv
@@ -453,20 +451,21 @@ def dynamical_theta(data):
         return (row * nchars + col) * du + k
 
     p_vectors = [group.minimal_idempotent(field, m) for m in range(nchars)]
+    one = field.one()
     theta = {}
     theta_bar = {}
     for lam in range(nchars):
         for m in range(nchars):
             lam_m = group.char_product(lam, m)
-            pvec = p_vectors[m]
+            p_sparse = _sparse(p_vectors[m])
             for (c, d), cf in j_tensors[lam].items():
-                second = u.mul_vec(_basis(u, d), pvec)  # J^(2) P_mu
+                second = _basis_products(u, [(one, d, p_sparse)], left=True)  # J^(2) P_mu
                 for k, ck in enumerate(second):
                     if ck:
                         key = (hidx(lam, lam_m, c), hidx(lam, lam, k))
                         theta[key] = theta.get(key, field.zero()) + cf * ck
             for (c, d), cf in j_inverses[lam].items():
-                second = u.mul_vec(pvec, _basis(u, d))  # P_mu J^(-2)
+                second = _basis_products(u, [(one, d, p_sparse)], left=False)  # P_mu J^(-2)
                 for k, ck in enumerate(second):
                     if ck:
                         key = (hidx(lam_m, lam, c), hidx(lam, lam, k))

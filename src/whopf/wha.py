@@ -107,6 +107,14 @@ def _sparse(v):
     return {i: x for i, x in enumerate(v) if x}
 
 
+def _dense(h, d):
+    """The sparse vector d (index -> scalar) as a coefficient tuple of h."""
+    out = [h.field.zero()] * h.dim
+    for k, v in d.items():
+        out[k] = v
+    return tuple(out)
+
+
 def _pruned(d):
     """The sparse dict d without its zero values."""
     return {k: v for k, v in d.items() if v}
@@ -472,11 +480,7 @@ class WeakHopfAlgebra:
         j in supp(b), plus the shorter side of each join, plus O(n) to scan
         a and b and build the result.
         """
-        zero = self.field.zero()
-        out = [zero] * self.dim
-        for k, v in _join(self.mult_rows, _sparse(a), _sparse(b), zero).items():
-            out[k] = v
-        return tuple(out)
+        return _dense(self, _join(self.mult_rows, _sparse(a), _sparse(b), self.field.zero()))
 
     def comul_vec(self, a):
         out = {}
@@ -652,15 +656,18 @@ class WeakHopfAlgebra:
 
         In an associative H the centralizer of y is a subalgebra, so it is
         enough to commute with the rows ``generating_rows`` picks, whose words
-        span every row of ``against`` (closed under products or not).  When
-        ``bialgebra_checks`` reports that associativity fails, every row is
-        used.  Each commutator a w - w a of a row a of ``space`` is joined
-        from the index as a sparse dict; the kernel is a canonical Subspace.
+        span every row of ``against`` (closed under products or not), or with
+        ``generators`` when ``against`` is H.  When ``associativity_witness``
+        reports a failure, every row is used.  Each commutator a w - w a of a
+        row a of ``space`` is joined from the index as a sparse dict; the
+        kernel is a canonical Subspace.
         """
+        if self.associativity_witness is not None:
+            picked = range(self.dim if against is None else against.dim)
+        else:
+            picked = self.generators if against is None else generating_rows(self, against)
         if against is None:
             against = Subspace.full(self.field, self.dim)
-        associative = all(c.ok for c in self.bialgebra_checks if c.name == "associativity")
-        picked = generating_rows(self, against) if associative else range(against.dim)
         zero = self.field.zero()
         basis = [_sparse(a) for a in space.rows]
         rows = []
@@ -714,20 +721,35 @@ class WeakHopfAlgebra:
     def with_antipode(self, s):
         """The same structure constants and name with antipode ``s``, as a new algebra.
 
-        The new algebra starts with this one's bialgebra verdict, if computed,
+        The new algebra starts with this one's bialgebra verdicts, if computed,
         and with its antipode verdict if that was computed for this very S.
         """
         out = WeakHopfAlgebra(
             self.field, self.labels, self.mult, self.unit, self.comult, self.counit,
             antipode=s, name=self.name,
         )
-        if "bialgebra_checks" in vars(self):
-            out.bialgebra_checks = self.bialgebra_checks
+        for name in ("generators", "associativity_witness", "bialgebra_checks"):
+            if name in vars(self):
+                setattr(out, name, vars(self)[name])
         if self._antipode_memo is not None and self._antipode_memo[0] is out.antipode:
             out._antipode_memo = self._antipode_memo
         return out
 
     # -- verdicts ---------------------------------------------------------------
+
+    @cached_property
+    def generators(self):
+        """``generating_rows`` of H: basis indices whose right-nested words span H."""
+        return generating_rows(self, Subspace.full(self.field, self.dim))
+
+    @cached_property
+    def associativity_witness(self):
+        """The associativity check alone, once: its witness (i, j, l), or None when H is associative.
+
+        ``bialgebra_checks`` reuses it, and ``centralizer_in`` reads it
+        without running the other axioms.
+        """
+        return _associativity(self, self.generators)
 
     @cached_property
     def bialgebra_checks(self):
@@ -905,6 +927,21 @@ def _join(lines, x, w, zero):
     return out
 
 
+def _basis_products(h, terms, left):
+    """sum of c e_i x (left) or c x e_i (right) over the terms (c, i, x), x sparse, as a coefficient tuple.
+
+    Each product by a basis vector is one ``_join`` of line i of the index,
+    row i of ``mult_rows`` (left) or of ``mult_cols`` (right), with x.
+    """
+    zero = h.field.zero()
+    lines = h.mult_rows if left else h.mult_cols
+    out = {}
+    for c, i, x in terms:
+        for m, v in _join(lines, {i: c}, x, zero).items():
+            out[m] = out.get(m, zero) + v
+    return _dense(h, out)
+
+
 def generating_rows(h, space):
     """Positions G in ``space.rows`` whose right-nested words g_1(g_2(...g_k)) span every row, picked greedily.
 
@@ -1028,13 +1065,14 @@ def validate_weak_bialgebra(h):
     products in all; only the first failing row f of the first failing g is
     expanded over t, to report the least (f, g, t).
 
-    Uncached: ``validate_full`` reads ``h.bialgebra_checks``, which calls
-    this once per algebra.
+    Uncached apart from the cached ``h.generators`` (G) and
+    ``h.associativity_witness``: ``validate_full`` reads
+    ``h.bialgebra_checks``, which calls this once per algebra.
     """
     n = h.dim
     field = h.field
     zero = field.zero()
-    gens = generating_rows(h, Subspace.full(field, n))
+    gens = h.generators
 
     def multiplicativity(rows):
         for i in rows:
@@ -1053,7 +1091,7 @@ def validate_weak_bialgebra(h):
                 return (i,)
         return None
 
-    assoc = _associativity(h, gens)
+    assoc = h.associativity_witness
     multiplicative = multiplicativity(range(n) if assoc else gens)
     coassoc = coassociativity(range(n) if assoc or multiplicative else gens)
 

@@ -13,6 +13,7 @@ from whopf.fields import (
     Cyc,
     CyclotomicField,
     RationalField,
+    _context,
     _poly_divmod,
     cyclotomic_polynomial,
     make_field,
@@ -316,6 +317,122 @@ def test_cyc_zero_and_one_are_cached_constants():
 def test_poly_divmod_leaves_the_remainder():
     # x^2 + 1 = (x - 1)(x + 1) + 2
     assert _poly_divmod([1, 0, 1], [1, 1], QQ) == ([-1, 1], [2])
+
+
+# ---------------------------------------------------------------------------
+# the short-cuts of Cyc arithmetic and the one-pass product
+
+SHORTCUT_ORDERS = (3, 4, 5, 7, 8, 12)
+
+
+@st.composite
+def shortcut_operand(draw, n, den):
+    """(operand, reference vector): 0, +-1, a rational or an irrational Cyc, or an int or Fraction.
+
+    Half the irrational draws are over ``den``, the other operand's
+    denominator, so both the same- and the mixed-denominator sums are reached.
+    """
+    ref = RefCyc(n)
+    field = CyclotomicField(n)
+    kinds = ["zero", "fresh-zero", "one", "minus-one", "rational", "irrational", "int", "fraction"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return field.zero(), ref.reduce([0])
+    if kind == "fresh-zero":
+        x = field.zeta() * Fraction(1, 3)
+        return x - x, ref.reduce([0])
+    if kind in ("one", "minus-one"):
+        k = 1 if kind == "one" else -1
+        return field.from_int(k), ref.reduce([k])
+    if kind == "int":
+        k = draw(st.sampled_from([0, 1, -1, draw(st.integers(-9, 9))]))
+        return k, ref.reduce([k])
+    if kind == "fraction":
+        q = draw(st.sampled_from([Fraction(0), Fraction(1), draw(small_q)]))
+        return q, ref.reduce([q])
+    if kind == "rational":
+        q = draw(small_q)
+        return field.from_fraction(q), ref.reduce([q])
+    d = den if draw(st.booleans()) else draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(-9, 9), min_size=ref.phi, max_size=ref.phi))
+    coeffs = [Fraction(k, d) for k in nums]
+    return Cyc(n, coeffs), ref.reduce(coeffs)
+
+
+def _check_result(got, want, n):
+    ref = RefCyc(n)
+    assert_canonical(got, ref.phi)
+    assert got.c == want
+    assert hash(got) == ref.hash(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SHORTCUT_ORDERS), st.data())
+def test_cyc_shortcuts_match_the_fraction_reference(n, data):
+    ref = RefCyc(n)
+    field = CyclotomicField(n)
+    x, xr = data.draw(shortcut_operand(n, 6))
+    y, yr = data.draw(shortcut_operand(n, x.den if type(x) is Cyc else 6))
+    if type(x) is not Cyc and type(y) is not Cyc:
+        x = field.coerce(x)
+    for got, want in [
+        (x + y, ref.add(xr, yr)),
+        (y + x, ref.add(xr, yr)),
+        (x - y, ref.add(xr, ref.neg(yr))),
+        (y - x, ref.add(yr, ref.neg(xr))),
+        (x * y, ref.mul(xr, yr)),
+        (y * x, ref.mul(xr, yr)),
+    ]:
+        _check_result(got, want, n)
+    assert (x == y) == (xr == yr) and (y == x) == (xr == yr)
+    assert (x != y) == (xr != yr)
+    # the short-cuts hand back an operand, or the cached zero of the field;
+    # for a = 0 or 1 two short-cuts apply, and either operand is a valid result
+    zero, one = field.zero(), field.one()
+    fresh_zero = one - one
+    for a in (x, y):
+        if type(a) is not Cyc:
+            continue
+        _check_result(zero - a, ref.neg(a.c), n)
+        if a == 0 or a == 1:
+            continue
+        assert a * one is a and one * a is a and a * 1 is a and 1 * a is a
+        assert a + zero is a and zero + a is a and a - zero is a
+        assert a + 0 is a and 0 + a is a and a - 0 is a and a + fresh_zero is a
+        assert a * zero is zero and zero * a is zero
+        assert a * fresh_zero is zero and fresh_zero * a is zero and a * 0 is zero
+
+
+def _convolve_then_reduce(ctx, a, b):
+    prod = [0] * (2 * ctx.phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ctx.reduce(prod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_ORDERS), st.data())
+def test_one_pass_product_equals_convolve_then_reduce(n, data):
+    ctx = _context(n)
+    residue = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=ctx.phi, max_size=ctx.phi)
+    a, b = data.draw(residue), data.draw(residue)
+    assert ctx.mul(a, b) == _convolve_then_reduce(ctx, a, b)
+    ref = RefCyc(n)
+    assert tuple(Fraction(x) for x in ctx.mul(a, b)) == ref.mul(a, b)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_zero_and_one_of_one_order_do_not_meet_another(op):
+    z3, z5 = CyclotomicField(3), CyclotomicField(5)
+    apply = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b, "/": lambda a, b: a / b}[op]
+    for small in (z3.zero(), z3.one()):
+        for other in (z5.zero(), z5.one(), z5.zeta(), z5.from_fraction(Fraction(2, 3))):
+            with pytest.raises(FieldMismatch):
+                apply(small, other)
+            if op != "/" or other:
+                with pytest.raises(FieldMismatch):
+                    apply(other, small)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from whopf.twisting import (
     regularize,
     twist,
 )
+from whopf import wha
 from whopf.wha import Element, validate_full
 
 
@@ -166,6 +167,32 @@ def test_dynamical_cosemisimplicity_z2():
     report = dynamical_cosemisimplicity_check(data)
     assert report["ok"], report
     assert report["tr_s2_theta"] == 8 == report["dim"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_centralizers_of_unvalidated_dynamical_hosts_run_no_bialgebra_validation(n, monkeypatch):
+    """``centralizer_in`` reads the cached associativity verdict alone.
+
+    ``dynamical_cosemisimplicity_check`` asks for the center of the host and
+    for ``connectedness`` of the twist; neither the host nor the dual of the
+    twist has been validated, and neither needs the other axioms.
+    """
+    field = CyclotomicField(n) if n > 2 else QQ
+    u = group_algebra(cyclic_table(n), field=field)
+    elements = [Element(u, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
+    build = dynamical_theta(DynamicalTwistData(u=u, grouplikes=elements))
+    host = build.host
+    twisted = twist(host, build.twist)
+    calls = []
+    monkeypatch.setattr(wha, "validate_weak_bialgebra", lambda h: calls.append(h.name))
+    center = host.center
+    conn = connectedness(twisted)
+    assert calls == []
+    assert "bialgebra_checks" not in vars(host) and "bialgebra_checks" not in vars(twisted.dual)
+    assert host.associativity_witness is None and twisted.dual.associativity_witness is None
+    monkeypatch.undo()
+    assert conn["biconnected"]
+    assert center == host.centralizer_in(Subspace.full(field, host.dim), Subspace.full(field, host.dim))
 
 
 def test_dynamical_cosemisimplicity_z3_cyclotomic():

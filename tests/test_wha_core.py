@@ -496,3 +496,26 @@ def test_table_index_shares_the_cells_of_mult_in_its_order():
         assert list(row) == [j for (a, j) in h.mult if a == i]
     for j, col in enumerate(h.mult_cols):
         assert list(col) == [i for (i, b) in h.mult if b == j]
+
+
+@pytest.mark.parametrize("name", ["pair-3", "z3-group-cyclotomic", "sweedler4", "hmin-m2-g31", "dyn-twist-z2"])
+def test_basis_products_are_lines_of_the_index(name):
+    """sum c e_i x and sum c x e_i from ``_basis_products`` equal the dense products by e_i."""
+    from whopf.wha import _basis, _basis_products, _sparse
+    from whopf.zoo import build_member
+
+    h = build_member(name)
+    field = h.field
+    two = field.from_int(2)
+    xs = [h.unit, h.mul_vec(h.unit, h.unit)] + [_basis(h, i) for i in range(h.dim)]
+    xs.append(tuple(field.from_int(i % 3 - 1) for i in range(h.dim)))
+    for x in xs:
+        for i in range(h.dim):
+            e = _basis(h, i)
+            assert _basis_products(h, [(two, i, _sparse(x))], left=True) == tuple(two * c for c in h.mul_vec(e, x))
+            assert _basis_products(h, [(two, i, _sparse(x))], left=False) == tuple(two * c for c in h.mul_vec(x, e))
+    terms = [(field.from_int(k + 1), k, _sparse(xs[-1])) for k in range(h.dim)]
+    left = [field.zero()] * h.dim
+    for c, i, _x in terms:
+        left = [a + c * b for a, b in zip(left, h.mul_vec(_basis(h, i), xs[-1]))]
+    assert _basis_products(h, terms, left=True) == tuple(left)
