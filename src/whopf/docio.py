@@ -199,7 +199,8 @@ def document_to_dynamical(doc):
         if not isinstance(j, dict) or not all(re.fullmatch("0|[1-9][0-9]*", key) for key in j):
             raise ParseError("j must map decimal character indices to [i, j, coeff] lists")
         for key in j:
-            if int(key) >= len(grouplikes):
+            # without leading zeros a longer key is larger, and int() refuses overlong ones
+            if len(key) > len(str(len(grouplikes))) or int(key) >= len(grouplikes):
                 raise ParseError(f"j names character {key}, but there are {len(grouplikes)} group-likes")
         j = {
             int(key): _table({"j": entries}, "j", ("i", "j", "coeff"), u.field, u.dim)
@@ -215,5 +216,5 @@ def dumps(doc):
 def loads(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal above the int digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc

@@ -395,11 +395,14 @@ _TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?(?:\*?z(?:\^(\d+))?)?$")
 
 
 def _parse_fraction(text, source):
-    """Fraction of a grammar-checked numeral; a zero denominator is a ParseError."""
+    """Fraction of a grammar-checked numeral; a zero denominator is a ParseError, and so is an
+    integer above ``sys.get_int_max_str_digits()`` digits, which ``int`` refuses with a ValueError."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar {source!r}") from None
+    except ValueError as exc:
+        raise ParseError(f"numeral in scalar: {exc}") from None
 
 
 class Field:
@@ -549,7 +552,7 @@ class CyclotomicField(Field):
                 raise ParseError(f"bad cyclotomic term {term!r} in {text!r}")
             coef_s, pow_s = m.groups()
             coef = _parse_fraction(coef_s, text) if coef_s else 1
-            power = (int(pow_s) if pow_s else 1) if "z" in term else 0
+            power = (int(_parse_fraction(pow_s, text)) if pow_s else 1) if "z" in term else 0
             coeffs[power % n] += -coef if sign == "-" else coef
         return Cyc(n, coeffs)
 

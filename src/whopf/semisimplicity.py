@@ -28,13 +28,13 @@ have no such root raises NonSplit rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain
+from itertools import chain, count
 from math import lcm
 
 from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
 from .fields import QQ, _divisors, _poly_divmod, _poly_eval, _poly_ext_gcd, _poly_mul
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
-from .linalg import Matrix, Subspace, try_solve
+from .linalg import Subspace, _insert
 from .wha import Element, _join, _sparse
 
 __all__ = [
@@ -111,21 +111,27 @@ def _roots_in_field(f, field):
 
 
 def _min_poly_in(h, space, unit, x):
-    """Monic minimal polynomial of x inside the unital component (space, unit)."""
+    """Monic minimal polynomial of x inside the unital component (space, unit).
+
+    Each power x^k enters one running echelon once, as its coordinates in
+    ``space`` with a tracking column d + k.  The first power whose
+    coordinates reduce to zero is left as a relation sum_{j <= k} c_j x^j = 0,
+    and c_k is the tracking 1 of x^k, which no earlier row touches.
+    """
     field = h.field
-    rows = [space.coords(unit)]
+    d = space.dim
+    echelon = {}
     power = unit
-    while True:
-        power = h.mul_vec(power, x)
+    for k in count():
         coords = space.coords(power)
         if coords is None:
             raise Inconsistent("component not closed under multiplication")
-        m = Matrix(field, rows).transpose()
-        sol = try_solve(m, coords)
-        if sol is not None:
-            coeffs = [-c for c in sol[0]] + [field.one()]
-            return coeffs
-        rows.append(coords)
+        pivot = _insert(echelon, chain(enumerate(coords), [(d + k, field.one())]), field)
+        if pivot >= d:
+            relation = echelon[pivot]
+            lead = field.inv(relation[d + k])
+            return [relation.get(d + j, field.zero()) * lead for j in range(k + 1)]
+        power = h.mul_vec(power, x)
 
 
 def primitive_idempotents(h, space, unit=None):

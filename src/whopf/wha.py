@@ -37,7 +37,8 @@ The antipode checks sit in a one-entry memo of (S, checks), keyed on the S
 object, and it now serves only the candidate S that ``solve_antipode``
 checks before any algebra holds it: the algebra that then takes that S, by
 assignment or through ``with_antipode``, validates without checking it
-again.  ``with_antipode`` also hands on the bialgebra verdict.
+again.  ``with_antipode`` also hands on the bialgebra verdict, and
+``dualize(H)`` reads H's passing verdicts of each kind (``_handoff``).
 ``validate_full`` assembles a new report from the two parts, whose frozen
 checks it shares.
 
@@ -53,6 +54,7 @@ the twisting and group-like modules, are all ``contraction_matrix``.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -373,6 +375,8 @@ _FIXED = frozenset({"field", "labels", "dim", "mult", "comult", "unit", "counit"
 
 
 class WeakHopfAlgebra:
+    _primal = None  # weakref.ref to H when this algebra is dualize(H)
+
     def __init__(self, field, labels, mult, unit, comult, counit, antipode=None, name=""):
         self.field = field
         self.labels = tuple(labels)
@@ -749,19 +753,56 @@ class WeakHopfAlgebra:
         ``bialgebra_checks`` reuses it, and ``centralizer_in`` reads it
         without running the other axioms.
         """
-        return _associativity(self, self.generators)
+        return None if self._handoff("bialgebra_checks") else _associativity(self, self.generators)
 
     @cached_property
     def bialgebra_checks(self):
-        """``validate_weak_bialgebra``'s checks, once: they read only mult, comult, unit and counit."""
-        return tuple(validate_weak_bialgebra(self).checks)
+        """``validate_weak_bialgebra``'s checks, once: they read only mult, comult, unit and counit.
+
+        On ``dualize(H)`` they are H's passing ones when ``_handoff`` allows:
+        the tables are transposed, so associativity, unit, multiplicativity
+        and weak unit are H's coassociativity, counit, multiplicativity and
+        weak counit (and back), scalar equation for scalar equation.
+        """
+        return self._handoff("bialgebra_checks") or tuple(validate_weak_bialgebra(self).checks)
 
     def antipode_checks(self, s):
-        """``antipode_axiom_checks(self, s)``, reused while the last S checked is ``s``."""
+        """``antipode_axiom_checks(self, s)``, reused while the last S checked is ``s``.
+
+        For the S^T of ``dualize(H)`` each axiom is H's for S, transposed,
+        so H's passing checks are read as ``_handoff`` allows.
+        """
         memo = self._antipode_memo
         if memo is None or memo[0] is not s:
-            memo = self._antipode_memo = (s, tuple(antipode_axiom_checks(self, s)))
+            handed = s is self.antipode and self._handoff("antipode")
+            memo = self._antipode_memo = (s, handed or tuple(antipode_axiom_checks(self, s)))
         return memo[1]
+
+    def _handoff(self, kind):
+        """On ``dualize(H)``, H's checks of ``kind`` if H is alive, they are computed and pass, and
+        ``_transposes_primal`` holds; else None, and the algebra runs its own scans."""
+        primal = self._primal() if self._primal else None
+        if primal is None:
+            return None
+        if kind == "antipode":
+            memo = primal._antipode_memo
+            checks = memo is not None and memo[0] is primal.antipode and memo[1]
+        else:
+            checks = vars(primal).get(kind)
+        return checks if checks and all(c.ok for c in checks) and self._transposes_primal else None
+
+    @cached_property
+    def _transposes_primal(self):
+        """The handoff's certificate, in O(nnz + n^2): mult, comult, unit, counit and S are
+        H's comult, mult, counit, unit and S, transposed, entry by entry."""
+        h = self._primal()
+        return (
+            self.field == h.field
+            and (self.unit, self.counit) == (h.counit, h.unit)
+            and _transposed(self.mult, h.comult)
+            and _transposed(h.mult, self.comult)
+            and self.antipode == h.antipode.transpose()
+        )
 
     @cached_property
     def S2(self):
@@ -827,7 +868,15 @@ class WeakHopfAlgebra:
 
 
 def dualize(h):
-    """The dual weak Hopf algebra on H* (transposed structure constants)."""
+    """The dual weak Hopf algebra on H* (transposed structure constants), with S* = S^T.
+
+    H* is a weak Hopf algebra iff H is (Boehm, Nill and Szlachanyi 1999), and
+    each axiom of H* is one of H, equation for equation: associativity and
+    coassociativity, unit and counit, weak unit and weak counit swap, and
+    multiplicativity and each antipode axiom map to themselves.  So the dual
+    holds h weakly and reads each kind of h's verdicts, once computed and
+    passing, after the certificate ``_transposes_primal`` (``_handoff``).
+    """
     s = h.S
     mult = {}
     for i in range(h.dim):
@@ -847,7 +896,15 @@ def dualize(h):
         antipode=s.transpose(),
         name=h.name + "^*",
     )
+    dual._primal = weakref.ref(h)
     return dual
+
+
+def _transposed(mult, comult):
+    """True when mult[(j, k)][i] == comult[i][(j, k)] for every entry of either; neither holds zeros."""
+    return sum(map(len, mult.values())) == sum(map(len, comult)) and all(
+        comult[i].get(jk) == c for jk, cell in mult.items() for i, c in cell.items()
+    )
 
 
 def counital_maps(h):

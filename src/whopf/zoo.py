@@ -106,7 +106,12 @@ def build_member(name):
 
 
 def check_member(h, mutate=False):
-    """Run the standard battery on one algebra; returns an ordered dict."""
+    """Run the standard battery on one algebra; returns an ordered dict.
+
+    The dual is validated without scanning it again: each axiom of H* is one
+    of H under the transposed tables, so once h passes, ``h.dual`` reads h's
+    verdicts after its certificate (``dualize``) confirms the transposition.
+    """
     if mutate:
         # test hook: corrupt one structure constant to prove the run can fail
         counit = list(h.counit)

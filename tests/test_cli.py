@@ -429,6 +429,24 @@ def test_dynamical_j_for_a_character_that_does_not_exist_is_a_parse_error(tmp_pa
     doc["j"] = {"2": [[0, 0, "1"]]}
     _assert_parse_error(*run_cli(capsys, "twist", "--dynamical", _write(tmp_path, "dyn.json", doc)))
 
+@pytest.mark.parametrize("where", ["scalar-string", "json-integer", "j-key"])
+def test_overlong_integers_are_parse_errors(tmp_path, capsys, where):
+    """A 5000-digit integer, above int()'s default digit limit, used to end in a ValueError traceback."""
+    long = "1" * 5000
+    doc = _z2_doc(capsys)
+    if where == "j-key":
+        dyn = {"u": doc, "grouplikes": [["1", "0"], ["0", "1"]], "j": {long: [[0, 0, "1"]]}}
+        _assert_parse_error(*run_cli(capsys, "twist", "--dynamical", _write(tmp_path, "dyn.json", dyn)))
+        return
+    path = tmp_path / "doc.json"
+    if where == "scalar-string":
+        doc["mult"][0][-1] = long
+        path.write_text(json.dumps(doc))
+    else:
+        path.write_text(json.dumps(doc)[:-1] + ', "extra": ' + long + "}")
+    _assert_parse_error(*run_cli(capsys, "validate", str(path)))
+
+
 def test_dynamical_refuses_a_positional_document(tmp_path, capsys):
     u = _z2_doc(capsys)
     dyn = _write(tmp_path, "dyn.json", {"u": u, "grouplikes": [["1", "0"], ["0", "1"]]})

@@ -44,6 +44,33 @@ def test_rational_arithmetic():
         QQ.parse("z")
 
 
+LONG = "1" * 5000  # above the default limit of int() on decimal strings (4300 digits)
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        (QQ, LONG),
+        (QQ, "-" + LONG),
+        (QQ, "1/" + LONG),
+        (Z3, LONG),
+        (Z3, "2+" + LONG + "*z"),
+        (Z3, "1/" + LONG + "z"),
+        (Z3, "z^" + LONG),
+    ],
+    ids=["qq", "qq-negative", "qq-denominator", "z3-constant", "z3-coefficient", "z3-denominator", "z3-power"],
+)
+def test_overlong_numerals_are_parse_errors(field, text):
+    """int() refuses a decimal string above sys.get_int_max_str_digits() with a bare ValueError."""
+    with pytest.raises(ParseError, match="numeral in scalar"):
+        field.parse(text)
+
+
+def test_overlong_json_integer_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid JSON"):
+        docio.loads('{"dim": ' + LONG + "}")
+
+
 def test_zeta4_squares_to_minus_one():
     z = Z4.zeta()
     assert z * z == Z4.from_int(-1)

@@ -43,7 +43,12 @@ the uncached ``validate_weak_bialgebra`` and ``antipode_axiom_checks`` on a
 fresh copy: on the zoo members and their duals, the ``whopf make``
 constructions and seeded bumps.  A set antipode cannot be reassigned; a
 new S taken through ``with_antipode`` after a validation is checked again,
-with the verdict an uncached run gives.
+with the verdict an uncached run gives.  ``dualize(h)`` reads h's passing
+verdicts: after h validates, the dual's report must equal the uncached one
+with no scan of its own, on the zoo members and their duals, the ladder
+members and the ``make`` constructions.  A ``dualize`` that bumps one
+constant, an unvalidated or collected h, and seeded corruptions of h make
+the dual run its own scans for each kind of check that is not handed over.
 
 ``Matrix.__matmul__`` is a sparse row join.  Its earlier dense body (one
 dot product per output entry, ``dense_matmul``) and the table product that
@@ -69,7 +74,10 @@ from ``mult`` and the dense matrices L(eps_s(e_j)) (``probe_antipode_rows``).
 The semisimplicity battery keeps its earlier bodies: the greedy generating
 indices of the full space (``oracle_generating_indices``), the eager
 ``primitive_idempotents`` that makes every candidate p a up front
-(compared in list order), the block traces as ``restricted_trace`` over
+(compared in list order) with the earlier ``_min_poly_in``, which solves a
+matrix of every earlier power at each degree (``solve_min_poly_in``, also
+compared with the echelon one on every component the report splits), the
+block traces as ``restricted_trace`` over
 ``Subspace.from_vectors`` of pH, pHp and H* pi, and the dense
 ``_invariance_failures``.  They run on every zoo member and its dual and
 on the ladder members, with perturbed lambdas and rho for non-empty
@@ -86,6 +94,7 @@ perturbed lambdas and rho), the arrows from convolution products of H*,
 and both multiplication matrices from products of basis vectors.
 """
 
+import gc
 import itertools
 import random
 import sys
@@ -1756,6 +1765,150 @@ def test_twist_and_validate_full_validate_once(verdict_calls):
 
 
 # ---------------------------------------------------------------------------
+# the dual's verdicts handed over from H
+
+
+def _handoff_algebras():
+    """name -> a fresh algebra: the zoo members and their duals, the ladder members, the make constructions."""
+    out = {}
+    for name in ZOO_NAMES:
+        out[name] = lambda name=name: rebuild(build_member(name))
+        out[f"{name}^*"] = lambda name=name: rebuild(build_member(name).dual)
+    for name, build in {**_ladder_builders(), **_make_builders()}.items():
+        out[name] = lambda build=build: rebuild(build())
+    return out
+
+
+HANDOFF = _handoff_algebras()
+
+
+@pytest.mark.parametrize("name", sorted(HANDOFF))
+def test_the_dual_of_a_validated_algebra_reads_its_verdicts(name, verdict_calls):
+    """After validate_full(h) passes, dualize(h) validates with no scan of its own, as an uncached run would."""
+    h = HANDOFF[name]()
+    assert validate_full(h).ok
+    dual = wha.dualize(h)
+    got = validate_full(dual).as_dict()
+    assert verdict_calls(dual) == []
+    assert got == uncached_report(dual) and got["ok"]
+    assert dual.associativity_witness is None and validate_full(dual).as_dict() == got
+    zero = Matrix.zero(dual.field, dual.dim)  # only the dual's own S is handed over
+    assert dual.antipode_checks(zero) == tuple(antipode_axiom_checks(dual, zero))
+    assert verdict_calls(dual) == ["antipode"]
+
+
+def test_the_dual_of_an_unvalidated_algebra_runs_its_own_scans(verdict_calls):
+    h = rebuild(build_member("pair-3"))
+    dual = wha.dualize(h)
+    assert validate_full(dual).as_dict() == uncached_report(dual)
+    assert verdict_calls(dual) == ["bialgebra", "antipode"]
+    assert "bialgebra_checks" not in vars(h) and h._antipode_memo is None
+
+
+def test_the_dual_of_a_collected_algebra_runs_its_own_scans(monkeypatch):
+    """The dual holds H weakly: once H is gone, nothing is handed over."""
+    h = rebuild(build_member("pair-3"))
+    assert validate_full(h).ok
+    dual = wha.dualize(h)
+    del h
+    gc.collect()
+    assert dual._primal() is None
+    calls = []
+    bialgebra, antipode = wha.validate_weak_bialgebra, wha.antipode_axiom_checks
+    monkeypatch.setattr(wha, "validate_weak_bialgebra", lambda alg: calls.append("bialgebra") or bialgebra(alg))
+    monkeypatch.setattr(wha, "antipode_axiom_checks", lambda alg, *a: calls.append("antipode") or antipode(alg, *a))
+    got = validate_full(dual).as_dict()
+    assert calls == ["bialgebra", "antipode"]
+    monkeypatch.undo()
+    assert got == uncached_report(dual) and got["ok"]
+
+
+def _bumped_copy(d, part):
+    """d with one structure constant of ``part`` (or one entry of S) shifted by 1."""
+    one = d.field.one()
+    if part == "mult":
+        key = min(d.mult)
+        return bump(d, key, min(d.mult[key]), one)
+    if part == "new-mult-entry":
+        key = min(set(itertools.product(range(d.dim), repeat=2)) - set(d.mult))
+        return bump(d, key, 0, one)
+    if part == "dropped-mult-entry":
+        key = min(d.mult)
+        k = min(d.mult[key])
+        return bump(d, key, k, -d.mult[key][k])
+    if part == "comult":
+        comult = [dict(c) for c in d.comult]
+        jk = min(comult[0])
+        comult[0][jk] += one
+        return rebuild(d, comult=comult)
+    if part == "antipode":
+        rows = [list(row) for row in d.S.rows]
+        rows[0][0] += one
+        return WeakHopfAlgebra(d.field, d.labels, d.mult, d.unit, d.comult, d.counit, antipode=rows, name=d.name)
+    vec = list(getattr(d, part))
+    vec[0] += one
+    return rebuild(d, **{part: vec})
+
+
+@pytest.mark.parametrize(
+    "part", ["mult", "new-mult-entry", "dropped-mult-entry", "comult", "unit", "counit", "antipode"]
+)
+@pytest.mark.parametrize("name", ["pair-2", "s3-group", "hmin-m2-g31", "sweedler4"])
+def test_a_bumped_dual_fails_the_certificate_and_reports_its_own_witness(name, part, monkeypatch, verdict_calls):
+    """A ``dualize`` that bumps one constant of H* keeps the weak reference, but not the transposed tables."""
+    dualize = wha.dualize
+
+    def bumped(h):
+        d = dualize(h)
+        bad = _bumped_copy(d, part)
+        bad._primal = d._primal
+        return bad
+
+    monkeypatch.setattr(wha, "dualize", bumped)
+    h = rebuild(build_member(name))
+    assert validate_full(h).ok
+    dual = h.dual
+    report = validate_full(dual).as_dict()
+    assert not dual._transposes_primal
+    assert verdict_calls(dual) == ["bialgebra", "antipode"]
+    assert report == uncached_report(dual) and not report["ok"]
+
+
+def test_a_failing_algebra_gives_its_dual_its_own_scans(verdict_calls):
+    """Seeded corruptions of H: each kind of check that fails on H is scanned again on H*.
+
+    The antipode axioms of H* are H's, transposed, whatever the bialgebra
+    verdict, so a kind that passes on H is still handed over.
+    """
+    rng = random.Random(20010119)
+    count = 0
+    failing = set()
+    kinds = set()
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        if h.dim > 9:
+            continue
+        for bad in [corrupt(h, rng) for _ in range(4)] + [corrupt_antipode(h, rng)]:
+            report = validate_full(bad)
+            if report.ok:
+                continue
+            own = [
+                kind
+                for kind, checks in (("bialgebra", bad.bialgebra_checks), ("antipode", bad.antipode_checks(bad.S)))
+                if not all(c.ok for c in checks)
+            ]
+            dual = wha.dualize(bad)
+            got = validate_full(dual).as_dict()
+            assert got == uncached_report(dual) and not got["ok"]
+            assert verdict_calls(dual) == own
+            kinds.update(own)
+            failing.update(c["axiom"] for c in got["checks"] if not c["ok"])
+            count += 1
+    assert count >= 40 and kinds == {"bialgebra", "antipode"}
+    assert {"associativity", "coassociativity", "unit", "counit", "antipode_target"} <= failing
+
+
+# ---------------------------------------------------------------------------
 # product kernels: the table index against probing every index pair
 
 
@@ -2198,6 +2351,22 @@ def oracle_generating_indices(h):
     return gens
 
 
+def solve_min_poly_in(h, space, unit, x):
+    """The earlier ``_min_poly_in``: a matrix of every earlier power, rebuilt and solved at each degree."""
+    field = h.field
+    rows = [space.coords(unit)]
+    power = unit
+    while True:
+        power = h.mul_vec(power, x)
+        coords = space.coords(power)
+        if coords is None:
+            raise Inconsistent("component not closed under multiplication")
+        sol = try_solve(Matrix(field, rows).transpose(), coords)
+        if sol is not None:
+            return [-c for c in sol[0]] + [field.one()]
+        rows.append(coords)
+
+
 def eager_primitive_idempotents(h, space, unit=None):
     """The earlier ``primitive_idempotents``: every candidate p a made up front, every product dense."""
     field = h.field
@@ -2221,7 +2390,7 @@ def eager_primitive_idempotents(h, space, unit=None):
                 seen.add(x)
                 candidates.append(x)
         for bvec in candidates:
-            f = semisimplicity._min_poly_in(h, comp, p, bvec)
+            f = solve_min_poly_in(h, comp, p, bvec)
             if len(f) <= 2:
                 continue
             roots = semisimplicity._roots_in_field(f, field)
@@ -2418,6 +2587,31 @@ def test_primitive_idempotents_match_the_eager_candidates(name):
             assert got == want
             if isinstance(got, list):
                 assert [e.coeffs for e in got] == [e.coeffs for e in want]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_minimal_polynomials_match_the_solved_ones(name, monkeypatch):
+    """The echelon minimal polynomial is the solved one.
+
+    On every component the semisimplicity report splits, and in the whole
+    algebra for the basis elements and a generic vector, whose degrees reach
+    beyond the quadratics of the split components (nilpotents included).
+    """
+    algebras = battery_algebras(name)
+    min_poly = semisimplicity._min_poly_in
+    for h in algebras:
+        full = _full(h)
+        for x in [generic_vector(h)] + [_basis(h, i) for i in range(h.dim)]:
+            assert min_poly(h, full, h.unit, x) == solve_min_poly_in(h, full, h.unit, x)
+
+    def spy(h, space, unit, x):
+        got = min_poly(h, space, unit, x)
+        assert got == solve_min_poly_in(h, space, unit, x)
+        return got
+
+    monkeypatch.setattr(semisimplicity, "_min_poly_in", spy)
+    for h in algebras:
+        semisimplicity.semisimplicity_report(h, canonical_dual_pair(h))
 
 
 @pytest.mark.parametrize("name", BATTERY)
