@@ -20,13 +20,26 @@ scalars hash equal; a ``Cyc`` is canonical, so its equality is syntactic.
 A ``Field`` object (RationalField or CyclotomicField) carries parsing,
 formatting, coercion, and inversion.  Cyclotomic orders 1 and 2 are
 canonicalized to the rationals by ``make_field``.
+
+A field also maps a table of its scalars to integers, for scans that only
+add and multiply entries and compare the two sides of an identity
+(``scaling``, ``image``, ``radix``, and ``image_zero`` over Q(zeta_n)).  Each
+scalar is multiplied by the lcm D of the table's denominators.  Over Q
+that is an int.  Over Q(zeta_n) the phi scaled integer coefficients c_t are
+packed into the one int sum_t c_t 2^(K t), the Kronecker substitution
+z -> 2^K (``_pack``).  Then a product of scalars is a product of ints and
+a sum is a sum of ints, as long as no digit of a result reaches 2^(K-1):
+``radix`` picks K from a bound on the digits.  A packed int is not
+canonical, since it is never reduced mod Phi_n, so a value is tested for
+zero by its signed digits (``_unpack``), folded by z^n = 1 and reduced
+mod Phi_n once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import FieldMismatch, Inconsistent, ParseError
@@ -153,6 +166,8 @@ class _CycContext:
                 cur = [a + lead * b for a, b in zip(cur, top)]
             rows.append(cur)
         self.power_rows = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
+        # residue_rows[t]: the same pairs for z^t itself, t < n
+        self.residue_rows = [((t, 1),) for t in range(phi)] + self.power_rows[: n - phi]
         self.zero_tail = (0,) * (phi - 1)
         self.zero = _cyc(n, (0,) * phi, 1)
         self.one = _cyc(n, (1,) + self.zero_tail, 1)
@@ -200,6 +215,48 @@ class _CycContext:
             if x:
                 out[i * k % n] += x
         return self.reduce(out)
+
+    def fold(self, digits):
+        """The residue of sum_t digits[t] z^t: each z^t is folded by z^n = 1, then read reduced mod Phi_n."""
+        n, rows = self.n, self.residue_rows
+        out = [0] * self.phi
+        for t, d in enumerate(digits):
+            if d:
+                for i, r in rows[t % n]:
+                    out[i] += d * r
+        return out
+
+
+def _radix(bound):
+    """The least K >= 2 with 2^(K-1) > 2 bound.
+
+    When every digit of two packed values is at most ``bound`` in absolute
+    value, every digit of their difference lies strictly between -2^(K-1)
+    and 2^(K-1), so ``_unpack`` reads it back exactly.
+    """
+    return (2 * bound + 1).bit_length() + 1
+
+
+def _pack(coeffs, k):
+    """sum_t coeffs[t] 2^(k t), the coefficient list evaluated at z = 2^k (Kronecker substitution)."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v, k):
+    """The signed digits d_t of v = sum_t d_t 2^(k t), -2^(k-1) <= d_t < 2^(k-1), lowest first."""
+    base = 1 << k
+    mask, half = base - 1, base >> 1
+    digits = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        v = (v - d) >> k
+    return digits
 
 
 _CONTEXTS = {}
@@ -486,6 +543,21 @@ class RationalField(Field):
     def format(self, a):
         return str(a) if type(a) is int else str(Fraction(a))
 
+    # -- the integer image of a table (module docstring) --
+
+    def scaling(self, scalars):
+        """(D, A) of a list of scalars: the lcm D of their denominators and the largest |x D|."""
+        d = lcm(*{x.denominator for x in scalars})
+        return d, max((abs(x.numerator) * (d // x.denominator) for x in scalars), default=0)
+
+    def image(self, x, d, k):
+        """x D for D = ``d``, an int: no radix is needed."""
+        return x.numerator * (d // x.denominator)
+
+    def radix(self, *sides):
+        """None: ints need no radix, and they are compared as they are."""
+        return None
+
     def __repr__(self):
         return "QQ"
 
@@ -501,6 +573,7 @@ class CyclotomicField(Field):
             raise ValueError("orders 1 and 2 canonicalize to the rationals; use make_field")
         self.order = order
         self.phi = euler_phi(order)
+        self._context = _context(order)
 
     def zero(self):
         return _context(self.order).zero
@@ -573,6 +646,36 @@ class CyclotomicField(Field):
         if not parts:
             return "0"
         return "".join(sign + body for sign, body in parts).lstrip("+")
+
+    # -- the integer image of a table (module docstring) --
+
+    def scaling(self, scalars):
+        """(D, A) of a list of scalars: the lcm D of their denominators and the largest |c_t| of any
+        x D = sum_t c_t z^t."""
+        d = lcm(*{x.den for x in scalars})
+        return d, max((abs(c) * (d // x.den) for x in scalars for c in x.num), default=0)
+
+    def image(self, x, d, k):
+        """The coefficients of x D for D = ``d``, packed at radix k."""
+        f = d // x.den
+        return _pack([c * f for c in x.num], k)
+
+    def radix(self, *sides):
+        """The radix K of one scan that compares two sides of an identity.
+
+        A side (s, N, A_1, ..., A_m) is s times a sum of N products of m
+        images whose coefficients are at most A_1, ..., A_m in absolute
+        value.  Such a product of m residues of degree below phi has digits
+        at most phi^(m-1) A_1 ... A_m, so each digit of the side is at most
+        s N phi^(m-1) A_1 ... A_m; K bounds the largest side (``_radix``),
+        rounded up to a multiple of 16 so that the scans of one algebra
+        mostly share one packing of its tables.
+        """
+        return -(-_radix(max(s * t * self.phi ** (len(a) - 1) * prod(a) for s, t, *a in sides)) // 16) * 16
+
+    def image_zero(self, v, k):
+        """Whether the packed int v at radix k is zero in Q(zeta_n)."""
+        return not v or not any(self._context.fold(_unpack(v, k)))
 
     def __repr__(self):
         return f"QQ(zeta_{self.order})"

@@ -113,7 +113,12 @@ def rref(rows, field):
 
 
 class Matrix:
-    """Immutable dense matrix over a Field."""
+    """Immutable dense matrix over a Field.
+
+    ``Matrix(field, rows)`` coerces every entry.  ``_of`` takes rows that
+    already hold the field's own scalars as they are: the rows of another
+    Matrix, or the field's zero and one.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -127,15 +132,22 @@ class Matrix:
         self.rows = rows
 
     @classmethod
+    def _of(cls, field, rows):
+        """The Matrix on a tuple of equal-length tuples of the field's own scalars, not coerced again."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), len(rows[0]) if rows else 0
+        return m
+
+    @classmethod
     def identity(cls, field, n):
         one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, field, nrows, ncols=None):
         z = field.zero()
         ncols = nrows if ncols is None else ncols
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._of(field, tuple((z,) * ncols for _ in range(nrows)))
 
     @classmethod
     def from_columns(cls, field, cols):
@@ -196,7 +208,7 @@ class Matrix:
         return tuple(sum((r[j] * x for j, x in nzv), zero) for r in self.rows)
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
+        return Matrix._of(self.field, tuple(zip(*self.rows)))
 
     def _square(self, what):
         if self.nrows != self.ncols:

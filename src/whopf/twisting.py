@@ -411,7 +411,7 @@ def verify_dynamical_data(data):
     p_vectors = [group.minimal_idempotent(u.field, m) for m in range(group.order)]
     for lam in range(group.order):
         j_lam = j_tensors[lam]
-        lhs_left = _comultiplied(u, j_lam, 0)
+        lhs_left = _comultiplied(u.comult, u.field.zero(), j_lam, 0)
         shifted = {}
         for m in range(group.order):
             j_shift = j_tensors[group.char_product(lam, m)]
@@ -423,7 +423,7 @@ def verify_dynamical_data(data):
                         shifted[key] = shifted.get(key, u.field.zero()) + cf * pk
         shifted = {k: v for k, v in shifted.items() if v}
         lhs = u.mul_triple_dicts(lhs_left, shifted)
-        rhs_left = _comultiplied(u, j_lam, 1)
+        rhs_left = _comultiplied(u.comult, u.field.zero(), j_lam, 1)
         one_j = {}
         for i, ci in enumerate(u.unit):
             if ci:

@@ -26,6 +26,31 @@ The index and the other cached properties derive from ``field``,
 ``labels``, ``dim``, ``mult``, ``comult``, ``unit`` and ``counit``, so
 those cannot be reassigned once ``__init__`` has finished.
 
+The scans of associativity, multiplicativity, coassociativity and the
+three antipode axioms read the integer image of the tables instead, the
+cached property ``image`` (delayed reduction, as in FFLAS-FFPACK, Dumas,
+Giorgi and Pernet 2008).  Each table is scaled by the lcm D of its
+denominators, D_m for mult and D_c for comult.  Over Q the image holds
+ints, and a table with D = 1 is used as it is.  Over Q(zeta_n) each scaled
+coefficient vector is packed into one int at a radix K (the Kronecker
+substitution z -> 2^K; Harvey 2009), so a product of scalars is one int
+product and a sum one int sum (``Field.image`` and ``Field.radix``).  Each
+scan compares an identity scaled by the same integer on both sides: for
+instance multiplicativity compares D_c D_m times the image of
+Delta(e_i e_j) with the product of the images of Delta(e_i) and
+Delta(e_j), both D_c^2 D_m^2 Delta(e_i e_j) when the axiom holds.  Scaling
+by a nonzero integer and packing below the radix bound are injective, so
+each scaled identity holds exactly when the scalar one does; the scans
+keep their order, so every verdict and first witness is the same.  A scan
+picks its own K from the bound s N phi^(m-1) A_1 ... A_m on the digits of
+a side: N products of m factor images are summed into one entry, A_i is
+the largest absolute coefficient of factor i's image and s the integer
+scale of the side.  K is the least with 2^(K-1) > 2 bound, as the two
+sides are subtracted, rounded up to a multiple of 16.  An entry is compared
+by the signed digits of the difference, folded by z^n = 1 and reduced mod
+Phi_n once (``Field.image_zero``).  The weak unit and weak counit checks,
+``solve_antipode`` and ``mul_pair_dicts`` stay on field scalars.
+
 Each verdict is computed once per input.  The weak bialgebra checks read
 only ``mult``, ``comult``, ``unit`` and ``counit``, which cannot be
 reassigned after ``__init__``, so they are the cached property
@@ -58,6 +83,7 @@ import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import (
     Axiom26Failure,
@@ -147,12 +173,12 @@ def _nonzero_columns(m):
     return [[(r, v) for r, v in enumerate(col) if v] for col in zip(*m.rows)]
 
 
-def _comultiplied(h, tensor, leg):
-    """(Delta (x) id) of a sparse pair tensor for leg 0, (id (x) Delta) for leg 1; not pruned."""
-    zero = h.field.zero()
+def _comultiplied(comult, zero, tensor, leg):
+    """(Delta (x) id) of a sparse pair tensor for leg 0, (id (x) Delta) for leg 1, by the table
+    ``comult`` (an algebra's, or its image's with zero 0); not pruned."""
     out = {}
     for legs, c in tensor.items():
-        for (a, b), c2 in h.comult[legs[leg]].items():
+        for (a, b), c2 in comult[legs[leg]].items():
             key = (a, b, legs[1]) if leg == 0 else (legs[0], a, b)
             out[key] = out.get(key, zero) + c * c2
     return out
@@ -370,8 +396,94 @@ def _index_lines(h, leg):
     return tuple(lines)
 
 
-# the inputs of an algebra and its table index; the cached structure derives from them
-_FIXED = frozenset({"field", "labels", "dim", "mult", "comult", "unit", "counit", "mult_rows", "mult_cols"})
+class _Columns:
+    """The nonzero entries of each column of a matrix, as images under the lcm ``d`` of their denominators.
+
+    ``cols`` holds column i as a dict row -> scalar, ``a`` the largest
+    absolute coefficient of an image (``Field.scaling``) and ``width`` the
+    most nonzeros of one column.
+    """
+
+    def __init__(self, field, cols):
+        self.field, self.cols = field, [dict(col) for col in cols]
+        self.d, self.a = field.scaling([v for col in self.cols for v in col.values()])
+        self.width = max(map(len, self.cols), default=0)
+        self._at = {}
+
+    def at(self, radix):
+        """The columns of images at ``radix``, made once per radix; over Q with d = 1, ``cols`` itself."""
+        got = self._at.get(radix)
+        if got is None:
+            image, d = self.field.image, self.d
+            got = self.cols
+            if radix is not None or d != 1:
+                got = [{r: image(v, d, radix) for r, v in col.items()} for col in got]
+            self._at[radix] = got
+        return got
+
+
+class _Image:
+    """The integer image of an algebra's tables; ``WeakHopfAlgebra.image`` builds it once.
+
+    ``mult_scaling`` and ``comult_scaling`` are the (D, A) of each table (``Field.scaling``)
+    and ``terms`` the most terms of one Delta(e_i).  ``at(radix)`` is the
+    index ``mult_rows`` and ``comult`` with each scalar replaced by its
+    image, made once per radix; over Q, where the radix is None, a table
+    with D = 1 is the algebra's own.
+    """
+
+    def __init__(self, h):
+        self.field = h.field
+        self._tables = h.mult_rows, h.comult
+        self.mult_scaling = h.field.scaling([c for cell in h.mult.values() for c in cell.values()])
+        self.comult_scaling = h.field.scaling([c for d in h.comult for c in d.values()])
+        self.terms = max(map(len, h.comult), default=0)
+        self._at = {}
+        self._counital = None
+
+    def at(self, radix):
+        """(mult_rows, comult) of images at ``radix``."""
+        got = self._at.get(radix)
+        if got is None:
+            image = self.field.image
+            rows, comult = self._tables
+            (dm, _), (dc, _) = self.mult_scaling, self.comult_scaling
+            if radix is not None or dm != 1:
+                rows = tuple(
+                    {j: {k: image(c, dm, radix) for k, c in cell.items()} for j, cell in line.items()}
+                    for line in rows
+                )
+            if radix is not None or dc != 1:
+                comult = tuple({jk: image(c, dc, radix) for jk, c in d.items()} for d in comult)
+            got = self._at[radix] = rows, comult
+        return got
+
+    def counital(self, h):
+        """eps_t and eps_s of h, the algebra of this image, as ``_Columns``, made on first use."""
+        if self._counital is None:
+            self._counital = tuple(_Columns(self.field, _nonzero_columns(m)) for m in (h.eps_t_mat, h.eps_s_mat))
+        return self._counital
+
+
+def _differ(field, radix, lhs, rhs):
+    """Whether two sparse vectors of images at ``radix`` differ over the field; neither need be pruned.
+
+    Ints are compared as they are.  Packed ints that differ are compared by
+    ``Field.image_zero`` of their difference, entry by entry.  The scans
+    call this only when the raw dicts differ, so sums that cancel to zero
+    are pruned only then.
+    """
+    if _pruned(lhs) == _pruned(rhs):
+        return False
+    return radix is None or not all(
+        field.image_zero(lhs.get(p, 0) - rhs.get(p, 0), radix) for p in lhs.keys() | rhs.keys()
+    )
+
+
+# the inputs of an algebra and its table index and image; the cached structure derives from them
+_FIXED = frozenset(
+    {"field", "labels", "dim", "mult", "comult", "unit", "counit", "mult_rows", "mult_cols", "image"}
+)
 
 
 class WeakHopfAlgebra:
@@ -440,6 +552,11 @@ class WeakHopfAlgebra:
     def mult_cols(self):
         """``mult_cols[j]`` maps i to the cell of e_i e_j, for each nonzero product."""
         return _index_lines(self, 1)
+
+    @cached_property
+    def image(self):
+        """The integer image of mult and comult that the validation scans read (``_Image``)."""
+        return _Image(self)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -545,28 +662,7 @@ class WeakHopfAlgebra:
         the cost is the term pairs whose first legs multiply to nonzero, plus
         the shorter side of each join, not the |p| |q| pairs of terms.
         """
-        zero = self.field.zero()
-        rows = self.mult_rows
-        by_first = {}
-        for (c, d), cq in q.items():
-            by_first.setdefault(c, []).append((d, cq))
-        out = {}
-        for (a, b), cp in p.items():
-            row_b = rows[b]
-            if not row_b:
-                continue
-            for _c, m1, group in _common(rows[a], by_first):
-                for d, cq in group:
-                    m2 = row_b.get(d)
-                    if m2 is None:
-                        continue
-                    cc = cp * cq
-                    for k1, c1 in m1.items():
-                        cc1 = cc * c1
-                        for k2, c2 in m2.items():
-                            key = (k1, k2)
-                            out[key] = out.get(key, zero) + cc1 * c2
-        return _pruned(out)
+        return _pruned(_pair_product(self.mult_rows, p, q, self.field.zero()))
 
     def mul_triple_dicts(self, p, q):
         """Product in H (x) H (x) H of two sparse triple-tensors, joined like ``mul_pair_dicts``."""
@@ -964,6 +1060,30 @@ def _integral_rows(h, side, counital):
     return rows
 
 
+def _pair_product(rows, p, q, zero):
+    """The body of ``mul_pair_dicts`` on the index ``rows``, an algebra's or its image's; not pruned."""
+    by_first = {}
+    for (c, d), cq in q.items():
+        by_first.setdefault(c, []).append((d, cq))
+    out = {}
+    for (a, b), cp in p.items():
+        row_b = rows[b]
+        if not row_b:
+            continue
+        for _c, m1, group in _common(rows[a], by_first):
+            for d, cq in group:
+                m2 = row_b.get(d)
+                if m2 is None:
+                    continue
+                cc = cp * cq
+                for k1, c1 in m1.items():
+                    cc1 = cc * c1
+                    for k2, c2 in m2.items():
+                        key = (k1, k2)
+                        out[key] = out.get(key, zero) + cc1 * c2
+    return out
+
+
 def _join(lines, x, w, zero):
     """sum of x_i w_k times the cell of line i at k, over i in x and k in both line i and w; not pruned.
 
@@ -1056,9 +1176,15 @@ def _associativity(h, rows):
     witness is that of the scan over every l.  Each side joins a row of the
     index with a cell, so a row i costs the nonzero products of the triples
     it reaches, not n^2 probes of the table.
+
+    The scan reads ``h.image``: both sides are D_m^2 times the field's, for
+    D_m the lcm of mult's denominators, with radix bound n phi A_m^2.
     """
-    zero = h.field.zero()
-    mult_rows = h.mult_rows
+    field = h.field
+    im = h.image
+    am = im.mult_scaling[1]
+    radix = field.radix((1, h.dim, am, am))
+    mult_rows = im.at(radix)[0]
     for i in rows:
         row_i = mult_rows[i]
         for j in range(h.dim):
@@ -1073,13 +1199,12 @@ def _associativity(h, rows):
                     cell = mult_rows[k].get(l)
                     if cell:
                         for m, c2 in cell.items():
-                            lhs[m] = lhs.get(m, zero) + c * c2
+                            lhs[m] = lhs.get(m, 0) + c * c2
                 rhs = {}
                 for _k, c, cell in _common(row_j.get(l, {}), row_i):
                     for m, c2 in cell.items():
-                        rhs[m] = rhs.get(m, zero) + c * c2
-                # sums that cancel to zero are pruned only when the raw dicts differ
-                if lhs != rhs and _pruned(lhs) != _pruned(rhs):
+                        rhs[m] = rhs.get(m, 0) + c * c2
+                if lhs != rhs and _differ(field, radix, lhs, rhs):
                     return (i, j, l)
     return None
 
@@ -1122,6 +1247,18 @@ def validate_weak_bialgebra(h):
     products in all; only the first failing row f of the first failing g is
     expanded over t, to report the least (f, g, t).
 
+    Associativity, multiplicativity and coassociativity run on ``h.image``
+    (module docstring), each with its own radix.  Associativity compares
+    D_m^2 (e_i e_j) e_l with D_m^2 e_i (e_j e_l): N <= n products of m = 2
+    mult images per entry, so its bound is n phi A_m^2.  Multiplicativity
+    compares D_c D_m times the image of Delta(e_i e_j), n products of a
+    mult and a comult image (bound D_c D_m n phi A_m A_c), with the image
+    product of Delta(e_i) and Delta(e_j), at most C^2 products of two
+    comult and two mult images per entry for C the most terms of one
+    Delta(e_k) (bound C^2 phi^3 A_c^2 A_m^2).  Coassociativity compares
+    D_c^2 (Delta (x) id)Delta(e_i) with D_c^2 (id (x) Delta)Delta(e_i)
+    (bound C phi A_c^2).  The weak axioms stay on field scalars.
+
     Uncached apart from the cached ``h.generators`` (G) and
     ``h.associativity_witness``: ``validate_full`` reads
     ``h.bialgebra_checks``, which calls this once per algebra.
@@ -1130,21 +1267,31 @@ def validate_weak_bialgebra(h):
     field = h.field
     zero = field.zero()
     gens = h.generators
+    im = h.image
+    (dm, am), (dc, ac) = im.mult_scaling, im.comult_scaling
 
     def multiplicativity(rows):
+        scale = dm * dc
+        radix = field.radix((scale, n, am, ac), (1, im.terms**2, ac, ac, am, am))
+        lines, comult = im.at(radix)
         for i in rows:
             for j in range(n):
                 lhs = {}
-                for k, c in h.mult_rows[i].get(j, {}).items():
-                    for jk, c2 in h.comult[k].items():
-                        lhs[jk] = lhs.get(jk, zero) + c * c2
-                if _pruned(lhs) != h.mul_pair_dicts(h.comult[i], h.comult[j]):
+                for k, c in lines[i].get(j, {}).items():
+                    c *= scale
+                    for jk, c2 in comult[k].items():
+                        lhs[jk] = lhs.get(jk, 0) + c * c2
+                rhs = _pair_product(lines, comult[i], comult[j], 0)
+                if lhs != rhs and _differ(field, radix, lhs, rhs):
                     return (i, j)
         return None
 
     def coassociativity(rows):
+        radix = field.radix((1, im.terms, ac, ac))
+        comult = im.at(radix)[1]
         for i in rows:
-            if _pruned(_comultiplied(h, h.comult[i], 0)) != _pruned(_comultiplied(h, h.comult[i], 1)):
+            lhs, rhs = (_comultiplied(comult, 0, comult[i], leg) for leg in (0, 1))
+            if lhs != rhs and _differ(field, radix, lhs, rhs):
                 return (i,)
         return None
 
@@ -1274,41 +1421,62 @@ def antipode_axiom_checks(h, s=None):
     through ``h.antipode_checks(s)``, which keeps them for the last S.
 
     Each axiom compares sum c x_j y_k over Delta(e_i) = sum c e_j (x) e_k
-    with column i of a matrix, where x_j and y_k are basis vectors or columns
-    of S and eps_s.  The products x_j y_k join row a of the index, for each
-    a in supp(x_j), with the nonzeros of y_k, and accumulate sparsely.
+    with column i of a matrix E, where x_j and y_k are basis vectors or
+    columns of S and eps_s.  The products x_j y_k join row a of the index,
+    for each a in supp(x_j), with the nonzeros of y_k, and accumulate
+    sparsely.
+
+    The scans run on ``h.image`` (module docstring); eps_t and eps_s have
+    their images cached there, and S, which varies from call to call, is
+    packed per call.  With D_x, D_y and D_E the lcms of the denominators of
+    the x's, the y's and E, the sum is L = D_c D_x D_y D_m times the scalar
+    one, so with g = gcd(L, D_E) a scan compares D_E / g times the summed
+    images with L / g times the image of column i of E.  An entry of the
+    sum has at most N = C w_x w_y products of four images, for C the most
+    terms of one Delta(e_i) and w the most nonzeros of one column, so the
+    bounds of the two sides are (D_E / g) N phi^3 A_c A_x A_y A_m and
+    (L / g) A_E.
     """
-    n = h.dim
-    zero = h.field.zero()
-    one = h.field.one()
-    rows = h.mult_rows
+    field = h.field
+    im = h.image
+    (dm, am), (dc, ac) = im.mult_scaling, im.comult_scaling
 
     def first_failure(left, right, expect):
-        right = [dict(col) for col in right]
-        for i in range(n):
+        scale = dc * left.d * right.d * dm
+        g = gcd(scale, expect.d)
+        s_acc, s_expect = expect.d // g, scale // g
+        width = im.terms * left.width * right.width
+        radix = field.radix((s_acc, width, ac, left.a, right.a, am), (s_expect, 1, expect.a))
+        rows, comult = im.at(radix)
+        left, right = left.at(radix), right.at(radix)
+        for i, want in enumerate(expect.at(radix)):
             acc = {}
-            for (j, k), c in h.comult[i].items():
-                for a, x in left[j]:
+            for (j, k), c in comult[i].items():
+                c *= s_acc
+                for a, x in left[j].items():
                     cx = c * x
                     for _b, cell, y in _common(rows[a], right[k]):
                         cxy = cx * y
                         for p, cm in cell.items():
-                            acc[p] = acc.get(p, zero) + cxy * cm
-            if any(acc.get(p, zero) != v for p, v in enumerate(expect.col(i))):
+                            acc[p] = acc.get(p, 0) + cxy * cm
+            if s_expect != 1:
+                want = {p: v * s_expect for p, v in want.items()}
+            if acc != want and _differ(field, radix, acc, want):
                 return (i,)
         return None
 
     if s is None:
         s = h.S
-    basis = [[(i, one)] for i in range(n)]
-    s_cols = _nonzero_columns(s)
-    witness = first_failure(basis, s_cols, h.eps_t_mat)
+    eps_t, eps_s = im.counital(h)
+    basis = _Columns(field, [[(i, field.one())] for i in range(h.dim)])
+    s_cols = _Columns(field, _nonzero_columns(s))
+    witness = first_failure(basis, s_cols, eps_t)
     checks = [AxiomCheck("antipode_target", witness is None, witness)]
-    witness = first_failure(s_cols, basis, h.eps_s_mat)
+    witness = first_failure(s_cols, basis, eps_s)
     checks.append(AxiomCheck("antipode_source", witness is None, witness))
     # S(h_(1)) h_(2) S(h_(3)) = S(h).  Under the source axiom the inner part
     # m(S (x) id) Delta(e_j) collapses to eps_s(e_j), so the triple sum folds.
-    witness = first_failure(_nonzero_columns(h.eps_s_mat), s_cols, s)
+    witness = first_failure(eps_s, s_cols, s_cols)
     checks.append(AxiomCheck("antipode_composite", witness is None, witness))
     return checks
 

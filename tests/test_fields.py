@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +14,15 @@ from whopf.fields import (
     CyclotomicField,
     RationalField,
     _context,
+    _pack,
     _poly_divmod,
+    _radix,
+    _unpack,
     cyclotomic_polynomial,
     make_field,
 )
 from whopf.linalg import rref
-from whopf.wha import WeakHopfAlgebra
+from whopf.wha import WeakHopfAlgebra, _differ
 
 Z3 = CyclotomicField(3)
 Z4 = CyclotomicField(4)
@@ -596,3 +599,118 @@ def test_integral_rationals_are_stored_as_int():
     assert all(type(x) is int for row in rows for x in row)
     h = groupoid_algebra(pair_groupoid(5), name="pair-5")
     assert h.mult and all(type(c) is int for cell in h.mult.values() for c in cell.values())
+
+
+# ---------------------------------------------------------------------------
+# integer images: a table times the lcm of its denominators, packed over Q(zeta_n)
+
+PACK_FIELDS = [QQ] + [CyclotomicField(n) for n in (3, 4, 5, 7, 8, 12)]
+
+
+def image_scalars(field, count):
+    """``count`` scalars of field, each coefficient a small fraction or 0."""
+    phi = 1 if field is QQ else field.phi
+    coeff = st.one_of(st.just(Fraction(0)), small_q)
+    vec = st.lists(coeff, min_size=phi, max_size=phi)
+    if field is QQ:
+        return st.lists(coeff.map(field.coerce), min_size=count, max_size=count)
+    return st.lists(vec.map(lambda c: Cyc(field.order, c)), min_size=count, max_size=count)
+
+
+def read_back(field, v, d, radix):
+    """The scalar whose image under the scale d is v: over Q(zeta_n) its digits, folded and reduced."""
+    if radix is None:
+        return field.from_fraction(Fraction(v, d))
+    return Cyc(field.order, [Fraction(c, d) for c in _context(field.order).fold(_unpack(v, radix))])
+
+
+def check_products(field, tables):
+    """sum_i prod_t tables[t][i] from the images of the tables, against the field's own arithmetic.
+
+    Each table is scaled by its own lcm D_t, so the sum of products of
+    images is the scalar sum times prod_t D_t.  It must read back as that
+    scalar, compare equal to the image of the scalar (a representative
+    that is reduced mod Phi_n, unlike the sum), and differ from it after a
+    bump of one unit in any digit below phi.
+    """
+    terms = len(tables[0])
+    scalings = [field.scaling(table) for table in tables]
+    scale = prod(d for d, _ in scalings)
+    want = field.zero()
+    for i in range(terms):
+        want = want + prod((table[i] for table in tables), start=field.one())
+    _, a_want = field.scaling([want, field.from_fraction(Fraction(1, scale))])
+    radix = field.radix((1, terms, *(a for _, a in scalings)), (1, 1, a_want))
+    total = 0
+    for i in range(terms):
+        total += prod(field.image(table[i], d, radix) for table, (d, _) in zip(tables, scalings))
+    assert read_back(field, total, scale, radix) == want
+    image = field.image(want, scale, radix)
+    assert not _differ(field, radix, {0: total}, {0: image})
+    for t in range(1 if field is QQ else field.phi):
+        bumped = total + (1 if radix is None else 1 << (radix * t))
+        assert _differ(field, radix, {0: bumped}, {0: image})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PACK_FIELDS), st.integers(1, 6), st.integers(1, 3), st.data())
+def test_images_multiply_and_add_like_the_scalars(field, terms, factors, data):
+    check_products(field, [data.draw(image_scalars(field, terms)) for _ in range(factors)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 90), st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=1, max_size=13))
+def test_extreme_digits_decode(k, signs):
+    top = (1 << (k - 1)) - 1
+    coeffs = [sign * top for sign in signs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    assert _unpack(_pack(coeffs, k), k) == coeffs
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 7, 8, 1000, 2**64 - 1, 2**64])
+def test_radix_is_the_least_with_room_for_a_difference(bound):
+    k = _radix(bound)
+    assert 2 ** (k - 1) > 2 * bound and (k == 2 or not 2 ** (k - 2) > 2 * bound)
+    assert _unpack(_pack([2 * bound, -2 * bound, 1], k), k) == [2 * bound, -2 * bound, 1]
+
+
+@pytest.mark.parametrize("field", PACK_FIELDS[1:], ids=str)
+@pytest.mark.parametrize("terms, top", [(1, 1), (5, 3), (3, 2**20 + 3)])
+def test_radix_holds_the_largest_digit_of_a_product(field, terms, top):
+    """Coefficients all +top: the product of two has the digit phi top^2, the most the bound allows."""
+    x = Cyc(field.order, [top] * field.phi)
+    check_products(field, [[x] * terms, [x] * terms])
+    check_products(field, [[x] * terms, [-x] * terms, [x] * terms])
+    # the radix covers the larger side, whichever is named first
+    sides = [(1, 1, 1), (3, terms, top, top)]
+    k = field.radix(*sides)
+    assert k == field.radix(*reversed(sides)) and k % 16 == 0
+    assert 2 ** (k - 1) > 2 * 3 * terms * field.phi * top * top
+
+
+@pytest.mark.parametrize("k", [3, 16, 61])
+def test_representatives_equal_only_after_reduction(k):
+    # 1 + z + z^2 = Phi_3 and 1 + z^2 = Phi_4 vanish; z^3 = 1 in Q(zeta_3) by folding
+    for field, zero_rep in ((Z3, [1, 1, 1]), (Z4, [1, 0, 1]), (Z3, [-1, 0, 0, 1])):
+        v = _pack(zero_rep, k)
+        assert v and field.image_zero(v, k) and read_back(field, v, 1, k) == field.zero()
+        assert not _differ(field, k, {0: v, 1: 1}, {1: 1})
+        for t in range(len(zero_rep)):
+            bumped = v + (1 << (k * t))
+            assert not field.image_zero(bumped, k)
+            assert _differ(field, k, {0: bumped}, {})
+    assert Z12.image_zero(_pack(cyclotomic_polynomial(12), k), k)
+
+
+def test_images_of_4000_digit_numerators_and_denominators():
+    """Scalars just under the 4300-digit parse limit: the images are exact big ints."""
+    a, b = 10**3999 + 7, 7**4700 + 1  # 4000 and 3972 digits
+    c, d = 3 * 10**3998 - 11, 2**13000 + 1  # 3999 and 3914 digits
+    check_products(QQ, [[Fraction(a, b), Fraction(-c, d)], [Fraction(c, a), Fraction(b, d)]])
+    for n in (3, 12):
+        phi = CyclotomicField(n).phi
+        x = Cyc(n, [Fraction(a, b), Fraction(-c, d)] + [0] * (phi - 2))
+        y = Cyc(n, [Fraction(b, d)] * phi)
+        w = Cyc(n, [Fraction(c, a), 0, Fraction(-a, c)] + [0] * (phi - 3))
+        check_products(CyclotomicField(n), [[x, y], [w, x], [y, y]])

@@ -86,6 +86,17 @@ compared with the dense system for ``against`` in {H, H_t, H_s, H_min},
 for an ``against`` that is not closed under products, and on
 non-associative tables, where every row is used.
 
+The associativity, multiplicativity, coassociativity and antipode scans run
+on the integer image of the tables.  Dense tables with large numerators
+stress its radix: ``rebase(h, P)`` carries mult, comult, unit, counit and
+S to the basis f_a = sum_j P[j][a] e_j for a seeded unit upper triangular
+P with off-diagonal entries from {0, 0, 1, -1, 2}.  On every zoo member of
+dim <= 9 and its dual the rebased algebra must keep every verdict, and its
+witnesses must be the oracles' over every row; seeded bumps of the members
+of dim <= 6 and of S must keep failing after transport.  Bumps by 1/5,
+-2/7 and 3/11 bring denominators that only some columns of eps_t or eps_s
+carry, plain and transported.
+
 The mirrored pairs that share one body in the library keep one oracle per
 side: eps_t and eps_s from eps(1_(1) e_i) 1_(2) and 1_(1) eps(e_i 1_(2)),
 eps_s^gamma and eps_t^gamma from <gamma, x 1_(1)> S(1_(2)) and
@@ -568,12 +579,16 @@ def bump(h, key, k, value):
     return rebuild(h, mult=mult)
 
 
-def corrupt(h, rng, parts=("mult", "comult", "unit", "counit")):
-    """Add or drop one structure constant of one of ``parts``."""
+BUMPS = (-2, -1, 1, 2, 3)
+FRACTIONAL_BUMPS = (Fraction(1, 5), Fraction(-2, 7), Fraction(3, 11), 1, -1)
+
+
+def corrupt(h, rng, parts=("mult", "comult", "unit", "counit"), values=BUMPS):
+    """Add or drop one structure constant of one of ``parts``; an added one is drawn from ``values``."""
     n = h.dim
     part = rng.choice(parts)
     drop = rng.random() < 0.5
-    value = h.field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+    value = h.field.from_fraction(Fraction(rng.choice(values)))
     if part == "mult":
         keys = [(ij, k) for ij, cell in sorted(h.mult.items()) for k in sorted(cell)]
         if drop and keys:
@@ -2714,3 +2729,162 @@ def test_check_member_on_the_ladder_reads_products_from_the_index(monkeypatch):
         assert check_member(build())["ok"]
     assert blocks and not built
     assert 0 < len(calls) < 10148 / 3
+
+
+# ---------------------------------------------------------------------------
+# dense tables: the validation scans after a change of basis
+
+REBASE_DIM = 9
+
+
+def unit_upper(field, n, rng):
+    """A seeded unit upper triangular n x n P, off-diagonal entries drawn from {0, 0, 1, -1, 2}, and P^-1."""
+    entry = lambda i, j: 1 if i == j else rng.choice([0, 0, 1, -1, 2]) if i < j else 0
+    p = [[field.from_int(entry(i, j)) for j in range(n)] for i in range(n)]
+    inv = [[field.zero()] * n for _ in range(n)]
+    for j in range(n):  # P x = e_j by back substitution
+        for i in reversed(range(n)):
+            rest = sum((p[i][k] * inv[k][j] for k in range(i + 1, n)), field.zero())
+            inv[i][j] = (field.one() if i == j else field.zero()) - rest
+    return p, inv
+
+
+def rebase(h, change):
+    """h in the basis f_a = sum_j P[j][a] e_j, for ``change`` = (P, P^-1) from ``unit_upper``.
+
+    mult, comult, unit, counit and S are carried through P and P^-1, dense
+    products and all, so every axiom holds on the result exactly when it
+    holds on h; only the witnesses, which name basis indices, may move.
+    """
+    p, inv = change
+    n, zero = h.dim, h.field.zero()
+
+    def coords(vec):
+        """The f-coordinates of sum_l vec[l] e_l."""
+        return [sum((inv[i][l] * vec[l] for l in range(n) if vec[l]), zero) for i in range(n)]
+
+    mult = {}
+    for a in range(n):
+        for b in range(n):
+            v = [zero] * n
+            for (j, k), cell in h.mult.items():
+                x = p[j][a] * p[k][b]
+                if x:
+                    for m, c in cell.items():
+                        v[m] += x * c
+            cell = {i: c for i, c in enumerate(coords(v)) if c}
+            if cell:
+                mult[a, b] = cell
+    comult = []
+    for a in range(n):
+        legs = {}
+        for j in range(n):
+            for kl, c in h.comult[j].items():
+                if p[j][a]:
+                    legs[kl] = legs.get(kl, zero) + p[j][a] * c
+        out = {}
+        for (k, l), c in legs.items():
+            for x in range(k + 1):
+                for y in range(l + 1):
+                    if c and inv[x][k] and inv[y][l]:
+                        out[x, y] = out.get((x, y), zero) + c * inv[x][k] * inv[y][l]
+        comult.append({xy: c for xy, c in out.items() if c})
+    counit = [sum((p[j][a] * h.counit[j] for j in range(n)), zero) for a in range(n)]
+    s = h.S.rows
+    s_p = [[sum((s[m][j] * p[j][a] for j in range(n)), zero) for a in range(n)] for m in range(n)]
+    antipode = [coords([row[a] for row in s_p]) for a in range(n)]
+    antipode = [list(row) for row in zip(*antipode)]
+    return WeakHopfAlgebra(h.field, h.labels, mult, coords(h.unit), comult, counit, antipode=antipode, name=h.name)
+
+
+def _rebased():
+    """name -> (h, rebase(h, P)) for the zoo members of dim <= REBASE_DIM and their duals, one P each."""
+    out = {}
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        if h.dim <= REBASE_DIM:
+            for alg in (h, h.dual):
+                out[alg.name] = alg, rebase(alg, unit_upper(alg.field, alg.dim, random.Random(alg.name)))
+    return out
+
+
+REBASED = _rebased()
+
+
+def _verdicts(h):
+    return [(c.name, c.ok) for c in validate_full(h).checks]
+
+
+def _largest_numerator(h):
+    values = [c for cell in h.mult.values() for c in cell.values()] + [c for d in h.comult for c in d.values()]
+    return max(max(map(abs, x.num)) if hasattr(x, "num") else abs(Fraction(x).numerator) for x in values)
+
+
+def assert_kernels_match_the_oracles(h):
+    """The witnesses of the image scans in validate_full against the scalar oracles over every row."""
+    got = {c.name: c.witness for c in validate_full(h).checks}
+    rows = range(h.dim)
+    assert got["associativity"] == oracle_associativity(h, rows) == wha._associativity(h, rows)
+    assert got["comult_multiplicative"] == oracle_multiplicativity(h, rows)
+    assert got["coassociativity"] == oracle_coassociativity(h, rows)
+    names = ["antipode_target", "antipode_source", "antipode_composite"]
+    assert [list(got[name]) if got[name] else None for name in names] == oracle_antipode_witnesses(h)
+
+
+def test_rebased_tables_are_dense():
+    """Over all members, the rebased tables hold many more nonzeros and larger numerators than the zoo's."""
+    nnz = lambda h: sum(map(len, h.mult.values())) + sum(map(len, h.comult))
+    pairs = list(REBASED.values())
+    assert len(pairs) == 30
+    assert sum(map(nnz, (rb for _, rb in pairs))) > 4 * sum(map(nnz, (h for h, _ in pairs)))
+    assert max(_largest_numerator(rb) for _, rb in pairs) > 100 >= max(_largest_numerator(h) for h, _ in pairs)
+
+
+@pytest.mark.parametrize("name", sorted(REBASED))
+def test_rebased_tables_keep_every_verdict(name):
+    h, rebased = REBASED[name]
+    assert _verdicts(rebased) == _verdicts(h)
+
+
+@pytest.mark.parametrize("name", sorted(REBASED))
+def test_image_scans_match_the_oracles_on_rebased_tables(name):
+    assert_kernels_match_the_oracles(REBASED[name][1])
+
+
+def test_rebased_bumps_still_fail():
+    """Seeded corruptions of the members of dim <= 6 and of S, transported: same verdicts, oracle witnesses."""
+    rng = random.Random(20010123)
+    failing = set()
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        if h.dim > 6:
+            continue
+        for bad in [corrupt(h, rng) for _ in range(3)] + [corrupt_antipode(h, rng)]:
+            rebased = rebase(bad, unit_upper(h.field, h.dim, rng))
+            assert _verdicts(rebased) == _verdicts(bad)
+            assert_kernels_match_the_oracles(rebased)
+            failing.update(c.name for c in validate_full(rebased).failures())
+    assert {"associativity", "coassociativity", "comult_multiplicative", "antipode_target"} <= failing
+
+
+def test_fractional_bumps_match_the_oracles():
+    """Bumps by 1/5, -2/7 and 3/11, and on the members of dim <= 4 the same bumps transported.
+
+    A bumped unit or counit gives eps_t or eps_s a denominator that divides
+    no denominator of mult, comult or S, in some columns only: the antipode
+    scans must scale their sums, not the columns alone, to keep the witness.
+    """
+    rng = random.Random(20010125)
+    failing = set()
+    names = ("z3-group-cyclotomic", "dual-z3-group-cyclotomic", "pair-2", "sweedler4", "hmin-qq-1", "dyn-twist-z2")
+    for name in names:
+        h = build_member(name)
+        for _ in range(8):
+            bad = corrupt(h, rng, values=FRACTIONAL_BUMPS)
+            assert validate_full(bad).as_dict() == expected_report(bad, sparse=True)
+            failing.update(c.name for c in validate_full(bad).failures())
+            if h.dim <= 4:
+                rebased = rebase(bad, unit_upper(h.field, h.dim, rng))
+                assert _verdicts(rebased) == _verdicts(bad)
+                assert_kernels_match_the_oracles(rebased)
+    assert {"antipode_target", "antipode_source", "comult_multiplicative", "counit", "unit"} <= failing
