@@ -376,14 +376,14 @@ def minimal_wha(pres, field=QQ, name=None):
     unit = [one if diagonal[iu] and diagonal[iv] else zero for iu, iv in basis_pairs]
 
     g = [[[field.coerce(x) for x in row] for row in b] for b in pres.g]
-    g_inv = [[[field.coerce(x) for x in row] for row in _invert_block(b).rows] for b in pres.g]
+    g_inv = [_invert_block(b) for b in pres.g]
 
     # counit: eps(class(u, v)) = Tr_reg(g^{-1} v u); for u = E_ab and v = E_cd
     # in block i, v u = [d = a] E_cb and Tr_reg(g^{-1} E_cb) = n_i (g^{-1})_bc
     counit = []
     for iu, iv in basis_pairs:
         (bi, a, b), (bj, c, d) = units[iu], units[iv]
-        counit.append(pres.blocks[bi] * g_inv[bi][b][c] if bi == bj and d == a else zero)
+        counit.append(pres.blocks[bi] * field.coerce(g_inv[bi][b, c]) if bi == bj and d == a else zero)
 
     # comultiplication: Delta(class(u, v)) = sum_e class(u, g e1) (x) class(e2, v)
     # over the separability element e, with g E_ab = sum_x g_xa E_xb; both
@@ -404,18 +404,16 @@ def minimal_wha(pres, field=QQ, name=None):
 
     # antipode: S(class(u, v)) = class(g^{-1} v g, u); for v = E_cd,
     # g^{-1} v g = sum_{x,y} (g^{-1})_xc g_dy E_xy
-    s_cols = []
-    for iu, iv in basis_pairs:
+    s_rows = [{} for _ in basis_pairs]
+    for t, (iu, iv) in enumerate(basis_pairs):
         bj, c, d = units[iv]
-        col = [zero] * len(basis_pairs)
         for x in range(pres.blocks[bj]):
             for y in range(pres.blocks[bj]):
-                col[pos[index[bj, x, y], iu]] = g_inv[bj][x][c] * g[bj][d][y]
-        s_cols.append(col)
+                s_rows[pos[index[bj, x, y], iu]][t] = field.coerce(g_inv[bj][x, c]) * g[bj][d][y]
 
     labels = [f"{_unit_label(blk, iu)}.{_unit_label(blk, iv)}~" for (iu, iv) in basis_pairs]
     return WeakHopfAlgebra(
-        field, labels, mult, unit, comult, counit, antipode=Matrix.from_columns(field, s_cols),
+        field, labels, mult, unit, comult, counit, antipode=Matrix._sums(field, s_rows, len(basis_pairs)),
         name=name or f"Hmin{pres.blocks}",
     )
 
@@ -438,10 +436,10 @@ def spectrum_invariant(h):
 
     md = minimal_data(h)
     ht = md.target
-    rows = []
+    cols = []
     for b in ht.rows:
-        rows.append(ht.coords(h.mul_vec(md.g.coeffs, b)))
-    m = Matrix(h.field, rows).transpose()
+        cols.append(ht.coords(h.mul_vec(md.g.coeffs, b)))
+    m = Matrix.from_columns(h.field, cols)
     return _char_poly(m)
 
 

@@ -63,10 +63,7 @@ def wha_to_document(h, name=None, metadata=None):
     }
     if h.antipode is not None:
         doc["antipode"] = [
-            [i, j, fmt(h.antipode[i, j])]
-            for i in range(h.dim)
-            for j in range(h.dim)
-            if h.antipode[i, j]
+            [i, j, fmt(c)] for i, row in enumerate(h.antipode.sparse_rows) for j, c in sorted(row.items())
         ]
     return doc
 
@@ -153,10 +150,10 @@ def document_to_wha(doc):
         counit[i] = c
     antipode = None
     if "antipode" in doc:
-        rows = [[field.zero()] * dim for _ in range(dim)]
+        rows = [{} for _ in range(dim)]
         for (i, j), c in _table(doc, "antipode", ("i", "j", "coeff"), field, dim).items():
             rows[i][j] = c
-        antipode = Matrix(field, rows)
+        antipode = Matrix._sums(field, rows, dim)
     return WeakHopfAlgebra(
         field, basis, mult, unit, comult, counit, antipode=antipode, name=name
     )

@@ -24,6 +24,7 @@ from .errors import (
     RegularityViolated,
     Undecidable,
 )
+from .integrals import _matrix_of_pairs
 from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import first, height_vectors, invertible_in, max_height
 from .wha import (
@@ -97,11 +98,7 @@ def is_dual_grouplike(h, gamma):
     fn = Functional(h, gamma)
     if not fn.is_invertible():
         return False
-    n = h.dim
-    c = [[h.field.zero()] * n for _ in range(n)]
-    for (j, k), w in h.delta_one.items():
-        c[j][k] = w
-    c = Matrix(h.field, c)
+    c = _matrix_of_pairs(h, h.delta_one)
     g2 = Matrix(h.field, h.pairing_table(fn))
     first = h.S.transpose() @ g2  # <gamma, S(e_a) e_b>
     second = g2 @ h.S  # <gamma, e_a S(e_b)>
@@ -132,8 +129,7 @@ def is_trivial_grouplike(h, g):
             [a - b for a, b in zip(h.apply_S(sy), y)]
             + [a - b for a, b in zip(h.mul_vec(g, y), sy)]
         )
-    rows = [{c: col[r] for c, col in enumerate(cols) if col[r]} for r in range(2 * h.dim)]
-    space = kernel_on(h.source_base, rows)
+    space = kernel_on(h.source_base, Matrix.from_columns(h.field, cols).sparse_rows)
     if space.dim == 0:
         return False, None
     y = invertible_in(h, space)
@@ -207,7 +203,8 @@ def lambda_ell_relations(h, dp):
     """
     ell, lam = dp.source.ell, dp.source.lam
     alpha, a = dp.alpha, dp.a
-    a_inv = a.inv()
+    a_inv = a.inv().coeffs
+    a_inv_sparse, one = _sparse(a_inv), h.field.one()
     failures = []
     for i in range(h.dim):
         e = _basis(h, i)
@@ -217,9 +214,10 @@ def lambda_ell_relations(h, dp):
             failures.append(("ellL_lamR", i))
         if h.lact(lam_l, ell.coeffs) != h.apply_S_inv(h.lact(alpha, e)):
             failures.append(("ellL_lamL", i))
-        if h.ract(ell.coeffs, lam_r) != h.apply_S_inv(h.mul_vec(a_inv.coeffs, e)):
+        a_inv_e = _basis_products(h, [(one, i, a_inv_sparse)], left=False)  # a^-1 e_i
+        if h.ract(ell.coeffs, lam_r) != h.apply_S_inv(a_inv_e):
             failures.append(("ellR_lamR", i))
-        if h.ract(ell.coeffs, lam_l) != h.apply_S(h.mul_vec(h.ract(e, alpha), a_inv.coeffs)):
+        if h.ract(ell.coeffs, lam_l) != h.apply_S(h.mul_vec(h.ract(e, alpha), a_inv)):
             failures.append(("ellR_lamL", i))
     return failures
 
@@ -285,36 +283,27 @@ def gamma_module(h, gamma):
             cols.append(coords)
         mats.append(Matrix.from_columns(h.field, cols))
     module = GammaModule(gamma=gamma, base=hs, action=tuple(mats))
+
+    def action(x):
+        """The matrix of y |-> y . x for x = sum_k x_k e_k, x sparse."""
+        out = Matrix.zero(h.field, hs.dim)
+        for k, c in x.items():
+            out = out + mats[k].scale(c)
+        return out
+
     # y . 1 = y
-    one_action = None
-    for j, c in enumerate(h.unit):
-        if c:
-            term = mats[j].scale(c)
-            one_action = term if one_action is None else one_action + term
-    if one_action != Matrix.identity(h.field, hs.dim):
+    if action(_sparse(h.unit)) != Matrix.identity(h.field, hs.dim):
         raise Inconsistent("unit does not act as identity")
     # (y . g) . x = y . (g x) on all basis pairs
     for a in range(h.dim):
         for b in range(h.dim):
-            lhs = mats[b] @ mats[a]
-            rhs = None
-            for k, c in h.mult_rows[a].get(b, {}).items():
-                term = mats[k].scale(c)
-                rhs = term if rhs is None else rhs + term
-            if rhs is None:
-                rhs = Matrix.zero(h.field, hs.dim)
-            if lhs != rhs:
+            if mats[b] @ mats[a] != action(h.mult_rows[a].get(b, {})):
                 raise Inconsistent(f"action not multiplicative at ({a}, {b})")
     # restriction to H_s is right multiplication
     for x in hs.rows:
+        act_x = action(_sparse(x))
         for y in hs.rows:
-            y_coords = hs.coords(y)
-            got = (h.field.zero(),) * hs.dim
-            for j, xj in enumerate(x):
-                if xj:
-                    term = mats[j].matvec(y_coords)
-                    got = tuple(a + xj * b for a, b in zip(got, term))
-            if got != hs.coords(h.mul_vec(y, x)):
+            if act_x.matvec(hs.coords(y)) != hs.coords(h.mul_vec(y, x)):
                 raise Inconsistent("restriction to H_s is not right multiplication")
     return module
 
@@ -357,16 +346,17 @@ def _intertwiner_space(h, gamma1, gamma2):
         raise NotHalfGrouplike("both functionals must lie in G1(H*)")
     eps1, eps2 = maps1["eps_s_gamma"], maps2["eps_s_gamma"]
     hs = h.source_base
+    vs = [(v, _sparse(v)) for v in hs.rows]
+    one = h.field.one()
     rows = []
     for j in range(h.dim):
-        e_j, w = _basis(h, j), eps1.col(j)
+        w = eps1.col(j)
         # column c holds v_c eps_s^g1(e_j) - eps_s^g2(v_c e_j), v_c the c-th basis row of H_s
         cols = [
-            [a - b for a, b in zip(h.mul_vec(v, w), eps2.matvec(h.mul_vec(v, e_j)))]
-            for v in hs.rows
+            [a - b for a, b in zip(h.mul_vec(v, w), eps2.matvec(_basis_products(h, [(one, j, v_sp)], left=False)))]
+            for v, v_sp in vs
         ]
-        for r in range(h.dim):
-            rows.append({c: col[r] for c, col in enumerate(cols) if col[r]})
+        rows += Matrix.from_columns(h.field, cols).sparse_rows
     return kernel_on(hs, rows)
 
 
@@ -441,16 +431,13 @@ def is_wha_morphism(h, phi):
             if lhs != rhs:
                 return False
     zero = h.field.zero()
+    images = phi.transpose().sparse_rows  # phi(e_k)
     for i in range(n):
         rhs = {}
         for (j, k), c in h.comult[i].items():
-            pj, pk = phi.col(j), phi.col(k)
-            for a, ca in enumerate(pj):
-                if not ca:
-                    continue
-                for b, cb in enumerate(pk):
-                    if cb:
-                        rhs[a, b] = rhs.get((a, b), zero) + c * ca * cb
+            for a, ca in images[j].items():
+                for b, cb in images[k].items():
+                    rhs[a, b] = rhs.get((a, b), zero) + c * ca * cb
         if h.comul_vec(phi.col(i)) != _pruned(rhs):
             return False
     if phi.transpose().matvec(h.counit) != h.counit:
@@ -486,13 +473,17 @@ def is_trivial_automorphism(h, phi):
     """
     n = h.dim
     hmin = h.minimal_subalgebra
+    us = [(u, _sparse(u)) for u in hmin.rows]
+    one = h.field.one()
     rows = []
     for i in range(n):
-        phi_i, e_i = phi.col(i), _basis(h, i)
+        phi_i = phi.col(i)
         # column c holds phi(e_i) u_c - u_c e_i, u_c the c-th basis row of H_min
-        cols = [[a - b for a, b in zip(h.mul_vec(phi_i, u), h.mul_vec(u, e_i))] for u in hmin.rows]
-        for r in range(n):
-            rows.append({c: col[r] for c, col in enumerate(cols) if col[r]})
+        cols = [
+            [a - b for a, b in zip(h.mul_vec(phi_i, u), _basis_products(h, [(one, i, u_sp)], left=False))]
+            for u, u_sp in us
+        ]
+        rows += Matrix.from_columns(h.field, cols).sparse_rows
     conjugators = kernel_on(hmin, rows)
     if conjugators.dim == 0:
         return "no", None

@@ -27,7 +27,6 @@ from .wha import (
     _basis_products,
     _checked,
     _common,
-    _nonzero_columns,
     _pruned,
     _sparse,
     integral_space,
@@ -55,11 +54,11 @@ def nondegeneracy_matrix(h, ell):
 
 
 def _matrix_of_pairs(h, pairs):
-    zero = h.field.zero()
-    cols = [[zero] * h.dim for _ in range(h.dim)]
+    """The n x n Matrix with entry (a, b) the e_a (x) e_b coefficient of the sparse pair tensor ``pairs``."""
+    rows = [{} for _ in range(h.dim)]
     for (a, b), c in pairs.items():
-        cols[b][a] += c
-    return Matrix.from_columns(h.field, cols)
+        rows[a][b] = c
+    return Matrix._sums(h.field, rows, h.dim)
 
 
 def is_nondegenerate(h, ell):
@@ -155,12 +154,12 @@ def semisimple_by_trace_form(h):
     for (i, k), cell in h.mult.items():
         for j, c in cell.items():
             by_kj.setdefault((k, j), []).append((i, c))
-    gram = [[zero] * h.dim for _ in range(h.dim)]
+    gram = [{} for _ in range(h.dim)]
     for (l, j), cell in h.mult.items():
         for k, c in cell.items():
             for i, c2 in by_kj.get((k, j), ()):
-                gram[i][l] += c2 * c
-    return Matrix(h.field, gram).is_invertible()
+                gram[i][l] = gram[i].get(l, zero) + c2 * c
+    return Matrix._sums(h.field, gram, h.dim).is_invertible()
 
 
 def invariance_check(h, pair, rho=None):
@@ -193,7 +192,7 @@ def _invariance_failures(h, deltas, table, name):
     """
     n = h.dim
     zero = h.field.zero()
-    s_cols = _nonzero_columns(h.S)
+    s_cols = h.S.transpose().sparse_rows
     firsts, images = [], []  # per i: k -> sum_j c e_j and k -> sum_j c S(e_j)
     for delta in deltas:
         first, image = {}, {}
@@ -201,7 +200,7 @@ def _invariance_failures(h, deltas, table, name):
             acc = first.setdefault(k, {})
             acc[j] = acc.get(j, zero) + c
             acc = image.setdefault(k, {})
-            for r, y in s_cols[j]:
+            for r, y in s_cols[j].items():
                 acc[r] = acc.get(r, zero) + c * y
         firsts.append(first)
         images.append(image)

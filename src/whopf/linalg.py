@@ -5,16 +5,17 @@ Everything is immutable and exact.  One eliminator serves every entry point:
 zero entries dropped) and returns the fully back-substituted pivot rows.
 Its forward step, ``_insert``, adds one row at a time and reports whether
 the row added a pivot, which lets a caller grow a span incrementally.
-``rref`` is their dense view, sorted by pivot; ``rank``, ``invert`` and
-``Subspace.from_vectors`` read it.  ``solve_sparse`` carries the right-hand
-side as one more column and reads the particular solution and the kernel off
-the same rows; ``try_solve`` is one ``solve_sparse`` call on the rows of a
-matrix.  Reduced row echelon form is unique, so Subspace equality is
-decidable by comparing canonical bases.
+``rref`` is their dense view, sorted by pivot, for ``Subspace.from_vectors``.
+``solve_sparse`` carries the right-hand side as one more column and reads
+the particular solution and the kernel off the same rows.  Reduced row
+echelon form is unique, so Subspace equality is decidable by comparing
+canonical bases.
 
-The one matrix product is the row-wise sparse join of Gustavson (ACM TOMS
-1978): each nonzero x = A[i, k] scatters x times the nonzeros of row k of B
-into row i of AB, so the cost is the nonzero products, not n^3.
+A ``Matrix`` holds only its nonzeros, in the eliminator's own row form, so
+``rank``, ``invert``, ``kernel`` and ``try_solve`` hand its rows over as
+they are.  The one matrix product is the row-wise sparse join of Gustavson
+(ACM TOMS 1978): each nonzero x = A[i, k] scatters x times the nonzeros of
+row k of B into row i of AB, so the cost is the nonzero products, not n^3.
 
 ``kernel_on`` solves the homogeneous systems (the kernel of linear maps
 restricted to a subspace) and lifts the kernel back to a canonical
@@ -113,58 +114,80 @@ def rref(rows, field):
 
 
 class Matrix:
-    """Immutable dense matrix over a Field.
+    """Immutable sparse matrix over a Field: ``sparse_rows[i]`` maps column j to entry (i, j), nonzeros only.
 
-    ``Matrix(field, rows)`` coerces every entry.  ``_of`` takes rows that
-    already hold the field's own scalars as they are: the rows of another
-    Matrix, or the field's zero and one.
+    Operations read only the nonzeros; ``rows`` is the dense view, built on
+    each read, and equality is equality of the dense rows.
+    ``Matrix(field, rows)`` coerces every entry of dense rows.  ``_of`` takes
+    read-only sparse rows of the field's own scalars as they are, and
+    ``_sums`` sparse rows of computed scalars, whose zeros it drops and whose
+    nonzeros it coerces (an integral Fraction becomes int on QQ).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "sparse_rows")
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        if any(len(r) != self.ncols for r in rows):
+        rows = [[field.coerce(x) for x in row] for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise InvalidOperand("matrix rows of unequal length")
-        self.rows = rows
+        self.field, self.nrows, self.ncols = field, len(rows), ncols
+        self.sparse_rows = tuple({j: x for j, x in enumerate(r) if x} for r in rows)
 
     @classmethod
-    def _of(cls, field, rows):
-        """The Matrix on a tuple of equal-length tuples of the field's own scalars, not coerced again."""
+    def _of(cls, field, rows, ncols):
+        """The ncols-column Matrix on a tuple of sparse rows of the field's own nonzero scalars."""
         m = object.__new__(cls)
-        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), len(rows[0]) if rows else 0
+        m.field, m.sparse_rows, m.nrows, m.ncols = field, rows, len(rows), ncols
         return m
 
     @classmethod
+    def _sums(cls, field, rows, ncols):
+        """The ncols-column Matrix on sparse rows of computed scalars: zeros dropped, the rest coerced."""
+        coerce = field.coerce
+        return cls._of(field, tuple({j: coerce(x) for j, x in row.items() if x} for row in rows), ncols)
+
+    @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls._of(field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        one = field.one()
+        return cls._of(field, tuple({i: one} for i in range(n)), n)
 
     @classmethod
     def zero(cls, field, nrows, ncols=None):
-        z = field.zero()
-        ncols = nrows if ncols is None else ncols
-        return cls._of(field, tuple((z,) * ncols for _ in range(nrows)))
+        return cls._of(field, tuple({} for _ in range(nrows)), nrows if ncols is None else ncols)
 
     @classmethod
     def from_columns(cls, field, cols):
-        return cls(field, list(zip(*cols))) if cols else cls(field, [])
+        """The Matrix whose column j is the dense vector cols[j], the transpose of the rows cols."""
+        nrows = len(cols[0]) if cols else 0
+        if any(len(col) != nrows for col in cols):
+            raise InvalidOperand("matrix columns of unequal length")
+        return cls._sums(field, [dict(enumerate(col)) for col in cols], nrows).transpose()
+
+    @property
+    def rows(self):
+        """The dense rows, as a tuple of tuples."""
+        zero, width = self.field.zero(), range(self.ncols)
+        return tuple(tuple(row.get(j, zero) for j in width) for row in self.sparse_rows)
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.rows[i][j]
+        return self.sparse_rows[i].get(range(self.ncols)[j], self.field.zero())
 
     def col(self, j):
-        return tuple(r[j] for r in self.rows)
+        j, zero = range(self.ncols)[j], self.field.zero()
+        return tuple(row.get(j, zero) for row in self.sparse_rows)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (
+            isinstance(other, Matrix)
+            and self.nrows == other.nrows
+            and (self.ncols == other.ncols or not self.nrows)
+            and self.sparse_rows == other.sparse_rows
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(tuple(frozenset(row.items()) for row in self.sparse_rows))
 
     def _same_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -174,41 +197,47 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(self.field, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        zero = self.field.zero()
+        out = [dict(r) for r in self.sparse_rows]
+        for acc, s in zip(out, other.sparse_rows):
+            for j, y in s.items():
+                acc[j] = acc.get(j, zero) + y
+        return Matrix._sums(self.field, out, self.ncols)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(self.field, [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+        return Matrix._of(self.field, tuple({j: -x for j, x in r.items()} for r in self.sparse_rows), self.ncols)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows])
+        return Matrix._sums(self.field, [{j: c * x for j, x in r.items()} for r in self.sparse_rows], self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise InvalidOperand(f"cannot multiply {self!r} by {other!r}")
         zero = self.field.zero()
-        other_rows = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        other_rows = other.sparse_rows
         out = []
-        for r in self.rows:
-            acc = [zero] * other.ncols
-            for k, x in enumerate(r):
-                if x:
-                    for j, y in other_rows[k]:
-                        acc[j] += x * y
+        for r in self.sparse_rows:
+            acc = {}
+            for k, x in r.items():
+                for j, y in other_rows[k].items():
+                    acc[j] = acc.get(j, zero) + x * y
             out.append(acc)
-        return Matrix(self.field, out)
+        return Matrix._sums(self.field, out, other.ncols)
 
     def matvec(self, v):
         zero = self.field.zero()
-        nzv = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum((r[j] * x for j, x in nzv), zero) for r in self.rows)
+        return tuple(sum((x * v[j] for j, x in r.items() if v[j]), zero) for r in self.sparse_rows)
 
     def transpose(self):
-        return Matrix._of(self.field, tuple(zip(*self.rows)))
+        cols = tuple({} for _ in range(self.ncols))
+        for i, r in enumerate(self.sparse_rows):
+            for j, x in r.items():
+                cols[j][i] = x
+        return Matrix._of(self.field, cols, self.nrows)
 
     def _square(self, what):
         if self.nrows != self.ncols:
@@ -216,18 +245,24 @@ class Matrix:
 
     def trace(self):
         self._square("trace")
-        return sum((self.rows[i][i] for i in range(self.nrows)), self.field.zero())
+        zero = self.field.zero()
+        return sum((r.get(i, zero) for i, r in enumerate(self.sparse_rows)), zero)
 
     def kronecker(self, other):
         """(M (x) N)(x (x) y) = Mx (x) Ny with index (i, j) -> i*dim + j."""
-        rows = []
-        for r in self.rows:
-            for s in other.rows:
-                rows.append([a * b for a in r for b in s])
-        return Matrix(self.field, rows)
+        width = other.ncols
+        rows = [
+            {j * width + l: a * b for j, a in r.items() for l, b in s.items()}
+            for r in self.sparse_rows
+            for s in other.sparse_rows
+        ]
+        return Matrix._sums(self.field, rows, self.ncols * width)
 
     def rank(self):
-        return len(rref(self.rows, self.field)[0])
+        pivot_rows = {}
+        for r in self.sparse_rows:
+            _insert(pivot_rows, r.items(), self.field)
+        return len(pivot_rows)
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -250,27 +285,25 @@ class Matrix:
 
 
 def invert(m):
-    """Exact inverse; raises Singular."""
+    """Exact inverse, read off the reduced rows of [M | I]; raises Singular."""
     m._square("inverse")
     n = m.nrows
-    one, zero = m.field.one(), m.field.zero()
-    aug = [list(m.rows[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rows, pivots = rref(aug, m.field)
-    if pivots[:n] != list(range(n)):
-        rank = sum(1 for p in pivots if p < n)
+    one = m.field.one()
+    reduced = _reduce((chain(r.items(), [(n + i, one)]) for i, r in enumerate(m.sparse_rows)), m.field, 2 * n)
+    rank = sum(1 for p in reduced if p < n)
+    if rank < n:
         raise Singular(f"matrix of rank {rank} < {n}")
-    return Matrix(m.field, [row[n:] for row in rows])
+    return Matrix._sums(m.field, [{j - n: x for j, x in reduced[i].items() if j >= n} for i in range(n)], n)
 
 
 def kernel(m):
     """Null space {x : Mx = 0} as a Subspace of dimension ncols."""
-    return kernel_on(Subspace.full(m.field, m.ncols), [dict(enumerate(row)) for row in m.rows])
+    return kernel_on(Subspace.full(m.field, m.ncols), m.sparse_rows)
 
 
 def try_solve(m, b):
     """Solve Mx = b; returns (particular, kernel Subspace) or None."""
-    rows = [dict(enumerate(row)) for row in m.rows]
-    got = solve_sparse(rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
+    got = solve_sparse(m.sparse_rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
     if got is None:
         return None
     return got[0], Subspace.from_vectors(m.field, m.ncols, got[1])
@@ -421,9 +454,8 @@ class Subspace:
     def intersect(self, other):
         """{v in self : v reduces to 0 modulo other}, the kernel of that reduction on self."""
         self._same_ambient(other)
-        residues = [other.reduce(row) for row in self.rows]
-        rows = [{c: r[j] for c, r in enumerate(residues) if r[j]} for j in range(self.ambient)]
-        return kernel_on(self, [row for row in rows if row])
+        residues = Matrix.from_columns(self.field, [other.reduce(row) for row in self.rows])
+        return kernel_on(self, [row for row in residues.sparse_rows if row])
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

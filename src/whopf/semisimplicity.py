@@ -35,7 +35,7 @@ from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
 from .fields import QQ, _divisors, _poly_divmod, _poly_eval, _poly_ext_gcd, _poly_mul
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Subspace, _insert
-from .wha import Element, _join, _sparse
+from .wha import Element, _common, _join, _sparse
 
 __all__ = [
     "TraceReport",
@@ -306,10 +306,10 @@ class TraceReport:
 def _s2_trace(h, images):
     """Tr(S^2 P) = sum_i (S^2(P e_i))_i, from the images P e_i as sparse vectors."""
     total = h.field.zero()
-    for row, v in zip(h.S2.rows, images):
-        for j, x in v.items():
-            if x and row[j]:
-                total += row[j] * x
+    for row, v in zip(h.S2.sparse_rows, images):
+        for _j, y, x in _common(row, v):
+            if x:
+                total += y * x
     return total
 
 

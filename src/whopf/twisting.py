@@ -33,7 +33,6 @@ from .errors import (
 )
 from .grouplikes import is_grouplike, is_regular
 from .integrals import is_semisimple
-from .linalg import Matrix
 from .wha import (
     Element,
     WeakHopfAlgebra,
@@ -41,7 +40,6 @@ from .wha import (
     _comultiplied,
     _contract_leg,
     _index_pair,
-    _join,
     _pair_of,
     _pruned,
     _sparse,
@@ -85,17 +83,17 @@ def deform_q(h, q, name=None):
     s2q = h.apply_S(h.apply_S(q.coeffs))
     if s2q != q.coeffs:
         raise PreconditionUnmet("S^2(q) != q")
-    zero, one = h.field.zero(), h.field.one()
-    q_sparse = _sparse(q.coeffs)
-    s_q = {a: _join(h.mult_rows, _sparse(h.S.col(a)), q_sparse, zero) for a, _b in h.delta_one}  # S(e_a) q
-    acc = _basis_products(h, [(c, b, s_q[a]) for (a, b), c in h.delta_one.items()], left=False)
+    one = h.field.one()
+    s_q = h.right_mult_matrix(q.coeffs) @ h.S  # column a is S(e_a) q
+    cols = s_q.transpose().sparse_rows
+    acc = _basis_products(h, [(c, b, cols[a]) for (a, b), c in h.delta_one.items()], left=False)
     if acc != h.unit:
         raise PreconditionUnmet(f"S(1_(1)) q 1_(2) != 1 (residual {acc})")
     one_q = _pair_of(h, h.unit, q.coeffs)
     comult = [h.mul_pair_dicts(h.comult[i], one_q) for i in range(h.dim)]
     q_inv_sparse = _sparse(q_inv.coeffs)
     counit = [h.counit_of(_basis_products(h, [(one, i, q_inv_sparse)], left=True)) for i in range(h.dim)]
-    s_mat = h.left_mult_matrix(q_inv.coeffs) @ h.right_mult_matrix(q.coeffs) @ h.S
+    s_mat = h.left_mult_matrix(q_inv.coeffs) @ s_q
     out = WeakHopfAlgebra(
         h.field, h.labels, h.mult, h.unit, comult, counit, antipode=s_mat,
         name=name or f"{h.name}_q",
@@ -152,8 +150,7 @@ def _check_twist_invariants(h, t):
 
 def twist_conjugator(h, t):
     """v = S(Theta^(1)) Theta^(2) and its inverse from Theta_bar; verified."""
-    legs = {a for a, _b in t.theta} | {b for _a, b in t.theta_bar}
-    s_cols = {a: _sparse(h.S.col(a)) for a in legs}  # S(e_a)
+    s_cols = h.S.transpose().sparse_rows  # S(e_a)
     v = _basis_products(h, [(c, b, s_cols[a]) for (a, b), c in t.theta.items()], left=False)
     v_inv = _basis_products(h, [(c, a, s_cols[b]) for (a, b), c in t.theta_bar.items()], left=True)
     if h.mul_vec(v, v_inv) != h.unit or h.mul_vec(v_inv, v) != h.unit:
@@ -166,9 +163,9 @@ def twist(h, t, name=None):
 
     The new comultiplication is Theta_bar Delta(.) Theta (coassociativity is
     checked, not assumed), the counit and algebra are unchanged, and the
-    antipode is v^{-1} S(.) v, built column by column as v^{-1} (S(e_k) v)
-    from sparse products.  The counital maps of the result must agree with
-    the closed formulas eps_t(x) = eps(Theta^(1) x) Theta^(2) and
+    antipode is v^{-1} S(.) v, the sparse product L_(v^-1) R_v S.  The
+    counital maps of the result must agree with the closed formulas
+    eps_t(x) = eps(Theta^(1) x) Theta^(2) and
     eps_s(x) = Theta_bar^(1) eps(x Theta_bar^(2)).
     """
     _check_twist_invariants(h, t)
@@ -177,7 +174,7 @@ def twist(h, t, name=None):
         for i in range(h.dim)
     ]
     v, v_inv = twist_conjugator(h, t)
-    s_mat = Matrix.from_columns(h.field, [h.mul_vec(v_inv, h.mul_vec(col, v)) for col in zip(*h.S.rows)])
+    s_mat = h.left_mult_matrix(v_inv) @ h.right_mult_matrix(v) @ h.S
     out = WeakHopfAlgebra(
         h.field, h.labels, h.mult, h.unit, comult, h.counit, antipode=s_mat,
         name=name or f"{h.name}_twisted",
@@ -400,7 +397,7 @@ def verify_dynamical_data(data):
         j_inverses[chi] = _j_inverse(u, tensor_algebra, j)
         # normalization (eps (x) id)J = (id (x) eps)J = 1
         scaled = [(u.field.one(), j)]
-        if any(_contract_leg(u, scaled, u.counit, leg) != u.unit for leg in (0, 1)):
+        if any(_pruned(_contract_leg(u, scaled, u.counit, leg)) != _sparse(u.unit) for leg in (0, 1)):
             raise InvalidPresentation(f"J({chi}) violates counit normalization")
         # commutation with Delta(a) for every a in A
         for a in range(group.order):

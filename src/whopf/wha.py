@@ -69,7 +69,9 @@ checks it shares.
 
 A vector is a tuple of field scalars.  ``Element`` and ``Functional`` bind
 one to its algebra and are read-only sequences over it, so either can be
-passed wherever a vector is expected.
+passed wherever a vector is expected.  A matrix (S, eps_t, eps_s, L_a, R_a)
+is a sparse ``linalg.Matrix``, whose columns a kernel reads as the rows of
+its transpose.
 
 The theory comes in mirrored pairs (eps_t/eps_s, H_t/H_s, phi -> h and
 h <- phi, left and right multiplication), and each pair shares one body
@@ -168,11 +170,6 @@ def _pair_of(h, a, b):
     return {(i, j): x * y for i, x in _sparse(a).items() for j, y in nb}
 
 
-def _nonzero_columns(m):
-    """For each column of the Matrix m, its (row, value) pairs with nonzero value."""
-    return [[(r, v) for r, v in enumerate(col) if v] for col in zip(*m.rows)]
-
-
 def _comultiplied(comult, zero, tensor, leg):
     """(Delta (x) id) of a sparse pair tensor for leg 0, (id (x) Delta) for leg 1, by the table
     ``comult`` (an algebra's, or its image's with zero 0); not pruned."""
@@ -185,18 +182,20 @@ def _comultiplied(comult, zero, tensor, leg):
 
 
 def _contract_leg(h, scaled, phi, paired):
-    """Sum of x w <phi, e_p> e_q over the terms w e_a (x) e_b of x T, (x, T) in ``scaled``.
+    """Sum of x w <phi, e_p> e_q over the terms w e_a (x) e_b of x T, (x, T) in ``scaled``; sparse, not pruned.
 
     Each T is a sparse pair tensor, e_p is its leg numbered ``paired`` (0 for
     e_a) and e_q the other one.
     """
-    out = [h.field.zero()] * h.dim
+    zero = h.field.zero()
+    out = {}
     for x, tensor in scaled:
         for legs, w in tensor.items():
             p = phi[legs[paired]]
             if p:
-                out[legs[1 - paired]] += x * w * p
-    return tuple(out)
+                q = legs[1 - paired]
+                out[q] = out.get(q, zero) + x * w * p
+    return out
 
 
 def contraction_matrix(h, tensor, table, side):
@@ -204,14 +203,15 @@ def contraction_matrix(h, tensor, table, side):
 
     For tensor = sum w e_a (x) e_b, column i is sum w table[a][i] e_b on
     side "t" and sum w table[i][b] e_a on side "s".  With Delta(1) and
-    E2[i][j] = eps(e_i e_j) these are eps_t and eps_s.
+    E2[i][j] = eps(e_i e_j) these are eps_t and eps_s.  The sparse columns
+    are the rows of the transpose.
     """
     scaled = [(h.field.one(), tensor)]
     if side == "t":
         cols = [_contract_leg(h, scaled, phi, 0) for phi in zip(*table)]
     else:
         cols = [_contract_leg(h, scaled, phi, 1) for phi in table]
-    return Matrix.from_columns(h.field, cols)
+    return Matrix._sums(h.field, cols, h.dim).transpose()
 
 
 class _Vector:
@@ -399,13 +399,13 @@ def _index_lines(h, leg):
 class _Columns:
     """The nonzero entries of each column of a matrix, as images under the lcm ``d`` of their denominators.
 
-    ``cols`` holds column i as a dict row -> scalar, ``a`` the largest
-    absolute coefficient of an image (``Field.scaling``) and ``width`` the
-    most nonzeros of one column.
+    ``cols`` holds column i as a dict row -> nonzero scalar (the sparse rows
+    of the transposed Matrix), ``a`` the largest absolute coefficient of an
+    image (``Field.scaling``) and ``width`` the most nonzeros of one column.
     """
 
     def __init__(self, field, cols):
-        self.field, self.cols = field, [dict(col) for col in cols]
+        self.field, self.cols = field, cols
         self.d, self.a = field.scaling([v for col in self.cols for v in col.values()])
         self.width = max(map(len, self.cols), default=0)
         self._at = {}
@@ -461,7 +461,7 @@ class _Image:
     def counital(self, h):
         """eps_t and eps_s of h, the algebra of this image, as ``_Columns``, made on first use."""
         if self._counital is None:
-            self._counital = tuple(_Columns(self.field, _nonzero_columns(m)) for m in (h.eps_t_mat, h.eps_s_mat))
+            self._counital = tuple(_Columns(self.field, m.transpose().sparse_rows) for m in counital_maps(h).values())
         return self._counital
 
 
@@ -530,12 +530,13 @@ class WeakHopfAlgebra:
             raise AttributeError(f"cannot reassign {name}: the table index and cached values derive from it")
         if name == "antipode" and value is not None:
             n = self.dim
-            rows = value.rows if isinstance(value, Matrix) else value
-            if not (
-                isinstance(rows, Sequence)
-                and len(rows) == n
-                and all(isinstance(row, Sequence) and len(row) == n for row in rows)
-            ):
+            if isinstance(value, Matrix):
+                square = value.nrows == value.ncols == n
+            else:
+                square = isinstance(value, Sequence) and len(value) == n and all(
+                    isinstance(row, Sequence) and len(row) == n for row in value
+                )
+            if not square:
                 raise InvalidPresentation(f"antipode is not a {n}x{n} matrix")
             if not isinstance(value, Matrix):
                 value = Matrix(self.field, value)
@@ -631,15 +632,14 @@ class WeakHopfAlgebra:
         so only the nonzero products e_i e_j or e_j e_i are visited.
         """
         zero = self.field.zero()
-        n = self.dim
-        cols = [[zero] * n for _ in range(n)]
+        rows = [{} for _ in range(self.dim)]
         for line, x in zip(self.mult_rows if left else self.mult_cols, a):
             if x:
                 for j, cell in line.items():
-                    col = cols[j]
                     for k, c in cell.items():
-                        col[k] += x * c
-        return Matrix.from_columns(self.field, cols)
+                        row = rows[k]
+                        row[j] = row.get(j, zero) + x * c
+        return Matrix._sums(self.field, rows, self.dim)
 
     def invert_element(self, a):
         lm = self.left_mult_matrix(a)
@@ -922,11 +922,11 @@ class WeakHopfAlgebra:
 
     def lact(self, phi, a):
         """phi -> h = h_(1) <phi, h_(2)>; functional acting on the left."""
-        return _contract_leg(self, self._coproduct_terms(a), phi, 1)
+        return _dense(self, _contract_leg(self, self._coproduct_terms(a), phi, 1))
 
     def ract(self, a, phi):
         """h <- phi = <phi, h_(1)> h_(2)."""
-        return _contract_leg(self, self._coproduct_terms(a), phi, 0)
+        return _dense(self, _contract_leg(self, self._coproduct_terms(a), phi, 0))
 
     def _coproduct_terms(self, a):
         """Delta(a) as the scaled tensors (a_i, Delta(e_i)) over the nonzeros of a."""
@@ -1041,23 +1041,14 @@ def _integral_rows(h, side, counital):
     """Sparse rows of {x : e_i x = E(e_i) x} (left) or {x : x e_i = x E(e_i)} (right).
 
     E is the matrix ``counital``: eps_t or eps_s for the integrals, eps_t^gamma
-    or eps_s^gamma for L_gamma and R_gamma.  Row r of the system for e_i has
-    entry c = the e_r coefficient of e_i e_c - E(e_i) e_c (left) or
-    e_c e_i - e_c E(e_i) (right), read from ``mult``.
+    or eps_s^gamma for L_gamma and R_gamma.  The rows for e_i are those of
+    L_a (left) or R_a (right) for a = e_i - E(e_i), column i of I - E: row r
+    has entry c = the e_r coefficient of e_i e_c - E(e_i) e_c or of
+    e_c e_i - e_c E(e_i).
     """
-    n = h.dim
-    zero = h.field.zero()
-    lines = h.mult_rows if side == "left" else h.mult_cols
-    rows = []
-    for i in range(n):
-        acc = [{} for _ in range(n)]
-        terms = [(i, h.field.one())] + [(a, -x) for a, x in enumerate(counital.col(i)) if x]
-        for a, x in terms:
-            for c, cell in lines[a].items():
-                for r, v in cell.items():
-                    acc[r][c] = acc[r].get(c, zero) + x * v
-        rows.extend(_pruned(row) for row in acc)
-    return rows
+    mult_matrix = h.left_mult_matrix if side == "left" else h.right_mult_matrix
+    diff = Matrix.identity(h.field, h.dim) - counital
+    return [row for i in range(h.dim) for row in mult_matrix(diff.col(i)).sparse_rows]
 
 
 def _pair_product(rows, p, q, zero):
@@ -1299,19 +1290,20 @@ def validate_weak_bialgebra(h):
     multiplicative = multiplicativity(range(n) if assoc else gens)
     coassoc = coassociativity(range(n) if assoc or multiplicative else gens)
 
-    # two-sided unit
+    # two-sided unit: 1 e_i and e_i 1 join line i of mult_cols and of mult_rows with the unit
+    one, unit_vec = field.one(), _sparse(h.unit)
     unit = None
     for i in range(n):
-        e = _basis(h, i)
-        if h.mul_vec(h.unit, e) != e or h.mul_vec(e, h.unit) != e:
+        e = {i: one}
+        if any(_pruned(_join(lines, e, unit_vec, zero)) != e for lines in (h.mult_cols, h.mult_rows)):
             unit = (i,)
             break
 
-    # two-sided counit: eps(e_i(1)) e_i(2) = e_i = e_i(1) eps(e_i(2))
+    # two-sided counit: eps(e_i(1)) e_i(2) = e_i = e_i(1) eps(e_i(2)), contracted from Delta(e_i)
     counit = None
     for i in range(n):
-        e = _basis(h, i)
-        if h.ract(e, h.counit) != e or h.lact(h.counit, e) != e:
+        e = {i: one}
+        if any(_pruned(_contract_leg(h, [(one, h.comult[i])], h.counit, leg)) != e for leg in (0, 1)):
             counit = (i,)
             break
 
@@ -1468,8 +1460,8 @@ def antipode_axiom_checks(h, s=None):
     if s is None:
         s = h.S
     eps_t, eps_s = im.counital(h)
-    basis = _Columns(field, [[(i, field.one())] for i in range(h.dim)])
-    s_cols = _Columns(field, _nonzero_columns(s))
+    basis = _Columns(field, [{i: field.one()} for i in range(h.dim)])
+    s_cols = _Columns(field, s.transpose().sparse_rows)
     witness = first_failure(basis, s_cols, eps_t)
     checks = [AxiomCheck("antipode_target", witness is None, witness)]
     witness = first_failure(s_cols, basis, eps_s)
@@ -1543,23 +1535,16 @@ def solve_antipode(h):
                     coeffs[key] = coeffs.get(key, zero) + c * cmu
         return coeffs
 
-    def _left_mult_entries(a):
-        """(p, q * n, v) for the nonzeros v = L(a)[p, q], row-major, read from rows supp(a) of the index."""
-        acc = {}
-        for row, x in zip(h.mult_rows, a):
-            if x:
-                for q, cell in row.items():
-                    for p, c in cell.items():
-                        acc[p, q] = acc.get((p, q), zero) + x * c
-        return [(p, q * n, field.coerce(v)) for (p, q), v in sorted(acc.items()) if v]
-
     def _composite(i):
-        """eps_s(e_i_(1)) S(e_i_(2)) - S(e_i), from the nonzeros of L(eps_s(e_j))."""
+        """eps_s(e_i_(1)) S(e_i_(2)) - S(e_i), from the nonzeros of L(eps_s(e_j)) in row-major order."""
         coeffs = {}
         for (j, k), c in h.comult[i].items():
             entries = eps_s_left_mult.get(j)
             if entries is None:
-                entries = eps_s_left_mult[j] = _left_mult_entries(h.eps_s_mat.col(j))
+                rows_j = h.left_mult_matrix(h.eps_s_mat.col(j)).sparse_rows
+                entries = eps_s_left_mult[j] = [
+                    (p, q * n, v) for p, row in enumerate(rows_j) for q, v in sorted(row.items())
+                ]
             for p, qn, v in entries:
                 key = (p, qn + k)
                 coeffs[key] = coeffs.get(key, zero) + c * v
@@ -1585,7 +1570,7 @@ def solve_antipode(h):
     particular, kern = got
     if kern:
         raise NotUnique(f"antipode solution space has dimension {len(kern)}")
-    s = Matrix(field, [[particular[m * n + k] for k in range(n)] for m in range(n)])
+    s = Matrix._sums(field, [{k: particular[m * n + k] for k in range(n)} for m in range(n)], n)
     for check in h.antipode_checks(s):
         if not check.ok:
             if check.name == "antipode_source":

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_fields import FQ, mixed_rationals, same_scalar
-from whopf.errors import InvalidOperand, NoSolution, Singular, WhopfError
+from whopf.errors import FieldMismatch, InvalidOperand, InvalidPresentation, NoSolution, Singular, WhopfError
 from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import (
     Matrix,
@@ -438,3 +438,266 @@ def test_shape_errors_are_typed():
         with pytest.raises(InvalidOperand):
             call()
     assert issubclass(InvalidOperand, WhopfError)
+
+
+# ---------------------------------------------------------------------------
+# the sparse Matrix against the dense body it replaced
+
+
+class DenseMatrix:
+    """The earlier dense ``Matrix``: all nrows x ncols scalars as a tuple of tuples."""
+
+    __slots__ = ("field", "nrows", "ncols", "rows")
+
+    def __init__(self, field, rows):
+        rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if any(len(r) != self.ncols for r in rows):
+            raise InvalidOperand("matrix rows of unequal length")
+        self.rows = rows
+
+    @classmethod
+    def identity(cls, field, n):
+        one, zero = field.one(), field.zero()
+        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+    def col(self, j):
+        return tuple(r[j] for r in self.rows)
+
+    def __add__(self, other):
+        return DenseMatrix(self.field, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return DenseMatrix(self.field, [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return DenseMatrix(self.field, [[-a for a in r] for r in self.rows])
+
+    def scale(self, c):
+        c = self.field.coerce(c)
+        return DenseMatrix(self.field, [[c * a for a in r] for r in self.rows])
+
+    def __matmul__(self, other):
+        zero = self.field.zero()
+        other_rows = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        out = []
+        for r in self.rows:
+            acc = [zero] * other.ncols
+            for k, x in enumerate(r):
+                if x:
+                    for j, y in other_rows[k]:
+                        acc[j] += x * y
+            out.append(acc)
+        return DenseMatrix(self.field, out)
+
+    def matvec(self, v):
+        zero = self.field.zero()
+        nzv = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((r[j] * x for j, x in nzv), zero) for r in self.rows)
+
+    def transpose(self):
+        return DenseMatrix(self.field, list(zip(*self.rows)) if self.rows else [])
+
+    def trace(self):
+        return sum((self.rows[i][i] for i in range(self.nrows)), self.field.zero())
+
+    def kronecker(self, other):
+        return DenseMatrix(self.field, [[a * b for a in r for b in s] for r in self.rows for s in other.rows])
+
+    def rank(self):
+        return len(rref(self.rows, self.field)[0])
+
+    def power(self, k):
+        out = DenseMatrix.identity(self.field, self.nrows)
+        base = self
+        while k:
+            if k & 1:
+                out = out @ base
+            base = base @ base if k > 1 else base
+            k >>= 1
+        return out
+
+
+def dense_invert(m):
+    n = m.nrows
+    one, zero = m.field.one(), m.field.zero()
+    aug = [list(m.rows[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
+    rows, pivots = rref(aug, m.field)
+    if pivots[:n] != list(range(n)):
+        rank = sum(1 for p in pivots if p < n)
+        raise Singular(f"matrix of rank {rank} < {n}")
+    return DenseMatrix(m.field, [row[n:] for row in rows])
+
+
+def dense_kernel(m):
+    return kernel_on(Subspace.full(m.field, m.ncols), [dict(enumerate(row)) for row in m.rows])
+
+
+def dense_try_solve(m, b):
+    rows = [dict(enumerate(row)) for row in m.rows]
+    got = solve_sparse(rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
+    if got is None:
+        return None
+    return got[0], Subspace.from_vectors(m.field, m.ncols, got[1])
+
+
+def same_dense(got, want):
+    """Equal shapes and dense rows, entry for entry of the same type (int, Fraction or Cyc).
+
+    Dense rows keep no width when there are none: the dense transpose of an
+    n x 0 matrix is 0 x 0, the sparse one 0 x n.
+    """
+    assert got.nrows == want.nrows and (got.ncols == want.ncols or not want.nrows)
+    assert got.rows == want.rows
+    assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in want.rows]
+    for row, dense in zip(got.sparse_rows, got.rows):
+        assert row == {j: x for j, x in enumerate(dense) if x} and all(row.values())
+
+
+Q5 = CyclotomicField(5)
+
+
+@st.composite
+def matrix_pair(draw):
+    """A field, raw rows of an n x m matrix A (ints, integral and proper Fractions, roots of unity,
+    mostly zero), one more n x m, an m x p and a square one, a vector of length m and a scalar."""
+    field = draw(st.sampled_from([QQ, Q3, Q5]))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), mixed_rationals)
+
+    def scalar():
+        x = draw(entry)
+        if field is not QQ and draw(st.integers(0, 3)) == 0:
+            x = field.coerce(x) + field.zeta(draw(st.integers(1, field.order - 1)))
+        return x
+
+    def rows(nrows, ncols):
+        return [[scalar() for _ in range(ncols)] for _ in range(nrows)]
+
+    # dense rows fix the width only when there is one: A gets at least one row
+    n, m, p = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    k = draw(st.integers(0, 4))
+    return field, rows(n, m), rows(n, m), rows(m, p), rows(k, k), [scalar() for _ in range(m)], scalar()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pair(), st.integers(0, 3))
+def test_sparse_matrix_matches_the_dense_body(case, k):
+    field, a_rows, b_rows, c_rows, d_rows, v, c = case
+    a, b, cm, d = (Matrix(field, r) for r in (a_rows, b_rows, c_rows, d_rows))
+    da, db, dc, dd = (DenseMatrix(field, r) for r in (a_rows, b_rows, c_rows, d_rows))
+    for got, want in (
+        (a, da),
+        (a @ cm, da @ dc),
+        (a.transpose(), da.transpose()),
+        (a + b, da + db),
+        (a - b, da - db),
+        (-a, -da),
+        (a.scale(c), da.scale(c)),
+        (a.kronecker(d), da.kronecker(dd)),
+        (d.power(k), dd.power(k)),
+        (d @ d, dd @ dd),
+    ):
+        same_dense(got, want)
+    vec = [field.coerce(x) for x in v]
+    got, want = a.matvec(vec), da.matvec(vec)
+    assert len(got) == len(want) and all(same_scalar(x, y) for x, y in zip(got, want))
+    for j in range(a.ncols):
+        assert a.col(j) == da.col(j)
+        assert [type(x) for x in a.col(j)] == [type(x) for x in da.col(j)]
+    got, want = d.trace(), dd.trace()
+    assert same_scalar(got, want) and type(got) is type(want)
+    assert a.rank() == da.rank() and d.rank() == dd.rank()
+    assert a.is_invertible() == (a.nrows == a.ncols == da.rank())
+    try:
+        want = dense_invert(dd)
+    except Singular as exc:
+        with pytest.raises(Singular) as got:
+            invert(d)
+        assert str(got.value) == str(exc)
+    else:
+        same_dense(invert(d), want)
+    assert kernel(a) == dense_kernel(da) and kernel(a).pivots == dense_kernel(da).pivots
+    for rhs in ([x for x in a.matvec(vec)], [field.coerce(x) for x in (b_rows[0] if b_rows else [])][: a.nrows]):
+        got, want = try_solve(a, rhs), dense_try_solve(da, rhs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_equality_and_hash_read_the_dense_rows():
+    half = Fraction(1, 2)
+    a = Matrix(QQ, [[2, half], [0, -1]])
+    b = Matrix._of(QQ, ({0: Fraction(2), 1: half}, {1: Fraction(-1)}), 2)
+    assert type(b[0, 0]) is Fraction and a == b and hash(a) == hash(b)
+    assert a == Matrix(QQ, [[Fraction(4, 2), half], [Fraction(0), -1]]) and a.rows == b.rows
+    assert a != Matrix(QQ, [[2, half], [0, 1]]) and a != a.transpose()
+    assert Matrix.zero(QQ, 0, 3) == Matrix.zero(QQ, 0, 5) == Matrix(QQ, [])
+    assert hash(Matrix.zero(QQ, 0, 3)) == hash(Matrix.zero(QQ, 0, 5)) == hash(Matrix(QQ, []))
+    assert Matrix.zero(QQ, 2, 3) != Matrix.zero(QQ, 2, 4) and Matrix.zero(QQ, 2, 3) != Matrix.zero(QQ, 3, 3)
+    assert Matrix.zero(QQ, 2, 2) == Matrix(QQ, [[0, 0], [0, Fraction(0)]])
+    assert Matrix.identity(QQ, 1) != ((1,),) and len({a, b, Matrix(QQ, a.rows)}) == 1
+    z = Q3.zeta()
+    assert Matrix(Q3, [[z, 0], [1, z * z]]) == Matrix(Q3, [[z, Q3.zero()], [Q3.one(), z * z]])
+    assert hash(Matrix(Q3, [[1, 0]])) == hash(Matrix(Q3, [[Q3.one(), Q3.zero()]]))
+    assert Matrix.zero(QQ, 2).sparse_rows == ({}, {}) and Matrix.identity(Q3, 2).sparse_rows == ({0: 1}, {1: 1})
+
+
+def test_entries_and_columns_are_read_from_the_sparse_rows():
+    m = Matrix(QQ, [[0, 3, 0], [Fraction(1, 2), 0, 0]])
+    assert m.sparse_rows == ({1: 3}, {0: Fraction(1, 2)})
+    assert m.rows == ((0, 3, 0), (Fraction(1, 2), 0, 0))
+    assert [m[i, j] for i in range(2) for j in range(3)] == [0, 3, 0, Fraction(1, 2), 0, 0]
+    assert m[-1, -3] == Fraction(1, 2) and m.col(-2) == (3, 0) and m.col(2) == (0, 0)
+    for bad in ((2, 0), (0, 3), (0, -4)):
+        with pytest.raises(IndexError):
+            m[bad]
+    with pytest.raises(IndexError):
+        m.col(3)
+    assert Matrix.from_columns(QQ, [(0, Fraction(2, 2)), (5, 0), (0, 0)]) == Matrix(QQ, [[0, 5, 0], [1, 0, 0]])
+    assert type(Matrix.from_columns(QQ, [(Fraction(4, 2),)])[0, 0]) is int
+    with pytest.raises(InvalidOperand):
+        Matrix.from_columns(QQ, [(1, 0), (1,)])
+
+
+@pytest.mark.parametrize("field", [QQ, Q3], ids=["QQ", "Q(zeta3)"])
+def test_the_constructor_coerces_every_entry_zeros_included(field):
+    for bad in (None, "", [], 1.5):
+        for rows in ([[bad]], [[0, bad]], [[1, 0], [0, bad]]):
+            with pytest.raises(FieldMismatch):
+                Matrix(field, rows)
+    for rows in ([[1, 2], [3]], [[1], []], [[], [0]]):
+        with pytest.raises(InvalidOperand):
+            Matrix(field, rows)
+
+
+def test_the_antipode_setter_checks_the_shape_of_a_matrix_and_of_nested_lists():
+    """A Matrix is checked by nrows and ncols, nested lists row by row; both raise InvalidPresentation."""
+    from whopf.wha import WeakHopfAlgebra
+
+    def kz2():
+        mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+        return WeakHopfAlgebra(QQ, ["e", "g"], mult, [1, 0], [{(0, 0): 1}, {(1, 1): 1}], [1, 1])
+
+    h = kz2()
+    for bad in (
+        Matrix.zero(QQ, 2, 3),
+        Matrix.zero(QQ, 3, 2),
+        Matrix(QQ, []),
+        Matrix.identity(QQ, 3),
+        [[1, 0]],
+        [[1], [0]],
+        [[1, 0], [0]],
+        [[1, 0, 0], [0, 1, 0]],
+        5,
+        [[1, 0], 5],
+    ):
+        with pytest.raises(InvalidPresentation, match="2x2"):
+            h.antipode = bad
+        assert h.antipode is None
+    h.antipode = [[1, 0], [0, Fraction(2, 2)]]
+    assert h.antipode == Matrix.identity(QQ, 2) and type(h.antipode[1, 1]) is int
+    h = kz2()
+    h.antipode = Matrix.identity(QQ, 2)
+    assert h.antipode == Matrix.identity(QQ, 2)

@@ -2474,11 +2474,16 @@ def subspace_left_ideal_trace(h, pi):
     return restricted_trace(h, h.S2, space)
 
 
+def nonzero_columns(m):
+    """For each column of the Matrix m, its (row, value) pairs with nonzero value, read from the dense rows."""
+    return [[(r, v) for r, v in enumerate(col) if v] for col in zip(*m.rows)]
+
+
 def dense_invariance_failures(h, deltas, table, name):
     """The earlier ``_invariance_failures``: two dense n-vectors per basis pair."""
     n = h.dim
     zero = h.field.zero()
-    s_cols = wha._nonzero_columns(h.S)
+    s_cols = nonzero_columns(h.S)
     failures = []
     for a in range(n):
         for b in range(n):
