@@ -180,10 +180,9 @@ def groupoid_algebra(g, field=QQ, name=None):
     for e in g.identity.values():
         unit[e] = one
     counit = [one] * n
-    s = [[one if i == g.inverse[j] else zero for j in range(n)] for i in range(n)]
     return WeakHopfAlgebra(
         field, g.morphisms, mult, unit, comult, counit,
-        antipode=Matrix(field, s), name=name or f"k[{len(g.objects)}-obj groupoid]",
+        antipode=_inverse_antipode(g, field), name=name or f"k[{len(g.objects)}-obj groupoid]",
     )
 
 
@@ -200,11 +199,18 @@ def function_algebra(g, field=QQ, name=None):
     unit = [one] * n
     identities = set(g.identity.values())
     counit = [one if i in identities else zero for i in range(n)]
-    s = [[one if i == g.inverse[j] else zero for j in range(n)] for i in range(n)]
     return WeakHopfAlgebra(
         field, labels, mult, unit, comult, counit,
-        antipode=Matrix(field, s), name=name or "functions",
+        antipode=_inverse_antipode(g, field), name=name or "functions",
     )
+
+
+def _inverse_antipode(g, field):
+    """S(e_j) = e_(j^-1), for the groupoid algebra and the function algebra alike: one entry per row."""
+    rows = tuple({} for _ in g.morphisms)
+    for j, i in enumerate(g.inverse):
+        rows[i][j] = field.one()
+    return Matrix._of(field, rows, len(rows))
 
 
 def group_algebra(table, field=QQ, labels=None, name=None):

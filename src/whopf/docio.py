@@ -21,7 +21,7 @@ import json
 import re
 
 from .errors import ParseError
-from .fields import make_field
+from .fields import Cyc, make_field
 from .linalg import Matrix
 from .twisting import DynamicalTwistData, Twist
 from .wha import Element, WeakHopfAlgebra
@@ -39,7 +39,7 @@ SCHEMA_VERSION = "1"
 
 
 def wha_to_document(h, name=None, metadata=None):
-    fmt = h.field.format
+    fmt = _formatter(h.field)
     mult = []
     for (i, j), cell in sorted(h.mult.items()):
         for k, c in sorted(cell.items()):
@@ -68,6 +68,24 @@ def wha_to_document(h, name=None, metadata=None):
     return doc
 
 
+def _formatter(field):
+    """``field.format`` for one document, each distinct scalar formatted once.
+
+    A Cyc is keyed on its (num, den), which hashes without building the
+    Fractions that ``Cyc.__hash__`` builds.
+    """
+    memo = {}
+
+    def fmt(c):
+        key = (c.num, c.den) if type(c) is Cyc else c
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = field.format(c)
+        return text
+
+    return fmt
+
+
 def _field_from_doc(doc):
     spec = doc.get("field")
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -90,10 +108,16 @@ def _entries(doc, key, shape):
     return entries
 
 
-def _scalar(field, text):
+def _scalar(field, text, parsed=None):
+    """The scalar of the string ``text``; ``parsed`` keeps the scalars of strings parsed before."""
     if not isinstance(text, str):
         raise ParseError(f"scalar {text!r} must be a string")
-    return field.parse(text)
+    if parsed is None:
+        return field.parse(text)
+    got = parsed.get(text)
+    if got is None:
+        got = parsed[text] = field.parse(text)
+    return got
 
 
 def _index(i, dim):
@@ -102,11 +126,14 @@ def _index(i, dim):
     return i
 
 
-def _table(doc, key, shape, field, dim):
-    """{index tuple: scalar} of the ``key`` entries; a repeated index tuple is a ParseError."""
+def _table(doc, key, shape, field, dim, parsed=None):
+    """{index tuple: scalar} of the ``key`` entries; a repeated index tuple is a ParseError.
+
+    ``parsed`` is handed to ``_scalar``.
+    """
     out = {}
     for *idx, c in _entries(doc, key, shape):
-        c = _scalar(field, c)
+        c = _scalar(field, c, parsed)
         idx = tuple(_index(i, dim) for i in idx)
         if idx in out:
             raise ParseError(f"{key} entry {list(idx)} is repeated")
@@ -135,23 +162,24 @@ def document_to_wha(doc):
     if not isinstance(name, str):
         raise ParseError("metadata name must be a string")
 
-    triple = ("i", "j", "k", "coeff")
+    # each distinct scalar string of the document is parsed once
+    triple, parsed = ("i", "j", "k", "coeff"), {}
     mult = {}
-    for (i, j, k), c in _table(doc, "mult", triple, field, dim).items():
+    for (i, j, k), c in _table(doc, "mult", triple, field, dim, parsed).items():
         mult.setdefault((i, j), {})[k] = c
     comult = [dict() for _ in range(dim)]
-    for (i, j, k), c in _table(doc, "comult", triple, field, dim).items():
+    for (i, j, k), c in _table(doc, "comult", triple, field, dim, parsed).items():
         comult[i][j, k] = c
     unit = [field.zero()] * dim
-    for (i,), c in _table(doc, "unit", ("i", "coeff"), field, dim).items():
+    for (i,), c in _table(doc, "unit", ("i", "coeff"), field, dim, parsed).items():
         unit[i] = c
     counit = [field.zero()] * dim
-    for (i,), c in _table(doc, "counit", ("i", "coeff"), field, dim).items():
+    for (i,), c in _table(doc, "counit", ("i", "coeff"), field, dim, parsed).items():
         counit[i] = c
     antipode = None
     if "antipode" in doc:
         rows = [{} for _ in range(dim)]
-        for (i, j), c in _table(doc, "antipode", ("i", "j", "coeff"), field, dim).items():
+        for (i, j), c in _table(doc, "antipode", ("i", "j", "coeff"), field, dim, parsed).items():
             rows[i][j] = c
         antipode = Matrix._sums(field, rows, dim)
     return WeakHopfAlgebra(

@@ -33,16 +33,29 @@ a sum is a sum of ints, as long as no digit of a result reaches 2^(K-1):
 canonical, since it is never reduced mod Phi_n, so a value is tested for
 zero by its signed digits (``_unpack``), folded by z^n = 1 and reduced
 mod Phi_n once.
+
+For the modular step of ``solve_antipode`` a field also maps its scalars
+into F_p (``Field.modular``).  Over Q(zeta_n), p is the largest prime below
+2^61 with p = 1 (mod n), so Phi_n has phi distinct roots w mod p, and each
+gives one ring map z -> w of the scalars whose denominators p does not
+divide (one embedding per prime above p; Encarnacion 1995).  ``_Modular``
+lifts the images of a value under all of them back to the field, by
+interpolation and rational reconstruction.  The prime, its roots and the
+interpolation matrix are found once per order, on first use, and kept in
+its ``_CycContext``; Q is order 1, with the one map z -> 1.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import FieldMismatch, Inconsistent, ParseError
+from .linalg import _reconstruct
 
 __all__ = [
     "Cyc",
@@ -225,6 +238,150 @@ class _CycContext:
                 for i, r in rows[t % n]:
                     out[i] += d * r
         return out
+
+    @cached_property
+    def modular(self):
+        """Q(zeta_n) modulo the prime of ``_prime_root`` (``_Modular``), made on first use; None without one."""
+        got = _prime_root(self.n)
+        return got and _Modular(self, *got)
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_n) modulo a word-size prime, for the modular step of ``solve_antipode``
+
+_PRIME_BOUND = 1 << 61
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m):
+    """Miller-Rabin on the first twelve prime bases, which decides every m below 3.3 * 10^24."""
+    if m < 2:
+        return False
+    for q in _BASES:
+        if not m % q:
+            return m == q
+    d, r = m - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_root(n):
+    """(p, w): the largest prime p below ``_PRIME_BOUND`` with p = 1 (mod n), and a primitive n-th
+    root of unity w mod p; None if there is no such prime."""
+    p = (_PRIME_BOUND - 2) // n * n + 1
+    while p > 1 and not _is_prime(p):
+        p -= n
+    if p < 2:
+        return None
+    factors = [q for q in _divisors(n) if _is_prime(q)]
+    # F_p^* is cyclic of order p - 1, so g^((p-1)/n) has order n for some g
+    for g in range(1, p):
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in factors):
+            return p, w
+    return None
+
+
+class _Modular:
+    """Q(zeta_n) modulo a prime p = 1 (mod n): its phi embeddings z -> w_k into F_p, and back.
+
+    Phi_n splits mod p into the distinct factors z - w_k, for w_k = w^k with k
+    prime to n, so a residue f of degree below phi is fixed by its values
+    f(w_k): f = sum_k f(w_k) L_k for the Lagrange polynomials
+    L_k = (Phi_n / (z - w_k)) / (Phi_n / (z - w_k))(w_k).  ``lagrange[t][k]``
+    is the coefficient of z^t in L_k.  Order 1 is Q, with the one embedding
+    z -> 1.
+    """
+
+    def __init__(self, ctx, p, w):
+        n, phi = self.n, self.phi = ctx.n, ctx.phi
+        self.p = p
+        mod = cyclotomic_polynomial(n)
+        self.powers, cols = [], []
+        for k in [1] + ctx.conjugations:
+            root = pow(w, k, p)
+            powers = [pow(root, t, p) for t in range(phi)]
+            # Phi_n / (z - root) by synthetic division, from the top coefficient down
+            quotient, acc = [0] * phi, 0
+            for t in range(phi, 0, -1):
+                acc = (acc * root + mod[t]) % p
+                quotient[t - 1] = acc
+            scale = pow(sum(map(mul, quotient, powers)), -1, p)
+            self.powers.append(powers)
+            cols.append([c * scale % p for c in quotient])
+        self.lagrange = list(zip(*cols))
+
+    def embeddings(self):
+        """One ``_Embedding`` per root w_k, made afresh."""
+        return [_Embedding(self.p, powers) for powers in self.powers]
+
+    def lift(self, values):
+        """The scalar with images ``values`` under the embeddings, or None when a rational
+        reconstruction (``linalg._reconstruct``) fails.
+
+        Equal values, or a single one, lift to a rational scalar.  Otherwise
+        each coefficient is interpolated mod p and reconstructed on its own.
+        """
+        p = self.p
+        if values.count(values[0]) == len(values):
+            coeffs = values[:1]
+        else:
+            coeffs = [sum(map(mul, row, values)) % p for row in self.lagrange]
+        pairs = list(map(_reconstruct, coeffs, repeat(p)))
+        if None in pairs:
+            return None
+        if self.n == 1:
+            (r, s), = pairs
+            return r if s == 1 else Fraction(r, s)
+        den = lcm(*(s for _, s in pairs))
+        nums = [r * (den // s) for r, s in pairs]
+        return _canonical(self.n, nums + [0] * (self.phi - len(nums)), den)
+
+
+class _Embedding:
+    """The ring map z -> w of the field's scalars whose denominators p does not divide into F_p.
+
+    ``irrational`` turns True once it has read a scalar outside Q.  Images of
+    fractions are kept by (numerator, denominator).
+    """
+
+    __slots__ = ("p", "powers", "irrational", "memo")
+
+    def __init__(self, p, powers):
+        self.p, self.powers, self.irrational, self.memo = p, powers, False, {}
+
+    def __call__(self, x):
+        """An int congruent mod p to the image of x (an int scalar is itself); ZeroDivisionError
+        when p divides the denominator of x."""
+        if type(x) is int:
+            return x
+        if type(x) is Cyc:
+            key = num, den = x.num, x.den
+            if den == 1 and not any(num[1:]):
+                return num[0]
+        else:
+            key = num, den = x.numerator, x.denominator
+        v = self.memo.get(key)
+        if v is None:
+            p = self.p
+            if type(num) is tuple and any(num[1:]):
+                self.irrational = True
+            v = sum(map(mul, num, self.powers)) if type(num) is tuple else num
+            if not den % p:
+                raise ZeroDivisionError(f"{p} divides the denominator {den}")
+            v = self.memo[key] = v * pow(den, -1, p) % p
+        return v
 
 
 def _radix(bound):
@@ -543,6 +700,10 @@ class RationalField(Field):
     def format(self, a):
         return str(a) if type(a) is int else str(Fraction(a))
 
+    def modular(self):
+        """Q modulo a word-size prime (``_Modular`` of order 1), or None without one."""
+        return _context(1).modular
+
     # -- the integer image of a table (module docstring) --
 
     def scaling(self, scalars):
@@ -595,6 +756,10 @@ class CyclotomicField(Field):
         if isinstance(x, (int, Fraction)):
             return Cyc.from_rational(self.order, x)
         raise FieldMismatch(f"cannot coerce {x!r} into Q(zeta_{self.order})")
+
+    def modular(self):
+        """Q(zeta_n) modulo a word-size prime p = 1 (mod n) (``_Modular``), or None without one."""
+        return self._context.modular
 
     def zeta(self, power=1):
         """The root of unity z^power as a field element."""

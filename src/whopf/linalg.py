@@ -1,6 +1,6 @@
 """Exact linear algebra over a scalar field.
 
-Everything is immutable and exact.  One eliminator serves every entry point:
+Everything is immutable and exact.  One exact eliminator serves every entry point:
 ``_reduce`` runs Gauss-Jordan elimination on sparse rows (col -> scalar,
 zero entries dropped) and returns the fully back-substituted pivot rows.
 Its forward step, ``_insert``, adds one row at a time and reports whether
@@ -20,11 +20,20 @@ row k of B into row i of AB, so the cost is the nonzero products, not n^3.
 ``kernel_on`` solves the homogeneous systems (the kernel of linear maps
 restricted to a subspace) and lifts the kernel back to a canonical
 Subspace; ``kernel`` and ``Subspace.intersect`` are two of its uses.
+
+The modular step of ``solve_antipode`` is the one place that works mod a
+prime, and it serves nothing else.  ``_solve_modular`` solves a system over
+F_p once per embedding of the field (``Field.modular``) with ``_solve_mod``,
+a forward step like ``_insert`` on ints, and lifts each coefficient by
+rational reconstruction (``_reconstruct``; Wang 1981).  Its result is a
+candidate: ``solve_antipode`` certifies it with exact checks, and otherwise
+falls back on ``_reduce``, which stays the one exact eliminator.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from math import gcd, isqrt
 
 from .errors import Inconsistent, InvalidOperand, NoSolution, Singular
 
@@ -92,6 +101,120 @@ def _subtract(row, m, prow, pivot, zero):
                 row[j] = nv
             else:
                 row.pop(j, None)
+
+
+def _solve_mod(system, ncols, p):
+    """The solution over F_p of a system of (sparse int row, int b) pairs, and which rows pivoted;
+    None if fewer than ncols rows pivot.
+
+    ``_insert``'s forward step with every entry reduced mod p, taking the rows
+    in order until ncols of them have pivots; the solution of those rows is
+    read off by back-substitution.  A row that reduces to 0 = b with b != 0
+    before that gives None too.  The rows after the last pivot are not read.
+    The second value holds one flag per row read, True where it pivoted.
+    """
+    pivot_rows, pivoted = {}, []
+    for row, b in system:
+        cur = {j: r for j, v in row.items() if (r := v % p)}
+        if b := b % p:
+            cur[ncols] = b
+        while cur:
+            c = min(cur)
+            m = cur.pop(c)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                if c == ncols:
+                    return None
+                if m != 1:
+                    inv = m if m == p - 1 else pow(m, -1, p)
+                    cur = {j: v * inv % p for j, v in cur.items()}
+                pivot_rows[c] = cur
+                pivoted.append(True)
+                break
+            for j, v in prow.items():
+                if nv := (cur.get(j, 0) - m * v) % p:
+                    cur[j] = nv
+                else:
+                    del cur[j]
+        else:
+            pivoted.append(False)
+        if len(pivot_rows) == ncols:
+            break
+    else:
+        return None
+    # Pivot row c, stored without its pivot entry 1, reads x_c = b - sum_j a_j x_j
+    # over j > c; with x[ncols] = -1 that is -sum_j a_j x_j over all its entries.
+    x = [0] * ncols + [-1]
+    for c in range(ncols - 1, -1, -1):
+        if row := pivot_rows[c]:
+            x[c] = -sum(a * x[j] for j, a in row.items()) % p
+    return x[:ncols], pivoted
+
+
+def _reconstruct(a, p):
+    """(r, s) with r = a s (mod p), |r| and 0 < s at most sqrt(p / 2) and gcd(r, s) = 1, or None.
+
+    Wang's rational reconstruction (1981): the extended Euclidean algorithm
+    on (p, a) stopped at the first remainder within the bound.  Such (r, s)
+    is unique when it exists.
+    """
+    bound = isqrt(p >> 1)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    return (r1, s1) if s1 <= bound and gcd(r1, s1) == 1 else None
+
+
+def _solve_modular(build, ncols, field):
+    """``solve_antipode``'s modular step: the solution of a system mod p, lifted to the field.
+
+    ``build(image)`` iterates over the (row, right-hand side) pairs of the
+    system with every scalar read through ``image``, one embedding of the
+    field's scalars into F_p (``Field.modular``); entries may be any ints.
+    Each embedding's system is solved by ``_solve_mod``, and each unknown is
+    lifted from its values under all embeddings (``_Modular.lift``).  The
+    embeddings after the first read only the rows that pivoted under it: a
+    solution of ncols rows of rank ncols is the image of any solution of the
+    whole system.  When the first embedding reads only rational scalars,
+    every embedding gives the same system, and it is solved once.
+
+    Returns the lifted solution as a list, with int 0 for zero, or None when
+    there is no prime, p divides a denominator, fewer than ncols rows pivot
+    or a lift fails.  The caller certifies the result: rank mod p never
+    exceeds rank over the field, so when ncols rows pivot mod p the system
+    has at most one solution, and a lifted x that satisfies every row
+    exactly is that solution.
+    """
+    modular = field.modular()
+    if modular is None:
+        return None
+    solutions, pivoted = [], None
+    for image in modular.embeddings():
+        system = build(image) if pivoted is None else compress(build(image), pivoted)
+        try:
+            got = _solve_mod(system, ncols, modular.p)
+        except ZeroDivisionError:
+            return None
+        if got is None:
+            return None
+        solutions.append(got[0])
+        if pivoted is None:
+            pivoted = got[1]
+        if not image.irrational:
+            break
+    out, lifted = [0] * ncols, {}
+    for j, values in enumerate(zip(*solutions)):
+        if any(values):
+            v = lifted.get(values)
+            if v is None:
+                v = lifted[values] = modular.lift(values)
+                if v is None:
+                    return None
+            out[j] = v
+    return out
 
 
 def rref(rows, field):
@@ -302,7 +425,10 @@ def kernel(m):
 
 
 def try_solve(m, b):
-    """Solve Mx = b; returns (particular, kernel Subspace) or None."""
+    """Solve Mx = b; returns (particular, kernel Subspace) or None.  InvalidOperand unless b has
+    one entry per row of M."""
+    if len(b) != m.nrows:
+        raise InvalidOperand(f"right-hand side of length {len(b)} for {m!r}")
     got = solve_sparse(m.sparse_rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
     if got is None:
         return None
@@ -377,7 +503,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
+        """The span of ``vectors`` in field^ambient; InvalidOperand unless each has ambient entries."""
         vectors = [tuple(field.coerce(x) for x in v) for v in vectors]
+        for v in vectors:
+            if len(v) != ambient:
+                raise InvalidOperand(f"vector of length {len(v)} in ambient dimension {ambient}")
         rows, pivots = rref(vectors, field) if vectors else ([], [])
         return cls(field, ambient, rows, pivots)
 

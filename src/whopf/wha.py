@@ -48,8 +48,9 @@ the largest absolute coefficient of factor i's image and s the integer
 scale of the side.  K is the least with 2^(K-1) > 2 bound, as the two
 sides are subtracted, rounded up to a multiple of 16.  An entry is compared
 by the signed digits of the difference, folded by z^n = 1 and reduced mod
-Phi_n once (``Field.image_zero``).  The weak unit and weak counit checks,
-``solve_antipode`` and ``mul_pair_dicts`` stay on field scalars.
+Phi_n once (``Field.image_zero``).  The weak unit and weak counit checks
+and ``mul_pair_dicts`` stay on field scalars; ``solve_antipode`` solves mod p
+first, and those scans certify what it finds.
 
 Each verdict is computed once per input.  The weak bialgebra checks read
 only ``mult``, ``comult``, ``unit`` and ``counit``, which cannot be
@@ -99,7 +100,7 @@ from .errors import (
     NotUnique,
     Singular,
 )
-from .linalg import Matrix, Subspace, _insert, invert, kernel_on, rref, solve_sparse, try_solve
+from .linalg import Matrix, Subspace, _insert, _solve_modular, invert, kernel_on, rref, solve_sparse, try_solve
 
 __all__ = [
     "AxiomCheck",
@@ -1486,6 +1487,51 @@ def validate_full(h):
     return ValidationReport(checks)
 
 
+def _antipode_rows(h, left, image=None, source=False):
+    """The (row, right-hand side) pairs of the target and then the composite axiom, or of the
+    source axiom, n per e_i, made as they are read; S[m, k] is column m * n + k.  ``left`` keeps
+    the nonzeros of each L(eps_s(e_j)) in row-major order.  With ``image``, an embedding into
+    F_p, each scalar is read through it: the entries are ints congruent to the field's mod p."""
+    n, kept, read = h.dim, int(source), image or (lambda x: x)
+    zero, one = (0, 1) if image else (h.field.zero(), h.field.one())
+    comult = [{legs: read(c) for legs, c in d.items()} for d in h.comult]
+    # products[x]: (p, m n, c) for each e_x e_m (target) or e_m e_x (source) with c at e_p
+    lines = h.mult_cols if source else h.mult_rows
+    products = [[(p, m * n, read(c)) for m, cell in line.items() for p, c in cell.items()] for line in lines]
+    mapped = {}
+
+    def left_entries(j):
+        if (entries := mapped.get(j)) is None:
+            if j not in left:
+                rows_j = h.left_mult_matrix(h.eps_s_mat.col(j)).sparse_rows
+                left[j] = [(p, q * n, v) for p, row in enumerate(rows_j) for q, v in sorted(row.items())]
+            entries = mapped[j] = [(p, qn, read(v)) for p, qn, v in left[j]]
+        return entries
+
+    # m(id (x) S) Delta(e_i) = eps_t(e_i), then eps_s(e_i_(1)) S(e_i_(2)) - S(e_i) = 0; or
+    # m(S (x) id) Delta(e_i) = eps_s(e_i)
+    counital = (h.eps_s_mat if source else h.eps_t_mat).transpose().sparse_rows
+    for entries, cols in [(products.__getitem__, counital)] + ([] if source else [(left_entries, None)]):
+        for i in range(n):
+            coeffs = {}
+            for legs, c in comult[i].items():
+                k = legs[1 - kept]
+                for p, qn, v in entries(legs[kept]):
+                    key = (p, qn + k)
+                    coeffs[key] = coeffs.get(key, zero) + c * v
+            if cols is None:
+                for p in range(n):
+                    key = (p, p * n + i)
+                    coeffs[key] = coeffs.get(key, zero) - one
+            per_p, rhs = {}, [zero] * n
+            for (p, unk), v in coeffs.items():
+                if v:
+                    per_p.setdefault(p, {})[unk] = v
+            for p, x in (cols[i] if cols else {}).items():
+                rhs[p] = read(x)
+            yield from zip([per_p.get(p, {}) for p in range(n)], rhs)
+
+
 def solve_antipode(h):
     """Solve the antipode axioms for S as a sparse linear system.
 
@@ -1497,80 +1543,41 @@ def solve_antipode(h):
     T = eps_s*T = S*id*T = S*eps_t = S.  Only those 2n^2 rows are eliminated,
     and the source rows S*id = eps_s are left to ``antipode_axiom_checks``,
     whose ``antipode_source`` check is exactly those rows: if it fails, the
-    joint system of all three families is inconsistent.  If the 2n^2 rows
-    leave a kernel (h is not a weak bialgebra, or has no antipode), the
-    source rows are appended and the joint system is solved again; a
-    positive-dimensional solution space there raises NotUnique.
+    joint system of all three families is inconsistent.
+
+    They are first solved mod a word-size prime p (``_solve_modular``).  If
+    n^2 of them pivot mod p, their rank over the field is n^2 too, so a
+    lifted S that passes ``antipode_target`` and ``antipode_composite``, the
+    exact checks of exactly these rows, is their one solution.  Else (p
+    divides a denominator, fewer pivots, a failed lift or check) they are
+    eliminated exactly; if that leaves a kernel (h is not a weak bialgebra,
+    or has no antipode), the source rows are appended and the joint system
+    is solved again: a positive-dimensional solution raises NotUnique.
 
     The final check is ``h.antipode_checks(s)``: it reads h's structure
     with the solved S directly, and stays on h, so a caller that then sets
     ``h.antipode`` to this S, or builds ``h.with_antipode(s)``, validates
     without checking the antipode axioms again.
     """
-    n = h.dim
-    field = h.field
-    zero = field.zero()
-    # unknown index: S[m, k] -> m * n + k  (S(e_k) = sum_m S[m,k] e_m)
-    eps_s_left_mult = {}
-    rows = []
-    rhs = []
-
-    def _emit(coeffs, col):
-        per_p = {}
-        for (p, unk), v in coeffs.items():
-            if v:
-                per_p.setdefault(p, {})[unk] = v
-        for p in range(n):
-            rows.append(per_p.get(p, {}))
-            rhs.append(col[p])
-
-    def _convolution(i, lines, kept):
-        """Leg ``kept`` of Delta(e_i) times S of the other leg; lines[x] maps m to e_x e_m or e_m e_x."""
-        coeffs = {}
-        for legs, c in h.comult[i].items():
-            k = legs[1 - kept]
-            for m, cell in lines[legs[kept]].items():
-                for p, cmu in cell.items():
-                    key = (p, m * n + k)
-                    coeffs[key] = coeffs.get(key, zero) + c * cmu
-        return coeffs
-
-    def _composite(i):
-        """eps_s(e_i_(1)) S(e_i_(2)) - S(e_i), from the nonzeros of L(eps_s(e_j)) in row-major order."""
-        coeffs = {}
-        for (j, k), c in h.comult[i].items():
-            entries = eps_s_left_mult.get(j)
-            if entries is None:
-                rows_j = h.left_mult_matrix(h.eps_s_mat.col(j)).sparse_rows
-                entries = eps_s_left_mult[j] = [
-                    (p, q * n, v) for p, row in enumerate(rows_j) for q, v in sorted(row.items())
-                ]
-            for p, qn, v in entries:
-                key = (p, qn + k)
-                coeffs[key] = coeffs.get(key, zero) + c * v
-        for p in range(n):
-            key = (p, p * n + i)
-            coeffs[key] = coeffs.get(key, zero) - field.one()
-        return coeffs
-
-    for i in range(n):
-        # m(id (x) S) Delta(e_i) = eps_t(e_i)
-        _emit(_convolution(i, h.mult_rows, 0), h.eps_t_mat.col(i))
-    for i in range(n):
-        # eps_s(e_i_(1)) S(e_i_(2)) = S(e_i)
-        _emit(_composite(i), [zero] * n)
-    got = solve_sparse(rows, rhs, n * n, field)
-    if got is not None and got[1]:
-        for i in range(n):
-            # m(S (x) id) Delta(e_i) = eps_s(e_i)
-            _emit(_convolution(i, h.mult_cols, 1), h.eps_s_mat.col(i))
-        got = solve_sparse(rows, rhs, n * n, field)
-    if got is None:
-        raise NoAntipode("antipode equations are inconsistent")
-    particular, kern = got
-    if kern:
-        raise NotUnique(f"antipode solution space has dimension {len(kern)}")
-    s = Matrix._sums(field, [{k: particular[m * n + k] for k in range(n)} for m in range(n)], n)
+    n, field = h.dim, h.field
+    left = {}
+    square = lambda x: Matrix._sums(field, [dict(enumerate(x[m * n : m * n + n])) for m in range(n)], n)
+    s = _solve_modular(lambda image: _antipode_rows(h, left, image), n * n, field)
+    if s is not None:
+        s = square(s)
+        target, _, composite = h.antipode_checks(s)
+        s = s if target.ok and composite.ok else None
+    if s is None:
+        system = list(_antipode_rows(h, left))
+        got = solve_sparse(*zip(*system), n * n, field)
+        if got is not None and got[1]:
+            got = solve_sparse(*zip(*system, *_antipode_rows(h, left, source=True)), n * n, field)
+        if got is None:
+            raise NoAntipode("antipode equations are inconsistent")
+        particular, kern = got
+        if kern:
+            raise NotUnique(f"antipode solution space has dimension {len(kern)}")
+        s = square(particular)
     for check in h.antipode_checks(s):
         if not check.ok:
             if check.name == "antipode_source":

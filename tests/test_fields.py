@@ -714,3 +714,124 @@ def test_images_of_4000_digit_numerators_and_denominators():
         y = Cyc(n, [Fraction(b, d)] * phi)
         w = Cyc(n, [Fraction(c, a), 0, Fraction(-a, c)] + [0] * (phi - 3))
         check_products(CyclotomicField(n), [[x, y], [w, x], [y, y]])
+
+
+# ---------------------------------------------------------------------------
+# modulo a word-size prime: the embeddings z -> w_k into F_p, and the lift back
+
+MODULAR_ORDERS = (3, 4, 5, 7, 8, 12)
+small_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+
+
+@pytest.mark.parametrize("n", (1,) + MODULAR_ORDERS)
+def test_the_prime_and_its_roots(n):
+    """p = 1 (mod n) below 2^61, and the embeddings send z to the phi(n) distinct roots of Phi_n mod p."""
+    modular = _context(n).modular
+    p = modular.p
+    assert (p - 1) % n == 0 and p < 2**61 and 2**61 - p < 1000
+    roots = [powers[1] if len(powers) > 1 else 1 for powers in modular.powers]
+    assert len(set(roots)) == len(modular.embeddings()) == _context(n).phi
+    mod = cyclotomic_polynomial(n)
+    assert all(sum(c * pow(w, t, p) for t, c in enumerate(mod)) % p == 0 for w in roots)
+    assert (QQ.modular() if n == 1 else CyclotomicField(n).modular()) is modular
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODULAR_ORDERS), st.data())
+def test_embed_then_interpolate_round_trips(n, data):
+    """The images of x under every embedding lift back to x, and each embedding is a ring map."""
+    modular = CyclotomicField(n).modular()
+    p, phi = modular.p, _context(n).phi
+    x, y = (Cyc(n, data.draw(st.lists(small_fractions, min_size=phi, max_size=phi))) for _ in range(2))
+    images = modular.embeddings()
+    got = modular.lift(tuple(image(x) % p for image in images))
+    assert type(got) is Cyc and got == x
+    for image in images:
+        assert image(x * y) % p == image(x) * image(y) % p
+        assert image(x + y) % p == (image(x) + image(y)) % p
+        assert image(-x) % p == -image(x) % p
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_fractions)
+def test_rationals_lift_from_one_value(q):
+    """Q has one embedding; a rational of Q(zeta_n) has equal images, and lifts from any one of them."""
+    (image,) = QQ.modular().embeddings()
+    got = QQ.modular().lift((image(q) % QQ.modular().p,))
+    assert got == q and type(got) is (int if q.denominator == 1 else Fraction)
+    for n in (3, 12):
+        x, modular = Z3.coerce(q) if n == 3 else Z12.coerce(q), CyclotomicField(n).modular()
+        images = modular.embeddings()
+        values = {image(x) % modular.p for image in images}
+        assert len(values) == 1 and modular.lift(tuple(values)) == x
+        assert not any(image.irrational for image in images)
+
+
+def test_an_embedding_refuses_a_denominator_of_p_and_marks_irrational_scalars():
+    modular = Z3.modular()
+    image = modular.embeddings()[0]
+    with pytest.raises(ZeroDivisionError):
+        image(Z3.coerce(Fraction(2, modular.p)))
+    with pytest.raises(ZeroDivisionError):
+        QQ.modular().embeddings()[0](Fraction(1, QQ.modular().p))
+    assert image(Z3.from_int(5)) == 5 and not image.irrational
+    image(Z3.zeta())
+    assert image.irrational
+
+
+# ---------------------------------------------------------------------------
+# docio parses and formats each distinct scalar of a document once
+
+
+def _memo_free(monkeypatch):
+    """Make docio parse and format every scalar afresh, as it did before the memos."""
+    monkeypatch.setattr(docio, "_formatter", lambda field: field.format)
+    scalar = docio._scalar
+    monkeypatch.setattr(docio, "_scalar", lambda field, text, parsed=None: scalar(field, text))
+
+
+def test_memos_keep_the_bytes_and_the_tables(monkeypatch):
+    """Emission and parsing of the zoo, the duals and a Q(zeta_7) group algebra, with and without the
+    memos: the same bytes, so the same sha256 digests, and the same tables back."""
+    import hashlib
+
+    from whopf.constructors import cyclic_table, group_algebra
+    from whopf.zoo import ZOO_NAMES, build_member
+
+    algebras = [build_member(name) for name in ZOO_NAMES]
+    algebras += [h.dual for h in algebras] + [group_algebra(cyclic_table(7), field=CyclotomicField(7))]
+    texts = [docio.dumps(docio.wha_to_document(h)) for h in algebras]
+    parsed = [docio.document_to_wha(docio.loads(text)) for text in texts]
+    with monkeypatch.context() as m:
+        _memo_free(m)
+        plain = [docio.dumps(docio.wha_to_document(h)) for h in algebras]
+        reparsed = [docio.document_to_wha(docio.loads(text)) for text in texts]
+    assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [
+        hashlib.sha256(t.encode()).hexdigest() for t in plain
+    ]
+    for a, b in zip(parsed, reparsed):
+        assert (a.mult, a.comult, a.unit, a.counit, a.antipode) == (b.mult, b.comult, b.unit, b.counit, b.antipode)
+        assert [type(c) for cell in a.mult.values() for c in cell.values()] == [
+            type(c) for cell in b.mult.values() for c in cell.values()
+        ]
+
+
+@pytest.mark.parametrize("bad", ["1/0", 5, None, LONG, "1/" + LONG, "2x"], ids=repr)
+def test_a_bad_scalar_after_repeats_of_a_good_one_raises_the_same_error(bad, monkeypatch):
+    """The first bad scalar in document order raises what it raised without the memos."""
+    from whopf.constructors import cyclic_table, group_algebra
+
+    doc = docio.wha_to_document(group_algebra(cyclic_table(4)))
+    assert all(entry[-1] == "1" for entry in doc["mult"])
+    doc["mult"][-1][-1] = bad
+    doc["counit"][0][-1] = "1/0"  # a later bad scalar is never reached
+
+    def error():
+        with pytest.raises(ParseError) as info:
+            docio.document_to_wha(doc)
+        return str(info.value)
+
+    with monkeypatch.context() as m:
+        _memo_free(m)
+        want = error()
+    assert error() == want

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd as math_gcd, isqrt as math_isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from whopf.linalg import (
     Matrix,
     Subspace,
     _insert,
+    _reconstruct,
+    _solve_mod,
     invert,
     kernel,
     kernel_on,
@@ -620,6 +623,10 @@ def test_sparse_matrix_matches_the_dense_body(case, k):
         same_dense(invert(d), want)
     assert kernel(a) == dense_kernel(da) and kernel(a).pivots == dense_kernel(da).pivots
     for rhs in ([x for x in a.matvec(vec)], [field.coerce(x) for x in (b_rows[0] if b_rows else [])][: a.nrows]):
+        if len(rhs) != a.nrows:  # the second when A has more rows than columns
+            with pytest.raises(InvalidOperand):
+                try_solve(a, rhs)
+            continue
         got, want = try_solve(a, rhs), dense_try_solve(da, rhs)
         assert (got is None) == (want is None)
         if got is not None:
@@ -701,3 +708,80 @@ def test_the_antipode_setter_checks_the_shape_of_a_matrix_and_of_nested_lists():
     h = kz2()
     h.antipode = Matrix.identity(QQ, 2)
     assert h.antipode == Matrix.identity(QQ, 2)
+
+
+def test_solver_and_span_shapes_are_checked():
+    """A right-hand side needs one entry per row, and a spanning vector one per ambient coordinate.
+
+    Before the checks ``zip`` cut the longer side short: solve(I_2, [1]) gave
+    ((1, 0), a line) and try_solve(I_2, [1, 2, 3]) gave (1, 2), and
+    Subspace.from_vectors took [1] as a row [1] and [1, 2, 3] in ambient 2.
+    """
+    eye = Matrix.identity(QQ, 2)
+    for call in (
+        lambda: solve(eye, [1]),
+        lambda: try_solve(eye, [1, 2, 3]),
+        lambda: Subspace.from_vectors(QQ, 2, [[1, 2], [1]]),
+        lambda: Subspace.from_vectors(QQ, 2, [[1, 2, 3]]),
+    ):
+        with pytest.raises(InvalidOperand):
+            call()
+    particular, kern = solve(eye, [1, 2])
+    assert particular == (1, 2) and kern.dim == 0
+    assert Subspace.from_vectors(QQ, 2, [[1, 2], [2, 4]]).rows == ((1, 2),)
+
+
+# ---------------------------------------------------------------------------
+# the modular step of solve_antipode: elimination mod p and rational reconstruction
+
+PRIMES = (5, 13, 10007, 2**31 - 1, 2**61 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_rational_reconstruction_round_trips(p, data):
+    """r / s with |r| and s within sqrt(p / 2) comes back from r s^-1 mod p, and only it."""
+    bound = math_isqrt(p // 2)
+    r = data.draw(st.integers(-bound, bound))
+    s = data.draw(st.integers(1, bound).filter(lambda s: math_gcd(r, s) == 1))
+    assert _reconstruct(r * pow(s, -1, p) % p, p) == (r, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_a_reconstruction_is_a_small_preimage(p, data):
+    """Any (r, s) returned for a residue a satisfies r = a s (mod p) within the bounds."""
+    a = data.draw(st.integers(0, p - 1))
+    got = _reconstruct(a, p)
+    bound = math_isqrt(p // 2)
+    if got is not None:
+        r, s = got
+        assert (r - a * s) % p == 0 and abs(r) <= bound and 0 < s <= bound and math_gcd(r, s) == 1
+
+
+def test_elimination_mod_p_matches_the_exact_solution():
+    """Random sparse integer systems: x mod p is the exact unique solution mapped mod p, read off the
+    first ncols rows that pivot; a rank short of ncols over Q gives None."""
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice(PRIMES)
+        n = rng.randint(1, 6)
+        rows = [
+            {j: rng.randint(-3, 3) for j in rng.sample(range(n), rng.randint(0, n))}
+            for _ in range(rng.randint(n, 2 * n + 2))
+        ]
+        rhs = [rng.randint(-4, 4) for _ in rows]
+        exact = solve_sparse(rows, [QQ.coerce(b) for b in rhs], n, QQ)
+        got = _solve_mod(zip(rows, rhs), n, p)
+        if exact is not None and exact[1]:
+            assert got is None  # rank short of n over Q, so also mod p
+            seen.add("kernel")
+        elif exact is not None and got is not None:
+            x, pivoted = got
+            assert x == [Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in exact[0]]
+            assert sum(pivoted) == n and pivoted[-1] and len(pivoted) <= len(rows)
+            seen.add("unique")
+        else:
+            seen.add("inconsistent" if exact is None else "p divides a pivot")
+    assert {"kernel", "unique", "inconsistent", "p divides a pivot"} <= seen

@@ -114,6 +114,7 @@ from functools import lru_cache
 
 import pytest
 
+import whopf.fields as fields
 import whopf.grouplikes as grouplikes
 import whopf.integrals as integrals
 import whopf.search as search
@@ -1481,6 +1482,11 @@ def _solved(solver, h):
         return type(exc), str(exc)
 
 
+def _exact_only(*args):
+    """A stand-in for ``wha._solve_modular`` that never finds S, so solve_antipode eliminates exactly."""
+    return None
+
+
 @pytest.fixture
 def solver_branch(monkeypatch):
     """solve(h) -> (outcome, branch), where branch names the path solve_antipode took.
@@ -1488,9 +1494,23 @@ def solver_branch(monkeypatch):
     "inconsistent": the target and composite rows have no solution;
     "unique": they fix S and the final check passes; "source_fails": they fix
     an S that fails antipode_source; "fallback": they leave a kernel and the
-    source rows are appended.
+    source rows are appended.  A certified modular solution calls no exact
+    solve and counts as "unique" or "source_fails".
+
+    Each h is solved twice: with the modular step as it is, and with it
+    monkeypatched off, so the exact elimination runs.  The two runs must give
+    the same outcome (equal S with equal sparse rows, or the same exception
+    class and message) and the same branch.  ``solve.certified`` records, per
+    call, whether the modular step's S was taken, and ``solve.lifted`` whether
+    the modular step returned one.
     """
     solves = []
+    step = wha._solve_modular
+
+    def modular(*args):
+        got = step(*args)
+        solve.lifted.append(got is not None)
+        return got
 
     def spy(rows, rhs, ncols, field):
         got = solve_sparse(rows, rhs, ncols, field)
@@ -1499,17 +1519,34 @@ def solver_branch(monkeypatch):
 
     monkeypatch.setattr(wha, "solve_sparse", spy)
 
-    def solve(h):
-        solves.clear()
-        got = _solved(wha.solve_antipode, h)
+    def branch_of(got):
+        if not solves:
+            return "source_fails" if isinstance(got, tuple) else "unique"
         if len(solves) == 2:
-            branch = "fallback"
-        elif solves[0] is None:
-            branch = "inconsistent"
-        else:
-            branch = "source_fails" if isinstance(got, tuple) else "unique"
+            return "fallback"
+        if solves[0] is None:
+            return "inconsistent"
+        return "source_fails" if isinstance(got, tuple) else "unique"
+
+    def run(h, step):
+        monkeypatch.setattr(wha, "_solve_modular", step)
+        solves.clear()
+        got = _solved(wha.solve_antipode, h.with_antipode(None))
+        return got, branch_of(got), not solves
+
+    def solve(h):
+        got, branch, certified = run(h, modular)
+        exact, exact_branch, _ = run(h, _exact_only)
+        assert (got, branch) == (exact, exact_branch)
+        if isinstance(got, Matrix):
+            assert got.sparse_rows == exact.sparse_rows
+            assert [list(map(type, row.values())) for row in got.sparse_rows] == [
+                list(map(type, row.values())) for row in exact.sparse_rows
+            ]
+        solve.certified.append(certified)
         return got, branch
 
+    solve.certified, solve.lifted = [], []
     return solve
 
 
@@ -1546,6 +1583,7 @@ def test_solved_antipode_matches_the_joint_system_on_the_zoo(name, solver_branch
         got, branch = solver_branch(_stripped(alg))
         assert branch == "unique" and got == alg.S
         assert full_system_antipode(_stripped(alg)) == alg.S
+    assert solver_branch.certified == [True, True]
 
 
 @pytest.mark.parametrize("name", sorted(_make_builders()) + sorted(_ladder_builders()))
@@ -1554,6 +1592,7 @@ def test_solved_antipode_matches_the_joint_system_on_make_and_ladder(name, solve
     got, branch = solver_branch(_stripped(h))
     assert branch == "unique" and got == h.S
     assert full_system_antipode(_stripped(h)) == h.S
+    assert solver_branch.certified == [True]
 
 
 BUMPS_PER_MEMBER = 30
@@ -1576,6 +1615,68 @@ def test_solved_antipode_matches_the_joint_system_on_bumped_tables(solver_branch
             count += 1
     assert count >= 400
     assert {"inconsistent", "unique", "source_fails", "fallback"} <= set(branches)
+    # the modular step's S is taken on some bumps and refused on others
+    assert len(set(solver_branch.certified)) == 2
+
+
+@pytest.fixture
+def tiny_prime(monkeypatch):
+    """force(bound): the modular step works modulo the largest prime p < bound, p = 1 (mod n) over
+    Q(zeta_n), or is skipped when there is none; the primes cached before are restored afterwards."""
+
+    def force(bound):
+        monkeypatch.setattr(fields, "_PRIME_BOUND", bound)
+        for n in {1, *fields._CONTEXTS}:
+            monkeypatch.delitem(vars(fields._context(n)), "modular", raising=False)
+
+    yield force
+    for ctx in fields._CONTEXTS.values():
+        vars(ctx).pop("modular", None)
+
+
+def _rescaled(h, b, s):
+    """h on the basis f_i = s_i e_i, s_b = s and s_i = 1 otherwise, with its S: the same algebra, and
+    1/s a denominator of its tables."""
+    f = h.field
+    sc = [f.one()] * h.dim
+    sc[b] = f.from_fraction(s)
+    mult = {(i, j): {k: f.div(c * sc[i] * sc[j], sc[k]) for k, c in cell.items()} for (i, j), cell in h.mult.items()}
+    comult = [{(j, k): f.div(c * sc[i], sc[j] * sc[k]) for (j, k), c in d.items()} for i, d in enumerate(h.comult)]
+    unit = [f.div(u, x) for u, x in zip(h.unit, sc)]
+    counit = [e * x for e, x in zip(h.counit, sc)]
+    s_rows = [{k: f.div(v * sc[k], sc[m]) for k, v in row.items()} for m, row in enumerate(h.S.sparse_rows)]
+    return WeakHopfAlgebra(f, h.labels, mult, unit, comult, counit, antipode=Matrix._sums(f, s_rows, h.dim))
+
+
+@pytest.mark.parametrize("bound", [6, 8, 14])
+def test_a_tiny_prime_gives_the_exact_outcome(bound, tiny_prime, solver_branch):
+    """Modulo 5, 7 or 13 the modular step often fails; S, or the exception class and message, stays
+    the exact path's (``solver_branch`` compares the two).
+
+    Each zoo member up to dim 9 and its dual are solved as they are, rescaled
+    so that p divides a denominator of the tables, rescaled by p + 1, which
+    is 1 mod p, so that a lift can be wrong, and with four bumps of
+    denominator p.  Over Q(zeta_3) there is no prime p = 1 (mod 3) below 6.
+    """
+    tiny_prime(bound)
+    rng = random.Random(bound)
+    for name in ZOO_NAMES:
+        h = build_member(name)
+        if h.dim > 9:
+            continue
+        modular = h.field.modular()
+        p = modular.p if modular else 5
+        assert p < bound
+        b = rng.randrange(h.dim)
+        for alg in (h, h.dual, _rescaled(h, b, p + 1), _rescaled(h, b, Fraction(1, p))):
+            got, branch = solver_branch(_stripped(alg))
+            assert branch == "unique" and got == alg.S
+        assert solver_branch.certified[-1] is False
+        for _ in range(4):
+            solver_branch(_stripped(corrupt(h, rng, parts=("mult", "comult"), values=(Fraction(1, p), -1, 2))))
+    runs = set(zip(solver_branch.lifted, solver_branch.certified))
+    # taken, refused by the certificate, and no lift at all
+    assert runs == {(True, True), (True, False), (False, False)}
 
 
 def _two_dim(mult, comult, unit, counit):
@@ -2188,9 +2289,30 @@ def test_solver_rows_keep_their_order(name, monkeypatch):
         return solve_sparse(rows, rhs, ncols, field)
 
     monkeypatch.setattr(wha, "solve_sparse", spy)
+    monkeypatch.setattr(wha, "_solve_modular", _exact_only)
     solve_antipode(h)
     rows, rhs = probe_antipode_rows(h)
     assert systems[0] == ([list(row.items()) for row in rows], rhs)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(_make_builders()) + ["pair-3", "hmin-m2-g31", "sweedler4^*", "dyn-twist-z2^*"]
+)
+def test_modular_rows_are_the_exact_rows_mod_p(name):
+    """Under every embedding into F_p the rows are the exact rows mapped entry by entry, in the same
+    order, once both are reduced mod p with zeros dropped; so are the right-hand sides."""
+    h = _stripped(_solver_case(name))
+    left = {}
+    exact = list(wha._antipode_rows(h, left))
+    modular = h.field.modular()
+    p = modular.p
+
+    def reduced(pairs):
+        return [([(j, v % p) for j, v in row.items() if v % p], b % p) for row, b in pairs]
+
+    for image in modular.embeddings():
+        mapped = [({j: image(v) for j, v in row.items()}, image(b)) for row, b in exact]
+        assert reduced(wha._antipode_rows(h, left, image)) == reduced(mapped)
 
 
 # ---------------------------------------------------------------------------
