@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, InvalidPresentation, NotSeparable, Singular, TraceConditionViolated
+from .errors import FieldMismatch, Inconsistent, InvalidPresentation, NotSeparable, Singular, TraceConditionViolated
 from .fields import QQ
 from .linalg import Matrix, invert
 from .wha import WeakHopfAlgebra
@@ -48,7 +48,8 @@ class Groupoid:
     """Finite groupoid: morphism list with source/target, composition, inverses.
 
     ``compose[(i, j)]`` is the index of morphism i o j when defined (i.e. when
-    source(i) == target(j)), absent otherwise.
+    source(i) == target(j)), absent otherwise.  ``groupoid_algebra`` and
+    ``function_algebra`` ``check`` every groupoid they get, once.
     """
 
     objects: tuple
@@ -91,6 +92,8 @@ class Groupoid:
 
 def pair_groupoid(n_objects):
     """Pair groupoid: one morphism (a, b) from b to a for every object pair."""
+    if n_objects < 1:
+        raise InvalidPresentation(f"a pair groupoid needs n >= 1 objects, got {n_objects}")
     objs = tuple(range(n_objects))
     morphs = []
     src, tgt = [], []
@@ -108,7 +111,7 @@ def pair_groupoid(n_objects):
                 compose[(index[(a, b)], index[(b, c)])] = index[(a, c)]
     inverse = [index[(b, a)] for (a, b) in sorted(index, key=index.get)]
     identity = {a: index[(a, a)] for a in objs}
-    return Groupoid(objs, tuple(morphs), tuple(src), tuple(tgt), compose, tuple(inverse), identity).check()
+    return Groupoid(objs, tuple(morphs), tuple(src), tuple(tgt), compose, tuple(inverse), identity)
 
 
 def one_object_groupoid(table, labels=None):
@@ -128,9 +131,7 @@ def one_object_groupoid(table, labels=None):
             raise InvalidPresentation(f"element {i} lacks a unique inverse")
         inverse.append(inv[0])
     compose = {(i, j): table[i][j] for i in range(n) for j in range(n)}
-    return Groupoid(
-        (0,), tuple(labels), (0,) * n, (0,) * n, compose, tuple(inverse), {0: eye}
-    ).check()
+    return Groupoid((0,), tuple(labels), (0,) * n, (0,) * n, compose, tuple(inverse), {0: eye})
 
 
 def disjoint_union(g1, g2):
@@ -146,10 +147,12 @@ def disjoint_union(g1, g2):
     inverse = tuple(g1.inverse) + tuple(k + n1 for k in g2.inverse)
     identity = {(0, x): k for x, k in g1.identity.items()}
     identity.update({(1, x): k + n1 for x, k in g2.identity.items()})
-    return Groupoid(objs, morphs, src, tgt, compose, inverse, identity).check()
+    return Groupoid(objs, morphs, src, tgt, compose, inverse, identity)
 
 
 def cyclic_table(n):
+    if n < 1:
+        raise InvalidPresentation(f"Z_n needs n >= 1, got {n}")
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
@@ -442,10 +445,9 @@ def spectrum_invariant(h):
 
     md = minimal_data(h)
     ht = md.target
-    cols = []
-    for b in ht.rows:
-        cols.append(ht.coords(h.mul_vec(md.g.coeffs, b)))
-    m = Matrix.from_columns(h.field, cols)
+    m = ht.matrix_of([h.mul_vec(md.g.coeffs, b) for b in ht.rows])
+    if m is None:
+        raise Inconsistent("H_t not invariant under left multiplication by g")
     return _char_poly(m)
 
 

@@ -19,6 +19,7 @@ from itertools import chain, islice
 
 from .errors import (
     Inconsistent,
+    InvalidOperand,
     NotHalfGrouplike,
     PreconditionUnmet,
     RegularityViolated,
@@ -67,7 +68,9 @@ __all__ = [
 
 
 def is_half_grouplike(h, g, side):
-    """Membership in G1 (Delta(g) = (g(x)g)Delta(1)) or G2 (other side)."""
+    """Membership in G1 (Delta(g) = (g(x)g)Delta(1)) or G2 (other side); side is 1 or 2."""
+    if side not in (1, 2):
+        raise InvalidOperand(f"side must be 1 or 2, got {side!r}")
     return _half_grouplike(h, _checked(h, g), side)
 
 
@@ -271,17 +274,12 @@ def gamma_module(h, gamma):
     eps_sg = maps["eps_s_gamma"]
     hs = h.source_base
     one = h.field.one()
-    ys = [_sparse(y) for y in hs.rows]
     mats = []
     for j in range(h.dim):
-        cols = []
-        for y in ys:
-            image = eps_sg.matvec(_basis_products(h, [(one, j, y)], left=False))  # y e_j
-            coords = hs.coords(image)
-            if coords is None:
-                raise Inconsistent("action leaves H_s")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(h.field, cols))
+        mat = hs.matrix_of([eps_sg.matvec(_basis_products(h, [(one, j, y)], left=False)) for y in hs.sparse_rows])
+        if mat is None:
+            raise Inconsistent("action leaves H_s")
+        mats.append(mat)
     module = GammaModule(gamma=gamma, base=hs, action=tuple(mats))
 
     def action(x):
@@ -300,11 +298,10 @@ def gamma_module(h, gamma):
             if mats[b] @ mats[a] != action(h.mult_rows[a].get(b, {})):
                 raise Inconsistent(f"action not multiplicative at ({a}, {b})")
     # restriction to H_s is right multiplication
-    for x in hs.rows:
-        act_x = action(_sparse(x))
-        for y in hs.rows:
-            if act_x.matvec(hs.coords(y)) != hs.coords(h.mul_vec(y, x)):
-                raise Inconsistent("restriction to H_s is not right multiplication")
+    basis = hs.rows
+    for x, x_sparse in zip(basis, hs.sparse_rows):
+        if action(x_sparse) != hs.matrix_of([h.mul_vec(y, x) for y in basis]):
+            raise Inconsistent("restriction to H_s is not right multiplication")
     return module
 
 
@@ -346,7 +343,7 @@ def _intertwiner_space(h, gamma1, gamma2):
         raise NotHalfGrouplike("both functionals must lie in G1(H*)")
     eps1, eps2 = maps1["eps_s_gamma"], maps2["eps_s_gamma"]
     hs = h.source_base
-    vs = [(v, _sparse(v)) for v in hs.rows]
+    vs = list(zip(hs.rows, hs.sparse_rows))
     one = h.field.one()
     rows = []
     for j in range(h.dim):
@@ -473,7 +470,7 @@ def is_trivial_automorphism(h, phi):
     """
     n = h.dim
     hmin = h.minimal_subalgebra
-    us = [(u, _sparse(u)) for u in hmin.rows]
+    us = list(zip(hmin.rows, hmin.sparse_rows))
     one = h.field.one()
     rows = []
     for i in range(n):
@@ -488,10 +485,7 @@ def is_trivial_automorphism(h, phi):
     if conjugators.dim == 0:
         return "no", None
     # affine slice eps_t(u) = 1 = eps_s(u) within the conjugator space
-    cols = []
-    for row in conjugators.rows:
-        cols.append(list(h.eps_t(row)) + list(h.eps_s(row)))
-    m = Matrix.from_columns(h.field, cols)
+    m = Matrix.from_columns(h.field, [list(h.eps_t(row)) + list(h.eps_s(row)) for row in conjugators.rows])
     sol = try_solve(m, list(h.unit) + list(h.unit))
     if sol is None:
         return "no", None

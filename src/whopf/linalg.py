@@ -5,11 +5,12 @@ Everything is immutable and exact.  One exact eliminator serves every entry poin
 zero entries dropped) and returns the fully back-substituted pivot rows.
 Its forward step, ``_insert``, adds one row at a time and reports whether
 the row added a pivot, which lets a caller grow a span incrementally.
-``rref`` is their dense view, sorted by pivot, for ``Subspace.from_vectors``.
 ``solve_sparse`` carries the right-hand side as one more column and reads
-the particular solution and the kernel off the same rows.  Reduced row
-echelon form is unique, so Subspace equality is decidable by comparing
-canonical bases.
+the particular solution and the kernel off the same rows.
+
+A ``Subspace`` keeps the pivot rows of ``_reduce``, sorted by pivot, and
+``rref`` is the dense view of such a span.  Reduced row echelon form is
+unique, so Subspace equality is decidable by comparing canonical bases.
 
 A ``Matrix`` holds only its nonzeros, in the eliminator's own row form, so
 ``rank``, ``invert``, ``kernel`` and ``try_solve`` hand its rows over as
@@ -83,8 +84,8 @@ def _insert(pivot_rows, row, field):
     while cur:
         c = min(cur)
         if c not in pivot_rows:
-            inv = field.inv(cur[c])
-            if inv != 1:
+            if cur[c] != 1:
+                inv = field.inv(cur[c])
                 cur = {j: v * inv for j, v in cur.items()}
             pivot_rows[c] = cur
             return c
@@ -218,18 +219,10 @@ def _solve_modular(build, ncols, field):
 
 
 def rref(rows, field):
-    """Canonical reduced row echelon form; returns (rows, pivot columns)."""
+    """Canonical reduced row echelon form of dense rows, the dense view of their span; returns (rows, pivot columns)."""
     rows = list(rows)
-    width = len(rows[0]) if rows else 0
-    reduced = _reduce(map(enumerate, rows), field, width)
-    pivots = sorted(reduced)
-    dense = []
-    for c in pivots:
-        v = [field.zero()] * width
-        for j, x in reduced[c].items():
-            v[j] = x
-        dense.append(tuple(v))
-    return dense, pivots
+    span = Subspace._span(field, len(rows[0]) if rows else 0, map(enumerate, rows))
+    return list(span.rows), list(span.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +425,7 @@ def try_solve(m, b):
     got = solve_sparse(m.sparse_rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
     if got is None:
         return None
-    return got[0], Subspace.from_vectors(m.field, m.ncols, got[1])
+    return got[0], Subspace._span(m.field, m.ncols, map(enumerate, got[1]))
 
 
 def solve(m, b):
@@ -483,7 +476,7 @@ def kernel_on(space, rows):
     got = solve_sparse(rows, repeat(field.zero()), space.dim, field)
     if got is None:
         raise Inconsistent("homogeneous system reported inconsistent")
-    return Subspace.from_vectors(field, space.ambient, [space.vector(kv) for kv in got[1]])
+    return Subspace._span(field, space.ambient, (space._combine(kv).items() for kv in got[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +484,25 @@ def kernel_on(space, rows):
 
 
 class Subspace:
-    """Row space with a canonical (reduced row echelon) basis."""
+    """Row space with a canonical (reduced row echelon) basis: ``sparse_rows[k]`` maps column j to entry j of row k.
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    The rows are the eliminator's, nonzeros only and sorted by pivot; ``rows``
+    is the dense view, built on each read.  ``from_vectors`` coerces every
+    entry of dense vectors, and ``_span`` takes the field's own scalars as
+    they are.  One residue routine, ``_residue``, serves ``coords``,
+    ``reduce``, ``contains``, ``<=``, ``intersect`` and ``matrix_of``.
+    """
 
-    def __init__(self, field, ambient, rows, pivots):
-        self.field = field
-        self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+    __slots__ = ("field", "ambient", "pivots", "sparse_rows")
+
+    @classmethod
+    def _span(cls, field, ambient, rows):
+        """The span in field^ambient of rows of (column, scalar) pairs over the field's own scalars."""
+        reduced = _reduce(rows, field, ambient)
+        space = object.__new__(cls)
+        space.field, space.ambient, space.pivots = field, ambient, tuple(sorted(reduced))
+        space.sparse_rows = tuple(reduced[c] for c in space.pivots)
+        return space
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -508,70 +511,85 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise InvalidOperand(f"vector of length {len(v)} in ambient dimension {ambient}")
-        rows, pivots = rref(vectors, field) if vectors else ([], [])
-        return cls(field, ambient, rows, pivots)
+        return cls._span(field, ambient, map(enumerate, vectors))
 
     @classmethod
     def full(cls, field, n):
-        """The whole of field^n with the identity basis (already canonical)."""
-        one, zero = field.one(), field.zero()
-        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return cls(field, n, rows, range(n))
+        """The whole of field^n with the identity basis."""
+        one = field.one()
+        return cls._span(field, n, (((i, one),) for i in range(n)))
+
+    @property
+    def rows(self):
+        """The dense basis rows, as a tuple of tuples."""
+        zero, width = self.field.zero(), range(self.ambient)
+        return tuple(tuple(row.get(j, zero) for j in width) for row in self.sparse_rows)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.sparse_rows)
+
+    def _residue(self, pairs):
+        """(c, r) for the vector v with nonzeros ``pairs``: c_k is v at pivot k, as row k is 1 there
+        and 0 at the other pivots, and r = v - sum_k c_k rows[k] is a sparse dict, empty iff v lies in
+        the span.  Reads only the nonzeros of v and of the rows with c_k != 0."""
+        zero = self.field.zero()
+        r = {j: x for j, x in pairs if x}
+        coeffs = []
+        for p, row in zip(self.pivots, self.sparse_rows):
+            c = r.pop(p, zero)
+            coeffs.append(c)
+            if c:
+                _subtract(r, c, row, p, zero)
+        return coeffs, r
 
     def coords(self, v):
         """Coefficients of v in the canonical basis, or None if v outside."""
-        v = list(v)
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
+        coeffs, rest = self._residue(enumerate(v))
+        return None if rest else tuple(coeffs)
+
+    def _combine(self, coeffs):
+        """sum_k coeffs[k] rows[k] as a sparse dict, not pruned; reads only nonzero coefficients and entries."""
+        zero, v = self.field.zero(), {}
+        for c, row in zip(coeffs, self.sparse_rows):
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return tuple(coeffs)
+                for j, y in row.items():
+                    v[j] = v.get(j, zero) + c * y
+        return v
 
     def vector(self, coeffs):
-        """sum_k coeffs[k] rows[k] as a tuple, the inverse of ``coords``.
-
-        Reads only the nonzero coefficients and the nonzero row entries.
-        """
+        """sum_k coeffs[k] rows[k] as a tuple, the inverse of ``coords``."""
         v = [self.field.zero()] * self.ambient
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                for j, y in enumerate(row):
-                    if y:
-                        v[j] += c * y
+        for j, x in self._combine(coeffs).items():
+            v[j] = x
         return tuple(v)
 
     def contains(self, v):
-        return self.coords(v) is not None
+        return not self._residue(enumerate(v))[1]
 
     def reduce(self, v):
         """Residual of v modulo the subspace (zero iff contained)."""
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        rest = self._residue(enumerate(v))[1]
+        return tuple(rest.get(j, self.field.zero()) for j in range(len(v)))
+
+    def matrix_of(self, images):
+        """The matrix, in this basis, of the map sending basis row k to images[k]; None when an image lies outside."""
+        cols = []
+        for v in images:
+            coeffs, rest = self._residue(enumerate(v))
+            if rest:
+                return None
+            cols.append(coeffs)
+        return Matrix.from_columns(self.field, cols)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.rows == other.rows
-        )
+        return isinstance(other, Subspace) and (self.ambient, self.sparse_rows) == (other.ambient, other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
     def __le__(self, other):
-        return all(other.contains(r) for r in self.rows)
+        return not any(other._residue(row.items())[1] for row in self.sparse_rows)
 
     def _same_ambient(self, other):
         if self.ambient != other.ambient:
@@ -579,13 +597,13 @@ class Subspace:
 
     def plus(self, other):
         self._same_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
+        return Subspace._span(self.field, self.ambient, map(dict.items, self.sparse_rows + other.sparse_rows))
 
     def intersect(self, other):
         """{v in self : v reduces to 0 modulo other}, the kernel of that reduction on self."""
         self._same_ambient(other)
-        residues = Matrix.from_columns(self.field, [other.reduce(row) for row in self.rows])
-        return kernel_on(self, [row for row in residues.sparse_rows if row])
+        residues = Matrix._of(self.field, tuple(other._residue(r.items())[1] for r in self.sparse_rows), self.ambient)
+        return kernel_on(self, [row for row in residues.transpose().sparse_rows if row])
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

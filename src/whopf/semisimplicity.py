@@ -144,9 +144,11 @@ def primitive_idempotents(h, space, unit=None):
     still needed) raise NonSplit.
     """
     field = h.field
+    zero = field.zero()
     unit = tuple(unit if unit is not None else h.unit)
     if not space.contains(unit):
         raise PreconditionUnmet("unit must lie in the subalgebra")
+    space_rows = space.rows
     pending = [(space, unit)]
     finished = []
     while pending:
@@ -161,7 +163,7 @@ def primitive_idempotents(h, space, unit=None):
         # are tried first (character values stay visible there); each is made
         # only when the one before it did not split
         seen = set()
-        for bvec in (h.mul_vec(p, a) for a in chain(space.rows, comp.rows)):
+        for bvec in (h.mul_vec(p, a) for a in chain(space_rows, comp.rows)):
             if not any(bvec) or bvec in seen:
                 continue
             seen.add(bvec)
@@ -208,10 +210,10 @@ def primitive_idempotents(h, space, unit=None):
             raise Inconsistent("split element is not idempotent")
         e_comp = tuple(a - b for a, b in zip(p, e_vec))
         for q in (e_vec, e_comp):
-            sub = Subspace.from_vectors(field, h.dim, [h.mul_vec(q, b) for b in comp.rows])
+            qs = _sparse(q)
+            sub = Subspace._span(field, h.dim, (_join(h.mult_rows, qs, b, zero).items() for b in comp.sparse_rows))
             pending.append((sub, q))
     finished.sort(key=lambda e: tuple(field.format(c) for c in e.coeffs))
-    zero = field.zero()
     total = (zero,) * h.dim
     sparse = [_sparse(e.coeffs) for e in finished]
     for e, es in zip(finished, sparse):
@@ -250,14 +252,10 @@ _NOT_INVARIANT = "subspace not invariant under the operator"
 
 def restricted_trace(h, operator, space):
     """Trace of an operator restricted to an invariant subspace."""
-    total = h.field.zero()
-    for i, row in enumerate(space.rows):
-        image = operator.matvec(row)
-        coords = space.coords(image)
-        if coords is None:
-            raise Inconsistent(_NOT_INVARIANT)
-        total += coords[i]
-    return total
+    mat = space.matrix_of([operator.matvec(row) for row in space.rows])
+    if mat is None:
+        raise Inconsistent(_NOT_INVARIANT)
+    return mat.trace()
 
 
 @dataclass

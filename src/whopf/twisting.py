@@ -491,12 +491,12 @@ def dynamical_cosemisimplicity_check(data):
     g = host.mul_vec(host.apply_S(v_inv), v)
     g_elt = Element(host, g)
     g_inv = g_elt.inv()
-    center = host.center
+    center = host.center.rows
     one = Element(host, host.unit)
 
     def pairs_like_identity(x):
         diff = (x - one).coeffs
-        for z in center.rows:
+        for z in center:
             tr = host.left_mult_matrix(host.mul_vec(diff, z)).trace()
             if tr:
                 return False

@@ -72,7 +72,8 @@ A vector is a tuple of field scalars.  ``Element`` and ``Functional`` bind
 one to its algebra and are read-only sequences over it, so either can be
 passed wherever a vector is expected.  A matrix (S, eps_t, eps_s, L_a, R_a)
 is a sparse ``linalg.Matrix``, whose columns a kernel reads as the rows of
-its transpose.
+its transpose.  A subspace (H_t, H_s, H_min, integrals) is a sparse
+``linalg.Subspace``, spanned from sparse rows and read through them.
 
 The theory comes in mirrored pairs (eps_t/eps_s, H_t/H_s, phi -> h and
 h <- phi, left and right multiplication), and each pair shares one body
@@ -93,6 +94,7 @@ from .errors import (
     Degenerate,
     FieldMismatch,
     Inconsistent,
+    InvalidOperand,
     InvalidPresentation,
     NoAntipode,
     NoAntipodeInverse,
@@ -739,18 +741,14 @@ class WeakHopfAlgebra:
         return self._image(self.eps_s_mat)
 
     def _image(self, mat):
-        return Subspace.from_vectors(self.field, self.dim, [mat.col(i) for i in range(self.dim)])
+        return Subspace._span(self.field, self.dim, map(dict.items, mat.transpose().sparse_rows))
 
     @cached_property
     def minimal_subalgebra(self):
-        """H_min = H_t H_s, the span of all products of base elements."""
-        prods = []
-        for t in self.target_base.rows:
-            for s in self.source_base.rows:
-                prods.append(self.mul_vec(t, s))
-        prods.extend(self.target_base.rows)
-        prods.extend(self.source_base.rows)
-        return Subspace.from_vectors(self.field, self.dim, prods)
+        """H_min = H_t H_s, the span of all products of base elements and the bases themselves."""
+        ts, ss, zero = self.target_base.sparse_rows, self.source_base.sparse_rows, self.field.zero()
+        prods = [_join(self.mult_rows, t, s, zero) for t in ts for s in ss]
+        return Subspace._span(self.field, self.dim, map(dict.items, prods + list(ts + ss)))
 
     def centralizer_in(self, space, against=None):
         """{y in space : yw = wy for all w in against}, default against = H.
@@ -770,10 +768,10 @@ class WeakHopfAlgebra:
         if against is None:
             against = Subspace.full(self.field, self.dim)
         zero = self.field.zero()
-        basis = [_sparse(a) for a in space.rows]
+        basis = space.sparse_rows
         rows = []
         for g in picked:
-            w = _sparse(against.rows[g])
+            w = against.sparse_rows[g]
             by_coord = {}  # r -> {c: e_r coefficient of a_c w - w a_c}
             for c, a in enumerate(basis):
                 commutator = _join(self.mult_rows, a, w, zero)
@@ -805,11 +803,8 @@ class WeakHopfAlgebra:
         return self.centralizer_in(self.source_base)
 
     def subspace_closed_under_mult(self, space):
-        for a in space.rows:
-            for b in space.rows:
-                if not space.contains(self.mul_vec(a, b)):
-                    return False
-        return True
+        rows = space.rows
+        return all(space.contains(self.mul_vec(a, b)) for a in rows for b in rows)
 
     # -- antipode -------------------------------------------------------------
 
@@ -1034,6 +1029,8 @@ def integral_space(h, side="left"):
     system; ``left_integrals`` and ``right_integrals`` cache the result on the
     algebra.
     """
+    if side not in ("left", "right"):
+        raise InvalidOperand(f"side must be 'left' or 'right', got {side!r}")
     counital = h.eps_t_mat if side == "left" else h.eps_s_mat
     return kernel_on(Subspace.full(h.field, h.dim), _integral_rows(h, side, counital))
 
@@ -1128,10 +1125,9 @@ def generating_rows(h, space):
     zero = field.zero()
     span = {}
     gens, gen_rows, words, todo = [], [], [], []
-    for g, row in enumerate(space.rows):
+    for g, e in enumerate(space.sparse_rows):
         if len(span) == n:
             break
-        e = _sparse(row)
         if _insert(span, e.items(), field) is None:
             continue
         todo += [(e, w) for w in words]
@@ -1329,7 +1325,7 @@ def validate_weak_bialgebra(h):
     r = len(vs)
     one_v = [h.mul_vec(one, v) for v in vs]
     v_one = [h.mul_vec(v, one) for v in vs]
-    thirds = Subspace.from_vectors(field, n, vs + one_v + v_one)
+    thirds = Subspace._span(field, n, map(enumerate, vs + one_v + v_one))
 
     def coords(v):
         return [(beta, c) for beta, c in enumerate(thirds.coords(v)) if c]
@@ -1597,34 +1593,24 @@ class MinimalData:
 
 def regular_trace_on(h, space, x):
     """Trace of left multiplication by x on an invariant subspace."""
-    cols = []
-    for b in space.rows:
-        prod = h.mul_vec(x, b)
-        coords = space.coords(prod)
-        if coords is None:
-            raise Inconsistent("subspace not invariant under left multiplication")
-        cols.append(coords)
-    return sum((cols[i][i] for i in range(space.dim)), h.field.zero())
+    xs, zero = _sparse(x), h.field.zero()
+    mat = space.matrix_of([_dense(h, _join(h.mult_rows, xs, b, zero)) for b in space.sparse_rows])
+    if mat is None:
+        raise Inconsistent("subspace not invariant under left multiplication")
+    return mat.trace()
 
 
 def minimal_data(h):
     """Recover (H_t, H_t cap H_s, g) with eps|_{H_t} = Tr_reg(g^{-1} . )."""
     ht = h.target_base
-    d = ht.dim
     field = h.field
     # Solve Tr_reg(u b_i) = eps(b_i) for u in H_t; the pairing matrix is
     # P[a][i] = Tr_reg(v_a b_i) over the echelon basis v_a of H_t.
-    rows = []
-    for i in range(d):
-        row = []
-        for a in range(d):
-            prod = h.mul_vec(ht.rows[a], ht.rows[i])
-            row.append(regular_trace_on(h, ht, prod) if any(prod) else field.zero())
-        rows.append(row)
+    basis = ht.rows
+    prods = [[h.mul_vec(v, b) for v in basis] for b in basis]
+    rows = [[regular_trace_on(h, ht, p) if any(p) else field.zero() for p in row] for row in prods]
     # row index i: sum_a u_a Tr_reg(v_a b_i) = eps(b_i)
-    mat = Matrix(field, rows)
-    rhs = [h.counit_of(ht.rows[i]) for i in range(d)]
-    sol = try_solve(mat, rhs)
+    sol = try_solve(Matrix(field, rows), [h.counit_of(b) for b in basis])
     if sol is None or sol[1].dim:
         raise Degenerate("counit restricted to H_t is degenerate")
     g = h.invert_element(ht.vector(sol[0]))

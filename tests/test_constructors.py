@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from whopf.constructors import (
+    Groupoid,
     SemisimplePresentation,
     cyclic_table,
     disjoint_union,
@@ -263,3 +264,37 @@ def test_invalid_groupoid_rejected():
     )
     with pytest.raises(InvalidPresentation):
         broken.check()
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: cyclic_table(0), lambda: cyclic_table(-1), lambda: pair_groupoid(0), lambda: pair_groupoid(-2)],
+    ids=["cyclic-0", "cyclic-minus-1", "pair-0", "pair-minus-2"],
+)
+def test_a_size_below_one_is_an_invalid_presentation(build):
+    with pytest.raises(InvalidPresentation, match="n >= 1"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: group_algebra(symmetric_table(3)),
+        lambda: groupoid_algebra(disjoint_union(pair_groupoid(2), one_object_groupoid(cyclic_table(2)))),
+        lambda: function_algebra(pair_groupoid(3)),
+        lambda: matrix_wha(3),
+    ],
+    ids=["group_algebra", "groupoid_algebra", "function_algebra", "matrix_wha"],
+)
+def test_each_algebra_build_checks_its_groupoid_once(monkeypatch, build):
+    calls = []
+    check = Groupoid.check
+    monkeypatch.setattr(Groupoid, "check", lambda g: calls.append(g) or check(g))
+    build()
+    assert len(calls) == 1
+
+
+def test_a_non_associative_loop_is_rejected_by_group_algebra():
+    # a Latin square with identity 0 and every element its own inverse, but (1 1) 2 = 2 != 1 (1 2) = 4
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(InvalidPresentation, match="non-associative"):
+        group_algebra(loop)

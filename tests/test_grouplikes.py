@@ -10,7 +10,7 @@ from whopf.constructors import (
     one_object_groupoid,
     pair_groupoid,
 )
-from whopf.errors import Inconsistent, InvalidPresentation, PreconditionUnmet, RegularityViolated
+from whopf.errors import Inconsistent, InvalidOperand, InvalidPresentation, PreconditionUnmet, RegularityViolated
 from whopf.fields import QQ
 from whopf.grouplikes import (
     antipode_order_report,
@@ -65,6 +65,12 @@ def test_vector_predicates_reject_wrong_lengths():
                 call()
     assert is_grouplike(u, (1, 0)) and is_trivial_grouplike(u, (1, 0))[0]
     assert is_nondegenerate(u, (1, 1))
+
+
+@pytest.mark.parametrize("side", [3, 0])
+def test_is_half_grouplike_rejects_an_unknown_side(side):
+    with pytest.raises(InvalidOperand, match="side"):
+        is_half_grouplike(kz2(), (1, 0), side)
 
 
 def test_is_grouplike():

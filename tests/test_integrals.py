@@ -13,7 +13,7 @@ from whopf.constructors import (
     sweedler_hopf,
 )
 from whopf import integrals
-from whopf.errors import Mismatch, NotFrobenius, Undecidable
+from whopf.errors import InvalidOperand, Mismatch, NotFrobenius, Undecidable
 from whopf.fields import QQ
 from whopf.integrals import (
     antipode_from_integrals,
@@ -59,6 +59,11 @@ def test_check_member_solves_each_integral_side_once_per_algebra(monkeypatch, na
     assert zoo.check_member(h)["ok"]
     keys = [(id(algebra), side) for algebra, side in solved]
     assert solved and len(set(keys)) == len(keys)
+
+
+def test_integral_space_rejects_an_unknown_side():
+    with pytest.raises(InvalidOperand, match="side"):
+        integral_space(kz2(), "up")
 
 
 def test_integral_space_pair_groupoid():

@@ -419,6 +419,116 @@ def test_full_subspace_is_canonical():
             assert full == eye and full.pivots == eye.pivots
 
 
+Q5 = CyclotomicField(5)
+
+
+@st.composite
+def subspace_case(draw):
+    """Two lists of vectors in field^n (zero, repeated and scaled ones among them), coefficients,
+    a probe vector and an n x n table, over QQ, Q(zeta_3) or Q(zeta_5)."""
+    field = draw(st.sampled_from([QQ, Q3, Q5]))
+    small = st.integers(-3, 3)
+
+    def scalar():
+        if not draw(st.integers(0, 2)):
+            return field.zero()
+        x = field.from_fraction(Fraction(draw(small), draw(st.integers(1, 3))))
+        return x if field is QQ else x + field.zeta(draw(st.integers(1, 4))) * draw(small)
+
+    n = draw(st.integers(1, 5))
+
+    def vectors():
+        out = []
+        for _ in range(draw(st.integers(0, 4))):
+            if out and draw(st.booleans()):
+                c = scalar()
+                out.append([c * x for x in draw(st.sampled_from(out))])
+            else:
+                out.append([scalar() for _ in range(n)])
+        return out
+
+    table = [[scalar() for _ in range(n)] for _ in range(n)]
+    return field, n, vectors(), vectors(), [scalar() for _ in range(n)], [scalar() for _ in range(n)], table
+
+
+def dense_combination(field, n, coeffs, rows):
+    v = [field.zero()] * n
+    for c, row in zip(coeffs, rows):
+        v = [a + c * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def reference_rank(field, rows):
+    return len(reference_span(field, [list(r) for r in rows])[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_case())
+def test_sparse_subspace_matches_the_dense_reference(case):
+    field, n, us, ws, coeffs, probe, table = case
+    u, w = Subspace.from_vectors(field, n, us), Subspace.from_vectors(field, n, ws)
+    u_rows, u_pivots = reference_span(field, us)
+    w_rows, _ = reference_span(field, ws)
+    d = len(u_rows)
+
+    # storage: the canonical basis, its dense view and the dense view rref returns
+    assert (list(u.rows), list(u.pivots), u.dim) == (u_rows, u_pivots, d)
+    assert u.sparse_rows == tuple({j: x for j, x in enumerate(r) if x} for r in u_rows)
+    assert rref(us, field) == (u_rows, u_pivots)
+
+    # vector and coords are inverse; contains and reduce agree with the reference rank
+    inside = dense_combination(field, n, coeffs[:d], u_rows)
+    assert u.vector(coeffs[:d]) == inside
+    assert u.coords(inside) == tuple(coeffs[:d])
+    assert u.contains(inside) and not any(u.reduce(inside))
+    member = reference_rank(field, u_rows + [probe]) == d
+    got = u.coords(probe)
+    assert u.contains(probe) == member == (got is not None)
+    if member:
+        assert dense_combination(field, n, got, u_rows) == tuple(probe)
+    # the residue vanishes at every pivot and differs from the probe by a vector of u
+    residue = u.reduce(probe)
+    assert len(residue) == n and not any(residue[p] for p in u_pivots)
+    assert reference_rank(field, u_rows + [[a - b for a, b in zip(probe, residue)]]) == d
+    assert any(residue) != member
+
+    # matrix_of reads back the table M from the images sum_i M[i][k] rows[i]
+    images = [dense_combination(field, n, [table[i][k] for i in range(d)], u_rows) for k in range(d)]
+    assert u.matrix_of(images).rows == tuple(tuple(table[i][:d]) for i in range(d))
+    if d and not member:
+        assert u.matrix_of(images[:-1] + [tuple(probe)]) is None
+
+    # plus, intersect and <= against ranks of the stacked reference bases
+    total = u.plus(w)
+    assert (list(total.rows), list(total.pivots)) == reference_span(field, us + ws)
+    cap = u.intersect(w)
+    assert (list(cap.rows), list(cap.pivots)) == reference_span(field, list(cap.rows))
+    assert cap.dim == d + len(w_rows) - total.dim
+    assert all(reference_rank(field, u_rows + [r]) == d for r in cap.rows)
+    assert all(reference_rank(field, w_rows + [r]) == len(w_rows) for r in cap.rows)
+    assert (u <= w) == (reference_rank(field, w_rows + u_rows) == len(w_rows))
+
+    # equality and hash follow the canonical basis, whatever spanning vectors built it
+    assert (u == w) == (u_rows == w_rows)
+    c = coeffs[0] or field.one()
+    again = Subspace.from_vectors(field, n, [[c * x for x in r] for r in reversed(u_rows)])
+    assert again == u and hash(again) == hash(u)
+    if u == w:
+        assert hash(u) == hash(w)
+    if field is QQ:
+        # the same span with every entry an integral or proper Fraction
+        fq = Subspace.from_vectors(FQ, n, [[Fraction(x) for x in r] for r in us])
+        assert fq == u and hash(fq) == hash(u)
+        assert any(type(x) is Fraction for r in fq.sparse_rows for x in r.values()) or not d
+
+
+def test_matrix_of_is_none_when_an_image_leaves_the_subspace():
+    u = Subspace.from_vectors(QQ, 3, [(1, 2, 0), (0, 0, 1)])
+    assert u.matrix_of([(2, 4, 0), (1, 2, 3)]).rows == ((2, 1), (0, 3))
+    assert u.matrix_of([(2, 4, 0), (1, 0, 0)]) is None
+    assert u.matrix_of([(1, 0, 0), (1, 2, 3)]) is None
+
+
 def test_shape_errors_are_typed():
     """Shape mismatches raise InvalidOperand, also under python -O."""
     m23 = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])

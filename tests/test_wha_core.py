@@ -14,10 +14,11 @@ from whopf.constructors import (
     one_object_groupoid,
     pair_groupoid,
     sweedler_hopf,
+    symmetric_table,
     SemisimplePresentation,
 )
 from whopf.errors import InvalidPresentation, NoAntipode, NoAntipodeInverse, NotInvertible
-from whopf.fields import QQ, CyclotomicField
+from whopf.fields import QQ, CyclotomicField, RationalField
 from whopf.linalg import Matrix
 from whopf.wha import (
     WeakHopfAlgebra,
@@ -519,3 +520,14 @@ def test_basis_products_are_lines_of_the_index(name):
     for c, i, _x in terms:
         left = [a + c * b for a, b in zip(left, h.mul_vec(_basis(h, i), xs[-1]))]
     assert _basis_products(h, terms, left=True) == tuple(left)
+
+
+def test_the_base_spans_read_the_counital_maps_without_coercing(monkeypatch):
+    """H_t and H_s are spanned from the sparse columns of eps_t and eps_s, not from n^2 dense entries."""
+    h = group_algebra(symmetric_table(4))
+    h.eps_t_mat, h.eps_s_mat
+    calls = []
+    coerce = RationalField.coerce
+    monkeypatch.setattr(RationalField, "coerce", lambda field, x: calls.append(x) or coerce(field, x))
+    assert h.target_base.dim == h.source_base.dim == 1
+    assert calls == []
