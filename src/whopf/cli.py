@@ -100,9 +100,9 @@ def _int_list(text, flag):
 
 
 def _groupoid_from_args(args):
-    if args.pair:
+    if args.pair is not None:
         return pair_groupoid(args.pair)
-    if args.cyclic:
+    if args.cyclic is not None:
         return one_object_groupoid(cyclic_table(args.cyclic))
     if args.disjoint_cyclic:
         orders = _int_list(args.disjoint_cyclic, "--disjoint-cyclic")
@@ -130,9 +130,9 @@ def cmd_make(args):
     elif args.kind == "functions":
         h = function_algebra(_groupoid_from_args(args), field=field)
     elif args.kind == "group":
-        if args.cyclic:
+        if args.cyclic is not None:
             h = group_algebra(cyclic_table(args.cyclic), field=field)
-        elif args.sym:
+        elif args.sym is not None:
             h = group_algebra(symmetric_table(args.sym), field=field)
         else:
             raise ParseError("choose --cyclic N or --sym N")
@@ -149,7 +149,7 @@ def cmd_make(args):
     elif args.kind == "tensor":
         h = tensor_product(_read_doc(args.left), _read_doc(args.right))
     elif args.kind == "dyntwist-host":
-        n = args.cyclic or 2
+        n = 2 if args.cyclic is None else args.cyclic
         ufield = CyclotomicField(n) if n > 2 else QQ
         u = group_algebra(cyclic_table(n), field=ufield)
         eye = lambda j: tuple(1 if i == j else 0 for i in range(n))

@@ -90,11 +90,16 @@ class Groupoid:
         return self
 
 
+def _size(n, need):
+    """n, once it is an int (not a bool) of at least 1; else InvalidPresentation "<need>, got <n>"."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidPresentation(f"{need}, got {n!r}")
+    return n
+
+
 def pair_groupoid(n_objects):
     """Pair groupoid: one morphism (a, b) from b to a for every object pair."""
-    if n_objects < 1:
-        raise InvalidPresentation(f"a pair groupoid needs n >= 1 objects, got {n_objects}")
-    objs = tuple(range(n_objects))
+    objs = tuple(range(_size(n_objects, "a pair groupoid needs n >= 1 objects")))
     morphs = []
     src, tgt = [], []
     index = {}
@@ -117,6 +122,9 @@ def pair_groupoid(n_objects):
 def one_object_groupoid(table, labels=None):
     """A finite group (multiplication table of indices) as a one-object groupoid."""
     n = len(table)
+    shaped = all(isinstance(row, (list, tuple)) and len(row) == n for row in table)
+    if not shaped or not all(isinstance(k, int) and 0 <= k < n for row in table for k in row):
+        raise InvalidPresentation(f"a group table needs {n} rows of {n} indices in range({n})")
     labels = labels or [f"g{i}" for i in range(n)]
     eye = None
     for e in range(n):
@@ -151,8 +159,7 @@ def disjoint_union(g1, g2):
 
 
 def cyclic_table(n):
-    if n < 1:
-        raise InvalidPresentation(f"Z_n needs n >= 1, got {n}")
+    _size(n, "Z_n needs n >= 1")
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
@@ -160,7 +167,7 @@ def symmetric_table(n):
     """Multiplication table of the symmetric group on n letters (composition)."""
     import itertools
 
-    perms = sorted(itertools.permutations(range(n)))
+    perms = sorted(itertools.permutations(range(_size(n, "S_n needs n >= 1"))))
     index = {p: i for i, p in enumerate(perms)}
     table = []
     for p in perms:
@@ -223,9 +230,7 @@ def group_algebra(table, field=QQ, labels=None, name=None):
 
 def matrix_wha(n, field=QQ, labels=None, name=None):
     """M_n with matrix-unit group-like comultiplication (pair groupoid algebra)."""
-    if n < 1:
-        raise InvalidPresentation(f"M_n needs n >= 1, got {n}")
-    g = pair_groupoid(n)
+    g = pair_groupoid(_size(n, "M_n needs n >= 1"))
     if labels:
         g = Groupoid(g.objects, tuple(labels), g.source, g.target, g.compose, g.inverse, g.identity)
     return groupoid_algebra(g, field, name=name or f"M{n}-wha")

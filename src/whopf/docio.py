@@ -90,10 +90,7 @@ def _field_from_doc(doc):
     spec = doc.get("field")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError("missing or malformed field spec")
-    try:
-        return make_field(spec["kind"], spec.get("order"))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return make_field(spec["kind"], spec.get("order"))
 
 
 def _entries(doc, key, shape):

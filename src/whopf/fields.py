@@ -54,7 +54,7 @@ from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
-from .errors import FieldMismatch, Inconsistent, ParseError
+from .errors import FieldMismatch, Inconsistent, InvalidPresentation, ParseError
 from .linalg import _reconstruct
 
 __all__ = [
@@ -730,6 +730,8 @@ class CyclotomicField(Field):
     kind = "cyclotomic"
 
     def __init__(self, order):
+        if order < 1:
+            raise InvalidPresentation(f"Q(zeta_n) needs n >= 1, got {order}")
         if order < 3:
             raise ValueError("orders 1 and 2 canonicalize to the rationals; use make_field")
         self.order = order
@@ -847,13 +849,13 @@ class CyclotomicField(Field):
 
 
 def make_field(kind, order=None):
-    """FieldSpec constructor; cyclotomic orders 1 and 2 collapse to Q."""
+    """FieldSpec constructor; cyclotomic orders 1 and 2 collapse to Q, and a bad spec is a ParseError."""
     if kind == "rational":
         return QQ
     if kind == "cyclotomic":
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise ValueError("cyclotomic field needs a positive order")
+            raise ParseError("cyclotomic field needs a positive order")
         if order <= 2:
             return QQ
         return CyclotomicField(order)
-    raise ValueError(f"unknown field kind {kind!r}")
+    raise ParseError(f"unknown field kind {kind!r}")

@@ -25,7 +25,6 @@ from .errors import (
     RegularityViolated,
     Undecidable,
 )
-from .integrals import _matrix_of_pairs
 from .linalg import Matrix, Subspace, kernel_on, try_solve
 from .search import first, height_vectors, invertible_in, max_height
 from .wha import (
@@ -34,7 +33,10 @@ from .wha import (
     _basis,
     _basis_products,
     _checked,
+    _contract_leg,
+    _dense,
     _integral_rows,
+    _matrix_of_pairs,
     _pair_of,
     _pruned,
     _sparse,
@@ -76,7 +78,8 @@ def is_half_grouplike(h, g, side):
 
 def _half_grouplike(h, g, side):
     dg = h.comul_vec(g)
-    gg = _pair_of(h, g, g)
+    gs = _sparse(g)
+    gg = _pair_of(gs, gs)
     if side == 1:
         return dg == h.mul_pair_dicts(gg, h.delta_one)
     return dg == h.mul_pair_dicts(h.delta_one, gg)
@@ -102,7 +105,7 @@ def is_dual_grouplike(h, gamma):
     if not fn.is_invertible():
         return False
     c = _matrix_of_pairs(h, h.delta_one)
-    g2 = Matrix(h.field, h.pairing_table(fn))
+    g2 = h.pairing_table(fn)
     first = h.S.transpose() @ g2  # <gamma, S(e_a) e_b>
     second = g2 @ h.S  # <gamma, e_a S(e_b)>
     return g2 == g2 @ (c @ first) == (second @ c) @ g2
@@ -165,7 +168,8 @@ def distinguished_pair(h, pair):
     if not is_regular(h):
         raise RegularityViolated("S^2 != id on H_min; regularize first")
     ell, lam = pair.ell, pair.lam
-    alpha = Functional(h, h.dual_ract(lam, ell.coeffs))  # <alpha, g> = <lambda, ell g>
+    table = h.pairing_table(lam)
+    alpha = Functional(h, table.transpose().matvec(ell.coeffs))  # <alpha, g> = <lambda, ell g>
     a = Element(h, h.ract(ell.coeffs, lam))  # <lambda, ell_(1)> ell_(2)
     if not is_dual_grouplike(h, alpha):
         raise Inconsistent("alpha is not group-like in H*")
@@ -173,7 +177,7 @@ def distinguished_pair(h, pair):
         raise Inconsistent("a is not group-like in H")
     if h.lact(alpha, ell.coeffs) != h.apply_S(ell.coeffs):
         raise Inconsistent("S(ell) != alpha -> ell")
-    if h.dual_lact(a.coeffs, lam) != h.S.transpose().matvec(lam.coeffs):
+    if table.matvec(a.coeffs) != h.S.transpose().matvec(lam.coeffs):  # a -> lambda
         raise Inconsistent("S(lambda) != a -> lambda")
     return DistinguishedPair(alpha=alpha, a=a, source=pair)
 
@@ -208,19 +212,22 @@ def lambda_ell_relations(h, dp):
     alpha, a = dp.alpha, dp.a
     a_inv = a.inv().coeffs
     a_inv_sparse, one = _sparse(a_inv), h.field.one()
+    ell_terms, table = h._coproduct_terms(ell.coeffs), h.pairing_table(lam)
     failures = []
-    for i in range(h.dim):
+    # lambda <- e_i is row i of lambda's table and e_i -> lambda column i; each phi gives (phi -> ell, ell <- phi)
+    for i, lams in enumerate(zip(table.sparse_rows, table.transpose().sparse_rows)):
         e = _basis(h, i)
-        lam_r = h.dual_ract(lam, e)  # lambda <- e_i
-        lam_l = h.dual_lact(e, lam)  # e_i -> lambda
-        if h.lact(lam_r, ell.coeffs) != h.S.col(i):
+        (ell_l_lam_r, ell_r_lam_r), (ell_l_lam_l, ell_r_lam_l) = (
+            [_dense(h, _contract_leg(h, ell_terms, phi, leg)) for leg in (1, 0)] for phi in lams
+        )
+        if ell_l_lam_r != h.S.col(i):
             failures.append(("ellL_lamR", i))
-        if h.lact(lam_l, ell.coeffs) != h.apply_S_inv(h.lact(alpha, e)):
+        if ell_l_lam_l != h.apply_S_inv(h.lact(alpha, e)):
             failures.append(("ellL_lamL", i))
         a_inv_e = _basis_products(h, [(one, i, a_inv_sparse)], left=False)  # a^-1 e_i
-        if h.ract(ell.coeffs, lam_r) != h.apply_S_inv(a_inv_e):
+        if ell_r_lam_r != h.apply_S_inv(a_inv_e):
             failures.append(("ellR_lamR", i))
-        if h.ract(ell.coeffs, lam_l) != h.apply_S(h.mul_vec(h.ract(e, alpha), a_inv)):
+        if ell_r_lam_l != h.apply_S(h.mul_vec(h.ract(e, alpha), a_inv)):
             failures.append(("ellR_lamL", i))
     return failures
 
@@ -240,7 +247,7 @@ def twisted_counitals(h, gamma):
     """
     gamma = Functional(h, gamma)
     out = {}
-    g2t = list(zip(*h.pairing_table(gamma)))
+    g2t = h.pairing_table(gamma).transpose()
     sides = (("eps_s_gamma", "eps_s^gamma", "t", 1), ("eps_t_gamma", "eps_t^gamma", "s", 2))
     for key, name, side, half in sides:
         if _half_grouplike(h.dual, gamma, half):

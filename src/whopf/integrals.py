@@ -23,10 +23,10 @@ from .search import first, height_vectors, max_height
 from .wha import (
     Element,
     Functional,
-    _basis,
     _basis_products,
     _checked,
     _common,
+    _matrix_of_pairs,
     _pruned,
     _sparse,
     integral_space,
@@ -51,14 +51,6 @@ __all__ = [
 def nondegeneracy_matrix(h, ell):
     """Matrix of phi |-> phi -> ell; columns indexed by the dual basis."""
     return _matrix_of_pairs(h, h.comul_vec(ell))
-
-
-def _matrix_of_pairs(h, pairs):
-    """The n x n Matrix with entry (a, b) the e_a (x) e_b coefficient of the sparse pair tensor ``pairs``."""
-    rows = [{} for _ in range(h.dim)]
-    for (a, b), c in pairs.items():
-        rows[a][b] = c
-    return Matrix._sums(h.field, rows, h.dim)
 
 
 def is_nondegenerate(h, ell):
@@ -175,20 +167,20 @@ def invariance_check(h, pair, rho=None):
         rho = Functional(h, h.S.transpose().matvec(lam.coeffs))  # lambda o S
     # the right identity is the left one with the legs of Delta swapped and the table transposed
     swapped = [{(k, j): c for (j, k), c in d.items()} for d in h.comult]
-    rho2t = list(zip(*h.pairing_table(rho)))
-    return failures + _invariance_failures(h, swapped, rho2t, "right_invariance")
+    return failures + _invariance_failures(h, swapped, h.pairing_table(rho).transpose(), "right_invariance")
 
 
 def _invariance_failures(h, deltas, table, name):
-    """(name, a, b) for each basis pair with g_(1) T[h][g_(2)] != S(h_(1)) T[h_(2)][g].
+    """(name, a, b) for each basis pair with g_(1) T[h, g_(2)] != S(h_(1)) T[h_(2), g].
 
     Here g = e_a, h = e_b, Delta(e_i) = sum c e_j (x) e_k is read as
-    ``deltas[i]`` and T is ``table``; T[x][y] = <lambda, e_x e_y> gives left
-    invariance.  Each Delta(e_i) is grouped by its second leg k once, as
-    sum_j c e_j and as sum_j c S(e_j).  A side of the pair (a, b) then sums
-    these groups over the nonzeros T[b][k] of row b (left) or T[k][a] of
-    column a (right), in a sparse dict, so all n^2 pairs cost the nonzeros
-    of Delta, S and T that meet, not n^3.
+    ``deltas[i]`` and T is the Matrix ``table``; the pairing table
+    T[x, y] = <lambda, e_x e_y> gives left invariance.  Each Delta(e_i) is
+    grouped by its second leg k once, as sum_j c e_j and as sum_j c S(e_j).
+    A side of the pair (a, b) then sums these groups over the nonzeros
+    T[b, k] of sparse row b of T (left) or T[k, a] of sparse row a of T^T
+    (right), in a sparse dict, so all n^2 pairs cost the nonzeros of Delta,
+    S and T that meet, not n^3.
     """
     n = h.dim
     zero = h.field.zero()
@@ -204,8 +196,7 @@ def _invariance_failures(h, deltas, table, name):
                 acc[r] = acc.get(r, zero) + c * y
         firsts.append(first)
         images.append(image)
-    rows = [{k: v for k, v in enumerate(row) if v} for row in table]
-    cols = [{k: row[a] for k, row in enumerate(table) if row[a]} for a in range(n)]
+    rows, cols = table.sparse_rows, table.transpose().sparse_rows
     failures = []
     for a in range(n):
         for b in range(n):
@@ -226,15 +217,12 @@ def _weighted(weights, groups, zero):
 def antipode_from_integrals(h, pair):
     """Reassemble the dual antipode from phi |-> (ell <- phi) -> lambda.
 
+    For phi = e_k^, ell <- phi is row k of the matrix M of Delta(ell) and
+    x -> lambda is T x for lambda's pairing table T, so the map is T M^T.
     The matrix must equal the transpose of the antipode matrix of H exactly;
     any discrepancy raises Mismatch.
     """
-    cols = []
-    for k in range(h.dim):
-        phi = _basis(h, k)
-        x = h.ract(pair.ell.coeffs, phi)  # ell <- phi
-        cols.append(h.dual_lact(x, pair.lam))  # (ell <- phi) -> lambda
-    got = Matrix.from_columns(h.field, cols)
+    got = h.pairing_table(pair.lam) @ nondegeneracy_matrix(h, pair.ell.coeffs).transpose()
     expect = h.S.transpose()
     if got != expect:
         raise Mismatch("integral antipode differs from the stored antipode")

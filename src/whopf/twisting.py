@@ -89,7 +89,7 @@ def deform_q(h, q, name=None):
     acc = _basis_products(h, [(c, b, cols[a]) for (a, b), c in h.delta_one.items()], left=False)
     if acc != h.unit:
         raise PreconditionUnmet(f"S(1_(1)) q 1_(2) != 1 (residual {acc})")
-    one_q = _pair_of(h, h.unit, q.coeffs)
+    one_q = _pair_of(_sparse(h.unit), _sparse(q.coeffs))
     comult = [h.mul_pair_dicts(h.comult[i], one_q) for i in range(h.dim)]
     q_inv_sparse = _sparse(q_inv.coeffs)
     counit = [h.counit_of(_basis_products(h, [(one, i, q_inv_sparse)], left=True)) for i in range(h.dim)]
@@ -351,7 +351,8 @@ class DynamicalTwist:
 def _j_tensor(u, data, chi_idx):
     """J(chi) as a sparse pair tensor; InvalidPresentation for a leg outside the basis of U."""
     if not data.j or data.j.get(chi_idx) is None:
-        return _pair_of(u, u.unit, u.unit)
+        unit = _sparse(u.unit)
+        return _pair_of(unit, unit)
     raw = data.j[chi_idx]
     return _pruned({_index_pair(key, u.dim, f"J({chi_idx})"): u.field.coerce(c) for key, c in raw.items()})
 
@@ -397,7 +398,7 @@ def verify_dynamical_data(data):
         j_inverses[chi] = _j_inverse(u, tensor_algebra, j)
         # normalization (eps (x) id)J = (id (x) eps)J = 1
         scaled = [(u.field.one(), j)]
-        if any(_pruned(_contract_leg(u, scaled, u.counit, leg)) != _sparse(u.unit) for leg in (0, 1)):
+        if any(_pruned(_contract_leg(u, scaled, _sparse(u.counit), leg)) != _sparse(u.unit) for leg in (0, 1)):
             raise InvalidPresentation(f"J({chi}) violates counit normalization")
         # commutation with Delta(a) for every a in A
         for a in range(group.order):

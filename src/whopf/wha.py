@@ -70,9 +70,11 @@ checks it shares.
 
 A vector is a tuple of field scalars.  ``Element`` and ``Functional`` bind
 one to its algebra and are read-only sequences over it, so either can be
-passed wherever a vector is expected.  A matrix (S, eps_t, eps_s, L_a, R_a)
-is a sparse ``linalg.Matrix``, whose columns a kernel reads as the rows of
-its transpose.  A subspace (H_t, H_s, H_min, integrals) is a sparse
+passed wherever a vector is expected.  A matrix (S, eps_t, eps_s, L_a, R_a,
+and the pairing table T[a, b] = <phi, e_a e_b> of a functional phi, E2 for
+the counit) is a sparse ``linalg.Matrix``, whose columns a kernel reads as
+the rows of its transpose; the dual arrows h -> phi and phi <- h are T h
+and T^T h.  A subspace (H_t, H_s, H_min, integrals) is a sparse
 ``linalg.Subspace``, spanned from sparse rows and read through them.
 
 The theory comes in mirrored pairs (eps_t/eps_s, H_t/H_s, phi -> h and
@@ -102,7 +104,7 @@ from .errors import (
     NotUnique,
     Singular,
 )
-from .linalg import Matrix, Subspace, _insert, _solve_modular, invert, kernel_on, rref, solve_sparse, try_solve
+from .linalg import Matrix, Subspace, _insert, _solve_modular, invert, kernel_on, solve_sparse, try_solve
 
 __all__ = [
     "AxiomCheck",
@@ -167,10 +169,9 @@ def _checked(h, vec):
     return vec
 
 
-def _pair_of(h, a, b):
-    """The sparse pair tensor a (x) b."""
-    nb = _sparse(b).items()
-    return {(i, j): x * y for i, x in _sparse(a).items() for j, y in nb}
+def _pair_of(a, b):
+    """The sparse pair tensor a (x) b of two sparse vectors, skipping their zero values."""
+    return {(i, j): x * y for i, x in a.items() if x for j, y in b.items() if y}
 
 
 def _comultiplied(comult, zero, tensor, leg):
@@ -187,14 +188,14 @@ def _comultiplied(comult, zero, tensor, leg):
 def _contract_leg(h, scaled, phi, paired):
     """Sum of x w <phi, e_p> e_q over the terms w e_a (x) e_b of x T, (x, T) in ``scaled``; sparse, not pruned.
 
-    Each T is a sparse pair tensor, e_p is its leg numbered ``paired`` (0 for
-    e_a) and e_q the other one.
+    Each T is a sparse pair tensor, phi a sparse functional (index -> scalar),
+    e_p the leg of T numbered ``paired`` (0 for e_a) and e_q the other one.
     """
     zero = h.field.zero()
     out = {}
     for x, tensor in scaled:
         for legs, w in tensor.items():
-            p = phi[legs[paired]]
+            p = phi.get(legs[paired])
             if p:
                 q = legs[1 - paired]
                 out[q] = out.get(q, zero) + x * w * p
@@ -202,19 +203,25 @@ def _contract_leg(h, scaled, phi, paired):
 
 
 def contraction_matrix(h, tensor, table, side):
-    """Matrix contracting one leg of a sparse pair tensor against a table.
+    """Matrix contracting one leg of a sparse pair tensor against the Matrix ``table``.
 
-    For tensor = sum w e_a (x) e_b, column i is sum w table[a][i] e_b on
-    side "t" and sum w table[i][b] e_a on side "s".  With Delta(1) and
-    E2[i][j] = eps(e_i e_j) these are eps_t and eps_s.  The sparse columns
-    are the rows of the transpose.
+    For tensor = sum w e_a (x) e_b, column i is sum w table[a, i] e_b on
+    side "t" and sum w table[i, b] e_a on side "s".  With Delta(1) and
+    E2[i, j] = eps(e_i e_j) these are eps_t and eps_s.  Side "s" reads the
+    sparse rows of the table and side "t" those of its transpose.
     """
     scaled = [(h.field.one(), tensor)]
-    if side == "t":
-        cols = [_contract_leg(h, scaled, phi, 0) for phi in zip(*table)]
-    else:
-        cols = [_contract_leg(h, scaled, phi, 1) for phi in table]
+    lines, leg = (table.transpose(), 0) if side == "t" else (table, 1)
+    cols = [_contract_leg(h, scaled, phi, leg) for phi in lines.sparse_rows]
     return Matrix._sums(h.field, cols, h.dim).transpose()
+
+
+def _matrix_of_pairs(h, pairs):
+    """The n x n Matrix with entry (a, b) the e_a (x) e_b coefficient of the sparse pair tensor ``pairs``."""
+    rows = [{} for _ in range(h.dim)]
+    for (a, b), c in pairs.items():
+        rows[a][b] = c
+    return Matrix._sums(h.field, rows, h.dim)
 
 
 class _Vector:
@@ -608,9 +615,9 @@ class WeakHopfAlgebra:
         return _dense(self, _join(self.mult_rows, _sparse(a), _sparse(b), self.field.zero()))
 
     def comul_vec(self, a):
-        out = {}
-        zero = self.field.zero()
-        for i, x in enumerate(a):
+        """Delta(a) as a sparse pair tensor, for a coefficient vector or a sparse vector (dict) a."""
+        out, zero = {}, self.field.zero()
+        for i, x in a.items() if isinstance(a, dict) else enumerate(a):
             if not x:
                 continue
             for jk, c in self.comult[i].items():
@@ -702,16 +709,17 @@ class WeakHopfAlgebra:
         return self.comul_vec(self.unit)
 
     def pairing_table(self, phi):
-        """Table T with T[a][b] = <phi, e_a e_b>, read from ``mult``."""
+        """The sparse Matrix T[a, b] = <phi, e_a e_b>: row a is phi <- e_a and column b is e_b -> phi."""
         zero = self.field.zero()
-        table = [[zero] * self.dim for _ in range(self.dim)]
-        for (a, b), cell in self.mult.items():
-            table[a][b] = sum((c * phi[k] for k, c in cell.items() if phi[k]), zero)
-        return table
+        rows = [
+            {b: sum((c * phi[k] for k, c in cell.items() if phi[k]), zero) for b, cell in line.items()}
+            for line in self.mult_rows
+        ]
+        return Matrix._sums(self.field, rows, self.dim)
 
     @cached_property
     def counit_product(self):
-        """Matrix E2 with E2[i][j] = eps(e_i e_j)."""
+        """The pairing table E2 of the counit, E2[i, j] = eps(e_i e_j)."""
         return self.pairing_table(self.counit)
 
     # -- counital maps and subalgebras ---------------------------------------
@@ -918,35 +926,23 @@ class WeakHopfAlgebra:
 
     def lact(self, phi, a):
         """phi -> h = h_(1) <phi, h_(2)>; functional acting on the left."""
-        return _dense(self, _contract_leg(self, self._coproduct_terms(a), phi, 1))
+        return _dense(self, _contract_leg(self, self._coproduct_terms(a), _sparse(phi), 1))
 
     def ract(self, a, phi):
         """h <- phi = <phi, h_(1)> h_(2)."""
-        return _dense(self, _contract_leg(self, self._coproduct_terms(a), phi, 0))
+        return _dense(self, _contract_leg(self, self._coproduct_terms(a), _sparse(phi), 0))
 
     def _coproduct_terms(self, a):
         """Delta(a) as the scaled tensors (a_i, Delta(e_i)) over the nonzeros of a."""
         return [(x, self.comult[i]) for i, x in enumerate(a) if x]
 
     def dual_lact(self, a, phi):
-        """h -> phi: the functional g |-> <phi, g h>."""
-        return self._pair_with_product(phi, a, 1)
+        """h -> phi: the functional g |-> <phi, g h>, T h for T the pairing table of phi."""
+        return self.pairing_table(phi).matvec(a)
 
     def dual_ract(self, phi, a):
-        """phi <- h: the functional g |-> <phi, h g>."""
-        return self._pair_with_product(phi, a, 0)
-
-    def _pair_with_product(self, phi, a, slot):
-        """The functional g |-> <phi, a g> (slot 0) or <phi, g a> (slot 1), in one pass over mult."""
-        zero = self.field.zero()
-        out = [zero] * self.dim
-        for ij, cell in self.mult.items():
-            x = a[ij[slot]]
-            if x:
-                v = sum((c * phi[k] for k, c in cell.items() if phi[k]), zero)
-                if v:
-                    out[ij[1 - slot]] += x * v
-        return tuple(out)
+        """phi <- h: the functional g |-> <phi, h g>, T^T h for T the pairing table of phi."""
+        return self.pairing_table(phi).transpose().matvec(a)
 
     # -- dual algebra -----------------------------------------------------------
 
@@ -1145,14 +1141,15 @@ def generating_rows(h, space):
     return gens
 
 
-def _rank_factors(field, table):
-    """E = sum_s u_s (x) v_s for an n x n table E of rank r, returned as (us, vs).
+def _rank_factors(table):
+    """E = sum_s u_s (x) v_s for a Matrix E of rank r, returned as (us, vs) of sparse vectors.
 
-    The v_s are the nonzero rows of rref(E) and the u_s the pivot columns of
-    E, so the u_s and the v_s are each linearly independent.
+    The v_s are the sparse rows of the span of E's rows (the nonzero rows of its rref) and the u_s the
+    pivot columns of E, read as rows of E^T, so the u_s and the v_s are each linearly independent.
     """
-    vs, pivots = rref(table, field)
-    return [tuple(row[p] for row in table) for p in pivots], vs
+    span = Subspace._span(table.field, table.ncols, map(dict.items, table.sparse_rows))
+    cols = table.transpose().sparse_rows
+    return [cols[p] for p in span.pivots], list(span.sparse_rows)
 
 
 def _associativity(h, rows):
@@ -1223,11 +1220,12 @@ def validate_weak_bialgebra(h):
     multiplicative on the rows of G only), and so does coassociativity
     unless both hold.
 
-    The weak axioms factor through a rank.  With Delta(1) = sum_s u_s (x) v_s
-    of rank r, the weak-unit products are r^2 pair tensors whose third legs
-    are compared in one echelon basis of the v_s, 1 v_s and v_s 1.  With
-    E2 = eps(e_i e_j) = U V of rank r (V the nonzero rows of its rref, U its
-    pivot columns), the weak-counit tables over (f, t) for each g are
+    The weak axioms factor through a rank (``_rank_factors``, on sparse
+    rows).  With Delta(1) = sum_s u_s (x) v_s of rank r, the weak-unit
+    products are r^2 pair tensors whose third legs are compared in one
+    echelon basis of the v_s, 1 v_s and v_s 1, all sparse.  With
+    E2 = eps(e_i e_j) = U V of rank r (V the sparse rows of the span of E2's
+    rows, U its pivot columns), the weak-counit tables over (f, t) for each g are
     C_g^T U V, U (V M_g U) V and the same with the legs of Delta(g) swapped,
     where C_g[k][f] is the e_k coefficient of e_f e_g and M_g the matrix of
     Delta(g).  V has full row rank, so the n x r factors are compared instead
@@ -1297,10 +1295,10 @@ def validate_weak_bialgebra(h):
             break
 
     # two-sided counit: eps(e_i(1)) e_i(2) = e_i = e_i(1) eps(e_i(2)), contracted from Delta(e_i)
-    counit = None
+    counit, counit_vec = None, _sparse(h.counit)
     for i in range(n):
         e = {i: one}
-        if any(_pruned(_contract_leg(h, [(one, h.comult[i])], h.counit, leg)) != e for leg in (0, 1)):
+        if any(_pruned(_contract_leg(h, [(one, h.comult[i])], counit_vec, leg)) != e for leg in (0, 1)):
             counit = (i,)
             break
 
@@ -1317,18 +1315,14 @@ def validate_weak_bialgebra(h):
     #   mid = sum_{q,t} (u_q 1) (x) v_q u_t (x) (1 v_t)
     #   alt = sum_{q,t} (1 u_q) (x) u_t v_q (x) (v_t 1)
     # keeping the products by 1, which need not be a unit here.
-    one = h.unit
-    table = [[zero] * n for _ in range(n)]
-    for (a, b), c in h.delta_one.items():
-        table[a][b] = c
-    us, vs = _rank_factors(field, table)
+    us, vs = _rank_factors(_matrix_of_pairs(h, h.delta_one))
     r = len(vs)
-    one_v = [h.mul_vec(one, v) for v in vs]
-    v_one = [h.mul_vec(v, one) for v in vs]
-    thirds = Subspace._span(field, n, map(enumerate, vs + one_v + v_one))
+    one_v = [_join(h.mult_rows, unit_vec, v, zero) for v in vs]
+    v_one = [_join(h.mult_rows, v, unit_vec, zero) for v in vs]
+    thirds = Subspace._span(field, n, map(dict.items, vs + one_v + v_one))
 
     def coords(v):
-        return [(beta, c) for beta, c in enumerate(thirds.coords(v)) if c]
+        return [(beta, c) for beta, c in enumerate(thirds._residue(v.items())[0]) if c]
 
     def in_thirds(terms):
         """sum of P (x) w over (P, coords of w) in terms, keyed (a, b, beta) for w's basis index beta."""
@@ -1341,30 +1335,30 @@ def validate_weak_bialgebra(h):
         return _pruned(out)
 
     lhs = in_thirds((h.comul_vec(u), coords(v)) for u, v in zip(us, vs))
-    u_one = [h.mul_vec(u, one) for u in us]
-    one_u = [h.mul_vec(one, u) for u in us]
+    u_one = [_join(h.mult_rows, u, unit_vec, zero) for u in us]
+    one_u = [_join(h.mult_rows, unit_vec, u, zero) for u in us]
     cw = [coords(w) for w in one_v]
     mid = in_thirds(
-        (_pair_of(h, u_one[q], h.mul_vec(vs[q], us[t])), cw[t]) for t in range(r) for q in range(r)
+        (_pair_of(u_one[q], _join(h.mult_rows, vs[q], us[t], zero)), cw[t]) for t in range(r) for q in range(r)
     )
     cw = [coords(w) for w in v_one]
     alt = in_thirds(
-        (_pair_of(h, one_u[q], h.mul_vec(us[t], vs[q])), cw[t]) for t in range(r) for q in range(r)
+        (_pair_of(one_u[q], _join(h.mult_rows, us[t], vs[q], zero)), cw[t]) for t in range(r) for q in range(r)
     )
     ok = lhs == mid == alt
     checks.append(AxiomCheck("weak_unit", ok, None if ok else ("Delta(1)",)))
 
     # weak counit axiom eps((fg)t) = eps(f g_(1)) eps(g_(2) t) = eps(f g_(2)) eps(g_(1) t),
     # through E2 = U V: row f of C_g^T U against row f of U W for W = V M_g U and its swap
-    us, vs = _rank_factors(field, h.counit_product)
+    us, vs = _rank_factors(h.counit_product)
     r = len(vs)
-    u_rows = [[(s, u[k]) for s, u in enumerate(us) if u[k]] for k in range(n)]
-    v_cols = [[(s, v[j]) for s, v in enumerate(vs) if v[j]] for j in range(n)]
+    # u_rows[k] maps s to U[k, s] and v_cols[j] maps s to V[s, j], nonzeros only
+    u_rows, v_cols = (Matrix._of(field, tuple(m), n).transpose().sparse_rows for m in (us, vs))
 
     def through(w, f):
         """Row f of U w."""
         out = [zero] * r
-        for s, x in u_rows[f]:
+        for s, x in u_rows[f].items():
             for s2, y in enumerate(w[s]):
                 if y:
                     out[s2] += x * y
@@ -1376,21 +1370,21 @@ def validate_weak_bialgebra(h):
         for f, cell in h.mult_cols[g].items():
             row = lhs[f] = [zero] * r
             for k, c in cell.items():
-                for s, x in u_rows[k]:
+                for s, x in u_rows[k].items():
                     row[s] += c * x
         mid = [[zero] * r for _ in range(r)]
         alt = [[zero] * r for _ in range(r)]
         for (j, k), c in h.comult[g].items():
             for w, a, b in ((mid, j, k), (alt, k, j)):
-                for s, x in v_cols[a]:
+                for s, x in v_cols[a].items():
                     cx = c * x
-                    for s2, y in u_rows[b]:
+                    for s2, y in u_rows[b].items():
                         w[s][s2] += cx * y
         for f in range(n):
             rows = (lhs.get(f, [zero] * r), through(mid, f), through(alt, f))
             if not (rows[0] == rows[1] == rows[2]):
                 entries = [
-                    [sum((row[s] * vs[s][t] for s in range(r) if row[s]), zero) for row in rows]
+                    [sum((row[s] * x for s, x in v_cols[t].items() if row[s]), zero) for row in rows]
                     for t in range(n)
                 ]
                 t = next(t for t, (a, b, c) in enumerate(entries) if not (a == b == c))

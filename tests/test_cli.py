@@ -61,6 +61,28 @@ def test_make_hostile_flags_are_parse_errors(capsys, argv):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--cyclic", "0"],
+        ["group", "--sym", "0"],
+        ["groupoid", "--pair", "0"],
+        ["groupoid", "--cyclic", "0"],
+        ["functions", "--pair", "0"],
+        ["dyntwist-host", "--cyclic", "0"],
+    ],
+    ids=["group-cyclic", "group-sym", "groupoid-pair", "groupoid-cyclic", "functions-pair", "dyntwist-host"],
+)
+def test_make_size_zero_reaches_the_library_check(capsys, argv):
+    """A 0 is a size, not a missing flag: the constructors refuse it with InvalidPresentation (exit 1)."""
+    code, out, err = run_cli(capsys, "make", *argv)
+    assert code == 1 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "InvalidPresentation" and "n >= 1" in error["message"]
+
+
 @pytest.mark.parametrize("zeta", ["1", "2"])
 def test_make_zeta_one_and_two_are_rational(capsys, zeta):
     code, plain, _ = run_cli(capsys, "make", "group", "--cyclic", "3")

@@ -298,3 +298,32 @@ def test_a_non_associative_loop_is_rejected_by_group_algebra():
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(InvalidPresentation, match="non-associative"):
         group_algebra(loop)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: cyclic_table(2.5), "Z_n needs n >= 1, got 2.5"),
+        (lambda: cyclic_table(True), "Z_n needs n >= 1, got True"),
+        (lambda: symmetric_table(2.5), "S_n needs n >= 1, got 2.5"),
+        (lambda: symmetric_table(-1), "S_n needs n >= 1, got -1"),
+        (lambda: pair_groupoid(2.5), "a pair groupoid needs n >= 1 objects, got 2.5"),
+        (lambda: matrix_wha(2.5), "M_n needs n >= 1, got 2.5"),
+        (lambda: matrix_wha("2"), "M_n needs n >= 1, got '2'"),
+    ],
+    ids=["cyclic-float", "cyclic-bool", "sym-float", "sym-minus-1", "pair-float", "matrix-float", "matrix-str"],
+)
+def test_a_size_that_is_not_a_positive_int_is_an_invalid_presentation(build, message):
+    with pytest.raises(InvalidPresentation) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[0, 1], [1]], [[0, 1], [1, 2]], [[0, 1], [1, -1]], [[0, 1], [1, 0.5]], [[0, 1], 1], [[0], [0]]],
+    ids=["short-row", "index-too-big", "negative-index", "float-index", "row-not-a-list", "too-few-columns"],
+)
+def test_a_malformed_group_table_is_an_invalid_presentation(table):
+    with pytest.raises(InvalidPresentation, match="a group table needs 2 rows of 2 indices"):
+        group_algebra(table)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from whopf import docio
 from whopf.constructors import groupoid_algebra, pair_groupoid
-from whopf.errors import FieldMismatch, ParseError
+from whopf.errors import FieldMismatch, InvalidPresentation, ParseError
 from whopf.fields import (
     QQ,
     Cyc,
@@ -125,6 +125,28 @@ def test_make_field_canonicalizes_small_orders():
     assert make_field("cyclotomic", 2) is QQ
     assert make_field("cyclotomic", 5).order == 5
     assert make_field("rational") is QQ
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0,), "unknown field kind 0"),
+        (("x",), "unknown field kind 'x'"),
+        (("cyclotomic", 0), "cyclotomic field needs a positive order"),
+    ],
+    ids=["kind-0", "kind-x", "order-0"],
+)
+def test_a_bad_field_spec_is_a_parse_error(args, message):
+    with pytest.raises(ParseError) as info:
+        make_field(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_a_cyclotomic_order_below_one_is_an_invalid_presentation(order):
+    with pytest.raises(InvalidPresentation) as info:
+        CyclotomicField(order)
+    assert str(info.value) == f"Q(zeta_n) needs n >= 1, got {order}"
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -9,6 +9,7 @@ from whopf.constructors import (
     minimal_wha,
     one_object_groupoid,
     pair_groupoid,
+    symmetric_table,
 )
 from whopf.errors import Inconsistent, InvalidOperand, InvalidPresentation, PreconditionUnmet, RegularityViolated
 from whopf.fields import QQ
@@ -443,3 +444,13 @@ def _wrapper_cases():
 def test_plain_tuple_and_wrapper_give_the_same_result(case):
     _name, h, vec, wrapper, call = case
     assert call(tuple(vec)) == call(wrapper(h, vec))
+
+
+def test_is_dual_grouplike_reads_the_sparse_pairing_table(monkeypatch):
+    """The pairing table is already a Matrix: no dense Matrix(...) of its n^2 entries (576 on k[S4])."""
+    h = group_algebra(symmetric_table(4))
+    calls = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__", lambda self, field, rows: calls.append(1) or init(self, field, rows))
+    assert is_dual_grouplike(h, h.counit)
+    assert calls == []

@@ -113,6 +113,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import whopf.fields as fields
 import whopf.grouplikes as grouplikes
@@ -166,7 +168,7 @@ from whopf.integrals import (
     nondegeneracy_matrix,
     semisimple_by_trace_form,
 )
-from whopf.linalg import Matrix, Subspace, kernel_on, solve_sparse, try_solve
+from whopf.linalg import Matrix, Subspace, kernel_on, rref, solve_sparse, try_solve
 from whopf.search import height_vectors, invertible_in, max_height
 from whopf.semisimplicity import primitive_idempotents, restricted_trace
 from whopf.twisting import DynamicalTwistData, Twist, dynamical_theta, regularize, twist, twist_conjugator
@@ -212,7 +214,7 @@ def oracle_weak_counit(h):
     """First (f, g, t) in (g, f, t) order where the three forms differ."""
     n = h.dim
     zero = h.field.zero()
-    e2 = h.counit_product
+    e2 = oracle_pairing_table(h, h.counit)
     for g in range(n):
         dg = list(h.comult[g].items())
         for f in range(n):
@@ -293,7 +295,7 @@ def sparse_weak_counit(h):
     """
     n = h.dim
     zero = h.field.zero()
-    e2_rows = [[(t, v) for t, v in enumerate(row) if v] for row in h.counit_product]
+    e2_rows = [[(t, v) for t, v in enumerate(row) if v] for row in oracle_pairing_table(h, h.counit)]
     e2_cols = [[] for _ in range(n)]
     for f, row in enumerate(e2_rows):
         for j, v in row:
@@ -822,7 +824,7 @@ def test_pairing_table_and_dual_arrows_match_dense(name):
         phis = [h.counit, generic_vector(h), _basis(h, h.dim - 1)]
         elements = [_basis(h, i) for i in range(h.dim)] + [h.unit, generic_vector(h)]
         for phi in phis:
-            assert h.pairing_table(phi) == oracle_pairing_table(h, phi)
+            assert h.pairing_table(phi) == Matrix(h.field, oracle_pairing_table(h, phi))
             for a in elements:
                 assert h.dual_lact(a, phi) == oracle_dual_lact(h, a, phi)
                 assert h.dual_ract(phi, a) == oracle_dual_ract(h, phi, a)
@@ -1313,7 +1315,7 @@ def oracle_invariance_check(h, lam, rho=None):
     """The two hand-written loops of left and right invariance, one per identity."""
     n = h.dim
     zero = h.field.zero()
-    lam2 = h.pairing_table(lam)
+    lam2 = oracle_pairing_table(h, lam)
     failures = []
     for a in range(n):
         for b in range(n):
@@ -1327,7 +1329,7 @@ def oracle_invariance_check(h, lam, rho=None):
                 failures.append(("left_invariance", a, b))
     if rho is None:
         rho = h.S.transpose().matvec(lam)
-    rho2 = h.pairing_table(rho)
+    rho2 = oracle_pairing_table(h, rho)
     for a in range(n):
         for b in range(n):
             lhs = [zero] * n
@@ -2351,7 +2353,7 @@ def table_product_is_dual_grouplike(h, gamma):
         return False
     n = h.dim
     zero = h.field.zero()
-    g2 = h.pairing_table(fn)
+    g2 = oracle_pairing_table(h, fn)
     s_rows = h.S.rows
     first = table_product(list(zip(*s_rows)), g2, zero)
     second = table_product(g2, s_rows, zero)
@@ -2655,6 +2657,59 @@ def _idempotent_basis_elements(h):
     return [h.basis_element(i) for i in range(h.dim) if h.mul_vec(_basis(h, i), _basis(h, i)) == _basis(h, i)]
 
 
+def assert_rank_factors(e):
+    """``_rank_factors(E)``: U V = E, V the rows of rref(E) and U the pivot columns of E; returns the rank."""
+    field, zero = e.field, e.field.zero()
+    us, vs = wha._rank_factors(e)
+    rows, pivots = rref(e.rows, field)
+    assert len(us) == len(vs) == len(pivots)
+    assert [tuple(v.get(j, zero) for j in range(e.ncols)) for v in vs] == list(rows)
+    assert [tuple(u.get(k, zero) for k in range(e.nrows)) for u in us] == [e.col(p) for p in pivots]
+    product = [
+        [sum((u.get(k, zero) * v.get(j, zero) for u, v in zip(us, vs)), zero) for j in range(e.ncols)]
+        for k in range(e.nrows)
+    ]
+    assert Matrix(field, product) == e
+    return len(vs)
+
+
+@st.composite
+def rank_factor_case(draw):
+    """A sparse matrix over QQ or Q(zeta_3): random, zero (rank 0) or unit upper triangular (full rank)."""
+    field = draw(st.sampled_from([QQ, CyclotomicField(3)]))
+    small = st.integers(-3, 3)
+
+    def scalar():
+        if draw(st.booleans()):
+            return field.zero()
+        x = field.from_fraction(Fraction(draw(small), draw(st.integers(1, 3))))
+        return x + field.zeta() * draw(small) if field is not QQ else x
+
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "zero", "full"]))
+    rows = [[field.zero() if kind == "zero" else scalar() for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "full":
+        for i in range(min(nrows, ncols)):
+            rows[i][: i + 1] = [field.zero()] * i + [field.one()]
+    return kind, Matrix(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_factor_case())
+def test_rank_factors_of_random_sparse_matrices(case):
+    kind, e = case
+    rank = assert_rank_factors(e)
+    if kind != "random":
+        assert rank == (0 if kind == "zero" else min(e.nrows, e.ncols))
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_rank_factors_of_delta_one_and_e2(name):
+    for h in battery_algebras(name):
+        assert_rank_factors(wha._matrix_of_pairs(h, h.delta_one))
+        assert_rank_factors(h.counit_product)
+
+
 @pytest.mark.parametrize("name", BATTERY)
 def test_generating_rows_of_the_full_space_are_the_earlier_indices(name):
     for h in battery_algebras(name):
@@ -2815,11 +2870,11 @@ def test_invariance_sums_match_the_dense_loops(name):
         bent = [[x + y for x, y in zip(lam, bump)] for bump in bumps]
         cases = [(h.pairing_table(phi), h.comult, "left_invariance") for phi in [lam, *bent]]
         for rho in [h.S.transpose().matvec(lam), *bent]:
-            cases.append((list(zip(*h.pairing_table(rho))), swapped, "right_invariance"))
+            cases.append((h.pairing_table(rho).transpose(), swapped, "right_invariance"))
         failing = set()
         for table, deltas, side in cases:
             got = integrals._invariance_failures(h, deltas, table, side)
-            assert got == dense_invariance_failures(h, deltas, table, side)
+            assert got == dense_invariance_failures(h, deltas, table.rows, side)
             failing.update(side for side, _a, _b in got)
         assert failing == {"left_invariance", "right_invariance"}
 
