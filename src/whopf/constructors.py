@@ -62,6 +62,8 @@ class Groupoid:
 
     def check(self):
         n = len(self.morphisms)
+        if not len(self.source) == len(self.target) == len(self.inverse) == n:
+            raise InvalidPresentation(f"{n} morphism labels for {len(self.source)} morphisms")
         for (i, j), k in self.compose.items():
             if self.source[i] != self.target[j]:
                 raise InvalidPresentation(f"composition {i}o{j} defined but types mismatch")
@@ -450,7 +452,7 @@ def spectrum_invariant(h):
 
     md = minimal_data(h)
     ht = md.target
-    m = ht.matrix_of([h.mul_vec(md.g.coeffs, b) for b in ht.rows])
+    m = ht._matrix_of(h._mul(md.g.terms, b).items() for b in ht.sparse_rows)
     if m is None:
         raise Inconsistent("H_t not invariant under left multiplication by g")
     return _char_poly(m)

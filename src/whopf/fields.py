@@ -730,10 +730,10 @@ class CyclotomicField(Field):
     kind = "cyclotomic"
 
     def __init__(self, order):
-        if order < 1:
-            raise InvalidPresentation(f"Q(zeta_n) needs n >= 1, got {order}")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise InvalidPresentation(f"Q(zeta_n) needs n >= 1, got {order!r}")
         if order < 3:
-            raise ValueError("orders 1 and 2 canonicalize to the rationals; use make_field")
+            raise InvalidPresentation(f"Q(zeta_{order}) is the rationals; make_field returns QQ for it")
         self.order = order
         self.phi = euler_phi(order)
         self._context = _context(order)

@@ -18,17 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
-from .linalg import Matrix, try_solve
+from .linalg import Matrix, _solve
 from .search import first, height_vectors, max_height
 from .wha import (
     Element,
     Functional,
     _basis_products,
-    _checked,
     _common,
     _matrix_of_pairs,
+    _paired,
     _pruned,
-    _sparse,
     integral_space,
 )
 
@@ -50,7 +49,7 @@ __all__ = [
 
 def nondegeneracy_matrix(h, ell):
     """Matrix of phi |-> phi -> ell; columns indexed by the dual basis."""
-    return _matrix_of_pairs(h, h.comul_vec(ell))
+    return _matrix_of_pairs(h, h._comul(Element(h, ell).terms))
 
 
 def is_nondegenerate(h, ell):
@@ -59,7 +58,7 @@ def is_nondegenerate(h, ell):
     A basis index missing from the first or the second legs of Delta(ell)
     is a zero row or column, which proves the matrix singular without a rank.
     """
-    pairs = h.comul_vec(_checked(h, ell))
+    pairs = h._comul(Element(h, ell).terms)
     if len({a for a, _ in pairs}) < h.dim or len({b for _, b in pairs}) < h.dim:
         return False
     return _matrix_of_pairs(h, pairs).is_invertible()
@@ -81,10 +80,10 @@ def find_nondegenerate_integral(h, space=None, skip=0):
             f"dim integral space {space.dim} != dim H_t {h.target_base.dim}"
         )
     heights = height_vectors(space.dim, max_height=1 << 16)
-    vec = first(space, heights, lambda v: is_nondegenerate(h, v) and v, skip)
-    if vec is None:
+    ell = first(h, space, heights, lambda v: is_nondegenerate(h, v) and v, skip)
+    if ell is None:
         raise NotFrobenius("height search exhausted")  # unreachable over Q
-    return Element(h, vec)
+    return ell
 
 
 @dataclass
@@ -95,26 +94,26 @@ class DualPair:
     lam: Functional
 
     def check(self, h):
-        n_mat = nondegeneracy_matrix(h, self.ell)
-        if n_mat.matvec(self.lam.coeffs) != h.unit:
+        ell, lam = self.ell.terms, self.lam.terms
+        if nondegeneracy_matrix(h, self.ell)._apply(lam) != h.one.terms:
             raise Inconsistent("lambda -> ell != 1")
-        if h.dual_lact(self.ell.coeffs, self.lam) != h.counit:
+        if h._dual_arrow(ell, lam, h.mult_cols) != h.eps.terms:
             raise Inconsistent("ell -> lambda != eps")
-        if not is_nondegenerate(h.dual, self.lam.coeffs):
+        if not is_nondegenerate(h.dual, self.lam.as_dual_element()):
             raise Inconsistent("lambda is degenerate")
         return self
 
 
 def dual_integral(h, ell):
     """Solve lambda -> ell = 1 for the unique dual left integral lambda."""
-    n_mat = nondegeneracy_matrix(h, ell)
-    sol = try_solve(n_mat, h.unit)
+    ell = Element(h, ell)
+    sol = _solve(nondegeneracy_matrix(h, ell), h.one.terms)
     if sol is None or sol[1].dim:
         raise Inconsistent("integral is degenerate; is_nondegenerate lied")
     lam = Functional(h, sol[0])
-    pair = DualPair(ell=Element(h, ell), lam=lam)
+    pair = DualPair(ell=ell, lam=lam)
     pair.check(h)
-    if not h.dual.left_integrals.contains(lam.coeffs):
+    if not h.dual.left_integrals._has(lam.terms):
         raise Inconsistent("solved lambda is not a left integral of the dual")
     return pair
 
@@ -129,9 +128,8 @@ def is_semisimple(h):
     space = h.left_integrals
     if space.dim == 0:
         return False
-    cols = [h.eps_t_mat.matvec(row) for row in space.rows]
-    m = Matrix.from_columns(h.field, cols)
-    return try_solve(m, h.unit) is not None
+    m = h.eps_t_mat @ Matrix._of(h.field, space.sparse_rows, h.dim).transpose()  # column c is eps_t(row c)
+    return _solve(m, h.one.terms) is not None
 
 
 def semisimple_by_trace_form(h):
@@ -164,7 +162,7 @@ def invariance_check(h, pair, rho=None):
     lam = pair.lam
     failures = _invariance_failures(h, h.comult, h.pairing_table(lam), "left_invariance")
     if rho is None:
-        rho = Functional(h, h.S.transpose().matvec(lam.coeffs))  # lambda o S
+        rho = Functional._of(h, h.S.transpose()._apply(lam.terms))  # lambda o S
     # the right identity is the left one with the legs of Delta swapped and the table transposed
     swapped = [{(k, j): c for (j, k), c in d.items()} for d in h.comult]
     return failures + _invariance_failures(h, swapped, h.pairing_table(rho).transpose(), "right_invariance")
@@ -222,7 +220,7 @@ def antipode_from_integrals(h, pair):
     The matrix must equal the transpose of the antipode matrix of H exactly;
     any discrepancy raises Mismatch.
     """
-    got = h.pairing_table(pair.lam) @ nondegeneracy_matrix(h, pair.ell.coeffs).transpose()
+    got = h.pairing_table(pair.lam) @ nondegeneracy_matrix(h, pair.ell).transpose()
     expect = h.S.transpose()
     if got != expect:
         raise Mismatch("integral antipode differs from the stored antipode")
@@ -235,10 +233,11 @@ def trace_via_integrals(h, pair, t_mat):
     Tr(T) = <lambda, T(S^{-1}(ell_(1))) ell_(2)>, grouped as the product of
     T(S^{-1}(ell_(1))) with ell_(2).
     """
-    total, one = h.field.zero(), h.field.one()
-    for (a, b), c in h.comul_vec(pair.ell.coeffs).items():
-        v = t_mat.matvec(h.S_inv.col(a))
-        total += c * pair.lam(_basis_products(h, [(one, b, _sparse(v))], left=False))
+    zero, one = h.field.zero(), h.field.one()
+    total, s_inv = zero, h.S_inv.transpose().sparse_rows
+    for (a, b), c in h._comul(pair.ell.terms).items():
+        v = t_mat._apply(s_inv[a])
+        total += c * _paired(pair.lam.terms, _basis_products(h, [(one, b, v)], left=False), zero)
     return total
 
 
@@ -253,7 +252,7 @@ def has_nondegenerate_two_sided_integral(h):
     if two_sided.dim == 0:
         return False
     cap = max_height()
-    if first(two_sided, height_vectors(two_sided.dim, max_height=cap), lambda v: is_nondegenerate(h, v)):
+    if first(h, two_sided, height_vectors(two_sided.dim, max_height=cap), lambda v: is_nondegenerate(h, v)):
         return True
     raise Undecidable(
         f"no non-degenerate element of the {two_sided.dim}-dimensional two-sided "

@@ -243,7 +243,10 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "sparse_rows")
 
     def __init__(self, field, rows):
-        rows = [[field.coerce(x) for x in row] for row in rows]
+        try:
+            rows = [[field.coerce(x) for x in row] for row in rows]
+        except TypeError:
+            raise InvalidOperand("a matrix needs rows of scalars") from None
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise InvalidOperand("matrix rows of unequal length")
@@ -345,8 +348,17 @@ class Matrix:
         return Matrix._sums(self.field, out, other.ncols)
 
     def matvec(self, v):
+        """M v for a dense vector v, as a tuple: the dense adapter of ``_apply``."""
+        if len(v) != self.ncols:
+            raise InvalidOperand(f"vector of length {len(v)} for {self!r}")
+        zero, got = self.field.zero(), self._apply({j: self.field.coerce(x) for j, x in enumerate(v)})
+        return tuple(got.get(i, zero) for i in range(self.nrows))
+
+    def _apply(self, x):
+        """M x for a sparse vector x (column -> scalar), as a sparse dict without zeros."""
         zero = self.field.zero()
-        return tuple(sum((x * v[j] for j, x in r.items() if v[j]), zero) for r in self.sparse_rows)
+        sums = (sum((a * x[j] for j, a in r.items() if j in x), zero) for r in self.sparse_rows)
+        return {i: s for i, s in enumerate(sums) if s}
 
     def transpose(self):
         cols = tuple({} for _ in range(self.ncols))
@@ -422,7 +434,13 @@ def try_solve(m, b):
     one entry per row of M."""
     if len(b) != m.nrows:
         raise InvalidOperand(f"right-hand side of length {len(b)} for {m!r}")
-    got = solve_sparse(m.sparse_rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
+    return _solve(m, dict(enumerate(map(m.field.coerce, b))))
+
+
+def _solve(m, b):
+    """``try_solve`` for a sparse right-hand side b (row -> scalar of the field)."""
+    zero = m.field.zero()
+    got = solve_sparse(m.sparse_rows, [b.get(i, zero) for i in range(m.nrows)], m.ncols, m.field)
     if got is None:
         return None
     return got[0], Subspace._span(m.field, m.ncols, map(enumerate, got[1]))
@@ -549,23 +567,25 @@ class Subspace:
         return None if rest else tuple(coeffs)
 
     def _combine(self, coeffs):
-        """sum_k coeffs[k] rows[k] as a sparse dict, not pruned; reads only nonzero coefficients and entries."""
+        """sum_k coeffs[k] rows[k] as a sparse dict without zeros; reads only nonzero coefficients and entries."""
         zero, v = self.field.zero(), {}
         for c, row in zip(coeffs, self.sparse_rows):
             if c:
                 for j, y in row.items():
                     v[j] = v.get(j, zero) + c * y
-        return v
+        return {j: x for j, x in v.items() if x}
 
     def vector(self, coeffs):
         """sum_k coeffs[k] rows[k] as a tuple, the inverse of ``coords``."""
-        v = [self.field.zero()] * self.ambient
-        for j, x in self._combine(coeffs).items():
-            v[j] = x
-        return tuple(v)
+        zero, v = self.field.zero(), self._combine(coeffs)
+        return tuple(v.get(j, zero) for j in range(self.ambient))
 
     def contains(self, v):
         return not self._residue(enumerate(v))[1]
+
+    def _has(self, x):
+        """``contains`` for a sparse vector x (column -> scalar)."""
+        return not self._residue(x.items())[1]
 
     def reduce(self, v):
         """Residual of v modulo the subspace (zero iff contained)."""
@@ -574,9 +594,13 @@ class Subspace:
 
     def matrix_of(self, images):
         """The matrix, in this basis, of the map sending basis row k to images[k]; None when an image lies outside."""
+        return self._matrix_of(map(enumerate, images))
+
+    def _matrix_of(self, images):
+        """``matrix_of`` for images given by their (column, scalar) pairs."""
         cols = []
-        for v in images:
-            coeffs, rest = self._residue(enumerate(v))
+        for pairs in images:
+            coeffs, rest = self._residue(pairs)
             if rest:
                 return None
             cols.append(coeffs)

@@ -6,7 +6,7 @@ heights 1, 2, 4, ...; within a height the coordinate order is
 0, 1, -1, 2, -2, ... lexicographically.  The order is fixed so that every
 output of the package is reproducible.  The height cap honored by the
 bounded searches is WHOPF_MAX_HEIGHT (default 8).  Every search is
-``first(space, coeff_vectors, accept)``: the caller gives the enumeration
+``first(h, space, coeff_vectors, accept)``: the caller gives the enumeration
 of coefficient vectors over the basis of ``space`` and the witness test.
 
 When enumeration fails, invertibility over a subspace is decided exactly:
@@ -22,6 +22,7 @@ import os
 from itertools import chain, product
 
 from .errors import Undecidable
+from .wha import Element
 
 __all__ = ["first", "grid_vectors", "height_vectors", "invertible_in", "max_height"]
 
@@ -75,10 +76,10 @@ def grid_vectors(degree, dim):
     yield from product(range(grid), repeat=dim)
 
 
-def first(space, coeff_vectors, accept, skip=0):
-    """The (skip+1)-th truthy ``accept(space.vector(c))`` over ``coeff_vectors`` in order, or None."""
+def first(h, space, coeff_vectors, accept, skip=0):
+    """The (skip+1)-th truthy ``accept(v)``, v the Element sum_k c_k rows[k] of h, over ``coeff_vectors`` c, or None."""
     for coeffs in coeff_vectors:
-        got = accept(space.vector(coeffs))
+        got = accept(Element._of(h, space._combine(coeffs)))
         if got:
             if not skip:
                 return got
@@ -87,6 +88,6 @@ def first(space, coeff_vectors, accept, skip=0):
 
 
 def invertible_in(h, space):
-    """An invertible element of ``space`` as a tuple, or None when there is none."""
+    """An invertible Element of ``space``, or None when there is none."""
     vectors = chain(height_vectors(space.dim, max_height=max_height()), grid_vectors(h.dim, space.dim))
-    return first(space, vectors, lambda v: h.left_mult_matrix(v).is_invertible() and v)
+    return first(h, space, vectors, lambda v: v.is_invertible() and v)

@@ -35,7 +35,7 @@ from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
 from .fields import QQ, _divisors, _poly_divmod, _poly_eval, _poly_ext_gcd, _poly_mul
 from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Subspace, _insert
-from .wha import Element, _common, _join, _sparse
+from .wha import Element, _common, _join, _paired
 
 __all__ = [
     "TraceReport",
@@ -51,11 +51,7 @@ __all__ = [
 def trace_s2(h, pair):
     """Tr(S^2) directly and through <eps_s(lambda), eps_s(ell)>; must agree."""
     direct = h.S2.trace()
-    eps_s_lam = h.dual.eps_s_mat.matvec(pair.lam.coeffs)
-    eps_s_ell = h.eps_s(pair.ell.coeffs)
-    formula = sum(
-        (a * b for a, b in zip(eps_s_lam, eps_s_ell) if a and b), h.field.zero()
-    )
+    formula = _paired(h.dual.eps_s_mat._apply(pair.lam.terms), h.eps_s_mat._apply(pair.ell.terms), h.field.zero())
     if direct != formula:
         raise Mismatch(f"Tr(S^2): direct {direct} != formula {formula}")
     return {"direct": direct, "formula": formula}
@@ -123,15 +119,15 @@ def _min_poly_in(h, space, unit, x):
     echelon = {}
     power = unit
     for k in count():
-        coords = space.coords(power)
-        if coords is None:
+        coords, rest = space._residue(power.items())
+        if rest:
             raise Inconsistent("component not closed under multiplication")
         pivot = _insert(echelon, chain(enumerate(coords), [(d + k, field.one())]), field)
         if pivot >= d:
             relation = echelon[pivot]
             lead = field.inv(relation[d + k])
             return [relation.get(d + j, field.zero()) * lead for j in range(k + 1)]
-        power = h.mul_vec(power, x)
+        power = h._mul(power, x)
 
 
 def primitive_idempotents(h, space, unit=None):
@@ -145,16 +141,15 @@ def primitive_idempotents(h, space, unit=None):
     """
     field = h.field
     zero = field.zero()
-    unit = tuple(unit if unit is not None else h.unit)
-    if not space.contains(unit):
+    unit = h.one if unit is None else Element(h, unit)
+    if not space._has(unit.terms):
         raise PreconditionUnmet("unit must lie in the subalgebra")
-    space_rows = space.rows
     pending = [(space, unit)]
     finished = []
     while pending:
         comp, p = pending.pop()
         if comp.dim == 1:
-            finished.append(Element(h, p))
+            finished.append(p)
             continue
         split = None
         rootless = False
@@ -163,11 +158,11 @@ def primitive_idempotents(h, space, unit=None):
         # are tried first (character values stay visible there); each is made
         # only when the one before it did not split
         seen = set()
-        for bvec in (h.mul_vec(p, a) for a in chain(space_rows, comp.rows)):
-            if not any(bvec) or bvec in seen:
+        for bvec in (Element._of(h, h._mul(p.terms, a)) for a in chain(space.sparse_rows, comp.sparse_rows)):
+            if not bvec or bvec in seen:
                 continue
             seen.add(bvec)
-            f = _min_poly_in(h, comp, p, bvec)
+            f = _min_poly_in(h, comp, p.terms, bvec.terms)
             if len(f) <= 2:
                 continue
             roots = _roots_in_field(f, field)
@@ -178,13 +173,11 @@ def primitive_idempotents(h, space, unit=None):
                 linear = [-r, field.one()]
                 power = [field.one()]
                 rem = list(f)
-                mult = 0
                 while True:
                     q, rr = _poly_divmod(rem, linear, field)
                     if rr:
                         break
                     rem = q
-                    mult += 1
                     power = _poly_mul(power, linear, field)
                 cofactor = rem
                 if len(cofactor) <= 1:
@@ -197,7 +190,7 @@ def primitive_idempotents(h, space, unit=None):
             if rootless:
                 raise NonSplit("minimal polynomial without a root in the field")
             # every minimal polynomial is a pure power: local component
-            finished.append(Element(h, p))
+            finished.append(p)
             continue
         xvec, power, cofactor = split
         u, w, g = _poly_ext_gcd(power, cofactor, field)
@@ -205,34 +198,29 @@ def primitive_idempotents(h, space, unit=None):
             raise Inconsistent("factors not coprime")
         # idempotent for the cofactor part: u(x) * (x - r)^m evaluated at x
         e_big = _poly_mul(u, power, field)
-        e_vec = _eval_poly_at(h, e_big, xvec, p)
-        if h.mul_vec(e_vec, e_vec) != e_vec:
+        e_vec = _eval_poly_at(e_big, xvec, p)
+        if e_vec * e_vec != e_vec:
             raise Inconsistent("split element is not idempotent")
-        e_comp = tuple(a - b for a, b in zip(p, e_vec))
-        for q in (e_vec, e_comp):
-            qs = _sparse(q)
-            sub = Subspace._span(field, h.dim, (_join(h.mult_rows, qs, b, zero).items() for b in comp.sparse_rows))
-            pending.append((sub, q))
+        for q in (e_vec, p - e_vec):
+            rows = (_join(h.mult_rows, q.terms, b, zero).items() for b in comp.sparse_rows)
+            pending.append((Subspace._span(field, h.dim, rows), q))
     finished.sort(key=lambda e: tuple(field.format(c) for c in e.coeffs))
-    total = (zero,) * h.dim
-    sparse = [_sparse(e.coeffs) for e in finished]
-    for e, es in zip(finished, sparse):
-        for q, qs in zip(finished, sparse):
-            if e is not q and any(_join(h.mult_rows, es, qs, zero).values()):
+    for e in finished:
+        for q in finished:
+            if e is not q and e * q:
                 raise Inconsistent("idempotents not orthogonal")
-        total = tuple(a + b for a, b in zip(total, e.coeffs))
-    if total != unit:
+    if sum(finished, Element._of(h, {})) != unit:
         raise Inconsistent("idempotents do not sum to the unit")
     return finished
 
 
-def _eval_poly_at(h, f, x, unit):
-    acc = (h.field.zero(),) * h.dim
-    power = unit
+def _eval_poly_at(f, x, unit):
+    """f(x) for Elements x and unit, with the powers of x taken from unit."""
+    acc, power = unit * 0, unit
     for c in f:
         if c:
-            acc = tuple(a + c * b for a, b in zip(acc, power))
-        power = h.mul_vec(power, x)
+            acc += power * c
+        power = power * x
     return acc
 
 
@@ -252,7 +240,7 @@ _NOT_INVARIANT = "subspace not invariant under the operator"
 
 def restricted_trace(h, operator, space):
     """Trace of an operator restricted to an invariant subspace."""
-    mat = space.matrix_of([operator.matvec(row) for row in space.rows])
+    mat = space._matrix_of(operator._apply(row).items() for row in space.sparse_rows)
     if mat is None:
         raise Inconsistent(_NOT_INVARIANT)
     return mat.trace()
@@ -320,28 +308,26 @@ def _block_traces(h, idempotents):
     zero, one = h.field.zero(), h.field.one()
     out = []
     for e in idempotents:
-        p = e.coeffs
-        q = h.S2.matvec(p)
-        if h.mul_vec(p, q) != q:
+        p = e.terms
+        q = h.S2._apply(p)
+        if h._mul(p, q) != q:
             raise Inconsistent(_NOT_INVARIANT)
-        ps = _sparse(p)
-        p_basis = [_join(h.mult_cols, {i: one}, ps, zero) for i in range(h.dim)]  # p e_i
+        p_basis = [_join(h.mult_cols, {i: one}, p, zero) for i in range(h.dim)]  # p e_i
         tr_ph = _s2_trace(h, p_basis)
-        if h.mul_vec(q, p) != q:
+        if h._mul(q, p) != q:
             raise Inconsistent(_NOT_INVARIANT)
-        tr_php = _s2_trace(h, [_join(h.mult_rows, v, ps, zero) for v in p_basis])  # p e_i p
+        tr_php = _s2_trace(h, [_join(h.mult_rows, v, p, zero) for v in p_basis])  # p e_i p
         out.append((repr(e), tr_ph, tr_php))
     return out
 
 
 def _left_ideal_trace(h, pi):
-    """Tr(S^2|H pi) for an idempotent pi, as Tr(S^2 R_pi); raises Inconsistent unless S^2(pi) pi = S^2(pi)."""
-    q = h.S2.matvec(pi)
-    if h.mul_vec(q, pi) != q:
+    """Tr(S^2|H pi) for a sparse idempotent pi, as Tr(S^2 R_pi); raises Inconsistent unless S^2(pi) pi = S^2(pi)."""
+    q = h.S2._apply(pi)
+    if h._mul(q, pi) != q:
         raise Inconsistent(_NOT_INVARIANT)
     zero, one = h.field.zero(), h.field.one()
-    ps = _sparse(pi)
-    return _s2_trace(h, [_join(h.mult_rows, {i: one}, ps, zero) for i in range(h.dim)])  # e_i pi
+    return _s2_trace(h, [_join(h.mult_rows, {i: one}, pi, zero) for i in range(h.dim)])  # e_i pi
 
 
 def semisimplicity_report(h, pair=None):
@@ -367,7 +353,7 @@ def semisimplicity_report(h, pair=None):
     per_block = None
     per_block_available = True
     try:
-        idem = primitive_idempotents(h, h.center_cap_source, unit=h.unit)
+        idem = primitive_idempotents(h, h.center_cap_source, unit=h.one)
         per_block = _block_traces(h, idem)
     except NonSplit:
         per_block_available = False
@@ -376,7 +362,7 @@ def semisimplicity_report(h, pair=None):
     lemma_blocks = None
     lemma_blocks_available = True
     try:
-        idem_min = primitive_idempotents(h, z_hmin, unit=h.unit)
+        idem_min = primitive_idempotents(h, z_hmin, unit=h.one)
         lemma_blocks = _block_traces(h, idem_min)
     except NonSplit:
         lemma_blocks_available = False
@@ -404,8 +390,8 @@ def semisimplicity_report(h, pair=None):
     dual = h.dual
     dual_caps = dual.source_base.intersect(dual.target_base)
     try:
-        dual_idem = primitive_idempotents(dual, dual_caps, unit=dual.unit)
-        traces_dual = [_left_ideal_trace(dual, e.coeffs) for e in dual_idem]
+        dual_idem = primitive_idempotents(dual, dual_caps, unit=dual.one)
+        traces_dual = [_left_ideal_trace(dual, e.terms) for e in dual_idem]
         record(
             "dual_blocks_nonzero_implies_semisimple",
             regular and all(t != 0 for t in traces_dual),
@@ -457,9 +443,9 @@ def coinciding_bases_theorem_check(h, pair=None):
     dual = h.dual
     dual_ok = is_semisimple(dual)
     pair = pair or canonical_dual_pair(h)
-    v = dual.eps_t_mat.matvec(pair.lam.coeffs)
-    in_place = dual.center_cap_source.contains(v)
-    invertible = dual.left_mult_matrix(v).is_invertible()
+    v = dual.eps_t_mat._apply(pair.lam.terms)
+    in_place = dual.center_cap_source._has(v)
+    invertible = dual._mult_matrix(v, True).is_invertible()
     return {
         "dual_semisimple": dual_ok,
         "eps_t_lambda_in_center_cap_base": in_place,

@@ -41,8 +41,8 @@ from .wha import (
     _contract_leg,
     _index_pair,
     _pair_of,
+    _paired,
     _pruned,
-    _sparse,
     contraction_matrix,
     minimal_data,
     validate_full,
@@ -74,26 +74,25 @@ def deform_q(h, q, name=None):
     preconditions are checked and reported individually.
     """
     q = Element(h, q)
-    if not h.target_base.contains(q.coeffs):
+    if not h.target_base._has(q.terms):
         raise PreconditionUnmet("q does not lie in H_t")
     try:
-        q_inv = q.inv()
+        q_inv = q.inv().terms
     except NotInvertible as exc:
         raise PreconditionUnmet(f"q is not invertible: {exc}") from exc
-    s2q = h.apply_S(h.apply_S(q.coeffs))
-    if s2q != q.coeffs:
+    if h.S2._apply(q.terms) != q.terms:
         raise PreconditionUnmet("S^2(q) != q")
-    one = h.field.one()
-    s_q = h.right_mult_matrix(q.coeffs) @ h.S  # column a is S(e_a) q
+    zero, one = h.field.zero(), h.field.one()
+    s_q = h._mult_matrix(q.terms, False) @ h.S  # column a is S(e_a) q
     cols = s_q.transpose().sparse_rows
     acc = _basis_products(h, [(c, b, cols[a]) for (a, b), c in h.delta_one.items()], left=False)
-    if acc != h.unit:
-        raise PreconditionUnmet(f"S(1_(1)) q 1_(2) != 1 (residual {acc})")
-    one_q = _pair_of(_sparse(h.unit), _sparse(q.coeffs))
+    if acc != h.one.terms:
+        raise PreconditionUnmet(f"S(1_(1)) q 1_(2) != 1 (residual {Element._of(h, acc).coeffs})")
+    one_q = _pair_of(h.one.terms, q.terms)
     comult = [h.mul_pair_dicts(h.comult[i], one_q) for i in range(h.dim)]
-    q_inv_sparse = _sparse(q_inv.coeffs)
-    counit = [h.counit_of(_basis_products(h, [(one, i, q_inv_sparse)], left=True)) for i in range(h.dim)]
-    s_mat = h.left_mult_matrix(q_inv.coeffs) @ s_q
+    eps = h.eps.terms
+    counit = [_paired(_basis_products(h, [(one, i, q_inv)], left=True), eps, zero) for i in range(h.dim)]
+    s_mat = h._mult_matrix(q_inv, True) @ s_q
     out = WeakHopfAlgebra(
         h.field, h.labels, h.mult, h.unit, comult, counit, antipode=s_mat,
         name=name or f"{h.name}_q",
@@ -111,9 +110,8 @@ def regularize(h):
     preconditions are verified on q and surfaced as PreconditionUnmet if the
     extracted element fails them.
     """
-    one = Element(h, h.unit)
     if is_regular(h):
-        return h, one
+        return h, h.one
     md = minimal_data(h)
     q = md.g.inv()
     out = deform_q(h, q, name=f"{h.name}_reg")
@@ -149,13 +147,13 @@ def _check_twist_invariants(h, t):
 
 
 def twist_conjugator(h, t):
-    """v = S(Theta^(1)) Theta^(2) and its inverse from Theta_bar; verified."""
+    """v = S(Theta^(1)) Theta^(2) and its inverse from Theta_bar, as Elements; verified."""
     s_cols = h.S.transpose().sparse_rows  # S(e_a)
     v = _basis_products(h, [(c, b, s_cols[a]) for (a, b), c in t.theta.items()], left=False)
     v_inv = _basis_products(h, [(c, a, s_cols[b]) for (a, b), c in t.theta_bar.items()], left=True)
-    if h.mul_vec(v, v_inv) != h.unit or h.mul_vec(v_inv, v) != h.unit:
+    if h._mul(v, v_inv) != h.one.terms or h._mul(v_inv, v) != h.one.terms:
         raise VNotInvertible("S(Theta^(1))Theta^(2) is not inverted by the Theta_bar formula")
-    return v, v_inv
+    return Element._of(h, v), Element._of(h, v_inv)
 
 
 def twist(h, t, name=None):
@@ -174,7 +172,7 @@ def twist(h, t, name=None):
         for i in range(h.dim)
     ]
     v, v_inv = twist_conjugator(h, t)
-    s_mat = h.left_mult_matrix(v_inv) @ h.right_mult_matrix(v) @ h.S
+    s_mat = h._mult_matrix(v_inv.terms, True) @ h._mult_matrix(v.terms, False) @ h.S
     out = WeakHopfAlgebra(
         h.field, h.labels, h.mult, h.unit, comult, h.counit, antipode=s_mat,
         name=name or f"{h.name}_twisted",
@@ -206,7 +204,7 @@ class AbelianGrouplikes:
 
     def __init__(self, u, elements):
         self.u = u
-        vecs = [tuple(u.field.coerce(c) for c in e) for e in elements]
+        vecs = [Element(u, e) for e in elements]
         if len(set(vecs)) != len(vecs):
             raise InvalidPresentation("repeated elements in A")
         for v in vecs:
@@ -217,7 +215,7 @@ class AbelianGrouplikes:
         table = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                prod = u.mul_vec(vecs[i], vecs[j])
+                prod = vecs[i] * vecs[j]
                 if prod not in index:
                     raise InvalidPresentation("A is not closed under multiplication")
                 table[i][j] = index[prod]
@@ -229,7 +227,7 @@ class AbelianGrouplikes:
         for e in range(n):
             if all(table[e][j] == j for j in range(n)):
                 identity = e
-        if identity is None or vecs[identity] != u.unit:
+        if identity is None or vecs[identity] != u.one:
             raise InvalidPresentation("A has no identity equal to 1 of U")
         inverse = []
         for i in range(n):
@@ -314,13 +312,10 @@ class AbelianGrouplikes:
         return field.zeta((field.order // self.exponent) * t)
 
     def minimal_idempotent(self, field, chi_idx):
-        """P_mu = (1/|A|) sum_a mu(a^{-1}) a as an element of U."""
+        """P_mu = (1/|A|) sum_a mu(a^{-1}) a as an Element of U."""
         scale = field.div(field.one(), field.from_int(self.order))
-        vec = (field.zero(),) * self.u.dim
-        for a in range(self.order):
-            val = scale * self.char_value(field, chi_idx, a, inverse=True)
-            vec = tuple(x + val * y for x, y in zip(vec, self.vectors[a]))
-        return vec
+        values = (scale * self.char_value(field, chi_idx, a, inverse=True) for a in range(self.order))
+        return sum((v * c for v, c in zip(self.vectors, values)), Element._of(self.u, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +346,17 @@ class DynamicalTwist:
 def _j_tensor(u, data, chi_idx):
     """J(chi) as a sparse pair tensor; InvalidPresentation for a leg outside the basis of U."""
     if not data.j or data.j.get(chi_idx) is None:
-        unit = _sparse(u.unit)
-        return _pair_of(unit, unit)
+        return _pair_of(u.one.terms, u.one.terms)
     raw = data.j[chi_idx]
     return _pruned({_index_pair(key, u.dim, f"J({chi_idx})"): u.field.coerce(c) for key, c in raw.items()})
 
 
 def _j_inverse(u, tensor_algebra, j_pairs):
-    vec = [u.field.zero()] * (u.dim * u.dim)
-    for (a, b), c in j_pairs.items():
-        vec[a * u.dim + b] = c
     try:
-        inv = Element(tensor_algebra, vec).inv()
+        inv = Element._of(tensor_algebra, {a * u.dim + b: c for (a, b), c in j_pairs.items()}).inv()
     except NotInvertible as exc:
         raise InvalidPresentation(f"J value is not invertible: {exc}") from exc
-    out = {}
-    for pos, c in enumerate(inv.coeffs):
-        if c:
-            out[divmod(pos, u.dim)] = c
-    return out
+    return {divmod(pos, u.dim): c for pos, c in inv.terms.items()}
 
 
 def verify_dynamical_data(data):
@@ -378,7 +365,7 @@ def verify_dynamical_data(data):
     shifted cocycle equation per character.  Returns (group, j_tensors,
     j_inverses)."""
     u = data.u
-    if u.target_base.dim != 1 or not u.target_base.contains(u.unit):
+    if u.target_base.dim != 1 or not u.target_base._has(u.one.terms):
         raise InvalidPresentation("U is not a Hopf algebra (H_t != k1)")
     group = AbelianGrouplikes(u, data.grouplikes)
     for chi in data.j or ():
@@ -398,35 +385,26 @@ def verify_dynamical_data(data):
         j_inverses[chi] = _j_inverse(u, tensor_algebra, j)
         # normalization (eps (x) id)J = (id (x) eps)J = 1
         scaled = [(u.field.one(), j)]
-        if any(_pruned(_contract_leg(u, scaled, _sparse(u.counit), leg)) != _sparse(u.unit) for leg in (0, 1)):
+        if any(_pruned(_contract_leg(u, scaled, u.eps.terms, leg)) != u.one.terms for leg in (0, 1)):
             raise InvalidPresentation(f"J({chi}) violates counit normalization")
         # commutation with Delta(a) for every a in A
         for a in range(group.order):
-            da = u.comul_vec(group.vectors[a])
+            da = u._comul(group.vectors[a].terms)
             if u.mul_pair_dicts(j, da) != u.mul_pair_dicts(da, j):
                 raise InvalidPresentation(f"J({chi}) does not commute with Delta(A)")
     # shifted cocycle equation, brute tensor contraction per character
-    p_vectors = [group.minimal_idempotent(u.field, m) for m in range(group.order)]
+    p_vectors = [group.minimal_idempotent(u.field, m).terms for m in range(group.order)]
     for lam in range(group.order):
         j_lam = j_tensors[lam]
         lhs_left = _comultiplied(u.comult, u.field.zero(), j_lam, 0)
         shifted = {}
         for m in range(group.order):
-            j_shift = j_tensors[group.char_product(lam, m)]
-            pvec = p_vectors[m]
-            for (c, d), cf in j_shift.items():
-                for k, pk in enumerate(pvec):
-                    if pk:
-                        key = (c, d, k)
-                        shifted[key] = shifted.get(key, u.field.zero()) + cf * pk
-        shifted = {k: v for k, v in shifted.items() if v}
-        lhs = u.mul_triple_dicts(lhs_left, shifted)
+            for (c, d), cf in j_tensors[group.char_product(lam, m)].items():
+                for k, pk in p_vectors[m].items():
+                    shifted[c, d, k] = shifted.get((c, d, k), u.field.zero()) + cf * pk
+        lhs = u.mul_triple_dicts(lhs_left, _pruned(shifted))
         rhs_left = _comultiplied(u.comult, u.field.zero(), j_lam, 1)
-        one_j = {}
-        for i, ci in enumerate(u.unit):
-            if ci:
-                for (c, d), cf in j_lam.items():
-                    one_j[(i, c, d)] = ci * cf
+        one_j = {(i, c, d): ci * cf for i, ci in u.one.terms.items() for (c, d), cf in j_lam.items()}
         rhs = u.mul_triple_dicts(rhs_left, one_j)
         if lhs != rhs:
             diff = {k: v for k, v in lhs.items() if rhs.get(k) != v}
@@ -448,26 +426,22 @@ def dynamical_theta(data):
     def hidx(row, col, k):
         return (row * nchars + col) * du + k
 
-    p_vectors = [group.minimal_idempotent(field, m) for m in range(nchars)]
+    p_vectors = [group.minimal_idempotent(field, m).terms for m in range(nchars)]
     one = field.one()
     theta = {}
     theta_bar = {}
     for lam in range(nchars):
         for m in range(nchars):
             lam_m = group.char_product(lam, m)
-            p_sparse = _sparse(p_vectors[m])
+            p = p_vectors[m]
             for (c, d), cf in j_tensors[lam].items():
-                second = _basis_products(u, [(one, d, p_sparse)], left=True)  # J^(2) P_mu
-                for k, ck in enumerate(second):
-                    if ck:
-                        key = (hidx(lam, lam_m, c), hidx(lam, lam, k))
-                        theta[key] = theta.get(key, field.zero()) + cf * ck
+                for k, ck in _basis_products(u, [(one, d, p)], left=True).items():  # J^(2) P_mu
+                    key = (hidx(lam, lam_m, c), hidx(lam, lam, k))
+                    theta[key] = theta.get(key, field.zero()) + cf * ck
             for (c, d), cf in j_inverses[lam].items():
-                second = _basis_products(u, [(one, d, p_sparse)], left=False)  # P_mu J^(-2)
-                for k, ck in enumerate(second):
-                    if ck:
-                        key = (hidx(lam_m, lam, c), hidx(lam, lam, k))
-                        theta_bar[key] = theta_bar.get(key, field.zero()) + cf * ck
+                for k, ck in _basis_products(u, [(one, d, p)], left=False).items():  # P_mu J^(-2)
+                    key = (hidx(lam_m, lam, c), hidx(lam, lam, k))
+                    theta_bar[key] = theta_bar.get(key, field.zero()) + cf * ck
     t = Twist(theta=_pruned(theta), theta_bar=_pruned(theta_bar))
     _check_twist_invariants(host, t)
     return DynamicalTwist(host=host, twist=t, group=group)
@@ -489,16 +463,14 @@ def dynamical_cosemisimplicity_check(data):
     host = build.host
     twisted = twist(host, build.twist, name=f"{host.name}_dyn")
     v, v_inv = twist_conjugator(host, build.twist)
-    g = host.mul_vec(host.apply_S(v_inv), v)
-    g_elt = Element(host, g)
+    g_elt = Element._of(host, host.S._apply(v_inv.terms)) * v
     g_inv = g_elt.inv()
-    center = host.center.rows
-    one = Element(host, host.unit)
+    center = host.center.sparse_rows
 
     def pairs_like_identity(x):
-        diff = (x - one).coeffs
+        diff = (x - host.one).terms
         for z in center:
-            tr = host.left_mult_matrix(host.mul_vec(diff, z)).trace()
+            tr = host._mult_matrix(host._mul(diff, z), True).trace()
             if tr:
                 return False
         return True

@@ -68,13 +68,17 @@ again.  ``with_antipode`` also hands on the bialgebra verdict, and
 ``validate_full`` assembles a new report from the two parts, whose frozen
 checks it shares.
 
-A vector is a tuple of field scalars.  ``Element`` and ``Functional`` bind
-one to its algebra and are read-only sequences over it, so either can be
-passed wherever a vector is expected.  A matrix (S, eps_t, eps_s, L_a, R_a,
-and the pairing table T[a, b] = <phi, e_a e_b> of a functional phi, E2 for
-the counit) is a sparse ``linalg.Matrix``, whose columns a kernel reads as
-the rows of its transpose; the dual arrows h -> phi and phi <- h are T h
-and T^T h.  A subspace (H_t, H_s, H_min, integrals) is a sparse
+A vector inside the library is a sparse dict index -> nonzero scalar, the
+row format of ``Matrix.sparse_rows``.  ``Element`` and ``Functional`` bind
+one to its algebra as ``terms``, with ``coeffs`` the dense view, and are
+read-only sequences over it.  Each public method on vectors (``mul_vec``,
+``lact``, ``apply_S``, ...) is a dense adapter: it reads its vectors
+through ``_terms``, calls the sparse body the library calls (``_mul``,
+``_arrow``, ``Matrix._apply``, ...) and returns a tuple through
+``_coeffs``.  A matrix (S, eps_t, eps_s, L_a, R_a, and the pairing table
+T[a, b] = <phi, e_a e_b> of a functional phi, E2 for the counit) is a
+sparse ``linalg.Matrix``, whose columns a kernel reads as the rows of its
+transpose.  A subspace (H_t, H_s, H_min, integrals) is a sparse
 ``linalg.Subspace``, spanned from sparse rows and read through them.
 
 The theory comes in mirrored pairs (eps_t/eps_s, H_t/H_s, phi -> h and
@@ -86,7 +90,7 @@ the twisting and group-like modules, are all ``contraction_matrix``.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -104,7 +108,8 @@ from .errors import (
     NotUnique,
     Singular,
 )
-from .linalg import Matrix, Subspace, _insert, _solve_modular, invert, kernel_on, solve_sparse, try_solve
+from .fields import Field
+from .linalg import Matrix, Subspace, _insert, _solve, _solve_modular, invert, kernel_on, solve_sparse, try_solve
 
 __all__ = [
     "AxiomCheck",
@@ -130,29 +135,36 @@ __all__ = [
 # elements and functionals
 
 
-def _basis(h, i):
-    """Coefficient vector of the basis element e_i of h."""
-    vec = [h.field.zero()] * h.dim
-    vec[i] = h.field.one()
-    return tuple(vec)
+def _terms(h, vec):
+    """The nonzeros of a vector of h as a dict index -> scalar: the one way in from a dense vector.
+
+    An Element or Functional of h is read as its ``terms``; any other vector needs one entry per
+    basis element (else InvalidPresentation), each coerced into the field (FieldMismatch).
+    """
+    if isinstance(vec, _Vector) and vec.algebra is h:
+        return vec.terms
+    if isinstance(vec, Mapping):  # iterating a dict would read its keys as the coefficients
+        raise InvalidOperand("a coefficient vector is a sequence of scalars, not a mapping")
+    if len(vec := tuple(vec)) != h.dim:
+        raise InvalidPresentation(f"{len(vec)} coefficients for dim {h.dim}")
+    coerce = h.field.coerce
+    return {i: c for i, x in enumerate(vec) if (c := coerce(x))}
 
 
-def _sparse(v):
-    """The nonzero coordinates of the vector v as a sparse dict index -> scalar."""
-    return {i: x for i, x in enumerate(v) if x}
-
-
-def _dense(h, d):
-    """The sparse vector d (index -> scalar) as a coefficient tuple of h."""
-    out = [h.field.zero()] * h.dim
-    for k, v in d.items():
-        out[k] = v
-    return tuple(out)
+def _coeffs(h, terms):
+    """The sparse vector ``terms`` of h as a coefficient tuple: the one way out to a dense vector."""
+    zero = h.field.zero()
+    return tuple(terms.get(i, zero) for i in range(h.dim))
 
 
 def _pruned(d):
     """The sparse dict d without its zero values."""
     return {k: v for k, v in d.items() if v}
+
+
+def _minus(x, y, zero):
+    """x - y for sparse vectors x and y; not pruned."""
+    return {k: x.get(k, zero) - y.get(k, zero) for k in x.keys() | y.keys()}
 
 
 def _common(row, sparse):
@@ -162,11 +174,9 @@ def _common(row, sparse):
     return [(k, row[k], v) for k, v in sparse.items() if k in row]
 
 
-def _checked(h, vec):
-    """``vec`` itself, once it has one coefficient per basis element of h."""
-    if len(vec) != h.dim:
-        raise InvalidPresentation(f"{len(vec)} coefficients for dim {h.dim}")
-    return vec
+def _paired(phi, x, zero):
+    """<phi, x> = sum of phi_k x_k over the keys of both sparse vectors."""
+    return sum((a * b for _k, a, b in _common(phi, x)), zero)
 
 
 def _pair_of(a, b):
@@ -225,71 +235,78 @@ def _matrix_of_pairs(h, pairs):
 
 
 class _Vector:
-    """Coefficient vector bound to its algebra: a read-only sequence over ``coeffs``.
+    """Vector bound to its algebra, stored as ``terms``, its nonzeros as a dict index -> scalar.
 
-    Being a sequence, a vector goes wherever a plain tuple of scalars goes.
-    It is not a tuple subclass: ``+`` and ``*`` here are vector operations,
-    and a vector never equals a plain tuple.
+    ``coeffs`` is the dense view, built on each read, and the vector is a
+    read-only sequence over it, so it goes wherever a plain tuple of scalars
+    goes.  It is not a tuple subclass: ``+`` and ``*`` here are vector
+    operations, and a vector never equals a plain tuple.  The public
+    constructor reads a vector through ``_terms``; ``_of`` takes trusted
+    terms, nonzero scalars of the field, as they are, like ``Matrix._of``.
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "terms")
     _suffix = ""  # appended to each basis label in repr
 
     def __init__(self, algebra, coeffs):
-        f = algebra.field
         self.algebra = algebra
-        self.coeffs = _checked(algebra, tuple(f.coerce(c) for c in coeffs))
+        self.terms = _terms(algebra, coeffs)
+
+    @classmethod
+    def _of(cls, algebra, terms):
+        v = object.__new__(cls)
+        v.algebra, v.terms = algebra, terms
+        return v
+
+    @property
+    def coeffs(self):
+        return _coeffs(self.algebra, self.terms)
 
     def __iter__(self):
         return iter(self.coeffs)
 
     def __len__(self):
-        return len(self.coeffs)
+        return self.algebra.dim
 
     def __getitem__(self, i):
         return self.coeffs[i]
 
     def __bool__(self):
-        return any(self.coeffs)
-
-    def _new(self, coeffs):
-        return type(self)(self.algebra, coeffs)
+        return bool(self.terms)
 
     def _check(self, other):
-        if self.algebra is not other.algebra:
+        if getattr(other, "algebra", None) is not self.algebra:
             raise FieldMismatch("elements of different algebras")
 
     def __add__(self, other):
         self._check(other)
-        return self._new([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self - -other
 
     def __sub__(self, other):
         self._check(other)
-        return self._new([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._of(self.algebra, _pruned(_minus(self.terms, other.terms, self.algebra.field.zero())))
 
     def __neg__(self):
-        return self._new([-a for a in self.coeffs])
+        return self._of(self.algebra, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check(other)
-            return self._new(self._product(other))
-        return self._new([a * other for a in self.coeffs])
+            return self._of(self.algebra, self._product(other))
+        c = self.algebra.field.coerce(other)
+        return self._of(self.algebra, {k: v * c for k, v in self.terms.items()} if c else {})
 
-    def __rmul__(self, scalar):
-        return self._new([scalar * a for a in self.coeffs])
+    __rmul__ = __mul__
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.algebra is other.algebra and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        h = self.algebra
-        parts = [
-            f"{h.field.format(c)}*{h.labels[i]}{self._suffix}" for i, c in enumerate(self.coeffs) if c
-        ]
+        h, terms = self.algebra, self.terms
+        parts = [f"{h.field.format(terms[i])}*{h.labels[i]}{self._suffix}" for i in sorted(terms)]
         return " + ".join(parts) if parts else "0"
 
 
@@ -299,13 +316,13 @@ class Element(_Vector):
     __slots__ = ()
 
     def _product(self, other):
-        return self.algebra.mul_vec(self.coeffs, other.coeffs)
+        return self.algebra._mul(self.terms, other.terms)
 
     def is_invertible(self):
-        return self.algebra.left_mult_matrix(self.coeffs).is_invertible()
+        return self.algebra._mult_matrix(self.terms, True).is_invertible()
 
     def inv(self):
-        return Element(self.algebra, self.algebra.invert_element(self.coeffs))
+        return Element._of(self.algebra, self.algebra._inverse(self.terms))
 
 
 class Functional(_Vector):
@@ -315,32 +332,23 @@ class Functional(_Vector):
     _suffix = "^"
 
     def __call__(self, x):
-        return sum(
-            (a * b for a, b in zip(self.coeffs, x) if a and b),
-            self.algebra.field.zero(),
-        )
+        return _paired(self.terms, _terms(self.algebra, x), self.algebra.field.zero())
 
     def _product(self, other):
-        # convolution: (phi psi)(e_i) = sum over Delta(e_i)
-        h = self.algebra
-        out = [h.field.zero()] * h.dim
-        for i in range(h.dim):
-            acc = h.field.zero()
-            for (j, k), c in h.comult[i].items():
-                a, b = self.coeffs[j], other.coeffs[k]
-                if a and b:
-                    acc += c * a * b
-            out[i] = acc
-        return out
+        # convolution: (phi psi)(e_i) = sum of c phi_j psi_k over Delta(e_i) = sum c e_j (x) e_k
+        h, a, b = self.algebra, self.terms, other.terms
+        zero = h.field.zero()
+        sums = (sum((c * a[j] * b[k] for (j, k), c in d.items() if j in a and k in b), zero) for d in h.comult)
+        return {i: s for i, s in enumerate(sums) if s}
 
     def as_dual_element(self):
-        return Element(self.algebra.dual, self.coeffs)
+        return Element._of(self.algebra.dual, self.terms)
 
     def is_invertible(self):
         return self.as_dual_element().is_invertible()
 
     def inv(self):
-        return Functional(self.algebra, self.as_dual_element().inv().coeffs)
+        return Functional._of(self.algebra, self.as_dual_element().inv().terms)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +508,8 @@ class WeakHopfAlgebra:
     _primal = None  # weakref.ref to H when this algebra is dualize(H)
 
     def __init__(self, field, labels, mult, unit, comult, counit, antipode=None, name=""):
+        if not isinstance(field, Field) or not isinstance(mult, Mapping):
+            raise InvalidPresentation("an algebra needs a Field and a mapping mult")
         self.field = field
         self.labels = tuple(labels)
         n = self.dim = len(self.labels)
@@ -578,18 +588,23 @@ class WeakHopfAlgebra:
         return Functional(self, coeffs)
 
     def basis_element(self, i):
-        return Element(self, _basis(self, i))
+        return Element._of(self, {range(self.dim)[i]: self.field.one()})
 
     def dual_basis_functional(self, i):
-        return Functional(self, _basis(self, i))
+        return Functional._of(self, {range(self.dim)[i]: self.field.one()})
 
     @cached_property
+    def _unit_terms(self):
+        """The terms of 1 and eps, made once; ``one``/``eps`` wrap them per read, so the algebra holds no cycle."""
+        return Element(self, self.unit).terms, Element(self, self.counit).terms
+
+    @property
     def one(self):
-        return Element(self, self.unit)
+        return Element._of(self, self._unit_terms[0])
 
-    @cached_property
+    @property
     def eps(self):
-        return Functional(self, self.counit)
+        return Functional._of(self, self._unit_terms[1])
 
     def same_structure(self, other):
         """Structure-constant equality (labels and names ignored)."""
@@ -606,58 +621,61 @@ class WeakHopfAlgebra:
     # -- products and coproducts --------------------------------------------
 
     def mul_vec(self, a, b):
-        """The product ab of two coefficient vectors: ``_join`` of the rows of the index at supp(a) with b.
+        """The product ab of two coefficient vectors, as a tuple (a dense adapter: module docstring)."""
+        return _coeffs(self, self._mul(_terms(self, a), _terms(self, b)))
 
-        So the cost is the nonzero products e_i e_j with i in supp(a) and
-        j in supp(b), plus the shorter side of each join, plus O(n) to scan
-        a and b and build the result.
-        """
-        return _dense(self, _join(self.mult_rows, _sparse(a), _sparse(b), self.field.zero()))
+    def _mul(self, x, y):
+        """The product xy of two sparse vectors, pruned: ``_join`` of the rows of the index at supp(x) with y."""
+        return _pruned(_join(self.mult_rows, x, y, self.field.zero()))
 
     def comul_vec(self, a):
-        """Delta(a) as a sparse pair tensor, for a coefficient vector or a sparse vector (dict) a."""
+        """Delta(a) as a sparse pair tensor, for a coefficient vector a."""
+        return self._comul(_terms(self, a))
+
+    def _comul(self, x):
+        """Delta(x) as a sparse pair tensor, for a sparse vector x."""
         out, zero = {}, self.field.zero()
-        for i, x in a.items() if isinstance(a, dict) else enumerate(a):
-            if not x:
-                continue
-            for jk, c in self.comult[i].items():
-                out[jk] = out.get(jk, zero) + x * c
+        for i, c in x.items():
+            for jk, c2 in self.comult[i].items():
+                out[jk] = out.get(jk, zero) + c * c2
         return _pruned(out)
 
     def counit_of(self, a):
-        return sum((x * e for x, e in zip(a, self.counit) if x and e), self.field.zero())
+        return self.eps(a)
 
     def left_mult_matrix(self, a):
         """Matrix of x -> a*x."""
-        return self._mult_matrix(a, True)
+        return self._mult_matrix(_terms(self, a), True)
 
     def right_mult_matrix(self, a):
         """Matrix of x -> x*a."""
-        return self._mult_matrix(a, False)
+        return self._mult_matrix(_terms(self, a), False)
 
     def _mult_matrix(self, a, left):
-        """Column j is a e_j (left) or e_j a, scattered from line i of the index for i in supp(a).
+        """Column j is a e_j (left) or e_j a, scattered from line i of the index for i in supp(a), a sparse.
 
         The line is row i of ``mult_rows`` (left) or of ``mult_cols`` (right),
         so only the nonzero products e_i e_j or e_j e_i are visited.
         """
         zero = self.field.zero()
-        rows = [{} for _ in range(self.dim)]
-        for line, x in zip(self.mult_rows if left else self.mult_cols, a):
-            if x:
-                for j, cell in line.items():
-                    for k, c in cell.items():
-                        row = rows[k]
-                        row[j] = row.get(j, zero) + x * c
+        lines, rows = self.mult_rows if left else self.mult_cols, [{} for _ in range(self.dim)]
+        for i, x in a.items():
+            for j, cell in lines[i].items():
+                for k, c in cell.items():
+                    row = rows[k]
+                    row[j] = row.get(j, zero) + x * c
         return Matrix._sums(self.field, rows, self.dim)
 
     def invert_element(self, a):
-        lm = self.left_mult_matrix(a)
-        sol = try_solve(lm, self.unit)
+        return _coeffs(self, self._inverse(_terms(self, a)))
+
+    def _inverse(self, a):
+        """The two-sided inverse of the sparse vector a, sparse; NotInvertible when there is none."""
+        sol = _solve(self._mult_matrix(a, True), self.one.terms)
         if sol is None or sol[1].dim:
             raise NotInvertible("element has no two-sided inverse")
-        x = sol[0]
-        if self.mul_vec(x, a) != self.unit:
+        x = Element(self, sol[0]).terms
+        if self._mul(x, a) != self.one.terms:
             raise NotInvertible("left inverse is not a right inverse")
         return x
 
@@ -706,21 +724,18 @@ class WeakHopfAlgebra:
     @cached_property
     def delta_one(self):
         """Delta(1) as a sparse pair-tensor."""
-        return self.comul_vec(self.unit)
+        return self._comul(self.one.terms)
 
     def pairing_table(self, phi):
         """The sparse Matrix T[a, b] = <phi, e_a e_b>: row a is phi <- e_a and column b is e_b -> phi."""
-        zero = self.field.zero()
-        rows = [
-            {b: sum((c * phi[k] for k, c in cell.items() if phi[k]), zero) for b, cell in line.items()}
-            for line in self.mult_rows
-        ]
+        zero, phi = self.field.zero(), _terms(self, phi)
+        rows = [{b: _paired(cell, phi, zero) for b, cell in line.items()} for line in self.mult_rows]
         return Matrix._sums(self.field, rows, self.dim)
 
     @cached_property
     def counit_product(self):
         """The pairing table E2 of the counit, E2[i, j] = eps(e_i e_j)."""
-        return self.pairing_table(self.counit)
+        return self.pairing_table(self.eps)
 
     # -- counital maps and subalgebras ---------------------------------------
 
@@ -735,10 +750,10 @@ class WeakHopfAlgebra:
         return contraction_matrix(self, self.delta_one, self.counit_product, "s")
 
     def eps_t(self, a):
-        return self.eps_t_mat.matvec(a)
+        return _coeffs(self, self.eps_t_mat._apply(_terms(self, a)))
 
     def eps_s(self, a):
-        return self.eps_s_mat.matvec(a)
+        return _coeffs(self, self.eps_s_mat._apply(_terms(self, a)))
 
     @cached_property
     def target_base(self):
@@ -811,8 +826,8 @@ class WeakHopfAlgebra:
         return self.centralizer_in(self.source_base)
 
     def subspace_closed_under_mult(self, space):
-        rows = space.rows
-        return all(space.contains(self.mul_vec(a, b)) for a in rows for b in rows)
+        rows = space.sparse_rows
+        return all(space._has(self._mul(a, b)) for a in rows for b in rows)
 
     # -- antipode -------------------------------------------------------------
 
@@ -917,32 +932,41 @@ class WeakHopfAlgebra:
             raise NoAntipodeInverse(str(exc)) from exc
 
     def apply_S(self, a):
-        return self.S.matvec(a)
+        return _coeffs(self, self.S._apply(_terms(self, a)))
 
     def apply_S_inv(self, a):
-        return self.S_inv.matvec(a)
+        return _coeffs(self, self.S_inv._apply(_terms(self, a)))
 
     # -- Sweedler arrows ------------------------------------------------------
 
     def lact(self, phi, a):
         """phi -> h = h_(1) <phi, h_(2)>; functional acting on the left."""
-        return _dense(self, _contract_leg(self, self._coproduct_terms(a), _sparse(phi), 1))
+        return _coeffs(self, self._arrow(_terms(self, a), _terms(self, phi), 1))
 
     def ract(self, a, phi):
         """h <- phi = <phi, h_(1)> h_(2)."""
-        return _dense(self, _contract_leg(self, self._coproduct_terms(a), _sparse(phi), 0))
+        return _coeffs(self, self._arrow(_terms(self, a), _terms(self, phi), 0))
 
-    def _coproduct_terms(self, a):
-        """Delta(a) as the scaled tensors (a_i, Delta(e_i)) over the nonzeros of a."""
-        return [(x, self.comult[i]) for i, x in enumerate(a) if x]
+    def _arrow(self, a, phi, paired):
+        """ract (``paired`` 0) or lact (1) for a sparse vector a and a sparse functional phi, pruned."""
+        return _pruned(_contract_leg(self, [(x, self.comult[i]) for i, x in a.items()], phi, paired))
 
     def dual_lact(self, a, phi):
-        """h -> phi: the functional g |-> <phi, g h>, T h for T the pairing table of phi."""
-        return self.pairing_table(phi).matvec(a)
+        """h -> phi: the functional g |-> <phi, g h>."""
+        return _coeffs(self, self._dual_arrow(_terms(self, a), _terms(self, phi), self.mult_cols))
 
     def dual_ract(self, phi, a):
-        """phi <- h: the functional g |-> <phi, h g>, T^T h for T the pairing table of phi."""
-        return self.pairing_table(phi).transpose().matvec(a)
+        """phi <- h: the functional g |-> <phi, h g>."""
+        return _coeffs(self, self._dual_arrow(_terms(self, a), _terms(self, phi), self.mult_rows))
+
+    def _dual_arrow(self, a, phi, lines):
+        """h -> phi (``lines`` mult_cols) or phi <- h (mult_rows) for sparse a and phi, pruned: entry g
+        sums a_b <phi, e_g e_b> (or e_b e_g) over b in supp(a), from the cell at g of line b of the index."""
+        zero, out = self.field.zero(), {}
+        for b, x in a.items():
+            for g, cell in lines[b].items():
+                out[g] = out.get(g, zero) + x * _paired(cell, phi, zero)
+        return _pruned(out)
 
     # -- dual algebra -----------------------------------------------------------
 
@@ -1040,9 +1064,8 @@ def _integral_rows(h, side, counital):
     has entry c = the e_r coefficient of e_i e_c - E(e_i) e_c or of
     e_c e_i - e_c E(e_i).
     """
-    mult_matrix = h.left_mult_matrix if side == "left" else h.right_mult_matrix
-    diff = Matrix.identity(h.field, h.dim) - counital
-    return [row for i in range(h.dim) for row in mult_matrix(diff.col(i)).sparse_rows]
+    cols = (Matrix.identity(h.field, h.dim) - counital).transpose().sparse_rows
+    return [row for col in cols for row in h._mult_matrix(col, side == "left").sparse_rows]
 
 
 def _pair_product(rows, p, q, zero):
@@ -1090,7 +1113,7 @@ def _join(lines, x, w, zero):
 
 
 def _basis_products(h, terms, left):
-    """sum of c e_i x (left) or c x e_i (right) over the terms (c, i, x), x sparse, as a coefficient tuple.
+    """sum of c e_i x (left) or c x e_i (right) over the terms (c, i, x), x sparse, as a sparse vector, pruned.
 
     Each product by a basis vector is one ``_join`` of line i of the index,
     row i of ``mult_rows`` (left) or of ``mult_cols`` (right), with x.
@@ -1101,7 +1124,7 @@ def _basis_products(h, terms, left):
     for c, i, x in terms:
         for m, v in _join(lines, {i: c}, x, zero).items():
             out[m] = out.get(m, zero) + v
-    return _dense(h, out)
+    return _pruned(out)
 
 
 def generating_rows(h, space):
@@ -1286,7 +1309,7 @@ def validate_weak_bialgebra(h):
     coassoc = coassociativity(range(n) if assoc or multiplicative else gens)
 
     # two-sided unit: 1 e_i and e_i 1 join line i of mult_cols and of mult_rows with the unit
-    one, unit_vec = field.one(), _sparse(h.unit)
+    one, unit_vec = field.one(), h.one.terms
     unit = None
     for i in range(n):
         e = {i: one}
@@ -1295,7 +1318,7 @@ def validate_weak_bialgebra(h):
             break
 
     # two-sided counit: eps(e_i(1)) e_i(2) = e_i = e_i(1) eps(e_i(2)), contracted from Delta(e_i)
-    counit, counit_vec = None, _sparse(h.counit)
+    counit, counit_vec = None, h.eps.terms
     for i in range(n):
         e = {i: one}
         if any(_pruned(_contract_leg(h, [(one, h.comult[i])], counit_vec, leg)) != e for leg in (0, 1)):
@@ -1334,7 +1357,7 @@ def validate_weak_bialgebra(h):
                     out[key] = out.get(key, zero) + c * x
         return _pruned(out)
 
-    lhs = in_thirds((h.comul_vec(u), coords(v)) for u, v in zip(us, vs))
+    lhs = in_thirds((h._comul(u), coords(v)) for u, v in zip(us, vs))
     u_one = [_join(h.mult_rows, u, unit_vec, zero) for u in us]
     one_u = [_join(h.mult_rows, unit_vec, u, zero) for u in us]
     cw = [coords(w) for w in one_v]
@@ -1488,12 +1511,12 @@ def _antipode_rows(h, left, image=None, source=False):
     # products[x]: (p, m n, c) for each e_x e_m (target) or e_m e_x (source) with c at e_p
     lines = h.mult_cols if source else h.mult_rows
     products = [[(p, m * n, read(c)) for m, cell in line.items() for p, c in cell.items()] for line in lines]
-    mapped = {}
+    mapped, eps_s_cols = {}, h.eps_s_mat.transpose().sparse_rows
 
     def left_entries(j):
         if (entries := mapped.get(j)) is None:
             if j not in left:
-                rows_j = h.left_mult_matrix(h.eps_s_mat.col(j)).sparse_rows
+                rows_j = h._mult_matrix(eps_s_cols[j], True).sparse_rows
                 left[j] = [(p, q * n, v) for p, row in enumerate(rows_j) for q, v in sorted(row.items())]
             entries = mapped[j] = [(p, qn, read(v)) for p, qn, v in left[j]]
         return entries
@@ -1586,9 +1609,9 @@ class MinimalData:
 
 
 def regular_trace_on(h, space, x):
-    """Trace of left multiplication by x on an invariant subspace."""
-    xs, zero = _sparse(x), h.field.zero()
-    mat = space.matrix_of([_dense(h, _join(h.mult_rows, xs, b, zero)) for b in space.sparse_rows])
+    """Trace of left multiplication by the vector x of h on an invariant subspace."""
+    xs, zero = Element(h, x).terms, h.field.zero()
+    mat = space._matrix_of(_join(h.mult_rows, xs, b, zero).items() for b in space.sparse_rows)
     if mat is None:
         raise Inconsistent("subspace not invariant under left multiplication")
     return mat.trace()
@@ -1600,14 +1623,13 @@ def minimal_data(h):
     field = h.field
     # Solve Tr_reg(u b_i) = eps(b_i) for u in H_t; the pairing matrix is
     # P[a][i] = Tr_reg(v_a b_i) over the echelon basis v_a of H_t.
-    basis = ht.rows
-    prods = [[h.mul_vec(v, b) for v in basis] for b in basis]
-    rows = [[regular_trace_on(h, ht, p) if any(p) else field.zero() for p in row] for row in prods]
+    basis = [Element._of(h, row) for row in ht.sparse_rows]
+    rows = [[regular_trace_on(h, ht, p) if (p := v * b) else field.zero() for v in basis] for b in basis]
     # row index i: sum_a u_a Tr_reg(v_a b_i) = eps(b_i)
-    sol = try_solve(Matrix(field, rows), [h.counit_of(b) for b in basis])
+    sol = try_solve(Matrix(field, rows), [h.eps(b) for b in basis])
     if sol is None or sol[1].dim:
         raise Degenerate("counit restricted to H_t is degenerate")
-    g = h.invert_element(ht.vector(sol[0]))
-    if not ht.contains(g):
+    g = h._inverse(ht._combine(sol[0]))
+    if not ht._has(g):
         raise Degenerate("inverse of g^{-1} left H_t")
-    return MinimalData(target=ht, core=ht.intersect(h.source_base), g=Element(h, g))
+    return MinimalData(target=ht, core=ht.intersect(h.source_base), g=Element._of(h, g))

@@ -320,6 +320,22 @@ def test_a_size_that_is_not_a_positive_int_is_an_invalid_presentation(build, mes
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: group_algebra(cyclic_table(2), labels=["a"]), "1 morphism labels for 2 morphisms"),
+        (lambda: group_algebra(cyclic_table(2), labels=["a", "b", "c"]), "3 morphism labels for 2 morphisms"),
+        (lambda: matrix_wha(2, labels=["a"]), "1 morphism labels for 4 morphisms"),
+        (lambda: matrix_wha(1, labels=["a", "b", "c"]), "3 morphism labels for 1 morphisms"),
+    ],
+    ids=["group-short", "group-long", "matrix-short", "matrix-long"],
+)
+def test_a_wrong_number_of_labels_is_an_invalid_presentation(build, message):
+    with pytest.raises(InvalidPresentation) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "table",
     [[[0, 1], [1]], [[0, 1], [1, 2]], [[0, 1], [1, -1]], [[0, 1], [1, 0.5]], [[0, 1], 1], [[0], [0]]],
     ids=["short-row", "index-too-big", "negative-index", "float-index", "row-not-a-list", "too-few-columns"],

@@ -142,11 +142,25 @@ def test_a_bad_field_spec_is_a_parse_error(args, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("order", [0, -3])
-def test_a_cyclotomic_order_below_one_is_an_invalid_presentation(order):
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        (0, "Q(zeta_n) needs n >= 1, got 0"),
+        (-3, "Q(zeta_n) needs n >= 1, got -3"),
+        (2.5, "Q(zeta_n) needs n >= 1, got 2.5"),
+        (True, "Q(zeta_n) needs n >= 1, got True"),
+        ("3", "Q(zeta_n) needs n >= 1, got '3'"),
+        (3.0, "Q(zeta_n) needs n >= 1, got 3.0"),
+        (1, "Q(zeta_1) is the rationals; make_field returns QQ for it"),
+        (2, "Q(zeta_2) is the rationals; make_field returns QQ for it"),
+    ],
+    ids=["0", "-3", "float", "bool", "str", "integral-float", "1", "2"],
+)
+def test_a_cyclotomic_order_below_one_is_an_invalid_presentation(order, message):
+    """Every order that is not an int (not a bool) of at least 3, also under python -O."""
     with pytest.raises(InvalidPresentation) as info:
         CyclotomicField(order)
-    assert str(info.value) == f"Q(zeta_n) needs n >= 1, got {order}"
+    assert str(info.value) == message
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)

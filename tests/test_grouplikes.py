@@ -11,7 +11,14 @@ from whopf.constructors import (
     pair_groupoid,
     symmetric_table,
 )
-from whopf.errors import Inconsistent, InvalidOperand, InvalidPresentation, PreconditionUnmet, RegularityViolated
+from whopf.errors import (
+    Inconsistent,
+    InvalidOperand,
+    InvalidPresentation,
+    PreconditionUnmet,
+    RegularityViolated,
+    WhopfError,
+)
 from whopf.fields import QQ
 from whopf.grouplikes import (
     antipode_order_report,
@@ -394,6 +401,11 @@ def test_trivial_grouplike_inputs_outside_hs_are_typed_errors():
     assert not bad.source_base.contains(bad.unit)
     with pytest.raises(Inconsistent):
         module_from_integral(bad, (1, 1))
+    # a vector of the right length whose entries are not scalars, and a dict, whose keys are not coefficients
+    with pytest.raises(WhopfError):
+        is_grouplike(z2, "ab")
+    with pytest.raises(InvalidOperand):
+        is_grouplike(z2, {0: 2, 1: 0})
 
 
 def _wrapper_cases():

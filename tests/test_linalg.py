@@ -537,6 +537,8 @@ def test_shape_errors_are_typed():
     u3 = Subspace.full(QQ, 3)
     bad = [
         lambda: Matrix(QQ, [[1, 2], [3]]),
+        lambda: Matrix(QQ, 5),
+        lambda: Matrix(QQ, [5]),
         lambda: m23 + m22,
         lambda: m23 - m22,
         lambda: m23 @ m22,

@@ -116,8 +116,8 @@ def test_abelian_grouplikes_z2():
     assert group.order == 2 and group.exponent == 2
     assert group.characters == [(0, 0), (0, 1)]
     # P_mu are orthogonal idempotents summing to 1
-    p0 = group.minimal_idempotent(QQ, 0)
-    p1 = group.minimal_idempotent(QQ, 1)
+    p0 = group.minimal_idempotent(QQ, 0).coeffs
+    p1 = group.minimal_idempotent(QQ, 1).coeffs
     assert u.mul_vec(p0, p0) == p0
     assert u.mul_vec(p0, p1) == (0, 0)
     assert tuple(a + b for a, b in zip(p0, p1)) == u.unit

@@ -320,6 +320,12 @@ def test_malformed_construction_is_invalid_presentation(mult, unit, comult, coun
         WeakHopfAlgebra(QQ, ["a"], mult, unit, comult, counit, antipode=antipode)
 
 
+@pytest.mark.parametrize("field, mult", [(None, {(0, 0): {0: 1}}), (QQ, "x")], ids=["field-none", "mult-str"])
+def test_a_field_or_mult_of_the_wrong_kind_is_invalid_presentation(field, mult):
+    with pytest.raises(InvalidPresentation):
+        WeakHopfAlgebra(field, ["a"], mult, [1], [{(0, 0): 1}], [1])
+
+
 @pytest.mark.parametrize(
     "antipode",
     [5, [[1, 0], 5], [[1, 0], None], [[1, 0], {0, 1}]],
@@ -501,25 +507,30 @@ def test_table_index_shares_the_cells_of_mult_in_its_order():
 
 @pytest.mark.parametrize("name", ["pair-3", "z3-group-cyclotomic", "sweedler4", "hmin-m2-g31", "dyn-twist-z2"])
 def test_basis_products_are_lines_of_the_index(name):
-    """sum c e_i x and sum c x e_i from ``_basis_products`` equal the dense products by e_i."""
-    from whopf.wha import _basis, _basis_products, _sparse
+    """sum c e_i x and sum c x e_i from ``_basis_products`` equal the dense products by e_i, read sparse."""
+    from whopf.wha import _basis_products
     from whopf.zoo import build_member
 
     h = build_member(name)
     field = h.field
     two = field.from_int(2)
-    xs = [h.unit, h.mul_vec(h.unit, h.unit)] + [_basis(h, i) for i in range(h.dim)]
+
+    def sparse(v):
+        """The nonzeros of the dense vector v, read independently of the library."""
+        return {i: c for i, c in enumerate(v) if c}
+
+    xs = [h.unit, h.mul_vec(h.unit, h.unit)] + [_basis_vec(h, i) for i in range(h.dim)]
     xs.append(tuple(field.from_int(i % 3 - 1) for i in range(h.dim)))
     for x in xs:
         for i in range(h.dim):
-            e = _basis(h, i)
-            assert _basis_products(h, [(two, i, _sparse(x))], left=True) == tuple(two * c for c in h.mul_vec(e, x))
-            assert _basis_products(h, [(two, i, _sparse(x))], left=False) == tuple(two * c for c in h.mul_vec(x, e))
-    terms = [(field.from_int(k + 1), k, _sparse(xs[-1])) for k in range(h.dim)]
+            e = _basis_vec(h, i)
+            assert _basis_products(h, [(two, i, sparse(x))], left=True) == sparse(two * c for c in h.mul_vec(e, x))
+            assert _basis_products(h, [(two, i, sparse(x))], left=False) == sparse(two * c for c in h.mul_vec(x, e))
+    terms = [(field.from_int(k + 1), k, sparse(xs[-1])) for k in range(h.dim)]
     left = [field.zero()] * h.dim
     for c, i, _x in terms:
-        left = [a + c * b for a, b in zip(left, h.mul_vec(_basis(h, i), xs[-1]))]
-    assert _basis_products(h, terms, left=True) == tuple(left)
+        left = [a + c * b for a, b in zip(left, h.mul_vec(_basis_vec(h, i), xs[-1]))]
+    assert _basis_products(h, terms, left=True) == sparse(left)
 
 
 def test_the_base_spans_read_the_counital_maps_without_coercing(monkeypatch):
