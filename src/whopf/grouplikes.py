@@ -25,7 +25,7 @@ from .errors import (
     RegularityViolated,
     Undecidable,
 )
-from .linalg import Matrix, Subspace, _solve, kernel_on, try_solve
+from .linalg import Matrix, Subspace, _coerced, _solve, kernel_on
 from .search import first, height_vectors, invertible_in, max_height
 from .wha import (
     Element,
@@ -323,11 +323,12 @@ def module_from_integral(h, ell):
             if sol is None or sol[1].dim:
                 raise Inconsistent("ell is not separating on H_s")
             acols.append(sol[0])
-        mats.append(Matrix.from_columns(h.field, acols))
+        mats.append(Matrix._sums(h.field, acols, hs.dim).transpose())
     one_coords, rest = hs._residue(h.one.terms.items())
     if rest:
         raise Inconsistent("unit does not lie in H_s")
-    gamma = {j: h.eps(Element._of(h, hs._combine(m.matvec(one_coords)))) for j, m in enumerate(mats)}
+    one_coords = _coerced(h.field, one_coords)
+    gamma = {j: h.eps(Element._of(h, hs._combine(m._apply(one_coords).items()))) for j, m in enumerate(mats)}
     gamma = Functional._of(h, _pruned(gamma))
     return gamma, GammaModule(gamma=gamma, base=hs, action=tuple(mats))
 
@@ -479,7 +480,7 @@ def is_trivial_automorphism(h, phi):
     # affine slice eps_t(u) = 1 = eps_s(u) within the conjugator space: rows of eps_t U^T over eps_s U^T
     ut = Matrix._of(field, conjugators.sparse_rows, n).transpose()
     m = Matrix._of(field, (h.eps_t_mat @ ut).sparse_rows + (h.eps_s_mat @ ut).sparse_rows, conjugators.dim)
-    sol = try_solve(m, h.unit + h.unit)
+    sol = _solve(m, {**h.one.terms, **{n + i: x for i, x in h.one.terms.items()}})
     if sol is None:
         return "no", None
     particular, kern = sol
@@ -502,7 +503,8 @@ def is_trivial_automorphism(h, phi):
             return "yes", got
     # particular first, then a bounded affine sweep; beyond it the verdict is an honest undecided
     shifts = islice(chain([(0,) * kern.dim], height_vectors(kern.dim, max_height=max_height())), 4000)
-    coeffs = (tuple(p + s for p, s in zip(particular, kern.vector(shift))) for shift in shifts)
+    shifts = (kern._combine(enumerate(shift)) for shift in shifts)
+    coeffs = (tuple(particular.get(k, zero) + s.get(k, zero) for k in range(kern.ambient)) for s in shifts)
     got = first(h, conjugators, coeffs, qualifies)
     if got:
         return "yes", got

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
-from .linalg import Matrix, _solve
+from .linalg import Matrix, _coerced, _solve
 from .search import first, height_vectors, max_height
 from .wha import (
     Element,
@@ -110,7 +110,7 @@ def dual_integral(h, ell):
     sol = _solve(nondegeneracy_matrix(h, ell), h.one.terms)
     if sol is None or sol[1].dim:
         raise Inconsistent("integral is degenerate; is_nondegenerate lied")
-    lam = Functional(h, sol[0])
+    lam = Functional._of(h, _coerced(h.field, sol[0]))
     pair = DualPair(ell=ell, lam=lam)
     pair.check(h)
     if not h.dual.left_integrals._has(lam.terms):

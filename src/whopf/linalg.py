@@ -1,42 +1,40 @@
 """Exact linear algebra over a scalar field.
 
-Everything is immutable and exact.  One exact eliminator serves every entry point:
-``_reduce`` runs Gauss-Jordan elimination on sparse rows (col -> scalar,
-zero entries dropped) and returns the fully back-substituted pivot rows.
-Its forward step, ``_insert``, adds one row at a time and reports whether
-the row added a pivot, which lets a caller grow a span incrementally.
-``solve_sparse`` carries the right-hand side as one more column and reads
-the particular solution and the kernel off the same rows.
+Everything is immutable and exact.  One eliminator serves every entry point:
+``_reduce`` runs Gauss-Jordan elimination on sparse rows and returns the fully
+back-substituted pivot rows; its forward step ``_insert`` adds one row and
+reports whether it added a pivot.  ``solve_sparse`` carries the right-hand
+side as one more column and reads the particular solution and the kernel off
+the pivot rows.  ``kernel_on`` lifts the kernel of linear conditions on a
+subspace back to a canonical Subspace (``kernel`` and ``intersect`` use it).
 
-A ``Subspace`` keeps the pivot rows of ``_reduce``, sorted by pivot, and
-``rref`` is the dense view of such a span.  Reduced row echelon form is
-unique, so Subspace equality is decidable by comparing canonical bases.
+One vector format runs through the private bodies: a dict index -> nonzero
+scalar, the row format of ``Matrix.sparse_rows``.  ``solve_sparse``, ``_solve``,
+``_solve_modular`` and ``Subspace._residue`` answer in it; ``_combine`` reads it.
+A dense vector enters only through a public adapter, and every adapter reads
+it through one checked routine, ``_entries``: one entry per coordinate (else
+InvalidOperand), each coerced into the field, nonzeros kept.
 
-A ``Matrix`` holds only its nonzeros, in the eliminator's own row form, so
-``rank``, ``invert``, ``kernel`` and ``try_solve`` hand its rows over as
-they are.  The one matrix product is the row-wise sparse join of Gustavson
-(ACM TOMS 1978): each nonzero x = A[i, k] scatters x times the nonzeros of
-row k of B into row i of AB, so the cost is the nonzero products, not n^3.
-
-``kernel_on`` solves the homogeneous systems (the kernel of linear maps
-restricted to a subspace) and lifts the kernel back to a canonical
-Subspace; ``kernel`` and ``Subspace.intersect`` are two of its uses.
+A ``Subspace`` keeps the pivot rows of ``_reduce``, sorted by pivot, so
+equality compares canonical bases; ``rref`` is the dense view of a span.  A
+``Matrix`` holds only its nonzeros, in the eliminator's row form.  Its one
+product is the row-wise sparse join of Gustavson (ACM TOMS 1978): each
+nonzero A[i, k] scatters the nonzeros of row k of B into row i of AB.
 
 The modular step of ``solve_antipode`` is the one place that works mod a
-prime, and it serves nothing else.  ``_solve_modular`` solves a system over
-F_p once per embedding of the field (``Field.modular``) with ``_solve_mod``,
-a forward step like ``_insert`` on ints, and lifts each coefficient by
-rational reconstruction (``_reconstruct``; Wang 1981).  Its result is a
-candidate: ``solve_antipode`` certifies it with exact checks, and otherwise
-falls back on ``_reduce``, which stays the one exact eliminator.
+prime.  ``_solve_modular`` solves a system over F_p once per embedding of the
+field (``Field.modular``) with ``_solve_mod``, a forward step like ``_insert``
+on ints, and lifts each coefficient by rational reconstruction
+(``_reconstruct``; Wang 1981).  ``solve_antipode`` certifies the result with
+exact checks, and otherwise falls back on ``_reduce``, the one exact eliminator.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import gcd, isqrt
 
-from .errors import Inconsistent, InvalidOperand, NoSolution, Singular
+from .errors import InvalidOperand, NoSolution, Singular
 
 __all__ = [
     "Matrix", "Subspace", "rref", "solve", "try_solve", "invert", "kernel", "kernel_on", "solve_sparse"
@@ -45,6 +43,20 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # the eliminator
+
+
+def _entries(field, v, n, what="vector"):
+    """The nonzero (index, scalar) pairs of a dense vector v of n entries, each coerced; else InvalidOperand."""
+    if len(v := tuple(v)) != n:
+        raise InvalidOperand(f"{what} of length {len(v)} where {n} entries are needed")
+    coerce = field.coerce
+    return [(j, c) for j, x in enumerate(v) if (c := coerce(x))]
+
+
+def _coerced(field, x):
+    """The sparse vector x of computed scalars without its zeros, the rest coerced (int for integral on QQ)."""
+    coerce = field.coerce
+    return {j: coerce(v) for j, v in x.items() if v}
 
 
 def _reduce(rows, field, stop):
@@ -182,12 +194,12 @@ def _solve_modular(build, ncols, field):
     whole system.  When the first embedding reads only rational scalars,
     every embedding gives the same system, and it is solved once.
 
-    Returns the lifted solution as a list, with int 0 for zero, or None when
-    there is no prime, p divides a denominator, fewer than ncols rows pivot
-    or a lift fails.  The caller certifies the result: rank mod p never
-    exceeds rank over the field, so when ncols rows pivot mod p the system
-    has at most one solution, and a lifted x that satisfies every row
-    exactly is that solution.
+    Returns the lifted solution as a dict unknown -> nonzero scalar, in
+    increasing order, or None when there is no prime, p divides a
+    denominator, fewer than ncols rows pivot or a lift fails.  The caller
+    certifies the result: rank mod p never exceeds rank over the field, so
+    when ncols rows pivot mod p the system has at most one solution, and a
+    lifted x that satisfies every row exactly is that solution.
     """
     modular = field.modular()
     if modular is None:
@@ -206,7 +218,7 @@ def _solve_modular(build, ncols, field):
             pivoted = got[1]
         if not image.irrational:
             break
-    out, lifted = [0] * ncols, {}
+    out, lifted = {}, {}
     for j, values in enumerate(zip(*solutions)):
         if any(values):
             v = lifted.get(values)
@@ -219,9 +231,10 @@ def _solve_modular(build, ncols, field):
 
 
 def rref(rows, field):
-    """Canonical reduced row echelon form of dense rows, the dense view of their span; returns (rows, pivot columns)."""
+    """Canonical reduced row echelon form of dense rows, the dense view of their span; returns (rows, pivots)."""
     rows = list(rows)
-    span = Subspace._span(field, len(rows[0]) if rows else 0, map(enumerate, rows))
+    width = len(rows[0]) if rows else 0
+    span = Subspace._span(field, width, [_entries(field, row, width, "row") for row in rows])
     return list(span.rows), list(span.pivots)
 
 
@@ -244,14 +257,12 @@ class Matrix:
 
     def __init__(self, field, rows):
         try:
-            rows = [[field.coerce(x) for x in row] for row in rows]
+            rows = list(rows)
+            ncols = len(rows[0]) if rows else 0
+            self.sparse_rows = tuple(dict(_entries(field, row, ncols, "matrix row")) for row in rows)
         except TypeError:
             raise InvalidOperand("a matrix needs rows of scalars") from None
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise InvalidOperand("matrix rows of unequal length")
         self.field, self.nrows, self.ncols = field, len(rows), ncols
-        self.sparse_rows = tuple({j: x for j, x in enumerate(r) if x} for r in rows)
 
     @classmethod
     def _of(cls, field, rows, ncols):
@@ -263,8 +274,7 @@ class Matrix:
     @classmethod
     def _sums(cls, field, rows, ncols):
         """The ncols-column Matrix on sparse rows of computed scalars: zeros dropped, the rest coerced."""
-        coerce = field.coerce
-        return cls._of(field, tuple({j: coerce(x) for j, x in row.items() if x} for row in rows), ncols)
+        return cls._of(field, tuple(_coerced(field, row) for row in rows), ncols)
 
     @classmethod
     def identity(cls, field, n):
@@ -279,9 +289,7 @@ class Matrix:
     def from_columns(cls, field, cols):
         """The Matrix whose column j is the dense vector cols[j], the transpose of the rows cols."""
         nrows = len(cols[0]) if cols else 0
-        if any(len(col) != nrows for col in cols):
-            raise InvalidOperand("matrix columns of unequal length")
-        return cls._sums(field, [dict(enumerate(col)) for col in cols], nrows).transpose()
+        return cls._of(field, tuple(dict(_entries(field, c, nrows, "matrix column")) for c in cols), nrows).transpose()
 
     @property
     def rows(self):
@@ -349,9 +357,7 @@ class Matrix:
 
     def matvec(self, v):
         """M v for a dense vector v, as a tuple: the dense adapter of ``_apply``."""
-        if len(v) != self.ncols:
-            raise InvalidOperand(f"vector of length {len(v)} for {self!r}")
-        zero, got = self.field.zero(), self._apply({j: self.field.coerce(x) for j, x in enumerate(v)})
+        zero, got = self.field.zero(), self._apply(dict(_entries(self.field, v, self.ncols)))
         return tuple(got.get(i, zero) for i in range(self.nrows))
 
     def _apply(self, x):
@@ -397,8 +403,8 @@ class Matrix:
 
     def power(self, k):
         self._square("power")
-        if k < 0:
-            raise InvalidOperand(f"negative power {k}")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise InvalidOperand(f"power {k!r} is not an int of at least 0")
         out = Matrix.identity(self.field, self.nrows)
         base = self
         while k:
@@ -430,20 +436,15 @@ def kernel(m):
 
 
 def try_solve(m, b):
-    """Solve Mx = b; returns (particular, kernel Subspace) or None.  InvalidOperand unless b has
-    one entry per row of M."""
-    if len(b) != m.nrows:
-        raise InvalidOperand(f"right-hand side of length {len(b)} for {m!r}")
-    return _solve(m, dict(enumerate(map(m.field.coerce, b))))
+    """Solve Mx = b for a dense b of one entry per row: (particular tuple, kernel Subspace) or None."""
+    got = _solve(m, dict(_entries(m.field, b, m.nrows, "right-hand side")))
+    return got and (tuple(got[0].get(j, m.field.zero()) for j in range(m.ncols)), got[1])
 
 
 def _solve(m, b):
-    """``try_solve`` for a sparse right-hand side b (row -> scalar of the field)."""
-    zero = m.field.zero()
-    got = solve_sparse(m.sparse_rows, [b.get(i, zero) for i in range(m.nrows)], m.ncols, m.field)
-    if got is None:
-        return None
-    return got[0], Subspace._span(m.field, m.ncols, map(enumerate, got[1]))
+    """``try_solve`` for a sparse right-hand side b (row -> scalar of the field), with a sparse particular solution."""
+    got = solve_sparse(m.sparse_rows, [b.get(i, m.field.zero()) for i in range(m.nrows)], m.ncols, m.field)
+    return got and (got[0], Subspace._span(m.field, m.ncols, map(dict.items, got[1])))
 
 
 def solve(m, b):
@@ -458,43 +459,40 @@ def solve(m, b):
 
 
 def solve_sparse(rows, rhs, ncols, field):
-    """Solve a sparse linear system; rows are dicts col -> scalar.
+    """Solve the rows (dicts col -> scalar) = rhs: (particular, kernel) read off the pivot rows, or None.
 
-    Returns (particular tuple, kernel basis as list of tuples) or None if
-    inconsistent.  The right-hand side rides along as column ``ncols``, so
-    the system is inconsistent exactly when that column would become a
-    pivot.  The particular solution is zero on the free columns, and the
-    kernel has one vector per free column, in column order.
+    The right-hand side rides along as column ``ncols``, so the system is
+    inconsistent exactly when that column would become a pivot.  ``particular``
+    is a dict col -> nonzero scalar, and ``kernel`` has one per free column f,
+    in column order; a pivot row holds its pivot and free columns after it, so
+    each dict lists its columns in increasing order, a kernel dict ending at f.
+    InvalidOperand unless rhs has one entry per row, and every column lies in range(ncols).
     """
+    if len(rhs) != len(rows) or any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
+        raise InvalidOperand(f"{len(rows)} rows need as many right-hand side entries and columns in range({ncols})")
     pivot_rows = _reduce((chain(row.items(), [(ncols, b)]) for row, b in zip(rows, rhs)), field, ncols)
     if pivot_rows is None:
         return None
-    zero, one = field.zero(), field.one()
-    particular = [zero] * ncols
-    basis = {f: [zero] * ncols for f in range(ncols) if f not in pivot_rows}
-    for f, v in basis.items():
-        v[f] = one
-    for c, row in pivot_rows.items():
-        for j, x in row.items():
+    particular, kernel = {}, {f: {} for f in range(ncols) if f not in pivot_rows}
+    for c in sorted(pivot_rows):
+        for j, x in pivot_rows[c].items():
             if j == ncols:
                 particular[c] = x
             elif j != c:
-                basis[j][c] = -x
-    return tuple(particular), [tuple(v) for v in basis.values()]
+                kernel[j][c] = -x
+    return particular, [{**v, f: field.one()} for f, v in kernel.items()]
 
 
 def kernel_on(space, rows):
     """{v in space : every row vanishes on v} as a canonical Subspace of space.ambient.
 
     Each row is a sparse dict c -> scalar (zero entries may be left out) over
-    the coordinates of ``space.rows``: the linear condition sum_c row[c] x_c = 0
-    on v = sum_c x_c space.rows[c].
+    the coordinates of ``space.rows`` (else InvalidOperand): the linear
+    condition sum_c row[c] x_c = 0 on v = sum_c x_c space.rows[c].
     """
     field = space.field
-    got = solve_sparse(rows, repeat(field.zero()), space.dim, field)
-    if got is None:
-        raise Inconsistent("homogeneous system reported inconsistent")
-    return Subspace._span(field, space.ambient, (space._combine(kv).items() for kv in got[1]))
+    kern = solve_sparse(rows, [field.zero()] * len(rows), space.dim, field)[1]
+    return Subspace._span(field, space.ambient, (space._combine(kv.items()).items() for kv in kern))
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +503,9 @@ class Subspace:
     """Row space with a canonical (reduced row echelon) basis: ``sparse_rows[k]`` maps column j to entry j of row k.
 
     The rows are the eliminator's, nonzeros only and sorted by pivot; ``rows``
-    is the dense view, built on each read.  ``from_vectors`` coerces every
-    entry of dense vectors, and ``_span`` takes the field's own scalars as
-    they are.  One residue routine, ``_residue``, serves ``coords``,
-    ``reduce``, ``contains``, ``<=``, ``intersect`` and ``matrix_of``.
+    is the dense view.  ``_span`` takes the field's own scalars as they are.
+    One residue routine, ``_residue``, serves ``coords``, ``reduce``,
+    ``contains``, ``<=``, ``intersect`` and ``matrix_of``.
     """
 
     __slots__ = ("field", "ambient", "pivots", "sparse_rows")
@@ -525,11 +522,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
         """The span of ``vectors`` in field^ambient; InvalidOperand unless each has ambient entries."""
-        vectors = [tuple(field.coerce(x) for x in v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient:
-                raise InvalidOperand(f"vector of length {len(v)} in ambient dimension {ambient}")
-        return cls._span(field, ambient, map(enumerate, vectors))
+        return cls._span(field, ambient, [_entries(field, v, ambient) for v in vectors])
 
     @classmethod
     def full(cls, field, n):
@@ -548,40 +541,39 @@ class Subspace:
         return len(self.sparse_rows)
 
     def _residue(self, pairs):
-        """(c, r) for the vector v with nonzeros ``pairs``: c_k is v at pivot k, as row k is 1 there
-        and 0 at the other pivots, and r = v - sum_k c_k rows[k] is a sparse dict, empty iff v lies in
-        the span.  Reads only the nonzeros of v and of the rows with c_k != 0."""
+        """(c, r) for the vector v with nonzeros ``pairs``: c maps k to v at pivot k (row k is 1 there, 0 at
+        the other pivots), nonzeros only and k increasing, and r = v - sum_k c_k rows[k] is a sparse dict,
+        empty iff v lies in the span.  Reads only the nonzeros of v and of the rows with c_k != 0."""
         zero = self.field.zero()
         r = {j: x for j, x in pairs if x}
-        coeffs = []
-        for p, row in zip(self.pivots, self.sparse_rows):
-            c = r.pop(p, zero)
-            coeffs.append(c)
-            if c:
+        coeffs = {}
+        for k, (p, row) in enumerate(zip(self.pivots, self.sparse_rows)):
+            if p in r:
+                c = coeffs[k] = r.pop(p)
                 _subtract(r, c, row, p, zero)
         return coeffs, r
 
     def coords(self, v):
-        """Coefficients of v in the canonical basis, or None if v outside."""
-        coeffs, rest = self._residue(enumerate(v))
-        return None if rest else tuple(coeffs)
+        """Coefficients of the dense vector v in the canonical basis, or None if v outside."""
+        coeffs, rest = self._residue(_entries(self.field, v, self.ambient))
+        return None if rest else tuple(coeffs.get(k, self.field.zero()) for k in range(self.dim))
 
-    def _combine(self, coeffs):
-        """sum_k coeffs[k] rows[k] as a sparse dict without zeros; reads only nonzero coefficients and entries."""
-        zero, v = self.field.zero(), {}
-        for c, row in zip(coeffs, self.sparse_rows):
+    def _combine(self, pairs):
+        """sum_k c rows[k] over the (k, c) pairs, a sparse dict; reads only nonzero coefficients and entries."""
+        zero, v, rows = self.field.zero(), {}, self.sparse_rows
+        for k, c in pairs:
             if c:
-                for j, y in row.items():
+                for j, y in rows[k].items():
                     v[j] = v.get(j, zero) + c * y
         return {j: x for j, x in v.items() if x}
 
     def vector(self, coeffs):
-        """sum_k coeffs[k] rows[k] as a tuple, the inverse of ``coords``."""
-        zero, v = self.field.zero(), self._combine(coeffs)
+        """sum_k coeffs[k] rows[k] as a tuple, the inverse of ``coords``; one coefficient per basis row."""
+        zero, v = self.field.zero(), self._combine(_entries(self.field, coeffs, self.dim, "coefficient vector"))
         return tuple(v.get(j, zero) for j in range(self.ambient))
 
     def contains(self, v):
-        return not self._residue(enumerate(v))[1]
+        return not self._residue(_entries(self.field, v, self.ambient))[1]
 
     def _has(self, x):
         """``contains`` for a sparse vector x (column -> scalar)."""
@@ -589,22 +581,27 @@ class Subspace:
 
     def reduce(self, v):
         """Residual of v modulo the subspace (zero iff contained)."""
-        rest = self._residue(enumerate(v))[1]
-        return tuple(rest.get(j, self.field.zero()) for j in range(len(v)))
+        rest = self._residue(_entries(self.field, v, self.ambient))[1]
+        return tuple(rest.get(j, self.field.zero()) for j in range(self.ambient))
 
     def matrix_of(self, images):
-        """The matrix, in this basis, of the map sending basis row k to images[k]; None when an image lies outside."""
-        return self._matrix_of(map(enumerate, images))
+        """The matrix, in this basis, of the map sending basis row k to the dense vector images[k], or None
+        when an image lies outside."""
+        images = [_entries(self.field, v, self.ambient, "image") for v in images]
+        if len(images) != self.dim:
+            raise InvalidOperand(f"{len(images)} images for a basis of {self.dim} rows")
+        return self._matrix_of(images)
 
     def _matrix_of(self, images):
-        """``matrix_of`` for images given by their (column, scalar) pairs."""
-        cols = []
-        for pairs in images:
+        """``matrix_of`` for images given by their (column, scalar) pairs, one per basis row."""
+        rows = [{} for _ in self.sparse_rows]
+        for i, pairs in enumerate(images):
             coeffs, rest = self._residue(pairs)
             if rest:
                 return None
-            cols.append(coeffs)
-        return Matrix.from_columns(self.field, cols)
+            for k, c in coeffs.items():
+                rows[k][i] = c
+        return Matrix._sums(self.field, rows, len(rows))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and (self.ambient, self.sparse_rows) == (other.ambient, other.sparse_rows)

@@ -79,7 +79,7 @@ def grid_vectors(degree, dim):
 def first(h, space, coeff_vectors, accept, skip=0):
     """The (skip+1)-th truthy ``accept(v)``, v the Element sum_k c_k rows[k] of h, over ``coeff_vectors`` c, or None."""
     for coeffs in coeff_vectors:
-        got = accept(Element._of(h, space._combine(coeffs)))
+        got = accept(Element._of(h, space._combine(enumerate(coeffs))))
         if got:
             if not skip:
                 return got

@@ -122,7 +122,7 @@ def _min_poly_in(h, space, unit, x):
         coords, rest = space._residue(power.items())
         if rest:
             raise Inconsistent("component not closed under multiplication")
-        pivot = _insert(echelon, chain(enumerate(coords), [(d + k, field.one())]), field)
+        pivot = _insert(echelon, chain(coords.items(), [(d + k, field.one())]), field)
         if pivot >= d:
             relation = echelon[pivot]
             lead = field.inv(relation[d + k])

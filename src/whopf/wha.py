@@ -109,7 +109,7 @@ from .errors import (
     Singular,
 )
 from .fields import Field
-from .linalg import Matrix, Subspace, _insert, _solve, _solve_modular, invert, kernel_on, solve_sparse, try_solve
+from .linalg import Matrix, Subspace, _coerced, _insert, _solve, _solve_modular, invert, kernel_on, solve_sparse
 
 __all__ = [
     "AxiomCheck",
@@ -674,7 +674,7 @@ class WeakHopfAlgebra:
         sol = _solve(self._mult_matrix(a, True), self.one.terms)
         if sol is None or sol[1].dim:
             raise NotInvertible("element has no two-sided inverse")
-        x = Element(self, sol[0]).terms
+        x = _coerced(self.field, sol[0])
         if self._mul(x, a) != self.one.terms:
             raise NotInvertible("left inverse is not a right inverse")
         return x
@@ -1343,9 +1343,7 @@ def validate_weak_bialgebra(h):
     one_v = [_join(h.mult_rows, unit_vec, v, zero) for v in vs]
     v_one = [_join(h.mult_rows, v, unit_vec, zero) for v in vs]
     thirds = Subspace._span(field, n, map(dict.items, vs + one_v + v_one))
-
-    def coords(v):
-        return [(beta, c) for beta, c in enumerate(thirds._residue(v.items())[0]) if c]
+    coords = lambda v: thirds._residue(v.items())[0].items()  # sparse coordinates in thirds
 
     def in_thirds(terms):
         """sum of P (x) w over (P, coords of w) in terms, keyed (a, b, beta) for w's basis index beta."""
@@ -1574,7 +1572,11 @@ def solve_antipode(h):
     """
     n, field = h.dim, h.field
     left = {}
-    square = lambda x: Matrix._sums(field, [dict(enumerate(x[m * n : m * n + n])) for m in range(n)], n)
+    def square(x):  # the n^2 unknowns, row by row
+        rows = [{} for _ in range(n)]
+        for k, v in x.items():
+            rows[k // n][k % n] = v
+        return Matrix._sums(field, rows, n)
     s = _solve_modular(lambda image: _antipode_rows(h, left, image), n * n, field)
     if s is not None:
         s = square(s)
@@ -1621,15 +1623,14 @@ def minimal_data(h):
     """Recover (H_t, H_t cap H_s, g) with eps|_{H_t} = Tr_reg(g^{-1} . )."""
     ht = h.target_base
     field = h.field
-    # Solve Tr_reg(u b_i) = eps(b_i) for u in H_t; the pairing matrix is
-    # P[a][i] = Tr_reg(v_a b_i) over the echelon basis v_a of H_t.
+    # Solve Tr_reg(u b_i) = eps(b_i) for u = sum_a u_a v_a in H_t, v_a its echelon basis: row i of the
+    # Gram matrix holds Tr_reg(v_a b_i) at a.
     basis = [Element._of(h, row) for row in ht.sparse_rows]
-    rows = [[regular_trace_on(h, ht, p) if (p := v * b) else field.zero() for v in basis] for b in basis]
-    # row index i: sum_a u_a Tr_reg(v_a b_i) = eps(b_i)
-    sol = try_solve(Matrix(field, rows), [h.eps(b) for b in basis])
+    gram = [{a: regular_trace_on(h, ht, p) for a, v in enumerate(basis) if (p := v * b)} for b in basis]
+    sol = _solve(Matrix._sums(field, gram, len(basis)), _coerced(field, {i: h.eps(b) for i, b in enumerate(basis)}))
     if sol is None or sol[1].dim:
         raise Degenerate("counit restricted to H_t is degenerate")
-    g = h._inverse(ht._combine(sol[0]))
+    g = h._inverse(ht._combine(sol[0].items()))
     if not ht._has(g):
         raise Degenerate("inverse of g^{-1} left H_t")
     return MinimalData(target=ht, core=ht.intersect(h.source_base), g=Element._of(h, g))

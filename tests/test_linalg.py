@@ -66,6 +66,14 @@ def reference_solve(m, b):
     return tuple(particular), basis
 
 
+def densified(got, ncols, zero=0):
+    """The sparse (particular, kernel) of solve_sparse as the dense (tuple, list of tuples) of reference_solve."""
+    if got is None:
+        return None
+    dense = lambda x: tuple(x.get(j, zero) for j in range(ncols))
+    return dense(got[0]), [dense(kv) for kv in got[1]]
+
+
 def reference_span(field, vectors):
     """Canonical (rows, pivots) of the span of vectors, by reference_rref."""
     return reference_rref(vectors, field) if vectors else ([], [])
@@ -190,7 +198,7 @@ def test_solve_sparse_matches_dense():
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(nc)]
         b = a.matvec(x0)
         rows = [{j: v for j, v in enumerate(r) if v} for r in a.rows]
-        got = solve_sparse(rows, list(b), nc, QQ)
+        got = densified(solve_sparse(rows, list(b), nc, QQ), nc)
         assert got is not None
         part, basis = got
         assert a.matvec(part) == tuple(b)
@@ -399,7 +407,8 @@ def test_eliminator_on_mixed_scalars_matches_the_fraction_reference(case):
     same_vectors(got[0], want[0])
 
     sparse = lambda rs: [{j: x for j, x in enumerate(r) if x} for r in rs]
-    got, want = solve_sparse(sparse(rows), rhs, ncols, QQ), solve_sparse(sparse(frows), frhs, ncols, FQ)
+    got = densified(solve_sparse(sparse(rows), rhs, ncols, QQ), ncols, QQ.zero())
+    want = densified(solve_sparse(sparse(frows), frhs, ncols, FQ), ncols, FQ.zero())
     assert (got is None) == (want is None)
     if got is not None:
         same_vectors([got[0]], [want[0]])
@@ -652,7 +661,7 @@ def dense_kernel(m):
 
 def dense_try_solve(m, b):
     rows = [dict(enumerate(row)) for row in m.rows]
-    got = solve_sparse(rows, [m.field.coerce(x) for x in b], m.ncols, m.field)
+    got = densified(solve_sparse(rows, [m.field.coerce(x) for x in b], m.ncols, m.field), m.ncols, m.field.zero())
     if got is None:
         return None
     return got[0], Subspace.from_vectors(m.field, m.ncols, got[1])
@@ -843,6 +852,79 @@ def test_solver_and_span_shapes_are_checked():
     assert Subspace.from_vectors(QQ, 2, [[1, 2], [2, 4]]).rows == ((1, 2),)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_sparse([{0: 1}, {1: 1}], [1], 2, QQ),  # zip dropped the second row
+        lambda: solve_sparse([{0: 1}], [1, 2], 1, QQ),  # the extra right-hand side entry was ignored
+        lambda: solve_sparse([{-1: 1}], [1], 2, QQ),  # written into particular[-1]
+        lambda: solve_sparse([{5: 1}], [1], 2, QQ),  # a bare KeyError
+        lambda: solve_sparse([{0: 1, 2: 1}], [1], 2, QQ),  # column ncols, where the right-hand side rides
+        lambda: kernel_on(Subspace.full(QQ, 2), [{3: 1}]),  # a misleading Inconsistent
+    ],
+    ids=["short-rhs", "long-rhs", "negative-column", "column-past-ncols", "column-ncols", "kernel-on-column"],
+)
+def test_malformed_sparse_systems_are_refused(call):
+    """A right-hand side of another length than the rows, or a column outside range(ncols), raises
+    InvalidOperand; each used to give a silent wrong answer or an untyped error."""
+    with pytest.raises(InvalidOperand):
+        call()
+
+
+U3 = Subspace.from_vectors(QQ, 3, [(1, 2, 0), (0, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: U3.vector([1, 2, 3]),  # gave (1, 2, 0)
+        lambda: U3.vector([1]),  # gave (1, 0, 0)
+        lambda: U3.coords([1, 0]),  # read as (1, 0, 0)
+        lambda: U3.contains([1, 0]),
+        lambda: U3.reduce([1, 0, 0, 5]),  # a residual of length 4
+        lambda: U3.matrix_of([[1, 0, 0]]),  # a 2 x 1 Matrix
+        lambda: rref([[1, 2], [3]], QQ),  # a ragged row
+        lambda: Matrix.identity(QQ, 2).power(2.5),  # a TypeError
+        lambda: Matrix.identity(QQ, 2).power("2"),
+    ],
+    ids=["vector-long", "vector-short", "coords", "contains", "reduce", "matrix-of", "rref", "power-float", "power-str"],
+)
+def test_dense_adapters_refuse_vectors_of_the_wrong_length(call):
+    """The dense adapters read a vector through one checked routine: one entry per coordinate, else
+    InvalidOperand; each of these used to answer silently or raise an untyped error."""
+    with pytest.raises(InvalidOperand):
+        call()
+
+
+def test_dense_adapters_coerce_through_the_boundary():
+    """An integral Fraction comes back as an int, and a valid call answers as before."""
+    assert U3.vector([Fraction(2, 2), 3]) == (1, 2, 3) and type(U3.vector([Fraction(2, 2), 0])[0]) is int
+    assert U3.coords((Fraction(4, 2), 4, 3)) == (2, 3) and type(U3.coords((Fraction(4, 2), 4, 0))[0]) is int
+    assert U3.reduce((1, 0, 0)) == (0, -2, 0) and U3.contains((2, 4, 0))
+    assert rref([[Fraction(2, 1), 4], [1, 2]], QQ) == ([(1, 2)], [0])
+    assert Matrix.identity(QQ, 2).matvec([Fraction(3, 1), 0]) == (3, 0)
+    with pytest.raises(FieldMismatch):
+        U3.coords((1, None, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_case())
+def test_solve_sparse_answers_in_sorted_sparse_dicts(case):
+    """The particular solution and each kernel vector are dicts of nonzeros in increasing column order;
+    kernel vector k ends at the k-th free column, where it is 1."""
+    m, b, _ = case
+    got = solve_sparse(m.sparse_rows, b, m.ncols, m.field)
+    if got is None:
+        return
+    particular, kern = got
+    pivots = reference_rref(m.rows, m.field)[1]
+    free = [f for f in range(m.ncols) if f not in pivots]
+    for v in [particular] + kern:
+        assert all(v.values()) and list(v) == sorted(v)
+    assert [max(kv) for kv in kern] == free and all(kv[f] == 1 for kv, f in zip(kern, free))
+    assert densified(got, m.ncols, m.field.zero()) == reference_solve(m, b)
+
+
 # ---------------------------------------------------------------------------
 # the modular step of solve_antipode: elimination mod p and rational reconstruction
 
@@ -884,7 +966,7 @@ def test_elimination_mod_p_matches_the_exact_solution():
             for _ in range(rng.randint(n, 2 * n + 2))
         ]
         rhs = [rng.randint(-4, 4) for _ in rows]
-        exact = solve_sparse(rows, [QQ.coerce(b) for b in rhs], n, QQ)
+        exact = densified(solve_sparse(rows, [QQ.coerce(b) for b in rhs], n, QQ), n)
         got = _solve_mod(zip(rows, rhs), n, p)
         if exact is not None and exact[1]:
             assert got is None  # rank short of n over Q, so also mod p

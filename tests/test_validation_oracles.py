@@ -449,7 +449,7 @@ def oracle_integral_space(h, side):
             diff = h.right_mult_matrix(_basis(h, i)) - h.right_mult_matrix(h.eps_s_mat.col(i))
         rows.extend({c: v for c, v in enumerate(r) if v} for r in diff.rows)
     got = solve_sparse(rows, [h.field.zero()] * len(rows), n, h.field)
-    return Subspace.from_vectors(h.field, n, got[1])
+    return Subspace.from_vectors(h.field, n, [[kv.get(j, h.field.zero()) for j in range(n)] for kv in got[1]])
 
 
 def oracle_pairing_table(h, phi):
@@ -480,9 +480,8 @@ def oracle_centralizer_in(h, space, against=None):
     vecs = []
     for kv in got[1]:
         v = [h.field.zero()] * h.dim
-        for c, coeff in enumerate(kv):
-            if coeff:
-                v = [x + coeff * y for x, y in zip(v, space.rows[c])]
+        for c, coeff in kv.items():
+            v = [x + coeff * y for x, y in zip(v, space.rows[c])]
         vecs.append(v)
     return Subspace.from_vectors(h.field, h.dim, vecs)
 
@@ -1049,9 +1048,8 @@ def _dense_kernel_in(h, space, mats):
     vecs = []
     for kv in got[1]:
         v = [h.field.zero()] * h.dim
-        for c, coeff in enumerate(kv):
-            if coeff:
-                v = [x + coeff * y for x, y in zip(v, space.rows[c])]
+        for c, coeff in kv.items():
+            v = [x + coeff * y for x, y in zip(v, space.rows[c])]
         vecs.append(v)
     return Subspace.from_vectors(h.field, h.dim, vecs)
 
@@ -1469,7 +1467,7 @@ def full_system_antipode(h):
     particular, kern = got
     if kern:
         raise NotUnique(f"antipode solution space has dimension {len(kern)}")
-    s = Matrix(field, [[particular[m * n + k] for k in range(n)] for m in range(n)])
+    s = Matrix(field, [[particular.get(m * n + k, zero) for k in range(n)] for m in range(n)])
     for check in antipode_axiom_checks(h.with_antipode(s)):
         if not check.ok:
             raise Axiom26Failure(f"solved antipode fails {check.name} at {check.witness}")

@@ -10,6 +10,7 @@ and one-entry vectors among them.
 """
 
 import random
+import sys
 import zlib
 from fractions import Fraction
 
@@ -19,8 +20,9 @@ from whopf.constructors import cyclic_table, group_algebra
 from whopf.errors import FieldMismatch, NotInvertible
 from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import Matrix, try_solve
+from whopf import linalg, wha
 from whopf.wha import Element, Functional
-from whopf.zoo import build_member
+from whopf.zoo import ZOO_NAMES, _builders, build_member, check_member
 
 
 def dense_product(h, a, b):
@@ -250,3 +252,50 @@ def test_operands_of_another_algebra_or_kind_are_typed_errors():
     for bad in (lambda: a + g.one, lambda: a - g.one, lambda: a * g.one, lambda: a + (1, 0, 0, 1), lambda: a * "x"):
         with pytest.raises(FieldMismatch):
             bad()
+
+
+def callers(depth):
+    """The names of the ``depth`` functions up the stack from the caller of the function that calls this."""
+    frame, names = sys._getframe(2), set()
+    for _ in range(depth):
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+def test_a_zoo_pass_reads_every_solution_sparse(monkeypatch):
+    """``_inverse`` and ``dual_integral`` take the particular solution of ``linalg._solve`` as its nonzeros,
+    and ``minimal_data`` builds its Gram matrix from sparse rows.
+
+    Before, the solution was an n-entry tuple that both read back through the public constructors, one dense
+    ``_terms`` conversion each (56 and 18 in one ``check_member`` pass over the zoo), and ``minimal_data``
+    built a dense ``Matrix(field, rows)``.  An Element or Functional of the algebra read through ``_terms``
+    is its own terms, not a conversion, so only other vectors are counted.  The algebras are built afresh,
+    so no cached property skips a solve, and each of the three callers must solve at least once.
+    """
+    dense, matrices, solvers = [], [], []
+    terms, init, solve = wha._terms, Matrix.__init__, linalg._solve
+
+    def terms_spy(h, vec):
+        if not (isinstance(vec, wha._Vector) and vec.algebra is h):
+            dense.append(callers(2))
+        return terms(h, vec)
+
+    def init_spy(self, field, rows):
+        matrices.append(callers(1))
+        init(self, field, rows)
+
+    def solve_spy(m, b):
+        solvers.append(callers(2))
+        return solve(m, b)
+
+    monkeypatch.setattr(wha, "_terms", terms_spy)
+    monkeypatch.setattr(Matrix, "__init__", init_spy)
+    monkeypatch.setattr(wha, "_solve", solve_spy)
+    monkeypatch.setattr("whopf.integrals._solve", solve_spy)
+    monkeypatch.setattr("whopf.linalg._solve", solve_spy)
+    for name in ZOO_NAMES:
+        check_member(_builders()[name]())
+    assert {"_inverse", "dual_integral", "minimal_data"} <= set().union(*solvers)
+    assert [names for names in dense if names & {"_inverse", "dual_integral"}] == []
+    assert {"minimal_data"} not in matrices
