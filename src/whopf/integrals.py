@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Inconsistent, Mismatch, NotFrobenius, Undecidable
+from .errors import Degenerate, Inconsistent, Mismatch, NotFrobenius, Undecidable
 from .linalg import Matrix, _coerced, _solve
 from .search import first, height_vectors, max_height
 from .wha import (
@@ -105,11 +105,11 @@ class DualPair:
 
 
 def dual_integral(h, ell):
-    """Solve lambda -> ell = 1 for the unique dual left integral lambda."""
+    """Solve lambda -> ell = 1 for the unique dual left integral lambda; Degenerate when ell admits none."""
     ell = Element(h, ell)
     sol = _solve(nondegeneracy_matrix(h, ell), h.one.terms)
     if sol is None or sol[1].dim:
-        raise Inconsistent("integral is degenerate; is_nondegenerate lied")
+        raise Degenerate("ell is degenerate: lambda -> ell = 1 has no unique solution")
     lam = Functional._of(h, _coerced(h.field, sol[0]))
     pair = DualPair(ell=ell, lam=lam)
     pair.check(h)

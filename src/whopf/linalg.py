@@ -12,8 +12,9 @@ One vector format runs through the private bodies: a dict index -> nonzero
 scalar, the row format of ``Matrix.sparse_rows``.  ``solve_sparse``, ``_solve``,
 ``_solve_modular`` and ``Subspace._residue`` answer in it; ``_combine`` reads it.
 A dense vector enters only through a public adapter, and every adapter reads
-it through one checked routine, ``_entries``: one entry per coordinate (else
-InvalidOperand), each coerced into the field, nonzeros kept.
+it through one checked routine, ``_entries``: a sequence, not a mapping, of one
+entry per coordinate (else InvalidOperand), each coerced into the field,
+nonzeros kept.  Likewise every size, count and power passes ``_size``.
 
 A ``Subspace`` keeps the pivot rows of ``_reduce``, sorted by pivot, so
 equality compares canonical bases; ``rref`` is the dense view of a span.  A
@@ -31,6 +32,7 @@ exact checks, and otherwise falls back on ``_reduce``, the one exact eliminator.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import chain, compress
 from math import gcd, isqrt
 
@@ -45,8 +47,17 @@ __all__ = [
 # the eliminator
 
 
+def _size(n, what):
+    """n, once it is an int (not a bool) of at least 0; else InvalidOperand "<what> <n> is not an int of at least 0"."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InvalidOperand(f"{what} {n!r} is not an int of at least 0")
+    return n
+
+
 def _entries(field, v, n, what="vector"):
     """The nonzero (index, scalar) pairs of a dense vector v of n entries, each coerced; else InvalidOperand."""
+    if isinstance(v, Mapping):  # iterating a dict would read its keys as the entries
+        raise InvalidOperand(f"{what} given as a mapping; a dense vector is a sequence of scalars")
     if len(v := tuple(v)) != n:
         raise InvalidOperand(f"{what} of length {len(v)} where {n} entries are needed")
     coerce = field.coerce
@@ -279,11 +290,12 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         one = field.one()
-        return cls._of(field, tuple({i: one} for i in range(n)), n)
+        return cls._of(field, tuple({i: one} for i in range(_size(n, "size"))), n)
 
     @classmethod
     def zero(cls, field, nrows, ncols=None):
-        return cls._of(field, tuple({} for _ in range(nrows)), nrows if ncols is None else ncols)
+        rows = tuple({} for _ in range(_size(nrows, "row count")))
+        return cls._of(field, rows, _size(nrows if ncols is None else ncols, "column count"))
 
     @classmethod
     def from_columns(cls, field, cols):
@@ -403,8 +415,7 @@ class Matrix:
 
     def power(self, k):
         self._square("power")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise InvalidOperand(f"power {k!r} is not an int of at least 0")
+        _size(k, "power")
         out = Matrix.identity(self.field, self.nrows)
         base = self
         while k:
@@ -468,6 +479,7 @@ def solve_sparse(rows, rhs, ncols, field):
     each dict lists its columns in increasing order, a kernel dict ending at f.
     InvalidOperand unless rhs has one entry per row, and every column lies in range(ncols).
     """
+    _size(ncols, "column count")
     if len(rhs) != len(rows) or any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
         raise InvalidOperand(f"{len(rows)} rows need as many right-hand side entries and columns in range({ncols})")
     pivot_rows = _reduce((chain(row.items(), [(ncols, b)]) for row, b in zip(rows, rhs)), field, ncols)
@@ -528,7 +540,7 @@ class Subspace:
     def full(cls, field, n):
         """The whole of field^n with the identity basis."""
         one = field.one()
-        return cls._span(field, n, (((i, one),) for i in range(n)))
+        return cls._span(field, n, (((i, one),) for i in range(_size(n, "size"))))
 
     @property
     def rows(self):

@@ -22,6 +22,7 @@ import os
 from itertools import chain, product
 
 from .errors import Undecidable
+from .linalg import _size
 from .wha import Element
 
 __all__ = ["first", "grid_vectors", "height_vectors", "invertible_in", "max_height"]
@@ -52,8 +53,8 @@ def _coordinate_order(height):
 
 
 def height_vectors(dim, max_height=8):
-    """Nonzero integer vectors of each exact max-norm 1, 2, 4, ... in order."""
-    if dim == 0:
+    """Nonzero integer vectors of each exact max-norm 1, 2, 4, ... in order; InvalidOperand for a bad dim."""
+    if _size(dim, "dimension") == 0:
         return
     for height in _heights(max_height):
         coords = _coordinate_order(height)
@@ -67,17 +68,22 @@ def grid_vectors(degree, dim):
 
     A polynomial of degree <= ``degree`` in each of ``dim`` coordinates that
     vanishes on this grid is identically zero (Schwartz 1980, Zippel 1979).
-    A grid over the cap raises Undecidable when the generator is first
-    advanced, so a hit found before it is still returned.
+    A grid over the cap, or a degree or dim that is not an int of at least 0,
+    raises when the generator is first advanced, so a hit found before it is
+    still returned.
     """
-    grid = degree + 1
-    if grid**dim > _GRID_CAP:
+    grid = _size(degree, "degree") + 1
+    if grid ** _size(dim, "dimension") > _GRID_CAP:
         raise Undecidable(f"grid of size {grid}^{dim} exceeds the cap")
     yield from product(range(grid), repeat=dim)
 
 
 def first(h, space, coeff_vectors, accept, skip=0):
-    """The (skip+1)-th truthy ``accept(v)``, v the Element sum_k c_k rows[k] of h, over ``coeff_vectors`` c, or None."""
+    """The (skip+1)-th truthy ``accept(v)``, v the Element sum_k c_k rows[k] of h, over ``coeff_vectors`` c, or None.
+
+    InvalidOperand unless ``skip`` is an int (not a bool) of at least 0: any other skip would never reach 0.
+    """
+    _size(skip, "skip")
     for coeffs in coeff_vectors:
         got = accept(Element._of(h, space._combine(enumerate(coeffs))))
         if got:

@@ -64,7 +64,7 @@ object, and it now serves only the candidate S that ``solve_antipode``
 checks before any algebra holds it: the algebra that then takes that S, by
 assignment or through ``with_antipode``, validates without checking it
 again.  ``with_antipode`` also hands on the bialgebra verdict, and
-``dualize(H)`` reads H's passing verdicts of each kind (``_handoff``).
+``dualize(H)`` starts with H's passing verdicts of each kind.
 ``validate_full`` assembles a new report from the two parts, whose frozen
 checks it shares.
 
@@ -89,7 +89,6 @@ the twisting and group-like modules, are all ``contraction_matrix``.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -505,8 +504,6 @@ _FIXED = frozenset(
 
 
 class WeakHopfAlgebra:
-    _primal = None  # weakref.ref to H when this algebra is dualize(H)
-
     def __init__(self, field, labels, mult, unit, comult, counit, antipode=None, name=""):
         if not isinstance(field, Field) or not isinstance(mult, Mapping):
             raise InvalidPresentation("an algebra needs a Field and a mapping mult")
@@ -868,56 +865,19 @@ class WeakHopfAlgebra:
         ``bialgebra_checks`` reuses it, and ``centralizer_in`` reads it
         without running the other axioms.
         """
-        return None if self._handoff("bialgebra_checks") else _associativity(self, self.generators)
+        return _associativity(self, self.generators)
 
     @cached_property
     def bialgebra_checks(self):
-        """``validate_weak_bialgebra``'s checks, once: they read only mult, comult, unit and counit.
-
-        On ``dualize(H)`` they are H's passing ones when ``_handoff`` allows:
-        the tables are transposed, so associativity, unit, multiplicativity
-        and weak unit are H's coassociativity, counit, multiplicativity and
-        weak counit (and back), scalar equation for scalar equation.
-        """
-        return self._handoff("bialgebra_checks") or tuple(validate_weak_bialgebra(self).checks)
+        """``validate_weak_bialgebra``'s checks, once: they read only mult, comult, unit and counit."""
+        return tuple(validate_weak_bialgebra(self).checks)
 
     def antipode_checks(self, s):
-        """``antipode_axiom_checks(self, s)``, reused while the last S checked is ``s``.
-
-        For the S^T of ``dualize(H)`` each axiom is H's for S, transposed,
-        so H's passing checks are read as ``_handoff`` allows.
-        """
+        """``antipode_axiom_checks(self, s)``, reused while the last S checked is ``s``."""
         memo = self._antipode_memo
         if memo is None or memo[0] is not s:
-            handed = s is self.antipode and self._handoff("antipode")
-            memo = self._antipode_memo = (s, handed or tuple(antipode_axiom_checks(self, s)))
+            memo = self._antipode_memo = (s, tuple(antipode_axiom_checks(self, s)))
         return memo[1]
-
-    def _handoff(self, kind):
-        """On ``dualize(H)``, H's checks of ``kind`` if H is alive, they are computed and pass, and
-        ``_transposes_primal`` holds; else None, and the algebra runs its own scans."""
-        primal = self._primal() if self._primal else None
-        if primal is None:
-            return None
-        if kind == "antipode":
-            memo = primal._antipode_memo
-            checks = memo is not None and memo[0] is primal.antipode and memo[1]
-        else:
-            checks = vars(primal).get(kind)
-        return checks if checks and all(c.ok for c in checks) and self._transposes_primal else None
-
-    @cached_property
-    def _transposes_primal(self):
-        """The handoff's certificate, in O(nnz + n^2): mult, comult, unit, counit and S are
-        H's comult, mult, counit, unit and S, transposed, entry by entry."""
-        h = self._primal()
-        return (
-            self.field == h.field
-            and (self.unit, self.counit) == (h.counit, h.unit)
-            and _transposed(self.mult, h.comult)
-            and _transposed(h.mult, self.comult)
-            and self.antipode == h.antipode.transpose()
-        )
 
     @cached_property
     def S2(self):
@@ -986,8 +946,8 @@ def dualize(h):
     each axiom of H* is one of H, equation for equation: associativity and
     coassociativity, unit and counit, weak unit and weak counit swap, and
     multiplicativity and each antipode axiom map to themselves.  So the dual
-    holds h weakly and reads each kind of h's verdicts, once computed and
-    passing, after the certificate ``_transposes_primal`` (``_handoff``).
+    starts with each kind of h's verdicts that is computed and passes, and
+    keeps no reference to h.
     """
     s = h.S
     mult = {}
@@ -1008,15 +968,13 @@ def dualize(h):
         antipode=s.transpose(),
         name=h.name + "^*",
     )
-    dual._primal = weakref.ref(h)
+    checks = vars(h).get("bialgebra_checks")
+    if checks and all(c.ok for c in checks):
+        dual.bialgebra_checks, dual.associativity_witness = checks, None
+    memo = h._antipode_memo
+    if memo is not None and memo[0] is h.antipode and all(c.ok for c in memo[1]):
+        dual._antipode_memo = (dual.antipode, memo[1])
     return dual
-
-
-def _transposed(mult, comult):
-    """True when mult[(j, k)][i] == comult[i][(j, k)] for every entry of either; neither holds zeros."""
-    return sum(map(len, mult.values())) == sum(map(len, comult)) and all(
-        comult[i].get(jk) == c for jk, cell in mult.items() for i, c in cell.items()
-    )
 
 
 def counital_maps(h):

@@ -109,8 +109,8 @@ def check_member(h, mutate=False):
     """Run the standard battery on one algebra; returns an ordered dict.
 
     The dual is validated without scanning it again: each axiom of H* is one
-    of H under the transposed tables, so once h passes, ``h.dual`` reads h's
-    verdicts after its certificate (``dualize``) confirms the transposition.
+    of H under the transposed tables, so once h passes, ``h.dual`` starts
+    with h's verdicts (``dualize``).
     """
     if mutate:
         # test hook: corrupt one structure constant to prove the run can fail

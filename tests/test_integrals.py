@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from whopf.constructors import (
     sweedler_hopf,
 )
 from whopf import integrals
-from whopf.errors import InvalidOperand, Mismatch, NotFrobenius, Undecidable
+from whopf.errors import Degenerate, InvalidOperand, Mismatch, NotFrobenius, Undecidable
 from whopf.fields import QQ
 from whopf.integrals import (
     antipode_from_integrals,
@@ -119,6 +121,41 @@ def test_dual_integral_pair_groupoid():
     h = pair2()
     pair = dual_integral(h, h.element((1, 1, 1, 1)))
     assert pair.lam.coeffs == (1, 0, 0, 1)  # delta-pattern from the 4x4 solve
+
+
+@pytest.mark.parametrize("ell", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
+def test_a_degenerate_ell_raises_degenerate(ell):
+    """The caller's ell admits no unique lambda with lambda -> ell = 1: that is the caller's fault, so
+    Degenerate, not the Inconsistent kept for the checks after the solve."""
+    with pytest.raises(Degenerate):
+        dual_integral(pair2(), ell)
+
+
+@contextmanager
+def within(seconds):
+    """Fail the block with TimeoutError once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("skip", [-1, 1.5, "a", True, None])
+def test_a_bad_skip_is_refused_at_once(skip):
+    """skip is an int (not a bool) of at least 0.  Before the check, skip=-1 and skip=1.5 never reached 0
+    and searched without end, skip="a" raised a bare TypeError, and skip=True returned the second hit."""
+    h = pair2()
+    with within(5), pytest.raises(InvalidOperand, match="skip"):
+        find_nondegenerate_integral(h, skip=skip)
+    with within(5), pytest.raises(InvalidOperand, match="skip"):
+        canonical_dual_pair(h, skip=skip)
 
 
 def test_maschke_and_trace_form_agree():

@@ -23,6 +23,7 @@ from whopf.linalg import (
     solve_sparse,
     try_solve,
 )
+from whopf.search import grid_vectors, height_vectors
 
 
 def reference_rref(rows, field):
@@ -893,6 +894,49 @@ def test_dense_adapters_refuse_vectors_of_the_wrong_length(call):
     """The dense adapters read a vector through one checked routine: one entry per coordinate, else
     InvalidOperand; each of these used to answer silently or raise an untyped error."""
     with pytest.raises(InvalidOperand):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Matrix.identity(QQ, -1),  # gave Matrix(0x-1)
+        lambda: Subspace.full(QQ, -1),  # gave "dim 0 of -1"
+        lambda: solve_sparse([], [], -1, QQ),  # gave ({}, [])
+        lambda: Matrix.zero(QQ, 2.5),  # a TypeError
+        lambda: Subspace.full(QQ, 2.5),  # a TypeError
+        lambda: list(height_vectors(-1)),  # a ValueError
+        lambda: list(grid_vectors(2, -1)),  # a ValueError
+        lambda: list(grid_vectors(-1, 2)),  # an empty grid, as if every point had been tried
+    ],
+    ids=[
+        "identity-negative", "full-negative", "solve-sparse-negative", "zero-float", "full-float", "heights-negative",
+        "grid-dim-negative", "grid-degree-negative",
+    ],
+)
+def test_bad_sizes_are_refused(call):
+    """A size, row or column count is an int (not a bool) of at least 0, else InvalidOperand."""
+    with pytest.raises(InvalidOperand):
+        call()
+
+
+def test_a_size_of_zero_stays_valid():
+    assert Matrix.identity(QQ, 0) == Matrix.zero(QQ, 0) and Matrix.zero(QQ, 0).ncols == 0
+    assert Subspace.full(QQ, 0).dim == 0 and solve_sparse([], [], 0, QQ) == ({}, [])
+    assert list(height_vectors(0)) == [] and list(grid_vectors(0, 0)) == [()]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Matrix(QQ, [{0: 5, 1: 6}]),  # gave the row (0, 1)
+        lambda: Subspace.from_vectors(QQ, 2, [{0: 5, 1: 6}]),  # gave the span of (0, 1)
+    ],
+    ids=["matrix-row", "spanning-vector"],
+)
+def test_a_mapping_is_refused_where_a_dense_vector_is_expected(call):
+    """Iterating a dict reads its keys, so a mapping would be taken for the vector of its keys."""
+    with pytest.raises(InvalidOperand, match="mapping"):
         call()
 
 

@@ -43,12 +43,16 @@ the uncached ``validate_weak_bialgebra`` and ``antipode_axiom_checks`` on a
 fresh copy: on the zoo members and their duals, the ``whopf make``
 constructions and seeded bumps.  A set antipode cannot be reassigned; a
 new S taken through ``with_antipode`` after a validation is checked again,
-with the verdict an uncached run gives.  ``dualize(h)`` reads h's passing
+with the verdict an uncached run gives.  ``dualize(h)`` starts with h's passing
 verdicts: after h validates, the dual's report must equal the uncached one
 with no scan of its own, on the zoo members and their duals, the ladder
-members and the ``make`` constructions.  A ``dualize`` that bumps one
-constant, an unvalidated or collected h, and seeded corruptions of h make
-the dual run its own scans for each kind of check that is not handed over.
+members and the ``make`` constructions, and it must hold once h is
+collected.  What makes the handover sound is checked as an oracle: the
+tables of ``dualize(h)`` are h's, transposed (``_transposed``).  A
+``dualize`` that bumps one constant, an h unvalidated when its dual is
+built, and seeded corruptions of h make the dual run its own scans for each
+kind of check that is not handed over.  No dual that ``check_member``
+validates runs a scan of its own.
 
 ``Matrix.__matmul__`` is a sparse row join.  Its earlier dense body (one
 dot product per output entry, ``dense_matmul``) and the table product that
@@ -109,6 +113,7 @@ import gc
 import itertools
 import random
 import sys
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -122,6 +127,7 @@ import whopf.integrals as integrals
 import whopf.search as search
 import whopf.semisimplicity as semisimplicity
 import whopf.wha as wha
+import whopf.zoo as zoo
 from whopf.constructors import (
     SemisimplePresentation,
     cyclic_table,
@@ -1822,6 +1828,7 @@ def verdict_calls(monkeypatch):
     def on(h):
         return [kind for kind, alg in calls if alg is h]
 
+    on.count = lambda: len(calls)
     return on
 
 
@@ -1921,22 +1928,72 @@ def test_the_dual_of_an_unvalidated_algebra_runs_its_own_scans(verdict_calls):
     assert "bialgebra_checks" not in vars(h) and h._antipode_memo is None
 
 
-def test_the_dual_of_a_collected_algebra_runs_its_own_scans(monkeypatch):
-    """The dual holds H weakly: once H is gone, nothing is handed over."""
+def test_the_dual_keeps_no_reference_to_h_and_keeps_its_handed_verdicts(monkeypatch):
+    """``dualize`` hands h's verdicts over when it builds the dual, so h can be collected at once."""
     h = rebuild(build_member("pair-3"))
     assert validate_full(h).ok
     dual = wha.dualize(h)
+    ref = weakref.ref(h)
     del h
     gc.collect()
-    assert dual._primal() is None
+    assert ref() is None
     calls = []
     bialgebra, antipode = wha.validate_weak_bialgebra, wha.antipode_axiom_checks
     monkeypatch.setattr(wha, "validate_weak_bialgebra", lambda alg: calls.append("bialgebra") or bialgebra(alg))
     monkeypatch.setattr(wha, "antipode_axiom_checks", lambda alg, *a: calls.append("antipode") or antipode(alg, *a))
     got = validate_full(dual).as_dict()
-    assert calls == ["bialgebra", "antipode"]
+    assert calls == []
     monkeypatch.undo()
     assert got == uncached_report(dual) and got["ok"]
+
+
+def test_a_dual_built_before_h_validates_runs_its_own_scans(verdict_calls):
+    """The one order that hands nothing over: the dual is built, then h is validated, then the dual."""
+    h = rebuild(build_member("pair-3"))
+    dual = wha.dualize(h)
+    assert validate_full(h).ok
+    got = validate_full(dual).as_dict()
+    assert verdict_calls(dual) == ["bialgebra", "antipode"]
+    assert got == uncached_report(dual) and got["ok"]
+
+
+def _transposed(mult, comult):
+    """True when mult[(j, k)][i] == comult[i][(j, k)] for every entry of either; neither holds zeros."""
+    return sum(map(len, mult.values())) == sum(map(len, comult)) and all(
+        comult[i].get(jk) == c for jk, cell in mult.items() for i, c in cell.items()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(HANDOFF))
+def test_dualize_transposes_every_table(name):
+    """The handed verdicts hold because mult, comult, unit, counit and S of dualize(h) are
+    h's comult, mult, counit, unit and S, transposed, entry by entry."""
+    h = HANDOFF[name]()
+    dual = wha.dualize(h)
+    assert dual.field == h.field and (dual.unit, dual.counit) == (h.counit, h.unit)
+    assert _transposed(dual.mult, h.comult) and _transposed(h.mult, dual.comult)
+    assert dual.antipode == h.antipode.transpose()
+    assert not any(0 in cell.values() for cell in dual.mult.values()) and not any(0 in c.values() for c in dual.comult)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_check_member_scans_no_algebra_that_dualize_built(name, monkeypatch, verdict_calls):
+    """Every dual that ``check_member`` validates starts with h's verdicts: it runs the bialgebra and
+    antipode scans on h, and on the copy ``regularize`` builds where S^2 needs it, never on a dual."""
+    h = rebuild(build_member(name))
+    built = []
+    dualize = wha.dualize
+
+    def spy(alg):
+        built.append(dualize(alg))
+        return built[-1]
+
+    monkeypatch.setattr(wha, "dualize", spy)
+    monkeypatch.setattr(zoo, "dualize", spy)
+    check_member(h)
+    assert built and all(verdict_calls(d) == [] for d in built)
+    assert verdict_calls(h) == ["bialgebra", "antipode"]
+    assert verdict_calls.count() == (4 if name == "hmin-m2-g31" else 2)
 
 
 def _bumped_copy(d, part):
@@ -1970,22 +2027,14 @@ def _bumped_copy(d, part):
     "part", ["mult", "new-mult-entry", "dropped-mult-entry", "comult", "unit", "counit", "antipode"]
 )
 @pytest.mark.parametrize("name", ["pair-2", "s3-group", "hmin-m2-g31", "sweedler4"])
-def test_a_bumped_dual_fails_the_certificate_and_reports_its_own_witness(name, part, monkeypatch, verdict_calls):
-    """A ``dualize`` that bumps one constant of H* keeps the weak reference, but not the transposed tables."""
+def test_a_bumped_dual_runs_its_own_scans_and_reports_its_own_witness(name, part, monkeypatch, verdict_calls):
+    """A ``dualize`` that bumps one constant of H* builds a new algebra, which takes none of h's verdicts."""
     dualize = wha.dualize
-
-    def bumped(h):
-        d = dualize(h)
-        bad = _bumped_copy(d, part)
-        bad._primal = d._primal
-        return bad
-
-    monkeypatch.setattr(wha, "dualize", bumped)
+    monkeypatch.setattr(wha, "dualize", lambda h: _bumped_copy(dualize(h), part))
     h = rebuild(build_member(name))
     assert validate_full(h).ok
     dual = h.dual
     report = validate_full(dual).as_dict()
-    assert not dual._transposes_primal
     assert verdict_calls(dual) == ["bialgebra", "antipode"]
     assert report == uncached_report(dual) and not report["ok"]
 
