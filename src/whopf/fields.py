@@ -628,6 +628,12 @@ class Field:
     def coerce(self, x):
         raise NotImplementedError
 
+    def accepts(self, values):
+        """Whether ``coerce`` takes each of values: an int, a Fraction or, over Q(zeta_n), a Cyc of order n."""
+        return all(map(isinstance, values, repeat((int, Fraction)))) or all(
+            isinstance(x, (int, Fraction)) or isinstance(x, Cyc) and x.n == self.order for x in values
+        )
+
     def spec(self):
         if self.kind == "rational":
             return {"kind": "rational"}

@@ -477,11 +477,15 @@ def solve_sparse(rows, rhs, ncols, field):
     is a dict col -> nonzero scalar, and ``kernel`` has one per free column f,
     in column order; a pivot row holds its pivot and free columns after it, so
     each dict lists its columns in increasing order, a kernel dict ending at f.
-    InvalidOperand unless rhs has one entry per row, and every column lies in range(ncols).
+    InvalidOperand unless rhs has one entry per row, every column lies in range(ncols) and every scalar is
+    one that ``field.coerce`` takes (``field.accepts``, which converts none).
     """
     _size(ncols, "column count")
-    if len(rhs) != len(rows) or any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
-        raise InvalidOperand(f"{len(rows)} rows need as many right-hand side entries and columns in range({ncols})")
+    accepts = field.accepts
+    if len(rhs) != len(rows) or not accepts(rhs) or any(
+        row and (min(row) < 0 or max(row) >= ncols or not accepts(row.values())) for row in rows
+    ):
+        raise InvalidOperand(f"{len(rows)} rows need one right-hand side each, columns < {ncols} and {field} scalars")
     pivot_rows = _reduce((chain(row.items(), [(ncols, b)]) for row, b in zip(rows, rhs)), field, ncols)
     if pivot_rows is None:
         return None

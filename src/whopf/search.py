@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from itertools import chain, product
 
-from .errors import Undecidable
+from .errors import InvalidOperand, Undecidable
 from .linalg import _size
 from .wha import Element
 
@@ -53,7 +53,9 @@ def _coordinate_order(height):
 
 
 def height_vectors(dim, max_height=8):
-    """Nonzero integer vectors of each exact max-norm 1, 2, 4, ... in order; InvalidOperand for a bad dim."""
+    """Nonzero integer vectors by exact max-norm 1, 2, 4, ... <= max_height; InvalidOperand for a bad dim or cap."""
+    if _size(max_height, "height cap") < 1:
+        raise InvalidOperand(f"height cap {max_height!r} is not an int of at least 1")
     if _size(dim, "dimension") == 0:
         return
     for height in _heights(max_height):

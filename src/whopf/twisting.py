@@ -40,6 +40,7 @@ from .wha import (
     _comultiplied,
     _contract_leg,
     _index_pair,
+    _on_basis,
     _pair_of,
     _paired,
     _pruned,
@@ -130,16 +131,11 @@ class Twist:
     theta_bar: dict
 
 
-def _on_basis(h, tensor):
-    """Whether every leg of the sparse pair tensor is a basis index of h."""
-    return all(isinstance(i, int) and 0 <= i < h.dim for legs in tensor for i in legs)
-
-
 def _check_twist_invariants(h, t):
-    if h.mul_pair_dicts(h.delta_one, t.theta) != t.theta:
+    # mul_pair_dicts refuses a pair naming no basis element with InvalidOperand;
+    # such a pair lies in no image, so it is not a twist
+    if not _on_basis(h, t.theta) or h.mul_pair_dicts(h.delta_one, t.theta) != t.theta:
         raise NotATwist("Theta does not lie in Delta(1)(H (x) H)")
-    # mul_pair_dicts reads the table at the legs of its left factor, so a pair
-    # naming no basis element must not reach it; it lies in no image anyway
     if not _on_basis(h, t.theta_bar) or h.mul_pair_dicts(t.theta_bar, h.delta_one) != t.theta_bar:
         raise NotATwist("Theta_bar does not lie in (H (x) H)Delta(1)")
     if h.mul_pair_dicts(t.theta, t.theta_bar) != h.delta_one:

@@ -156,6 +156,15 @@ def _coeffs(h, terms):
     return tuple(terms.get(i, zero) for i in range(h.dim))
 
 
+def _on_basis(h, tensor, width=2):
+    """Whether every key of the sparse tensor is a tuple of ``width`` basis indices of h."""
+    n = h.dim
+    return all(
+        type(key) is tuple and len(key) == width and all(isinstance(i, int) and 0 <= i < n for i in key)
+        for key in tensor
+    )
+
+
 def _pruned(d):
     """The sparse dict d without its zero values."""
     return {k: v for k, v in d.items() if v}
@@ -686,11 +695,16 @@ class WeakHopfAlgebra:
         and row b is read only at the second legs of the groups reached.  So
         the cost is the term pairs whose first legs multiply to nonzero, plus
         the shorter side of each join, not the |p| |q| pairs of terms.
+        InvalidOperand unless every key of p and q is a pair of basis indices.
         """
+        if not (_on_basis(self, p) and _on_basis(self, q)):
+            raise InvalidOperand(f"a key of p or q is not a pair of basis indices below {self.dim}")
         return _pruned(_pair_product(self.mult_rows, p, q, self.field.zero()))
 
     def mul_triple_dicts(self, p, q):
-        """Product in H (x) H (x) H of two sparse triple-tensors, joined like ``mul_pair_dicts``."""
+        """Product in H (x) H (x) H of two sparse triple-tensors, joined and checked like ``mul_pair_dicts``."""
+        if not (_on_basis(self, p, 3) and _on_basis(self, q, 3)):
+            raise InvalidOperand(f"a key of p or q is not a triple of basis indices below {self.dim}")
         zero = self.field.zero()
         rows = self.mult_rows
         by_first = {}

@@ -908,16 +908,53 @@ def test_dense_adapters_refuse_vectors_of_the_wrong_length(call):
         lambda: list(height_vectors(-1)),  # a ValueError
         lambda: list(grid_vectors(2, -1)),  # a ValueError
         lambda: list(grid_vectors(-1, 2)),  # an empty grid, as if every point had been tried
+        lambda: list(height_vectors(1, max_height=0)),  # no vector, as if every height had been tried
+        lambda: list(height_vectors(1, max_height=2.5)),  # ran heights 1 and 2
+        lambda: list(height_vectors(1, max_height=True)),
+        lambda: list(height_vectors(0, max_height=-1)),
     ],
     ids=[
         "identity-negative", "full-negative", "solve-sparse-negative", "zero-float", "full-float", "heights-negative",
-        "grid-dim-negative", "grid-degree-negative",
+        "grid-dim-negative", "grid-degree-negative", "height-cap-zero", "height-cap-float", "height-cap-bool",
+        "height-cap-negative-dim-zero",
     ],
 )
 def test_bad_sizes_are_refused(call):
     """A size, row or column count is an int (not a bool) of at least 0, else InvalidOperand."""
     with pytest.raises(InvalidOperand):
         call()
+
+
+def test_a_height_cap_of_one_runs_height_one():
+    assert list(height_vectors(1, max_height=1)) == [(1,), (-1,)]
+    assert list(height_vectors(1, max_height=3)) == [(1,), (-1,), (2,), (-2,)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kernel_on(Subspace.full(QQ, 2), [{0: 0.1, 1: 1}]),  # a basis row holding the float's binary value
+        lambda: solve_sparse([{0: 0.5}], [1], 1, QQ),  # answered ({0: 2}, [])
+        lambda: kernel_on(Subspace.full(QQ, 2), [{0: "x"}]),  # a bare ValueError from Fraction
+        lambda: solve_sparse([{0: 1}], [0.5], 1, QQ),  # answered ({0: 0.5}, [])
+        lambda: solve_sparse([{0: CyclotomicField(3).zeta()}], [1], 1, QQ),
+        lambda: solve_sparse([{0: CyclotomicField(5).zeta()}], [1], 1, CyclotomicField(3)),
+    ],
+    ids=["kernel-on-float", "solve-float", "kernel-on-str", "rhs-float", "cyc-in-QQ", "cyc-of-another-order"],
+)
+def test_scalars_the_field_would_refuse_are_refused(call):
+    """solve_sparse (and so kernel_on) checks that every scalar is one ``field.coerce`` takes."""
+    with pytest.raises(InvalidOperand):
+        call()
+
+
+def test_accepted_scalars_keep_their_type_and_value():
+    """The scalar check converts nothing: rationals over Q(zeta_3) stay int and Fraction in the answer."""
+    k = CyclotomicField(3)
+    particular, kern = solve_sparse([{0: 1, 1: Fraction(1, 2)}], [Fraction(3, 2)], 2, k)
+    assert particular == {0: Fraction(3, 2)} and type(particular[0]) is Fraction
+    assert kern == [{0: Fraction(-1, 2), 1: k.one()}]
+    assert solve_sparse([{0: True}], [k.zeta()], 1, k) == ({0: k.zeta()}, [])
 
 
 def test_a_size_of_zero_stays_valid():

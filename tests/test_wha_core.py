@@ -17,7 +17,7 @@ from whopf.constructors import (
     symmetric_table,
     SemisimplePresentation,
 )
-from whopf.errors import InvalidPresentation, NoAntipode, NoAntipodeInverse, NotInvertible
+from whopf.errors import InvalidOperand, InvalidPresentation, NoAntipode, NoAntipodeInverse, NotInvertible
 from whopf.fields import QQ, CyclotomicField, RationalField
 from whopf.linalg import Matrix
 from whopf.wha import (
@@ -542,3 +542,26 @@ def test_the_base_spans_read_the_counital_maps_without_coercing(monkeypatch):
     monkeypatch.setattr(RationalField, "coerce", lambda field, x: calls.append(x) or coerce(field, x))
     assert h.target_base.dim == h.source_base.dim == 1
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda h: h.mul_pair_dicts({(-1, -1): 1}, h.delta_one),  # read e_-1 as e_3: {(3, 3): 1}
+        lambda h: h.mul_pair_dicts({(9, 0): 1}, h.delta_one),  # a bare IndexError
+        lambda h: h.mul_pair_dicts(h.delta_one, {(-1, 0): 1}),  # the right factor's term was dropped
+        lambda h: h.mul_pair_dicts(h.delta_one, {(0, 9): 1}),
+        lambda h: h.mul_pair_dicts({(0,): 1}, h.delta_one),
+        lambda h: h.mul_pair_dicts(h.delta_one, {0: 1}),
+        lambda h: h.mul_triple_dicts({(-1, -1, -1): 1}, {(3, 3, 3): 1}),  # read e_-1 as e_3: {(3, 3, 3): 1}
+        lambda h: h.mul_triple_dicts({(3, 3, 3): 1}, {(0, 0, 4): 1}),
+        lambda h: h.mul_triple_dicts({(0, 0): 1}, {(3, 3, 3): 1}),
+    ],
+    ids=[
+        "pair-left-negative", "pair-left-past-dim", "pair-right-negative", "pair-right-past-dim", "pair-short-key",
+        "pair-int-key", "triple-left-negative", "triple-right-past-dim", "triple-short-key",
+    ],
+)
+def test_tensor_legs_outside_the_basis_are_refused(pair):
+    with pytest.raises(InvalidOperand):
+        pair(pair2())
