@@ -179,8 +179,6 @@ class _CycContext:
                 cur = [a + lead * b for a, b in zip(cur, top)]
             rows.append(cur)
         self.power_rows = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
-        # residue_rows[t]: the same pairs for z^t itself, t < n
-        self.residue_rows = [((t, 1),) for t in range(phi)] + self.power_rows[: n - phi]
         self.zero_tail = (0,) * (phi - 1)
         self.zero = _cyc(n, (0,) * phi, 1)
         self.one = _cyc(n, (1,) + self.zero_tail, 1)
@@ -230,14 +228,11 @@ class _CycContext:
         return self.reduce(out)
 
     def fold(self, digits):
-        """The residue of sum_t digits[t] z^t: each z^t is folded by z^n = 1, then read reduced mod Phi_n."""
-        n, rows = self.n, self.residue_rows
-        out = [0] * self.phi
+        """The residue of sum_t digits[t] z^t: the digits are folded by z^n = 1, then reduced mod Phi_n."""
+        n, out = self.n, [0] * self.n
         for t, d in enumerate(digits):
-            if d:
-                for i, r in rows[t % n]:
-                    out[i] += d * r
-        return out
+            out[t % n] += d
+        return self.reduce(out)
 
     @cached_property
     def modular(self):

@@ -25,7 +25,8 @@ from .errors import (
     RegularityViolated,
     Undecidable,
 )
-from .linalg import Matrix, Subspace, _coerced, _solve, kernel_on
+from .integrals import _owned
+from .linalg import Matrix, Subspace, _coerced, _n_by_n, _size, _solve, kernel_on
 from .search import first, height_vectors, invertible_in, max_height
 from .wha import (
     Element,
@@ -159,7 +160,7 @@ def distinguished_pair(h, pair):
     """
     if not is_regular(h):
         raise RegularityViolated("S^2 != id on H_min; regularize first")
-    ell, lam = pair.ell.terms, pair.lam.terms
+    ell, lam = _owned(h, pair.ell, pair.lam)
     alpha = Functional._of(h, h._dual_arrow(ell, lam, h.mult_rows))  # <alpha, g> = <lambda, ell g>
     a = Element._of(h, h._arrow(ell, lam, 0))  # <lambda, ell_(1)> ell_(2)
     if not is_dual_grouplike(h, alpha):
@@ -175,7 +176,7 @@ def distinguished_pair(h, pair):
 
 def radford_check(h, dp):
     """Exact residual of S^4(h) = a^{-1} (alpha -> h <- alpha^{-1}) a per basis element."""
-    alpha, a = dp.alpha.terms, dp.a.terms
+    alpha, a = _owned(h, dp.alpha, dp.a)
     alpha_inv, a_inv = dp.alpha.inv().terms, dp.a.inv().terms
     s4 = (h.S2 @ h.S2).transpose().sparse_rows
     one = h.field.one()
@@ -198,9 +199,9 @@ def lambda_ell_relations(h, dp):
       ell_R . lambda_R = S^{-1} (a^{-1} .)
       ell_R . lambda_L = S ((. <- alpha) a^{-1})
     """
-    ell, lam = dp.source.ell, dp.source.lam
-    alpha, a_inv, one = dp.alpha.terms, dp.a.inv().terms, h.field.one()
-    ell_terms, table = [(x, h.comult[i]) for i, x in ell.terms.items()], h.pairing_table(lam)  # Delta(ell)
+    ell, _lam, alpha, _a = _owned(h, dp.source.ell, dp.source.lam, dp.alpha, dp.a)
+    a_inv, one = dp.a.inv().terms, h.field.one()
+    ell_terms, table = [(x, h.comult[i]) for i, x in ell.items()], h.pairing_table(dp.source.lam)  # Delta(ell)
     s, s_inv = h.S, h.S_inv
     s_cols = s.transpose().sparse_rows
     failures = []
@@ -394,6 +395,8 @@ def twisted_integral_spaces(h, gamma=None, g=None):
     R_gamma = {x : x g = x eps_s^gamma(g) for all g};
     for g in G(H) the same spaces are computed inside the dual algebra.
     """
+    if (g is None) == (gamma is None):
+        raise InvalidOperand("give exactly one of gamma and g")
     if g is not None:
         return twisted_integral_spaces(h.dual, gamma=g)
     maps = twisted_counitals(h, gamma)
@@ -412,7 +415,7 @@ def twisted_integral_spaces(h, gamma=None, g=None):
 
 def is_wha_morphism(h, phi):
     """Full morphism check: algebra, unit, coalgebra, counit, antipode."""
-    n, zero = h.dim, h.field.zero()
+    n, zero, phi = h.dim, h.field.zero(), _n_by_n(phi, h.dim)
     if phi._apply(h.one.terms) != h.one.terms:
         return False
     images = phi.transpose().sparse_rows  # phi(e_k)
@@ -439,6 +442,8 @@ def is_wha_morphism(h, phi):
 
 def grouplike_automorphism(h, g=None, gamma=None):
     """Conjugation by a group-like element or functional, morphism-verified."""
+    if (g is None) == (gamma is None):
+        raise InvalidOperand("give exactly one of g and gamma")
     if g is not None:
         g = Element(h, g)
         g, g_inv = g.terms, g.inv().terms
@@ -464,7 +469,7 @@ def is_trivial_automorphism(h, phi):
     honest "undecided" when the search is exhausted.
     Returns (verdict, witness) with verdict one of "yes" | "no" | "undecided".
     """
-    n, field = h.dim, h.field
+    n, field, phi = h.dim, h.field, _n_by_n(phi, h.dim)
     hmin = h.minimal_subalgebra
     one, zero = field.one(), field.zero()
     rows = []
@@ -514,7 +519,9 @@ def is_trivial_automorphism(h, phi):
 
 
 def antipode_order_report(h, bound=64):
-    """Smallest k <= bound with S^{4k} a trivial automorphism."""
+    """Smallest k <= bound with S^{4k} a trivial automorphism; InvalidOperand unless bound is an int of at least 1."""
+    if _size(bound, "bound") < 1:
+        raise InvalidOperand(f"bound {bound!r} is not an int of at least 1")
     s4 = h.S2 @ h.S2
     power = s4
     undecided = []

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Degenerate, Inconsistent, Mismatch, NotFrobenius, Undecidable
-from .linalg import Matrix, _coerced, _solve
+from .errors import Degenerate, Inconsistent, InvalidOperand, Mismatch, NotFrobenius, Undecidable
+from .linalg import Matrix, _coerced, _n_by_n, _solve
 from .search import first, height_vectors, max_height
 from .wha import (
     Element,
@@ -86,6 +86,13 @@ def find_nondegenerate_integral(h, space=None, skip=0):
     return ell
 
 
+def _owned(h, *vectors):
+    """The terms of each vector, once each is a vector of h, not of another algebra; else InvalidOperand."""
+    if any(getattr(v, "algebra", None) is not h for v in vectors):
+        raise InvalidOperand(f"a vector of another algebra given for {h.name}")
+    return [v.terms for v in vectors]
+
+
 @dataclass
 class DualPair:
     """Non-degenerate left integrals ell in H and lambda in H* that are dual."""
@@ -94,7 +101,7 @@ class DualPair:
     lam: Functional
 
     def check(self, h):
-        ell, lam = self.ell.terms, self.lam.terms
+        ell, lam = _owned(h, self.ell, self.lam)
         if nondegeneracy_matrix(h, self.ell)._apply(lam) != h.one.terms:
             raise Inconsistent("lambda -> ell != 1")
         if h._dual_arrow(ell, lam, h.mult_cols) != h.eps.terms:
@@ -159,6 +166,7 @@ def invariance_check(h, pair, rho=None):
     Right: <rho, g_(1) h> g_(2) = <rho, g h_(1)> S(h_(2))
     rho defaults to lambda o S, the image right integral in H*.
     """
+    _owned(h, pair.ell, pair.lam)
     lam = pair.lam
     failures = _invariance_failures(h, h.comult, h.pairing_table(lam), "left_invariance")
     if rho is None:
@@ -220,6 +228,7 @@ def antipode_from_integrals(h, pair):
     The matrix must equal the transpose of the antipode matrix of H exactly;
     any discrepancy raises Mismatch.
     """
+    _owned(h, pair.ell, pair.lam)
     got = h.pairing_table(pair.lam) @ nondegeneracy_matrix(h, pair.ell).transpose()
     expect = h.S.transpose()
     if got != expect:
@@ -233,11 +242,12 @@ def trace_via_integrals(h, pair, t_mat):
     Tr(T) = <lambda, T(S^{-1}(ell_(1))) ell_(2)>, grouped as the product of
     T(S^{-1}(ell_(1))) with ell_(2).
     """
+    (ell, lam), t_mat = _owned(h, pair.ell, pair.lam), _n_by_n(t_mat, h.dim)
     zero, one = h.field.zero(), h.field.one()
     total, s_inv = zero, h.S_inv.transpose().sparse_rows
-    for (a, b), c in h._comul(pair.ell.terms).items():
+    for (a, b), c in h._comul(ell).items():
         v = t_mat._apply(s_inv[a])
-        total += c * _paired(pair.lam.terms, _basis_products(h, [(one, b, v)], left=False), zero)
+        total += c * _paired(lam, _basis_products(h, [(one, b, v)], left=False), zero)
     return total
 
 

@@ -429,6 +429,13 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
+def _n_by_n(m, n):
+    """m, once it is an n x n Matrix; else InvalidOperand."""
+    if not (isinstance(m, Matrix) and m.nrows == m.ncols == n):
+        raise InvalidOperand(f"operator {m!r} is not a {n}x{n} Matrix")
+    return m
+
+
 def invert(m):
     """Exact inverse, read off the reduced rows of [M | I]; raises Singular."""
     m._square("inverse")

@@ -33,8 +33,8 @@ from math import lcm
 
 from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
 from .fields import QQ, _divisors, _poly_divmod, _poly_eval, _poly_ext_gcd, _poly_mul
-from .integrals import canonical_dual_pair, is_semisimple, semisimple_by_trace_form
-from .linalg import Subspace, _insert
+from .integrals import _owned, canonical_dual_pair, is_semisimple, semisimple_by_trace_form
+from .linalg import Subspace, _insert, _n_by_n
 from .wha import Element, _common, _join, _paired
 
 __all__ = [
@@ -50,8 +50,9 @@ __all__ = [
 
 def trace_s2(h, pair):
     """Tr(S^2) directly and through <eps_s(lambda), eps_s(ell)>; must agree."""
+    ell, lam = _owned(h, pair.ell, pair.lam)
     direct = h.S2.trace()
-    formula = _paired(h.dual.eps_s_mat._apply(pair.lam.terms), h.eps_s_mat._apply(pair.ell.terms), h.field.zero())
+    formula = _paired(h.dual.eps_s_mat._apply(lam), h.eps_s_mat._apply(ell), h.field.zero())
     if direct != formula:
         raise Mismatch(f"Tr(S^2): direct {direct} != formula {formula}")
     return {"direct": direct, "formula": formula}
@@ -239,7 +240,8 @@ _NOT_INVARIANT = "subspace not invariant under the operator"
 
 
 def restricted_trace(h, operator, space):
-    """Trace of an operator restricted to an invariant subspace."""
+    """Trace of an operator, an n x n Matrix, restricted to an invariant subspace."""
+    operator = _n_by_n(operator, h.dim)
     mat = space._matrix_of(operator._apply(row).items() for row in space.sparse_rows)
     if mat is None:
         raise Inconsistent(_NOT_INVARIANT)
@@ -443,7 +445,7 @@ def coinciding_bases_theorem_check(h, pair=None):
     dual = h.dual
     dual_ok = is_semisimple(dual)
     pair = pair or canonical_dual_pair(h)
-    v = dual.eps_t_mat._apply(pair.lam.terms)
+    v = dual.eps_t_mat._apply(_owned(h, pair.ell, pair.lam)[1])
     in_place = dual.center_cap_source._has(v)
     invertible = dual._mult_matrix(v, True).is_invertible()
     return {

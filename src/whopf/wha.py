@@ -29,9 +29,11 @@ those cannot be reassigned once ``__init__`` has finished.
 The scans of associativity, multiplicativity, coassociativity and the
 three antipode axioms read the integer image of the tables instead, the
 cached property ``image`` (delayed reduction, as in FFLAS-FFPACK, Dumas,
-Giorgi and Pernet 2008).  Each table is scaled by the lcm D of its
-denominators, D_m for mult and D_c for comult.  Over Q the image holds
-ints, and a table with D = 1 is used as it is.  Over Q(zeta_n) each scaled
+Giorgi and Pernet 2008).  One builder, ``_Columns``, images each table a
+scan reads: the index, the coproducts, eps_t, eps_s, S and the identity.
+Each table is scaled by the lcm D of its denominators, D_m for mult and
+D_c for comult, and imaged once per radix.  Over Q the image holds ints,
+and a table with D = 1 is used as it is.  Over Q(zeta_n) each scaled
 coefficient vector is packed into one int at a radix K (the Kronecker
 substitution z -> 2^K; Harvey 2009), so a product of scalars is one int
 product and a sum one int sum (``Field.image`` and ``Field.radix``).  Each
@@ -92,7 +94,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     Axiom26Failure,
@@ -423,27 +425,31 @@ def _index_lines(h, leg):
 
 
 class _Columns:
-    """The nonzero entries of each column of a matrix, as images under the lcm ``d`` of their denominators.
+    """The integer image of a table, line by line: a line maps a key to a nonzero scalar, or, with
+    ``cells``, to a cell k -> nonzero scalar, as in the index ``mult_rows``.
 
-    ``cols`` holds column i as a dict row -> nonzero scalar (the sparse rows
-    of the transposed Matrix), ``a`` the largest absolute coefficient of an
-    image (``Field.scaling``) and ``width`` the most nonzeros of one column.
+    ``d`` is the lcm of the denominators of every scalar, ``a`` the largest
+    absolute coefficient of an image (``Field.scaling``) and ``width`` the
+    most entries of one line.
     """
 
-    def __init__(self, field, cols):
-        self.field, self.cols = field, cols
-        self.d, self.a = field.scaling([v for col in self.cols for v in col.values()])
-        self.width = max(map(len, self.cols), default=0)
+    def __init__(self, field, lines, cells=False):
+        self.field, self.lines, self.cells = field, lines, cells
+        scalars = [v for line in lines for v in line.values()]
+        self.d, self.a = field.scaling([c for cell in scalars for c in cell.values()] if cells else scalars)
+        self.width = max(map(len, lines), default=0)
         self._at = {}
 
     def at(self, radix):
-        """The columns of images at ``radix``, made once per radix; over Q with d = 1, ``cols`` itself."""
+        """The lines of images at ``radix``, made once per radix; over Q with d = 1, ``lines`` itself."""
         got = self._at.get(radix)
         if got is None:
-            image, d = self.field.image, self.d
-            got = self.cols
+            image, d, got = self.field.image, self.d, self.lines
             if radix is not None or d != 1:
-                got = [{r: image(v, d, radix) for r, v in col.items()} for col in got]
+                if self.cells:
+                    got = [{j: {k: image(c, d, radix) for k, c in v.items()} for j, v in line.items()} for line in got]
+                else:
+                    got = [{j: image(v, d, radix) for j, v in line.items()} for line in got]
             self._at[radix] = got
         return got
 
@@ -451,43 +457,19 @@ class _Columns:
 class _Image:
     """The integer image of an algebra's tables; ``WeakHopfAlgebra.image`` builds it once.
 
-    ``mult_scaling`` and ``comult_scaling`` are the (D, A) of each table (``Field.scaling``)
-    and ``terms`` the most terms of one Delta(e_i).  ``at(radix)`` is the
-    index ``mult_rows`` and ``comult`` with each scalar replaced by its
-    image, made once per radix; over Q, where the radix is None, a table
-    with D = 1 is the algebra's own.
+    ``mult`` images the index ``mult_rows`` and ``comult`` the coproducts, each a ``_Columns``;
+    ``counital`` adds eps_t and eps_s on first use.
     """
 
     def __init__(self, h):
-        self.field = h.field
-        self._tables = h.mult_rows, h.comult
-        self.mult_scaling = h.field.scaling([c for cell in h.mult.values() for c in cell.values()])
-        self.comult_scaling = h.field.scaling([c for d in h.comult for c in d.values()])
-        self.terms = max(map(len, h.comult), default=0)
-        self._at = {}
+        self.mult = _Columns(h.field, h.mult_rows, cells=True)
+        self.comult = _Columns(h.field, h.comult)
         self._counital = None
 
-    def at(self, radix):
-        """(mult_rows, comult) of images at ``radix``."""
-        got = self._at.get(radix)
-        if got is None:
-            image = self.field.image
-            rows, comult = self._tables
-            (dm, _), (dc, _) = self.mult_scaling, self.comult_scaling
-            if radix is not None or dm != 1:
-                rows = tuple(
-                    {j: {k: image(c, dm, radix) for k, c in cell.items()} for j, cell in line.items()}
-                    for line in rows
-                )
-            if radix is not None or dc != 1:
-                comult = tuple({jk: image(c, dc, radix) for jk, c in d.items()} for d in comult)
-            got = self._at[radix] = rows, comult
-        return got
-
     def counital(self, h):
-        """eps_t and eps_s of h, the algebra of this image, as ``_Columns``, made on first use."""
+        """eps_t and eps_s of h, the algebra of this image, as ``_Columns`` of their columns, made on first use."""
         if self._counital is None:
-            self._counital = tuple(_Columns(self.field, m.transpose().sparse_rows) for m in counital_maps(h).values())
+            self._counital = tuple(_Columns(h.field, m.transpose().sparse_rows) for m in counital_maps(h).values())
         return self._counital
 
 
@@ -1160,11 +1142,9 @@ def _associativity(h, rows):
     The scan reads ``h.image``: both sides are D_m^2 times the field's, for
     D_m the lcm of mult's denominators, with radix bound n phi A_m^2.
     """
-    field = h.field
-    im = h.image
-    am = im.mult_scaling[1]
-    radix = field.radix((1, h.dim, am, am))
-    mult_rows = im.at(radix)[0]
+    field, mult = h.field, h.image.mult
+    radix = field.radix((1, h.dim, mult.a, mult.a))
+    mult_rows = mult.at(radix)
     for i in rows:
         row_i = mult_rows[i]
         for j in range(h.dim):
@@ -1248,30 +1228,29 @@ def validate_weak_bialgebra(h):
     field = h.field
     zero = field.zero()
     gens = h.generators
-    im = h.image
-    (dm, am), (dc, ac) = im.mult_scaling, im.comult_scaling
+    mult, comult = h.image.mult, h.image.comult
 
     def multiplicativity(rows):
-        scale = dm * dc
-        radix = field.radix((scale, n, am, ac), (1, im.terms**2, ac, ac, am, am))
-        lines, comult = im.at(radix)
+        scale, am, ac = mult.d * comult.d, mult.a, comult.a
+        radix = field.radix((scale, n, am, ac), (1, comult.width**2, ac, ac, am, am))
+        lines, deltas = mult.at(radix), comult.at(radix)
         for i in rows:
             for j in range(n):
                 lhs = {}
                 for k, c in lines[i].get(j, {}).items():
                     c *= scale
-                    for jk, c2 in comult[k].items():
+                    for jk, c2 in deltas[k].items():
                         lhs[jk] = lhs.get(jk, 0) + c * c2
-                rhs = _pair_product(lines, comult[i], comult[j], 0)
+                rhs = _pair_product(lines, deltas[i], deltas[j], 0)
                 if lhs != rhs and _differ(field, radix, lhs, rhs):
                     return (i, j)
         return None
 
     def coassociativity(rows):
-        radix = field.radix((1, im.terms, ac, ac))
-        comult = im.at(radix)[1]
+        radix = field.radix((1, comult.width, comult.a, comult.a))
+        deltas = comult.at(radix)
         for i in rows:
-            lhs, rhs = (_comultiplied(comult, 0, comult[i], leg) for leg in (0, 1))
+            lhs, rhs = (_comultiplied(deltas, 0, deltas[i], leg) for leg in (0, 1))
             if lhs != rhs and _differ(field, radix, lhs, rhs):
                 return (i,)
         return None
@@ -1402,32 +1381,31 @@ def antipode_axiom_checks(h, s=None):
     for each a in supp(x_j), with the nonzeros of y_k, and accumulate
     sparsely.
 
-    The scans run on ``h.image`` (module docstring); eps_t and eps_s have
-    their images cached there, and S, which varies from call to call, is
-    packed per call.  With D_x, D_y and D_E the lcms of the denominators of
-    the x's, the y's and E, the sum is L = D_c D_x D_y D_m times the scalar
-    one, so with g = gcd(L, D_E) a scan compares D_E / g times the summed
-    images with L / g times the image of column i of E.  An entry of the
-    sum has at most N = C w_x w_y products of four images, for C the most
-    terms of one Delta(e_i) and w the most nonzeros of one column, so the
-    bounds of the two sides are (D_E / g) N phi^3 A_c A_x A_y A_m and
-    (L / g) A_E.
+    The scans read each operand as a ``_Columns`` (module docstring): mult,
+    comult, eps_t and eps_s from ``h.image``, and S, which varies from call
+    to call, and the identity made per call.  With D_x, D_y and D_E the lcms
+    of the denominators of the x's, the y's and E, the sum is L = D_c D_x
+    D_y D_m times the scalar one, so with g = gcd(L, D_E) a scan compares
+    D_E / g times the summed images with L / g times the image of column i
+    of E.  An entry of the sum has at most N = C w_x w_y products of four
+    images, for C the most terms of one Delta(e_i) and w the most nonzeros
+    of one column, so the bounds of the two sides are (D_E / g) N phi^3 A_c
+    A_x A_y A_m and (L / g) A_E.
     """
     field = h.field
     im = h.image
-    (dm, am), (dc, ac) = im.mult_scaling, im.comult_scaling
 
     def first_failure(left, right, expect):
-        scale = dc * left.d * right.d * dm
+        factors = (im.comult, left, right, im.mult)
+        scale = prod(f.d for f in factors)
         g = gcd(scale, expect.d)
         s_acc, s_expect = expect.d // g, scale // g
-        width = im.terms * left.width * right.width
-        radix = field.radix((s_acc, width, ac, left.a, right.a, am), (s_expect, 1, expect.a))
-        rows, comult = im.at(radix)
-        left, right = left.at(radix), right.at(radix)
+        width = prod(f.width for f in factors[:3])
+        radix = field.radix((s_acc, width, *(f.a for f in factors)), (s_expect, 1, expect.a))
+        deltas, left, right, rows = (f.at(radix) for f in factors)
         for i, want in enumerate(expect.at(radix)):
             acc = {}
-            for (j, k), c in comult[i].items():
+            for (j, k), c in deltas[i].items():
                 c *= s_acc
                 for a, x in left[j].items():
                     cx = c * x
@@ -1441,11 +1419,9 @@ def antipode_axiom_checks(h, s=None):
                 return (i,)
         return None
 
-    if s is None:
-        s = h.S
     eps_t, eps_s = im.counital(h)
     basis = _Columns(field, [{i: field.one()} for i in range(h.dim)])
-    s_cols = _Columns(field, s.transpose().sparse_rows)
+    s_cols = _Columns(field, (h.S if s is None else s).transpose().sparse_rows)
     witness = first_failure(basis, s_cols, eps_t)
     checks = [AxiomCheck("antipode_target", witness is None, witness)]
     witness = first_failure(s_cols, basis, eps_s)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,9 +226,20 @@ def test_make_tensor(tmp_path, capsys):
     assert json.loads(out)["dim"] == 8
 
 
-def test_validate_solves_missing_antipode(tmp_path, capsys):
-    h = groupoid_algebra(pair_groupoid(2))
-    doc = docio.wha_to_document(h)
+@pytest.mark.parametrize(
+    "make",
+    [None, ["group", "--cyclic", "7", "--zeta", "7"], ["minimal", "--blocks", "1,2"]],
+    ids=["pair-2", "group-z7-zeta7", "minimal-1-2"],
+)
+def test_validate_solves_missing_antipode(tmp_path, capsys, make):
+    """With "antipode" stripped, validate solves S again and every axiom passes: k[Z7] over Q(zeta_7), whose
+    modular solve has phi(7) = 6 embeddings, and H_min(1,2), whose S has fractions, are made by the CLI."""
+    if make is None:
+        doc = docio.wha_to_document(groupoid_algebra(pair_groupoid(2)))
+    else:
+        code, made, _ = run_cli(capsys, "make", *make)
+        assert code == 0
+        doc = json.loads(made)
     del doc["antipode"]
     path = tmp_path / "no_s.json"
     path.write_text(docio.dumps(doc))
@@ -467,6 +482,20 @@ def test_overlong_integers_are_parse_errors(tmp_path, capsys, where):
     else:
         path.write_text(json.dumps(doc)[:-1] + ', "extra": ' + long + "}")
     _assert_parse_error(*run_cli(capsys, "validate", str(path)))
+
+
+def test_validate_process_exits_2_on_an_overlong_scalar(tmp_path, capsys):
+    """A real ``python -m whopf.cli validate`` process: exit 2, nothing on stdout, one JSON line on stderr."""
+    doc = _z2_doc(capsys)
+    doc["mult"][0][-1] = "1" * 5000
+    path = tmp_path / "long-scalar.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    optimize = ["-O"] if sys.flags.optimize else []  # the process runs as the suite does, with or without -O
+    argv = [sys.executable, *optimize, "-m", "whopf.cli", "validate", str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    _assert_parse_error(done.returncode, done.stdout, done.stderr)
 
 
 def test_dynamical_refuses_a_positional_document(tmp_path, capsys):

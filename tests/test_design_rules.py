@@ -88,6 +88,13 @@ def rows_read(node):
     return is_attr(node, "rows") and isinstance(node.ctx, ast.Load)
 
 
+def loops(node):
+    """(target, iterable) of a for statement, or of each generator of a comprehension; else none."""
+    if isinstance(node, ast.For):
+        return [(node.target, node.iter)]
+    return [(gen.target, gen.iter) for gen in getattr(node, "generators", ())]
+
+
 # name: a predicate on a node and its scopes.
 RULES = {
     # python -O strips assert, so library checks must raise typed errors instead.
@@ -118,13 +125,14 @@ RULES = {
     "mult-subscript": lambda node, scopes: (
         isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and is_attr(node.value, "mult")
     ),
-    # A loop over .mult.items() that groups the cells by one factor (a setdefault keyed by
-    # a name its target binds) rebuilds the index locally.
-    "mult-regroup": lambda node, scopes: (
-        isinstance(node, ast.For) and is_attr(receiver(node.iter, "items"), "mult") and any(
+    # A loop or a comprehension over .mult.items() that groups the cells by one factor (a
+    # setdefault keyed by a name its target binds) rebuilds the index locally.
+    "mult-regroup": lambda node, scopes: any(
+        is_attr(receiver(iterable, "items"), "mult") and any(
             receiver(call, "setdefault") and call.args and isinstance(call.args[0], ast.Name)
-            and call.args[0].id in names(node.target) for call in ast.walk(node)
+            and call.args[0].id in names(target) for call in ast.walk(node)
         )
+        for target, iterable in loops(node)
     ),
     # S^2 is the cached WeakHopfAlgebra.S2 (and S^4 is S2 @ S2); a product of two .S
     # attributes outside that property computes it again, and so does a .S.power(...)
@@ -252,3 +260,10 @@ def test_the_library_keeps_the_design_rules():
 def test_each_rule_flags_its_break_and_passes_its_scope(flagged, passing):
     assert hits(*flagged) == [len(flagged[1].splitlines())]
     assert hits(*passing) == []
+
+
+def test_mult_regroup_flags_a_comprehension_too():
+    """A comprehension over .mult.items() that regroups the cells by a factor rebuilds the index as a loop does."""
+    assert hits("wha.py", "[d.setdefault(a, []) for (a, b), c in h.mult.items()]") == [1]
+    assert hits("wha.py", "{a: rows.setdefault(a, {}) for (a, b), c in h.mult.items()}") == [1]
+    assert hits("wha.py", "[cells.setdefault(str(c), []) for (a, b), c in h.mult.items()]") == []

@@ -366,9 +366,13 @@ def test_coinciding_bases_force_trivial_grouplike_to_be_one():
     assert is_trivial_grouplike(z2z2, z2z2.one)[0]
 
 
-def test_antipode_order_bound_exhaustion():
-    got = antipode_order_report(kz2(), bound=0)
-    assert got["order"] is None and got["bound"] == 0
+def test_antipode_order_bound_exhaustion(monkeypatch):
+    """No power up to the bound is trivial: the report gives order None with the bound, not a false order."""
+    from whopf import grouplikes
+
+    monkeypatch.setattr(grouplikes, "is_trivial_automorphism", lambda h, phi: ("no", None))
+    got = antipode_order_report(kz2(), bound=3)
+    assert got == {"order": None, "bound": 3, "undecided": []}
 
 
 def test_max_height_env(monkeypatch):
@@ -466,3 +470,71 @@ def test_is_dual_grouplike_reads_the_sparse_pairing_table(monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", lambda self, field, rows: calls.append(1) or init(self, field, rows))
     assert is_dual_grouplike(h, h.counit)
     assert calls == []
+
+
+def _pair_calls():
+    """(name, call(h, pair, dp)) for each function that reads a dual pair or a distinguished pair of h."""
+    from whopf.integrals import antipode_from_integrals, invariance_check, trace_via_integrals
+    from whopf.semisimplicity import coinciding_bases_theorem_check, semisimplicity_report, trace_s2
+
+    return {
+        "radford_check": lambda h, pair, dp: radford_check(h, dp),
+        "lambda_ell_relations": lambda h, pair, dp: lambda_ell_relations(h, dp),
+        "distinguished_pair": lambda h, pair, dp: distinguished_pair(h, pair),
+        "invariance_check": lambda h, pair, dp: invariance_check(h, pair),
+        "antipode_from_integrals": lambda h, pair, dp: antipode_from_integrals(h, pair),
+        "trace_via_integrals": lambda h, pair, dp: trace_via_integrals(h, pair, Matrix.identity(QQ, h.dim)),
+        "trace_s2": lambda h, pair, dp: trace_s2(h, pair),
+        "semisimplicity_report": lambda h, pair, dp: semisimplicity_report(h, pair),
+        "coinciding_bases_theorem_check": lambda h, pair, dp: coinciding_bases_theorem_check(h, pair),
+        "DualPair.check": lambda h, pair, dp: pair.check(h),
+    }
+
+
+@pytest.mark.parametrize("other", ["dual-pair-2", "z2-group"])
+@pytest.mark.parametrize("name", list(_pair_calls()))
+def test_a_pair_of_another_algebra_is_refused(name, other):
+    """pair-2 handed the pair of another algebra raises InvalidOperand; the pair of dual-pair-2, also of
+    dim 4, used to be read in pair-2's basis and give failed identities, a false Mismatch or ok: True."""
+    from whopf.zoo import build_member
+
+    h, o = build_member("pair-2"), build_member(other)
+    pair = canonical_dual_pair(o)
+    call = _pair_calls()[name]
+    with pytest.raises(InvalidOperand, match="another algebra"):
+        call(h, pair, distinguished_pair(o, pair))
+    own = canonical_dual_pair(h)
+    call(h, own, distinguished_pair(h, own))  # h's own pair passes the check
+
+
+def _option_calls():
+    """(name, call(h)) for each malformed operator shape or option on pair-2 (dim 4)."""
+    from whopf.integrals import trace_via_integrals
+    from whopf.semisimplicity import restricted_trace
+
+    eye = lambda n: Matrix.identity(QQ, n)
+    cases = {
+        "restricted_trace-5x5": lambda h: restricted_trace(h, eye(5), h.target_base),
+        "restricted_trace-3x3": lambda h: restricted_trace(h, eye(3), h.target_base),
+        "restricted_trace-2x4": lambda h: restricted_trace(h, Matrix.zero(QQ, 2, 4), h.target_base),
+        "restricted_trace-rows": lambda h: restricted_trace(h, [[1, 0], [0, 1]], h.target_base),
+        "trace_via_integrals-2x2": lambda h: trace_via_integrals(h, canonical_dual_pair(h), eye(2)),
+        "is_trivial_automorphism-2x2": lambda h: is_trivial_automorphism(h, eye(2)),
+        "is_trivial_automorphism-5x5": lambda h: is_trivial_automorphism(h, eye(5)),
+        "is_wha_morphism-2x2": lambda h: is_wha_morphism(h, eye(2)),
+        "grouplike_automorphism-neither": lambda h: grouplike_automorphism(h),
+        "grouplike_automorphism-both": lambda h: grouplike_automorphism(h, g=h.one, gamma=h.eps),
+        "twisted_integral_spaces-neither": lambda h: twisted_integral_spaces(h),
+        "twisted_integral_spaces-both": lambda h: twisted_integral_spaces(h, gamma=h.eps, g=h.one),
+    }
+    for bound in (0, -1, 2.5, "a", True):
+        cases[f"antipode_order_report-{bound!r}"] = lambda h, bound=bound: antipode_order_report(h, bound=bound)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_option_calls()))
+def test_operator_shapes_and_options_are_checked(name):
+    """Each used to answer (a trace of the wrong size, ('yes', ...), False, order None without a try), or
+    to raise IndexError or TypeError, or to use one of g and gamma silently; each raises InvalidOperand now."""
+    with pytest.raises(InvalidOperand):
+        _option_calls()[name](pair2())
