@@ -21,9 +21,9 @@ A ``Field`` object (RationalField or CyclotomicField) carries parsing,
 formatting, coercion, and inversion.  Cyclotomic orders 1 and 2 are
 canonicalized to the rationals by ``make_field``.
 
-A field also maps a table of its scalars to integers, for scans that only
-add and multiply entries and compare the two sides of an identity
-(``scaling``, ``image``, ``radix``, and ``image_zero`` over Q(zeta_n)).  Each
+A field also maps a table of its scalars to integers, for scans and
+products that only add and multiply entries (``scaling``, ``image`` and
+``radix``; back again, ``image_zero`` and ``from_image``).  Each
 scalar is multiplied by the lcm D of the table's denominators.  Over Q
 that is an int.  Over Q(zeta_n) the phi scaled integer coefficients c_t are
 packed into the one int sum_t c_t 2^(K t), the Kronecker substitution
@@ -32,7 +32,8 @@ a sum is a sum of ints, as long as no digit of a result reaches 2^(K-1):
 ``radix`` picks K from a bound on the digits.  A packed int is not
 canonical, since it is never reduced mod Phi_n, so a value is tested for
 zero by its signed digits (``_unpack``), folded by z^n = 1 and reduced
-mod Phi_n once.
+mod Phi_n once, and a product's output is read back to one scalar the
+same way, over D (``from_image``).
 
 For the modular step of ``solve_antipode`` a field also maps its scalars
 into F_p (``Field.modular``).  Over Q(zeta_n), p is the largest prime below
@@ -179,6 +180,7 @@ class _CycContext:
                 cur = [a + lead * b for a, b in zip(cur, top)]
             rows.append(cur)
         self.power_rows = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
+        self.fold_rows = [((t, 1),) for t in range(phi)] + self.power_rows[: n - phi]  # z^t, t < n
         self.zero_tail = (0,) * (phi - 1)
         self.zero = _cyc(n, (0,) * phi, 1)
         self.one = _cyc(n, (1,) + self.zero_tail, 1)
@@ -228,11 +230,13 @@ class _CycContext:
         return self.reduce(out)
 
     def fold(self, digits):
-        """The residue of sum_t digits[t] z^t: the digits are folded by z^n = 1, then reduced mod Phi_n."""
-        n, out = self.n, [0] * self.n
+        """The residue of sum_t digits[t] z^t: z^t is z^(t mod n), reduced mod Phi_n (``fold_rows``)."""
+        n, rows, out = self.n, self.fold_rows, [0] * self.phi
         for t, d in enumerate(digits):
-            out[t % n] += d
-        return self.reduce(out)
+            if d:
+                for i, r in rows[t % n]:
+                    out[i] += d * r
+        return out
 
     @cached_property
     def modular(self):
@@ -710,6 +714,8 @@ class RationalField(Field):
     def scaling(self, scalars):
         """(D, A) of a list of scalars: the lcm D of their denominators and the largest |x D|."""
         d = lcm(*{x.denominator for x in scalars})
+        if d == 1:  # ints: the common case of a table over Q
+            return 1, max(map(abs, scalars), default=0)
         return d, max((abs(x.numerator) * (d // x.denominator) for x in scalars), default=0)
 
     def image(self, x, d, k):
@@ -719,6 +725,10 @@ class RationalField(Field):
     def radix(self, *sides):
         """None: ints need no radix, and they are compared as they are."""
         return None
+
+    def from_image(self, v, d, k):
+        """v / D for D = ``d``, the scalar whose image is v; an int when D divides v."""
+        return Fraction(v, d) if v % d else v // d
 
     def __repr__(self):
         return "QQ"
@@ -821,12 +831,12 @@ class CyclotomicField(Field):
         """(D, A) of a list of scalars: the lcm D of their denominators and the largest |c_t| of any
         x D = sum_t c_t z^t."""
         d = lcm(*{x.den for x in scalars})
-        return d, max((abs(c) * (d // x.den) for x in scalars for c in x.num), default=0)
+        return d, max((max(map(abs, x.num)) * (d // x.den) for x in scalars), default=0)
 
     def image(self, x, d, k):
         """The coefficients of x D for D = ``d``, packed at radix k."""
         f = d // x.den
-        return _pack([c * f for c in x.num], k)
+        return _pack([c * f for c in x.num] if f != 1 else x.num, k)
 
     def radix(self, *sides):
         """The radix K of one scan that compares two sides of an identity.
@@ -844,6 +854,10 @@ class CyclotomicField(Field):
     def image_zero(self, v, k):
         """Whether the packed int v at radix k is zero in Q(zeta_n)."""
         return not v or not any(self._context.fold(_unpack(v, k)))
+
+    def from_image(self, v, d, k):
+        """The scalar with image v at radix k over D = ``d``: v's digits, folded and reduced, over D."""
+        return _canonical(self.order, self._context.fold(_unpack(v, k)), d)
 
     def __repr__(self):
         return f"QQ(zeta_{self.order})"

@@ -209,7 +209,7 @@ def lambda_ell_relations(h, dp):
     for i, lams in enumerate(zip(table.sparse_rows, table.transpose().sparse_rows)):
         e = {i: one}
         (ell_l_lam_r, ell_r_lam_r), (ell_l_lam_l, ell_r_lam_l) = (
-            [_pruned(_contract_leg(h, ell_terms, phi, leg)) for leg in (1, 0)] for phi in lams
+            [_pruned(_contract_leg(h.field.zero(), ell_terms, phi, leg)) for leg in (1, 0)] for phi in lams
         )
         if ell_l_lam_r != s_cols[i]:
             failures.append(("ellL_lamR", i))
@@ -397,8 +397,8 @@ def twisted_integral_spaces(h, gamma=None, g=None):
     """
     if (g is None) == (gamma is None):
         raise InvalidOperand("give exactly one of gamma and g")
-    if g is not None:
-        return twisted_integral_spaces(h.dual, gamma=g)
+    if g is not None:  # g in H is a functional on H*: its terms, read in the dual basis
+        return twisted_integral_spaces(h.dual, gamma=Functional._of(h.dual, Element(h, g).terms))
     maps = twisted_counitals(h, gamma)
     if "eps_s_gamma" not in maps or "eps_t_gamma" not in maps:
         raise NotHalfGrouplike("gamma must be group-like on both sides")

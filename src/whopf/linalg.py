@@ -20,7 +20,9 @@ A ``Subspace`` keeps the pivot rows of ``_reduce``, sorted by pivot, so
 equality compares canonical bases; ``rref`` is the dense view of a span.  A
 ``Matrix`` holds only its nonzeros, in the eliminator's row form.  Its one
 product is the row-wise sparse join of Gustavson (ACM TOMS 1978): each
-nonzero A[i, k] scatters the nonzeros of row k of B into row i of AB.
+nonzero A[i, k] scatters the nonzeros of row k of B into row i of AB.  It
+runs on the integer images of A and B (``_Columns``, ``Field.image``), so each
+entry of AB is one int sum, read back to one scalar (``Field.from_image``).
 
 The modular step of ``solve_antipode`` is the one place that works mod a
 prime.  ``_solve_modular`` solves a system over F_p once per embedding of the
@@ -68,6 +70,44 @@ def _coerced(field, x):
     """The sparse vector x of computed scalars without its zeros, the rest coerced (int for integral on QQ)."""
     coerce = field.coerce
     return {j: coerce(v) for j, v in x.items() if v}
+
+
+class _Columns:
+    """The integer image of a table, line by line: a line maps a key to a nonzero scalar, or, with
+    ``cells``, to a cell k -> nonzero scalar, as in the index ``mult_rows``.
+
+    ``d`` is the lcm of the denominators of every scalar, ``a`` the largest
+    absolute coefficient of an image (``Field.scaling``) and ``width`` the
+    most entries of one line.
+    """
+
+    def __init__(self, field, lines, cells=False):
+        self.field, self.lines, self.cells = field, lines, cells
+        scalars = [v for line in lines for v in line.values()]
+        self.d, self.a = field.scaling([c for cell in scalars for c in cell.values()] if cells else scalars)
+        self.width = max(map(len, lines), default=0)
+        self._at = {}
+
+    def at(self, radix):
+        """The lines of images at ``radix``, made once per radix; over Q with d = 1, ``lines`` itself."""
+        got = self._at.get(radix)
+        if got is None:
+            image, d, got = self.field.image, self.d, self.lines
+            if radix is not None or d != 1:
+                if self.cells:
+                    got = [{j: {k: image(c, d, radix) for k, c in v.items()} for j, v in line.items()} for line in got]
+                else:
+                    got = [{j: image(v, d, radix) for j, v in line.items()} for line in got]
+            self._at[radix] = got
+        return got
+
+
+def _from_images(field, lines, d, radix):
+    """Each line of images over D = ``d`` at ``radix`` as its nonzero scalars (``Field.from_image``)."""
+    if radix is None and d == 1:
+        return tuple({j: v for j, v in line.items() if v} for line in lines)
+    read = field.from_image
+    return tuple({j: x for j, v in line.items() if v and (x := read(v, d, radix))} for line in lines)
 
 
 def _reduce(rows, field, stop):
@@ -354,18 +394,22 @@ class Matrix:
         return Matrix._sums(self.field, [{j: c * x for j, x in r.items()} for r in self.sparse_rows], self.ncols)
 
     def __matmul__(self, other):
+        """The product, joined on the images of both operands; each entry is read back once."""
         if self.ncols != other.nrows:
             raise InvalidOperand(f"cannot multiply {self!r} by {other!r}")
-        zero = self.field.zero()
-        other_rows = other.sparse_rows
-        out = []
-        for r in self.sparse_rows:
+        field = self.field
+        if other.field != field:  # its entries are read as scalars of this field, or FieldMismatch
+            other = Matrix._sums(field, other.sparse_rows, other.ncols)
+        a, b = _Columns(field, self.sparse_rows), _Columns(field, other.sparse_rows)
+        radix = field.radix((1, self.ncols, a.a, b.a))
+        other_rows, d, out = b.at(radix), a.d * b.d, []
+        for r in a.at(radix):
             acc = {}
             for k, x in r.items():
                 for j, y in other_rows[k].items():
-                    acc[j] = acc.get(j, zero) + x * y
+                    acc[j] = acc.get(j, 0) + x * y
             out.append(acc)
-        return Matrix._sums(self.field, out, other.ncols)
+        return Matrix._of(field, _from_images(field, out, d, radix), other.ncols)
 
     def matvec(self, v):
         """M v for a dense vector v, as a tuple: the dense adapter of ``_apply``."""

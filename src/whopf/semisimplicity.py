@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, count
 from math import lcm
 
-from .errors import Inconsistent, Mismatch, NonSplit, PreconditionUnmet
+from .errors import Inconsistent, InvalidOperand, Mismatch, NonSplit, PreconditionUnmet
 from .fields import QQ, _divisors, _poly_divmod, _poly_eval, _poly_ext_gcd, _poly_mul
 from .integrals import _owned, canonical_dual_pair, is_semisimple, semisimple_by_trace_form
 from .linalg import Subspace, _insert, _n_by_n
@@ -240,8 +240,10 @@ _NOT_INVARIANT = "subspace not invariant under the operator"
 
 
 def restricted_trace(h, operator, space):
-    """Trace of an operator, an n x n Matrix, restricted to an invariant subspace."""
+    """Trace of an operator, an n x n Matrix, restricted to an invariant subspace of h's n-space."""
     operator = _n_by_n(operator, h.dim)
+    if getattr(space, "ambient", None) != h.dim:
+        raise InvalidOperand(f"{space!r} is not a subspace of the dim-{h.dim} algebra")
     mat = space._matrix_of(operator._apply(row).items() for row in space.sparse_rows)
     if mat is None:
         raise Inconsistent(_NOT_INVARIANT)

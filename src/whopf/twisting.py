@@ -381,7 +381,7 @@ def verify_dynamical_data(data):
         j_inverses[chi] = _j_inverse(u, tensor_algebra, j)
         # normalization (eps (x) id)J = (id (x) eps)J = 1
         scaled = [(u.field.one(), j)]
-        if any(_pruned(_contract_leg(u, scaled, u.eps.terms, leg)) != u.one.terms for leg in (0, 1)):
+        if any(_pruned(_contract_leg(u.field.zero(), scaled, u.eps.terms, leg)) != u.one.terms for leg in (0, 1)):
             raise InvalidPresentation(f"J({chi}) violates counit normalization")
         # commutation with Delta(a) for every a in A
         for a in range(group.order):

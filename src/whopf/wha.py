@@ -26,11 +26,12 @@ The index and the other cached properties derive from ``field``,
 ``labels``, ``dim``, ``mult``, ``comult``, ``unit`` and ``counit``, so
 those cannot be reassigned once ``__init__`` has finished.
 
-The scans of associativity, multiplicativity, coassociativity and the
-three antipode axioms read the integer image of the tables instead, the
-cached property ``image`` (delayed reduction, as in FFLAS-FFPACK, Dumas,
-Giorgi and Pernet 2008).  One builder, ``_Columns``, images each table a
-scan reads: the index, the coproducts, eps_t, eps_s, S and the identity.
+Every validation scan (the bialgebra axioms and the three antipode
+axioms) reads the integer image of the tables instead, the cached property
+``image`` (delayed reduction, as in FFLAS-FFPACK, Dumas, Giorgi and Pernet
+2008).  One builder, ``linalg._Columns``, images each table a scan reads:
+the index, the coproducts, eps_t, eps_s, S, the identity, 1, eps and the
+rank factors of Delta(1) and E2.
 Each table is scaled by the lcm D of its denominators, D_m for mult and
 D_c for comult, and imaged once per radix.  Over Q the image holds ints,
 and a table with D = 1 is used as it is.  Over Q(zeta_n) each scaled
@@ -50,9 +51,11 @@ the largest absolute coefficient of factor i's image and s the integer
 scale of the side.  K is the least with 2^(K-1) > 2 bound, as the two
 sides are subtracted, rounded up to a multiple of 16.  An entry is compared
 by the signed digits of the difference, folded by z^n = 1 and reduced mod
-Phi_n once (``Field.image_zero``).  The weak unit and weak counit checks
-and ``mul_pair_dicts`` stay on field scalars; ``solve_antipode`` solves mod p
-first, and those scans certify what it finds.
+Phi_n once (``Field.image_zero``).  ``solve_antipode`` solves mod p first,
+and those scans certify what it finds.  The producers ``mul_pair_dicts``
+and ``contraction_matrix``, like ``Matrix @``, make one round trip: they
+image their operands, run the same join with zero 0, and read each nonzero
+output entry back to one scalar (``Field.from_image``).
 
 Each verdict is computed once per input.  The weak bialgebra checks read
 only ``mult``, ``comult``, ``unit`` and ``counit``, which cannot be
@@ -110,7 +113,9 @@ from .errors import (
     Singular,
 )
 from .fields import Field
-from .linalg import Matrix, Subspace, _coerced, _insert, _solve, _solve_modular, invert, kernel_on, solve_sparse
+from .linalg import (
+    Matrix, Subspace, _coerced, _Columns, _from_images, _insert, _solve, _solve_modular, invert, kernel_on, solve_sparse
+)
 
 __all__ = [
     "AxiomCheck",
@@ -139,10 +144,13 @@ __all__ = [
 def _terms(h, vec):
     """The nonzeros of a vector of h as a dict index -> scalar: the one way in from a dense vector.
 
-    An Element or Functional of h is read as its ``terms``; any other vector needs one entry per
-    basis element (else InvalidPresentation), each coerced into the field (FieldMismatch).
+    An Element or Functional of h is read as its ``terms``, and one of another algebra is refused
+    (InvalidOperand); any other vector needs one entry per basis element (else InvalidPresentation),
+    each coerced into the field (FieldMismatch).
     """
-    if isinstance(vec, _Vector) and vec.algebra is h:
+    if isinstance(vec, _Vector):
+        if vec.algebra is not h:
+            raise InvalidOperand(f"a vector of {vec.algebra.name} handed to {h.name}, another algebra")
         return vec.terms
     if isinstance(vec, Mapping):  # iterating a dict would read its keys as the coefficients
         raise InvalidOperand("a coefficient vector is a sequence of scalars, not a mapping")
@@ -205,13 +213,12 @@ def _comultiplied(comult, zero, tensor, leg):
     return out
 
 
-def _contract_leg(h, scaled, phi, paired):
+def _contract_leg(zero, scaled, phi, paired):
     """Sum of x w <phi, e_p> e_q over the terms w e_a (x) e_b of x T, (x, T) in ``scaled``; sparse, not pruned.
 
-    Each T is a sparse pair tensor, phi a sparse functional (index -> scalar),
+    Each T is a sparse pair tensor, phi a sparse functional (index -> scalar or image, with ``zero``),
     e_p the leg of T numbered ``paired`` (0 for e_a) and e_q the other one.
     """
-    zero = h.field.zero()
     out = {}
     for x, tensor in scaled:
         for legs, w in tensor.items():
@@ -228,12 +235,16 @@ def contraction_matrix(h, tensor, table, side):
     For tensor = sum w e_a (x) e_b, column i is sum w table[a, i] e_b on
     side "t" and sum w table[i, b] e_a on side "s".  With Delta(1) and
     E2[i, j] = eps(e_i e_j) these are eps_t and eps_s.  Side "s" reads the
-    sparse rows of the table and side "t" those of its transpose.
+    sparse rows of the table and side "t" those of its transpose, as images
+    (radix bound |tensor| phi A_tensor A_table).
     """
-    scaled = [(h.field.one(), tensor)]
+    field = h.field
     lines, leg = (table.transpose(), 0) if side == "t" else (table, 1)
-    cols = [_contract_leg(h, scaled, phi, leg) for phi in lines.sparse_rows]
-    return Matrix._sums(h.field, cols, h.dim).transpose()
+    t, phis = _Columns(field, [tensor]), _Columns(field, lines.sparse_rows)
+    radix = field.radix((1, len(tensor), t.a, phis.a))
+    scaled, d = [(1, t.at(radix)[0])], t.d * phis.d
+    cols = [_contract_leg(0, scaled, phi, leg) for phi in phis.at(radix)]
+    return Matrix._of(field, _from_images(field, cols, d, radix), h.dim).transpose()
 
 
 def _matrix_of_pairs(h, pairs):
@@ -422,36 +433,6 @@ def _index_lines(h, leg):
     for ij, cell in h.mult.items():
         lines[ij[leg]][ij[1 - leg]] = cell
     return tuple(lines)
-
-
-class _Columns:
-    """The integer image of a table, line by line: a line maps a key to a nonzero scalar, or, with
-    ``cells``, to a cell k -> nonzero scalar, as in the index ``mult_rows``.
-
-    ``d`` is the lcm of the denominators of every scalar, ``a`` the largest
-    absolute coefficient of an image (``Field.scaling``) and ``width`` the
-    most entries of one line.
-    """
-
-    def __init__(self, field, lines, cells=False):
-        self.field, self.lines, self.cells = field, lines, cells
-        scalars = [v for line in lines for v in line.values()]
-        self.d, self.a = field.scaling([c for cell in scalars for c in cell.values()] if cells else scalars)
-        self.width = max(map(len, lines), default=0)
-        self._at = {}
-
-    def at(self, radix):
-        """The lines of images at ``radix``, made once per radix; over Q with d = 1, ``lines`` itself."""
-        got = self._at.get(radix)
-        if got is None:
-            image, d, got = self.field.image, self.d, self.lines
-            if radix is not None or d != 1:
-                if self.cells:
-                    got = [{j: {k: image(c, d, radix) for k, c in v.items()} for j, v in line.items()} for line in got]
-                else:
-                    got = [{j: image(v, d, radix) for j, v in line.items()} for line in got]
-            self._at[radix] = got
-        return got
 
 
 class _Image:
@@ -676,12 +657,16 @@ class WeakHopfAlgebra:
         row a of the index is joined with those groups (walking the shorter)
         and row b is read only at the second legs of the groups reached.  So
         the cost is the term pairs whose first legs multiply to nonzero, plus
-        the shorter side of each join, not the |p| |q| pairs of terms.
+        the shorter side of each join, not the |p| |q| pairs of terms.  It joins
+        the images of p, q and the index (radix bound |p| |q| phi^3 A_p A_q A_m^2).
         InvalidOperand unless every key of p and q is a pair of basis indices.
         """
         if not (_on_basis(self, p) and _on_basis(self, q)):
             raise InvalidOperand(f"a key of p or q is not a pair of basis indices below {self.dim}")
-        return _pruned(_pair_product(self.mult_rows, p, q, self.field.zero()))
+        field, mult, pq = self.field, self.image.mult, _Columns(self.field, [p, q])
+        radix = field.radix((1, len(p) * len(q), pq.a, pq.a, mult.a, mult.a))
+        got = _pair_product(mult.at(radix), *pq.at(radix), 0)
+        return _from_images(field, [got], (pq.d * mult.d) ** 2, radix)[0]
 
     def mul_triple_dicts(self, p, q):
         """Product in H (x) H (x) H of two sparse triple-tensors, joined and checked like ``mul_pair_dicts``."""
@@ -905,7 +890,7 @@ class WeakHopfAlgebra:
 
     def _arrow(self, a, phi, paired):
         """ract (``paired`` 0) or lact (1) for a sparse vector a and a sparse functional phi, pruned."""
-        return _pruned(_contract_leg(self, [(x, self.comult[i]) for i, x in a.items()], phi, paired))
+        return _pruned(_contract_leg(self.field.zero(), [(x, self.comult[i]) for i, x in a.items()], phi, paired))
 
     def dual_lact(self, a, phi):
         """h -> phi: the functional g |-> <phi, g h>."""
@@ -1044,6 +1029,12 @@ def _pair_product(rows, p, q, zero):
                         key = (k1, k2)
                         out[key] = out.get(key, zero) + cc1 * c2
     return out
+
+
+def _to_common(d_lhs, d_rhs):
+    """(m / d_lhs, m / d_rhs) for m = lcm(d_lhs, d_rhs): what scales each side of an identity to m."""
+    g = gcd(d_lhs, d_rhs)
+    return d_rhs // g, d_lhs // g
 
 
 def _join(lines, x, w, zero):
@@ -1218,7 +1209,20 @@ def validate_weak_bialgebra(h):
     comult and two mult images per entry for C the most terms of one
     Delta(e_k) (bound C^2 phi^3 A_c^2 A_m^2).  Coassociativity compares
     D_c^2 (Delta (x) id)Delta(e_i) with D_c^2 (id (x) Delta)Delta(e_i)
-    (bound C phi A_c^2).  The weak axioms stay on field scalars.
+    (bound C phi A_c^2).
+
+    The other four run on images too, each side scaled to the lcm of the two
+    scales, with D, A and w (the most terms of a line) of 1, eps and the rank
+    factors from their own images.  Unit: D_1 D_m 1 e_i and D_1 D_m e_i 1
+    against D_1 D_m e_i (bound w_1 phi A_1 A_m).  Counit: both contractions
+    of D_c D_eps Delta(e_i) by eps against D_c D_eps e_i (bound C phi A_c
+    A_eps).  Weak unit: D_u D_c D_C (Delta (x) id)Delta(1), C the coordinates
+    of the third legs, found on field scalars (bound r w_u phi^2 A_u A_c A_C),
+    against both products scaled by D_u^2 D_v D_1 D_m^2 D_C (bound
+    r^2 w_u^2 w_v w_1 phi^6 A_u^2 A_v A_1 A_m^2 A_C).  Weak counit: D_m D_U
+    C_g^T U (bound n phi A_m A_U) against D_c D_V D_U^2 U W (bound
+    r C phi^3 A_U^2 A_c A_V); the first row f that differs is read back and
+    expanded over t on field scalars.
 
     Uncached apart from the cached ``h.generators`` (G) and
     ``h.associativity_witness``: ``validate_full`` reads
@@ -1259,22 +1263,28 @@ def validate_weak_bialgebra(h):
     multiplicative = multiplicativity(range(n) if assoc else gens)
     coassoc = coassociativity(range(n) if assoc or multiplicative else gens)
 
-    # two-sided unit: 1 e_i and e_i 1 join line i of mult_cols and of mult_rows with the unit
-    one, unit_vec = field.one(), h.one.terms
-    unit = None
-    for i in range(n):
-        e = {i: one}
-        if any(_pruned(_join(lines, e, unit_vec, zero)) != e for lines in (h.mult_cols, h.mult_rows)):
-            unit = (i,)
-            break
+    def first_row(radix, want, sides):
+        """The first (i,) with a side of row i other than ``want`` e_i, or None."""
+        for i in range(n):
+            e = {i: want}
+            if any(x != e and _differ(field, radix, x, e) for x in sides(i)):
+                return (i,)
+        return None
 
-    # two-sided counit: eps(e_i(1)) e_i(2) = e_i = e_i(1) eps(e_i(2)), contracted from Delta(e_i)
-    counit, counit_vec = None, h.eps.terms
-    for i in range(n):
-        e = {i: one}
-        if any(_pruned(_contract_leg(h, [(one, h.comult[i])], counit_vec, leg)) != e for leg in (0, 1)):
-            counit = (i,)
-            break
+    # two-sided unit: the images D_1 D_m 1 e_i and D_1 D_m e_i 1 against D_1 D_m e_i
+    unit_terms, one = h.one.terms, _Columns(field, [h.one.terms])
+    want = one.d * mult.d
+    radix = field.radix((1, one.width, one.a, mult.a), (want, 1, 1))
+    rows, (unit_vec,) = mult.at(radix), one.at(radix)
+    unit = first_row(radix, want, lambda i: (_join(rows, unit_vec, {i: 1}, 0), _join(rows, {i: 1}, unit_vec, 0)))
+
+    # two-sided counit: both contractions of the image D_c D_eps Delta(e_i) by eps against D_c D_eps e_i
+    eps = _Columns(field, [h.eps.terms])
+    radix = field.radix((1, comult.width, comult.a, eps.a), (comult.d * eps.d, 1, 1))
+    deltas, (counit_vec,) = comult.at(radix), eps.at(radix)
+    counit = first_row(
+        radix, comult.d * eps.d, lambda i: (_contract_leg(0, [(1, deltas[i])], counit_vec, leg) for leg in (0, 1))
+    )
 
     checks = [
         AxiomCheck("associativity", assoc is None, assoc),
@@ -1288,75 +1298,86 @@ def validate_weak_bialgebra(h):
     # = (1 (x) Delta(1))(Delta(1) (x) 1).  With Delta(1) = sum_s u_s (x) v_s,
     #   mid = sum_{q,t} (u_q 1) (x) v_q u_t (x) (1 v_t)
     #   alt = sum_{q,t} (1 u_q) (x) u_t v_q (x) (v_t 1)
-    # keeping the products by 1, which need not be a unit here.
+    # keeping the products by 1, which need not be a unit here.  The sums run on images, and
+    # cw[k] holds the coordinates of w_k, the k-th of vs + one_v + v_one, in thirds, over D_C.
     us, vs = _rank_factors(_matrix_of_pairs(h, h.delta_one))
     r = len(vs)
-    one_v = [_join(h.mult_rows, unit_vec, v, zero) for v in vs]
-    v_one = [_join(h.mult_rows, v, unit_vec, zero) for v in vs]
+    one_v = [_join(h.mult_rows, unit_terms, v, zero) for v in vs]
+    v_one = [_join(h.mult_rows, v, unit_terms, zero) for v in vs]
     thirds = Subspace._span(field, n, map(dict.items, vs + one_v + v_one))
-    coords = lambda v: thirds._residue(v.items())[0].items()  # sparse coordinates in thirds
+    u, v, c = (_Columns(field, x) for x in (us, vs, [thirds._residue(w.items())[0] for w in vs + one_v + v_one]))
+    to_lhs, to_mid = _to_common(u.d * comult.d * c.d, u.d**2 * v.d * one.d * mult.d**2 * c.d)
+    products = (to_mid, r * r * u.width**2 * v.width * one.width, u.a, u.a, v.a, one.a, mult.a, mult.a, c.a)
+    radix = field.radix((to_lhs, r * u.width, u.a, comult.a, c.a), products)
+    rows, deltas, (unit_vec,), us, vs, cw = (x.at(radix) for x in (mult, comult, one, u, v, c))
 
-    def in_thirds(terms):
-        """sum of P (x) w over (P, coords of w) in terms, keyed (a, b, beta) for w's basis index beta."""
+    def in_thirds(terms, scale):
+        """scale times the sum of P (x) w over (P, coordinates of w) in terms, keyed (a, b, beta)."""
         out = {}
-        for pair, cw in terms:
+        for pair, coords in terms:
             for (a, b), x in pair.items():
-                for beta, c in cw:
-                    key = (a, b, beta)
-                    out[key] = out.get(key, zero) + c * x
-        return _pruned(out)
+                for beta, y in coords:
+                    out[a, b, beta] = out.get((a, b, beta), 0) + scale * x * y
+        return out
 
-    lhs = in_thirds((h._comul(u), coords(v)) for u, v in zip(us, vs))
-    u_one = [_join(h.mult_rows, u, unit_vec, zero) for u in us]
-    one_u = [_join(h.mult_rows, unit_vec, u, zero) for u in us]
-    cw = [coords(w) for w in one_v]
-    mid = in_thirds(
-        (_pair_of(u_one[q], _join(h.mult_rows, vs[q], us[t], zero)), cw[t]) for t in range(r) for q in range(r)
+    lhs = in_thirds(
+        ((deltas[k], [(b, x * y) for b, y in cw[s].items()]) for s in range(r) for k, x in us[s].items()), to_lhs
     )
-    cw = [coords(w) for w in v_one]
-    alt = in_thirds(
-        (_pair_of(one_u[q], _join(h.mult_rows, us[t], vs[q], zero)), cw[t]) for t in range(r) for q in range(r)
-    )
-    ok = lhs == mid == alt
+    u_one = [_join(rows, x, unit_vec, 0) for x in us]
+    one_u = [_join(rows, unit_vec, x, 0) for x in us]
+    qt = [(q, t) for t in range(r) for q in range(r)]
+    mid = in_thirds(((_pair_of(u_one[q], _join(rows, vs[q], us[t], 0)), cw[r + t].items()) for q, t in qt), to_mid)
+    alt = in_thirds(((_pair_of(one_u[q], _join(rows, us[t], vs[q], 0)), cw[2 * r + t].items()) for q, t in qt), to_mid)
+    ok = not any(lhs != x and _differ(field, radix, lhs, x) for x in (mid, alt))
     checks.append(AxiomCheck("weak_unit", ok, None if ok else ("Delta(1)",)))
 
-    # weak counit axiom eps((fg)t) = eps(f g_(1)) eps(g_(2) t) = eps(f g_(2)) eps(g_(1) t),
-    # through E2 = U V: row f of C_g^T U against row f of U W for W = V M_g U and its swap
+    # weak counit axiom eps((fg)t) = eps(f g_(1)) eps(g_(2) t) = eps(f g_(2)) eps(g_(1) t), through
+    # E2 = U V: row f of the image of C_g^T U against row f of U W for W = V M_g U and its swap
     us, vs = _rank_factors(h.counit_product)
     r = len(vs)
     # u_rows[k] maps s to U[k, s] and v_cols[j] maps s to V[s, j], nonzeros only
     u_rows, v_cols = (Matrix._of(field, tuple(m), n).transpose().sparse_rows for m in (us, vs))
+    u, v = _Columns(field, u_rows), _Columns(field, v_cols)
+    to_lhs, to_mid = _to_common(mult.d * u.d, comult.d * v.d * u.d**2)
+    radix = field.radix((to_lhs, n, mult.a, u.a), (to_mid, r * comult.width, u.a, comult.a, v.a, u.a))
+    rows, deltas, us, vs = mult.at(radix), comult.at(radix), u.at(radix), v.at(radix)
 
     def through(w, f):
         """Row f of U w."""
-        out = [zero] * r
-        for s, x in u_rows[f].items():
+        out = [0] * r
+        for s, x in us[f].items():
             for s2, y in enumerate(w[s]):
                 if y:
                     out[s2] += x * y
         return out
 
+    differ = lambda x, y: x != y and _differ(field, radix, dict(enumerate(x)), dict(enumerate(y)))
     witness = None
     for g in range(n):
         lhs = {}
-        for f, cell in h.mult_cols[g].items():
-            row = lhs[f] = [zero] * r
-            for k, c in cell.items():
-                for s, x in u_rows[k].items():
-                    row[s] += c * x
-        mid = [[zero] * r for _ in range(r)]
-        alt = [[zero] * r for _ in range(r)]
-        for (j, k), c in h.comult[g].items():
-            for w, a, b in ((mid, j, k), (alt, k, j)):
-                for s, x in v_cols[a].items():
-                    cx = c * x
-                    for s2, y in u_rows[b].items():
-                        w[s][s2] += cx * y
         for f in range(n):
-            rows = (lhs.get(f, [zero] * r), through(mid, f), through(alt, f))
-            if not (rows[0] == rows[1] == rows[2]):
+            if cell := rows[f].get(g):
+                row = lhs[f] = [0] * r
+                for k, c in cell.items():
+                    c *= to_lhs
+                    for s, x in us[k].items():
+                        row[s] += c * x
+        mid = [[0] * r for _ in range(r)]
+        alt = [[0] * r for _ in range(r)]
+        for (j, k), c in deltas[g].items():
+            c *= to_mid
+            for w, a, b in ((mid, j, k), (alt, k, j)):
+                for s, x in vs[a].items():
+                    cx, ws = c * x, w[s]
+                    for s2, y in us[b].items():
+                        ws[s2] += cx * y
+        for f in range(n):
+            sides = (lhs.get(f, [0] * r), through(mid, f), through(alt, f))
+            if differ(sides[0], sides[1]) or differ(sides[0], sides[2]):
+                # V has full row rank, so the rows differ at some t: read them back and expand over t
+                read = [[field.from_image(y, mult.d * u.d * to_lhs, radix) for y in row] for row in sides]
                 entries = [
-                    [sum((row[s] * x for s, x in v_cols[t].items() if row[s]), zero) for row in rows]
+                    [sum((row[s] * x for s, x in v_cols[t].items() if row[s]), zero) for row in read]
                     for t in range(n)
                 ]
                 t = next(t for t, (a, b, c) in enumerate(entries) if not (a == b == c))
@@ -1398,8 +1419,7 @@ def antipode_axiom_checks(h, s=None):
     def first_failure(left, right, expect):
         factors = (im.comult, left, right, im.mult)
         scale = prod(f.d for f in factors)
-        g = gcd(scale, expect.d)
-        s_acc, s_expect = expect.d // g, scale // g
+        s_acc, s_expect = _to_common(scale, expect.d)
         width = prod(f.width for f in factors[:3])
         radix = field.radix((s_acc, width, *(f.a for f in factors)), (s_expect, 1, expect.a))
         deltas, left, right, rows = (f.at(radix) for f in factors)

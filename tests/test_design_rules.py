@@ -57,6 +57,10 @@ CALLS = {
     # constructor by columns; each reads every entry through linalg._entries, so elsewhere
     # they convert a solution or a matrix to dense and back.
     "try_solve": {"linalg.py"}, "solve": {"linalg.py"}, "from_columns": {"linalg.py"},
+    # A packed image is read back to the field only by Field.from_image (one scalar) and
+    # Field.image_zero (a zero test), which fold its signed digits by z^n = 1 and reduce
+    # them mod Phi_n; an _unpack call elsewhere reads digits that are not yet a scalar.
+    "_unpack": {"fields.py"},
 }
 
 
@@ -222,6 +226,7 @@ CASES = {
     "try_solve": (("grouplikes.py", "try_solve(m, b)"), ("linalg.py", "try_solve(m, b)")),
     "solve": (("semisimplicity.py", "m.solve(b)"), ("linalg.py", "m.solve(b)")),
     "from_columns": (("twisting.py", "Matrix.from_columns(QQ, cols)"), ("linalg.py", "Matrix.from_columns(QQ, cols)")),
+    "_unpack": (("wha.py", "fields._unpack(v, k)"), ("fields.py", "_unpack(v, k)")),
     "assert": (("errors.py", "assert WhopfError"), ("errors.py", "if not WhopfError: raise InvalidOperand('x')")),
     "isinstance-vector": (
         ("integrals.py", "isinstance(v, (Element, Functional))"), ("wha.py", "isinstance(v, Element)"),

@@ -654,10 +654,11 @@ def image_scalars(field, count):
 
 
 def read_back(field, v, d, radix):
-    """The scalar whose image under the scale d is v: over Q(zeta_n) its digits, folded and reduced."""
+    """The scalar whose image under the scale d is v: over Q(zeta_n) the sum of its digits times
+    z^t / d in the field's own arithmetic, which neither ``fold`` nor ``from_image`` takes part in."""
     if radix is None:
         return field.from_fraction(Fraction(v, d))
-    return Cyc(field.order, [Fraction(c, d) for c in _context(field.order).fold(_unpack(v, radix))])
+    return sum((Fraction(c, d) * field.zeta(t) for t, c in enumerate(_unpack(v, radix))), field.zero())
 
 
 def check_products(field, tables):
@@ -680,7 +681,7 @@ def check_products(field, tables):
     total = 0
     for i in range(terms):
         total += prod(field.image(table[i], d, radix) for table, (d, _) in zip(tables, scalings))
-    assert read_back(field, total, scale, radix) == want
+    assert read_back(field, total, scale, radix) == want == field.from_image(total, scale, radix)
     image = field.image(want, scale, radix)
     assert not _differ(field, radix, {0: total}, {0: image})
     for t in range(1 if field is QQ else field.phi):
@@ -694,6 +695,36 @@ def test_images_multiply_and_add_like_the_scalars(field, terms, factors, data):
     check_products(field, [data.draw(image_scalars(field, terms)) for _ in range(factors)])
 
 
+def extreme_scalars(field, count):
+    """``count`` scalars whose coefficients are all +top or all -top over one denominator: every digit of
+    their images, and of products of them, is as large as the radix bound allows."""
+    phi = 1 if field is QQ else field.phi
+    top = st.sampled_from([1, 7, 2**15 - 1, 2**16 + 1, 3**40])
+    signs = st.lists(st.sampled_from([1, -1]), min_size=count, max_size=count)
+    den = st.sampled_from([1, 2, 12, 2**20 + 7])
+    lift = field.from_fraction if field is QQ else lambda q: Cyc(field.order, [q] * phi)
+    return st.tuples(top, signs, den).map(lambda t: [lift(Fraction(sign * t[0], t[2])) for sign in t[1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PACK_FIELDS), st.integers(1, 5), st.integers(1, 12), st.booleans(), st.data())
+def test_from_image_inverts_image(field, count, multiple, extreme, data):
+    """from_image(image(x, D, K), D, K) == x for the table's own D and a multiple of it, at the least
+    radix that holds its digits; the result is the field's own scalar, an int over Q when integral."""
+    xs = data.draw((extreme_scalars if extreme else image_scalars)(field, count))
+    d, a = field.scaling(xs)
+    d, a = d * multiple, a * multiple
+    k = field.radix((1, 1, a))
+    for x in xs:
+        back = field.from_image(field.image(x, d, k), d, k)
+        assert back == x and back == read_back(field, field.image(x, d, k), d, k)
+        if field is QQ:
+            assert type(back) is (int if Fraction(x).denominator == 1 else Fraction)
+        else:
+            assert_canonical(back, field.phi)
+    assert field.from_image(0, d, k) == field.zero()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 90), st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=1, max_size=13))
 def test_extreme_digits_decode(k, signs):
@@ -702,6 +733,15 @@ def test_extreme_digits_decode(k, signs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     assert _unpack(_pack(coeffs, k), k) == coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PACK_FIELDS[1:] + [CyclotomicField(n) for n in (6, 9, 15, 30)]),
+       st.lists(st.integers(-(2**70), 2**70), max_size=70))
+def test_fold_is_the_residue_of_the_digits(field, digits):
+    """fold reads digit t at z^(t mod n), reduced mod Phi_n: the field's own sum of the digits times z^t."""
+    want = sum((c * field.zeta(t) for t, c in enumerate(digits)), field.zero())
+    assert Cyc(field.order, _context(field.order).fold(digits)) == want
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 7, 8, 1000, 2**64 - 1, 2**64])

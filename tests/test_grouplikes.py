@@ -263,8 +263,8 @@ def test_gamma_module_iso_distinct_characters_z2():
 
 
 def test_self_intertwiners_dimensions():
-    assert self_intertwiners(pair2(), pair2().eps).dim == 1
-    assert self_intertwiners(kz2(), kz2().eps).dim == 1
+    for h in (pair2(), kz2()):
+        assert self_intertwiners(h, h.eps).dim == 1
     z2z2 = groupoid_algebra(
         disjoint_union(one_object_groupoid(cyclic_table(2)), one_object_groupoid(cyclic_table(2)))
     )
@@ -518,6 +518,8 @@ def _option_calls():
         "restricted_trace-3x3": lambda h: restricted_trace(h, eye(3), h.target_base),
         "restricted_trace-2x4": lambda h: restricted_trace(h, Matrix.zero(QQ, 2, 4), h.target_base),
         "restricted_trace-rows": lambda h: restricted_trace(h, [[1, 0], [0, 1]], h.target_base),
+        "restricted_trace-space-5": lambda h: restricted_trace(h, eye(4), Subspace.full(QQ, 5)),
+        "restricted_trace-space-3": lambda h: restricted_trace(h, eye(4), Subspace.full(QQ, 3)),
         "trace_via_integrals-2x2": lambda h: trace_via_integrals(h, canonical_dual_pair(h), eye(2)),
         "is_trivial_automorphism-2x2": lambda h: is_trivial_automorphism(h, eye(2)),
         "is_trivial_automorphism-5x5": lambda h: is_trivial_automorphism(h, eye(5)),

@@ -80,7 +80,7 @@ def test_regularize_deformed_minimal():
 def test_deform_round_trip():
     h = deformed_minimal()
     reg, q = regularize(h)
-    back = deform_q(reg, q.inv())
+    back = deform_q(reg, q.inv().coeffs)  # q is an Element of h; reg has h's basis
     assert back.same_structure(h)
 
 

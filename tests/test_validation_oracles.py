@@ -101,6 +101,16 @@ of dim <= 6 and of S must keep failing after transport.  Bumps by 1/5,
 -2/7 and 3/11 bring denominators that only some columns of eps_t or eps_s
 carry, plain and transported.
 
+``Matrix.__matmul__``, ``mul_pair_dicts`` and ``contraction_matrix`` run on
+the integer images of their operands, and the unit, counit, weak-unit and
+weak-counit scans on the image of the tables.  Their earlier field-scalar
+bodies are kept (``field_*``): the producers must agree with them on the
+zoo's own operands and on operands whose coefficients all have the largest
+size a radix allows, over Q and Q(zeta_n) for n in {3, 4, 5, 7, 8, 12}; the
+scans must give their verdicts and witnesses on every case above, on dyn-z3
+and its corruptions, on the rebased members, on fractional bumps, plain and
+rebased, and on seeded corruptions of each part of the tables a scan reads.
+
 The mirrored pairs that share one body in the library keep one oracle per
 side: eps_t and eps_s from eps(1_(1) e_i) 1_(2) and 1_(1) eps(e_i 1_(2)),
 eps_s^gamma and eps_t^gamma from <gamma, x 1_(1)> S(1_(2)) and
@@ -142,6 +152,7 @@ from whopf.constructors import (
 )
 from whopf.errors import (
     Axiom26Failure,
+    FieldMismatch,
     Inconsistent,
     NoAntipode,
     NonSplit,
@@ -3130,3 +3141,298 @@ def test_fractional_bumps_match_the_oracles():
                 assert _verdicts(rebased) == _verdicts(bad)
                 assert_kernels_match_the_oracles(rebased)
     assert {"antipode_target", "antipode_source", "comult_multiplicative", "counit", "unit"} <= failing
+
+
+# ---------------------------------------------------------------------------
+# one image round trip: the producers and the last four scans against their field-scalar bodies
+
+
+def field_mul_pair_dicts(h, p, q):
+    """The earlier body of ``mul_pair_dicts``: ``_pair_product`` on the index of field scalars."""
+    return wha._pruned(wha._pair_product(h.mult_rows, p, q, h.field.zero()))
+
+
+def field_matmul(a, b):
+    """The earlier body of ``Matrix.__matmul__``: the row join on field scalars."""
+    zero, other_rows, out = a.field.zero(), b.sparse_rows, []
+    for r in a.sparse_rows:
+        acc = {}
+        for k, x in r.items():
+            for j, y in other_rows[k].items():
+                acc[j] = acc.get(j, zero) + x * y
+        out.append(acc)
+    return Matrix._sums(a.field, out, b.ncols)
+
+
+def field_contraction_matrix(h, tensor, table, side):
+    """The earlier body of ``contraction_matrix``: ``_contract_leg`` on field scalars."""
+    scaled = [(h.field.one(), tensor)]
+    lines, leg = (table.transpose(), 0) if side == "t" else (table, 1)
+    cols = [wha._contract_leg(h.field.zero(), scaled, phi, leg) for phi in lines.sparse_rows]
+    return Matrix._sums(h.field, cols, h.dim).transpose()
+
+
+def field_unit_counit(h):
+    """The earlier unit and counit scans on field scalars: the first failing (i,) of each, or None."""
+    zero, one = h.field.zero(), h.field.one()
+    unit_vec, counit_vec = h.one.terms, h.eps.terms
+    lines = (h.mult_cols, h.mult_rows)
+    unit = next(
+        (
+            (i,)
+            for i in range(h.dim)
+            if any(wha._pruned(wha._join(m, {i: one}, unit_vec, zero)) != {i: one} for m in lines)
+        ),
+        None,
+    )
+    counit = next(
+        (
+            (i,)
+            for i in range(h.dim)
+            if any(
+                wha._pruned(wha._contract_leg(zero, [(one, h.comult[i])], counit_vec, leg)) != {i: one}
+                for leg in (0, 1)
+            )
+        ),
+        None,
+    )
+    return unit, counit
+
+
+def field_weak_unit(h):
+    """The earlier weak-unit scan on field scalars: the rank factors of Delta(1), third legs in one basis."""
+    n, field = h.dim, h.field
+    zero, unit_vec, rows = field.zero(), h.one.terms, h.mult_rows
+    us, vs = wha._rank_factors(wha._matrix_of_pairs(h, h.delta_one))
+    r = len(vs)
+    one_v = [wha._join(rows, unit_vec, v, zero) for v in vs]
+    v_one = [wha._join(rows, v, unit_vec, zero) for v in vs]
+    thirds = Subspace._span(field, n, map(dict.items, vs + one_v + v_one))
+    coords = lambda v: thirds._residue(v.items())[0].items()
+
+    def in_thirds(terms):
+        out = {}
+        for pair, cw in terms:
+            for (a, b), x in pair.items():
+                for beta, c in cw:
+                    out[a, b, beta] = out.get((a, b, beta), zero) + c * x
+        return wha._pruned(out)
+
+    lhs = in_thirds((h._comul(u), coords(v)) for u, v in zip(us, vs))
+    u_one = [wha._join(rows, u, unit_vec, zero) for u in us]
+    one_u = [wha._join(rows, unit_vec, u, zero) for u in us]
+    cw = [coords(w) for w in one_v]
+    mid = in_thirds(
+        (wha._pair_of(u_one[q], wha._join(rows, vs[q], us[t], zero)), cw[t]) for t in range(r) for q in range(r)
+    )
+    cw = [coords(w) for w in v_one]
+    alt = in_thirds(
+        (wha._pair_of(one_u[q], wha._join(rows, us[t], vs[q], zero)), cw[t]) for t in range(r) for q in range(r)
+    )
+    return lhs == mid == alt
+
+
+def field_weak_counit(h):
+    """The earlier weak-counit scan on field scalars: row f of C_g^T U against row f of U V M_g U and its swap."""
+    n, field = h.dim, h.field
+    zero = field.zero()
+    us, vs = wha._rank_factors(h.counit_product)
+    r = len(vs)
+    u_rows, v_cols = (Matrix._of(field, tuple(m), n).transpose().sparse_rows for m in (us, vs))
+
+    def through(w, f):
+        out = [zero] * r
+        for s, x in u_rows[f].items():
+            for s2, y in enumerate(w[s]):
+                if y:
+                    out[s2] += x * y
+        return out
+
+    for g in range(n):
+        lhs = {}
+        for f, cell in h.mult_cols[g].items():
+            row = lhs[f] = [zero] * r
+            for k, c in cell.items():
+                for s, x in u_rows[k].items():
+                    row[s] += c * x
+        mid = [[zero] * r for _ in range(r)]
+        alt = [[zero] * r for _ in range(r)]
+        for (j, k), c in h.comult[g].items():
+            for w, a, b in ((mid, j, k), (alt, k, j)):
+                for s, x in v_cols[a].items():
+                    for s2, y in u_rows[b].items():
+                        w[s][s2] += c * x * y
+        for f in range(n):
+            rows = (lhs.get(f, [zero] * r), through(mid, f), through(alt, f))
+            if not (rows[0] == rows[1] == rows[2]):
+                entries = [
+                    [sum((row[s] * x for s, x in v_cols[t].items() if row[s]), zero) for row in rows]
+                    for t in range(n)
+                ]
+                return f, g, next(t for t, (a, b, c) in enumerate(entries) if not (a == b == c))
+    return None
+
+
+def field_scalar_checks(h):
+    """axiom name -> witness of the four scans that ran on field scalars before the image did."""
+    unit, counit = field_unit_counit(h)
+    weak_unit = None if field_weak_unit(h) else ("Delta(1)",)
+    return {"unit": unit, "counit": counit, "weak_unit": weak_unit, "weak_counit": field_weak_counit(h)}
+
+
+def assert_moved_scans_match(h):
+    """The uncached image scans of h give the verdict and the witness of the field-scalar bodies."""
+    want = field_scalar_checks(h)
+    got = {c.name: c.witness for c in validate_weak_bialgebra(h).checks if c.name in want}
+    assert got == want
+    return {name for name, witness in want.items() if witness is not None}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_moved_scans_match_their_field_scalar_bodies(name):
+    for h in CASES[name]:
+        assert_moved_scans_match(h)
+
+
+def test_moved_scans_match_their_field_scalar_bodies_on_dense_large_and_fractional_tables():
+    """dyn-z3 (dim 27) and its corruptions, the rebased members, and fractional bumps, plain and rebased."""
+    rng = random.Random(35)
+    h = dyn_z3()
+    failing = set()
+    for bad in [h, rotated_unit(h)] + [corrupt(h, rng) for _ in range(6)]:
+        failing |= assert_moved_scans_match(bad)
+    for _, rebased in REBASED.values():
+        assert not assert_moved_scans_match(rebased)
+    for name in ("z3-group-cyclotomic", "pair-2", "sweedler4", "hmin-m2-g31", "dyn-twist-z2"):
+        h = build_member(name)
+        for _ in range(6):
+            bad = corrupt(h, rng, values=FRACTIONAL_BUMPS)
+            failing |= assert_moved_scans_match(bad)
+            if h.dim <= 8:  # a dense non-associative dim-16 table takes multiplicativity seconds
+                failing |= assert_moved_scans_match(rebase(bad, unit_upper(h.field, h.dim, rng)))
+    assert {"unit", "counit", "weak_unit", "weak_counit"} <= failing
+
+
+# the parts of the tables each moved scan reads
+MOVED_SCANS = {
+    "unit": ("unit", "mult"),
+    "counit": ("counit", "comult"),
+    "weak_unit": ("mult", "comult", "unit"),
+    "weak_counit": ("mult", "comult", "counit"),
+}
+SMALL_MEMBERS = [name for name in ZOO_NAMES if build_member(name).dim <= 6]
+IMAGE_TESTS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@IMAGE_TESTS
+@given(
+    st.sampled_from(SMALL_MEMBERS), st.sampled_from(sorted(MOVED_SCANS)), st.integers(0, 2**32), st.booleans()
+)
+def test_a_corrupted_table_gives_each_moved_scan_its_field_scalar_verdict(name, scan, seed, dense):
+    """One constant of a part the scan reads is bumped, by an integer or a fraction, and the table is
+    optionally carried to a dense basis: verdict and witness are the field-scalar body's."""
+    rng = random.Random(seed)
+    h = build_member(name)
+    bad = corrupt(h, rng, parts=MOVED_SCANS[scan], values=rng.choice([BUMPS, FRACTIONAL_BUMPS]))
+    if dense:
+        bad = rebase(bad, unit_upper(h.field, h.dim, rng))
+    got = {c.name: c.witness for c in validate_weak_bialgebra(bad).checks}
+    assert got[scan] == field_scalar_checks(bad)[scan]
+
+
+def edge_top(field, products, factors, width):
+    """The largest top whose bound products phi^(factors-1) top^factors stays below 2^(16 width - 2).
+
+    Then the radix is K = 16 width, and a sum of ``products`` products of
+    ``factors`` images with every coefficient top (one sign) has a digit at
+    that bound, so the difference of two such sides reaches 2^(K-1) - 1.
+    """
+    phi = 1 if field is QQ else field.phi
+    bound = lambda t: products * phi ** (factors - 1) * t**factors
+    edge = 1 << (16 * width - 2)
+    top = max(1, int((edge / bound(1)) ** (1 / factors)))
+    while bound(top + 1) < edge:
+        top += 1
+    while top > 1 and bound(top) >= edge:
+        top -= 1
+    return top
+
+
+def edge_scalar(field, top, den, sign):
+    """sign top / den in every coefficient: the image of a table of these has A = top."""
+    q = Fraction(sign * top, den)
+    return field.from_fraction(q) if field is QQ else fields.Cyc(field.order, [q] * field.phi)
+
+
+def edge_algebra(field, dim, top, den, signs):
+    """dim basis elements, every product e_i e_j = sum_k c_ijk e_k with each c_ijk an edge scalar."""
+    cell = lambda: {k: edge_scalar(field, top, den, next(signs)) for k in range(dim)}
+    mult = {(i, j): cell() for i in range(dim) for j in range(dim)}
+    zero = [0] * dim
+    return WeakHopfAlgebra(field, [f"e{i}" for i in range(dim)], mult, zero, [{}] * dim, zero, name="edge")
+
+
+EDGE_FIELDS = [QQ] + [CyclotomicField(n) for n in (3, 4, 5, 7, 8, 12)]
+
+
+@IMAGE_TESTS
+@given(
+    st.sampled_from(EDGE_FIELDS), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+    st.sampled_from([1, 5, 12]), st.booleans(), st.randoms(use_true_random=False),
+)
+def test_image_producers_match_their_field_scalar_bodies_at_the_radix_edge(
+    field, width, n, m, dim, den, same_sign, rng
+):
+    """Matrix @, mul_pair_dicts and contraction_matrix against their earlier bodies, on operands whose
+    coefficients all have the largest size the radix 16 width allows; one sign puts every digit of
+    the sums at the bound."""
+    signs = iter(lambda: 1 if same_sign else rng.choice([1, -1]), None)
+
+    def at_the_edge(top, side):
+        """The operands' radix is 16 width, unless even top = 1 needs more (or Q needs none)."""
+        assert field is QQ or top == 1 or field.radix(side) == 16 * width
+
+    top = edge_top(field, m, 2, width)
+    a, b = (
+        Matrix(field, [[edge_scalar(field, top, den, next(signs)) for _ in range(cols)] for _ in range(rows)])
+        for rows, cols in ((n, m), (m, n))
+    )
+    at_the_edge(top, (1, m, top, top))
+    assert a @ b == field_matmul(a, b) and b @ a == field_matmul(b, a)
+
+    top = edge_top(field, dim**4, 4, width)
+    h = edge_algebra(field, dim, top, den, signs)
+    p, q = ({(i, j): edge_scalar(field, top, den, next(signs)) for i in range(dim) for j in range(dim)} for _ in "pq")
+    at_the_edge(top, (1, dim**4, top, top, top, top))
+    assert h.mul_pair_dicts(p, q) == field_mul_pair_dicts(h, p, q)
+
+    top = edge_top(field, dim * dim, 2, width)
+    h = edge_algebra(field, dim, top, den, signs)
+    tensor = {(i, j): edge_scalar(field, top, den, next(signs)) for i in range(dim) for j in range(dim)}
+    table = Matrix(field, [[edge_scalar(field, top, den, next(signs)) for _ in range(dim)] for _ in range(dim)])
+    at_the_edge(top, (1, dim * dim, top, top))
+    for side in "ts":
+        assert wha.contraction_matrix(h, tensor, table, side) == field_contraction_matrix(h, tensor, table, side)
+
+
+def test_a_product_of_matrices_over_two_fields_reads_the_right_factor_in_the_left_field():
+    """Q(zeta_3) @ Q reads the rational entries as scalars of Q(zeta_3), as the field-scalar body did;
+    Q @ Q(zeta_3) has no rational scalar for them and raises FieldMismatch."""
+    z3 = CyclotomicField(3)
+    a = Matrix(z3, [[z3.zeta(), 1], [0, z3.zeta(2)]])
+    b = Matrix(QQ, [[1, Fraction(1, 2)], [3, 0]])
+    assert a @ b == field_matmul(a, b)
+    with pytest.raises(FieldMismatch):
+        b @ a
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_image_producers_match_their_field_scalar_bodies_on_the_zoo(name):
+    """The library's own operands: Delta(e_i) Delta(1), S (L S), and eps_t and eps_s from E2."""
+    h = build_member(name)
+    for i in range(h.dim):
+        assert h.mul_pair_dicts(h.comult[i], h.delta_one) == field_mul_pair_dicts(h, h.comult[i], h.delta_one)
+    left = h._mult_matrix(h.one.terms, True)
+    assert h.S @ (left @ h.S) == field_matmul(h.S, field_matmul(left, h.S))
+    for side, want in (("t", h.eps_t_mat), ("s", h.eps_s_mat)):
+        assert field_contraction_matrix(h, h.delta_one, h.counit_product, side) == want

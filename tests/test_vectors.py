@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from whopf.constructors import cyclic_table, group_algebra
-from whopf.errors import FieldMismatch, NotInvertible
+from whopf.errors import FieldMismatch, InvalidOperand, NotInvertible
 from whopf.fields import QQ, CyclotomicField
 from whopf.linalg import Matrix, try_solve
 from whopf import linalg, wha
@@ -252,6 +252,20 @@ def test_operands_of_another_algebra_or_kind_are_typed_errors():
     for bad in (lambda: a + g.one, lambda: a - g.one, lambda: a * g.one, lambda: a + (1, 0, 0, 1), lambda: a * "x"):
         with pytest.raises(FieldMismatch):
             bad()
+
+
+def test_a_vector_of_another_algebra_of_the_same_dim_is_refused():
+    """pair-2 and dual-pair-2 both have dim 4: o's unit (1, 1, 1, 1) used to be read in pair-2's basis,
+    so h.mul_vec(o.one, o.one) returned (2, 2, 2, 2) and Element(h, o.one) wrapped o's unit as h's."""
+    h, o = build_member("pair-2"), build_member("dual-pair-2")
+    calls = [
+        lambda: h.mul_vec(o.one, o.one), lambda: h.mul_vec(h.one, o.one), lambda: Element(h, o.one),
+        lambda: Functional(h, o.eps), lambda: h.eps(o.one), lambda: h.apply_S(o.one), lambda: h.lact(o.eps, h.one),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidOperand, match="another algebra"):
+            call()
+    assert h.mul_vec(o.one.coeffs, h.one) == h.mul_vec(tuple(o.one), h.one)  # a dense view is read as h's
 
 
 def callers(depth):
